@@ -1,42 +1,57 @@
 package cclo
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
-// mapSizes reads the reader-map sizes of one key under the shard lock.
-func mapSizes(s *loStore, key string) (readers, oldReaders int) {
-	return s.readerSizes(key)
-}
-
 // TestHotKeyReadersBounded: a hot dependency key under a read-heavy,
-// install-free workload used to grow its readers map without bound — only
-// negative (missing-key) reads size-triggered a sweep. The clock is
-// synthetic, so the test is fully deterministic: 10k distinct ROTs read
-// the key at 10 reads/ms against a 5 ms GC window, and the map must stay
-// near the sweep bound instead of reaching 10k.
+// install-free workload must not grow its reader set without bound. The
+// clock is synthetic, so the test is fully deterministic: 10k distinct
+// clients read the key at 10 reads/ms against a 5 ms GC window. Every read
+// is a client's first, so every read's insertion pass drops what expired:
+// the set holds exactly the reads of the last window.
 func TestHotKeyReadersBounded(t *testing.T) {
 	s := newLoStore(4, 1, 5*time.Millisecond)
 	t0 := time.Now()
 	s.install("hot", loVersion{value: []byte("v"), ts: 1, srcDC: 0}, nil, t0)
 	for i := 0; i < 10000; i++ {
 		now := t0.Add(time.Duration(i) * 100 * time.Microsecond)
-		s.read("hot", uint64(i+1), uint64(i+1), now)
+		s.read("hot", uint64(i+1)<<32, uint64(i+1), now)
 	}
-	readers, _ := mapSizes(s, "hot")
-	// In-window entries: 5ms × 10/ms = 50; the sweep triggers at
-	// softReaderBound, so the map can float up to the bound plus one
-	// window's worth of live entries.
-	if readers > softReaderBound+64 {
-		t.Fatalf("readers map grew to %d entries on a hot key (bound %d): sweep never fired", readers, softReaderBound)
+	readers, _ := s.readerSizes("hot")
+	// In-window entries: 5ms × 10/ms = 50, plus the one exactly at the edge.
+	if readers > 51 {
+		t.Fatalf("reader set grew to %d entries on a hot key (one window holds 51): insertion never expired", readers)
+	}
+}
+
+// TestOneSlotPerClient: 10k ROTs of ONE client on a hot key occupy one
+// slot — the paper's one-id-per-client rule applied at insertion — and the
+// slot is the newest ROT's.
+func TestOneSlotPerClient(t *testing.T) {
+	s := newLoStore(4, 1, time.Minute)
+	t0 := time.Now()
+	s.install("hot", loVersion{value: []byte("v"), ts: 1, srcDC: 0}, nil, t0)
+	for i := 1; i <= 10000; i++ {
+		s.read("hot", 7<<32|uint64(i), uint64(i), t0)
+	}
+	s.read("hot", 7<<32|9999, 20000, t0) // straggler leg of an abandoned ROT
+	if readers, _ := s.readerSizes("hot"); readers != 1 {
+		t.Fatalf("one client holds %d slots, want 1", readers)
+	}
+	s.install("hot", loVersion{value: []byte("w"), ts: 2, srcDC: 0}, nil, t0)
+	out, scanned := s.collectOldReaders("hot", 2, t0, nil)
+	if scanned != 1 || len(out) != 1 || out[0].rotID != 7<<32|10000 || out[0].t != 10000 {
+		t.Fatalf("collected %+v (scanned %d), want the client's newest ROT only", out, scanned)
 	}
 }
 
 // TestOldReadersSweptOnInstall: installs move current readers into
 // oldReaders; with nothing ever depending on the key no readers check runs
-// and the old code never swept the map. 60 rounds of (10 readers, one
-// install) against a 5 ms window must not retain all 600 entries.
+// to expire them. 60 rounds of (10 fresh clients, one install) against a
+// 5 ms window must retain only the rounds still inside the window.
 func TestOldReadersSweptOnInstall(t *testing.T) {
 	s := newLoStore(4, 1, 5*time.Millisecond)
 	t0 := time.Now()
@@ -45,38 +60,37 @@ func TestOldReadersSweptOnInstall(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		now := t0.Add(time.Duration(round) * 2 * time.Millisecond)
 		for i := 0; i < 10; i++ {
-			s.read("churn", id, id, now)
+			s.read("churn", id<<32, id, now)
 			id++
 		}
 		s.install("churn", loVersion{value: []byte("v"), ts: uint64(round + 2), srcDC: 0}, nil, now)
 	}
-	_, old := mapSizes(s, "churn")
-	if old > softReaderBound+64 {
-		t.Fatalf("oldReaders map grew to %d entries with no readers checks (bound %d): install-path sweep missing", old, softReaderBound)
+	_, old := s.readerSizes("churn")
+	// Rounds are 2 ms apart: the last install keeps its own round and the two
+	// before it (0, 2 and 4 ms old); the round 6 ms back is past the window.
+	if old != 30 {
+		t.Fatalf("oldReaders holds %d entries with no readers checks, want the 30 of the last three rounds", old)
 	}
 }
 
 // TestProbeHeavyKeySweptOnCollect: a dependency key whose latest version
-// is current never takes the collect path's stale-latest branch, so its
-// reader map used to ride only on read-path sweeps. The collect path must
-// bound it too (satellite: probe-only keys on the collectOldReaders path).
+// is current is never collected from, so nothing but reads would expire its
+// reader set. The collect path must bound it too.
 func TestProbeHeavyKeySweptOnCollect(t *testing.T) {
 	s := newLoStore(4, 1, 5*time.Millisecond)
 	t0 := time.Now()
 	s.install("dep", loVersion{value: []byte("v"), ts: 100, srcDC: 0}, nil, t0)
-	// Pile up readers below the read-path sweep trigger... then age them out
-	// and let a readers check (latest 100 ≥ depTS 50: not collected) sweep.
-	for i := 0; i < softReaderBound; i++ {
-		s.read("dep", uint64(i+1), uint64(i+1), t0)
+	for i := 0; i < 128; i++ {
+		s.read("dep", uint64(i+1)<<32, uint64(i+1), t0)
 	}
-	collected := make(map[uint64]orEntry)
-	s.collectOldReaders("dep", 50, t0.Add(50*time.Millisecond), collected)
+	// Age them out and let a readers check (latest 100 ≥ depTS 50: not
+	// collected) pass over the key.
+	collected, _ := s.collectOldReaders("dep", 50, t0.Add(50*time.Millisecond), nil)
 	if len(collected) != 0 {
 		t.Fatalf("collected %d readers for an already-satisfied dependency", len(collected))
 	}
-	readers, _ := mapSizes(s, "dep")
-	if readers != 0 {
-		t.Fatalf("readers map holds %d expired entries after a collect pass", readers)
+	if readers, _ := s.readerSizes("dep"); readers != 0 {
+		t.Fatalf("reader set holds %d expired entries after a collect pass", readers)
 	}
 }
 
@@ -90,9 +104,9 @@ func TestAllInvisibleAtCapacityIsNotFound(t *testing.T) {
 	const rot, cap = uint64(7), 4
 	s := newLoStore(cap, 1, time.Minute)
 	t0 := time.Now()
-	marked := map[uint64]orEntry{rot: {rotID: rot, t: 1}}
+	marked := slotSet{{rotID: rot, t: 1}}
 	for i := 1; i <= cap; i++ { // exactly at capacity, never trimmed
-		s.install("k", loVersion{value: []byte{byte(i)}, ts: uint64(i), srcDC: 0}, marked, t0)
+		s.install("k", loVersion{value: []byte{byte(i)}, ts: uint64(i), srcDC: 0}, slices.Clone(marked), t0)
 	}
 	if _, _, _, ok := s.read("k", rot, 99, t0); ok {
 		t.Fatal("at-capacity untrimmed chain served a version invisible to the probing ROT")
@@ -102,7 +116,7 @@ func TestAllInvisibleAtCapacityIsNotFound(t *testing.T) {
 	}
 	// One more install trims the oldest; now the fallback (and the trimmed
 	// dependency-check shortcut) are legitimate.
-	s.install("k", loVersion{value: []byte{cap + 1}, ts: cap + 1, srcDC: 0}, marked, t0)
+	s.install("k", loVersion{value: []byte{cap + 1}, ts: cap + 1, srcDC: 0}, slices.Clone(marked), t0)
 	if _, _, _, ok := s.read("k", rot, 100, t0); !ok {
 		t.Fatal("trimmed chain refused the oldest-retained fallback")
 	}
@@ -120,7 +134,7 @@ func TestExpiredMarkUnhidesNewVersion(t *testing.T) {
 	t0 := time.Now()
 	s.install("k", loVersion{value: []byte("v1"), ts: 1, srcDC: 0}, nil, t0)
 	s.install("k", loVersion{value: []byte("v2"), ts: 2, srcDC: 0},
-		map[uint64]orEntry{rot: {rotID: rot, t: 1}}, t0)
+		slotSet{{rotID: rot, t: 1}}, t0)
 
 	if val, _, _, ok := s.read("k", rot, 10, t0.Add(time.Millisecond)); !ok || string(val) != "v1" {
 		t.Fatalf("in-window read got %q, want the rewind to v1", val)

@@ -3,6 +3,7 @@ package cclo
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -291,21 +292,27 @@ func TestReadersCheckStats(t *testing.T) {
 	}
 }
 
-func TestFilterOnePerClient(t *testing.T) {
-	in := map[uint64]orEntry{
-		5<<32 | 1: {rotID: 5<<32 | 1, t: 10},
-		5<<32 | 3: {rotID: 5<<32 | 3, t: 30},
-		6<<32 | 2: {rotID: 6<<32 | 2, t: 20},
+// TestAbsorbOnePerClient: merging keeps, per client, only the most recent
+// ROT id (the paper's §5.2 optimization; sound for clients that issue one
+// ROT at a time, because any older ROT has completed all its reads), and
+// between two sightings of one ROT the earliest read time.
+func TestAbsorbOnePerClient(t *testing.T) {
+	out := slotSet{{rotID: 5<<32 | 1, t: 10}, {rotID: 7<<32 | 4, t: 9}}
+	out = out.absorb(slotSet{
+		{rotID: 4<<32 | 9, t: 1, vts: 50}, // served version too new: filtered
+		{rotID: 5<<32 | 3, t: 30},
+		{rotID: 6<<32 | 2, t: 20},
+		{rotID: 7<<32 | 4, t: 8},
+	}, 50)
+	want := slotSet{{rotID: 5<<32 | 3, t: 30}, {rotID: 6<<32 | 2, t: 20}, {rotID: 7<<32 | 4, t: 8}}
+	if !slices.Equal(out, want) {
+		t.Fatalf("absorbed to %+v, want %+v", out, want)
 	}
-	out := filterOnePerClient(in)
-	if len(out) != 2 {
-		t.Fatalf("filtered to %d entries, want 2 (one per client)", len(out))
-	}
-	if _, ok := out[5<<32|3]; !ok {
-		t.Fatal("must keep the most recent ROT of client 5")
-	}
-	if _, ok := out[6<<32|2]; !ok {
-		t.Fatal("must keep client 6's only ROT")
+	// Anything not already ordered one-per-client (several recovered records
+	// of one version) is folded on the way in.
+	got := slotsFromWire(nil, []wire.ReaderEntry{{RotID: 6<<32 | 2, T: 20}, {RotID: 5<<32 | 1, T: 10}, {RotID: 5<<32 | 3, T: 30}})
+	if !slices.Equal(got, want[:2]) {
+		t.Fatalf("slotsFromWire folded to %+v, want %+v", got, want[:2])
 	}
 }
 
@@ -414,9 +421,7 @@ func TestReadersMoveOnFullChain(t *testing.T) {
 	}
 	// ...and a further install must still move it to old readers.
 	s.install("k", loVersion{ts: 11}, nil, now)
-	out := make(map[uint64]orEntry)
-	s.collectOldReaders("k", 11, now, out)
-	if _, ok := out[42]; !ok {
+	if out, _ := s.collectOldReaders("k", 11, now, nil); len(out) != 1 || out[0].rotID != 42 {
 		t.Fatal("reader on a full chain was not moved to old readers on install")
 	}
 }
@@ -444,9 +449,9 @@ func BenchmarkCollectOldReaders(b *testing.B) {
 	s.install("k", loVersion{ts: 1000}, nil, now) // readers -> old readers
 	b.ReportAllocs()
 	b.ResetTimer()
+	var out slotSet
 	for i := 0; i < b.N; i++ {
-		out := make(map[uint64]orEntry, 256)
-		s.collectOldReaders("k", 1000, now, out)
+		out, _ = s.collectOldReaders("k", 1000, now, out[:0])
 		if len(out) != 256 {
 			b.Fatalf("collected %d", len(out))
 		}

@@ -33,7 +33,7 @@ func (s *Server) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 		func() float64 { return float64(s.stats.IDsCumulative.Load()) }, labels...)
 	r.CounterFunc("kv_cclo_rot_ids_distinct_total", "Distinct ROT ids after readers-check merge.",
 		func() float64 { return float64(s.stats.IDsDistinct.Load()) }, labels...)
-	r.CounterFunc("kv_cclo_check_bytes_total", "Readers-check response payload bytes.",
+	r.CounterFunc("kv_cclo_check_bytes_total", "Readers-check response payload bytes, as encoded.",
 		func() float64 { return float64(s.stats.CheckBytes.Load()) }, labels...)
 	r.CounterFunc("kv_cclo_replication_checks_total", "Readers checks run for replicated updates.",
 		func() float64 { return float64(s.stats.ReplicationChecks.Load()) }, labels...)

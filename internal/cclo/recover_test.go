@@ -2,6 +2,7 @@ package cclo
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -134,10 +135,10 @@ func TestSnapshotKeepsMarksOnNonLatestVersions(t *testing.T) {
 	// ROT can consistently be served, and it is NOT the latest.
 	const rot = uint64(77)
 	now := time.Now()
-	marked := map[uint64]orEntry{rot: {rotID: rot, t: 5}}
+	marked := slotSet{{rotID: rot, t: 5}}
 	srv1.store.install("k", loVersion{value: []byte("v1"), ts: 1, srcDC: 0}, nil, now)
-	srv1.store.install("k", loVersion{value: []byte("v2"), ts: 2, srcDC: 0}, marked, now)
-	srv1.store.install("k", loVersion{value: []byte("v3"), ts: 3, srcDC: 0}, marked, now)
+	srv1.store.install("k", loVersion{value: []byte("v2"), ts: 2, srcDC: 0}, slices.Clone(marked), now)
+	srv1.store.install("k", loVersion{value: []byte("v3"), ts: 3, srcDC: 0}, slices.Clone(marked), now)
 
 	// Compact everything into a snapshot, then crash.
 	if err := log1.Snapshot(); err != nil {

@@ -2,6 +2,7 @@ package cclo
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,7 +47,7 @@ type Config struct {
 	// and every recovery durably bumps the partition's restart epoch, which
 	// servers gossip along readers checks and clients use to abort-and-retry
 	// a multi-partition ROT that straddled a restart (the reader/old-reader
-	// MAPS stay soft — the epoch fence is what covers their loss). Both
+	// SETS stay soft — the epoch fence is what covers their loss). Both
 	// durable footprints are bounded by the GC window.
 	Durable wal.Durability
 
@@ -84,9 +85,9 @@ type Stats struct {
 	Checks            atomic.Uint64 // readers checks performed
 	KeysChecked       atomic.Uint64 // dependencies examined
 	PartitionsAsked   atomic.Uint64 // remote partitions interrogated
-	IDsCumulative     atomic.Uint64 // ROT ids scanned, before dedup/filter
-	IDsDistinct       atomic.Uint64 // distinct ROT ids after merge
-	CheckBytes        atomic.Uint64 // readers-check response payload bytes
+	IDsCumulative     atomic.Uint64 // ROT ids scanned across all answers, before the cross-partition merge
+	IDsDistinct       atomic.Uint64 // distinct ROT ids after the merge (one per client)
+	CheckBytes        atomic.Uint64 // readers-check response payload bytes, as encoded
 	ReplicationChecks atomic.Uint64 // readers checks run for replicated updates
 }
 
@@ -483,7 +484,7 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 			Total: total, Queue: checkDur, Fsync: fsyncDur,
 		})
 	}()
-	collected, maxT, err := s.readersCheck(m.Deps, false)
+	collected, maxT, err := s.readersCheck(m.Deps, false, nil)
 	checkDur = time.Since(start)
 	if err != nil {
 		transport.RespondError(s.node, src, reqID, 500, "cclo: readers check: "+err.Error())
@@ -511,10 +512,11 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 	// launching no later than their dependents), and the dependency list
 	// is persisted with the install so a crash-recovered re-enqueue still
 	// carries it.
+	oldReaders := wireReaders(collected)
 	if s.cfg.Durable != nil {
 		recs := installRecords(wal.Record{
 			Key: m.Key, Value: m.Value, TS: ts, SrcDC: uint8(s.cfg.DC), Deps: m.Deps,
-		}, collected)
+		}, oldReaders)
 		fs := time.Now()
 		err := wal.AppendAndSync(s.cfg.Durable, recs)
 		fsyncDur = time.Since(fs)
@@ -531,7 +533,7 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 		Value:      m.Value,
 		TS:         ts,
 		Deps:       m.Deps,
-		OldReaders: entriesToWire(collected),
+		OldReaders: oldReaders,
 	})
 	_ = s.node.Respond(src, reqID, &wire.LoPutResp{TS: ts})
 }
@@ -543,18 +545,19 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 // surviving install would resurrect the version without its rewind
 // protection — the exact bug this PR closes. Torn the other way round, the
 // version is lost too and the orphaned marks are dropped at recovery.
-func installRecords(install wal.Record, collected map[uint64]orEntry) []wal.Record {
-	if len(collected) == 0 {
+func installRecords(install wal.Record, oldReaders []wire.ReaderEntry) []wal.Record {
+	if len(oldReaders) == 0 {
 		return []wal.Record{install}
 	}
 	return []wal.Record{
-		{Kind: wal.RecReaders, Key: install.Key, TS: install.TS, SrcDC: install.SrcDC, Readers: entriesToWire(collected)},
+		{Kind: wal.RecReaders, Key: install.Key, TS: install.TS, SrcDC: install.SrcDC, Readers: oldReaders},
 		install,
 	}
 }
 
-// install writes the version and wakes dependency checks.
-func (s *Server) install(key string, v loVersion, collected map[uint64]orEntry) {
+// install writes the version (the store takes ownership of collected) and
+// wakes dependency checks.
+func (s *Server) install(key string, v loVersion, collected slotSet) {
 	s.store.install(key, v, collected, time.Now())
 	s.installMu.Lock()
 	s.installGen++
@@ -562,71 +565,99 @@ func (s *Server) install(key string, v loVersion, collected map[uint64]orEntry) 
 	s.installMu.Unlock()
 }
 
+// checkScratch is the working memory of one readers check: the merged set
+// under construction and the decode buffer for a peer's answer. Pooled, so a
+// check allocates only what outlives it.
+type checkScratch struct{ out, in slotSet }
+
+var checkScratchPool = sync.Pool{New: func() any { return new(checkScratch) }}
+
+// partDeps is the share of a readers check addressed to one partition.
+type partDeps struct {
+	part int
+	deps []wire.LoDep
+}
+
+// oldReadersAnswer is one remote partition's reply to a readers check.
+type oldReadersAnswer struct {
+	resp *wire.OldReadersResp
+	err  error
+}
+
+// askOldReaders runs the remote leg of a readers check against one partition.
+func (s *Server) askOldReaders(g partDeps, epochs []uint64) oldReadersAnswer {
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
+	defer cancel()
+	resp, err := s.node.Call(ctx, wire.ServerAddr(s.cfg.DC, g.part), &wire.OldReadersReq{Deps: g.deps, Epochs: epochs})
+	if err != nil {
+		return oldReadersAnswer{err: err}
+	}
+	or, ok := resp.(*wire.OldReadersResp)
+	if !ok {
+		return oldReadersAnswer{err: wire.ErrUnknownType}
+	}
+	return oldReadersAnswer{resp: or}
+}
+
 // readersCheck interrogates the partition of every dependency for old
-// readers and merges the results. It returns the merged entries and the
-// highest read time seen. replicated marks checks run on behalf of a
-// replicated update (they are counted separately; §5.4 attributes CC-LO's
-// poor geo-scaling to them).
-func (s *Server) readersCheck(deps []wire.LoDep, replicated bool) (map[uint64]orEntry, uint64, error) {
+// readers and merges the results, then folds in origin (the old readers a
+// replicated update brought from its origin DC). It returns the merged set —
+// ordered by client, one ROT per client, owned by the caller — and the
+// highest read time this DC's check saw. replicated marks checks run on
+// behalf of a replicated update (they are counted separately; §5.4
+// attributes CC-LO's poor geo-scaling to them).
+func (s *Server) readersCheck(deps []wire.LoDep, replicated bool, origin []wire.ReaderEntry) (slotSet, uint64, error) {
 	s.stats.Checks.Add(1)
 	if replicated {
 		s.stats.ReplicationChecks.Add(1)
 	}
 	s.stats.KeysChecked.Add(uint64(len(deps)))
-	if len(deps) == 0 {
+	if len(deps) == 0 && len(origin) == 0 {
 		return nil, 0, nil
 	}
-	byPart := make(map[int][]wire.LoDep)
-	for _, d := range deps {
-		p := s.ring.Owner(d.Key)
-		byPart[p] = append(byPart[p], d)
-	}
-	collected := make(map[uint64]orEntry)
 	now := time.Now()
+	sc := checkScratchPool.Get().(*checkScratch)
+	out := sc.out[:0]
+	defer func() {
+		sc.out = out
+		checkScratchPool.Put(sc)
+	}()
 	var scanned int
 
-	// Local dependencies are checked with a direct store access.
-	if local, ok := byPart[s.cfg.Part]; ok {
-		for _, d := range local {
-			scanned += s.store.collectOldReaders(d.Key, d.TS, now, collected)
+	// Dependencies are grouped by owning partition. Our own are checked with
+	// a direct store access; remote partitions are interrogated in parallel.
+	// Every response carries the responder's epoch vector, folded into ours
+	// before this check returns — i.e. before the version being checked
+	// installs — which is the propagation that lets ROT legs expose a restart
+	// to the client fence.
+	var groups []partDeps
+next:
+	for _, d := range deps {
+		p := s.ring.Owner(d.Key)
+		for i := range groups {
+			if groups[i].part == p {
+				groups[i].deps = append(groups[i].deps, d)
+				continue next
+			}
 		}
-		delete(byPart, s.cfg.Part)
+		groups = append(groups, partDeps{part: p, deps: []wire.LoDep{d}})
 	}
-
-	// Remote dependencies are interrogated in parallel. Every response
-	// carries the responder's epoch vector, folded into ours before this
-	// check returns — i.e. before the version being checked installs —
-	// which is the propagation that lets ROT legs expose a restart to the
-	// client fence.
-	type answer struct {
-		readers    []wire.ReaderEntry
-		cumulative uint32
-		bytes      int
-		epochs     []uint64
-		err        error
-	}
+	remote := 0
+	ch := make(chan oldReadersAnswer, len(groups))
 	reqEpochs := s.epochsView()
-	ch := make(chan answer, len(byPart))
-	for p, ds := range byPart {
-		go func(p int, ds []wire.LoDep) {
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-			defer cancel()
-			resp, err := s.node.Call(ctx, wire.ServerAddr(s.cfg.DC, p), &wire.OldReadersReq{Deps: ds, Epochs: reqEpochs})
-			if err != nil {
-				ch <- answer{err: err}
-				return
-			}
-			or, ok := resp.(*wire.OldReadersResp)
-			if !ok {
-				ch <- answer{err: wire.ErrUnknownType}
-				return
-			}
-			ch <- answer{readers: or.Readers, cumulative: or.Cumulative, epochs: or.Epochs, bytes: 16 * len(or.Readers)}
-		}(p, ds)
+	for _, g := range groups {
+		if g.part == s.cfg.Part {
+			var n int
+			out, n = s.collectDeps(g.deps, now, out)
+			scanned += n
+			continue
+		}
+		remote++
+		go func() { ch <- s.askOldReaders(g, reqEpochs) }()
 	}
-	s.stats.PartitionsAsked.Add(uint64(len(byPart)))
+	s.stats.PartitionsAsked.Add(uint64(remote))
 	var firstErr error
-	for range byPart {
+	for range remote {
 		a := <-ch
 		if a.err != nil {
 			if firstErr == nil {
@@ -634,47 +665,57 @@ func (s *Server) readersCheck(deps []wire.LoDep, replicated bool) (map[uint64]or
 			}
 			continue
 		}
-		s.foldEpochs(a.epochs)
-		scanned += int(a.cumulative)
-		s.stats.CheckBytes.Add(uint64(a.bytes))
-		for _, r := range a.readers {
-			merge(collected, r.RotID, orEntry{rotID: r.RotID, t: r.T, addedAt: now})
-		}
+		s.foldEpochs(a.resp.Epochs)
+		scanned += int(a.resp.Cumulative)
+		s.stats.CheckBytes.Add(uint64(wire.ReadersSize(a.resp.Readers)))
+		sc.in = slotsFromWire(sc.in, a.resp.Readers)
+		out = out.absorb(sc.in, anyVTS)
 	}
 	if firstErr != nil {
 		return nil, 0, firstErr
 	}
-	// Apply the paper's one-id-per-client optimization to the merged set.
-	collected = filterOnePerClient(collected)
 	s.stats.IDsCumulative.Add(uint64(scanned))
-	s.stats.IDsDistinct.Add(uint64(len(collected)))
+	s.stats.IDsDistinct.Add(uint64(len(out)))
 	var maxT uint64
-	for _, e := range collected {
+	for _, e := range out {
 		maxT = max(maxT, e.t)
 	}
-	return collected, maxT, nil
+	if len(origin) > 0 {
+		sc.in = slotsFromWire(sc.in, origin)
+		out = out.absorb(sc.in, anyVTS)
+	}
+	return slices.Clone(out), maxT, nil
+}
+
+// collectDeps is the responder side of a readers check: the old readers of
+// every listed dependency (all keys of this partition) merged into out.
+func (s *Server) collectDeps(deps []wire.LoDep, now time.Time, out slotSet) (slotSet, int) {
+	scanned := 0
+	for _, d := range deps {
+		var n int
+		out, n = s.store.collectOldReaders(d.Key, d.TS, now, out)
+		scanned += n
+	}
+	return out, scanned
 }
 
 // handleOldReaders answers a readers check for dependencies on this
 // partition's keys.
 func (s *Server) handleOldReaders(src wire.From, reqID uint64, m *wire.OldReadersReq) {
 	s.foldEpochs(m.Epochs)
-	now := time.Now()
-	collected := make(map[uint64]orEntry)
-	scanned := 0
-	for _, d := range m.Deps {
-		scanned += s.store.collectOldReaders(d.Key, d.TS, now, collected)
-	}
-	collected = filterOnePerClient(collected)
+	sc := checkScratchPool.Get().(*checkScratch)
+	out, scanned := s.collectDeps(m.Deps, time.Now(), sc.out[:0])
 	// Receiving the check updates our Lamport clock with nothing (the
 	// times flow the other way); the response carries our entries' times
 	// plus our epoch vector (our own entry says which incarnation answered
 	// — the whole point of the fence).
 	_ = s.node.Respond(src, reqID, &wire.OldReadersResp{
-		Readers:    entriesToWire(collected),
+		Readers:    wireReaders(out),
 		Cumulative: uint32(scanned),
 		Epochs:     s.epochsView(),
 	})
+	sc.out = out
+	checkScratchPool.Put(sc)
 }
 
 // handleDepCheck blocks until this partition holds the version of Key at
@@ -727,29 +768,31 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 	// A failed or shutdown-aborted check withholds the install AND the ack
 	// — installing an unverified dependent would be durably wrong, while
 	// the origin simply retries the (idempotent) update later.
+	// A local dependency that is already installed — the common case — is
+	// settled inline; only what is missing gets a waiter (or, for another
+	// partition's key, a DepCheckReq).
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(m.Deps))
 	for _, d := range m.Deps {
 		p := s.ring.Owner(d.Key)
-		if p == s.cfg.Part {
-			wg.Add(1)
-			go func(d wire.LoDep) {
-				defer wg.Done()
-				if !s.waitForVersion(d.Key, d.TS, d.Src) {
-					errCh <- transport.ErrClosed
-				}
-			}(d)
+		if p == s.cfg.Part && s.store.hasVersion(d.Key, d.TS, d.Src) {
 			continue
 		}
 		wg.Add(1)
-		go func(p int, d wire.LoDep) {
+		go func() {
 			defer wg.Done()
+			if p == s.cfg.Part {
+				if !s.waitForVersion(d.Key, d.TS, d.Src) {
+					errCh <- transport.ErrClosed
+				}
+				return
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
 			defer cancel()
 			if _, err := s.node.Call(ctx, wire.ServerAddr(s.cfg.DC, p), &wire.DepCheckReq{Key: d.Key, TS: d.TS, Src: d.Src}); err != nil {
 				errCh <- err
 			}
-		}(p, d)
+		}()
 	}
 	wg.Wait()
 	select {
@@ -760,15 +803,11 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 	}
 
 	// 2. Readers check in this DC, merged with the origin's old readers.
-	collected, maxT, err := s.readersCheck(m.Deps, true)
+	collected, maxT, err := s.readersCheck(m.Deps, true, m.OldReaders)
 	checkDur = time.Since(start)
 	if err != nil {
 		transport.RespondError(s.node, src, reqID, 500, "cclo: readers check: "+err.Error())
 		return
-	}
-	now := time.Now()
-	for _, r := range m.OldReaders {
-		merge(collected, r.RotID, orEntry{rotID: r.RotID, t: r.T, addedAt: now})
 	}
 	// 3. Durability before visibility AND before the ack, waiting for the
 	// real fsync even in background-sync mode: an install visible to reads
@@ -781,7 +820,7 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 	if s.cfg.Durable != nil {
 		recs := installRecords(wal.Record{
 			Key: m.Key, Value: m.Value, TS: m.TS, SrcDC: m.SrcDC,
-		}, collected)
+		}, wireReaders(collected))
 		fs := time.Now()
 		err := wal.AppendAndSync(s.cfg.Durable, recs)
 		fsyncDur = time.Since(fs)
@@ -793,33 +832,4 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 	// 4. Install with the origin timestamp; Lamport clocks stay related.
 	s.install(m.Key, loVersion{value: m.Value, ts: m.TS, srcDC: m.SrcDC}, collected)
 	_ = s.node.Respond(src, reqID, &wire.LoRepAck{Seq: m.Seq})
-}
-
-// filterOnePerClient keeps, per client, only the most recent ROT id (the
-// paper's §5.2 optimization; sound for clients that issue one ROT at a
-// time, because any older ROT has completed all its reads).
-func filterOnePerClient(in map[uint64]orEntry) map[uint64]orEntry {
-	best := make(map[uint64]orEntry, len(in))
-	for id, e := range in {
-		client := id >> 32
-		if prev, ok := best[client]; !ok || id > prev.rotID {
-			best[client] = e
-		}
-	}
-	out := make(map[uint64]orEntry, len(best))
-	for _, e := range best {
-		out[e.rotID] = e
-	}
-	return out
-}
-
-func entriesToWire(m map[uint64]orEntry) []wire.ReaderEntry {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]wire.ReaderEntry, 0, len(m))
-	for id, e := range m {
-		out = append(out, wire.ReaderEntry{RotID: id, T: e.t})
-	}
-	return out
 }

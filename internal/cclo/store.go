@@ -26,6 +26,8 @@
 package cclo
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -39,14 +41,14 @@ import (
 // still carries the deps the receiving DC's dependency check needs) and the
 // set of ROTs the version is invisible to.
 //
-// Mutation rules (see internal/store): the invisible MAP INTERIOR may be
-// mutated under the shard lock — lock-free readers (latest, hasVersion,
-// forEachLatest) never look inside it — but the invisible FIELD of a
-// published version must never be reassigned; when it is nil and marks must
-// land, the chain is republished via SetExtra.
+// Mutation rules (see internal/store): the set BEHIND the invisible pointer
+// may be mutated under the shard lock — lock-free readers (latest,
+// hasVersion, forEachLatest) never look through it — but the invisible FIELD
+// of a published version must never be reassigned; when it is nil and marks
+// must land, the chain is republished via SetExtra.
 type loExtra struct {
 	deps      []wire.LoDep
-	invisible map[uint64]orEntry
+	invisible *slotSet
 }
 
 // loVersion is one version of a key under CC-LO as the adapter's callers see
@@ -58,14 +60,142 @@ type loVersion struct {
 	deps  []wire.LoDep
 }
 
-// orEntry is one old reader of a key: the ROT id, the logical time of its
+// slot is one tracked ROT of a key: the ROT id, the logical time of its
 // read, the timestamp of the version it was served (what "old" is judged
-// against), and when the entry was created (for GC).
-type orEntry struct {
-	rotID   uint64
-	t       uint64
-	vts     uint64
-	addedAt time.Time
+// against), and when the entry was created, in nanoseconds on the store's
+// clock (for GC).
+type slot struct {
+	rotID uint64
+	t     uint64
+	vts   uint64
+	at    int64
+}
+
+func (e slot) client() uint64 { return e.rotID >> 32 }
+
+// slotSet is a set of tracked ROTs ordered by client with at most ONE slot
+// per client — the paper's §5.2 one-id-per-client rule, enforced where
+// entries are born. It is sound because a client runs one ROT at a time and
+// a fence retry takes a fresh, higher id: once a client's newer ROT shows up,
+// every older ROT of that client has finished all its reads, so nothing needs
+// hiding from it any more.
+type slotSet []slot
+
+// prefer picks between two live slots of one client: the higher ROT id wins;
+// between two sightings of the SAME ROT the earlier read time wins (the
+// safest cutoff), the set's own slot on a tie.
+func prefer(own, e slot) slot {
+	if own.rotID > e.rotID || (own.rotID == e.rotID && own.t <= e.t) {
+		return own
+	}
+	return e
+}
+
+// anyVTS disables absorb's served-version filter.
+const anyVTS = ^uint64(0)
+
+// search returns the index of client's slot, or where it would be inserted.
+// (Hand-rolled: it sits under every read, where slices.BinarySearchFunc's
+// comparator call doubles the cost — 59 vs 134 ns per read at 256 clients.)
+func (s slotSet) search(client uint64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid].client() < client {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// hides reports whether the set holds a live mark for exactly rotID. A nil
+// set hides nothing.
+func (s *slotSet) hides(rotID uint64, cutoff int64) bool {
+	if s == nil {
+		return false
+	}
+	i := s.search(rotID >> 32)
+	return i < len(*s) && (*s)[i].rotID == rotID && (*s)[i].at >= cutoff
+}
+
+// expire drops, in place, the slots created before cutoff. A set with
+// nothing to drop — the usual case — is only read.
+func (s *slotSet) expire(cutoff int64) {
+	set := *s
+	w := 0
+	for w < len(set) && set[w].at >= cutoff {
+		w++
+	}
+	if w == len(set) {
+		return
+	}
+	for _, e := range set[w+1:] {
+		if e.at >= cutoff {
+			set[w] = e
+			w++
+		}
+	}
+	*s = set[:w]
+}
+
+// put records a read: e takes its client's slot unless that slot holds a
+// live, newer ROT of the same client (a straggler leg of an abandoned ROT).
+// Refreshing a client's slot is a binary search and one store. A client's
+// first slot has to shift the tail anyway, so that is where expired slots are
+// dropped: the set never holds more than the clients seen within one GC
+// window plus whatever expired since the last insertion or readers check.
+func (s slotSet) put(e slot, cutoff int64) slotSet {
+	i := s.search(e.client())
+	if i < len(s) && s[i].client() == e.client() {
+		if e.rotID >= s[i].rotID || s[i].at < cutoff {
+			s[i] = e
+		}
+		return s
+	}
+	s.expire(cutoff)
+	return slices.Insert(s, s.search(e.client()), e)
+}
+
+// stamp restarts the GC window of every slot.
+func (s slotSet) stamp(at int64) slotSet {
+	for i := range s {
+		s[i].at = at
+	}
+	return s
+}
+
+// absorb merges, in place, the slots of src whose served version trails
+// maxVTS into s, keeping one slot per client. Neither side may hold expired
+// slots. Both are ordered by client, so this is one backward pass over s's
+// grown backing array: no map, no scratch.
+func (s slotSet) absorb(src slotSet, maxVTS uint64) slotSet {
+	if len(src) == 0 {
+		return s
+	}
+	n := len(s)
+	s = slices.Grow(s, len(src))[:n+len(src)]
+	i, w := n-1, len(s) // s[w:] is merged output; s[:i+1] is still to merge
+	for j := len(src) - 1; j >= 0; j-- {
+		e := src[j]
+		if e.vts >= maxVTS {
+			continue
+		}
+		for i >= 0 && s[i].client() > e.client() {
+			w--
+			s[w] = s[i]
+			i--
+		}
+		if i >= 0 && s[i].client() == e.client() {
+			e = prefer(s[i], e)
+			i--
+		}
+		w--
+		s[w] = e
+	}
+	// s[:i+1] never moved; close the gap the filter and the ties left.
+	return s[:i+1+copy(s[i+1:], s[w:])]
 }
 
 // loAux is the per-key reader state, read and written only under the shard
@@ -74,18 +204,12 @@ type loAux struct {
 	// readers holds the ROTs that have read the *current* latest version,
 	// with the logical time of the read. They become old readers when a
 	// newer version is installed.
-	readers map[uint64]orEntry
+	readers slotSet
 
 	// oldReaders holds ROTs known to have read superseded versions; it is
 	// what a readers check on this key returns (filtered by the version
 	// each actually read).
-	oldReaders map[uint64]orEntry
-
-	// readersSweepAt/oldReadersSweepAt throttle the size-triggered sweeps:
-	// a map pinned at the bound by IN-window entries would otherwise be
-	// fully rescanned on every operation, reclaiming nothing.
-	readersSweepAt    time.Time
-	oldReadersSweepAt time.Time
+	oldReaders slotSet
 }
 
 // Shorthand for the engine instantiation backing CC-LO.
@@ -96,25 +220,6 @@ type (
 	loKeyRef = storeeng.Key[loExtra, loAux]
 )
 
-// softReaderBound is the map size at which the reader-tracking maps
-// (readers and oldReaders) are swept in place before inserting more. It
-// caps idle growth without a background goroutine: any map at the bound is
-// reduced to the entries still inside the GC window.
-const softReaderBound = 128
-
-// sweepReaders runs the size-triggered sweep of m when it is due: at or
-// above the bound, and not swept within the last quarter GC window. The
-// throttle keeps a genuinely hot map (≥ bound of in-window entries) from
-// paying a full fruitless rescan on every single read under the shard
-// lock. It returns the next due time for the caller to store.
-func (s *loStore) sweepReaders(m map[uint64]orEntry, at time.Time, now time.Time) time.Time {
-	if len(m) < softReaderBound || now.Before(at) {
-		return at
-	}
-	gcSweep(m, s.gcWindow, now)
-	return now.Add(s.gcWindow / 4)
-}
-
 // loStore is the CC-LO partition storage: a thin adapter over the shared
 // engine (internal/store). read/collectOldReaders/install/addMarks mutate
 // reader state and run under the per-shard write lock; latest, hasVersion
@@ -122,6 +227,10 @@ func (s *loStore) sweepReaders(m map[uint64]orEntry, at time.Time, now time.Time
 type loStore struct {
 	eng      *loEngine
 	gcWindow time.Duration
+	// base is the zero of the store's nanosecond clock: slots keep their
+	// creation time as an int64 offset from it (monotonic, 8 bytes) instead
+	// of a 24-byte time.Time.
+	base time.Time
 
 	approxReads atomic.Uint64
 }
@@ -133,18 +242,19 @@ func newLoStore(maxVersions, shards int, gcWindow time.Duration) *loStore {
 	return &loStore{
 		eng:      storeeng.New[loExtra, loAux](maxVersions, shards),
 		gcWindow: gcWindow,
+		base:     time.Now(),
 	}
 }
 
-// expired reports whether e is past the GC window.
-func (s *loStore) expired(e orEntry, now time.Time) bool {
-	return now.Sub(e.addedAt) > s.gcWindow
-}
+// nanos places now on the store's clock.
+func (s *loStore) nanos(now time.Time) int64 { return int64(now.Sub(s.base)) }
 
 // read serves a ROT read of key: the newest version not marked invisible
 // to rotID. It records rotID as a reader of the version it was served at
 // logical time t. ok is false if the key does not exist.
 func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val []byte, ts uint64, src uint8, ok bool) {
+	at := s.nanos(now)
+	cutoff := at - int64(s.gcWindow)
 	s.eng.Update(key, true, func(k *loKeyRef) {
 		aux := k.Aux()
 		c := k.Chain()
@@ -155,37 +265,19 @@ func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val [
 			// could become readable next to this ROT's "not found" — the
 			// Figure 1 anomaly with a missing key in the role of the stale
 			// permissions.
-			if aux.readers == nil {
-				aux.readers = make(map[uint64]orEntry)
-			}
-			// Keys that are only ever probed have no install or readers check
-			// to GC their entries, so sweep here once the map grows; what
-			// remains is bounded by the probe rate times the GC window.
-			aux.readersSweepAt = s.sweepReaders(aux.readers, aux.readersSweepAt, now)
-			aux.readers[rotID] = orEntry{rotID: rotID, t: t, vts: 0, addedAt: now}
+			aux.readers = aux.readers.put(slot{rotID: rotID, t: t, vts: 0, at: at}, cutoff)
 			return
 		}
 		vs := c.Versions
 		for i := len(vs) - 1; i >= 0; i-- {
 			v := &vs[i]
-			if e, hidden := v.Extra.invisible[rotID]; hidden {
-				if !s.expired(e, now) {
-					continue
-				}
-				delete(v.Extra.invisible, rotID)
+			if v.Extra.invisible.hides(rotID, cutoff) {
+				continue
 			}
 			if i == len(vs)-1 {
 				// Served the latest: record the read so a future write that
-				// supersedes it can find this ROT among its old readers. A hot
-				// key under a read-heavy, install-free workload accumulates one
-				// entry per ROT with no install or readers check to GC them, so
-				// sweep in-place once the map grows; what survives is bounded by
-				// the read rate times the GC window.
-				if aux.readers == nil {
-					aux.readers = make(map[uint64]orEntry)
-				}
-				aux.readersSweepAt = s.sweepReaders(aux.readers, aux.readersSweepAt, now)
-				aux.readers[rotID] = orEntry{rotID: rotID, t: t, vts: v.TS, addedAt: now}
+				// supersedes it can find this ROT among its old readers.
+				aux.readers = aux.readers.put(slot{rotID: rotID, t: t, vts: v.TS, at: at}, cutoff)
 			}
 			val, ts, src, ok = v.Value, v.TS, v.Src, true
 			return
@@ -207,12 +299,13 @@ func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val [
 	return val, ts, src, ok
 }
 
-// collectOldReaders returns the old readers of key relevant to a dependency
-// on version depTS — every ROT whose served version of this key trails
-// depTS, i.e. every ROT that would be inconsistent if it now saw a version
-// depending on key@depTS. Three sources, all filtered precisely (an
-// over-collected ROT would be hidden from versions it may legitimately
-// have observed, breaking its session guarantees):
+// collectOldReaders merges into out the old readers of key relevant to a
+// dependency on version depTS — every ROT whose served version of this key
+// trails depTS, i.e. every ROT that would be inconsistent if it now saw a
+// version depending on key@depTS — and returns the grown out with the number
+// of live slots it looked at. Three sources, all filtered precisely (an
+// over-collected ROT would be hidden from versions it may legitimately have
+// observed, breaking its session guarantees):
 //
 //   - oldReaders: ROTs that read a since-superseded latest; collected when
 //     the version they read (vts) trails depTS.
@@ -222,33 +315,22 @@ func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val [
 //     above depTS was served something older — the transitive propagation
 //     that keeps a rewound ROT visible to later dependent writes.
 //
-// Expired entries are dropped. The result maps ROT id → entry.
-func (s *loStore) collectOldReaders(key string, depTS uint64, now time.Time, out map[uint64]orEntry) (scanned int) {
+// Expired slots are dropped from every set the check walks.
+func (s *loStore) collectOldReaders(key string, depTS uint64, now time.Time, out slotSet) (slotSet, int) {
+	cutoff := s.nanos(now) - int64(s.gcWindow)
+	scanned := 0
 	s.eng.Update(key, false, func(k *loKeyRef) {
 		aux := k.Aux()
-		gcSweep(aux.oldReaders, s.gcWindow, now)
-		for id, e := range aux.oldReaders {
-			scanned++
-			if e.vts < depTS {
-				merge(out, id, e)
-			}
-		}
+		aux.oldReaders.expire(cutoff)
+		scanned += len(aux.oldReaders)
+		out = out.absorb(aux.oldReaders, depTS)
+		// A probe-heavy dependency key whose latest is current is never
+		// collected from, so the expiry pass is what keeps its set bounded.
+		aux.readers.expire(cutoff)
 		c := k.Chain()
-		latestTS := uint64(0)
-		if l := c.Latest(); l != nil {
-			latestTS = l.TS
-		}
-		if latestTS < depTS {
-			gcSweep(aux.readers, s.gcWindow, now)
-			for id, e := range aux.readers {
-				scanned++
-				merge(out, id, e)
-			}
-		} else {
-			// Not collected, but a probe-heavy dependency key with a current
-			// latest never takes the branch above; keep its reader map bounded
-			// here too.
-			aux.readersSweepAt = s.sweepReaders(aux.readers, aux.readersSweepAt, now)
+		if l := c.Latest(); l == nil || l.TS < depTS {
+			scanned += len(aux.readers)
+			out = out.absorb(aux.readers, anyVTS)
 		}
 		// Invisibility-derived old readers: every ROT marked on ANY version of
 		// this key missed something in that version's causal past, so it is
@@ -259,55 +341,34 @@ func (s *loStore) collectOldReaders(key string, depTS uint64, now time.Time, out
 		// and it is session-safe: marks only ever exist on versions installed
 		// during the marked ROT's own lifetime, so the extra hiding can never
 		// take back state its session observed before. Chains are bounded by
-		// maxVersions and marks are GC-swept, so this walk is small — and it
-		// is write-path cost, which is exactly where CC-LO pays (§3).
+		// maxVersions and marks are one per client, so this walk is small —
+		// and it is write-path cost, which is exactly where CC-LO pays (§3).
 		if c != nil {
 			for i := range c.Versions {
-				inv := c.Versions[i].Extra.invisible
-				for id, e := range inv {
-					if s.expired(e, now) {
-						delete(inv, id)
-						continue
-					}
-					scanned++
-					merge(out, id, e)
+				if inv := c.Versions[i].Extra.invisible; inv != nil {
+					inv.expire(cutoff)
+					scanned += len(*inv)
+					out = out.absorb(*inv, anyVTS)
 				}
 			}
 		}
 	})
-	return scanned
-}
-
-// merge keeps the safest (earliest-time) entry per ROT id.
-func merge(out map[uint64]orEntry, id uint64, e orEntry) {
-	if prev, ok := out[id]; !ok || e.t < prev.t {
-		out[id] = e
-	}
-}
-
-func gcSweep(m map[uint64]orEntry, window time.Duration, now time.Time) {
-	for id, e := range m {
-		if now.Sub(e.addedAt) > window {
-			delete(m, id)
-		}
-	}
+	return out, scanned
 }
 
 // install inserts a version of key, moves the key's current readers to its
 // old readers, and marks the version invisible to the collected old
-// readers of the PUT's dependencies. It returns true if the version is now
-// the latest.
-func (s *loStore) install(key string, v loVersion, collected map[uint64]orEntry, now time.Time) bool {
+// readers of the PUT's dependencies. It takes ownership of collected (a
+// slotSet; nil for none). It returns true if the version is now the latest.
+func (s *loStore) install(key string, v loVersion, collected slotSet, now time.Time) bool {
+	at := s.nanos(now)
+	cutoff := at - int64(s.gcWindow)
 	newest := false
 	s.eng.Update(key, true, func(k *loKeyRef) {
 		ev := loEngVer{Value: v.value, TS: v.ts, Src: v.srcDC, Extra: loExtra{deps: v.deps}}
 		if len(collected) > 0 {
-			inv := make(map[uint64]orEntry, len(collected))
-			for id, e := range collected {
-				e.addedAt = now
-				inv[id] = e
-			}
-			ev.Extra.invisible = inv
+			marks := collected.stamp(at) // boxed only when there are marks
+			ev.Extra.invisible = &marks
 		}
 		idx, isNewest, dup := k.Install(ev)
 		if dup {
@@ -317,17 +378,7 @@ func (s *loStore) install(key string, v loVersion, collected map[uint64]orEntry,
 				// readers; the marks must land on the existing version or the
 				// retry's readers check was for nothing and a rewound ROT
 				// could see the version anyway.
-				ex := &k.Chain().Versions[idx]
-				if ex.Extra.invisible == nil {
-					// The published version has no mark map to grow in place;
-					// republish the chain with one (never assign the field).
-					k.SetExtra(idx, loExtra{deps: ex.Extra.deps, invisible: ev.Extra.invisible})
-				} else {
-					for id, e := range collected {
-						e.addedAt = now
-						merge(ex.Extra.invisible, id, e)
-					}
-				}
+				s.mark(k, idx, collected, cutoff)
 			}
 			return
 		}
@@ -335,27 +386,35 @@ func (s *loStore) install(key string, v loVersion, collected map[uint64]orEntry,
 		aux := k.Aux()
 		if newest && len(aux.readers) > 0 {
 			// The previous latest version is now superseded: its readers are
-			// old readers from here on. An install-heavy key with no readers
-			// checks (nothing ever depends on it) would grow oldReaders without
-			// bound, so apply the same size-triggered sweep the reader map gets.
-			if aux.oldReaders == nil {
-				aux.oldReaders = make(map[uint64]orEntry, len(aux.readers))
-			} else {
-				aux.oldReadersSweepAt = s.sweepReaders(aux.oldReaders, aux.oldReadersSweepAt, now)
-			}
-			for id, e := range aux.readers {
-				e.addedAt = now
-				merge(aux.oldReaders, id, e)
-			}
-			clear(aux.readers)
+			// old readers from here on, with a fresh GC window. Expiring both
+			// sides first keeps an install-heavy key nothing depends on (no
+			// readers check ever walks it) bounded by one window of clients.
+			aux.oldReaders.expire(cutoff)
+			aux.readers.expire(cutoff)
+			aux.oldReaders = aux.oldReaders.absorb(aux.readers.stamp(at), anyVTS)
+			aux.readers = aux.readers[:0]
 		}
 	})
 	return newest
 }
 
+// mark lands marks (ordered, one per client, owned by the caller) on the
+// published version at idx of k's chain.
+func (s *loStore) mark(k *loKeyRef, idx int, marks slotSet, cutoff int64) {
+	ex := &k.Chain().Versions[idx]
+	if ex.Extra.invisible == nil {
+		// The published version has no mark set to grow in place;
+		// republish the chain with one (never assign the field).
+		k.SetExtra(idx, loExtra{deps: ex.Extra.deps, invisible: &marks})
+		return
+	}
+	ex.Extra.invisible.expire(cutoff)
+	*ex.Extra.invisible = ex.Extra.invisible.absorb(marks, anyVTS)
+}
+
 // addMarks rebuilds invisibility marks on the version of key identified by
 // (ts, src) — WAL recovery replaying persisted old-reader records. Marks
-// land with addedAt = now: the original insertion time did not survive the
+// land stamped now: the original insertion time did not survive the
 // crash, so the GC window restarts, which only errs toward hiding longer —
 // safe, because marks exist only on versions installed during the marked
 // ROT's lifetime, so extra hiding can never take back state its session
@@ -365,25 +424,53 @@ func (s *loStore) addMarks(key string, ts uint64, src uint8, entries []wire.Read
 	if len(entries) == 0 {
 		return
 	}
+	at := s.nanos(now)
 	s.eng.Update(key, false, func(k *loKeyRef) {
-		c := k.Chain()
-		idx := c.Find(ts, src)
-		if idx < 0 {
-			return
-		}
-		v := &c.Versions[idx]
-		if v.Extra.invisible == nil {
-			inv := make(map[uint64]orEntry, len(entries))
-			for _, e := range entries {
-				merge(inv, e.RotID, orEntry{rotID: e.RotID, t: e.T, addedAt: now})
-			}
-			k.SetExtra(idx, loExtra{deps: v.Extra.deps, invisible: inv})
-			return
-		}
-		for _, e := range entries {
-			merge(v.Extra.invisible, e.RotID, orEntry{rotID: e.RotID, t: e.T, addedAt: now})
+		if idx := k.Chain().Find(ts, src); idx >= 0 {
+			s.mark(k, idx, slotsFromWire(nil, entries).stamp(at), at-int64(s.gcWindow))
 		}
 	})
+}
+
+// slotsFromWire appends entries to dst[:0] as (unstamped) slots, ordered by
+// client and one per client. Our own servers ship and persist them already
+// in that shape; anything else (several records of one version replayed from
+// the log) is sorted and folded here.
+func slotsFromWire(dst slotSet, entries []wire.ReaderEntry) slotSet {
+	dst = dst[:0]
+	ordered := true
+	for _, e := range entries {
+		n := slot{rotID: e.RotID, t: e.T}
+		ordered = ordered && (len(dst) == 0 || dst[len(dst)-1].client() < n.client())
+		dst = append(dst, n)
+	}
+	if ordered {
+		return dst
+	}
+	slices.SortFunc(dst, func(a, b slot) int { return cmp.Compare(a.client(), b.client()) })
+	w := 0
+	for _, e := range dst[1:] {
+		if dst[w].client() == e.client() {
+			dst[w] = prefer(dst[w], e)
+		} else {
+			w++
+			dst[w] = e
+		}
+	}
+	return dst[:w+1]
+}
+
+// wireReaders is the shipped and persisted form of a slot set (nil when
+// empty): ROT id and read time, in set order.
+func wireReaders(s slotSet) []wire.ReaderEntry {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]wire.ReaderEntry, len(s))
+	for i, e := range s {
+		out[i] = wire.ReaderEntry{RotID: e.rotID, T: e.t}
+	}
+	return out
 }
 
 // versionMarks is one retained version's identity and its non-expired
@@ -397,9 +484,10 @@ type versionMarks struct {
 // markedVersions returns, for every retained version of key carrying at
 // least one non-expired invisibility mark, the version identity and its
 // marks (oldest first; nil when none). It takes the shard lock briefly —
-// mark maps are interior-mutable state — so the WAL snapshot serializer can
+// mark sets are interior-mutable state — so the WAL snapshot serializer can
 // collect marks per key and emit them with no lock held.
 func (s *loStore) markedVersions(key string, now time.Time) []versionMarks {
+	cutoff := s.nanos(now) - int64(s.gcWindow)
 	var out []versionMarks
 	s.eng.Update(key, false, func(k *loKeyRef) {
 		c := k.Chain()
@@ -408,15 +496,11 @@ func (s *loStore) markedVersions(key string, now time.Time) []versionMarks {
 		}
 		for i := range c.Versions {
 			v := &c.Versions[i]
-			var rs []wire.ReaderEntry
-			for id, e := range v.Extra.invisible {
-				if s.expired(e, now) {
-					continue
+			if inv := v.Extra.invisible; inv != nil {
+				inv.expire(cutoff)
+				if len(*inv) > 0 {
+					out = append(out, versionMarks{ts: v.TS, src: v.Src, entries: wireReaders(*inv)})
 				}
-				rs = append(rs, wire.ReaderEntry{RotID: id, T: e.t})
-			}
-			if len(rs) > 0 {
-				out = append(out, versionMarks{ts: v.TS, src: v.Src, entries: rs})
 			}
 		}
 	})
@@ -474,7 +558,7 @@ func (s *loStore) forEachLatest(fn func(key string, v loVersion)) {
 	})
 }
 
-// readerSizes reports the sizes of key's reader-tracking maps (tests).
+// readerSizes reports the sizes of key's reader-tracking sets (tests).
 func (s *loStore) readerSizes(key string) (readers, oldReaders int) {
 	s.eng.Update(key, false, func(k *loKeyRef) {
 		readers, oldReaders = len(k.Aux().readers), len(k.Aux().oldReaders)

@@ -43,8 +43,12 @@ type replicator struct {
 // moment the origin recovers without it.
 type repUpdate struct {
 	wire.Update
-	durable *atomic.Bool
+	durable durFlag
 }
+
+// durFlag is the read side of an update's durability flag: an *atomic.Bool in the
+// server; tests script one to pin down WHEN the flag is read.
+type durFlag interface{ Load() bool }
 
 func (u *repUpdate) ready() bool { return u.durable == nil || u.durable.Load() }
 
@@ -124,8 +128,12 @@ func (r *replicator) stopAll() {
 // hold s.putMu (it is called from the PUT fence). durable is the update's
 // durability gate (nil when the server has no WAL).
 func (r *replicator) enqueue(u wire.Update, durable *atomic.Bool) {
+	ru := repUpdate{Update: u}
+	if durable != nil { // a nil *atomic.Bool must stay a nil flag, not a non-nil interface
+		ru.durable = durable
+	}
 	for _, st := range r.streams {
-		st.queue = append(st.queue, repUpdate{Update: u, durable: durable})
+		st.queue = append(st.queue, ru)
 	}
 }
 
@@ -137,6 +145,12 @@ func (r *replicator) enqueue(u wire.Update, durable *atomic.Bool) {
 // could still lose is ever shipped. A fully drained queue cuts at the
 // current clock reading (safe because enqueueing is atomic with timestamp
 // assignment under putMu).
+//
+// Each gate is read ONCE: a gate can flip durable at any instant (the WAL's
+// commit path does not take putMu), so whether the drain stopped at an
+// undurable head is decided by where the loop stopped, never by asking the
+// head again — a second answer of "durable now" used to fall through to
+// batch[k-1] with k == 0.
 func (st *repStream) cut() ([]wire.Update, uint64) {
 	st.s.putMu.Lock()
 	defer st.s.putMu.Unlock()
@@ -154,13 +168,14 @@ func (st *repStream) cut() ([]wire.Update, uint64) {
 		st.queue = nil // release the drained backing array eventually
 		return batch, st.s.clock.Now()
 	}
-	if !st.queue[0].ready() {
+	if k < n {
 		// Blocked on an in-flight (or failed) group commit: the cut must
-		// stay strictly below the undurable head so remote snapshots never
-		// cover a version that might not survive the origin.
+		// stay strictly below the head that read undurable so remote
+		// snapshots never cover a version that might not survive the
+		// origin. (If it has turned durable since, the next cut ships it.)
 		return batch, st.queue[0].TS - 1
 	}
-	return batch, batch[k-1].TS
+	return batch, batch[k-1].TS // k == n ≥ 1: the batch filled up
 }
 
 func (st *repStream) run() {

@@ -164,6 +164,10 @@ type shard[X, A any] struct {
 	slab    slab[Version[X]]
 	chains  slab[Chain[X]]    // chain headers, one republished per install
 	entries slab[entry[X, A]] // one per key, permanent
+	// cur is the view handed to the Update callback in flight. Writers are
+	// serialized by mu, so one per shard serves every Update without a
+	// per-call allocation.
+	cur Key[X, A]
 }
 
 // grow republishes the shard's table at twice the size. Entries move by
@@ -504,7 +508,8 @@ func (e *Engine[X, A]) Update(key string, create bool, fn func(k *Key[X, A])) bo
 	if en == nil {
 		return false
 	}
-	fn(&Key[X, A]{e: e, sh: sh, en: en})
+	sh.cur = Key[X, A]{e: e, sh: sh, en: en}
+	fn(&sh.cur)
 	return true
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/vclock"
@@ -562,13 +563,33 @@ type ReaderEntry struct {
 	T     uint64
 }
 
+// Reader lists travel compactly: a ROT id is the issuing client's address
+// (high 32 bits) and that client's ROT sequence number (low 32 bits), and
+// sequence numbers and Lamport times are small for most of a deployment's
+// life, so each entry is three uvarints — client, sequence, T — instead of
+// two fixed 8-byte words (16 B → about 10 B per id). Only OldReadersResp and
+// LoRepUpdate use this encoding; the WAL's RecReaders records have their own.
+
 func encodeReaders(b *Buffer, rs []ReaderEntry) {
 	b.Uvarint(uint64(len(rs)))
 	for i := range rs {
-		b.U64(rs[i].RotID)
-		b.U64(rs[i].T)
+		b.Uvarint(rs[i].RotID >> 32)
+		b.Uvarint(rs[i].RotID & 0xFFFFFFFF)
+		b.Uvarint(rs[i].T)
 	}
 }
+
+// ReadersSize returns the number of bytes encodeReaders writes for rs: the
+// payload a readers check moves for its answer.
+func ReadersSize(rs []ReaderEntry) int {
+	n := uvarintLen(uint64(len(rs)))
+	for i := range rs {
+		n += uvarintLen(rs[i].RotID>>32) + uvarintLen(rs[i].RotID&0xFFFFFFFF) + uvarintLen(rs[i].T)
+	}
+	return n
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func decodeReaders(r *Reader) []ReaderEntry {
 	return decodeReadersInto(nil, r)
@@ -584,7 +605,12 @@ func decodeReadersInto(dst []ReaderEntry, r *Reader) []ReaderEntry {
 		return nil
 	}
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		dst = append(dst, ReaderEntry{RotID: r.U64(), T: r.U64()})
+		client, seq := r.Uvarint(), r.Uvarint()
+		if client > 0xFFFFFFFF || seq > 0xFFFFFFFF {
+			r.fail(ErrTooLarge)
+			return nil
+		}
+		dst = append(dst, ReaderEntry{RotID: client<<32 | seq, T: r.Uvarint()})
 	}
 	return dst
 }
