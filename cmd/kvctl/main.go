@@ -82,7 +82,7 @@ func main() {
 
 	// Pre-connect to every partition so servers can answer this client
 	// directly (the partition-to-client leg of 1 1/2-round ROTs).
-	if err := warm(ctx, cli, topo.Partitions); err != nil {
+	if err := cli.Warm(ctx); err != nil {
 		log.Fatal(err)
 	}
 
@@ -231,18 +231,6 @@ func straddle(net transport.Network, dc, parts, id int, gap time.Duration, k1, k
 	fmt.Printf("fenced=%v\n", fenced)
 }
 
-// warmer is implemented by both protocol clients.
-type warmer interface {
-	Warm(ctx context.Context) error
-}
-
-func warm(ctx context.Context, cli cluster.Client, parts int) error {
-	if w, ok := cli.(warmer); ok {
-		return w.Warm(ctx)
-	}
-	return nil
-}
-
 func newClient(protocol string, dc int, topo *cluster.Topology, net transport.Network, rng *rand.Rand) (cluster.Client, error) {
 	id := int(rng.Int31n(30000)) + 1000
 	r := ring.New(topo.Partitions)
@@ -314,7 +302,7 @@ func benchSessions(net *transport.TCP, protocol string, dc int, topo *cluster.To
 			defer wg.Done()
 			// Per-session generator: the shared one is not goroutine-safe.
 			rng := rand.New(rand.NewSource(int64(i)*7919 + 1))
-			if err := warm(ctx, cli, topo.Partitions); err != nil {
+			if err := cli.Warm(ctx); err != nil {
 				fails.Add(int64(perSession))
 				return
 			}

@@ -316,43 +316,6 @@ func TestAbsorbOnePerClient(t *testing.T) {
 	}
 }
 
-func TestDepCheckBlocksUntilInstalled(t *testing.T) {
-	d := deploy(t, 1, 2, 0)
-	x, _ := distinctKeys(d.ring)
-	owner := wire.ServerAddr(0, d.ring.Owner(x))
-
-	probe, _ := d.net.Attach(wire.ClientAddr(0, 60), transport.HandlerFunc(
-		func(transport.Node, wire.From, uint64, wire.Message) {}))
-	defer probe.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_, err := probe.Call(ctx, owner, &wire.DepCheckReq{Key: x, TS: 1})
-		done <- err
-	}()
-
-	select {
-	case err := <-done:
-		t.Fatalf("dep check returned before install: %v", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-
-	c := d.client(t, 0, 1)
-	if _, err := c.Put(context.Background(), x, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("dep check never unblocked after install")
-	}
-}
-
 func TestLWWConvergenceOrder(t *testing.T) {
 	s := newLoStore(0, 1, time.Second)
 	now := time.Now()
@@ -455,5 +418,29 @@ func BenchmarkCollectOldReaders(b *testing.B) {
 		if len(out) != 256 {
 			b.Fatalf("collected %d", len(out))
 		}
+	}
+}
+
+// TestCloseWithoutStart: Close on a server that was built but never
+// Start()ed must return — with remote DCs there are replication streams to
+// stop, and stopping used to wait for run loops that Start never launched
+// (cluster.Start closes its servers on a later server's construction
+// error).
+func TestCloseWithoutStart(t *testing.T) {
+	net := transport.NewLocal(transport.LatencyModel{})
+	defer net.Close()
+	s, err := NewServer(Config{DC: 0, Part: 0, NumDCs: 2, NumParts: 1}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		s.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close on a never-started 2-DC server did not return within 3 s")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/family"
 	"repro/internal/ring"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -18,20 +19,17 @@ import (
 // with reads between writes is the "C2 reads other keys from partitions
 // pi" effect of Section 3.
 type Client struct {
+	family.Base // node, Ping/Warm/Close/Addr, Busy-retry counter
+
 	dc     int
 	id     int
 	ring   ring.Ring
-	node   transport.Node
 	rotSeq atomic.Uint64
 
 	// fenceRetries counts whole-ROT retries forced by the restart-epoch
 	// fence (bench surfaces it; steady state is zero — the retry round is
 	// paid only when a ROT actually straddles a crash recovery).
 	fenceRetries atomic.Uint64
-
-	// busyRetries counts operations re-sent after the server shed them
-	// with wire.Busy (admission control); benchmarks report the sum.
-	busyRetries atomic.Uint64
 
 	// legGate, when non-nil, runs before each ROT leg is sent (tests use it
 	// to hold one leg while a partition is crashed and restarted, making
@@ -84,37 +82,8 @@ func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node,
 	if err != nil {
 		return nil, err
 	}
-	c.node = node
+	c.Init(node, cfg.DC, cfg.Ring.Parts())
 	return c, nil
-}
-
-// Close detaches the client.
-func (c *Client) Close() error { return c.node.Close() }
-
-// Addr returns the client's wire address.
-func (c *Client) Addr() wire.Addr { return c.node.Addr() }
-
-// Ping checks liveness of one partition and warms connection-oriented
-// transports.
-func (c *Client) Ping(ctx context.Context, part int) error {
-	resp, err := transport.CallRetry(ctx, c.node, wire.ServerAddr(c.dc, part), &wire.Ping{Nonce: uint64(part)}, c.countRetry)
-	if err != nil {
-		return err
-	}
-	if _, ok := resp.(*wire.Pong); !ok {
-		return fmt.Errorf("cclo: ping: unexpected response %T", resp)
-	}
-	return nil
-}
-
-// Warm pings every partition in the client's DC.
-func (c *Client) Warm(ctx context.Context) error {
-	for p := 0; p < c.ring.Parts(); p++ {
-		if err := c.Ping(ctx, p); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // DepCount returns the current number of nearest dependencies (tests).
@@ -139,8 +108,7 @@ func (c *Client) depList() []wire.LoDep {
 // just this write.
 func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, error) {
 	deps := c.depList()
-	owner := wire.ServerAddr(c.dc, c.ring.Owner(key))
-	resp, err := transport.CallRetry(ctx, c.node, owner, &wire.LoPutReq{Key: key, Value: value, Deps: deps}, c.countRetry)
+	resp, err := c.Call(ctx, c.ring.Owner(key), &wire.LoPutReq{Key: key, Value: value, Deps: deps})
 	if err != nil {
 		return 0, fmt.Errorf("cclo: put %q: %w", key, err)
 	}
@@ -168,12 +136,6 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 // FenceRetries returns how many whole-ROT retries the restart-epoch fence
 // has forced on this session.
 func (c *Client) FenceRetries() uint64 { return c.fenceRetries.Load() }
-
-// BusyRetries returns how many times this client's operations were shed
-// with Busy and retried.
-func (c *Client) BusyRetries() uint64 { return c.busyRetries.Load() }
-
-func (c *Client) countRetry() { c.busyRetries.Add(1) }
 
 // maxFenceRetries bounds epoch-fence retries per ROT: each retry means a
 // partition finished a crash recovery while the ROT was in flight, so more
@@ -259,7 +221,7 @@ func (c *Client) rotOnce(ctx context.Context, groups map[int][]string, nkeys int
 			if c.legGate != nil {
 				c.legGate(p)
 			}
-			resp, err := transport.CallRetry(ctx, c.node, wire.ServerAddr(c.dc, p), &wire.LoRotReq{RotID: rotID, SeenTS: seen, Epochs: known, Keys: ks}, c.countRetry)
+			resp, err := c.Call(ctx, p, &wire.LoRotReq{RotID: rotID, SeenTS: seen, Epochs: known, Keys: ks})
 			if err != nil {
 				ch <- result{part: p, err: err}
 				return

@@ -76,20 +76,32 @@ func TestRecoverAfterSnapshotKeepsDeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inspect the recovered backlog before Start launches the streams
-	// (Close requires Start; the backlog is private to the streams after).
+	// DC1's replica appears only now, as a bare endpoint that records what
+	// the recovered streams re-ship to it.
+	got := make(chan *wire.LoRepUpdate, 4)
+	dc1, err := net.Attach(wire.ServerAddr(1, 0), transport.HandlerFunc(
+		func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
+			if u, ok := m.(*wire.LoRepUpdate); ok {
+				got <- &wire.LoRepUpdate{Key: u.Key, Deps: slices.Clone(u.Deps)}
+				_ = n.Respond(src, reqID, &wire.LoRepAck{Seq: u.Seq})
+			}
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc1.Close()
+	srv2.Start()
+	defer srv2.Close()
 	var k2 *wire.LoRepUpdate
-	for _, st := range srv2.repl.streams {
-		for _, u := range st.backlog {
+	for k2 == nil {
+		select {
+		case u := <-got:
 			if u.Key == "k2" {
 				k2 = u
 			}
+		case <-ctx.Done():
+			t.Fatal("k2 was not re-enqueued for the unacked remote DC")
 		}
-	}
-	srv2.Start()
-	defer srv2.Close()
-	if k2 == nil {
-		t.Fatal("k2 was not re-enqueued for the unacked remote DC")
 	}
 	if len(k2.Deps) == 0 {
 		t.Fatal("snapshot-compacted record lost its dependency list: the re-enqueued update would skip dependency checks at the receiver")

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/family"
 	"repro/internal/hlc"
 	"repro/internal/metrics"
 	"repro/internal/ring"
@@ -25,14 +26,6 @@ type Config struct {
 
 	// GCWindow is how long reader entries live (paper: 500 ms).
 	GCWindow time.Duration
-	// CallTimeout bounds readers-check and dependency-check calls.
-	CallTimeout time.Duration
-	// RepWindow is the number of replication updates in flight per remote
-	// DC; receivers order installs by dependency checks, not sequencing.
-	RepWindow int
-	// RepRetryTimeout bounds one replication attempt before the
-	// (idempotent) update is retried; it masks WAN loss quickly.
-	RepRetryTimeout time.Duration
 	// MaxVersions caps per-key version chains.
 	MaxVersions int
 	// StoreShards is the storage engine shard count (0 = auto from
@@ -66,15 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GCWindow <= 0 {
 		c.GCWindow = 500 * time.Millisecond
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 10 * time.Second
-	}
-	if c.RepWindow <= 0 {
-		c.RepWindow = 64
-	}
-	if c.RepRetryTimeout <= 0 {
-		c.RepRetryTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -135,21 +119,15 @@ type Server struct {
 	epochMu  sync.Mutex
 	epochVec []uint64
 
-	// installMu/installCond wake blocked dependency checks on installs.
-	installMu   sync.Mutex
-	installCond *sync.Cond
-	installGen  uint64
+	// The shared skeleton (internal/family).
+	deps    *family.DepWaiter
+	repl    *family.WindowReplicator
+	repAges *family.RepAges
 
-	// Observability (obs.go): per-op latency histograms, the process-wide
-	// slow-op trace ring (nil-safe), per-peer last-replication receipt
-	// stamps, and the server's start time as their pre-first-update floor.
-	ops     metrics.OpHists
-	slow    *metrics.SlowRing
-	lastRep []atomic.Int64 // unix nanos, indexed by source DC
-	started int64          // unix nanos at construction
-
-	repl *loReplicator
-	stop chan struct{}
+	// Observability (obs.go): per-op latency histograms and the
+	// process-wide slow-op trace ring (nil-safe).
+	ops  metrics.OpHists
+	slow *metrics.SlowRing
 }
 
 // NewServer builds the partition server and attaches it to net.
@@ -161,12 +139,9 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 		store:    newLoStore(cfg.MaxVersions, cfg.StoreShards, cfg.GCWindow),
 		ring:     ring.New(cfg.NumParts),
 		epochVec: make([]uint64, cfg.NumParts),
-		stop:     make(chan struct{}),
+		repAges:  family.NewRepAges(cfg.NumDCs),
+		slow:     cfg.Slow,
 	}
-	s.slow = cfg.Slow
-	s.lastRep = make([]atomic.Int64, cfg.NumDCs)
-	s.started = time.Now().UnixNano()
-	s.installCond = sync.NewCond(&s.installMu)
 	var recovered []*wire.LoRepUpdate
 	if cfg.Durable != nil {
 		var err error
@@ -174,23 +149,16 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 			return nil, err
 		}
 	}
-	// The replicator must exist before the server is reachable: the first
-	// PUT to arrive enqueues into its streams.
-	s.repl = newLoReplicator(s, recovered)
-	// The server is reachable the instant Attach returns, but handlers need
-	// s.node: gate dispatch on construction completing so an early message
-	// cannot observe a half-built server.
-	ready := make(chan struct{})
-	node, err := net.Attach(wire.ServerAddr(cfg.DC, cfg.Part), transport.HandlerFunc(
-		func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
-			<-ready
-			s.Handle(n, src, reqID, m)
-		}))
+	// Dispatch stays gated until the waiter and the replicator exist: the
+	// first PUT to arrive enqueues into the streams.
+	node, open, err := family.Attach(net, wire.ServerAddr(cfg.DC, cfg.Part), s)
 	if err != nil {
 		return nil, err
 	}
 	s.node = node
-	close(ready)
+	s.deps = family.NewDepWaiter(node, cfg.DC, cfg.Part, s.ring, s.store.hasVersion)
+	s.repl = family.NewWindowReplicator(node, cfg.DC, cfg.Part, cfg.NumDCs, cfg.Durable, recovered)
+	open()
 	return s, nil
 }
 
@@ -393,15 +361,12 @@ func (s *Server) ForEachLatest(fn func(key string, value []byte, ts uint64, srcD
 }
 
 // Start launches replication streams.
-func (s *Server) Start() { s.repl.start() }
+func (s *Server) Start() { s.repl.Start() }
 
 // Close stops background work and detaches from the network.
 func (s *Server) Close() error {
-	close(s.stop)
-	s.repl.stopAll()
-	s.installMu.Lock()
-	s.installCond.Broadcast()
-	s.installMu.Unlock()
+	s.repl.Stop()
+	s.deps.Stop()
 	return s.node.Close()
 }
 
@@ -417,7 +382,7 @@ func (s *Server) Handle(n transport.Node, src wire.From, reqID uint64, m wire.Me
 	case *wire.LoRepUpdate:
 		s.handleRepUpdate(src, reqID, msg)
 	case *wire.DepCheckReq:
-		s.handleDepCheck(src, reqID, msg)
+		s.deps.HandleDepCheck(src, reqID, msg)
 	case *wire.Ping:
 		_ = n.Respond(src, reqID, &wire.Pong{Nonce: msg.Nonce})
 	default:
@@ -497,11 +462,8 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 		high = max(high, d.TS)
 	}
 	ts := s.clock.Update(high)
-	// Register the timestamp with the replication cursor trackers BEFORE
-	// the append: once the record is durable, a crash at any point must
-	// find the cursor frontier still below it, or recovery would not
-	// re-ship it.
-	s.repl.track(ts)
+	// Tracked BEFORE the append (see WindowReplicator.Track).
+	s.repl.Track(ts)
 	// Durability gates VISIBILITY, not just the acknowledgment: the fsync
 	// runs before the install, so no read or dependency check can ever
 	// observe a version a crash could still take back. A dep check passing
@@ -526,7 +488,7 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 		}
 	}
 	s.install(m.Key, loVersion{value: m.Value, ts: ts, srcDC: uint8(s.cfg.DC), deps: m.Deps}, collected)
-	s.repl.enqueue(&wire.LoRepUpdate{
+	s.repl.Enqueue(&wire.LoRepUpdate{
 		SrcDC:      uint8(s.cfg.DC),
 		SrcPart:    uint32(s.cfg.Part),
 		Key:        m.Key,
@@ -559,10 +521,7 @@ func installRecords(install wal.Record, oldReaders []wire.ReaderEntry) []wal.Rec
 // wakes dependency checks.
 func (s *Server) install(key string, v loVersion, collected slotSet) {
 	s.store.install(key, v, collected, time.Now())
-	s.installMu.Lock()
-	s.installGen++
-	s.installCond.Broadcast()
-	s.installMu.Unlock()
+	s.deps.Installed()
 }
 
 // checkScratch is the working memory of one readers check: the merged set
@@ -586,7 +545,7 @@ type oldReadersAnswer struct {
 
 // askOldReaders runs the remote leg of a readers check against one partition.
 func (s *Server) askOldReaders(g partDeps, epochs []uint64) oldReadersAnswer {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), family.CallTimeout)
 	defer cancel()
 	resp, err := s.node.Call(ctx, wire.ServerAddr(s.cfg.DC, g.part), &wire.OldReadersReq{Deps: g.deps, Epochs: epochs})
 	if err != nil {
@@ -718,37 +677,6 @@ func (s *Server) handleOldReaders(src wire.From, reqID uint64, m *wire.OldReader
 	checkScratchPool.Put(sc)
 }
 
-// handleDepCheck blocks until this partition holds the version of Key at
-// TS, then responds (COPS dependency checking). A shutdown abort answers
-// with an error — never success: the caller would otherwise durably
-// install a dependent whose dependency this partition never had.
-func (s *Server) handleDepCheck(src wire.From, reqID uint64, m *wire.DepCheckReq) {
-	if !s.waitForVersion(m.Key, m.TS, m.Src) {
-		transport.RespondError(s.node, src, reqID, 503, "cclo: dep check aborted: server stopping")
-		return
-	}
-	_ = s.node.Respond(src, reqID, &wire.DepCheckResp{})
-}
-
-// waitForVersion blocks until key@ts is installed; false means the server
-// is stopping and the dependency was NOT verified.
-func (s *Server) waitForVersion(key string, ts uint64, src uint8) bool {
-	if s.store.hasVersion(key, ts, src) {
-		return true
-	}
-	s.installMu.Lock()
-	defer s.installMu.Unlock()
-	for !s.store.hasVersion(key, ts, src) {
-		select {
-		case <-s.stop:
-			return false
-		default:
-		}
-		s.installCond.Wait()
-	}
-	return true
-}
-
 // handleRepUpdate installs a replicated update: dependency check, then a
 // readers check in this DC, then install (§3, "Challenges of
 // geo-replication"; the two checks are the combined protocol).
@@ -756,7 +684,7 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 	start := time.Now()
 	var checkDur, fsyncDur time.Duration
 	defer func() {
-		s.noteRep(int(m.SrcDC))
+		s.repAges.Note(int(m.SrcDC))
 		total := time.Since(start)
 		s.ops.Rep.Record(total)
 		s.slow.Record(metrics.SlowOp{
@@ -764,42 +692,11 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 			Total: total, Queue: checkDur, Fsync: fsyncDur,
 		})
 	}()
-	// 1. Dependency check: every dependency must be installed in this DC.
-	// A failed or shutdown-aborted check withholds the install AND the ack
-	// — installing an unverified dependent would be durably wrong, while
-	// the origin simply retries the (idempotent) update later.
-	// A local dependency that is already installed — the common case — is
-	// settled inline; only what is missing gets a waiter (or, for another
-	// partition's key, a DepCheckReq).
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(m.Deps))
-	for _, d := range m.Deps {
-		p := s.ring.Owner(d.Key)
-		if p == s.cfg.Part && s.store.hasVersion(d.Key, d.TS, d.Src) {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if p == s.cfg.Part {
-				if !s.waitForVersion(d.Key, d.TS, d.Src) {
-					errCh <- transport.ErrClosed
-				}
-				return
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-			defer cancel()
-			if _, err := s.node.Call(ctx, wire.ServerAddr(s.cfg.DC, p), &wire.DepCheckReq{Key: d.Key, TS: d.TS, Src: d.Src}); err != nil {
-				errCh <- err
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	// 1. Dependency check: every dependency must be installed in this DC;
+	// a failed or aborted check withholds the install and the ack.
+	if err := s.deps.WaitAll(m.Deps); err != nil {
 		transport.RespondError(s.node, src, reqID, 500, "cclo: dep check: "+err.Error())
 		return
-	default:
 	}
 
 	// 2. Readers check in this DC, merged with the origin's old readers.

@@ -173,6 +173,9 @@ type Client interface {
 	Get(ctx context.Context, key string) ([]byte, error)
 	// ROT reads keys from one causally consistent snapshot.
 	ROT(ctx context.Context, keys []string) ([]wire.KV, error)
+	// Warm pings every partition of the client's DC, establishing return
+	// paths before the first ROT (required over TCP).
+	Warm(ctx context.Context) error
 	// Close detaches the client.
 	Close() error
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -604,6 +606,38 @@ func TestManyClientsSmoke(t *testing.T) {
 			close(errs)
 			if err := <-errs; err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestStartFailureDoesNotHang: when a later partition fails to come up,
+// Start closes the servers it already built — none of them Start()ed yet —
+// and returns the error. A regular file where dc0-p1's WAL directory should
+// be is such a failure; with two DCs the built servers own replication
+// streams, whose stop used to wait for run loops that never ran.
+func TestStartFailureDoesNotHang(t *testing.T) {
+	for _, proto := range []Protocol{Contrarian, CCLO, COPS} {
+		t.Run(proto.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "dc0-p1"), []byte("not a directory"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			errCh := make(chan error, 1)
+			go func() {
+				c, err := Start(Config{Protocol: proto, DCs: 2, Partitions: 2, DataDir: dir, Latency: NoLatency()})
+				if err == nil {
+					c.Close()
+				}
+				errCh <- err
+			}()
+			select {
+			case err := <-errCh:
+				if err == nil {
+					t.Fatal("Start succeeded over a regular file at dc0-p1")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Start hung on its own error path")
 			}
 		})
 	}

@@ -21,9 +21,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/family"
 	"repro/internal/hlc"
 	"repro/internal/metrics"
 	"repro/internal/ring"
@@ -40,12 +40,6 @@ type Config struct {
 	NumDCs   int
 	NumParts int
 
-	// CallTimeout bounds dependency-check calls.
-	CallTimeout time.Duration
-	// RepRetryTimeout bounds one replication attempt before retry.
-	RepRetryTimeout time.Duration
-	// RepWindow is the number of replication updates in flight per DC.
-	RepWindow int
 	// MaxVersions caps per-key version chains.
 	MaxVersions int
 	// StoreShards is the storage engine shard count (0 = auto from
@@ -69,15 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NumParts <= 0 {
 		c.NumParts = 1
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 10 * time.Second
-	}
-	if c.RepRetryTimeout <= 0 {
-		c.RepRetryTimeout = 2 * time.Second
-	}
-	if c.RepWindow <= 0 {
-		c.RepWindow = 64
 	}
 	if c.MaxVersions <= 0 {
 		c.MaxVersions = 64
@@ -190,35 +175,28 @@ type Server struct {
 	node  transport.Node
 	ring  ring.Ring
 
-	installMu   sync.Mutex
-	installCond *sync.Cond
+	// The shared skeleton (internal/family).
+	deps    *family.DepWaiter
+	repl    *family.WindowReplicator
+	repAges *family.RepAges
 
-	// Observability (obs.go): per-op latency histograms, the process-wide
-	// slow-op trace ring (nil-safe), per-peer last-replication receipt
-	// stamps, and the server's start time as their pre-first-update floor.
-	ops     metrics.OpHists
-	slow    *metrics.SlowRing
-	lastRep []atomic.Int64 // unix nanos, indexed by source DC
-	started int64          // unix nanos at construction
-
-	repl *replicator
-	stop chan struct{}
+	// Observability (obs.go): per-op latency histograms and the
+	// process-wide slow-op trace ring (nil-safe).
+	ops  metrics.OpHists
+	slow *metrics.SlowRing
 }
 
 // NewServer builds the partition server and attaches it to net.
 func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		clock: hlc.NewLamport(0),
-		store: newStore(cfg.MaxVersions, cfg.StoreShards),
-		ring:  ring.New(cfg.NumParts),
-		stop:  make(chan struct{}),
+		cfg:     cfg,
+		clock:   hlc.NewLamport(0),
+		store:   newStore(cfg.MaxVersions, cfg.StoreShards),
+		ring:    ring.New(cfg.NumParts),
+		repAges: family.NewRepAges(cfg.NumDCs),
+		slow:    cfg.Slow,
 	}
-	s.slow = cfg.Slow
-	s.lastRep = make([]atomic.Int64, cfg.NumDCs)
-	s.started = time.Now().UnixNano()
-	s.installCond = sync.NewCond(&s.installMu)
 	var recovered []*wire.LoRepUpdate
 	if cfg.Durable != nil {
 		var err error
@@ -226,23 +204,16 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 			return nil, err
 		}
 	}
-	// The replicator must exist before the server is reachable: the first
-	// PUT to arrive enqueues into its streams.
-	s.repl = newReplicator(s, recovered)
-	// The server is reachable the instant Attach returns, but handlers need
-	// s.node: gate dispatch on construction completing so an early message
-	// cannot observe a half-built server.
-	ready := make(chan struct{})
-	node, err := net.Attach(wire.ServerAddr(cfg.DC, cfg.Part), transport.HandlerFunc(
-		func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
-			<-ready
-			s.Handle(n, src, reqID, m)
-		}))
+	// Dispatch stays gated until the waiter and the replicator exist: the
+	// first PUT to arrive enqueues into the streams.
+	node, open, err := family.Attach(net, wire.ServerAddr(cfg.DC, cfg.Part), s)
 	if err != nil {
 		return nil, err
 	}
 	s.node = node
-	close(ready)
+	s.deps = family.NewDepWaiter(node, cfg.DC, cfg.Part, s.ring, s.store.hasVersion)
+	s.repl = family.NewWindowReplicator(node, cfg.DC, cfg.Part, cfg.NumDCs, cfg.Durable, recovered)
+	open()
 	return s, nil
 }
 
@@ -292,15 +263,12 @@ func (s *Server) recover() ([]*wire.LoRepUpdate, error) {
 func (s *Server) Addr() wire.Addr { return s.node.Addr() }
 
 // Start launches replication streams.
-func (s *Server) Start() { s.repl.start() }
+func (s *Server) Start() { s.repl.Start() }
 
 // Close stops background work and detaches from the network.
 func (s *Server) Close() error {
-	close(s.stop)
-	s.repl.stopAll()
-	s.installMu.Lock()
-	s.installCond.Broadcast()
-	s.installMu.Unlock()
+	s.repl.Stop()
+	s.deps.Stop()
 	return s.node.Close()
 }
 
@@ -349,7 +317,7 @@ func (s *Server) Handle(n transport.Node, src wire.From, reqID uint64, m wire.Me
 	case *wire.LoRepUpdate:
 		s.handleRepUpdate(src, reqID, msg)
 	case *wire.DepCheckReq:
-		s.handleDepCheck(src, reqID, msg)
+		s.deps.HandleDepCheck(src, reqID, msg)
 	case *wire.Ping:
 		_ = n.Respond(src, reqID, &wire.Pong{Nonce: msg.Nonce})
 	default:
@@ -422,10 +390,8 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 		high = max(high, d.TS)
 	}
 	ts := s.clock.Update(high)
-	// Register the timestamp with the replication cursor trackers BEFORE
-	// the append: a durable update unknown to the tracker could be skipped
-	// by the recovery re-enqueue (crash between fsync and enqueue).
-	s.repl.track(ts)
+	// Tracked BEFORE the append (see WindowReplicator.Track).
+	s.repl.Track(ts)
 	// Durability gates VISIBILITY as well as replication and the
 	// acknowledgment: the fsync runs before the install so no read or
 	// dependency check can observe a version a crash could still take
@@ -444,7 +410,7 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 		}
 	}
 	s.install(m.Key, version{value: m.Value, ts: ts, srcDC: uint8(s.cfg.DC), deps: m.Deps})
-	s.repl.enqueue(&wire.LoRepUpdate{
+	s.repl.Enqueue(&wire.LoRepUpdate{
 		SrcDC:   uint8(s.cfg.DC),
 		SrcPart: uint32(s.cfg.Part),
 		Key:     m.Key,
@@ -457,39 +423,7 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
 
 func (s *Server) install(key string, v version) {
 	s.store.install(key, v)
-	s.installMu.Lock()
-	s.installCond.Broadcast()
-	s.installMu.Unlock()
-}
-
-// waitForVersion blocks until the (ts, src) version of key is installed;
-// false means the server is stopping and the dependency was NOT verified.
-func (s *Server) waitForVersion(key string, ts uint64, src uint8) bool {
-	if s.store.hasVersion(key, ts, src) {
-		return true
-	}
-	s.installMu.Lock()
-	defer s.installMu.Unlock()
-	for !s.store.hasVersion(key, ts, src) {
-		select {
-		case <-s.stop:
-			return false
-		default:
-		}
-		s.installCond.Wait()
-	}
-	return true
-}
-
-// handleDepCheck blocks until this partition holds a version of Key with
-// timestamp ≥ TS (COPS dependency checking). A shutdown abort answers with
-// an error — never success.
-func (s *Server) handleDepCheck(src wire.From, reqID uint64, m *wire.DepCheckReq) {
-	if !s.waitForVersion(m.Key, m.TS, m.Src) {
-		transport.RespondError(s.node, src, reqID, 503, "cops: dep check aborted: server stopping")
-		return
-	}
-	_ = s.node.Respond(src, reqID, &wire.DepCheckResp{})
+	s.deps.Installed()
 }
 
 // handleRepUpdate installs a replicated version after its dependencies are
@@ -500,7 +434,7 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 	start := time.Now()
 	var depDur, fsyncDur time.Duration
 	defer func() {
-		s.noteRep(int(m.SrcDC))
+		s.repAges.Note(int(m.SrcDC))
 		total := time.Since(start)
 		s.ops.Rep.Record(total)
 		s.slow.Record(metrics.SlowOp{
@@ -508,37 +442,11 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 			Total: total, Queue: depDur, Fsync: fsyncDur,
 		})
 	}()
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(m.Deps))
-	for _, d := range m.Deps {
-		p := s.ring.Owner(d.Key)
-		if p == s.cfg.Part {
-			wg.Add(1)
-			go func(d wire.LoDep) {
-				defer wg.Done()
-				if !s.waitForVersion(d.Key, d.TS, d.Src) {
-					errCh <- transport.ErrClosed
-				}
-			}(d)
-			continue
-		}
-		wg.Add(1)
-		go func(p int, d wire.LoDep) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
-			defer cancel()
-			if _, err := s.node.Call(ctx, wire.ServerAddr(s.cfg.DC, p), &wire.DepCheckReq{Key: d.Key, TS: d.TS, Src: d.Src}); err != nil {
-				errCh <- err
-			}
-		}(p, d)
-	}
-	wg.Wait()
+	err := s.deps.WaitAll(m.Deps)
 	depDur = time.Since(start)
-	select {
-	case err := <-errCh:
+	if err != nil {
 		transport.RespondError(s.node, src, reqID, 500, "cops: dep check: "+err.Error())
 		return
-	default:
 	}
 	s.clock.Update(m.TS)
 	// Durability before visibility and before the ack, waiting for the
@@ -568,13 +476,10 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 // requires carrying the full accumulated set (the metadata growth the
 // paper's Table 2 writes as |deps|).
 type Client struct {
+	family.Base // node, Ping/Warm/Close/Addr, Busy-retry counter
+
 	dc   int
 	ring ring.Ring
-	node transport.Node
-
-	// busyRetries counts operations re-sent after the server shed them
-	// with wire.Busy (admission control); benchmarks report the sum.
-	busyRetries atomic.Uint64
 
 	mu   sync.Mutex
 	deps map[string]wire.LoDep
@@ -609,18 +514,9 @@ func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node,
 	if err != nil {
 		return nil, err
 	}
-	c.node = node
+	c.Init(node, cfg.DC, cfg.Ring.Parts())
 	return c, nil
 }
-
-// Close detaches the client.
-func (c *Client) Close() error { return c.node.Close() }
-
-// BusyRetries returns how many times this client's operations were shed
-// with Busy and retried.
-func (c *Client) BusyRetries() uint64 { return c.busyRetries.Load() }
-
-func (c *Client) countRetry() { c.busyRetries.Add(1) }
 
 // DepCount returns the size of the session's dependency set (tests; this
 // is the metadata COPS-GT cannot prune).
@@ -650,8 +546,7 @@ func (c *Client) observe(key string, ts uint64, src uint8) {
 
 // Put installs a new version of key carrying the session's dependencies.
 func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, error) {
-	owner := wire.ServerAddr(c.dc, c.ring.Owner(key))
-	resp, err := transport.CallRetry(ctx, c.node, owner, &wire.LoPutReq{Key: key, Value: value, Deps: c.depList()}, c.countRetry)
+	resp, err := c.Call(ctx, c.ring.Owner(key), &wire.LoPutReq{Key: key, Value: value, Deps: c.depList()})
 	if err != nil {
 		return 0, fmt.Errorf("cops: put %q: %w", key, err)
 	}
@@ -694,7 +589,7 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 	ch := make(chan r1, len(groups))
 	for p, ks := range groups {
 		go func(p int, ks []string) {
-			resp, err := transport.CallRetry(ctx, c.node, wire.ServerAddr(c.dc, p), &wire.CopsRotReq{Keys: ks}, c.countRetry)
+			resp, err := c.Call(ctx, p, &wire.CopsRotReq{Keys: ks})
 			if err != nil {
 				ch <- r1{err: err}
 				return
@@ -759,8 +654,7 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 		ch2 := make(chan r2, len(cut))
 		for k, d := range cut {
 			go func(k string, d wire.LoDep) {
-				dst := wire.ServerAddr(c.dc, c.ring.Owner(k))
-				resp, err := transport.CallRetry(ctx, c.node, dst, &wire.CopsVerReq{Key: k, TS: d.TS, Src: d.Src}, c.countRetry)
+				resp, err := c.Call(ctx, c.ring.Owner(k), &wire.CopsVerReq{Key: k, TS: d.TS, Src: d.Src})
 				if err != nil {
 					ch2 <- r2{err: err}
 					return

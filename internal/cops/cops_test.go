@@ -221,3 +221,27 @@ func TestRounds2NeededFalseWhenConsistent(t *testing.T) {
 		t.Fatal("consistent round-1 results must not need a second round")
 	}
 }
+
+// TestCloseWithoutStart: Close on a server that was built but never
+// Start()ed must return — with remote DCs there are replication streams to
+// stop, and stopping used to wait for run loops that Start never launched
+// (cluster.Start closes its servers on a later server's construction
+// error).
+func TestCloseWithoutStart(t *testing.T) {
+	net := transport.NewLocal(transport.LatencyModel{})
+	defer net.Close()
+	s, err := NewServer(Config{DC: 0, Part: 0, NumDCs: 2, NumParts: 1}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		s.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close on a never-started 2-DC server did not return within 3 s")
+	}
+}

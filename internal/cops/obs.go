@@ -1,15 +1,6 @@
 package cops
 
-import (
-	"strconv"
-	"time"
-
-	"repro/internal/metrics"
-)
-
-// Observability surface of a COPS partition server. COPS runs on Lamport
-// clocks, so — like CC-LO — its replication-lag gauge is the wall-clock age
-// of the last replicated update received from each peer DC.
+import "repro/internal/metrics"
 
 // RegisterMetrics exposes the server's per-op histograms, store occupancy,
 // and replication-receipt ages under r. Labels should identify the
@@ -18,35 +9,5 @@ func (s *Server) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 	s.ops.Register(r, "kv_server_op_seconds",
 		"End-to-end server handler latency by operation.", labels...)
 	s.store.eng.Register(r, labels...)
-	for dc := 0; dc < s.cfg.NumDCs; dc++ {
-		if dc == s.cfg.DC {
-			continue
-		}
-		dc := dc
-		r.GaugeFunc("kv_replication_last_update_age_seconds",
-			"Seconds since the last replication batch was received from the peer DC (server start if none yet).",
-			func() float64 { return s.lastRepAge(dc).Seconds() },
-			append(append([]metrics.Label(nil), labels...), metrics.Label{Name: "peer_dc", Value: strconv.Itoa(dc)})...)
-	}
-}
-
-// lastRepAge returns the wall-clock age of the newest replicated update
-// received from dc, falling back to the server's start time before the
-// first one.
-func (s *Server) lastRepAge(dc int) time.Duration {
-	if dc < 0 || dc >= len(s.lastRep) {
-		return 0
-	}
-	at := s.lastRep[dc].Load()
-	if at == 0 {
-		at = s.started
-	}
-	return time.Duration(time.Now().UnixNano() - at)
-}
-
-// noteRep stamps receipt of a replicated update from dc.
-func (s *Server) noteRep(dc int) {
-	if dc >= 0 && dc < len(s.lastRep) {
-		s.lastRep[dc].Store(time.Now().UnixNano())
-	}
+	s.repAges.Register(r, s.cfg.DC, labels...)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/family"
 	"repro/internal/ring"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -21,21 +22,18 @@ import (
 // A Client is safe for concurrent use, though the benchmark drivers use one
 // per closed-loop thread, as the paper's clients do.
 type Client struct {
+	family.Base // node, Ping/Warm/Close/Addr, Busy-retry counter
+
 	dc     int
 	numDCs int
 	mode   ROTMode
 	ring   ring.Ring
-	node   transport.Node
 
 	mu   sync.Mutex
 	seen vclock.Vec // seen[dc] = highest local ts; others = GSS view
 
 	rotSeq atomic.Uint64
 	rots   sync.Map // rotID -> chan wire.Message
-
-	// busyRetries counts operations re-sent after the server shed them
-	// with wire.Busy (admission control); benchmarks report the sum.
-	busyRetries atomic.Uint64
 }
 
 // ClientConfig parameterizes a client session.
@@ -80,47 +78,9 @@ func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node,
 	if err != nil {
 		return nil, err
 	}
-	c.node = node
+	c.Init(node, cfg.DC, cfg.Ring.Parts())
 	return c, nil
 }
-
-// Close detaches the client.
-func (c *Client) Close() error { return c.node.Close() }
-
-// Addr returns the client's wire address.
-func (c *Client) Addr() wire.Addr { return c.node.Addr() }
-
-// Ping checks liveness of one partition. Over connection-oriented
-// transports it also warms the connection, letting the partition answer
-// this client directly (the 1 1/2-round ROT's partition-to-client leg).
-func (c *Client) Ping(ctx context.Context, part int) error {
-	resp, err := transport.CallRetry(ctx, c.node, wire.ServerAddr(c.dc, part), &wire.Ping{Nonce: uint64(part)}, c.countRetry)
-	if err != nil {
-		return err
-	}
-	if _, ok := resp.(*wire.Pong); !ok {
-		return fmt.Errorf("core: ping: unexpected response %T", resp)
-	}
-	return nil
-}
-
-// Warm pings every partition in the client's DC, establishing return paths
-// before the first ROT. Required for TCP deployments; a no-op concern for
-// the in-process transport.
-func (c *Client) Warm(ctx context.Context) error {
-	for p := 0; p < c.ring.Parts(); p++ {
-		if err := c.Ping(ctx, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BusyRetries returns how many times this client's operations were shed
-// with Busy and retried.
-func (c *Client) BusyRetries() uint64 { return c.busyRetries.Load() }
-
-func (c *Client) countRetry() { c.busyRetries.Add(1) }
 
 // Seen returns a copy of the client's causal context (for tests).
 func (c *Client) Seen() vclock.Vec {
@@ -164,8 +124,7 @@ func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, err
 	c.mu.Lock()
 	deps := c.seen.Clone()
 	c.mu.Unlock()
-	owner := wire.ServerAddr(c.dc, c.ring.Owner(key))
-	resp, err := transport.CallRetry(ctx, c.node, owner, &wire.PutReq{Key: key, Value: value, Deps: deps}, c.countRetry)
+	resp, err := c.Call(ctx, c.ring.Owner(key), &wire.PutReq{Key: key, Value: value, Deps: deps})
 	if err != nil {
 		return 0, fmt.Errorf("core: put %q: %w", key, err)
 	}
@@ -255,7 +214,7 @@ func (c *Client) rotOneAndHalf(ctx context.Context, keys []string, groups []wire
 		if attempt >= transport.DefaultBusyRetries {
 			return nil, fmt.Errorf("core: rot: %w: coordinator still shedding after %d retries", transport.ErrOverloaded, attempt)
 		}
-		c.busyRetries.Add(1)
+		c.CountRetry()
 		if err := transport.AwaitRetry(ctx, attempt, busy.RetryAfter()); err != nil {
 			return nil, fmt.Errorf("core: rot: %w", err)
 		}
@@ -273,8 +232,7 @@ func (c *Client) rotOneAndHalfOnce(ctx context.Context, keys []string, groups []
 	seenGSS := c.seen.Clone()
 	c.mu.Unlock()
 
-	coord := wire.ServerAddr(c.dc, int(groups[0].Part))
-	err := c.node.Send(coord, &wire.RotCoordReq{
+	err := c.Send(int(groups[0].Part), &wire.RotCoordReq{
 		RotID:     rotID,
 		Mode:      uint8(OneAndHalfRounds),
 		SeenLocal: seenLocal,
@@ -320,13 +278,12 @@ func (c *Client) rotTwoRounds(ctx context.Context, keys []string, groups []wire.
 	seenGSS := c.seen.Clone()
 	c.mu.Unlock()
 
-	coord := wire.ServerAddr(c.dc, int(groups[0].Part))
-	resp, err := transport.CallRetry(ctx, c.node, coord, &wire.RotCoordReq{
+	resp, err := c.Call(ctx, int(groups[0].Part), &wire.RotCoordReq{
 		RotID:     rotID,
 		Mode:      uint8(TwoRounds),
 		SeenLocal: seenLocal,
 		SeenGSS:   seenGSS,
-	}, c.countRetry)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: rot coord: %w", err)
 	}
@@ -343,8 +300,7 @@ func (c *Client) rotTwoRounds(ctx context.Context, keys []string, groups []wire.
 	ch := make(chan result, len(groups))
 	for _, g := range groups {
 		go func(g wire.ReadGroup) {
-			dst := wire.ServerAddr(c.dc, int(g.Part))
-			resp, err := transport.CallRetry(ctx, c.node, dst, &wire.RotReadReq{SV: sv, Keys: g.Keys}, c.countRetry)
+			resp, err := c.Call(ctx, int(g.Part), &wire.RotReadReq{SV: sv, Keys: g.Keys})
 			if err != nil {
 				ch <- result{err: err}
 				return

@@ -224,8 +224,11 @@ func TestReplicationDuplicateBatchIgnored(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
+	// A sequence far above anything DC0's live stream (heartbeats every
+	// millisecond) reaches during the test: with Seq 1 a heartbeat that won
+	// the race made the FIRST delivery the stale one.
 	batch := &wire.RepBatch{
-		SrcDC: 0, SrcPart: 0, Seq: 1, HighTS: 10,
+		SrcDC: 0, SrcPart: 0, Seq: 1 << 40, HighTS: 10,
 		Ups: []wire.Update{{Key: "dup", Value: []byte("v"), TS: 10, DV: vclock.Vec{10, 0}}},
 	}
 	if _, err := sender.Call(ctx, s.Addr(), batch); err != nil {
@@ -316,5 +319,29 @@ func TestWarmAndPing(t *testing.T) {
 	}
 	if err := cli.Ping(ctx, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseWithoutStart: Close on a server that was built but never
+// Start()ed must return — with remote DCs there are replication streams to
+// stop, and stopping used to wait for run loops that Start never launched
+// (cluster.Start closes its servers on a later server's construction
+// error).
+func TestCloseWithoutStart(t *testing.T) {
+	net := transport.NewLocal(transport.LatencyModel{})
+	defer net.Close()
+	s, err := NewServer(Config{DC: 0, Part: 0, NumDCs: 2, NumParts: 1}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		s.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close on a never-started 2-DC server did not return within 3 s")
 	}
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"strconv"
-	"time"
-
+	"repro/internal/family"
 	"repro/internal/hlc"
 	"repro/internal/metrics"
 )
@@ -23,59 +21,19 @@ func (s *Server) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 	s.ops.Register(r, "kv_server_op_seconds",
 		"End-to-end server handler latency by operation.", labels...)
 	s.store.Register(r, labels...)
-	for dc := 0; dc < s.cfg.NumDCs; dc++ {
-		if dc == s.cfg.DC {
-			continue
-		}
-		dc := dc
-		peer := metrics.Label{Name: "peer_dc", Value: strconv.Itoa(dc)}
-		r.GaugeFunc("kv_replication_last_update_age_seconds",
-			"Seconds since the last replication batch was received from the peer DC (server start if none yet).",
-			func() float64 { return s.lastRepAge(dc).Seconds() }, withLabel(labels, peer)...)
-		if s.cfg.Clock != ClockLogical {
+	s.repAges.Register(r, s.cfg.DC, labels...)
+	if s.cfg.Clock != ClockLogical {
+		for dc := 0; dc < s.cfg.NumDCs; dc++ {
+			if dc == s.cfg.DC {
+				continue
+			}
 			r.GaugeFunc("kv_replication_lag_seconds",
 				"Clock-derived replication cursor lag behind the peer DC: local clock minus the newest timestamp received from it.",
-				func() float64 { return s.replicationLag(dc) }, withLabel(labels, peer)...)
+				func() float64 { return s.replicationLag(dc) }, family.WithPeer(labels, dc)...)
 		}
-	}
-	if s.cfg.Clock != ClockLogical {
 		r.GaugeFunc("kv_visibility_lag_seconds",
 			"Visibility lag: local clock minus the Global Stable Snapshot's oldest entry — how stale a fresh ROT snapshot is.",
 			func() float64 { return s.visibilityLag() }, labels...)
-	}
-}
-
-// withLabel returns labels plus l in a fresh slice (append would share the
-// backing array across the registration loop).
-func withLabel(labels []metrics.Label, l metrics.Label) []metrics.Label {
-	out := make([]metrics.Label, 0, len(labels)+1)
-	out = append(out, labels...)
-	return append(out, l)
-}
-
-// lastRepAge returns the wall-clock age of the newest replication batch
-// received from dc, falling back to the server's start time before the
-// first batch so the gauge is meaningful (and monotone) from boot.
-func (s *Server) lastRepAge(dc int) time.Duration {
-	if dc < 0 || dc >= len(s.lastRep) {
-		return 0
-	}
-	at := s.lastRep[dc].Load()
-	if at == 0 {
-		at = s.started
-	}
-	return time.Duration(nanotimeSince(at))
-}
-
-// nanotimeSince is time.Since over stored UnixNano values.
-func nanotimeSince(unixNano int64) int64 {
-	return time.Now().UnixNano() - unixNano
-}
-
-// noteRep stamps receipt of a replication batch from dc.
-func (s *Server) noteRep(dc int) {
-	if dc >= 0 && dc < len(s.lastRep) {
-		s.lastRep[dc].Store(time.Now().UnixNano())
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,6 +34,7 @@ func newTicker(d time.Duration) *time.Ticker {
 type replicator struct {
 	s       *Server
 	streams []*repStream
+	wg      sync.WaitGroup // the started streams' run loops
 }
 
 // repUpdate is one queued update plus its durability gate: nil means the
@@ -66,7 +68,6 @@ type repStream struct {
 	ctx    context.Context // cancelled on stop so in-flight calls abort
 	cancel context.CancelFunc
 	stop   chan struct{}
-	done   chan struct{}
 }
 
 // newReplicator builds one stream per remote DC. recovered holds this
@@ -95,7 +96,6 @@ func newReplicator(s *Server, recovered []wire.Update) *replicator {
 			ctx:    ctx,
 			cancel: cancel,
 			stop:   make(chan struct{}),
-			done:   make(chan struct{}),
 		}
 		for _, u := range recovered {
 			if u.TS > cursors[dc].HighTS {
@@ -110,18 +110,22 @@ func newReplicator(s *Server, recovered []wire.Update) *replicator {
 
 func (r *replicator) start() {
 	for _, st := range r.streams {
-		go st.run()
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			st.run()
+		}()
 	}
 }
 
+// stopAll aborts in-flight calls and waits for the streams that were
+// started; on a replicator that never was, it returns at once.
 func (r *replicator) stopAll() {
 	for _, st := range r.streams {
 		close(st.stop)
 		st.cancel()
 	}
-	for _, st := range r.streams {
-		<-st.done
-	}
+	r.wg.Wait()
 }
 
 // enqueue records one local update for every remote DC. The caller must
@@ -179,7 +183,6 @@ func (st *repStream) cut() ([]wire.Update, uint64) {
 }
 
 func (st *repStream) run() {
-	defer close(st.done)
 	// st.seq resumes from the durable cursor (zero without a WAL), so a
 	// recovered sender continues exactly where the receiver's dedup cursor
 	// expects. Receivers no longer trust sequence alone: a batch is dropped

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/family"
 	"repro/internal/hlc"
 	"repro/internal/metrics"
 	"repro/internal/mvstore"
@@ -48,12 +49,11 @@ type Server struct {
 	durGate *durGate
 
 	// Observability (obs.go): per-op latency histograms, the process-wide
-	// slow-op trace ring (nil-safe), per-peer last-replication receipt
-	// stamps, and the server's start time as their pre-first-batch floor.
+	// slow-op trace ring (nil-safe), and per-peer last-replication receipt
+	// stamps.
 	ops     metrics.OpHists
 	slow    *metrics.SlowRing
-	lastRep []atomic.Int64 // unix nanos, indexed by source DC
-	started int64          // unix nanos at construction
+	repAges *family.RepAges
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -152,8 +152,7 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 		s.nextIn[i] = 1
 	}
 	s.slow = cfg.Slow
-	s.lastRep = make([]atomic.Int64, cfg.NumDCs)
-	s.started = time.Now().UnixNano()
+	s.repAges = family.NewRepAges(cfg.NumDCs)
 	var recovered []wire.Update
 	if cfg.Durable != nil {
 		s.durGate = newDurGate()
@@ -165,20 +164,12 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	// The replicator must exist before the server is reachable: the first
 	// PUT to arrive enqueues into its streams.
 	s.repl = newReplicator(s, recovered)
-	// The server is reachable the instant Attach returns, but handlers need
-	// s.node: gate dispatch on construction completing so an early message
-	// cannot observe a half-built server.
-	ready := make(chan struct{})
-	node, err := net.Attach(wire.ServerAddr(cfg.DC, cfg.Part), transport.HandlerFunc(
-		func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
-			<-ready
-			s.Handle(n, src, reqID, m)
-		}))
+	node, open, err := family.Attach(net, wire.ServerAddr(cfg.DC, cfg.Part), s)
 	if err != nil {
 		return nil, err
 	}
 	s.node = node
-	close(ready)
+	open()
 	return s, nil
 }
 
@@ -569,7 +560,7 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) {
 	start := time.Now()
 	var fsyncDur time.Duration
 	defer func() {
-		s.noteRep(srcDC)
+		s.repAges.Note(srcDC)
 		total := time.Since(start)
 		s.ops.Rep.Record(total)
 		var kh uint64

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -81,94 +80,33 @@ func TestReaderRecordRoundtrip(t *testing.T) {
 	}
 }
 
-// TestMixedFormatReplay is the format-bump compatibility test: a log
-// written by this build, relabelled with the previous format magic
-// (CKVWAL02 — record encodings for pre-existing kinds are byte-identical),
-// must replay cleanly, and the segments the reopened log writes must carry
-// the current magic.
-func TestMixedFormatReplay(t *testing.T) {
-	dir := t.TempDir()
-	l := mustOpen(t, Options{Dir: dir, SegmentBytes: 512}) // several segments
-	const n = 24
-	for i := 0; i < n; i++ {
-		if err := l.Append(rec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.AppendCursor(Cursor{DstDC: 1, Seq: 9, HighTS: 24}); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-
-	// Downgrade every segment's magic to the pre-bump format.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downgraded := 0
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".wal") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		f, err := os.OpenFile(path, os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(prevSegMagic[:], 0); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		downgraded++
-	}
-	if downgraded < 2 {
-		t.Fatalf("only %d segments downgraded; test needs several", downgraded)
-	}
-
-	l2 := mustOpen(t, Options{Dir: dir})
-	recs := replayAll(t, l2)
-	if len(recs) != n {
-		t.Fatalf("replayed %d records from pre-bump segments, want %d", len(recs), n)
-	}
-	for i, r := range recs {
-		if !recEqual(r, rec(i)) {
-			t.Fatalf("record %d corrupted across the format bump: %+v", i, r)
-		}
-	}
-	if cur := l2.Cursors(); len(cur) != 1 || cur[0].Seq != 9 {
-		t.Fatalf("cursor lost across the format bump: %+v", cur)
-	}
-	// New writes land in a current-format segment.
-	if err := l2.Append(rec(n)); err != nil {
-		t.Fatal(err)
-	}
-	var hdr [8]byte
-	f, err := os.Open(l2.activePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if hdr != segMagic {
-		t.Fatalf("reopened log writes magic %q, want current %q", hdr, segMagic)
-	}
-
-	// An unknown (format 01) magic still fails loudly rather than misparse.
-	bad := filepath.Join(dir, segName(l2.activeSeq))
-	l2.Close()
-	f2, err := os.OpenFile(bad, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f2.WriteAt([]byte("CKVWAL01"), 0); err != nil {
-		t.Fatal(err)
-	}
-	f2.Close()
-	l3 := mustOpen(t, Options{Dir: dir})
-	if err := l3.Replay(func(Record) error { return nil }); err == nil {
-		t.Fatal("format-01 magic replayed without error")
+// TestOldFormatMagicRejected: a segment carrying the magic of a format this
+// build no longer reads (02, or 01 from before the Kind byte) fails replay
+// with "bad magic" instead of being misparsed.
+func TestOldFormatMagicRejected(t *testing.T) {
+	for _, magic := range []string{"CKVWAL01", "CKVWAL02"} {
+		t.Run(magic, func(t *testing.T) {
+			dir := t.TempDir()
+			l := mustOpen(t, Options{Dir: dir})
+			if err := l.Append(rec(0)); err != nil {
+				t.Fatal(err)
+			}
+			path := l.activePath
+			l.Close()
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte(magic), 0); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			l2 := mustOpen(t, Options{Dir: dir})
+			err = l2.Replay(func(Record) error { return nil })
+			if err == nil || !strings.Contains(err.Error(), "bad magic") {
+				t.Fatalf("replay of a %s segment: %v, want a bad magic error", magic, err)
+			}
+		})
 	}
 }
 

@@ -235,16 +235,12 @@ const (
 )
 
 var (
-	// Format 03: two new record kinds (restart epochs and old-reader
-	// records). Existing kinds encode byte-identically to format 02, so
-	// replay accepts 02 files written by older builds (prevMagic below);
-	// new files are always written with the current magic. Format 01
-	// predates the Kind byte and still fails the check rather than
-	// misparse.
-	segMagic      = [8]byte{'C', 'K', 'V', 'W', 'A', 'L', '0', '3'}
-	snapMagic     = [8]byte{'C', 'K', 'V', 'S', 'N', 'P', '0', '3'}
-	prevSegMagic  = [8]byte{'C', 'K', 'V', 'W', 'A', 'L', '0', '2'}
-	prevSnapMagic = [8]byte{'C', 'K', 'V', 'S', 'N', 'P', '0', '2'}
+	// Format 03 is the only format this build reads or writes: a file
+	// carrying an older magic (02 lacks restart epochs and old-reader
+	// records, 01 predates the Kind byte) fails the header check rather
+	// than being misparsed.
+	segMagic  = [8]byte{'C', 'K', 'V', 'W', 'A', 'L', '0', '3'}
+	snapMagic = [8]byte{'C', 'K', 'V', 'S', 'N', 'P', '0', '3'}
 
 	crcTable = crc32.MakeTable(crc32.Castagnoli)
 )
@@ -396,7 +392,7 @@ func (l *Log) scan() (uint64, error) {
 	// so this is a can't-happen guard, not an expected path).
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].seq > snaps[j].seq })
 	for _, s := range snaps {
-		if checkHeader(s.path, [][8]byte{snapMagic, prevSnapMagic}, s.seq) == nil {
+		if checkHeader(s.path, snapMagic, s.seq) == nil {
 			l.snapPath, l.snapCut = s.path, s.seq
 			break
 		}
@@ -417,7 +413,7 @@ func (l *Log) scan() (uint64, error) {
 			return 0, fmt.Errorf("wal: %w", err)
 		}
 		if st.Size() <= fileHdrLen &&
-			checkHeader(last.path, [][8]byte{segMagic, prevSegMagic}, last.seq) != nil {
+			checkHeader(last.path, segMagic, last.seq) != nil {
 			if err := os.Remove(last.path); err != nil {
 				return 0, fmt.Errorf("wal: %w", err)
 			}
@@ -438,10 +434,8 @@ func (l *Log) scan() (uint64, error) {
 	return maxSeq, nil
 }
 
-// checkHeader validates a file's magic and sequence field. Each accepted
-// magic names a format this build can replay: the current one plus the
-// previous, whose record encodings are a strict subset.
-func checkHeader(path string, magics [][8]byte, want uint64) error {
+// checkHeader validates a file's magic and sequence field.
+func checkHeader(path string, magic [8]byte, want uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -451,14 +445,7 @@ func checkHeader(path string, magics [][8]byte, want uint64) error {
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return err
 	}
-	ok := false
-	for _, m := range magics {
-		if [8]byte(hdr[:8]) == m {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	if [8]byte(hdr[:8]) != magic {
 		return fmt.Errorf("wal: %s: bad magic", path)
 	}
 	if got := binary.LittleEndian.Uint64(hdr[8:]); got != want {
@@ -886,7 +873,7 @@ func (l *Log) Replay(apply func(Record) error) error {
 	start := time.Now()
 	defer func() { l.stats.RecoveryNanos.Add(uint64(time.Since(start))) }()
 	if l.snapPath != "" {
-		if err := l.replayFile(l.snapPath, [][8]byte{snapMagic, prevSnapMagic}, l.snapCut, false, apply); err != nil {
+		if err := l.replayFile(l.snapPath, snapMagic, l.snapCut, false, apply); err != nil {
 			return err
 		}
 	}
@@ -894,7 +881,7 @@ func (l *Log) Replay(apply func(Record) error) error {
 		final := i == len(l.segPaths)-1
 		base := filepath.Base(p)
 		seq, _ := strconv.ParseUint(base[4:len(base)-4], 10, 64)
-		if err := l.replayFile(p, [][8]byte{segMagic, prevSegMagic}, seq, final, apply); err != nil {
+		if err := l.replayFile(p, segMagic, seq, final, apply); err != nil {
 			return err
 		}
 	}
@@ -903,8 +890,8 @@ func (l *Log) Replay(apply func(Record) error) error {
 
 // replayFile replays one segment or snapshot. tolerateTail permits a
 // truncated or corrupt trailing record (the final segment only).
-func (l *Log) replayFile(path string, magics [][8]byte, seq uint64, tolerateTail bool, apply func(Record) error) error {
-	if err := checkHeader(path, magics, seq); err != nil {
+func (l *Log) replayFile(path string, magic [8]byte, seq uint64, tolerateTail bool, apply func(Record) error) error {
+	if err := checkHeader(path, magic, seq); err != nil {
 		return err
 	}
 	f, err := os.Open(path)

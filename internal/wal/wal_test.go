@@ -229,7 +229,7 @@ func TestTornHeaderFinalSegmentDiscarded(t *testing.T) {
 			// The debris was deleted; the same sequence number is then
 			// reused for the fresh active segment, so the path exists again
 			// but now with a fully synced header.
-			if err := checkHeader(torn, [][8]byte{segMagic}, seq+1); err != nil {
+			if err := checkHeader(torn, segMagic, seq+1); err != nil {
 				t.Fatalf("active segment after torn-header recovery: %v", err)
 			}
 			// The log must keep working after discarding the debris.
