@@ -7,8 +7,7 @@ import "repro/internal/metrics"
 // ages under r. Labels should identify the partition (dc, partition,
 // family).
 func (s *Server) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
-	s.ops.Register(r, "kv_server_op_seconds",
-		"End-to-end server handler latency by operation.", labels...)
+	s.LoServer.RegisterMetrics(r, labels...)
 	s.store.eng.Register(r, labels...)
 	r.CounterFunc("kv_store_approx_reads_total",
 		"Snapshot reads served with the oldest retained version because the exact one was trimmed.",
@@ -29,5 +28,4 @@ func (s *Server) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 		func() float64 { return float64(s.stats.ReplicationChecks.Load()) }, labels...)
 	r.GaugeFunc("kv_cclo_restart_epoch", "This partition's durable restart epoch (0 = in-memory).",
 		func() float64 { return float64(s.epoch) }, labels...)
-	s.repAges.Register(r, s.cfg.DC, labels...)
 }

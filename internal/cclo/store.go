@@ -32,6 +32,7 @@ import (
 	"time"
 
 	storeeng "repro/internal/store"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -396,6 +397,14 @@ func (s *loStore) install(key string, v loVersion, collected slotSet, now time.T
 		}
 	})
 	return newest
+}
+
+// installRecord installs the version a WAL record describes — committed,
+// replayed or preloaded — hidden from readers. (A replicated version's
+// record carries no deps; see loVersion.deps.)
+func (s *loStore) installRecord(rec wal.Record, readers []wire.ReaderEntry) {
+	s.install(rec.Key, loVersion{value: rec.Value, ts: rec.TS, srcDC: rec.SrcDC, deps: rec.Deps},
+		slotsFromWire(make(slotSet, 0, len(readers)), readers), time.Now())
 }
 
 // mark lands marks (ordered, one per client, owned by the caller) on the

@@ -19,12 +19,10 @@ package cops
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/family"
-	"repro/internal/hlc"
 	"repro/internal/metrics"
 	"repro/internal/ring"
 	storeeng "repro/internal/store"
@@ -167,117 +165,46 @@ func (s *store) forEachLatest(fn func(key string, v version)) {
 	})
 }
 
-// Server is one COPS partition replica.
+// installRecord installs the version a WAL record describes — dependency
+// list included, which COPS needs to recompute causal cuts after a crash.
+func (s *store) installRecord(rec wal.Record, _ []wire.ReaderEntry) {
+	s.install(rec.Key, version{value: rec.Value, ts: rec.TS, srcDC: rec.SrcDC, deps: rec.Deps})
+}
+
+// snapshot emits every key's latest version with its dependency list.
+func (s *store) snapshot(emit func(wal.Record) error) error {
+	var ferr error
+	s.forEachLatest(func(key string, v version) {
+		if ferr != nil {
+			return
+		}
+		ferr = emit(wal.Record{Key: key, Value: v.value, TS: v.ts, SrcDC: v.srcDC, Deps: v.deps})
+	})
+	return ferr
+}
+
+// Server is one COPS partition replica: the dependency-list skeleton
+// (clock, commit path, replication, recovery — internal/family) plus COPS'
+// store and its two read rounds. It has no pre-commit step.
 type Server struct {
-	cfg   Config
-	clock *hlc.Lamport
+	*family.LoServer
 	store *store
-	node  transport.Node
-	ring  ring.Ring
-
-	// The shared skeleton (internal/family).
-	deps    *family.DepWaiter
-	repl    *family.WindowReplicator
-	repAges *family.RepAges
-
-	// Observability (obs.go): per-op latency histograms and the
-	// process-wide slow-op trace ring (nil-safe).
-	ops  metrics.OpHists
-	slow *metrics.SlowRing
 }
 
 // NewServer builds the partition server and attaches it to net.
 func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	cfg = cfg.withDefaults()
-	s := &Server{
-		cfg:     cfg,
-		clock:   hlc.NewLamport(0),
-		store:   newStore(cfg.MaxVersions, cfg.StoreShards),
-		ring:    ring.New(cfg.NumParts),
-		repAges: family.NewRepAges(cfg.NumDCs),
-		slow:    cfg.Slow,
-	}
-	var recovered []*wire.LoRepUpdate
-	if cfg.Durable != nil {
-		var err error
-		if recovered, err = s.recover(); err != nil {
-			return nil, err
-		}
-	}
-	// Dispatch stays gated until the waiter and the replicator exist: the
-	// first PUT to arrive enqueues into the streams.
-	node, open, err := family.Attach(net, wire.ServerAddr(cfg.DC, cfg.Part), s)
-	if err != nil {
+	st := newStore(cfg.MaxVersions, cfg.StoreShards)
+	s := &Server{store: st}
+	s.LoServer = family.NewLoServer("cops", cfg.DC, cfg.Part, cfg.NumDCs, cfg.NumParts, cfg.Durable, cfg.Slow,
+		family.LoStore{HasVersion: st.hasVersion, Install: st.installRecord, Snapshot: st.snapshot})
+	if _, err := s.Replay(); err != nil {
 		return nil, err
 	}
-	s.node = node
-	s.deps = family.NewDepWaiter(node, cfg.DC, cfg.Part, s.ring, s.store.hasVersion)
-	s.repl = family.NewWindowReplicator(node, cfg.DC, cfg.Part, cfg.NumDCs, cfg.Durable, recovered)
-	open()
+	if err := s.Attach(net, s); err != nil {
+		return nil, err
+	}
 	return s, nil
-}
-
-// recover replays the durable log — dependency lists included — into the
-// store, advances the clock past every recovered timestamp, and registers
-// the snapshot source. It returns the recovered LOCAL updates in timestamp
-// order for the replicator's re-enqueue.
-func (s *Server) recover() ([]*wire.LoRepUpdate, error) {
-	var maxTS uint64
-	var local []*wire.LoRepUpdate
-	err := s.cfg.Durable.Replay(func(rec wal.Record) error {
-		s.store.install(rec.Key, version{value: rec.Value, ts: rec.TS, srcDC: rec.SrcDC, deps: rec.Deps})
-		maxTS = max(maxTS, rec.TS)
-		if int(rec.SrcDC) == s.cfg.DC {
-			local = append(local, &wire.LoRepUpdate{
-				SrcDC:   rec.SrcDC,
-				SrcPart: uint32(s.cfg.Part),
-				Key:     rec.Key,
-				Value:   rec.Value,
-				TS:      rec.TS,
-				Deps:    rec.Deps,
-			})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(local, func(i, j int) bool { return local[i].TS < local[j].TS })
-	if maxTS > 0 {
-		s.clock.Update(maxTS)
-	}
-	s.cfg.Durable.SetSnapshotSource(func(emit func(wal.Record) error) error {
-		var ferr error
-		s.store.forEachLatest(func(key string, v version) {
-			if ferr != nil {
-				return
-			}
-			ferr = emit(wal.Record{Key: key, Value: v.value, TS: v.ts, SrcDC: v.srcDC, Deps: v.deps})
-		})
-		return ferr
-	})
-	return local, nil
-}
-
-// Addr returns the server's wire address.
-func (s *Server) Addr() wire.Addr { return s.node.Addr() }
-
-// Start launches replication streams.
-func (s *Server) Start() { s.repl.Start() }
-
-// Close stops background work and detaches from the network.
-func (s *Server) Close() error {
-	s.repl.Stop()
-	s.deps.Stop()
-	return s.node.Close()
-}
-
-// Preload installs an initial version (ts 1, DC 0) of each key directly.
-func (s *Server) Preload(keys []string, val []byte) {
-	for _, k := range keys {
-		s.store.install(k, version{value: val, ts: 1, srcDC: 0})
-	}
-	s.clock.Update(1)
 }
 
 // ForEachLatest visits every key's newest version (tests, convergence).
@@ -306,7 +233,7 @@ func (s *Server) Latest(key string) (value []byte, ts uint64, deps []wire.LoDep,
 }
 
 // Handle dispatches one incoming message.
-func (s *Server) Handle(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
+func (s *Server) Handle(_ transport.Node, src wire.From, reqID uint64, m wire.Message) {
 	switch msg := m.(type) {
 	case *wire.CopsRotReq:
 		s.handleRot(src, reqID, msg)
@@ -316,14 +243,8 @@ func (s *Server) Handle(n transport.Node, src wire.From, reqID uint64, m wire.Me
 		s.handlePut(src, reqID, msg)
 	case *wire.LoRepUpdate:
 		s.handleRepUpdate(src, reqID, msg)
-	case *wire.DepCheckReq:
-		s.deps.HandleDepCheck(src, reqID, msg)
-	case *wire.Ping:
-		_ = n.Respond(src, reqID, &wire.Pong{Nonce: msg.Nonce})
 	default:
-		if reqID != 0 {
-			transport.RespondError(n, src, reqID, 400, "cops: unexpected message")
-		}
+		s.HandleShared(src, reqID, m)
 	}
 }
 
@@ -331,21 +252,6 @@ func (s *Server) Handle(n transport.Node, src wire.From, reqID uint64, m wire.Me
 // dependency lists (the metadata COPS reads pay for).
 func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.CopsRotReq) {
 	start := time.Now()
-	defer func() {
-		total := time.Since(start)
-		s.ops.ReadHist(len(m.Keys)).Record(total)
-		var kh uint64
-		if len(m.Keys) > 0 {
-			kh = metrics.KeyHash(m.Keys[0])
-		}
-		op := "rot"
-		if len(m.Keys) == 1 {
-			op = "get"
-		}
-		s.slow.Record(metrics.SlowOp{
-			Start: start.UnixNano(), Op: op, KeyHash: kh, Total: total,
-		})
-	}()
 	vals := make([]wire.DepKV, len(m.Keys))
 	for i, k := range m.Keys {
 		if v, ok := s.store.latest(k); ok {
@@ -357,116 +263,37 @@ func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.CopsRotReq) {
 			vals[i] = wire.DepKV{KV: wire.KV{Key: k}}
 		}
 	}
-	_ = s.node.Respond(src, reqID, &wire.CopsRotResp{Vals: vals})
+	_ = s.Node.Respond(src, reqID, &wire.CopsRotResp{Vals: vals})
+	s.Ops.RecordRead(s.Slow, start, 0, len(m.Keys) == 1, m.Keys)
 }
 
 // handleVer serves the second ROT round: a specific version.
 func (s *Server) handleVer(src wire.From, reqID uint64, m *wire.CopsVerReq) {
 	start := time.Now()
-	defer func() { s.ops.Get.Record(time.Since(start)) }()
+	val := wire.KV{Key: m.Key}
 	if v, ok := s.store.at(m.Key, m.TS, m.Src); ok {
-		_ = s.node.Respond(src, reqID, &wire.CopsVerResp{Val: wire.KV{Key: m.Key, Value: v.value, TS: v.ts, Src: v.srcDC}})
-		return
+		val = wire.KV{Key: m.Key, Value: v.value, TS: v.ts, Src: v.srcDC}
 	}
-	_ = s.node.Respond(src, reqID, &wire.CopsVerResp{Val: wire.KV{Key: m.Key}})
+	_ = s.Node.Respond(src, reqID, &wire.CopsVerResp{Val: val})
+	s.Ops.RecordRead(s.Slow, start, 0, true, []string{m.Key})
 }
 
 // handlePut installs a new version carrying the client's dependency set.
 // COPS writes are one round trip with no server-to-server communication in
 // the local DC — the cheap-writes end of the paper's design space.
 func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
-	start := time.Now()
-	var fsyncDur time.Duration
-	defer func() {
-		total := time.Since(start)
-		s.ops.Put.Record(total)
-		s.slow.Record(metrics.SlowOp{
-			Start: start.UnixNano(), Op: "put", KeyHash: metrics.KeyHash(m.Key),
-			Total: total, Fsync: fsyncDur,
-		})
-	}()
-	high := uint64(0)
-	for _, d := range m.Deps {
-		high = max(high, d.TS)
-	}
-	ts := s.clock.Update(high)
-	// Tracked BEFORE the append (see WindowReplicator.Track).
-	s.repl.Track(ts)
-	// Durability gates VISIBILITY as well as replication and the
-	// acknowledgment: the fsync runs before the install so no read or
-	// dependency check can observe a version a crash could still take
-	// back, the update is enqueued only after the real fsync (never ship
-	// what the origin could lose), and same-partition dependencies keep
-	// launching no later than their dependents.
-	if s.cfg.Durable != nil {
-		fs := time.Now()
-		err := wal.AppendAndSync(s.cfg.Durable, []wal.Record{{
-			Key: m.Key, Value: m.Value, TS: ts, SrcDC: uint8(s.cfg.DC), Deps: m.Deps,
-		}})
-		fsyncDur = time.Since(fs)
-		if err != nil {
-			transport.RespondError(s.node, src, reqID, 500, "cops: wal: "+err.Error())
-			return
-		}
-	}
-	s.install(m.Key, version{value: m.Value, ts: ts, srcDC: uint8(s.cfg.DC), deps: m.Deps})
-	s.repl.Enqueue(&wire.LoRepUpdate{
-		SrcDC:   uint8(s.cfg.DC),
-		SrcPart: uint32(s.cfg.Part),
-		Key:     m.Key,
-		Value:   m.Value,
-		TS:      ts,
-		Deps:    m.Deps,
-	})
-	_ = s.node.Respond(src, reqID, &wire.LoPutResp{TS: ts})
+	s.CommitLocal(time.Now(), src, reqID, m, 0, nil)
 }
 
-func (s *Server) install(key string, v version) {
-	s.store.install(key, v)
-	s.deps.Installed()
-}
-
-// handleRepUpdate installs a replicated version after its dependencies are
-// present in this DC. A failed or shutdown-aborted dependency check
-// withholds the install and the ack; the origin retries the (idempotent)
-// update.
+// handleRepUpdate installs a replicated version, dependency list and all,
+// once its dependencies are present in this DC — with no readers check:
+// COPS predates latency optimality.
 func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdate) {
 	start := time.Now()
-	var depDur, fsyncDur time.Duration
-	defer func() {
-		s.repAges.Note(int(m.SrcDC))
-		total := time.Since(start)
-		s.ops.Rep.Record(total)
-		s.slow.Record(metrics.SlowOp{
-			Start: start.UnixNano(), Op: "rep", KeyHash: metrics.KeyHash(m.Key),
-			Total: total, Queue: depDur, Fsync: fsyncDur,
-		})
-	}()
-	err := s.deps.WaitAll(m.Deps)
-	depDur = time.Since(start)
-	if err != nil {
-		transport.RespondError(s.node, src, reqID, 500, "cops: dep check: "+err.Error())
-		return
+	if s.WaitDeps(src, reqID, m) {
+		s.CommitRemote(start, src, reqID, m,
+			wal.Record{Key: m.Key, Value: m.Value, TS: m.TS, SrcDC: m.SrcDC, Deps: m.Deps}, 0, nil)
 	}
-	s.clock.Update(m.TS)
-	// Durability before visibility and before the ack, waiting for the
-	// real fsync even in background-sync mode: a pre-fsync install could
-	// clear dependency checks a crash then invalidates, and the ack
-	// advances the origin's durable cursor, which must never outrun our
-	// own durability. An unacked update is retried idempotently.
-	if s.cfg.Durable != nil {
-		fs := time.Now()
-		err := wal.AppendAndSync(s.cfg.Durable, []wal.Record{{
-			Key: m.Key, Value: m.Value, TS: m.TS, SrcDC: m.SrcDC, Deps: m.Deps,
-		}})
-		fsyncDur = time.Since(fs)
-		if err != nil {
-			transport.RespondError(s.node, src, reqID, 500, "cops: wal: "+err.Error())
-			return
-		}
-	}
-	s.install(m.Key, version{value: m.Value, ts: m.TS, srcDC: m.SrcDC, deps: m.Deps})
-	_ = s.node.Respond(src, reqID, &wire.LoRepAck{Seq: m.Seq})
 }
 
 // Client is a COPS-GT session. Unlike CC-LO's nearest-dependency contexts,

@@ -6,8 +6,6 @@ import "repro/internal/metrics"
 // and replication-receipt ages under r. Labels should identify the
 // partition (dc, partition, family).
 func (s *Server) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
-	s.ops.Register(r, "kv_server_op_seconds",
-		"End-to-end server handler latency by operation.", labels...)
+	s.LoServer.RegisterMetrics(r, labels...)
 	s.store.eng.Register(r, labels...)
-	s.repAges.Register(r, s.cfg.DC, labels...)
 }

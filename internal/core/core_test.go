@@ -345,3 +345,27 @@ func TestCloseWithoutStart(t *testing.T) {
 		t.Fatal("Close on a never-started 2-DC server did not return within 3 s")
 	}
 }
+
+// TestStabilizerCloseWithoutStart: Close on a stabilizer that was built but
+// never Start()ed must return (it used to wait for a loop Start never
+// launched — cluster.Start closes what it built when a later constructor
+// fails), and a second Close must not panic on the already-closed channel.
+func TestStabilizerCloseWithoutStart(t *testing.T) {
+	net := transport.NewLocal(transport.LatencyModel{})
+	defer net.Close()
+	st, err := NewStabilizer(0, 2, 2, time.Millisecond, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		st.Close()
+		st.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close on a never-started stabilizer did not return within 3 s")
+	}
+}

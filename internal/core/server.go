@@ -435,7 +435,7 @@ func (s *Server) handleRotCoord(src wire.From, reqID uint64, m *wire.RotCoordReq
 	}
 	vals, wait := s.readAt(sv, own)
 	_ = s.node.SendTo(src, &wire.RotSnap{RotID: m.RotID, SV: sv, Vals: vals})
-	s.recordRead(start, wait, "rot", own)
+	s.ops.RecordRead(s.slow, start, wait, false, own)
 }
 
 // handleRotFwd serves the coordinator-forwarded leg of a 1 1/2-round ROT.
@@ -443,7 +443,7 @@ func (s *Server) handleRotFwd(m *wire.RotFwd) {
 	start := time.Now()
 	vals, wait := s.readAt(m.SV, m.Keys)
 	_ = s.node.SendTo(wire.From{Addr: m.Client, Sess: m.Sess}, &wire.RotVals{RotID: m.RotID, Vals: vals})
-	s.recordRead(start, wait, "rot", m.Keys)
+	s.ops.RecordRead(s.slow, start, wait, false, m.Keys)
 }
 
 // handleRotRead serves the second round of a 2-round ROT.
@@ -451,29 +451,7 @@ func (s *Server) handleRotRead(src wire.From, reqID uint64, m *wire.RotReadReq) 
 	start := time.Now()
 	vals, wait := s.readAt(m.SV, m.Keys)
 	_ = s.node.Respond(src, reqID, &wire.RotReadResp{Vals: vals})
-	op := "rot"
-	if len(m.Keys) == 1 {
-		op = "get"
-	}
-	s.recordRead(start, wait, op, m.Keys)
-}
-
-// recordRead feeds the read-side observability: per-op histogram plus a
-// slow-op trace whose queue phase is the durability-gate wait.
-func (s *Server) recordRead(start time.Time, gateWait time.Duration, op string, keys []string) {
-	total := time.Since(start)
-	if op == "get" {
-		s.ops.Get.Record(total)
-	} else {
-		s.ops.ROT.Record(total)
-	}
-	var kh uint64
-	if len(keys) > 0 {
-		kh = metrics.KeyHash(keys[0])
-	}
-	s.slow.Record(metrics.SlowOp{
-		Start: start.UnixNano(), Op: op, KeyHash: kh, Total: total, Queue: gateWait,
-	})
+	s.ops.RecordRead(s.slow, start, wait, len(m.Keys) == 1, m.Keys)
 }
 
 // readAt returns the freshest version of each key within snapshot sv.

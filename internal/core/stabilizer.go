@@ -26,8 +26,9 @@ type Stabilizer struct {
 	vvs map[uint32]vclock.Vec
 	gss vclock.Vec
 
-	stop chan struct{}
-	done chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once      // a second Close must not close stop again
+	wg       sync.WaitGroup // the aggregation loop, if Start ran
 }
 
 // NewStabilizer attaches a stabilization service for dc to net.
@@ -42,7 +43,6 @@ func NewStabilizer(dc, numParts, numDCs int, period time.Duration, net transport
 		vvs:    make(map[uint32]vclock.Vec, numParts),
 		gss:    vclock.New(numDCs),
 		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
 	node, err := net.Attach(wire.StabilizerAddr(dc), st)
 	if err != nil {
@@ -53,12 +53,16 @@ func NewStabilizer(dc, numParts, numDCs int, period time.Duration, net transport
 }
 
 // Start launches the aggregation loop.
-func (st *Stabilizer) Start() { go st.loop() }
+func (st *Stabilizer) Start() {
+	st.wg.Add(1)
+	go st.loop()
+}
 
-// Close stops the service.
+// Close stops the service; on a stabilizer that was never started it
+// returns at once.
 func (st *Stabilizer) Close() error {
-	close(st.stop)
-	<-st.done
+	st.stopOnce.Do(func() { close(st.stop) })
+	st.wg.Wait()
 	return st.node.Close()
 }
 
@@ -79,7 +83,7 @@ func (st *Stabilizer) Handle(_ transport.Node, _ wire.From, _ uint64, m wire.Mes
 }
 
 func (st *Stabilizer) loop() {
-	defer close(st.done)
+	defer st.wg.Done()
 	t := newTicker(st.period)
 	defer t.Stop()
 	for {

@@ -22,9 +22,9 @@ var errStopping = errors.New("dep check aborted: server stopping")
 // DepWaiter is COPS-style dependency checking for one partition: a
 // replicated update installs only after every version it depends on is
 // installed in this DC. The family supplies hasVersion — its store's
-// "is (key, ts, src) installed" predicate — and calls Installed after
-// every install; the rest is the same for every family with dependency
-// lists.
+// "is (key, ts, src) installed" predicate — and LoServer calls Installed
+// after every install; the rest is the same for every family with
+// dependency lists.
 type DepWaiter struct {
 	node       transport.Node
 	dc, part   int

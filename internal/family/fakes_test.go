@@ -2,12 +2,63 @@ package family
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
+
+// events is the ordered record of what the code under test did at its
+// seams; the fakes append to it. before, when set, runs ahead of every
+// append and may name something that has happened since the last one and
+// leaves no call to hook (an update sitting in a stream's channel). A nil
+// recorder records nothing.
+type events struct {
+	mu     sync.Mutex
+	log    []string
+	before func() string
+}
+
+func (e *events) add(format string, a ...any) {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.before != nil {
+		if ev := e.before(); ev != "" {
+			e.log = append(e.log, ev)
+		}
+	}
+	e.log = append(e.log, fmt.Sprintf(format, a...))
+}
+
+// list returns the events so far, less those named skip.
+func (e *events) list(skip ...string) []string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return slices.DeleteFunc(slices.Clone(e.log), func(ev string) bool { return slices.Contains(skip, ev) })
+}
+
+// index returns the position of the first event equal to ev, or -1.
+func (e *events) index(ev string) int { return slices.Index(e.list(), ev) }
+
+// msgName is a message's type without the package, plus the code of an
+// error response: "LoPutResp", "ErrorResp 500".
+func msgName(m wire.Message) string {
+	name := strings.TrimPrefix(fmt.Sprintf("%T", m), "*wire.")
+	if e, ok := m.(*wire.ErrorResp); ok {
+		name += fmt.Sprintf(" %d", e.Code)
+	}
+	return name
+}
 
 // call is one Call the code under test made on the fake node.
 type call struct {
@@ -16,8 +67,10 @@ type call struct {
 }
 
 // fakeNode is a scripted transport.Node: every Call is reported on calls
-// and answered by onCall; every Respond is reported on responds.
+// and answered by onCall; every Respond is reported on responds; both are
+// recorded on ev.
 type fakeNode struct {
+	ev       *events
 	onCall   func(ctx context.Context, c call) (wire.Message, error)
 	calls    chan call         // sized for the busiest test, so Call never blocks on it
 	responds chan wire.Message // likewise
@@ -34,11 +87,13 @@ func (n *fakeNode) Close() error                         { return nil }
 
 func (n *fakeNode) Call(ctx context.Context, dst wire.Addr, m wire.Message) (wire.Message, error) {
 	c := call{dst: dst, m: m}
+	n.ev.add("call %s", msgName(m))
 	n.calls <- c
 	return n.onCall(ctx, c)
 }
 
 func (n *fakeNode) Respond(_ wire.From, _ uint64, m wire.Message) error {
+	n.ev.add("respond %s", msgName(m))
 	n.responds <- m
 	return nil
 }
@@ -60,12 +115,24 @@ func ackAll(_ context.Context, c call) (wire.Message, error) {
 	return &wire.LoRepAck{Seq: c.m.(*wire.LoRepUpdate).Seq}, nil
 }
 
-// fakeDurable is an in-memory wal.Durability: a recovered cursor table and,
-// on cursorCh, every cursor appended since (sized so AppendCursor never
-// blocks).
+// fakeNet attaches everything to one fakeNode.
+type fakeNet struct{ node *fakeNode }
+
+func (n fakeNet) Attach(wire.Addr, transport.Handler) (transport.Node, error) { return n.node, nil }
+func (n fakeNet) AttachMux(wire.Addr, int) (transport.Mux, error)             { return nil, errors.New("no mux") }
+func (n fakeNet) Close() error                                                { return nil }
+
+// fakeDurable is an in-memory wal.Durability: a recovered cursor table and
+// log, on cursorCh every cursor appended since (sized so AppendCursor never
+// blocks), and on ev the kinds of every synced append, in record order.
 type fakeDurable struct {
 	recovered []wal.Cursor
 	cursorCh  chan wal.Cursor
+
+	ev        *events
+	appendErr error              // fails every synced append when set
+	log       []wal.Record       // what Replay replays
+	source    wal.SnapshotSource // what SetSnapshotSource registered
 }
 
 func newFakeDurable(recovered ...wal.Cursor) *fakeDurable {
@@ -90,13 +157,33 @@ func (d *fakeDurable) cursors() []wal.Cursor {
 	}
 }
 
-func (d *fakeDurable) Cursors() []wal.Cursor                        { return d.recovered }
-func (d *fakeDurable) Append(...wal.Record) error                   { return nil }
-func (d *fakeDurable) AppendSynced([]wal.Record, func(error)) error { return nil }
-func (d *fakeDurable) Epoch() uint64                                { return 0 }
-func (d *fakeDurable) SetEpoch(uint64) error                        { return nil }
-func (d *fakeDurable) Replay(func(wal.Record) error) error          { return nil }
-func (d *fakeDurable) SetSnapshotSource(wal.SnapshotSource)         {}
+func (d *fakeDurable) AppendSynced(recs []wal.Record, synced func(error)) error {
+	kinds := make([]string, len(recs))
+	for i, r := range recs {
+		kinds[i] = map[uint8]string{wal.RecInstall: "install", wal.RecReaders: "readers"}[r.Kind]
+	}
+	d.ev.add("append %s", strings.Join(kinds, ","))
+	if d.appendErr != nil {
+		return d.appendErr
+	}
+	synced(nil)
+	return nil
+}
+
+func (d *fakeDurable) Replay(apply func(wal.Record) error) error {
+	for _, r := range d.log {
+		if err := apply(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *fakeDurable) Cursors() []wal.Cursor                    { return d.recovered }
+func (d *fakeDurable) Append(...wal.Record) error               { return nil }
+func (d *fakeDurable) Epoch() uint64                            { return 0 }
+func (d *fakeDurable) SetEpoch(uint64) error                    { return nil }
+func (d *fakeDurable) SetSnapshotSource(src wal.SnapshotSource) { d.source = src }
 
 func update(ts uint64) *wire.LoRepUpdate { return &wire.LoRepUpdate{Key: "k", TS: ts} }
 

@@ -1,0 +1,323 @@
+package family
+
+import (
+	"sort"
+	"time"
+
+	"repro/internal/hlc"
+	"repro/internal/metrics"
+	"repro/internal/ring"
+	"repro/internal/transport"
+	"repro/internal/wal"
+	"repro/internal/wire"
+)
+
+// LoStore is the store adapter a dependency-list family supplies.
+type LoStore struct {
+	// HasVersion reports whether exactly the (ts, src) version of key is
+	// installed here — the dependency-check predicate.
+	HasVersion func(key string, ts uint64, src uint8) bool
+	// Install makes rec's version readable, hidden from readers (the old
+	// readers the family's pre-commit step collected; nil for none). It is
+	// idempotent: replication re-delivers and recovery replays.
+	Install func(rec wal.Record, readers []wire.ReaderEntry)
+	// Snapshot streams the store's durable state to a WAL snapshot.
+	Snapshot wal.SnapshotSource
+}
+
+// LoServer is the write, replication-install and recovery skeleton of a
+// dependency-list family (CC-LO, COPS): everything about a partition
+// server that does not depend on how the family serves reads. A family
+// embeds it, supplies a LoStore and its ROT handlers, and runs whatever it
+// must before a version commits (CC-LO: the readers check; COPS: nothing);
+// what that step found arrives here as data — a timestamp floor and an
+// old-readers slice, zero and nil when there was no step.
+//
+// CommitLocal, WaitDeps+CommitRemote and Replay own the order in which a
+// version becomes durable, visible and shipped. The order is the protocol's
+// crash safety, so it is written down once, here:
+//
+//   - Track before append. The cursor frontier treats timestamps it has
+//     never seen as acknowledged (see WindowReplicator.Track), so a local
+//     update is registered with the streams before it can become durable.
+//   - Durability gates VISIBILITY, not just the acknowledgment. The real
+//     fsync (even in background-sync mode) completes before the install, so
+//     no read and no dependency check can observe a version a crash could
+//     still take back: a dep check passing on an un-fsynced version would
+//     permanently unblock dependents in other DCs that recovery can never
+//     satisfy again.
+//   - The reader record goes FIRST in the append. It shares one group
+//     commit with its install, but a crash can still tear the batch's
+//     unfsynced tail, and a torn reader record behind a surviving install
+//     would resurrect the version without its rewind protection. Torn the
+//     other way round the version is lost too and the orphaned marks are
+//     dropped at recovery.
+//   - Install, then wake dependency checks, then enqueue or ack. Never
+//     ship what the origin could lose; enqueueing in commit order also keeps
+//     same-partition dependencies launching no later than their dependents.
+//     The dependency list is persisted with a local install so a
+//     crash-recovered re-enqueue still carries it. A replicated update's
+//     ack advances the origin's durable cursor, after which it is never
+//     re-sent, so the ack must never outrun our own fsync.
+//   - A failed append does none of install, enqueue and ack. The client
+//     sees a 500; an unacked update is retried (idempotently) by its origin.
+type LoServer struct {
+	Clock *hlc.Lamport
+	Node  transport.Node // set by Attach
+	Ring  ring.Ring
+
+	// Per-op latency histograms and the process-wide slow-op trace ring
+	// (nil-safe). The commits record "put" and "rep" themselves; the
+	// family's read handlers call Ops.RecordRead.
+	Ops  metrics.OpHists
+	Slow *metrics.SlowRing
+
+	name             string // error-message prefix: "cclo", "cops"
+	dc, part, numDCs int
+	durable          wal.Durability // nil: in memory
+	store            LoStore
+
+	recovered []*wire.LoRepUpdate // Replay's local updates, for Attach
+	deps      *DepWaiter
+	repl      *WindowReplicator
+	repAges   *RepAges
+}
+
+// NewLoServer builds the skeleton of partition (dc, part). Replay it (when
+// durable), then Attach it.
+func NewLoServer(name string, dc, part, numDCs, numParts int, durable wal.Durability, slow *metrics.SlowRing, store LoStore) *LoServer {
+	return &LoServer{
+		Clock:   hlc.NewLamport(0),
+		Ring:    ring.New(numParts),
+		Slow:    slow,
+		name:    name,
+		dc:      dc,
+		part:    part,
+		numDCs:  numDCs,
+		durable: durable,
+		store:   store,
+		repAges: NewRepAges(numDCs),
+	}
+}
+
+// Replay replays the durable log into the store (a no-op in memory),
+// advances the clock past every recovered timestamp so new writes order
+// above acknowledged ones, and keeps the recovered LOCAL updates in
+// timestamp order for the replicator's re-enqueue. Old-reader records are
+// returned to the family by version identity; they may replay before their
+// install (snapshots) or after a duplicate of it (re-delivered updates), so
+// they are only complete — and only safe to apply — once Replay has
+// returned and the version chains have settled.
+func (s *LoServer) Replay() (map[wire.LoDep][]wire.ReaderEntry, error) {
+	if s.durable == nil {
+		return nil, nil
+	}
+	var maxTS uint64
+	readers := make(map[wire.LoDep][]wire.ReaderEntry)
+	err := s.durable.Replay(func(rec wal.Record) error {
+		if rec.Kind == wal.RecReaders {
+			id := wire.LoDep{Key: rec.Key, TS: rec.TS, Src: rec.SrcDC}
+			readers[id] = append(readers[id], rec.Readers...)
+			return nil
+		}
+		s.store.Install(rec, nil)
+		maxTS = max(maxTS, rec.TS)
+		if int(rec.SrcDC) == s.dc {
+			s.recovered = append(s.recovered, &wire.LoRepUpdate{
+				SrcDC:   rec.SrcDC,
+				SrcPart: uint32(s.part),
+				Key:     rec.Key,
+				Value:   rec.Value,
+				TS:      rec.TS,
+				Deps:    rec.Deps,
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Re-enqueued local updates carry their recovered old readers, exactly
+	// as the pre-crash enqueue did: the receiving DC merges them into its
+	// own check before installing.
+	for _, u := range s.recovered {
+		u.OldReaders = readers[wire.LoDep{Key: u.Key, TS: u.TS, Src: u.SrcDC}]
+	}
+	sort.Slice(s.recovered, func(i, j int) bool { return s.recovered[i].TS < s.recovered[j].TS })
+	if maxTS > 0 {
+		s.Clock.Update(maxTS)
+	}
+	return readers, nil
+}
+
+// Attach registers h — the family's Handle — at the partition's address and
+// builds the dependency waiter and the replication streams (seeded with
+// what Replay recovered). Dispatch stays gated until both exist: the first
+// PUT to arrive enqueues into the streams. The snapshot source is
+// registered here, not by Replay: a periodic snapshot must not run before
+// the family has finished rebuilding what Replay handed back to it.
+func (s *LoServer) Attach(net transport.Network, h transport.Handler) error {
+	node, open, err := Attach(net, wire.ServerAddr(s.dc, s.part), h)
+	if err != nil {
+		return err
+	}
+	if s.durable != nil {
+		s.durable.SetSnapshotSource(s.store.Snapshot)
+	}
+	s.Node = node
+	s.deps = NewDepWaiter(node, s.dc, s.part, s.Ring, s.store.HasVersion)
+	s.repl = NewWindowReplicator(node, s.dc, s.part, s.numDCs, s.durable, s.recovered)
+	s.recovered = nil
+	open()
+	return nil
+}
+
+// Addr returns the server's wire address.
+func (s *LoServer) Addr() wire.Addr { return s.Node.Addr() }
+
+// Start launches replication streams.
+func (s *LoServer) Start() { s.repl.Start() }
+
+// Close stops background work and detaches from the network.
+func (s *LoServer) Close() error {
+	s.repl.Stop()
+	s.deps.Stop()
+	return s.Node.Close()
+}
+
+// Preload installs an initial version (ts 1, DC 0) of each key directly,
+// bypassing the protocol; used by benchmarks to stand up the data set.
+func (s *LoServer) Preload(keys []string, val []byte) {
+	for _, k := range keys {
+		s.store.Install(wal.Record{Key: k, Value: val, TS: 1}, nil)
+	}
+	s.Clock.Update(1)
+}
+
+// RegisterMetrics exposes the per-op histograms and the
+// replication-receipt ages under r; the family adds its store's and its
+// own series.
+func (s *LoServer) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
+	s.Ops.Register(r, "kv_server_op_seconds",
+		"End-to-end server handler latency by operation.", labels...)
+	s.repAges.Register(r, s.dc, labels...)
+}
+
+// HandleShared serves the messages every dependency-list family answers
+// the same way; a family's Handle falls through to it.
+func (s *LoServer) HandleShared(src wire.From, reqID uint64, m wire.Message) {
+	switch msg := m.(type) {
+	case *wire.DepCheckReq:
+		s.deps.HandleDepCheck(src, reqID, msg)
+	case *wire.Ping:
+		_ = s.Node.Respond(src, reqID, &wire.Pong{Nonce: msg.Nonce})
+	default:
+		if reqID != 0 {
+			transport.RespondError(s.Node, src, reqID, 400, s.name+": unexpected message")
+		}
+	}
+}
+
+// CommitLocal commits a client PUT whose handler began at start: it
+// assigns a timestamp above floor and every dependency, tracks, appends,
+// installs, wakes dependency checks, enqueues the update for the other DCs
+// and answers the client (see LoServer for why in that order). readers are
+// the old readers the new version must stay invisible to; they are
+// persisted, installed and shipped with it.
+func (s *LoServer) CommitLocal(start time.Time, src wire.From, reqID uint64, m *wire.LoPutReq, floor uint64, readers []wire.ReaderEntry) {
+	queue := time.Since(start)
+	// The timestamp must exceed every dependency timestamp (and, through
+	// floor, every collected read time), so that "old" is well defined.
+	for _, d := range m.Deps {
+		floor = max(floor, d.TS)
+	}
+	ts := s.Clock.Update(floor)
+	s.repl.Track(ts)
+	fsync, ok := s.commit(src, reqID, wal.Record{Key: m.Key, Value: m.Value, TS: ts, SrcDC: uint8(s.dc), Deps: m.Deps}, readers)
+	if ok {
+		s.repl.Enqueue(&wire.LoRepUpdate{
+			SrcDC:      uint8(s.dc),
+			SrcPart:    uint32(s.part),
+			Key:        m.Key,
+			Value:      m.Value,
+			TS:         ts,
+			Deps:       m.Deps,
+			OldReaders: readers,
+		})
+		_ = s.Node.Respond(src, reqID, &wire.LoPutResp{TS: ts})
+	}
+	s.observe(&s.Ops.Put, "put", start, m.Key, queue, fsync)
+}
+
+// WaitDeps is the first half of a remote commit: it returns true once every
+// dependency of the replicated update is installed in this DC. A failed or
+// shutdown-aborted check answers the origin with an error and returns
+// false; the caller withholds the install and the ack, and the origin
+// retries the (idempotent) update. The family's pre-commit step, if it has
+// one, runs between WaitDeps and CommitRemote.
+func (s *LoServer) WaitDeps(src wire.From, reqID uint64, m *wire.LoRepUpdate) bool {
+	s.repAges.Note(int(m.SrcDC))
+	if err := s.deps.WaitAll(m.Deps); err != nil {
+		transport.RespondError(s.Node, src, reqID, 500, s.name+": dep check: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// CommitRemote installs a replicated update whose dependencies WaitDeps
+// found satisfied and whose handler began at start: it moves the clock past
+// the origin timestamp and floor (Lamport clocks stay related), appends
+// logged — the install record as the family wants it persisted — with the
+// reader record, installs under the origin timestamp, wakes dependency
+// checks and acks (see LoServer for why in that order).
+func (s *LoServer) CommitRemote(start time.Time, src wire.From, reqID uint64, m *wire.LoRepUpdate, logged wal.Record, floor uint64, readers []wire.ReaderEntry) {
+	queue := time.Since(start)
+	s.Clock.Update(max(m.TS, floor))
+	fsync, ok := s.commit(src, reqID, logged, readers)
+	if ok {
+		_ = s.Node.Respond(src, reqID, &wire.LoRepAck{Seq: m.Seq})
+	}
+	s.observe(&s.Ops.Rep, "rep", start, m.Key, queue, fsync)
+}
+
+// commit is the step both commits share: append and fsync, then install,
+// then wake dependency checks. On a WAL error nothing was installed, the
+// requester has its 500, and commit returns false.
+func (s *LoServer) commit(src wire.From, reqID uint64, rec wal.Record, readers []wire.ReaderEntry) (fsync time.Duration, ok bool) {
+	if s.durable != nil {
+		fs := time.Now()
+		err := wal.AppendAndSync(s.durable, installRecords(rec, readers))
+		fsync = time.Since(fs)
+		if err != nil {
+			transport.RespondError(s.Node, src, reqID, 500, s.name+": wal: "+err.Error())
+			return fsync, false
+		}
+	}
+	s.store.Install(rec, readers)
+	s.deps.Installed()
+	return fsync, true
+}
+
+// installRecords pairs an install record with the old-reader record
+// persisting its invisibility marks (when it has any), reader record first.
+func installRecords(install wal.Record, readers []wire.ReaderEntry) []wal.Record {
+	if len(readers) == 0 {
+		return []wal.Record{install}
+	}
+	return []wal.Record{
+		{Kind: wal.RecReaders, Key: install.Key, TS: install.TS, SrcDC: install.SrcDC, Readers: readers},
+		install,
+	}
+}
+
+// observe feeds a finished commit to its histogram and the slow-op ring;
+// queue is the time the handler spent before the commit (dependency wait,
+// pre-commit step).
+func (s *LoServer) observe(h *metrics.StaticHist, op string, start time.Time, key string, queue, fsync time.Duration) {
+	total := time.Since(start)
+	h.Record(total)
+	s.Slow.Record(metrics.SlowOp{
+		Start: start.UnixNano(), Op: op, KeyHash: metrics.KeyHash(key),
+		Total: total, Queue: queue, Fsync: fsync,
+	})
+}

@@ -1,15 +1,16 @@
 // Package family holds the protocol skeleton the families share: the code
 // that is identical whichever visibility rule a family implements. The
-// dependency-list families (CC-LO, COPS) take all of it — the windowed
-// replication stream, the dependency waiter, the server scaffold and the
-// client base; the timestamp family (core) takes the scaffold and the
-// client base and keeps its own batch-cut replication stream, whose
-// cumulative acks are a different discipline.
+// dependency-list families (CC-LO, COPS) embed LoServer, which owns their
+// commit path and recovery loop over the windowed replication stream and
+// the dependency waiter; the timestamp family (core) takes the ready-gated
+// attach, the replication ages and the client base, and keeps its own
+// install-inside-the-fence write path and batch-cut replication stream,
+// which are different disciplines.
 //
-// Everything here is a concrete type a family calls directly. A family
-// supplies its metadata, store adapter, install/visibility predicate, ROT
-// algorithm and recovery; nothing in this package knows which family is
-// calling.
+// Everything here is a concrete type a family calls directly. A
+// dependency-list family supplies its store adapter, whatever it runs
+// before a commit, its ROT handlers, its client and its snapshot emission;
+// nothing in this package knows which family is calling.
 package family
 
 import (

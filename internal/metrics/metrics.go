@@ -140,7 +140,10 @@ func (h *StaticHist) Percentile(p float64) time.Duration {
 	return percentile(h.buckets[:], h.count.Load(), h.Max(), p)
 }
 
-// Reset zeroes the histogram (used at the warmup/measurement boundary).
+// Reset zeroes the histogram (used at the warmup/measurement boundary). The
+// fields are zeroed one store at a time, so a Record racing a Reset can
+// survive in some of them and not in others; quiesce writers first when the
+// books must balance.
 func (h *StaticHist) Reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)

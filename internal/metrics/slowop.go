@@ -122,14 +122,23 @@ type OpHists struct {
 	Rep StaticHist
 }
 
-// ReadHist returns the Get histogram for single-key reads and the ROT
-// histogram otherwise, so handlers serving both through one path pick the
-// op in one call.
-func (o *OpHists) ReadHist(keys int) *StaticHist {
-	if keys == 1 {
-		return &o.Get
+// RecordRead feeds a read that began at start to the read-side
+// observability of every family: the Get histogram for a single-key read and
+// the ROT histogram otherwise, plus a slow-op trace under the same op name
+// keyed by the first key. queue is the part of the read spent waiting before
+// it could be served (core's durability gate; zero where reads never wait).
+func (o *OpHists) RecordRead(slow *SlowRing, start time.Time, queue time.Duration, single bool, keys []string) {
+	total := time.Since(start)
+	op, h := "rot", &o.ROT
+	if single {
+		op, h = "get", &o.Get
 	}
-	return &o.ROT
+	h.Record(total)
+	var kh uint64
+	if len(keys) > 0 {
+		kh = KeyHash(keys[0])
+	}
+	slow.Record(SlowOp{Start: start.UnixNano(), Op: op, KeyHash: kh, Total: total, Queue: queue})
 }
 
 // Register registers the four histograms under name with an op label each,

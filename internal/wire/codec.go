@@ -154,6 +154,19 @@ func (r *Reader) length() int {
 	return int(n)
 }
 
+// count reads the element count of a list whose elements each encode to at
+// least min bytes. Counts are wire input and size allocations, so one the
+// unread bytes cannot hold fails here, as the short frame it is, before
+// anything is sized by it: allocation stays proportional to frame length.
+func (r *Reader) count(min int) int {
+	n := r.length()
+	if n > r.Remaining()/min {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	return n
+}
+
 // Bytes reads a length-prefixed byte slice into fresh storage. Zero-length
 // fields decode as nil: the wire format does not distinguish empty from
 // absent values (callers signal presence separately, e.g. via KV.TS).
@@ -183,10 +196,9 @@ func (r *Reader) String() string {
 
 // Vec reads a length-prefixed timestamp vector.
 func (r *Reader) Vec() vclock.Vec {
-	n := r.length()
+	n := r.count(8)
 	if n > 1<<16 {
 		r.fail(ErrTooLarge)
-		return nil
 	}
 	if r.err != nil {
 		return nil

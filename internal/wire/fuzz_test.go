@@ -1,0 +1,99 @@
+package wire
+
+import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+)
+
+// allocatedBy returns the bytes f allocated (GC-independent: TotalAlloc only
+// grows).
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// frame wraps body in a minimal envelope of type t.
+func frame(t uint16, body func(*Buffer)) []byte {
+	var b Buffer
+	b.U16(t)
+	b.U8(0)
+	b.U32(0)
+	b.U32(0)
+	b.Uvarint(1)
+	body(&b)
+	return b.B
+}
+
+// TestDecodeCountDoesNotSizeAllocation: an element count is wire input. A
+// 16-byte TCopsRotResp frame claiming 1<<26 values used to pre-size a 5 GiB
+// slice (80 B per DepKV) before noticing the frame held none of them — any
+// peer can send any type to a server, so that was one frame per OOM. The
+// same holds for every list decoder and for vectors.
+func TestDecodeCountDoesNotSizeAllocation(t *testing.T) {
+	huge := func(b *Buffer) { b.Uvarint(maxFieldLen) }
+	for name, p := range map[string][]byte{
+		"CopsRotResp.Vals": frame(TCopsRotResp, huge),
+		"RotReadResp.Vals": frame(TRotReadResp, huge),
+		"GSSBcast.GSS":     frame(TGSSBcast, func(b *Buffer) { b.Uvarint(1 << 16) }),
+	} {
+		var err error
+		if n := allocatedBy(func() { _, err = DecodeEnvelope(p) }); n > 64<<10 {
+			t.Errorf("%s: a %d-byte frame allocated %d bytes", name, len(p), n)
+		}
+		if err == nil {
+			t.Errorf("%s: short frame decoded", name)
+		}
+	}
+}
+
+// FuzzDecodeEnvelope feeds the decoder what the network can: arbitrary
+// bytes. It must never panic; what it allocates is bounded by the frame's
+// length, never by a number the frame merely claims; and a frame that
+// decodes re-encodes to one that decodes to the same envelope.
+func FuzzDecodeEnvelope(f *testing.F) {
+	seeded := make(map[uint16]bool)
+	for _, m := range sampleMessages(rand.New(rand.NewSource(3))) {
+		f.Add(frame(m.Type(), m.Encode))
+		seeded[m.Type()] = true
+	}
+	for t := range registry {
+		if registry[t] != nil && !seeded[uint16(t)] {
+			f.Fatalf("registered message type %d has no seed: add it to sampleMessages", t)
+		}
+	}
+	f.Add(frame(TCopsRotResp, func(b *Buffer) { b.Uvarint(maxFieldLen) }))
+	f.Add(frame(TOldReadersResp, func(b *Buffer) { // TestReadersGoldenBytes' widest entry
+		b.B = append(b.B, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0x0f,
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
+		b.U32(0)
+		b.Uvarint(0)
+	}))
+
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var e *Envelope
+		var err error
+		// The densest legitimate list (one-byte strings, 16 B headers, grown
+		// by append) stays under 64 B per frame byte; the constant covers the
+		// message itself and the runtime's own noise.
+		if n := allocatedBy(func() { e, err = DecodeEnvelope(p) }); n > 64<<10+128*uint64(len(p)) {
+			t.Fatalf("a %d-byte frame allocated %d bytes", len(p), n)
+		}
+		if err != nil {
+			return
+		}
+		again, err := DecodeEnvelope(EncodeEnvelope(nil, e))
+		if err != nil {
+			t.Fatalf("re-encoded %T does not decode: %v", e.Msg, err)
+		}
+		normalize(e.Msg)
+		normalize(again.Msg)
+		if !reflect.DeepEqual(e, again) {
+			t.Fatalf("re-encode changed the envelope:\n was: %+v %+v\n now: %+v %+v", e, e.Msg, again, again.Msg)
+		}
+	})
+}

@@ -131,13 +131,9 @@ func encodeKVs(b *Buffer, kvs []KV) {
 }
 
 func decodeKVs(r *Reader) []KV {
-	n := r.Uvarint()
-	if n > maxFieldLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
+	n := r.count(11) // two length prefixes, 8 B timestamp, source
 	kvs := make([]KV, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		kvs = append(kvs, KV{Key: r.String(), Value: r.Bytes(), TS: r.U64(), Src: r.U8()})
 	}
 	return kvs
@@ -158,12 +154,8 @@ func decodeStrings(r *Reader) []string {
 // backing array — the capacity-recycling half of message pooling.
 func decodeStringsInto(dst []string, r *Reader) []string {
 	dst = dst[:0]
-	n := r.Uvarint()
-	if n > maxFieldLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	n := r.count(1) // a length prefix
+	for i := 0; i < n && r.Err() == nil; i++ {
 		dst = append(dst, r.String())
 	}
 	return dst
@@ -251,12 +243,8 @@ func (m *RotCoordReq) Decode(r *Reader) {
 	m.SeenLocal = r.U64()
 	m.SeenGSS = r.Vec()
 	m.Groups = m.Groups[:0]
-	n := r.Uvarint()
-	if n > maxFieldLen {
-		r.fail(ErrTooLarge)
-		return
-	}
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	n := r.count(5) // 4 B partition, key count
+	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Groups = append(m.Groups, ReadGroup{Part: r.U32(), Keys: decodeStrings(r)})
 	}
 }
@@ -425,12 +413,8 @@ func (m *RepBatch) Decode(r *Reader) {
 	m.Seq = r.U64()
 	m.HighTS = r.U64()
 	m.Ups = m.Ups[:0]
-	n := r.Uvarint()
-	if n > maxFieldLen {
-		r.fail(ErrTooLarge)
-		return
-	}
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	n := r.count(11) // two length prefixes, 8 B timestamp, vector length
+	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Ups = append(m.Ups, Update{
 			Key: r.String(), Value: r.Bytes(), TS: r.U64(), DV: r.Vec(),
 		})
@@ -514,12 +498,8 @@ func decodeDeps(r *Reader) []LoDep {
 // array.
 func decodeDepsInto(dst []LoDep, r *Reader) []LoDep {
 	dst = dst[:0]
-	n := r.Uvarint()
-	if n > maxFieldLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	n := r.count(10) // length prefix, 8 B timestamp, source
+	for i := 0; i < n && r.Err() == nil; i++ {
 		dst = append(dst, LoDep{Key: r.String(), TS: r.U64(), Src: r.U8()})
 	}
 	return dst
@@ -544,12 +524,8 @@ func encodeEpochs(b *Buffer, es []uint64) {
 // backing array.
 func decodeEpochsInto(dst []uint64, r *Reader) []uint64 {
 	dst = dst[:0]
-	n := r.Uvarint()
-	if n > maxFieldLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	n := r.count(8) // fixed 8 B
+	for i := 0; i < n && r.Err() == nil; i++ {
 		dst = append(dst, r.U64())
 	}
 	return dst
@@ -599,12 +575,8 @@ func decodeReaders(r *Reader) []ReaderEntry {
 // backing array.
 func decodeReadersInto(dst []ReaderEntry, r *Reader) []ReaderEntry {
 	dst = dst[:0]
-	n := r.Uvarint()
-	if n > maxFieldLen {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	n := r.count(3) // three uvarints
+	for i := 0; i < n && r.Err() == nil; i++ {
 		client, seq := r.Uvarint(), r.Uvarint()
 		if client > 0xFFFFFFFF || seq > 0xFFFFFFFF {
 			r.fail(ErrTooLarge)
@@ -964,13 +936,9 @@ func (m *CopsRotResp) Encode(b *Buffer) {
 	}
 }
 func (m *CopsRotResp) Decode(r *Reader) {
-	n := r.Uvarint()
-	if n > maxFieldLen {
-		r.fail(ErrTooLarge)
-		return
-	}
+	n := r.count(12) // a KV (11 B at least) and a dependency count
 	m.Vals = make([]DepKV, 0, n)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Vals = append(m.Vals, DepKV{
 			KV:   KV{Key: r.String(), Value: r.Bytes(), TS: r.U64(), Src: r.U8()},
 			Deps: decodeDeps(r),

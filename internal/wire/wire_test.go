@@ -157,6 +157,10 @@ func sampleMessages(r *rand.Rand) []Message {
 		&Ping{Nonce: 1},
 		&Pong{Nonce: 1},
 		&Busy{Echo: 1 << 50, RetryAfterMicros: 2500},
+		&CopsRotReq{Keys: []string{"c", "d"}},
+		&CopsRotResp{Vals: []DepKV{{KV: kvs[0], Deps: deps}, {KV: kvs[1]}}},
+		&CopsVerReq{Key: "c", TS: 12, Src: 1},
+		&CopsVerResp{Val: kvs[0]},
 	}
 }
 
