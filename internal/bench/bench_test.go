@@ -263,6 +263,7 @@ func TestRunWithRegistryExposesClusterSeries(t *testing.T) {
 		"kv_transport_msgs_sent_total",
 		"kv_wal_fsync_delay_seconds_bucket",
 		"kv_store_keys{",
+		"kv_store_versions{",
 		`kv_server_op_seconds_count{`,
 		`op="put"`,
 		"kv_replication_last_update_age_seconds{",

@@ -5,19 +5,26 @@ import (
 	"unsafe"
 )
 
-// Bump allocators for version chains and value bytes. Both hand out slices
-// of large chunks and NEVER reuse memory: published chains may be held by
-// lock-free readers for an unbounded time, so freeing or recycling would
-// require epoch-based reclamation. Go's GC already is one — a chunk is
-// reclaimed as soon as no live chain references it — so the allocators only
-// exist to collapse millions of tiny heap objects into a few large ones,
-// which is what cuts GC mark cost and pause time at production key counts.
+// Allocators for value bytes, version backing arrays, chain headers and key
+// entries. The bump allocators hand out slices of large chunks and never
+// reclaim: published chains may be held by lock-free readers for an
+// unbounded time, so recycling would need epoch-based reclamation. Go's GC
+// already is one — a chunk is reclaimed as soon as nothing references it —
+// so the chunks only exist to collapse millions of tiny heap objects into a
+// few large ones, which is what cuts GC mark cost and pause time at
+// production key counts.
 //
-// The trade-off is transient over-retention: a cold, never-rewritten chain
-// pins its whole chunk, including bytes that belonged to since-republished
-// neighbors. That waste is bounded by one chunk per cold write epoch and
-// shows up in the RSS column of `benchfig -fig store`, which is how we keep
-// it honest.
+// The price of a chunk is pinning: one cold, never-rewritten chain keeps its
+// whole chunk alive, including every byte that belonged to neighbours
+// republished long ago — and everything those dead neighbours still point
+// at. That is affordable only for what a key allocates a bounded number of
+// times: its entry, and the backing arrays and chain headers of its first
+// slabMaxAlloc versions (arrays of 1, 2, 4 and 8 slots, a header per
+// install). What a frequently written key allocates without bound — long or
+// at-the-cap backing arrays, a header per install — is allocated privately
+// (engine.go: backing, publish), so the GC frees it object by object,
+// exactly when the key moves off it. Values are the exception that remains:
+// one per install, from arena chunks a cold neighbour can pin.
 
 // arenaChunk is the value-arena chunk size. Values larger than a quarter
 // chunk get a private allocation so one big value cannot pin a mostly-dead
@@ -26,8 +33,9 @@ const arenaChunk = 64 << 10
 
 // addBytes accumulates reserved bytes into an engine-wide counter. The
 // pointer may be nil (zero-value allocator); the counter is atomic because
-// shards allocate concurrently, but it is bumped only when a CHUNK is
-// reserved — never per install — so the accounting adds no per-op cost.
+// shards allocate concurrently, but it is bumped only when a chunk or a
+// private array is reserved — never on an install that fits the memory its
+// key already has — so the accounting adds no per-op cost.
 func addBytes(c *atomic.Int64, n int64) {
 	if c != nil {
 		c.Add(n)
@@ -60,12 +68,18 @@ func (a *arena) copy(b []byte) []byte {
 	return a.buf[off:len(a.buf):len(a.buf)]
 }
 
-// slabChunk is the number of T per slab chunk. Allocations larger than a
-// quarter chunk get a private slice.
+// slabChunk is the number of T per slab chunk.
 const slabChunk = 512
 
-// slab is a bump allocator for []T (version slices, chain headers). Not safe
-// for concurrent use; callers hold the shard lock.
+// slabMaxAlloc is the largest alloc a slab serves; callers allocate longer
+// slices privately. It keeps the 1–8 version chains of the cold majority of
+// keys collapsed into chunks and leaves the long chains of frequently
+// written keys to the GC.
+const slabMaxAlloc = 8
+
+// slab is a bump allocator for []T (version backing arrays) and single T
+// (chain headers, key entries). Not safe for concurrent use; callers hold
+// the shard lock.
 type slab[T any] struct {
 	buf   []T
 	next  int
@@ -80,15 +94,8 @@ func (s *slab[T]) init(bytes *atomic.Int64) {
 	s.bytes = bytes
 }
 
-// alloc returns a zeroed []T of length and capacity n.
+// alloc returns a zeroed []T of length and capacity n, 0 < n ≤ slabMaxAlloc.
 func (s *slab[T]) alloc(n int) []T {
-	if n == 0 {
-		return nil
-	}
-	if n > slabChunk/4 {
-		addBytes(s.bytes, int64(n)*s.elem)
-		return make([]T, n)
-	}
 	if s.next+n > len(s.buf) {
 		s.buf = make([]T, slabChunk)
 		s.next = 0

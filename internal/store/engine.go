@@ -10,11 +10,14 @@
 //
 // Concurrency model:
 //
-//   - Chains are immutable. Writers build a new Chain and publish it through
-//     an atomic.Pointer, so latest-reads, exact-version lookups, and
-//     full-store iteration (ForEach) are lock-free and never block on — or
-//     are blocked by — writers. In particular WAL snapshot emission iterates
-//     the store while installs proceed at full speed.
+//   - A published chain never changes as a reader sees it. A Chain header
+//     is a window Versions[:len] onto a backing array, and the one invariant
+//     everything rests on is: a slot inside any published len is never
+//     written; slots past it belong to the writer. Writers publish a new
+//     header through an atomic.Pointer, so latest-reads, exact-version
+//     lookups, and full-store iteration (ForEach) are lock-free and never
+//     block on — or are blocked by — writers. In particular WAL snapshot
+//     emission iterates the store while installs proceed at full speed.
 //   - The key→entry index is a per-shard open-addressing table with
 //     set-once slots: keys are never deleted, so a slot, once published by
 //     an atomic store, never changes, and readers probe with plain atomic
@@ -23,21 +26,30 @@
 //     see every key inserted before the swap. The per-shard mutex serializes
 //     writers (same key ⇒ same shard ⇒ serialized) and owns the shard's
 //     allocators; readers never touch it.
-//   - Published versions are never written in place. Adapters that must
-//     change a version's Extra republish the chain (Key.SetExtra). The one
-//     sanctioned exception: mutating the *interior* of a reference type held
-//     by Extra (e.g. inserting into a map) under the shard lock is safe as
-//     long as no lock-free reader dereferences that interior state, because
-//     readers copying the version struct only read the field's pointer word.
+//   - Adapters that must change a published version's Extra republish the
+//     chain on a fresh backing array (Key.SetExtra). The one sanctioned
+//     exception: mutating the *interior* of a reference type held by Extra
+//     (e.g. inserting into a map) under the shard lock is safe as long as
+//     no lock-free reader dereferences that interior state, because readers
+//     copying the version struct only read the field's pointer word.
 //
-// Memory model: values are copied into per-shard bump arenas; version
-// slices, chain headers, and key entries come from per-shard slabs
-// (alloc.go). None of it is ever reused —
+// Memory model: an install of a key's newest version — the common case —
+// writes the one slot past the published len and publishes a header one slot
+// longer; at the version cap the window slides forward instead. Versions are
+// copied only when the backing array is full (capacity doubles up to twice
+// the cap, so a chain at the cap re-copies once per MaxVersions installs),
+// when a version lands mid-chain, and in SetExtra. Nothing is recycled:
 // lock-free readers have unbounded lifetime, so reclamation is left to the
-// GC, which frees a chunk once every chain referencing it has been
-// republished past it. The point of the arenas is to collapse millions of
-// tiny heap objects into a few large ones, which is what cuts GC mark cost
-// and pause times at 10M+ keys (benchfig -fig store).
+// GC. Values come from per-shard bump arenas and key entries from per-shard
+// slabs (alloc.go), as do the backing arrays and chain headers of keys
+// written at most slabMaxAlloc times — the cold majority — which collapses
+// millions of tiny heap objects into a few large ones and is what cuts GC
+// mark cost and pause times at 10M+ keys (benchfig -fig store). Longer
+// chains get private arrays and headers, because a chunk lives as long as
+// its longest-lived tenant and a frequently written key would leave garbage
+// in every one. A backing array keeps the versions the window slid past
+// (and their values) reachable until the key moves to its next array, which
+// bounds that excess at one cap's worth of versions per key.
 package store
 
 import (
@@ -67,8 +79,10 @@ func (v *Version[X]) Before(o *Version[X]) bool {
 	return v.Src < o.Src
 }
 
-// Chain is one key's published version chain. It is immutable: neither the
-// slice nor any version in it may be written after publication.
+// Chain is one key's published version chain. It is immutable as far as len
+// reaches: no version in Versions may be written after publication.
+// cap(Versions) may exceed the length — the slots past it are the writer's
+// next installs — so holders index and re-slice within len and never append.
 type Chain[X any] struct {
 	Versions []Version[X] // ascending by (TS, Src)
 	Trimmed  bool         // true once old versions have been discarded
@@ -161,9 +175,10 @@ type shard[X, A any] struct {
 	used    int        // occupied slots; written under mu
 	mu      sync.Mutex // serializes writers; readers never take it
 	arena   arena
-	slab    slab[Version[X]]
-	chains  slab[Chain[X]]    // chain headers, one republished per install
+	slab    slab[Version[X]]  // backing arrays; a key's next one only when it outgrows the last
+	chains  slab[Chain[X]]    // chain headers of slab-backed chains, one per install
 	entries slab[entry[X, A]] // one per key, permanent
+	live    int               // versions retained by the shard's chains; under mu
 	// cur is the view handed to the Update callback in flight. Writers are
 	// serialized by mu, so one per shard serves every Update without a
 	// per-call allocation.
@@ -260,16 +275,36 @@ func New[X, A any](maxVersions, shards int) *Engine[X, A] {
 }
 
 // MemBytes returns the engine's reserved allocator bytes: value-arena bytes
-// and slab (version/chain/entry) bytes. Reserved, not live: the GC reclaims
-// a chunk once no published chain references it, which this accounting does
-// not observe — it bounds, rather than measures, retained memory.
+// and slab bytes (version backing arrays, slab chain headers, key entries).
+// Reserved means handed to the engine by the Go allocator since it was
+// built — every chunk, every oversized value and every private backing
+// array, counted once when allocated and never subtracted: the GC frees a
+// chunk or an array once nothing published references it, which this
+// accounting does not observe. (The 32-byte private headers of long chains
+// are not counted; that would cost an atomic per install.) Both numbers
+// bound retained memory from above and grow with write traffic; slab bytes
+// over Versions() is the reservation each retained version has cost so far.
 func (e *Engine[X, A]) MemBytes() (arena, slab int64) {
 	return e.arenaBytes.Load(), e.slabBytes.Load()
 }
 
+// Versions returns the number of versions the engine's chains retain. It
+// takes each shard's lock in turn, so the sum is exact per shard and the
+// call is for scrapes and tests, not for a hot path.
+func (e *Engine[X, A]) Versions() int {
+	n := 0
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		n += sh.live
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // Register exposes the engine's occupancy gauges under the given registry
 // with the caller's labels (family, partition). All series are computed at
-// scrape time from atomics the engine already maintains.
+// scrape time from counters the engine already maintains.
 func (e *Engine[X, A]) Register(r *metrics.Registry, labels ...metrics.Label) {
 	r.GaugeFunc("kv_store_keys", "Keys present (including aux-only keys).",
 		func() float64 { return float64(e.keys.Load()) }, labels...)
@@ -277,8 +312,10 @@ func (e *Engine[X, A]) Register(r *metrics.Registry, labels ...metrics.Label) {
 		func() float64 { return float64(len(e.shards)) }, labels...)
 	r.GaugeFunc("kv_store_arena_bytes", "Value-arena bytes reserved (chunks plus oversized values).",
 		func() float64 { return float64(e.arenaBytes.Load()) }, labels...)
-	r.GaugeFunc("kv_store_slab_bytes", "Slab bytes reserved for version slices, chain headers, and key entries.",
+	r.GaugeFunc("kv_store_slab_bytes", "Bytes reserved so far for version backing arrays (slab chunks and private arrays), chain headers, and key entries.",
 		func() float64 { return float64(e.slabBytes.Load()) }, labels...)
+	r.GaugeFunc("kv_store_versions", "Versions retained across all chains; kv_store_slab_bytes over this is the reservation per live version.",
+		func() float64 { return float64(e.Versions()) }, labels...)
 }
 
 // find returns key's entry (h is its maphash) or nil, lock-free.
@@ -421,32 +458,73 @@ func (e *Engine[X, A]) installLocked(sh *shard[X, A], en *entry[X, A], v Version
 	if i > 0 && vs[i-1].TS == v.TS && vs[i-1].Src == v.Src {
 		return i - 1, i == len(vs), true
 	}
-	v.Value = sh.arena.copy(v.Value)
 	n := len(vs) + 1
 	drop := 0
 	if n > e.max {
-		drop = n - e.max
+		drop = 1 // chains never exceed max, so one insert overflows by one
 	}
-	nvs := sh.slab.alloc(n - drop)
-	for d, s := 0, drop; s < n; d, s = d+1, s+1 {
-		switch {
-		case s < i:
-			nvs[d] = vs[s]
-		case s == i:
-			nvs[d] = v
-		default:
-			nvs[d] = vs[s-1]
+	if i < drop {
+		// At capacity and older than everything retained: v is the version
+		// the trim would discard, so nothing is stored. Readers tell "grew to
+		// capacity" from "dropped something" by Trimmed, and this did drop.
+		if !trimmed {
+			sh.publish(en, vs, true)
+		}
+		return -1, false, false
+	}
+	v.Value = sh.arena.copy(v.Value)
+	var nvs []Version[X]
+	if i == len(vs) && cap(vs) > len(vs) {
+		// Newest version and the backing array has room: write the slot past
+		// every published len and slide the window over it.
+		nvs = vs[drop:n]
+		nvs[i-drop] = v
+	} else {
+		nvs = e.backing(sh, n-drop)
+		copy(nvs, vs[drop:i])
+		nvs[i-drop] = v
+		copy(nvs[i-drop+1:], vs[i:])
+	}
+	sh.live += len(nvs) - len(vs)
+	sh.publish(en, nvs, trimmed || drop > 0)
+	return i - drop, i == n-1, false
+}
+
+// backing returns a zeroed chain of n versions on a new backing array with
+// room to grow: capacity is the next power of two, so a growing chain is
+// copied a constant number of times per version, and twice the cap once the
+// chain is at it, so the window has max installs to slide before the next
+// copy. A chain short of the cap that fits a slab array gets one — the cold
+// majority of keys never needs another; every other array is private, so
+// the GC frees exactly what a frequently written key leaves behind.
+func (e *Engine[X, A]) backing(sh *shard[X, A], n int) []Version[X] {
+	c := 2 * e.max
+	if n < e.max {
+		if c = ceilPow2(n); c <= slabMaxAlloc {
+			return sh.slab.alloc(c)[:n]
 		}
 	}
-	nc := sh.chains.one()
-	nc.Versions, nc.Trimmed = nvs, trimmed || drop > 0
-	en.chain.Store(nc)
-	en.latest.Store(&nvs[len(nvs)-1])
-	idx = i - drop
-	if idx < 0 {
-		idx = -1 // at capacity and older than everything retained
+	e.slabBytes.Add(int64(c) * sh.slab.elem)
+	return make([]Version[X], n, c)
+}
+
+// publish makes vs (non-empty) en's chain. The caller holds sh.mu.
+//
+// A superseded header in a slab chunk stays reachable for as long as any
+// neighbour is current, and keeps its backing array reachable with it. That
+// is harmless for a key written a handful of times and is what pinned most
+// of the heap for keys written constantly, so a chain that has outgrown the
+// slab's arrays or reached the cap gets private headers.
+func (sh *shard[X, A]) publish(en *entry[X, A], vs []Version[X], trimmed bool) {
+	var nc *Chain[X]
+	if trimmed || cap(vs) > slabMaxAlloc {
+		nc = new(Chain[X])
+	} else {
+		nc = sh.chains.one()
 	}
-	return idx, i == n-1, false
+	nc.Versions, nc.Trimmed = vs, trimmed
+	en.chain.Store(nc)
+	en.latest.Store(&vs[len(vs)-1])
 }
 
 // SetExtra republishes the chain with version idx's Extra replaced by x.
@@ -455,13 +533,10 @@ func (e *Engine[X, A]) installLocked(sh *shard[X, A], en *entry[X, A], v Version
 // readers copying the version struct.
 func (k *Key[X, A]) SetExtra(idx int, x X) {
 	old := k.en.chain.Load()
-	nvs := k.sh.slab.alloc(len(old.Versions))
+	nvs := k.e.backing(k.sh, len(old.Versions))
 	copy(nvs, old.Versions)
 	nvs[idx].Extra = x
-	nc := k.sh.chains.one()
-	nc.Versions, nc.Trimmed = nvs, old.Trimmed
-	k.en.chain.Store(nc)
-	k.en.latest.Store(&nvs[len(nvs)-1])
+	k.sh.publish(k.en, nvs, old.Trimmed)
 }
 
 // entryLocked returns key's entry, creating it (empty chain, zero aux) when
