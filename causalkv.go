@@ -34,44 +34,30 @@ import (
 	"repro/internal/wal"
 )
 
-// Protocol selects the consistency protocol a Cluster runs.
+// Protocol selects the consistency protocol a Cluster runs. The values are
+// the internal protocol table's, converted.
 type Protocol int
 
 const (
 	// Contrarian is the paper's protocol: nonblocking one-version ROTs in
 	// 1 1/2 rounds, no write-side overhead.
-	Contrarian Protocol = iota
+	Contrarian = Protocol(cluster.Contrarian)
 	// ContrarianTwoRound trades one communication step of ROT latency for
 	// fewer messages (higher peak throughput, §5.3).
-	ContrarianTwoRound
+	ContrarianTwoRound = Protocol(cluster.ContrarianTwoRound)
 	// Cure is the physical-clock baseline; its ROTs block on clock skew.
-	Cure
+	Cure = Protocol(cluster.Cure)
 	// CCLO is the latency-optimal COPS-SNOW design; its writes pay the
 	// readers check.
-	CCLO
+	CCLO = Protocol(cluster.CCLO)
 	// COPS is the original dependency-list design: nonblocking ROTs in at
 	// most two rounds (and up to two versions), cheap writes, per-version
 	// dependency metadata.
-	COPS
+	COPS = Protocol(cluster.COPS)
 )
 
 // String names the protocol.
-func (p Protocol) String() string { return p.internal().String() }
-
-func (p Protocol) internal() cluster.Protocol {
-	switch p {
-	case ContrarianTwoRound:
-		return cluster.ContrarianTwoRound
-	case Cure:
-		return cluster.Cure
-	case CCLO:
-		return cluster.CCLO
-	case COPS:
-		return cluster.COPS
-	default:
-		return cluster.Contrarian
-	}
-}
+func (p Protocol) String() string { return cluster.Protocol(p).String() }
 
 // Options configures StartCluster. The zero value is a single-DC,
 // 8-partition Contrarian cluster with LAN-like latencies.
@@ -139,12 +125,6 @@ type Options struct {
 	// ShedFsyncP99 sheds client load early once the WAL p99 fsync delay
 	// reaches this (0 = signal unused).
 	ShedFsyncP99 time.Duration
-	// SocketPool caps connections per destination for tenant sessions
-	// (NewTenantSession), which share one multiplexed endpoint per DC
-	// instead of attaching an address each (0 = 1 shared connection). The
-	// in-process transport has no sockets; the knob exists so the same
-	// Options shape describes TCP deployments.
-	SocketPool int
 }
 
 // ErrOverloaded is returned by session operations once the Busy-retry
@@ -199,7 +179,7 @@ func StartCluster(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("causalkv: %w", err)
 	}
 	inner, err := cluster.Start(cluster.Config{
-		Protocol:         opts.Protocol.internal(),
+		Protocol:         cluster.Protocol(opts.Protocol),
 		DCs:              opts.DataCenters,
 		Partitions:       opts.Partitions,
 		Latency:          &lat,
@@ -214,7 +194,6 @@ func StartCluster(opts Options) (*Cluster, error) {
 		AdmitLimit:       opts.AdmitLimit,
 		ShedQueueFrames:  opts.ShedQueueFrames,
 		ShedFsyncP99:     opts.ShedFsyncP99,
-		SocketPool:       opts.SocketPool,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("causalkv: %w", err)

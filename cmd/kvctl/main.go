@@ -24,19 +24,20 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cclo"
 	"repro/internal/cluster"
-	"repro/internal/cops"
-	"repro/internal/core"
 	"repro/internal/ring"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 func main() {
+	var cfg cluster.Config
+	flag.Func("protocol", "protocol slug, as given to the kvservers (default contrarian); an unknown one is rejected with the accepted list", func(s string) (err error) {
+		cfg.Protocol, err = cluster.ParseProtocol(s)
+		return err
+	})
 	var (
 		topoPath = flag.String("topology", "", "topology file (required)")
-		protocol = flag.String("protocol", "contrarian", "contrarian|cure|cclo|cops")
 		dc       = flag.Int("dc", 0, "home data center")
 		timeout  = flag.Duration("timeout", 5*time.Second, "operation timeout")
 		seed     = flag.Int64("seed", 0, "RNG seed for client id and bench key picks; 0 draws a time-based seed, any other value makes runs reproducible")
@@ -65,13 +66,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	cfg.DCs, cfg.Partitions = topo.DCs, topo.Partitions
 	if *dc < 0 || *dc >= topo.DCs {
 		log.Fatalf("kvctl: -dc %d outside topology (have %d DCs)", *dc, topo.DCs)
 	}
 
 	net := transport.NewTCP(topo.Directory)
 	defer net.Close()
-	cli, err := newClient(*protocol, *dc, topo, net, rng)
+	cli, err := cfg.NewClient(*dc, int(rng.Int31n(30000))+1000, net, nil, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func main() {
 		// between the legs, so a test harness can kill -9 and restart a
 		// partition mid-ROT. Prints each leg's value and epoch vector plus
 		// whether the client fence would retry the ROT.
-		if *protocol != "cclo" {
+		if cfg.Protocol != cluster.CCLO {
 			log.Fatal("straddle is a CC-LO command (-protocol cclo)")
 		}
 		if len(args) != 4 {
@@ -164,7 +166,7 @@ func main() {
 			fmt.Sscanf(args[1], "%d", &n)
 		}
 		if *sessions > 0 {
-			benchSessions(net, *protocol, *dc, topo, n, *tenants, *sessions, *sockPool, rng)
+			benchSessions(net, cfg, *dc, n, *tenants, *sessions, *sockPool, rng)
 		} else {
 			benchLoop(cli, n, rng)
 		}
@@ -231,34 +233,15 @@ func straddle(net transport.Network, dc, parts, id int, gap time.Duration, k1, k
 	fmt.Printf("fenced=%v\n", fenced)
 }
 
-func newClient(protocol string, dc int, topo *cluster.Topology, net transport.Network, rng *rand.Rand) (cluster.Client, error) {
-	id := int(rng.Int31n(30000)) + 1000
-	r := ring.New(topo.Partitions)
-	if protocol == "cclo" {
-		return cclo.NewClient(cclo.ClientConfig{DC: dc, ID: id, Ring: r}, net)
-	}
-	if protocol == "cops" {
-		return cops.NewClient(cops.ClientConfig{DC: dc, ID: id, Ring: r}, net)
-	}
-	mode := core.OneAndHalfRounds
-	if protocol == "cure" {
-		mode = core.TwoRounds
-	}
-	return core.NewClient(core.ClientConfig{
-		DC: dc, ID: id, NumDCs: topo.DCs, Ring: r, Mode: mode,
-	}, net)
-}
-
 // benchSessions is the connection-scale bench: tenants x perConn logical
 // sessions share one multiplexed endpoint whose socket pool is capped at
 // pool connections per server, and hammer the cluster concurrently. The
 // summary line reports aggregate goodput plus the endpoint's socket
 // high-water mark — the number the connection-scale smoke bounds.
-func benchSessions(net *transport.TCP, protocol string, dc int, topo *cluster.Topology, n, tenants, perConn, pool int, rng *rand.Rand) {
+func benchSessions(net *transport.TCP, cfg cluster.Config, dc, n, tenants, perConn, pool int, rng *rand.Rand) {
 	if tenants < 1 {
 		tenants = 1
 	}
-	r := ring.New(topo.Partitions)
 	baseID := int(rng.Int31n(20000)) + 1000
 	mux, err := net.AttachMux(wire.ClientAddr(dc, baseID), pool)
 	if err != nil {
@@ -269,9 +252,10 @@ func benchSessions(net *transport.TCP, protocol string, dc int, topo *cluster.To
 	total := tenants * perConn
 	clis := make([]cluster.Client, total)
 	for i := range clis {
+		// id must stay unique per DC across the process's sessions (CC-LO
+		// rot identity).
 		id := baseID + 1 + i
-		sess := wire.MakeSession(uint16(i%tenants), uint16(id))
-		cli, err := newSessionClient(protocol, dc, id, topo, r, mux, sess)
+		cli, err := cfg.NewClient(dc, id, nil, mux, wire.MakeSession(uint16(i%tenants), uint16(id)))
 		if err != nil {
 			log.Fatalf("session %d: %v", i, err)
 		}
@@ -327,25 +311,6 @@ func benchSessions(net *transport.TCP, protocol string, dc int, topo *cluster.To
 	fmt.Printf("%d sessions (%d tenants) over <=%d sockets/server: %d ops in %v (%.0f op/s), %d failed; sockets peak=%d sessions peak=%d\n",
 		total, tenants, pool, ops.Load(), elapsed.Round(time.Millisecond),
 		float64(ops.Load())/elapsed.Seconds(), fails.Load(), v.OpenConnsPeak, v.SessionsPeak)
-}
-
-// newSessionClient builds the protocol client for one logical session on
-// mux. id must stay unique per DC across the process's sessions (CC-LO rot
-// identity).
-func newSessionClient(protocol string, dc, id int, topo *cluster.Topology, r ring.Ring, mux transport.Mux, sess wire.SessionID) (cluster.Client, error) {
-	if protocol == "cclo" {
-		return cclo.NewSessionClient(cclo.ClientConfig{DC: dc, ID: id, Ring: r}, mux, sess)
-	}
-	if protocol == "cops" {
-		return cops.NewSessionClient(cops.ClientConfig{DC: dc, ID: id, Ring: r}, mux, sess)
-	}
-	mode := core.OneAndHalfRounds
-	if protocol == "cure" {
-		mode = core.TwoRounds
-	}
-	return core.NewSessionClient(core.ClientConfig{
-		DC: dc, ID: id, NumDCs: topo.DCs, Ring: r, Mode: mode,
-	}, mux, sess)
 }
 
 func benchLoop(cli cluster.Client, n int, rng *rand.Rand) {

@@ -35,15 +35,11 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"syscall"
 	"time"
 
-	"repro/internal/cclo"
 	"repro/internal/cluster"
-	"repro/internal/cops"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -52,34 +48,46 @@ import (
 )
 
 func main() {
+	// The flags bind straight into the cluster.Config the in-process
+	// harness uses: one struct says what a partition server is made of.
+	var cfg cluster.Config
 	var (
 		topoPath   = flag.String("topology", "", "topology file (required)")
-		protocol   = flag.String("protocol", "contrarian", "contrarian|cure|cclo|cops")
 		dc         = flag.Int("dc", 0, "this server's data center")
 		partition  = flag.Int("partition", 0, "this server's partition index")
-		stabilizer = flag.Bool("stabilizer", false, "run the DC's stabilization service instead of a partition")
-		dataDir    = flag.String("data-dir", "", "durability root: group-commit every install to a WAL under this directory and recover it on restart (partitions only; empty = in-memory)")
-		snapEvery  = flag.Duration("wal-snapshot-every", time.Minute, "periodic WAL snapshot+truncate interval (with -data-dir; 0 disables)")
-		segBytes   = flag.Int64("wal-segment-bytes", 0, "WAL segment size before rotation (0 = default 64 MiB)")
-		walSync    = flag.String("wal-sync", "sync", "WAL acknowledgment contract: sync (acked ⇒ fsynced) or async (acked ⇒ written; fsync within -wal-fsync-every)")
-		fsyncEvery = flag.Duration("wal-fsync-every", 0, "async mode's bounded loss window (0 = default 2ms)")
-		repFlush   = flag.Duration("rep-flush-every", 0, "replication flush period for the timestamp-based engine (0 = default 2ms; tests stretch it to hold replication back)")
-		gcWindow   = flag.Duration("reader-gc-window", 0, "CC-LO reader GC window: how long reader records, old-reader entries, and invisibility marks live (0 = default 500ms; crash tests stretch it)")
-		flushBud   = flag.Duration("flush-budget", transport.DefaultFlushBudget, "adaptive flush latency budget: how long the transport may keep a coalesced batch open before flushing (0 = greedy drain-until-idle)")
+		stabilizer = flag.Bool("stabilizer", false, "run the DC's stabilization service instead of a partition (timestamp protocols only)")
 		writevMin  = flag.Int("writev-bytes", 0, "frame size at or above which frames skip the copy into the flush buffer and go out via writev scatter-gather (0 = default 16 KiB)")
-		shards     = flag.Int("store-shards", 0, "storage engine shard count — the write-concurrency grain; reads are lock-free regardless (0 = auto-size from GOMAXPROCS; rounded up to a power of two)")
 		obsAddr    = flag.String("obs-addr", "", "observability HTTP listener: /metrics (Prometheus text), /statusz, /debug/pprof, /debug/slowops (empty = disabled)")
 		slowOp     = flag.Duration("slow-op", 25*time.Millisecond, "slow-op trace threshold: handler executions at or above it are kept in the /debug/slowops ring")
-		admitLimit = flag.Int("admit-limit", 0, "client admission cap: max concurrently running client handlers; excess client requests are shed with a typed busy+retry-after response (0 = unbounded; cluster traffic is never gated)")
-		shedQueue  = flag.Int64("shed-queue-frames", 0, "shed client load early once the transport send queue reaches this many frames (0 = signal unused)")
-		shedFsync  = flag.Duration("shed-fsync-p99", 0, "shed client load early once the WAL p99 fsync delay reaches this (0 = signal unused)")
 	)
+	flag.Func("protocol", "protocol slug (default contrarian); an unknown one is rejected with the accepted list", func(s string) (err error) {
+		cfg.Protocol, err = cluster.ParseProtocol(s)
+		return err
+	})
+	flag.StringVar(&cfg.DataDir, "data-dir", "", "durability root: group-commit every install to a WAL under this directory and recover it on restart (partitions only; empty = in-memory)")
+	flag.DurationVar(&cfg.WALSnapshotEvery, "wal-snapshot-every", time.Minute, "periodic WAL snapshot+truncate interval (with -data-dir; 0 disables)")
+	flag.Int64Var(&cfg.WALSegmentBytes, "wal-segment-bytes", 0, "WAL segment size before rotation (0 = default 64 MiB)")
+	flag.Func("wal-sync", "WAL acknowledgment contract: sync (default; acked ⇒ fsynced) or async (acked ⇒ written; fsync within -wal-fsync-every)", func(s string) (err error) {
+		cfg.WALSync, err = wal.ParseSyncMode(s)
+		return err
+	})
+	flag.DurationVar(&cfg.WALFsyncEvery, "wal-fsync-every", 0, "async mode's bounded loss window (0 = default 2ms)")
+	flag.DurationVar(&cfg.RepFlushEvery, "rep-flush-every", 0, "replication flush period for the timestamp-based engine (0 = default 2ms; tests stretch it to hold replication back)")
+	flag.DurationVar(&cfg.ReaderGCWindow, "reader-gc-window", 0, "CC-LO reader GC window: how long reader records, old-reader entries, and invisibility marks live (0 = default 500ms; crash tests stretch it)")
+	// Unlike the struct field's convention, the flag spells greedy as 0 —
+	// as the engine policy does — because an explicit flag default can
+	// carry the adaptive budget itself; the value goes to the policy as-is.
+	flag.DurationVar(&cfg.FlushBudget, "flush-budget", transport.DefaultFlushBudget, "adaptive flush latency budget: how long the transport may keep a coalesced batch open before flushing (0 = greedy drain-until-idle)")
+	flag.IntVar(&cfg.StoreShards, "store-shards", 0, "storage engine shard count — the write-concurrency grain; reads are lock-free regardless (0 = auto-size from GOMAXPROCS; rounded up to a power of two)")
+	flag.IntVar(&cfg.AdmitLimit, "admit-limit", 0, "client admission cap: max concurrently running client handlers; excess client requests are shed with a typed busy+retry-after response (0 = unbounded; cluster traffic is never gated)")
+	flag.Int64Var(&cfg.ShedQueueFrames, "shed-queue-frames", 0, "shed client load early once the transport send queue reaches this many frames (0 = signal unused)")
+	flag.DurationVar(&cfg.ShedFsyncP99, "shed-fsync-p99", 0, "shed client load early once the WAL p99 fsync delay reaches this (0 = signal unused)")
 	flag.Parse()
 	if *topoPath == "" {
 		log.Fatal("kvserver: -topology is required")
 	}
-	if *shards < 0 || *shards > store.MaxShards {
-		log.Fatalf("kvserver: -store-shards %d out of range [0, %d]", *shards, store.MaxShards)
+	if cfg.StoreShards < 0 || cfg.StoreShards > store.MaxShards {
+		log.Fatalf("kvserver: -store-shards %d out of range [0, %d]", cfg.StoreShards, store.MaxShards)
 	}
 	f, err := os.Open(*topoPath)
 	if err != nil {
@@ -90,6 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	cfg.DCs, cfg.Partitions = topo.DCs, topo.Partitions
 	if *dc < 0 || *dc >= topo.DCs {
 		log.Fatalf("kvserver: -dc %d outside topology (have %d DCs)", *dc, topo.DCs)
 	}
@@ -97,11 +106,8 @@ func main() {
 		log.Fatalf("kvserver: -partition %d outside topology (have %d partitions)", *partition, topo.Partitions)
 	}
 
-	// The flag spells greedy as 0; the engine policy does too, so it is
-	// passed through as-is (unlike struct configs, an explicit flag default
-	// carries the adaptive budget itself).
 	net := transport.NewTCPOpts(topo.Directory, transport.BatchPolicy{
-		FlushBudget: *flushBud,
+		FlushBudget: cfg.FlushBudget,
 		WritevBytes: *writevMin,
 	})
 	defer net.Close()
@@ -109,146 +115,74 @@ func main() {
 	// Observability: one registry + slow-op ring per process, served from a
 	// dedicated listener so scrapes never contend with protocol traffic.
 	started := time.Now()
-	var (
-		reg  *metrics.Registry
-		ring *metrics.SlowRing
-	)
+	var reg *metrics.Registry
 	if *obsAddr != "" {
 		reg = metrics.NewRegistry()
-		ring = metrics.NewSlowRing(1024, *slowOp)
+		cfg.Slow = metrics.NewSlowRing(1024, *slowOp)
 		net.Stats().Register(reg)
 	}
 
-	// Durability: one WAL per partition process. Opened before the server
-	// so construction replays the recovered state, closed after it so the
-	// final appends are flushed on graceful shutdown.
-	var durable wal.Durability
-	var walLog *wal.Log
-	if *dataDir != "" && !*stabilizer {
-		mode, err := wal.ParseSyncMode(*walSync)
+	var (
+		closer interface{ Close() error }
+		walLog *wal.Log
+	)
+	if *stabilizer {
+		st, err := cfg.NewStabilizer(*dc, net)
 		if err != nil {
-			log.Fatal(err)
-		}
-		l, err := wal.Open(wal.Options{
-			Dir:           filepath.Join(*dataDir, fmt.Sprintf("dc%d-p%d", *dc, *partition)),
-			SegmentBytes:  *segBytes,
-			SnapshotEvery: *snapEvery,
-			Sync:          mode,
-			FsyncEvery:    *fsyncEvery,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		walLog, durable = l, l
-	}
-
-	// Admission control must be configured before the server attaches: the
-	// gate is created at Attach time. The overload detector probes this
-	// process's send queue and (when durable) its WAL fsync latency.
-	if *admitLimit > 0 && !*stabilizer {
-		fsyncP99 := func() time.Duration { return 0 }
-		if walLog != nil {
-			fsyncP99 = func() time.Duration { return walLog.Stats().FsyncDelay.Percentile(99) }
-		}
-		net.SetAdmission(transport.AdmitConfig{
-			Limit:           *admitLimit,
-			ShedQueueFrames: *shedQueue,
-			ShedFsyncP99:    *shedFsync,
-			QueueDepth:      net.Stats().SendQueue.Load,
-			FsyncP99:        fsyncP99,
-		})
-	}
-
-	// Per-process metric labels: the family plus this server's coordinates.
-	labels := []metrics.Label{
-		{Name: "family", Value: *protocol},
-		{Name: "dc", Value: strconv.Itoa(*dc)},
-		{Name: "partition", Value: strconv.Itoa(*partition)},
-	}
-
-	var closer interface{ Close() error }
-	switch {
-	case *stabilizer:
-		st, err := core.NewStabilizer(*dc, topo.Partitions, topo.DCs, 0, net)
-		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("kvserver: -stabilizer: %v", err)
 		}
 		st.Start()
 		closer = st
 		log.Printf("stabilizer for dc%d up (%d partitions, %d DCs)", *dc, topo.Partitions, topo.DCs)
-	case *protocol == "cops":
-		s, err := cops.NewServer(cops.Config{
-			DC: *dc, Part: *partition, NumDCs: topo.DCs, NumParts: topo.Partitions,
-			StoreShards: *shards,
-			Durable:     durable,
-			Slow:        ring,
-		}, net)
+	} else {
+		// The same three calls cluster.Start makes per partition. The WAL
+		// is opened before the server so construction replays the recovered
+		// state, and closed after it so the final appends are flushed on
+		// graceful shutdown; the admission gate is created at Attach time,
+		// so it is configured before the server attaches, probing this
+		// process's send queue and (when durable) its WAL fsync latency.
+		if walLog, err = cfg.OpenLog(*dc, *partition); err != nil {
+			log.Fatal(err)
+		}
+		net.SetAdmission(cfg.Admission(net.Stats().SendQueue.Load, func() time.Duration {
+			if walLog == nil {
+				return 0
+			}
+			return walLog.Stats().FsyncDelay.Percentile(99)
+		}))
+		srv, err := cfg.NewServer(*dc, *partition, 0, walLog, net)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if reg != nil {
-			s.RegisterMetrics(reg, labels...)
+			// Per-process metric labels: the family plus this server's
+			// coordinates.
+			labels := []metrics.Label{
+				{Name: "family", Value: cfg.Protocol.Slug()},
+				{Name: "dc", Value: strconv.Itoa(*dc)},
+				{Name: "partition", Value: strconv.Itoa(*partition)},
+			}
+			srv.RegisterMetrics(reg, labels...)
+			if walLog != nil {
+				walLog.Stats().Register(reg, labels...)
+			}
+			if cfg.AdmitLimit > 0 {
+				net.AdmitStats().Register(reg, labels...)
+			}
 		}
-		s.Start()
-		closer = s
-		log.Printf("cops partition dc%d/p%d up", *dc, *partition)
-	case *protocol == "cclo":
-		s, err := cclo.NewServer(cclo.Config{
-			DC: *dc, Part: *partition, NumDCs: topo.DCs, NumParts: topo.Partitions,
-			GCWindow:    *gcWindow,
-			StoreShards: *shards,
-			Durable:     durable,
-			Slow:        ring,
-		}, net)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if reg != nil {
-			s.RegisterMetrics(reg, labels...)
-		}
-		s.Start()
-		closer = s
-		log.Printf("cclo partition dc%d/p%d up", *dc, *partition)
-	case *protocol == "contrarian" || *protocol == "cure":
-		clock := core.ClockHLC
-		if *protocol == "cure" {
-			clock = core.ClockPhysical
-		}
-		s, err := core.NewServer(core.Config{
-			DC: *dc, Part: *partition, NumDCs: topo.DCs, NumParts: topo.Partitions,
-			Clock:         clock,
-			RepFlushEvery: *repFlush,
-			StoreShards:   *shards,
-			Durable:       durable,
-			Slow:          ring,
-		}, net)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if reg != nil {
-			s.RegisterMetrics(reg, labels...)
-		}
-		s.Start()
-		closer = s
-		log.Printf("%s partition dc%d/p%d up", *protocol, *dc, *partition)
-	default:
-		log.Fatalf("kvserver: unknown protocol %q", *protocol)
+		srv.Start()
+		closer = srv
+		log.Printf("%s partition dc%d/p%d up", cfg.Protocol.Slug(), *dc, *partition)
 	}
 
-	if reg != nil && walLog != nil {
-		walLog.Stats().Register(reg, labels...)
-	}
-	if reg != nil && *admitLimit > 0 && !*stabilizer {
-		net.AdmitStats().Register(reg, labels...)
-	}
-	if *obsAddr != "" {
+	if reg != nil {
 		srv := obs.New(obs.Config{
 			Registry: reg,
-			Slow:     ring,
+			Slow:     cfg.Slow,
 			Status: func() obs.Status {
 				extra := map[string]string{"topology": *topoPath, "wal": "off"}
 				if walLog != nil {
-					extra["wal"] = *walSync
+					extra["wal"] = cfg.WALSync.String()
 					extra["epoch"] = strconv.FormatUint(walLog.Epoch(), 10)
 				}
 				if *stabilizer {
@@ -258,9 +192,9 @@ func main() {
 				extra["open_conns"] = strconv.FormatInt(tv.OpenConns, 10)
 				extra["sessions"] = strconv.FormatInt(tv.Sessions, 10)
 				overload := ""
-				if *admitLimit > 0 && !*stabilizer {
+				if cfg.AdmitLimit > 0 && !*stabilizer {
 					v := net.AdmitStats().View()
-					if v.Overloaded || v.Depth >= int64(*admitLimit) {
+					if v.Overloaded || v.Depth >= int64(cfg.AdmitLimit) {
 						overload = "shedding"
 					} else {
 						overload = "admitting"
@@ -268,7 +202,7 @@ func main() {
 				}
 				return obs.Status{
 					Overload:  overload,
-					Protocol:  *protocol,
+					Protocol:  cfg.Protocol.Slug(),
 					DC:        *dc,
 					Partition: *partition,
 					NumDCs:    topo.DCs,

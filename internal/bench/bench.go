@@ -232,7 +232,6 @@ func Run(sys System, spec RunSpec) (Point, error) {
 		FlushBudget:     sys.FlushBudget,
 		Slow:            spec.Slow,
 		AdmitLimit:      sys.AdmitLimit,
-		SocketPool:      8,
 		ShedQueueFrames: sys.ShedQueueFrames,
 		ShedFsyncP99:    sys.ShedFsyncP99,
 	}

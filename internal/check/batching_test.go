@@ -39,7 +39,7 @@ func TestCausalityUnderAggressiveBatching(t *testing.T) {
 		// frame may ride a batch for several milliseconds.
 		{"huge-batches", 5 * time.Millisecond, 1 << 20},
 	}
-	for _, proto := range []cluster.Protocol{cluster.Contrarian, cluster.CCLO, cluster.COPS} {
+	for _, proto := range cluster.Families() {
 		for _, bc := range configs {
 			t.Run(fmt.Sprintf("%s/%s", proto, bc.name), func(t *testing.T) {
 				t.Parallel()

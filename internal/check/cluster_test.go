@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/cluster"
+	"repro/internal/cops"
 	"repro/internal/wire"
 )
 
@@ -27,7 +28,7 @@ func TestRandomizedCausalityAllFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized soak")
 	}
-	for _, proto := range []cluster.Protocol{cluster.Contrarian, cluster.CCLO, cluster.COPS} {
+	for _, proto := range cluster.Families() {
 		t.Run(proto.String(), func(t *testing.T) {
 			t.Parallel()
 			c, err := cluster.Start(cluster.Config{
@@ -224,8 +225,8 @@ func waitConverged(t *testing.T, c *cluster.Cluster, keys []string) {
 					t.Logf("dc%d-p%d cursors: %+v", dc, p, c.WALCursors(dc, p))
 				}
 			}
-			if srv := c.COPSServers(); srv != nil {
-				for i, s := range srv {
+			for i, s := range c.Servers() {
+				if s, ok := s.(*cops.Server); ok {
 					for _, k := range keys {
 						t.Logf("server %d chain %s: %v", i, k, s.VersionsOf(k))
 					}

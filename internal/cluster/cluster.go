@@ -14,61 +14,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cclo"
-	"repro/internal/cops"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/mvstore"
 	"repro/internal/ring"
 	"repro/internal/store"
 	"repro/internal/transport"
-	"repro/internal/vclock"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
-
-// mvstoreVersion builds the canonical preload version.
-func mvstoreVersion(val []byte, dv []uint64) mvstore.Version {
-	return mvstore.Version{Value: val, TS: 1, SrcDC: 0, DV: vclock.Vec(dv)}
-}
-
-// Protocol selects the consistency protocol a cluster runs.
-type Protocol int
-
-const (
-	// Contrarian is the paper's design: HLC clocks, nonblocking one-version
-	// ROTs in 1 1/2 rounds.
-	Contrarian Protocol = iota
-	// ContrarianTwoRound trades ROT latency for fewer messages (§5.3).
-	ContrarianTwoRound
-	// Cure is the physical-clock baseline: 2-round ROTs that block on
-	// clock skew.
-	Cure
-	// CCLO is the latency-optimal COPS-SNOW design: one-round ROTs,
-	// readers checks on writes.
-	CCLO
-	// COPS is the original dependency-list design (§3): nonblocking ROTs
-	// in at most 2 rounds and 2 versions, cheap writes, heavy metadata.
-	COPS
-)
-
-// String names the protocol as in the paper's figures.
-func (p Protocol) String() string {
-	switch p {
-	case Contrarian:
-		return "Contrarian 1 1/2 rounds"
-	case ContrarianTwoRound:
-		return "Contrarian 2 rounds"
-	case Cure:
-		return "Cure"
-	case CCLO:
-		return "CC-LO"
-	case COPS:
-		return "COPS"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-}
 
 // Config parameterizes a cluster.
 type Config struct {
@@ -81,8 +34,6 @@ type Config struct {
 	Latency *transport.LatencyModel
 	// MaxSkew bounds per-node physical clock skew (default 1 ms, NTP-ish).
 	MaxSkew time.Duration
-	// StabilizeEvery is the stabilization period (default 5 ms, as §5.2).
-	StabilizeEvery time.Duration
 	// ReaderGCWindow is CC-LO's reader GC window (default 500 ms, as §5.2):
 	// how long reader records, old-reader entries, and invisibility marks
 	// live. Crash tests shrink or stretch it to make reader-state expiry
@@ -153,12 +104,6 @@ type Config struct {
 	// ShedFsyncP99 sheds client load early when the WAL p99 fsync delay
 	// reaches this (0 = signal unused).
 	ShedFsyncP99 time.Duration
-
-	// SocketPool caps connections per destination for the session-mux
-	// client endpoints handed out by NewSessionClient (0 = 1 shared
-	// connection). The in-process transport has no sockets and ignores it;
-	// it is plumbed so TCP-backed harnesses can reuse this Config shape.
-	SocketPool int
 }
 
 // NoLatency is a latency model for correctness tests: messages still pay
@@ -176,6 +121,8 @@ type Client interface {
 	// Warm pings every partition of the client's DC, establishing return
 	// paths before the first ROT (required over TCP).
 	Warm(ctx context.Context) error
+	// BusyRetries counts the Busy responses the session has retried.
+	BusyRetries() uint64
 	// Close detaches the client.
 	Close() error
 }
@@ -186,15 +133,13 @@ type Cluster struct {
 	net  *transport.Local
 	ring ring.Ring
 
-	// The active protocol's slice is indexed dc*Partitions+p; the others
-	// stay empty. logs and skews share the same indexing (logs holds nils
+	// servers is indexed dc*Partitions+p and holds nil for a partition
+	// that is down. logs and skews share the same indexing (logs holds nils
 	// when DataDir is unset).
-	coreServers []*core.Server
-	ccloServers []*cclo.Server
-	copsServers []*cops.Server
-	stabs       []*core.Stabilizer
-	logs        []*wal.Log
-	skews       []time.Duration
+	servers []Server
+	stabs   []*core.Stabilizer
+	logs    []*wal.Log
+	skews   []time.Duration
 
 	clientSeq []atomic.Int64 // per DC; shared by plain clients and sessions
 
@@ -204,16 +149,11 @@ type Cluster struct {
 	muxMu sync.Mutex
 	muxes []transport.Mux
 
-	// ccloClients tracks CC-LO sessions handed out by NewClient so
-	// CCLOStats can aggregate their client-side epoch-fence retry counters
-	// (closed sessions keep their counts readable).
-	ccloClientMu sync.Mutex
-	ccloClients  []*cclo.Client
-
-	// retriers tracks every session handed out by NewClient so
-	// AdmissionView can aggregate client-side Busy-retry counters.
-	retrierMu sync.Mutex
-	retriers  []interface{ BusyRetries() uint64 }
+	// clients tracks every session this cluster handed out, so client-side
+	// counters (Busy retries, CC-LO fence retries) can be aggregated; closed
+	// sessions keep their counts readable.
+	clientMu sync.Mutex
+	clients  []Client
 
 	// logMu guards the c.logs slots against the admission gate's fsync
 	// probe (a transport goroutine) racing partition restarts.
@@ -246,28 +186,13 @@ func Start(cfg Config) (*Cluster, error) {
 			MaxBatchBytes: cfg.MaxBatchBytes,
 		}),
 		ring:      ring.New(cfg.Partitions),
+		servers:   make([]Server, n),
 		logs:      make([]*wal.Log, n),
 		skews:     make([]time.Duration, n),
 		clientSeq: make([]atomic.Int64, cfg.DCs),
 		muxes:     make([]transport.Mux, cfg.DCs),
 	}
-	if cfg.AdmitLimit > 0 {
-		c.net.SetAdmission(transport.AdmitConfig{
-			Limit:           cfg.AdmitLimit,
-			ShedQueueFrames: cfg.ShedQueueFrames,
-			ShedFsyncP99:    cfg.ShedFsyncP99,
-			QueueDepth:      c.net.Stats().SendQueue.Load,
-			FsyncP99:        c.fsyncP99,
-		})
-	}
-	switch cfg.Protocol {
-	case COPS:
-		c.copsServers = make([]*cops.Server, n)
-	case CCLO:
-		c.ccloServers = make([]*cclo.Server, n)
-	default:
-		c.coreServers = make([]*core.Server, n)
-	}
+	c.net.SetAdmission(cfg.Admission(c.net.Stats().SendQueue.Load, c.fsyncP99))
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
 	for i := range c.skews {
 		if cfg.MaxSkew > 0 {
@@ -282,8 +207,8 @@ func Start(cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 		}
-		if cfg.Protocol != CCLO && cfg.Protocol != COPS {
-			st, err := core.NewStabilizer(dc, cfg.Partitions, cfg.DCs, cfg.StabilizeEvery, c.net)
+		if cfg.Protocol.Stabilized() {
+			st, err := cfg.NewStabilizer(dc, c.net)
 			if err != nil {
 				c.Close()
 				return nil, err
@@ -292,29 +217,38 @@ func Start(cfg Config) (*Cluster, error) {
 			c.stabs = append(c.stabs, st)
 		}
 	}
-	for _, s := range c.coreServers {
-		s.Start()
-	}
-	for _, s := range c.ccloServers {
-		s.Start()
-	}
-	for _, s := range c.copsServers {
+	for _, s := range c.servers {
 		s.Start()
 	}
 	return c, nil
 }
 
-// openLog opens the (dc,p) partition's WAL when durability is configured.
-func (c *Cluster) openLog(dc, p int) (*wal.Log, error) {
-	if c.cfg.DataDir == "" {
+// Admission is the client admission gate cfg asks for, probing the given
+// send-queue depth and p99 fsync delay; it is disabled (the transports'
+// default) when AdmitLimit is 0. Set it on the network before servers
+// attach: the gate is created at Attach time.
+func (cfg Config) Admission(queueDepth func() int64, fsyncP99 func() time.Duration) transport.AdmitConfig {
+	return transport.AdmitConfig{
+		Limit:           cfg.AdmitLimit,
+		ShedQueueFrames: cfg.ShedQueueFrames,
+		ShedFsyncP99:    cfg.ShedFsyncP99,
+		QueueDepth:      queueDepth,
+		FsyncP99:        fsyncP99,
+	}
+}
+
+// OpenLog opens the (dc,p) partition's WAL — recovering whatever a previous
+// incarnation left there — or returns nil when durability is off.
+func (cfg Config) OpenLog(dc, p int) (*wal.Log, error) {
+	if cfg.DataDir == "" {
 		return nil, nil
 	}
 	return wal.Open(wal.Options{
-		Dir:           filepath.Join(c.cfg.DataDir, fmt.Sprintf("dc%d-p%d", dc, p)),
-		SegmentBytes:  c.cfg.WALSegmentBytes,
-		SnapshotEvery: c.cfg.WALSnapshotEvery,
-		Sync:          c.cfg.WALSync,
-		FsyncEvery:    c.cfg.WALFsyncEvery,
+		Dir:           cfg.walDir(dc, p),
+		SegmentBytes:  cfg.WALSegmentBytes,
+		SnapshotEvery: cfg.WALSnapshotEvery,
+		Sync:          cfg.WALSync,
+		FsyncEvery:    cfg.WALFsyncEvery,
 	})
 }
 
@@ -323,69 +257,16 @@ func (c *Cluster) openLog(dc, p int) (*wal.Log, error) {
 // The server is placed at index dc*Partitions+p; it is not Start()ed.
 func (c *Cluster) startServer(dc, p int) error {
 	idx := dc*c.cfg.Partitions + p
-	log, err := c.openLog(dc, p)
+	log, err := c.cfg.OpenLog(dc, p)
 	if err != nil {
 		return err
 	}
-	// wal.Durability is an interface: a typed-nil *wal.Log must become a
-	// true nil so servers see "no durability".
-	var durable wal.Durability
-	if log != nil {
-		durable = log
+	s, err := c.cfg.NewServer(dc, p, c.skews[idx], log, c.net)
+	if err != nil {
+		closeLog(log)
+		return err
 	}
-	switch c.cfg.Protocol {
-	case COPS:
-		s, err := cops.NewServer(cops.Config{
-			DC: dc, Part: p, NumDCs: c.cfg.DCs, NumParts: c.cfg.Partitions,
-			MaxVersions: c.cfg.MaxVersions,
-			StoreShards: c.cfg.StoreShards,
-			Durable:     durable,
-			Slow:        c.cfg.Slow,
-		}, c.net)
-		if err != nil {
-			closeLog(log)
-			return err
-		}
-		c.copsServers[idx] = s
-	case CCLO:
-		s, err := cclo.NewServer(cclo.Config{
-			DC: dc, Part: p, NumDCs: c.cfg.DCs, NumParts: c.cfg.Partitions,
-			GCWindow:    c.cfg.ReaderGCWindow,
-			MaxVersions: c.cfg.MaxVersions,
-			StoreShards: c.cfg.StoreShards,
-			Durable:     durable,
-			Slow:        c.cfg.Slow,
-		}, c.net)
-		if err != nil {
-			closeLog(log)
-			return err
-		}
-		c.ccloServers[idx] = s
-	default:
-		clock := core.ClockHLC
-		if c.cfg.Protocol == Cure {
-			clock = core.ClockPhysical
-		}
-		if c.cfg.ClockOverride != nil {
-			clock = *c.cfg.ClockOverride
-		}
-		s, err := core.NewServer(core.Config{
-			DC: dc, Part: p, NumDCs: c.cfg.DCs, NumParts: c.cfg.Partitions,
-			Clock:          clock,
-			Skew:           c.skews[idx],
-			StabilizeEvery: c.cfg.StabilizeEvery,
-			RepFlushEvery:  c.cfg.RepFlushEvery,
-			MaxVersions:    c.cfg.MaxVersions,
-			StoreShards:    c.cfg.StoreShards,
-			Durable:        durable,
-			Slow:           c.cfg.Slow,
-		}, c.net)
-		if err != nil {
-			closeLog(log)
-			return err
-		}
-		c.coreServers[idx] = s
-	}
+	c.servers[idx] = s
 	c.logMu.Lock()
 	c.logs[idx] = log
 	c.logMu.Unlock()
@@ -418,16 +299,9 @@ func closeLog(l *wal.Log) {
 // stopServer closes the (dc,p) partition server and its WAL, clearing the
 // slots. Safe on partially started clusters.
 func (c *Cluster) stopServer(idx int) {
-	switch {
-	case c.coreServers != nil && c.coreServers[idx] != nil:
-		c.coreServers[idx].Close()
-		c.coreServers[idx] = nil
-	case c.ccloServers != nil && c.ccloServers[idx] != nil:
-		c.ccloServers[idx].Close()
-		c.ccloServers[idx] = nil
-	case c.copsServers != nil && c.copsServers[idx] != nil:
-		c.copsServers[idx].Close()
-		c.copsServers[idx] = nil
+	if s := c.servers[idx]; s != nil {
+		s.Close()
+		c.servers[idx] = nil
 	}
 	c.logMu.Lock()
 	log := c.logs[idx]
@@ -454,14 +328,7 @@ func (c *Cluster) RestartPartition(dc, p int) error {
 	if err := c.startServer(dc, p); err != nil {
 		return err
 	}
-	switch {
-	case c.coreServers != nil:
-		c.coreServers[idx].Start()
-	case c.ccloServers != nil:
-		c.ccloServers[idx].Start()
-	case c.copsServers != nil:
-		c.copsServers[idx].Start()
-	}
+	c.servers[idx].Start()
 	return nil
 }
 
@@ -519,7 +386,12 @@ func (c *Cluster) WALDir(dc, p int) string {
 	if c.cfg.DataDir == "" {
 		return ""
 	}
-	return filepath.Join(c.cfg.DataDir, fmt.Sprintf("dc%d-p%d", dc, p))
+	return c.cfg.walDir(dc, p)
+}
+
+// walDir names the (dc,p) partition's WAL directory under DataDir.
+func (cfg Config) walDir(dc, p int) string {
+	return filepath.Join(cfg.DataDir, fmt.Sprintf("dc%d-p%d", dc, p))
 }
 
 // WALView aggregates WAL counters over every partition log (zero when
@@ -537,17 +409,7 @@ func (c *Cluster) WALView() wal.StatsView {
 // Close stops every component: servers first (draining their appends),
 // then their logs, then the stabilizers and the network.
 func (c *Cluster) Close() {
-	for _, s := range c.coreServers {
-		if s != nil {
-			s.Close()
-		}
-	}
-	for _, s := range c.ccloServers {
-		if s != nil {
-			s.Close()
-		}
-	}
-	for _, s := range c.copsServers {
+	for _, s := range c.servers {
 		if s != nil {
 			s.Close()
 		}
@@ -574,42 +436,29 @@ func (c *Cluster) Ring() ring.Ring { return c.ring }
 // Net returns the underlying in-process network (for stats).
 func (c *Cluster) Net() *transport.Local { return c.net }
 
-// NewClient attaches a new client session homed in dc.
+// NewClient attaches a new client session homed in dc at its own address.
 func (c *Cluster) NewClient(dc int) (Client, error) {
 	if dc < 0 || dc >= c.cfg.DCs {
 		return nil, fmt.Errorf("cluster: no such DC %d", dc)
 	}
+	return c.newClient(dc, nil, 0)
+}
+
+// newClient allocates dc's next client id — one counter for plain
+// addresses and session ids, so rot identities stay unique across both
+// construction paths — and builds the session on mux (nil = own address).
+func (c *Cluster) newClient(dc int, mux transport.Mux, tenant uint16) (Client, error) {
 	id := int(c.clientSeq[dc].Add(1))
-	if c.cfg.Protocol == CCLO {
-		cli, err := cclo.NewClient(cclo.ClientConfig{DC: dc, ID: id, Ring: c.ring}, c.net)
-		if err != nil {
-			return nil, err
-		}
-		c.ccloClientMu.Lock()
-		c.ccloClients = append(c.ccloClients, cli)
-		c.ccloClientMu.Unlock()
-		c.trackRetrier(cli)
-		return cli, nil
+	if id >= muxClientID {
+		return nil, fmt.Errorf("cluster: DC %d exhausted its session id space (%d)", dc, id)
 	}
-	if c.cfg.Protocol == COPS {
-		cli, err := cops.NewClient(cops.ClientConfig{DC: dc, ID: id, Ring: c.ring}, c.net)
-		if err != nil {
-			return nil, err
-		}
-		c.trackRetrier(cli)
-		return cli, nil
-	}
-	mode := core.OneAndHalfRounds
-	if c.cfg.Protocol == ContrarianTwoRound || c.cfg.Protocol == Cure {
-		mode = core.TwoRounds
-	}
-	cli, err := core.NewClient(core.ClientConfig{
-		DC: dc, ID: id, NumDCs: c.cfg.DCs, Ring: c.ring, Mode: mode,
-	}, c.net)
+	cli, err := c.cfg.NewClient(dc, id, c.net, mux, wire.MakeSession(tenant, uint16(id)))
 	if err != nil {
 		return nil, err
 	}
-	c.trackRetrier(cli)
+	c.clientMu.Lock()
+	c.clients = append(c.clients, cli)
+	c.clientMu.Unlock()
 	return cli, nil
 }
 
@@ -628,7 +477,7 @@ func (c *Cluster) Mux(dc int) (transport.Mux, error) {
 	c.muxMu.Lock()
 	defer c.muxMu.Unlock()
 	if c.muxes[dc] == nil {
-		m, err := c.net.AttachMux(wire.ClientAddr(dc, muxClientID), c.cfg.SocketPool)
+		m, err := c.net.AttachMux(wire.ClientAddr(dc, muxClientID), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -639,50 +488,13 @@ func (c *Cluster) Mux(dc int) (transport.Mux, error) {
 
 // NewSessionClient opens a client session homed in dc as a logical session
 // of the given tenant on the DC's shared mux endpoint, instead of
-// attaching its own address. The session's local id is allocated from the
-// same per-DC counter as plain client addresses, so rot identities stay
-// unique across both construction paths.
+// attaching its own address.
 func (c *Cluster) NewSessionClient(dc int, tenant uint16) (Client, error) {
 	mux, err := c.Mux(dc)
 	if err != nil {
 		return nil, err
 	}
-	id := int(c.clientSeq[dc].Add(1))
-	if id >= muxClientID {
-		return nil, fmt.Errorf("cluster: DC %d exhausted its session id space (%d)", dc, id)
-	}
-	sess := wire.MakeSession(tenant, uint16(id))
-	if c.cfg.Protocol == CCLO {
-		cli, err := cclo.NewSessionClient(cclo.ClientConfig{DC: dc, ID: id, Ring: c.ring}, mux, sess)
-		if err != nil {
-			return nil, err
-		}
-		c.ccloClientMu.Lock()
-		c.ccloClients = append(c.ccloClients, cli)
-		c.ccloClientMu.Unlock()
-		c.trackRetrier(cli)
-		return cli, nil
-	}
-	if c.cfg.Protocol == COPS {
-		cli, err := cops.NewSessionClient(cops.ClientConfig{DC: dc, ID: id, Ring: c.ring}, mux, sess)
-		if err != nil {
-			return nil, err
-		}
-		c.trackRetrier(cli)
-		return cli, nil
-	}
-	mode := core.OneAndHalfRounds
-	if c.cfg.Protocol == ContrarianTwoRound || c.cfg.Protocol == Cure {
-		mode = core.TwoRounds
-	}
-	cli, err := core.NewSessionClient(core.ClientConfig{
-		DC: dc, ID: id, NumDCs: c.cfg.DCs, Ring: c.ring, Mode: mode,
-	}, mux, sess)
-	if err != nil {
-		return nil, err
-	}
-	c.trackRetrier(cli)
-	return cli, nil
+	return c.newClient(dc, mux, tenant)
 }
 
 // TenantShed returns how many of tenant's requests the admission gate has
@@ -691,23 +503,29 @@ func (c *Cluster) TenantShed(tenant uint16) uint64 {
 	return c.net.AdmitStats().TenantShed(tenant)
 }
 
-// trackRetrier records a session for AdmissionView's retry aggregation
-// (closed sessions keep their counts readable).
-func (c *Cluster) trackRetrier(cli interface{ BusyRetries() uint64 }) {
-	c.retrierMu.Lock()
-	c.retriers = append(c.retriers, cli)
-	c.retrierMu.Unlock()
-}
-
 // ClientBusyRetries sums the Busy-retry counters of every session this
 // cluster created.
 func (c *Cluster) ClientBusyRetries() uint64 {
 	var sum uint64
-	c.retrierMu.Lock()
-	for _, cli := range c.retriers {
+	c.clientMu.Lock()
+	for _, cli := range c.clients {
 		sum += cli.BusyRetries()
 	}
-	c.retrierMu.Unlock()
+	c.clientMu.Unlock()
+	return sum
+}
+
+// fenceRetries sums the epoch-fence ROT retries of every session that
+// counts them (CC-LO's do).
+func (c *Cluster) fenceRetries() uint64 {
+	var sum uint64
+	c.clientMu.Lock()
+	for _, cli := range c.clients {
+		if f, ok := cli.(interface{ FenceRetries() uint64 }); ok {
+			sum += f.FenceRetries()
+		}
+	}
+	c.clientMu.Unlock()
 	return sum
 }
 
@@ -727,31 +545,6 @@ func (c *Cluster) Admission() AdmissionView {
 	}
 }
 
-// CCLOStats sums readers-check counters over every CC-LO server, plus the
-// epoch-fence retry counters of every CC-LO session this cluster created.
-func (c *Cluster) CCLOStats() cclo.StatsSnapshot {
-	var sum cclo.StatsSnapshot
-	for _, s := range c.ccloServers {
-		if s == nil {
-			continue
-		}
-		snap := s.Stats().Snapshot()
-		sum.Checks += snap.Checks
-		sum.KeysChecked += snap.KeysChecked
-		sum.PartitionsAsked += snap.PartitionsAsked
-		sum.IDsCumulative += snap.IDsCumulative
-		sum.IDsDistinct += snap.IDsDistinct
-		sum.CheckBytes += snap.CheckBytes
-		sum.ReplicationChecks += snap.ReplicationChecks
-	}
-	c.ccloClientMu.Lock()
-	for _, cli := range c.ccloClients {
-		sum.FenceRetries += cli.FenceRetries()
-	}
-	c.ccloClientMu.Unlock()
-	return sum
-}
-
 // Preload installs an initial version of every key directly into every
 // replica's store, bypassing the protocols. keysByPartition[p] must hold
 // keys owned by partition p (as built by workload.BuildKeySpace). Preloaded
@@ -768,31 +561,12 @@ func (c *Cluster) Preload(keysByPartition [][]string, valueSize int) error {
 	}
 	for dc := 0; dc < c.cfg.DCs; dc++ {
 		for p, keys := range keysByPartition {
-			idx := dc*c.cfg.Partitions + p
-			if c.cfg.Protocol == CCLO {
-				c.ccloServers[idx].Preload(keys, val)
-				continue
-			}
-			if c.cfg.Protocol == COPS {
-				c.copsServers[idx].Preload(keys, val)
-				continue
-			}
-			s := c.coreServers[idx]
-			dv := make([]uint64, c.cfg.DCs)
-			dv[0] = 1
-			for _, k := range keys {
-				s.Store().Install(k, mvstoreVersion(val, dv))
-			}
+			c.servers[dc*c.cfg.Partitions+p].Preload(keys, val)
 		}
 	}
 	return nil
 }
 
-// CoreServers exposes the timestamp-based servers (tests).
-func (c *Cluster) CoreServers() []*core.Server { return c.coreServers }
-
-// CCLOServers exposes the CC-LO servers (tests).
-func (c *Cluster) CCLOServers() []*cclo.Server { return c.ccloServers }
-
-// COPSServers exposes the COPS servers (tests).
-func (c *Cluster) COPSServers() []*cops.Server { return c.copsServers }
+// Servers exposes the partition servers, indexed dc*Partitions+p (tests
+// assert the concrete type where they probe a family's internals).
+func (c *Cluster) Servers() []Server { return c.servers }

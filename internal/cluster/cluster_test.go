@@ -11,12 +11,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mvstore"
 	"repro/internal/ring"
 	"repro/internal/transport"
 )
 
-var allProtocols = []Protocol{Contrarian, ContrarianTwoRound, Cure, CCLO, COPS}
+var allProtocols = Families()
 
 func testCtx(t *testing.T) context.Context {
 	t.Helper()
@@ -69,7 +68,7 @@ func TestStoreShardsKnob(t *testing.T) {
 	if _, err := Start(Config{StoreShards: 1 << 20, Latency: NoLatency()}); err == nil {
 		t.Fatal("StoreShards beyond store.MaxShards accepted")
 	}
-	for _, p := range []Protocol{Contrarian, CCLO, COPS} {
+	for _, p := range Families() {
 		t.Run(p.String(), func(t *testing.T) {
 			c := startCluster(t, Config{Protocol: p, Partitions: 1, StoreShards: 2, Latency: NoLatency()})
 			ctx := testCtx(t)
@@ -467,28 +466,11 @@ func TestConvergenceTwoDCs(t *testing.T) {
 				}
 				latest[key][server] = fmt.Sprintf("%d/%d/%s", ts, srcDC, val)
 			}
-			switch {
-			case p == CCLO:
-				for i, s := range c.CCLOServers() {
-					name := fmt.Sprintf("s%d", i)
-					s.ForEachLatest(func(k string, v []byte, ts uint64, srcDC uint8) {
-						record(name, k, ts, srcDC, v)
-					})
-				}
-			case p == COPS:
-				for i, s := range c.COPSServers() {
-					name := fmt.Sprintf("s%d", i)
-					s.ForEachLatest(func(k string, v []byte, ts uint64, srcDC uint8) {
-						record(name, k, ts, srcDC, v)
-					})
-				}
-			default:
-				for i, s := range c.CoreServers() {
-					name := fmt.Sprintf("s%d", i)
-					s.Store().ForEachLatest(func(k string, ver mvstore.Version) {
-						record(name, k, ver.TS, ver.SrcDC, ver.Value)
-					})
-				}
+			for i, s := range c.Servers() {
+				name := fmt.Sprintf("s%d", i)
+				s.ForEachLatest(func(k string, v []byte, ts uint64, srcDC uint8) {
+					record(name, k, ts, srcDC, v)
+				})
 			}
 			for key, per := range latest {
 				var want string
@@ -617,7 +599,7 @@ func TestManyClientsSmoke(t *testing.T) {
 // be is such a failure; with two DCs the built servers own replication
 // streams, whose stop used to wait for run loops that never ran.
 func TestStartFailureDoesNotHang(t *testing.T) {
-	for _, proto := range []Protocol{Contrarian, CCLO, COPS} {
+	for _, proto := range Families() {
 		t.Run(proto.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, "dc0-p1"), []byte("not a directory"), 0o644); err != nil {

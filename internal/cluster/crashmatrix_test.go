@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -61,7 +62,7 @@ func waitRemote(t *testing.T, cli Client, ctx context.Context, key string, want 
 // idempotent, so the store alone cannot distinguish one delivery from
 // five).
 func TestCrashMatrixPostFsyncPreReplicate(t *testing.T) {
-	for _, proto := range []Protocol{Contrarian, CCLO, COPS} {
+	for _, proto := range Families() {
 		t.Run(proto.String(), func(t *testing.T) {
 			t.Parallel()
 			c := startCluster(t, Config{
@@ -275,7 +276,7 @@ func TestCrashMatrixMidSnapshot(t *testing.T) {
 // holds nothing acknowledged; recovery must discard it and replay every
 // acknowledged write, for all three protocol families.
 func TestCrashMatrixMidRotateTornHeader(t *testing.T) {
-	for _, proto := range []Protocol{Contrarian, CCLO, COPS} {
+	for _, proto := range Families() {
 		t.Run(proto.String(), func(t *testing.T) {
 			t.Parallel()
 			c := startCluster(t, Config{
@@ -510,7 +511,7 @@ func TestSenderResumesAtReceiverCursor(t *testing.T) {
 	if c2-c1 > 100_000 {
 		t.Fatalf("post-restart cursor jumped %d → %d: wall-clock re-base is back?", c1, c2)
 	}
-	nextIn := c.CoreServers()[1].NextIn(0) // dc1-p0's dedup cursor for source DC0
+	nextIn := c.Servers()[1].(*core.Server).NextIn(0) // dc1-p0's dedup cursor for source DC0
 	if nextIn > 1_000_000 {
 		t.Fatalf("receiver dedup cursor %d: not ordinal", nextIn)
 	}

@@ -6,25 +6,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// slug is the Protocol's metric-label value: the figure name flattened to
-// the Prometheus label-value conventions (no spaces to quote in queries).
-func (p Protocol) slug() string {
-	switch p {
-	case Contrarian:
-		return "contrarian"
-	case ContrarianTwoRound:
-		return "contrarian2r"
-	case Cure:
-		return "cure"
-	case CCLO:
-		return "cclo"
-	case COPS:
-		return "cops"
-	default:
-		return "unknown"
-	}
-}
-
 // RegisterMetrics exposes the whole simulated cluster under one registry:
 // the shared transport, every partition server's per-op histograms,
 // replication-lag gauges and store occupancy, every WAL, and (for CC-LO)
@@ -37,7 +18,7 @@ func (p Protocol) slug() string {
 // restart partitions, so scrapes there stay live.
 func (c *Cluster) RegisterMetrics(r *metrics.Registry) {
 	c.net.Stats().Register(r)
-	fam := metrics.Label{Name: "family", Value: c.cfg.Protocol.slug()}
+	fam := metrics.Label{Name: "family", Value: c.cfg.Protocol.Slug()}
 	if c.cfg.AdmitLimit > 0 {
 		c.net.AdmitStats().Register(r, fam)
 		r.CounterFunc("kv_admission_client_retries_total",
@@ -52,30 +33,13 @@ func (c *Cluster) RegisterMetrics(r *metrics.Registry) {
 				{Name: "dc", Value: strconv.Itoa(dc)},
 				{Name: "partition", Value: strconv.Itoa(p)},
 			}
-			switch {
-			case c.coreServers != nil && c.coreServers[idx] != nil:
-				c.coreServers[idx].RegisterMetrics(r, labels...)
-			case c.ccloServers != nil && c.ccloServers[idx] != nil:
-				c.ccloServers[idx].RegisterMetrics(r, labels...)
-			case c.copsServers != nil && c.copsServers[idx] != nil:
-				c.copsServers[idx].RegisterMetrics(r, labels...)
+			if srv := c.servers[idx]; srv != nil {
+				srv.RegisterMetrics(r, labels...)
 			}
 			if l := c.logs[idx]; l != nil {
 				l.Stats().Register(r, labels...)
 			}
 		}
 	}
-	if c.cfg.Protocol == CCLO {
-		r.CounterFunc("kv_cclo_fence_retries_total",
-			"Client-side epoch-fence ROT retries, summed over all sessions.",
-			func() float64 {
-				var sum uint64
-				c.ccloClientMu.Lock()
-				for _, cli := range c.ccloClients {
-					sum += cli.FenceRetries()
-				}
-				c.ccloClientMu.Unlock()
-				return float64(sum)
-			}, fam)
-	}
+	c.registerFenceRetries(r, fam)
 }

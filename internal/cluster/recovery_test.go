@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cops"
 	"repro/internal/wire"
 )
 
@@ -54,7 +55,7 @@ func tearWALTail(t *testing.T, c *Cluster, dc, p int) {
 // write to come back with its original value AND timestamp — then require
 // the cluster to still be live for new writes.
 func TestCrashRecoveryDurable(t *testing.T) {
-	for _, proto := range []Protocol{Contrarian, CCLO, COPS} {
+	for _, proto := range Families() {
 		t.Run(proto.String(), func(t *testing.T) {
 			c := startCluster(t, Config{
 				Protocol:   proto,
@@ -109,7 +110,7 @@ func TestCrashRecoveryDurable(t *testing.T) {
 			if proto == COPS {
 				for key := range acked {
 					idx := c.Ring().Owner(key)
-					_, _, deps, ok := c.COPSServers()[idx].Latest(key)
+					_, _, deps, ok := c.Servers()[idx].(*cops.Server).Latest(key)
 					if !ok {
 						t.Fatalf("key %s missing before crash", key)
 					}
@@ -154,7 +155,7 @@ func TestCrashRecoveryDurable(t *testing.T) {
 			// COPS dependency lists must survive byte-for-byte.
 			for key, want := range wantDeps {
 				idx := c.Ring().Owner(key)
-				_, _, got, ok := c.COPSServers()[idx].Latest(key)
+				_, _, got, ok := c.Servers()[idx].(*cops.Server).Latest(key)
 				if !ok || len(got) != len(want) {
 					t.Fatalf("key %s deps after restart: %v, want %v", key, got, want)
 				}

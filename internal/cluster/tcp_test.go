@@ -7,8 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cclo"
-	"repro/internal/core"
 	"repro/internal/ring"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -67,135 +65,87 @@ func TestParseTopologyErrors(t *testing.T) {
 	}
 }
 
-// TestTCPDeployment runs a 2-partition Contrarian deployment over real TCP
-// sockets on localhost — the cmd/kvserver + cmd/kvctl path — and checks
-// basic causal operation.
+// TestTCPDeployment runs 1 DC x 2 partitions of every family over real TCP
+// sockets on localhost, assembled exactly as cmd/kvserver and cmd/kvctl
+// assemble it — Config.NewServer (plus NewStabilizer where the family has
+// one) and Config.NewClient over a TCP network — and checks basic causal
+// operation, including a cross-partition dependency (CC-LO's readers check
+// and COPS's dependency check then cross sockets).
 func TestTCPDeployment(t *testing.T) {
-	topo := &Topology{
-		DCs:        1,
-		Partitions: 2,
-		Directory: map[wire.Addr]string{
-			wire.ServerAddr(0, 0):  freeAddr(t),
-			wire.ServerAddr(0, 1):  freeAddr(t),
-			wire.StabilizerAddr(0): freeAddr(t),
-		},
-	}
-	net := transport.NewTCP(topo.Directory)
-	defer net.Close()
+	for _, proto := range Families() {
+		t.Run(proto.Slug(), func(t *testing.T) {
+			// Not parallel: freeAddr's ports are only reserved until the
+			// servers bind them, and sibling subtests would race for them.
+			cfg := Config{Protocol: proto, DCs: 1, Partitions: 2}
+			dir := map[wire.Addr]string{
+				wire.ServerAddr(0, 0):  freeAddr(t),
+				wire.ServerAddr(0, 1):  freeAddr(t),
+				wire.StabilizerAddr(0): freeAddr(t),
+			}
+			net := transport.NewTCP(dir)
+			defer net.Close()
+			for p := 0; p < cfg.Partitions; p++ {
+				s, err := cfg.NewServer(0, p, 0, nil, net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Start()
+				defer s.Close()
+			}
+			if proto.Stabilized() {
+				st, err := cfg.NewStabilizer(0, net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Start()
+				defer st.Close()
+			}
+			cli, err := cfg.NewClient(0, 900, net, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
 
-	for p := 0; p < 2; p++ {
-		s, err := core.NewServer(core.Config{
-			DC: 0, Part: p, NumDCs: 1, NumParts: 2, Clock: core.ClockHLC,
-		}, net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Start()
-		defer s.Close()
-	}
-	st, err := core.NewStabilizer(0, 2, 1, 2*time.Millisecond, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Start()
-	defer st.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			x, y := distinctPartKeys(ring.New(cfg.Partitions), "tcp")
+			if _, err := cli.Put(ctx, x, []byte("1")); err != nil {
+				t.Fatal(err)
+			}
+			// This PUT depends on x, which lives on the other partition.
+			if _, err := cli.Put(ctx, y, []byte("2")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := cli.Get(ctx, x); err != nil || string(got) != "1" {
+				t.Fatalf("Get over TCP returned %q, %v", got, err)
+			}
+			kvs, err := cli.ROT(ctx, []string{x, y, "tcp-missing"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(kvs[0].Value) != "1" || string(kvs[1].Value) != "2" || kvs[2].Value != nil {
+				t.Fatalf("ROT over TCP returned %q %q %q", kvs[0].Value, kvs[1].Value, kvs[2].Value)
+			}
 
-	cli, err := core.NewClient(core.ClientConfig{
-		DC: 0, ID: 900, NumDCs: 1, Ring: ring.New(2), Mode: core.OneAndHalfRounds,
-	}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if _, err := cli.Put(ctx, "tcp-a", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cli.Put(ctx, "tcp-b", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	kvs, err := cli.ROT(ctx, []string{"tcp-a", "tcp-b", "tcp-missing"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(kvs[0].Value) != "1" || string(kvs[1].Value) != "2" || kvs[2].Value != nil {
-		t.Fatalf("ROT over TCP returned %q %q %q", kvs[0].Value, kvs[1].Value, kvs[2].Value)
-	}
-
-	// Regression: a FRESH client whose first operation is a multi-partition
-	// ROT needs warmed return paths — without Warm, the non-coordinator
-	// partition cannot dial back and the ROT would time out.
-	fresh, err := core.NewClient(core.ClientConfig{
-		DC: 0, ID: 901, NumDCs: 1, Ring: ring.New(2), Mode: core.OneAndHalfRounds,
-	}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if err := fresh.Warm(ctx); err != nil {
-		t.Fatal(err)
-	}
-	kvs, err = fresh.ROT(ctx, []string{"tcp-a", "tcp-b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(kvs[0].Value) != "1" || string(kvs[1].Value) != "2" {
-		t.Fatalf("fresh-client ROT returned %q %q", kvs[0].Value, kvs[1].Value)
-	}
-}
-
-// TestTCPDeploymentCCLO exercises the CC-LO readers-check path over real
-// sockets, including a cross-partition dependency.
-func TestTCPDeploymentCCLO(t *testing.T) {
-	topo := &Topology{
-		DCs:        1,
-		Partitions: 2,
-		Directory: map[wire.Addr]string{
-			wire.ServerAddr(0, 0): freeAddr(t),
-			wire.ServerAddr(0, 1): freeAddr(t),
-		},
-	}
-	net := transport.NewTCP(topo.Directory)
-	defer net.Close()
-	for p := 0; p < 2; p++ {
-		s, err := cclo.NewServer(cclo.Config{DC: 0, Part: p, NumDCs: 1, NumParts: 2}, net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Start()
-		defer s.Close()
-	}
-	cli, err := cclo.NewClient(cclo.ClientConfig{DC: 0, ID: 905, Ring: ring.New(2)}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	r := ring.New(2)
-	x := "x"
-	y := ""
-	for i := 0; ; i++ {
-		y = strings.Repeat("y", i+1)
-		if r.Owner(y) != r.Owner(x) {
-			break
-		}
-	}
-	if _, err := cli.Put(ctx, x, []byte("X0")); err != nil {
-		t.Fatal(err)
-	}
-	// This PUT depends on x (cross-partition readers check over TCP).
-	if _, err := cli.Put(ctx, y, []byte("Y0")); err != nil {
-		t.Fatal(err)
-	}
-	kvs, err := cli.ROT(ctx, []string{x, y})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(kvs[0].Value) != "X0" || string(kvs[1].Value) != "Y0" {
-		t.Fatalf("ROT over TCP returned %q %q", kvs[0].Value, kvs[1].Value)
+			// Regression: a FRESH client whose first operation is a
+			// multi-partition ROT needs warmed return paths — without Warm,
+			// the non-coordinator partition cannot dial back and a 1 1/2-round
+			// ROT would time out.
+			fresh, err := cfg.NewClient(0, 901, net, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if err := fresh.Warm(ctx); err != nil {
+				t.Fatal(err)
+			}
+			kvs, err = fresh.ROT(ctx, []string{x, y})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(kvs[0].Value) != "1" || string(kvs[1].Value) != "2" {
+				t.Fatalf("fresh-client ROT returned %q %q", kvs[0].Value, kvs[1].Value)
+			}
+		})
 	}
 }

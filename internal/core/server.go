@@ -258,6 +258,25 @@ func (s *Server) Addr() wire.Addr { return s.node.Addr() }
 // Store exposes the underlying storage for tests and convergence checks.
 func (s *Server) Store() *mvstore.Store { return s.store }
 
+// Preload installs an initial version (ts 1, DC 0, depending on nothing,
+// so visible in any snapshot) of each key directly, bypassing the
+// protocol; used by benchmarks to stand up the data set.
+func (s *Server) Preload(keys []string, val []byte) {
+	dv := vclock.New(s.cfg.NumDCs)
+	dv[0] = 1
+	for _, k := range keys {
+		s.store.Install(k, mvstore.Version{Value: val, TS: 1, DV: dv})
+	}
+}
+
+// ForEachLatest visits every key's newest version (tests, convergence
+// checks).
+func (s *Server) ForEachLatest(fn func(key string, value []byte, ts uint64, srcDC uint8)) {
+	s.store.ForEachLatest(func(k string, v mvstore.Version) {
+		fn(k, v.Value, v.TS, v.SrcDC)
+	})
+}
+
 // Clock exposes the server clock for tests.
 func (s *Server) Clock() hlc.Clock { return s.clock }
 
