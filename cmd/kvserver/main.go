@@ -131,6 +131,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("kvserver: -stabilizer: %v", err)
 		}
+		if reg != nil {
+			st.RegisterMetrics(reg,
+				metrics.Label{Name: "family", Value: cfg.Protocol.Slug()},
+				metrics.Label{Name: "dc", Value: strconv.Itoa(*dc)})
+		}
 		st.Start()
 		closer = st
 		log.Printf("stabilizer for dc%d up (%d partitions, %d DCs)", *dc, topo.Partitions, topo.DCs)

@@ -230,9 +230,9 @@ func TestPlotSeriesEmpty(t *testing.T) {
 
 // TestRunWithRegistryExposesClusterSeries is the in-process version of the
 // CI observability smoke: a small durable 2-DC run with a registry attached
-// must expose every layer — transport, WAL, store, per-op histograms, and a
-// replication-lag gauge — in one Prometheus-parseable scrape, and a
-// zero-threshold slow-op ring must have captured traffic.
+// must expose every layer — transport, WAL, store, per-op histograms, a
+// replication-lag gauge and the stabilizers — in one Prometheus-parseable
+// scrape, and a zero-threshold slow-op ring must have captured traffic.
 func TestRunWithRegistryExposesClusterSeries(t *testing.T) {
 	o := tinyOpts()
 	wl := workload.Default(2, o.KeysPerPartition)
@@ -267,6 +267,10 @@ func TestRunWithRegistryExposesClusterSeries(t *testing.T) {
 		`kv_server_op_seconds_count{`,
 		`op="put"`,
 		"kv_replication_last_update_age_seconds{",
+		`kv_stabilizer_broadcasts_total{dc="0",family="contrarian",trigger="round"}`,
+		`kv_stabilizer_broadcasts_total{dc="1",family="contrarian",trigger="tick"}`,
+		"kv_stabilizer_report_age_seconds{",
+		"kv_stabilizer_reports_rejected_total{",
 	} {
 		if !strings.Contains(exp, want) {
 			t.Fatalf("scrape missing %q; exposition:\n%.2000s", want, exp)

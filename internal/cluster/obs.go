@@ -8,9 +8,9 @@ import (
 
 // RegisterMetrics exposes the whole simulated cluster under one registry:
 // the shared transport, every partition server's per-op histograms,
-// replication-lag gauges and store occupancy, every WAL, and (for CC-LO)
-// the aggregate client fence-retry counter. Series are labeled by family,
-// dc, and partition.
+// replication-lag gauges and store occupancy, every WAL, every DC's
+// stabilizer (the stabilized families) and (for CC-LO) the aggregate client
+// fence-retry counter. Series are labeled by family, dc, and partition.
 //
 // Call it at most once per cluster, after Start. Partition servers
 // restarted afterwards (crash tests) allocate fresh stats structs and
@@ -40,6 +40,9 @@ func (c *Cluster) RegisterMetrics(r *metrics.Registry) {
 				l.Stats().Register(r, labels...)
 			}
 		}
+	}
+	for dc, st := range c.stabs {
+		st.RegisterMetrics(r, fam, metrics.Label{Name: "dc", Value: strconv.Itoa(dc)})
 	}
 	c.registerFenceRetries(r, fam)
 }

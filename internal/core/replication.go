@@ -146,9 +146,11 @@ func (r *replicator) enqueue(u wire.Update, durable *atomic.Bool) {
 // not committed yet, and the cut is clamped below that update's timestamp:
 // updates are enqueued in timestamp order inside the fence, so everything
 // below the clamp is in this or an earlier batch, and nothing the origin
-// could still lose is ever shipped. A fully drained queue cuts at the
-// current clock reading (safe because enqueueing is atomic with timestamp
-// assignment under putMu).
+// could still lose is ever shipped. A fully drained queue cuts just BELOW
+// the current clock reading (enqueueing is atomic with timestamp assignment
+// under putMu, and no later event is timestamped below a reading) — not at
+// it: Now() creates no event, so an HLC does not record what it returned and
+// a PUT entering the fence in the same microsecond gets that very timestamp.
 //
 // Each gate is read ONCE: a gate can flip durable at any instant (the WAL's
 // commit path does not take putMu), so whether the drain stopped at an
@@ -170,7 +172,11 @@ func (st *repStream) cut() ([]wire.Update, uint64) {
 	st.queue = st.queue[k:]
 	if len(st.queue) == 0 {
 		st.queue = nil // release the drained backing array eventually
-		return batch, st.s.clock.Now()
+		high := max(st.s.clock.Now(), 1) - 1
+		if k > 0 {
+			high = max(high, batch[k-1].TS) // the reading may BE the last update's event
+		}
+		return batch, high
 	}
 	if k < n {
 		// Blocked on an in-flight (or failed) group commit: the cut must

@@ -36,8 +36,8 @@ func TestCutReadsUndurableHeadOnce(t *testing.T) {
 		t.Fatalf("cut read the head's flag %d times, want once", head.loads)
 	}
 	batch, high = st.cut()
-	if len(batch) != 2 || batch[0].TS != 10 || high != 20 {
-		t.Fatalf("next cut = %d updates, HighTS %d; want both, cut at the clock (20)", len(batch), high)
+	if len(batch) != 2 || batch[0].TS != 10 || high != 19 {
+		t.Fatalf("next cut = %d updates, HighTS %d; want both, cut just below the clock (19)", len(batch), high)
 	}
 }
 
@@ -50,5 +50,31 @@ func TestCutFullBatchCutsAtItsLastUpdate(t *testing.T) {
 	}}
 	if batch, high := st.cut(); len(batch) != 2 || high != 11 {
 		t.Fatalf("full batch = %d updates, HighTS %d; want 2 cut at 11", len(batch), high)
+	}
+}
+
+// TestCutOfDrainedQueueStaysBelowNextPut: the cut of a drained queue must be
+// strictly below every later PUT, also one that enters the fence within the
+// same microsecond. Cutting AT clock.Now() was not: an HLC's Now does not
+// record its reading, so the next Tick on an unmoved source returned the
+// HighTS already shipped, and with three DCs a version depending on that PUT
+// could become visible one heartbeat before the PUT itself arrived. A cut
+// that drained updates still covers the last of them.
+func TestCutOfDrainedQueueStaysBelowNextPut(t *testing.T) {
+	var src hlc.ManualSource
+	src.Set(1000)
+	s := &Server{cfg: Config{RepBatchMax: 8}, clock: hlc.NewHLC(src.Now)}
+	st := &repStream{s: s}
+	_, high := st.cut()
+	ts := s.clock.Tick()
+	if ts <= high {
+		t.Fatalf("PUT after an empty cut got ts %d, not above the shipped HighTS %d", ts, high)
+	}
+	st.queue = []repUpdate{{Update: wire.Update{TS: ts}}}
+	if batch, high := st.cut(); len(batch) != 1 || high != ts {
+		t.Fatalf("cut after that PUT = %d updates, HighTS %d; want it shipped and covered (%d)", len(batch), high, ts)
+	}
+	if next := s.clock.Tick(); next <= ts {
+		t.Fatalf("next PUT got ts %d, not above %d", next, ts)
 	}
 }

@@ -70,7 +70,7 @@ func (l LatencyModel) Delay(src, dst wire.Addr) time.Duration {
 // granularity (≥1 ms on this class of machine) would swamp the sub-ms LAN
 // latencies under study. Instead, sharded delivery wheels block on a
 // channel while idle and spin only when the next delivery is imminent,
-// giving microsecond-accurate injection (see DESIGN.md).
+// giving microsecond-accurate injection (README, "Transport batching").
 type Local struct {
 	latency    LatencyModel
 	pol        BatchPolicy
