@@ -6,8 +6,9 @@
 //	go test -bench=Figure -benchmem .
 //
 // For full-scale reproductions (longer sweeps, more clients, paper-scale
-// key counts) use cmd/benchfig; EXPERIMENTS.md records a reference run and
-// compares the shapes against the paper's claims.
+// key counts) use cmd/benchfig (README, "Reproducing the paper's figures");
+// benchmark/results/ holds the committed reference runs of the gated
+// benchmark and README compares their shapes against the paper's claims.
 package causalkv_test
 
 import (

@@ -1,6 +1,7 @@
 // Command benchfig regenerates the tables and figures of the paper's
 // evaluation (Section 5). Each figure prints the same series the paper
-// plots; EXPERIMENTS.md records a reference run.
+// plots; README "Reproducing the paper's figures" lists them and
+// benchmark/results/ holds the committed reference runs.
 //
 // Usage:
 //
@@ -13,7 +14,6 @@
 //	benchfig -fig values       # §5.8 (value size sweep)
 //	benchfig -fig table2       # Table 2 (systems characterization)
 //	benchfig -fig wal          # durability: WAL off vs sync vs async
-//	benchfig -fig transport    # batching engine: greedy vs adaptive flush
 //	benchfig -fig store        # storage engine vs pre-refactor baseline (10M keys)
 //	benchfig -fig overload     # admission control: ungated vs gated past saturation
 //	benchfig -fig sessions     # session mux: per-client endpoints vs multiplexed sessions
@@ -21,8 +21,7 @@
 //
 // Scale knobs: -partitions, -keys, -clients, -duration, -warmup, -paper.
 // With -json FILE, the measured series of the run are additionally written
-// as JSON (CI archives the transport figure this way so future changes
-// have a perf trajectory to compare against).
+// as JSON (CI archives the store and sessions figures this way).
 package main
 
 import (
@@ -39,7 +38,7 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure to reproduce: 4,5,6,7a,7b,8,9,values,compare,ablation,table2,wal,transport,store,overload,sessions,all")
+		fig        = flag.String("fig", "all", "figure to reproduce: 4,5,6,7a,7b,8,9,values,compare,ablation,table2,wal,store,overload,sessions,all")
 		partitions = flag.Int("partitions", 8, "partitions per DC")
 		keys       = flag.Int("keys", 20000, "keys per partition")
 		clientsCSV = flag.String("clients", "4,16,64,192", "comma-separated clients/DC sweep")
@@ -182,13 +181,6 @@ func main() {
 	if *fig == "overload" {
 		run("overload admission", func() error {
 			series, err := bench.FigureOverload(o, 2)
-			collected = append(collected, series...)
-			return err
-		})
-	}
-	if want("transport") {
-		run("transport flush policies", func() error {
-			series, err := bench.FigureTransport(o, 1)
 			collected = append(collected, series...)
 			return err
 		})

@@ -40,10 +40,6 @@ type System struct {
 	// written; fsync within the loss window) — the measurable
 	// latency/durability trade-off.
 	WALSync wal.SyncMode
-	// FlushBudget is the transport's adaptive flush latency budget
-	// (0 = default ~200µs, negative = greedy drain) — the measurable
-	// latency/coalescing trade-off of the batching engine.
-	FlushBudget time.Duration
 	// AdmitLimit enables client admission control (0 = disabled, the
 	// default for every paper figure): the per-server cap on concurrently
 	// running client handlers; excess client requests are shed with Busy
@@ -229,7 +225,6 @@ func Run(sys System, spec RunSpec) (Point, error) {
 		Seed:            1,
 		DataDir:         sys.DataDir,
 		WALSync:         sys.WALSync,
-		FlushBudget:     sys.FlushBudget,
 		Slow:            spec.Slow,
 		AdmitLimit:      sys.AdmitLimit,
 		ShedQueueFrames: sys.ShedQueueFrames,

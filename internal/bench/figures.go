@@ -390,43 +390,6 @@ func FigureWAL(o Opts, dataDir string) ([]Series, error) {
 	return out, nil
 }
 
-// FigureTransport is the batching-engine extension table: Contrarian under
-// the default workload with the transport's flush policy swept from greedy
-// drain (the seed behavior, budget off) through the adaptive default to a
-// deliberately loose budget, so the latency/coalescing trade-off — frames
-// per flush vs p99 enqueue→flush delay — is measured side by side. Run on
-// the Local simulator, whose delivery wheels share the same engine, so the
-// flush columns describe exactly what a TCP deployment's writer does.
-func FigureTransport(o Opts, dcs int) ([]Series, error) {
-	o.printHeader(fmt.Sprintf("Transport: greedy vs adaptive flush (Contrarian, %d DC)", dcs))
-	budgets := []struct {
-		label  string
-		budget time.Duration
-	}{
-		{"greedy (no budget)", -1},
-		{"adaptive 200µs", 0}, // 0 resolves to the default budget
-		{"adaptive 1ms", time.Millisecond},
-	}
-	var out []Series
-	for _, b := range budgets {
-		sys := System{
-			Protocol: cluster.Contrarian, DCs: dcs, Partitions: o.Partitions,
-			MaxSkew: o.MaxSkew, FlushBudget: b.budget,
-		}
-		s, err := Sweep(sys, o.defaultWorkload(), o.Clients, o.Duration, o.Warmup)
-		if err != nil {
-			return out, err
-		}
-		s.Label = b.label
-		for i := range s.Points {
-			s.Points[i].System = b.label
-		}
-		o.printSeries(s)
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // FigureOverload is the admission-control extension table: Contrarian
 // driven far past saturation with and without the client admission gate.
 // The claim under test is the overload-safety property, not a paper

@@ -13,7 +13,8 @@
 // discarded. A snapshot read that would have needed a discarded version
 // falls back to the oldest retained one and the store counts the event, so
 // benchmarks can verify the approximation never matters at the GSS lags the
-// protocols sustain (it does not; see mvstore tests and EXPERIMENTS.md).
+// protocols sustain (it does not; see mvstore tests and the zero-violation
+// checker verdicts in benchmark/results/).
 package mvstore
 
 import (

@@ -25,13 +25,13 @@ import (
 // few live readings. Extra holds deployment-specific fields (topology
 // path, WAL mode, restart epoch, ...).
 type Status struct {
-	Protocol  string            `json:"protocol"`
-	DC        int               `json:"dc"`
-	Partition int               `json:"partition"`
-	NumDCs    int               `json:"num_dcs"`
-	NumParts  int               `json:"num_partitions"`
-	StartedAt time.Time         `json:"started_at"`
-	UptimeSec float64           `json:"uptime_sec"`
+	Protocol  string    `json:"protocol"`
+	DC        int       `json:"dc"`
+	Partition int       `json:"partition"`
+	NumDCs    int       `json:"num_dcs"`
+	NumParts  int       `json:"num_partitions"`
+	StartedAt time.Time `json:"started_at"`
+	UptimeSec float64   `json:"uptime_sec"`
 	// Overload is the admission-control verdict: "" when admission is
 	// disabled, "admitting" while client load fits the gate, "shedding"
 	// while the gate is refusing client requests.

@@ -3,7 +3,6 @@ package transport
 import (
 	"container/heap"
 	"context"
-	"errors"
 	"math"
 	"math/rand/v2"
 	"runtime"
@@ -193,9 +192,9 @@ func (l *Local) Stats() *Stats { return &l.stats }
 func (l *Local) AdmitStats() *AdmitStats { return &l.admitStats }
 
 // SetAdmission configures client admission control for nodes attached
-// AFTER the call, exactly as on the TCP transport: each server-address
-// node gets its own gate, applied only to requests whose source carries
-// the client flag. Call it before attaching servers.
+// AFTER the call: each server-address node gets its own gate, applied only
+// to requests whose source carries the client flag (endpoint.route). Call
+// it before attaching servers.
 func (l *Local) SetAdmission(cfg AdmitConfig) {
 	l.mu.Lock()
 	l.admit = cfg
@@ -222,10 +221,9 @@ func (l *Local) Attach(addr wire.Addr, h Handler) (Node, error) {
 }
 
 // AttachMux registers addr as a multiplexed client endpoint. The simulator
-// has no sockets, so the pool size is ignored, but sessions travel the
-// same envelope fields and demultiplex through the same per-session
-// handler routing as on TCP — internal/check exercises the mux paths on
-// this transport.
+// has no sockets, so the pool size is ignored; sessions are the endpoint's
+// own (endpoint.go), the code a TCP mux runs — internal/check exercises the
+// mux paths on this transport.
 func (l *Local) AttachMux(addr wire.Addr, _ int) (Mux, error) {
 	return l.attach(addr, nil)
 }
@@ -239,7 +237,8 @@ func (l *Local) attach(addr wire.Addr, h Handler) (*localNode, error) {
 	if _, dup := l.nodes[addr]; dup {
 		return nil, ErrAttached
 	}
-	n := &localNode{net: l, addr: addr, h: h, stop: make(chan struct{})}
+	n := &localNode{net: l, endpoint: endpoint{addr: addr, h: h, stats: &l.stats, pool: 1, stop: make(chan struct{})}}
+	n.self, n.carry = n, n.send
 	if addr.IsServer() && l.admit.Enabled() {
 		n.gate = NewAdmitGate(l.admit, &l.admitStats)
 	}
@@ -256,7 +255,7 @@ func (l *Local) Close() error {
 	}
 	l.closed = true
 	for a, n := range l.nodes {
-		n.shutdown()
+		n.shut()
 		delete(l.nodes, a)
 	}
 	l.mu.Unlock()
@@ -313,74 +312,26 @@ func (l *Local) dispatch(f *wire.FrameBuf) {
 		dst.deliverResponse(env)
 		return
 	}
-	// Demultiplex direct pushes to a registered session exactly as the TCP
-	// read loop does: the session's handler runs against the session node,
-	// and src carries no session (the id was the frame's destination).
-	node, h, src := Node(dst), dst.h, wire.From{Addr: env.Src, Sess: env.Session}
-	if env.Session != 0 {
-		if s, ok := dst.sessions.Load(uint32(env.Session)); ok {
-			ls := s.(*localSession)
-			node, h, src = ls, ls.h, wire.At(env.Src)
-		}
-	}
-	if h == nil {
-		// Mux endpoint, no live session for the frame: drop with accounting.
-		l.stats.Dropped.Add(1)
-		wire.Recycle(env.Msg)
+	in, ok := dst.route(env)
+	if !ok {
 		return
 	}
-	// Client admission control, mirroring tcpNode.dispatch: shed excess
-	// client load with a typed Busy; cluster-sourced traffic is never
-	// gated (handlers may park on cluster state, and the message that
-	// unblocks them must always dispatch). Shedding here runs on this
-	// dispatch goroutine — Local already pays one goroutine per frame, so
-	// there is no read path to protect — while parked requests resume on a
-	// gate-spawned goroutine when a token frees.
-	if dst.gate != nil && env.Src.IsClient() {
-		exec := func() {
-			h.Handle(node, src, env.ReqID, env.Msg)
-			wire.Recycle(env.Msg)
-			dst.gate.Release()
-		}
-		switch dst.gate.Submit(env.Session.Tenant(), exec, func() {
-			wire.Recycle(env.Msg)
-			l.stats.Dropped.Add(1)
-		}) {
+	// Shedding runs inline on this dispatch goroutine — Local already pays
+	// one goroutine per frame, so there is no read path to protect — while
+	// parked requests resume on a gate-spawned goroutine when a token frees.
+	if in.gate != nil {
+		switch in.gate.Submit(env.Session.Tenant(), in.run, func() { dst.drop(env.Msg) }) {
 		case AdmitShed:
-			l.shed(dst, env)
+			if note, ok := dst.shedNote(env); ok {
+				dst.sendBusy(note)
+			}
 			return
 		case AdmitQueued:
 			return
 		case AdmitGranted:
 		}
-		exec()
-		return
 	}
-	h.Handle(node, src, env.ReqID, env.Msg)
-	wire.Recycle(env.Msg)
-}
-
-// shed answers one declined client request with Busy (or drops it with
-// accounting when it is neither awaited nor correlated).
-func (l *Local) shed(dst *localNode, env *wire.Envelope) {
-	reqID, echo := env.ReqID, uint64(0)
-	if reqID == 0 {
-		corr, ok := env.Msg.(wire.Correlated)
-		if !ok {
-			wire.Recycle(env.Msg)
-			l.stats.Dropped.Add(1)
-			return
-		}
-		echo = corr.CorrelationID()
-	}
-	wire.Recycle(env.Msg)
-	hint := busyHintMicros(dst.gate, env.Session.Tenant())
-	to := wire.From{Addr: env.Src, Sess: env.Session}
-	if reqID != 0 {
-		_ = dst.Respond(to, reqID, &wire.Busy{RetryAfterMicros: hint})
-	} else {
-		_ = dst.SendTo(to, &wire.Busy{Echo: echo, RetryAfterMicros: hint})
-	}
+	in.run()
 }
 
 // delivery is one in-flight coalesced batch.
@@ -469,73 +420,21 @@ func (w *wheel) run() {
 	}
 }
 
+// localNode is an endpoint whose carrier is the simulated network: frames
+// leave through the per-link batchers and arrive on a goroutine each.
 type localNode struct {
-	net    *Local
-	addr   wire.Addr
-	h      Handler    // nil for mux endpoints
-	gate   *AdmitGate // client admission gate; nil unless SetAdmission enabled it
-	closed atomic.Bool
-
-	// sessions holds the registered logical sessions of a mux endpoint
-	// (uint32(wire.SessionID) → *localSession); empty on plain nodes.
-	sessions sync.Map
-
-	// stop fires when the node (or its network) closes, so Calls waiting
-	// on responses that can never arrive — dispatch drops in-flight
-	// messages at close — abort promptly instead of riding out their ctx.
-	stop     chan struct{}
-	stopOnce sync.Once
-
-	reqSeq  atomic.Uint64
-	pending sync.Map // reqID -> chan *wire.Envelope
+	endpoint
+	net *Local
 }
 
-// shutdown marks the node closed, drains the admission gate's park queues,
-// and releases its waiting Calls and sessions.
-func (n *localNode) shutdown() {
-	n.closed.Store(true)
-	n.stopOnce.Do(func() { close(n.stop) })
-	if n.gate != nil {
-		n.gate.Close()
-	}
-	n.sessions.Range(func(k, s any) bool {
-		if !s.(*localSession).closed.Swap(true) {
-			n.net.stats.Sessions.Add(-1)
-		}
-		n.sessions.Delete(k)
-		return true
-	})
-}
-
-func (n *localNode) Addr() wire.Addr { return n.addr }
-
-// Session registers a logical session on this endpoint, mirroring the TCP
-// mux: frames the session sends carry its id, and inbound one-way frames
-// carrying the id reach h.
-func (n *localNode) Session(id wire.SessionID, h Handler) (Session, error) {
-	if id == 0 {
-		return nil, errors.New("transport: zero session id")
-	}
-	if n.closed.Load() {
-		return nil, ErrClosed
-	}
-	s := &localSession{n: n, id: id, h: h}
-	if _, dup := n.sessions.LoadOrStore(uint32(id), s); dup {
-		return nil, ErrAttached
-	}
-	n.net.stats.Sessions.Add(1)
-	return s, nil
-}
-
-func (n *localNode) send(ctx context.Context, env *wire.Envelope) error {
-	if n.closed.Load() {
-		return ErrClosed
-	}
+// send is the endpoint's carry: it marshals env, applies the loss model and
+// commits the frame to the src→dst link.
+func (n *localNode) send(ctx context.Context, env wire.Envelope, _ uint8) error {
 	f := wire.GetFrame()
-	f.Envelope(env)
+	f.Envelope(&env)
 	bytes := uint64(len(f.B))
 	if n.net.dropMsg(env.Src, env.Dst) {
-		n.net.stats.Dropped.Add(1)
+		n.stats.Dropped.Add(1)
 		wire.PutFrame(f) // lost in flight; sender cannot tell
 	} else {
 		b, err := n.net.link(env.Src, env.Dst)
@@ -554,150 +453,16 @@ func (n *localNode) send(ctx context.Context, env *wire.Envelope) error {
 	// Counted only once the message is committed to the network (or
 	// charged as lost in flight), matching the TCP path: sends aborted by
 	// shutdown must not inflate the traffic metrics benchmarks report.
-	n.net.stats.MsgsSent.Add(1)
-	n.net.stats.BytesSent.Add(bytes)
+	n.stats.MsgsSent.Add(1)
+	n.stats.BytesSent.Add(bytes)
 	return nil
-}
-
-// Send delivers a one-way message. Backpressure from a full link queue
-// blocks until the link or network closes.
-func (n *localNode) Send(dst wire.Addr, m wire.Message) error {
-	return n.send(context.Background(), &wire.Envelope{Src: n.addr, Dst: dst, Msg: m})
-}
-
-// SendTo delivers a one-way message to a full destination, stamping the
-// target session so a multiplexed client can demultiplex the push.
-func (n *localNode) SendTo(to wire.From, m wire.Message) error {
-	return n.send(context.Background(), &wire.Envelope{Src: n.addr, Dst: to.Addr, Session: to.Sess, Msg: m})
-}
-
-// Respond answers request reqID at the full origin to.
-func (n *localNode) Respond(to wire.From, reqID uint64, m wire.Message) error {
-	return n.send(context.Background(), &wire.Envelope{Src: n.addr, Dst: to.Addr, Session: to.Sess, ReqID: reqID, Resp: true, Msg: m})
-}
-
-// Call sends a request and waits for the matching response.
-func (n *localNode) Call(ctx context.Context, dst wire.Addr, m wire.Message) (wire.Message, error) {
-	return n.call(ctx, dst, m, 0)
-}
-
-// call is the shared Call engine: sessions stamp their id into the request
-// envelope but share the node's request-id space and pending table, so
-// responses demultiplex by reqID alone.
-func (n *localNode) call(ctx context.Context, dst wire.Addr, m wire.Message, sess wire.SessionID) (wire.Message, error) {
-	id := n.reqSeq.Add(1)
-	ch := make(chan *wire.Envelope, 1)
-	n.pending.Store(id, ch)
-	defer n.pending.Delete(id)
-	err := n.send(ctx, &wire.Envelope{Src: n.addr, Dst: dst, Session: sess, ReqID: id, Msg: m})
-	if err != nil {
-		return nil, err
-	}
-	select {
-	case env := <-ch:
-		return unwrapResp(env)
-	case <-n.stop:
-		// Node (or network) shut down while waiting; dispatch drops
-		// in-flight messages, so no further response can arrive. Prefer
-		// one that already did (select picks ready cases at random) over
-		// reporting a completed operation as failed.
-		select {
-		case env := <-ch:
-			return unwrapResp(env)
-		default:
-		}
-		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// deliverResponse hands a response to its waiting Call. A response nobody
-// is waiting for — the Call's ctx expired and deleted the pending entry,
-// or a duplicate already filled the channel — must still be accounted and
-// its pooled message recycled; silently discarding it leaked pool capacity
-// and hid the drop from the stats.
-func (n *localNode) deliverResponse(env *wire.Envelope) {
-	if ch, ok := n.pending.Load(env.ReqID); ok {
-		select {
-		case ch.(chan *wire.Envelope) <- env:
-			return
-		default: // duplicate response
-		}
-	}
-	n.net.stats.Dropped.Add(1)
-	wire.Recycle(env.Msg)
 }
 
 // Close detaches the node from the network.
 func (n *localNode) Close() error {
-	n.shutdown()
+	n.shut()
 	n.net.mu.Lock()
 	delete(n.net.nodes, n.addr)
 	n.net.mu.Unlock()
-	return nil
-}
-
-// localSession is one logical session on a mux endpoint, mirroring
-// tcpSession: it shares the endpoint's request-id space and pending table,
-// stamps its id into outbound envelopes, and receives inbound pushes
-// addressed to the id.
-type localSession struct {
-	n      *localNode
-	id     wire.SessionID
-	h      Handler
-	closed atomic.Bool
-}
-
-func (s *localSession) Addr() wire.Addr    { return s.n.addr }
-func (s *localSession) ID() wire.SessionID { return s.id }
-
-// env builds a session-stamped envelope toward to (an explicit session in
-// to wins over the session's own id, as on TCP).
-func (s *localSession) env(to wire.From, reqID uint64, resp bool, m wire.Message) *wire.Envelope {
-	sess := s.id
-	if to.Sess != 0 {
-		sess = to.Sess
-	}
-	return &wire.Envelope{Src: s.n.addr, Dst: to.Addr, Session: sess, ReqID: reqID, Resp: resp, Msg: m}
-}
-
-// Send delivers a one-way message carrying the session id.
-func (s *localSession) Send(dst wire.Addr, m wire.Message) error {
-	return s.SendTo(wire.At(dst), m)
-}
-
-// SendTo delivers a one-way message to a full destination.
-func (s *localSession) SendTo(to wire.From, m wire.Message) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return s.n.send(context.Background(), s.env(to, 0, false, m))
-}
-
-// Respond answers request reqID at to.
-func (s *localSession) Respond(to wire.From, reqID uint64, m wire.Message) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return s.n.send(context.Background(), s.env(to, reqID, true, m))
-}
-
-// Call sends a request and waits for the matching response.
-func (s *localSession) Call(ctx context.Context, dst wire.Addr, m wire.Message) (wire.Message, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	return s.n.call(ctx, dst, m, s.id)
-}
-
-// Close deregisters the session; in-flight pushes to it are dropped with
-// accounting (and their pooled messages recycled) by dispatch.
-func (s *localSession) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	s.n.sessions.Delete(uint32(s.id))
-	s.n.net.stats.Sessions.Add(-1)
 	return nil
 }

@@ -260,17 +260,15 @@ func TestLocalTenantFairness(t *testing.T) {
 	testTenantFairness(t, net, net.AdmitStats(), func() { net.Close() })
 }
 
-// TestTCPSessionTeardownRecycles extends the counting-Reset probe to
-// session teardown: a pooled one-way push delivered to a live session is
-// recycled after its handler returns, and one arriving after the session
-// closed takes the dropped path — which must also recycle, or teardown
-// leaks every in-flight pooled message of a departing session.
-func TestTCPSessionTeardownRecycles(t *testing.T) {
+// testSessionTeardownRecycles extends the counting-Reset probe to session
+// teardown: a pooled one-way push delivered to a live session is recycled
+// after its handler returns, and one arriving after the session closed
+// takes the dropped path — which must also recycle, or teardown leaks every
+// in-flight pooled message of a departing session.
+func testSessionTeardownRecycles(t *testing.T, net Network, stats *Stats, done func()) {
+	t.Helper()
+	defer done()
 	srv := wire.ServerAddr(0, 0)
-	dir := map[wire.Addr]string{srv: freeAddr(t)}
-	net := NewTCP(dir)
-	defer net.Close()
-
 	var echo echoHandler
 	sn, err := net.Attach(srv, &echo)
 	if err != nil {
@@ -309,15 +307,25 @@ func TestTCPSessionTeardownRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	before = probeResets.Load()
-	drops := net.Stats().Dropped.Load()
+	drops := stats.Dropped.Load()
 	if err := sn.SendTo(to, &probeMsg{N: 43}); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "post-teardown probe to be dropped", func() bool { return net.Stats().Dropped.Load() > drops })
+	waitUntil(t, "post-teardown probe to be dropped", func() bool { return stats.Dropped.Load() > drops })
 	waitUntil(t, "post-teardown probe recycle", func() bool { return probeResets.Load() > before })
 	if got.Load() != 1 {
 		t.Fatalf("closed session still received a push (%d deliveries)", got.Load())
 	}
+}
+
+func TestTCPSessionTeardownRecycles(t *testing.T) {
+	net := NewTCP(map[wire.Addr]string{wire.ServerAddr(0, 0): freeAddr(t)})
+	testSessionTeardownRecycles(t, net, net.Stats(), func() { net.Close() })
+}
+
+func TestLocalSessionTeardownRecycles(t *testing.T) {
+	net := NewLocal(LatencyModel{})
+	testSessionTeardownRecycles(t, net, net.Stats(), func() { net.Close() })
 }
 
 // TestTCPThousandSessionsSocketBound is the connection-scale property: a

@@ -132,16 +132,14 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 	// full would spill despite the idle worker.
 	workers := handlerWorkers()
 	n := &tcpNode{
-		t:     t,
-		addr:  addr,
-		h:     h,
-		pool:  uint8(pool),
-		conns:   make(map[connKey]*tcpConn),
-		all:     make(map[*tcpConn]struct{}),
-		dialing: make(map[connKey]chan struct{}),
-		workq: make(chan inbound, max(handlerQueueLen, workers)),
-		stop:  make(chan struct{}),
+		endpoint: endpoint{addr: addr, h: h, stats: &t.stats, pool: uint8(pool), stop: make(chan struct{})},
+		t:        t,
+		conns:    make(map[connKey]*tcpConn),
+		all:      make(map[*tcpConn]struct{}),
+		dialing:  make(map[connKey]chan struct{}),
+		workq:    make(chan inbound, max(handlerQueueLen, workers)),
 	}
+	n.self, n.carry = n, n.send
 	if addr.IsServer() && t.admit.Enabled() {
 		n.gate = NewAdmitGate(t.admit, &t.admitStats)
 		n.shedq = make(chan shedNote, shedQueueLen)
@@ -280,31 +278,6 @@ func (s *tcpSink) WriteBatch(frames []*wire.FrameBuf) error {
 	return err
 }
 
-// inbound is one request waiting for a handler worker: the handler and
-// node to run it against (a session's own when the frame was a direct push
-// to a registered session, the endpoint's otherwise), the full origin, and
-// — when non-nil — the admission gate whose token the request was admitted
-// under; whoever runs the handler releases it after Handle returns.
-type inbound struct {
-	node  Node
-	h     Handler
-	src   wire.From
-	reqID uint64
-	msg   wire.Message
-	gate  *AdmitGate
-}
-
-// shedNote queues one shed client request for the Busy responder: either a
-// reqID to respond to, or (one-way correlated requests) an echo id. sess
-// routes the Busy back to the right session and keys the retry-after hint
-// to the tenant's queue pressure.
-type shedNote struct {
-	src   wire.Addr
-	sess  wire.SessionID
-	reqID uint64
-	echo  uint64
-}
-
 // connKey routes outbound frames: the destination endpoint plus the pool
 // slot. Plain nodes and learned (accepted) connections always use slot 0;
 // a mux spreads its sessions over slots [0, pool).
@@ -313,55 +286,27 @@ type connKey struct {
 	slot uint8
 }
 
+// tcpNode is an endpoint whose carrier is real sockets: frames leave
+// through a pool of connections per destination (pool is that pool's size,
+// 1 for plain nodes) and inbound requests run on a worker pool.
 type tcpNode struct {
-	t    *TCP
-	addr wire.Addr
-	h    Handler // nil for mux endpoints
-	pool uint8   // socket pool size per destination (1 for plain nodes)
-	ln   net.Listener
+	endpoint
+	t  *TCP
+	ln net.Listener
 
-	// gate, when non-nil, admission-controls client-sourced requests;
-	// shedq feeds the Busy responder goroutine.
-	gate  *AdmitGate
+	// shedq feeds the Busy responder goroutine (gated nodes only): a shed
+	// is answered off the read path, so a congested send path can never
+	// park the readLoop behind a Busy write.
 	shedq chan shedNote
 
 	mu      sync.Mutex
-	conns   map[connKey]*tcpConn     // routable by learned/dialed peer + slot
-	all     map[*tcpConn]struct{}    // every live conn, learned or not
+	conns   map[connKey]*tcpConn      // routable by learned/dialed peer + slot
+	all     map[*tcpConn]struct{}     // every live conn, learned or not
 	dialing map[connKey]chan struct{} // single-flight latches for in-progress dials
-
-	// sessions holds the registered logical sessions of a mux endpoint
-	// (uint32(wire.SessionID) → *tcpSession); empty on plain nodes.
-	sessions sync.Map
 
 	workq chan inbound
 	idle  atomic.Int64 // workers ready to receive minus requests queued for them
-	stop  chan struct{}
 	wg    sync.WaitGroup
-
-	reqSeq  atomic.Uint64
-	pending sync.Map // reqID -> chan *wire.Envelope
-	closed  atomic.Bool
-}
-
-func (n *tcpNode) Addr() wire.Addr { return n.addr }
-
-// Session registers a logical session on this endpoint. Sessions share the
-// node's sockets, request-id space, and worker pool; frames the session
-// sends carry its id, and inbound one-way frames carrying the id reach h.
-func (n *tcpNode) Session(id wire.SessionID, h Handler) (Session, error) {
-	if id == 0 {
-		return nil, fmt.Errorf("transport: zero session id")
-	}
-	if n.closed.Load() {
-		return nil, ErrClosed
-	}
-	s := &tcpSession{n: n, id: id, h: h}
-	if _, dup := n.sessions.LoadOrStore(uint32(id), s); dup {
-		return nil, ErrAttached
-	}
-	n.t.stats.Sessions.Add(1)
-	return s, nil
 }
 
 func (n *tcpNode) acceptLoop() {
@@ -504,53 +449,32 @@ func (n *tcpNode) readLoop(tc *tcpConn) {
 // transition waits on a client request — so capping client handlers is
 // safe, and it is what keeps a client stampede from starving the
 // intra-cluster traffic that must stay unbounded.
-//
-// A frame carrying the id of a registered session (a direct server push to
-// one session of this mux) runs that session's handler against the session
-// node; the session id is the frame's destination there, so src carries no
-// session. Everything else runs the endpoint handler with the full origin.
 func (n *tcpNode) dispatch(env *wire.Envelope) {
-	in := inbound{
-		node:  Node(n),
-		h:     n.h,
-		src:   wire.From{Addr: env.Src, Sess: env.Session},
-		reqID: env.ReqID,
-		msg:   env.Msg,
-	}
-	if env.Session != 0 {
-		if s, ok := n.sessions.Load(uint32(env.Session)); ok {
-			sess := s.(*tcpSession)
-			in.node, in.h, in.src = sess, sess.h, wire.At(env.Src)
-		}
-	}
-	if in.h == nil {
-		// A mux endpoint has no base handler: a frame for no live session
-		// (or a push to one registered without a handler) has nowhere to
-		// go and is dropped with accounting.
-		n.t.stats.Dropped.Add(1)
-		wire.Recycle(env.Msg)
+	in, ok := n.route(env)
+	if !ok {
 		return
 	}
-	if n.gate != nil && env.Src.IsClient() {
-		in.gate = n.gate
+	if in.gate != nil {
 		// Hold a wg slot across Submit: a parked waiter's run/drop fires
 		// from a Release or gate.Close after this readLoop iteration moved
 		// on, and Close's Wait must cover it.
 		n.wg.Add(1)
-		run := in
-		switch n.gate.Submit(env.Session.Tenant(), func() {
+		switch in.gate.Submit(env.Session.Tenant(), func() {
 			defer n.wg.Done()
-			run.h.Handle(run.node, run.src, run.reqID, run.msg)
-			wire.Recycle(run.msg)
-			run.gate.Release()
+			in.run()
 		}, func() {
-			wire.Recycle(run.msg)
-			n.t.stats.Dropped.Add(1)
+			n.drop(env.Msg)
 			n.wg.Done()
 		}) {
 		case AdmitShed:
 			n.wg.Done()
-			n.shed(env)
+			if note, ok := n.shedNote(env); ok {
+				select {
+				case n.shedq <- note:
+				default:
+					n.stats.Dropped.Add(1)
+				}
+			}
 			return
 		case AdmitQueued:
 			return
@@ -578,52 +502,17 @@ func (n *tcpNode) dispatch(env *wire.Envelope) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		in.h.Handle(in.node, in.src, in.reqID, in.msg)
-		wire.Recycle(in.msg)
-		if in.gate != nil {
-			in.gate.Release()
-		}
+		in.run()
 	}()
 }
 
-// shed answers one declined client request with Busy, off the read path:
-// the note goes to a bounded queue served by the shed responder, so a
-// congested send path can never park the readLoop behind a Busy write. A
-// request that is neither awaited (reqID) nor correlated has no address to
-// send Busy to and is dropped with accounting.
-func (n *tcpNode) shed(env *wire.Envelope) {
-	note := shedNote{src: env.Src, sess: env.Session, reqID: env.ReqID}
-	if note.reqID == 0 {
-		corr, ok := env.Msg.(wire.Correlated)
-		if !ok {
-			wire.Recycle(env.Msg)
-			n.t.stats.Dropped.Add(1)
-			return
-		}
-		note.echo = corr.CorrelationID()
-	}
-	wire.Recycle(env.Msg)
-	select {
-	case n.shedq <- note:
-	default:
-		n.t.stats.Dropped.Add(1)
-	}
-}
-
-// shedResponder turns queued shed notes into Busy responses, hinted by the
-// shed tenant's queue pressure and routed back to the shed session.
+// shedResponder turns queued shed notes into Busy responses.
 func (n *tcpNode) shedResponder() {
 	defer n.wg.Done()
 	for {
 		select {
 		case note := <-n.shedq:
-			hint := busyHintMicros(n.gate, note.sess.Tenant())
-			to := wire.From{Addr: note.src, Sess: note.sess}
-			if note.reqID != 0 {
-				_ = n.Respond(to, note.reqID, &wire.Busy{RetryAfterMicros: hint})
-			} else {
-				_ = n.SendTo(to, &wire.Busy{Echo: note.echo, RetryAfterMicros: hint})
-			}
+			n.sendBusy(note)
 		case <-n.stop:
 			return
 		}
@@ -639,11 +528,7 @@ func (n *tcpNode) worker() {
 		n.idle.Add(1)
 		select {
 		case in := <-n.workq:
-			in.h.Handle(in.node, in.src, in.reqID, in.msg)
-			wire.Recycle(in.msg)
-			if in.gate != nil {
-				in.gate.Release()
-			}
+			in.run()
 		case <-n.stop:
 			return
 		}
@@ -743,16 +628,15 @@ func (n *tcpNode) getConn(ctx context.Context, dst wire.Addr, slot uint8) (*tcpC
 	return tc, nil
 }
 
-func (n *tcpNode) send(ctx context.Context, env *wire.Envelope, slot uint8) error {
-	if n.closed.Load() {
-		return ErrClosed
-	}
+// send is the endpoint's carry: it finds (or dials) the connection for the
+// slot and commits the frame to its batcher.
+func (n *tcpNode) send(ctx context.Context, env wire.Envelope, slot uint8) error {
 	tc, err := n.getConn(ctx, env.Dst, slot)
 	if err != nil {
 		return err
 	}
 	f := wire.GetFrame()
-	f.AppendEnvelope(env)
+	f.AppendEnvelope(&env)
 	// Exclude the 4-byte length prefix so BytesSent counts envelope bytes
 	// on both transports (Local has no framing), keeping the paper's
 	// communication-overhead metrics comparable across deployments. Sized
@@ -762,105 +646,23 @@ func (n *tcpNode) send(ctx context.Context, env *wire.Envelope, slot uint8) erro
 	if err := tc.b.Enqueue(ctx, f); err != nil {
 		return err
 	}
-	n.t.stats.MsgsSent.Add(1)
-	n.t.stats.BytesSent.Add(bytes)
+	n.stats.MsgsSent.Add(1)
+	n.stats.BytesSent.Add(bytes)
 	return nil
-}
-
-// Send delivers a one-way message. Backpressure from a stalled peer blocks
-// until the connection or node closes.
-func (n *tcpNode) Send(dst wire.Addr, m wire.Message) error {
-	return n.send(context.Background(), &wire.Envelope{Src: n.addr, Dst: dst, Msg: m}, 0)
-}
-
-// SendTo delivers a one-way message to a full destination, stamping the
-// target session so a multiplexed client can demultiplex the push.
-func (n *tcpNode) SendTo(to wire.From, m wire.Message) error {
-	return n.send(context.Background(), &wire.Envelope{Src: n.addr, Dst: to.Addr, Session: to.Sess, Msg: m}, 0)
-}
-
-// Respond answers request reqID at the full origin to.
-func (n *tcpNode) Respond(to wire.From, reqID uint64, m wire.Message) error {
-	return n.send(context.Background(), &wire.Envelope{Src: n.addr, Dst: to.Addr, Session: to.Sess, ReqID: reqID, Resp: true, Msg: m}, 0)
-}
-
-// Call sends a request and waits for the matching response.
-func (n *tcpNode) Call(ctx context.Context, dst wire.Addr, m wire.Message) (wire.Message, error) {
-	return n.call(ctx, dst, m, 0, 0)
-}
-
-// call is the shared Call engine: sessions stamp their id into the request
-// envelope and spread over pool slots, but share the node's request-id
-// space and pending table, so responses demultiplex by reqID alone no
-// matter which socket carries them.
-func (n *tcpNode) call(ctx context.Context, dst wire.Addr, m wire.Message, sess wire.SessionID, slot uint8) (wire.Message, error) {
-	id := n.reqSeq.Add(1)
-	ch := make(chan *wire.Envelope, 1)
-	n.pending.Store(id, ch)
-	defer n.pending.Delete(id)
-	if err := n.send(ctx, &wire.Envelope{Src: n.addr, Dst: dst, Session: sess, ReqID: id, Msg: m}, slot); err != nil {
-		return nil, err
-	}
-	select {
-	case env := <-ch:
-		return unwrapResp(env)
-	case <-n.stop:
-		// Node shut down while waiting. Prefer a response that already
-		// arrived (select picks ready cases at random) over reporting a
-		// completed operation as failed; otherwise return promptly —
-		// this also lets handler workers parked in nested Calls finish,
-		// so Close's wg.Wait cannot hang on them.
-		select {
-		case env := <-ch:
-			return unwrapResp(env)
-		default:
-		}
-		return nil, ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// deliverResponse matches one response to its waiting Call. A response
-// nobody claims — the Call's context expired and deleted the pending entry,
-// or a duplicate already filled the channel — is dropped WITH accounting:
-// no waiter will ever retain the message, so pooled decodes go back to the
-// pool and stats.Dropped records the loss.
-func (n *tcpNode) deliverResponse(env *wire.Envelope) {
-	if ch, ok := n.pending.Load(env.ReqID); ok {
-		select {
-		case ch.(chan *wire.Envelope) <- env:
-			return
-		default:
-		}
-	}
-	n.t.stats.Dropped.Add(1)
-	wire.Recycle(env.Msg)
 }
 
 // Close shuts the node down: listener, handler workers, admission gate,
 // sessions, and every live connection — learned or not — so no
 // readLoop/writeLoop goroutine or file descriptor outlives the node.
 func (n *tcpNode) Close() error {
-	if n.closed.Swap(true) {
+	// shut drains the gate's park queues before the goroutines are waited
+	// out below: parked waiters hold wg slots their drop closures release.
+	if !n.shut() {
 		return nil
 	}
 	if n.ln != nil {
 		n.ln.Close()
 	}
-	close(n.stop)
-	// Drain the gate's park queues before waiting out the goroutines:
-	// parked waiters hold wg slots their drop closures release.
-	if n.gate != nil {
-		n.gate.Close()
-	}
-	n.sessions.Range(func(k, s any) bool {
-		if !s.(*tcpSession).closed.Swap(true) {
-			n.t.stats.Sessions.Add(-1)
-		}
-		n.sessions.Delete(k)
-		return true
-	})
 	n.mu.Lock()
 	conns := make([]*tcpConn, 0, len(n.all))
 	for tc := range n.all {
@@ -874,82 +676,5 @@ func (n *tcpNode) Close() error {
 	delete(n.t.nodes, n.addr)
 	n.t.mu.Unlock()
 	n.wg.Wait()
-	return nil
-}
-
-// tcpSession is one logical session on a mux endpoint. It shares the
-// endpoint's sockets, worker pool, request-id space, and pending table;
-// only the envelopes differ (they carry the session id) and inbound pushes
-// addressed to the id run h.
-type tcpSession struct {
-	n      *tcpNode
-	id     wire.SessionID
-	h      Handler
-	closed atomic.Bool
-}
-
-func (s *tcpSession) Addr() wire.Addr    { return s.n.addr }
-func (s *tcpSession) ID() wire.SessionID { return s.id }
-
-// slot spreads sessions across the endpoint's socket pool with a cheap
-// integer hash, so tenants (high half) and local ids (low half) both
-// contribute to the spread.
-func (s *tcpSession) slot() uint8 {
-	h := uint32(s.id)
-	h ^= h >> 16
-	h *= 0x45d9f3b
-	h ^= h >> 16
-	return uint8(h % uint32(s.n.pool))
-}
-
-// env builds a session-stamped envelope toward to. A destination that
-// already carries a session (a client relaying a server's From — unusual
-// but well-formed) wins over the session's own id.
-func (s *tcpSession) env(to wire.From, reqID uint64, resp bool, m wire.Message) *wire.Envelope {
-	sess := s.id
-	if to.Sess != 0 {
-		sess = to.Sess
-	}
-	return &wire.Envelope{Src: s.n.addr, Dst: to.Addr, Session: sess, ReqID: reqID, Resp: resp, Msg: m}
-}
-
-// Send delivers a one-way message carrying the session id.
-func (s *tcpSession) Send(dst wire.Addr, m wire.Message) error {
-	return s.SendTo(wire.At(dst), m)
-}
-
-// SendTo delivers a one-way message to a full destination.
-func (s *tcpSession) SendTo(to wire.From, m wire.Message) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return s.n.send(context.Background(), s.env(to, 0, false, m), s.slot())
-}
-
-// Respond answers request reqID at to.
-func (s *tcpSession) Respond(to wire.From, reqID uint64, m wire.Message) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return s.n.send(context.Background(), s.env(to, reqID, true, m), s.slot())
-}
-
-// Call sends a request and waits for the matching response.
-func (s *tcpSession) Call(ctx context.Context, dst wire.Addr, m wire.Message) (wire.Message, error) {
-	if s.closed.Load() {
-		return nil, ErrClosed
-	}
-	return s.n.call(ctx, dst, m, s.id, s.slot())
-}
-
-// Close deregisters the session. The endpoint's sockets stay up — they are
-// shared — and any in-flight push to the session is dropped with
-// accounting (and its pooled message recycled) by dispatch.
-func (s *tcpSession) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	s.n.sessions.Delete(uint32(s.id))
-	s.n.t.stats.Sessions.Add(-1)
 	return nil
 }

@@ -1,10 +1,12 @@
 // Package transport moves wire messages between processes.
 //
-// Two implementations share one interface: Local, an in-process network
-// that marshals every message and injects configurable per-link latency
-// (the benchmark substrate standing in for the paper's 10 Gbps LAN), and
-// TCP, a real network transport making the same servers deployable across
-// processes (cmd/kvserver).
+// Two networks share one endpoint (endpoint.go: calls, sessions, inbound
+// routing, the shed path) and one batching engine (batch.go), and differ
+// only in what carries a frame: Local, an in-process network that marshals
+// every message and injects configurable per-link latency (the benchmark
+// substrate standing in for the paper's 10 Gbps LAN), and TCP, a real
+// network transport making the same servers deployable across processes
+// (cmd/kvserver).
 //
 // The model is asynchronous messaging with a request/response convenience:
 // Send delivers a one-way message; Call delivers a request and blocks until

@@ -310,22 +310,6 @@ func TestTCPNoRoute(t *testing.T) {
 	}
 }
 
-func BenchmarkLocalCallNoLatency(b *testing.B) {
-	net := NewLocal(LatencyModel{})
-	defer net.Close()
-	srv := wire.ServerAddr(0, 0)
-	net.Attach(srv, &echoHandler{})
-	cli, _ := net.Attach(wire.ClientAddr(0, 1), HandlerFunc(func(Node, wire.From, uint64, wire.Message) {}))
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cli.Call(ctx, srv, &wire.Ping{Nonce: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLocalCallWithLatency(b *testing.B) {
 	// Round trip through the spin-accurate delivery wheels at 100µs/hop;
 	// expect ≈200µs+processing per op.
