@@ -76,18 +76,6 @@ type Options struct {
 	InterDCLatency time.Duration
 	// MaxClockSkew bounds each node's physical clock offset (default 1ms).
 	MaxClockSkew time.Duration
-	// ReaderGCWindow is CC-LO's reader GC window (default 500ms, the
-	// paper's setting): how long a partition remembers which read-only
-	// transactions read which versions, which bounds both the readers-check
-	// cost on writes and the durable footprint of the crash-recovery reader
-	// records. Ignored by the other protocols.
-	ReaderGCWindow time.Duration
-	// StoreShards sets each partition store's shard count — the concurrency
-	// grain of the multi-version storage engine. 0 (the default) auto-sizes
-	// from GOMAXPROCS; explicit values are rounded up to a power of two.
-	// Reads never take a shard lock either way; shards bound write
-	// contention.
-	StoreShards int
 	// DataDir, when non-empty, makes every partition durable: acknowledged
 	// writes are group-committed to a segmented write-ahead log under this
 	// directory before the client sees the ack, and a cluster restarted
@@ -100,18 +88,12 @@ type Options struct {
 	// WALSync selects the durability acknowledgment contract when DataDir
 	// is set: "sync" (the default: a write is acknowledged only after its
 	// fsync, so acknowledged writes always survive a crash) or "async" (a
-	// write is acknowledged once written to the OS and fsynced within
-	// WALFsyncEvery — faster writes, with up to one window of acknowledged
-	// writes lost on a crash; replication still ships only fsynced writes,
-	// so replicas never diverge).
+	// write is acknowledged once written to the OS and fsynced within the
+	// WAL's background window — faster writes, with up to one window of
+	// acknowledged writes lost on a crash; replication still ships only
+	// fsynced writes, so replicas never diverge). Any other value makes
+	// StartCluster fail.
 	WALSync string
-	// WALFsyncEvery bounds the "async" loss window (0 = default 2ms).
-	WALFsyncEvery time.Duration
-	// FlushBudget bounds how long the transport keeps a coalesced batch of
-	// frames open before flushing (the adaptive flush policy; an idle send
-	// queue always flushes immediately). 0 applies the default (~200µs);
-	// negative disables the budget, restoring greedy drain-until-idle.
-	FlushBudget time.Duration
 	// AdmitLimit enables client admission control: it caps concurrently
 	// running client handlers per partition server. Excess client requests
 	// are shed with a typed busy response and retried by sessions with
@@ -119,12 +101,6 @@ type Options struct {
 	// ErrOverloaded. 0 (the default) disables the gate. Intra-cluster
 	// traffic (replication, stabilization, readers checks) is never gated.
 	AdmitLimit int
-	// ShedQueueFrames sheds client load early once the transport send
-	// queue reaches this depth (0 = signal unused).
-	ShedQueueFrames int64
-	// ShedFsyncP99 sheds client load early once the WAL p99 fsync delay
-	// reaches this (0 = signal unused).
-	ShedFsyncP99 time.Duration
 }
 
 // ErrOverloaded is returned by session operations once the Busy-retry
@@ -147,7 +123,7 @@ func (o Options) withDefaults() Options {
 		o.InterDCLatency = def.InterDC
 	}
 	if o.MaxClockSkew == 0 {
-		o.MaxClockSkew = time.Millisecond
+		o.MaxClockSkew = cluster.DefaultMaxSkew
 	}
 	return o
 }
@@ -184,16 +160,10 @@ func StartCluster(opts Options) (*Cluster, error) {
 		Partitions:       opts.Partitions,
 		Latency:          &lat,
 		MaxSkew:          opts.MaxClockSkew,
-		ReaderGCWindow:   opts.ReaderGCWindow,
-		StoreShards:      opts.StoreShards,
 		DataDir:          opts.DataDir,
 		WALSnapshotEvery: opts.SnapshotEvery,
 		WALSync:          mode,
-		WALFsyncEvery:    opts.WALFsyncEvery,
-		FlushBudget:      opts.FlushBudget,
 		AdmitLimit:       opts.AdmitLimit,
-		ShedQueueFrames:  opts.ShedQueueFrames,
-		ShedFsyncP99:     opts.ShedFsyncP99,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("causalkv: %w", err)

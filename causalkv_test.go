@@ -2,6 +2,7 @@ package causalkv
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -64,6 +65,42 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.IntraDCLatency <= 0 || o.InterDCLatency <= 0 || o.MaxClockSkew <= 0 {
 		t.Fatalf("latency defaults missing: %+v", o)
+	}
+}
+
+// TestDurableCluster drives the embedded API's durable path: with DataDir
+// set, each acknowledgment contract serves a write back through a ROT with
+// its timestamp, and an unknown contract is refused with the accepted ones.
+func TestDurableCluster(t *testing.T) {
+	for _, mode := range []string{"sync", "async"} {
+		t.Run(mode, func(t *testing.T) {
+			c, err := StartCluster(Options{Partitions: 2, IntraDCLatency: -1, DataDir: t.TempDir(), WALSync: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			s, err := c.NewSession(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ctx := testCtx(t)
+			ts, err := s.Put(ctx, "durable", []byte("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			items, err := s.ReadTx(ctx, "durable")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(items[0].Value) != "v" || items[0].Timestamp != ts {
+				t.Fatalf("ReadTx = %+v, want v at ts %d", items[0], ts)
+			}
+		})
+	}
+	_, err := StartCluster(Options{DataDir: t.TempDir(), WALSync: "bogus"})
+	if err == nil || !strings.Contains(err.Error(), "sync|async") {
+		t.Fatalf("WALSync bogus: err = %v, want one listing sync|async", err)
 	}
 }
 

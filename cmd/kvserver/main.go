@@ -42,7 +42,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -56,7 +55,6 @@ func main() {
 		dc         = flag.Int("dc", 0, "this server's data center")
 		partition  = flag.Int("partition", 0, "this server's partition index")
 		stabilizer = flag.Bool("stabilizer", false, "run the DC's stabilization service instead of a partition (timestamp protocols only)")
-		writevMin  = flag.Int("writev-bytes", 0, "frame size at or above which frames skip the copy into the flush buffer and go out via writev scatter-gather (0 = default 16 KiB)")
 		obsAddr    = flag.String("obs-addr", "", "observability HTTP listener: /metrics (Prometheus text), /statusz, /debug/pprof, /debug/slowops (empty = disabled)")
 		slowOp     = flag.Duration("slow-op", 25*time.Millisecond, "slow-op trace threshold: handler executions at or above it are kept in the /debug/slowops ring")
 	)
@@ -74,20 +72,13 @@ func main() {
 	flag.DurationVar(&cfg.WALFsyncEvery, "wal-fsync-every", 0, "async mode's bounded loss window (0 = default 2ms)")
 	flag.DurationVar(&cfg.RepFlushEvery, "rep-flush-every", 0, "replication flush period for the timestamp-based engine (0 = default 2ms; tests stretch it to hold replication back)")
 	flag.DurationVar(&cfg.ReaderGCWindow, "reader-gc-window", 0, "CC-LO reader GC window: how long reader records, old-reader entries, and invisibility marks live (0 = default 500ms; crash tests stretch it)")
-	// Unlike the struct field's convention, the flag spells greedy as 0 —
-	// as the engine policy does — because an explicit flag default can
-	// carry the adaptive budget itself; the value goes to the policy as-is.
-	flag.DurationVar(&cfg.FlushBudget, "flush-budget", transport.DefaultFlushBudget, "adaptive flush latency budget: how long the transport may keep a coalesced batch open before flushing (0 = greedy drain-until-idle)")
-	flag.IntVar(&cfg.StoreShards, "store-shards", 0, "storage engine shard count — the write-concurrency grain; reads are lock-free regardless (0 = auto-size from GOMAXPROCS; rounded up to a power of two)")
+	flag.DurationVar(&cfg.FlushBudget, "flush-budget", transport.DefaultFlushBudget, "adaptive flush latency budget: how long the transport may keep a coalesced batch open before flushing (0 = the default)")
 	flag.IntVar(&cfg.AdmitLimit, "admit-limit", 0, "client admission cap: max concurrently running client handlers; excess client requests are shed with a typed busy+retry-after response (0 = unbounded; cluster traffic is never gated)")
 	flag.Int64Var(&cfg.ShedQueueFrames, "shed-queue-frames", 0, "shed client load early once the transport send queue reaches this many frames (0 = signal unused)")
 	flag.DurationVar(&cfg.ShedFsyncP99, "shed-fsync-p99", 0, "shed client load early once the WAL p99 fsync delay reaches this (0 = signal unused)")
 	flag.Parse()
 	if *topoPath == "" {
 		log.Fatal("kvserver: -topology is required")
-	}
-	if cfg.StoreShards < 0 || cfg.StoreShards > store.MaxShards {
-		log.Fatalf("kvserver: -store-shards %d out of range [0, %d]", cfg.StoreShards, store.MaxShards)
 	}
 	f, err := os.Open(*topoPath)
 	if err != nil {
@@ -106,10 +97,7 @@ func main() {
 		log.Fatalf("kvserver: -partition %d outside topology (have %d partitions)", *partition, topo.Partitions)
 	}
 
-	net := transport.NewTCPOpts(topo.Directory, transport.BatchPolicy{
-		FlushBudget: cfg.FlushBudget,
-		WritevBytes: *writevMin,
-	})
+	net := transport.NewTCPOpts(topo.Directory, cfg.Batching())
 	defer net.Close()
 
 	// Observability: one registry + slow-op ring per process, served from a

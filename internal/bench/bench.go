@@ -45,10 +45,6 @@ type System struct {
 	// running client handlers; excess client requests are shed with Busy
 	// and retried by the clients with jittered backoff.
 	AdmitLimit int
-	// ShedQueueFrames/ShedFsyncP99 are the overload detector's early-shed
-	// thresholds (0 = signal unused).
-	ShedQueueFrames int64
-	ShedFsyncP99    time.Duration
 	// Tenants, when positive, runs the closed-loop clients as logical
 	// sessions multiplexed over one shared endpoint per DC — client i as
 	// tenant i mod Tenants — instead of one attached endpoint per client.
@@ -217,18 +213,16 @@ type Point struct {
 // Run measures one load point.
 func Run(sys System, spec RunSpec) (Point, error) {
 	cfg := cluster.Config{
-		Protocol:        sys.Protocol,
-		DCs:             sys.DCs,
-		Partitions:      sys.Partitions,
-		Latency:         sys.Latency,
-		MaxSkew:         sys.MaxSkew,
-		Seed:            1,
-		DataDir:         sys.DataDir,
-		WALSync:         sys.WALSync,
-		Slow:            spec.Slow,
-		AdmitLimit:      sys.AdmitLimit,
-		ShedQueueFrames: sys.ShedQueueFrames,
-		ShedFsyncP99:    sys.ShedFsyncP99,
+		Protocol:   sys.Protocol,
+		DCs:        sys.DCs,
+		Partitions: sys.Partitions,
+		Latency:    sys.Latency,
+		MaxSkew:    sys.MaxSkew,
+		Seed:       1,
+		DataDir:    sys.DataDir,
+		WALSync:    sys.WALSync,
+		Slow:       spec.Slow,
+		AdmitLimit: sys.AdmitLimit,
 	}
 	c, err := cluster.Start(cfg)
 	if err != nil {

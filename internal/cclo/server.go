@@ -24,9 +24,6 @@ type Config struct {
 	GCWindow time.Duration
 	// MaxVersions caps per-key version chains.
 	MaxVersions int
-	// StoreShards is the storage engine shard count (0 = auto from
-	// GOMAXPROCS; see internal/store).
-	StoreShards int
 
 	// Durable, when non-nil, makes every install durable before it is
 	// acknowledged (see wal.Durability), and closes CC-LO's crash gap for
@@ -122,7 +119,7 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		store:    newLoStore(cfg.MaxVersions, cfg.StoreShards, cfg.GCWindow),
+		store:    newLoStore(cfg.MaxVersions, 0, cfg.GCWindow),
 		epochVec: make([]uint64, cfg.NumParts),
 	}
 	s.LoServer = family.NewLoServer("cclo", cfg.DC, cfg.Part, cfg.NumDCs, cfg.NumParts, cfg.Durable, cfg.Slow,

@@ -237,9 +237,6 @@ type loStore struct {
 }
 
 func newLoStore(maxVersions, shards int, gcWindow time.Duration) *loStore {
-	if gcWindow <= 0 {
-		gcWindow = 500 * time.Millisecond
-	}
 	return &loStore{
 		eng:      storeeng.New[loExtra, loAux](maxVersions, shards),
 		gcWindow: gcWindow,

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/ring"
-	"repro/internal/store"
 	"repro/internal/transport"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -32,7 +31,7 @@ type Config struct {
 	// Latency is the injected network latency model; the zero value means
 	// transport.DefaultLatency. Use NoLatency for fast correctness tests.
 	Latency *transport.LatencyModel
-	// MaxSkew bounds per-node physical clock skew (default 1 ms, NTP-ish).
+	// MaxSkew bounds per-node physical clock skew (0 = DefaultMaxSkew).
 	MaxSkew time.Duration
 	// ReaderGCWindow is CC-LO's reader GC window (default 500 ms, as §5.2):
 	// how long reader records, old-reader entries, and invisibility marks
@@ -41,10 +40,6 @@ type Config struct {
 	ReaderGCWindow time.Duration
 	// MaxVersions caps per-key version chains.
 	MaxVersions int
-	// StoreShards sets every partition store's shard count (0 = auto-size
-	// from GOMAXPROCS; values are rounded up to a power of two and capped at
-	// store.MaxShards).
-	StoreShards int
 	// Seed randomizes clock skews deterministically.
 	Seed int64
 	// ClockOverride forces a clock mode for the timestamp-based protocols
@@ -80,8 +75,7 @@ type Config struct {
 	// FlushBudget bounds how long the transport's batching engine keeps a
 	// coalesced batch open gathering more frames (the adaptive flush
 	// policy; batches still flush immediately when the send queue goes
-	// idle). 0 applies transport.DefaultFlushBudget; negative selects
-	// greedy drain-until-idle (the pre-engine behavior, for ablations).
+	// idle). 0 applies transport.DefaultFlushBudget.
 	FlushBudget time.Duration
 	// MaxBatchBytes caps one coalesced transport batch (0 = engine
 	// default). Checker tests crank it up together with a tiny budget to
@@ -105,6 +99,10 @@ type Config struct {
 	// reaches this (0 = signal unused).
 	ShedFsyncP99 time.Duration
 }
+
+// DefaultMaxSkew is the clock skew bound a cluster runs with when none is
+// given: NTP-quality synchronization.
+const DefaultMaxSkew = time.Millisecond
 
 // NoLatency is a latency model for correctness tests: messages still pay
 // full marshalling costs but fly instantly.
@@ -169,10 +167,7 @@ func Start(cfg Config) (*Cluster, error) {
 		cfg.Partitions = 1
 	}
 	if cfg.MaxSkew == 0 {
-		cfg.MaxSkew = time.Millisecond
-	}
-	if cfg.StoreShards < 0 || cfg.StoreShards > store.MaxShards {
-		return nil, fmt.Errorf("cluster: StoreShards %d out of range [0, %d]", cfg.StoreShards, store.MaxShards)
+		cfg.MaxSkew = DefaultMaxSkew
 	}
 	lat := transport.DefaultLatency()
 	if cfg.Latency != nil {
@@ -180,11 +175,8 @@ func Start(cfg Config) (*Cluster, error) {
 	}
 	n := cfg.DCs * cfg.Partitions
 	c := &Cluster{
-		cfg: cfg,
-		net: transport.NewLocalOpts(lat, transport.BatchPolicy{
-			FlushBudget:   transport.ResolveFlushBudget(cfg.FlushBudget),
-			MaxBatchBytes: cfg.MaxBatchBytes,
-		}),
+		cfg:       cfg,
+		net:       transport.NewLocalOpts(lat, cfg.Batching()),
 		ring:      ring.New(cfg.Partitions),
 		servers:   make([]Server, n),
 		logs:      make([]*wal.Log, n),
@@ -235,6 +227,18 @@ func (cfg Config) Admission(queueDepth func() int64, fsyncP99 func() time.Durati
 		QueueDepth:      queueDepth,
 		FsyncP99:        fsyncP99,
 	}
+}
+
+// Batching is the transport batch policy cfg asks for, a zero FlushBudget
+// meaning transport.DefaultFlushBudget. cluster.Start and kvserver both
+// build their network from it, so a budget means the same on Local and TCP.
+func (cfg Config) Batching() transport.BatchPolicy {
+	pol := transport.DefaultPolicy()
+	if cfg.FlushBudget > 0 {
+		pol.FlushBudget = cfg.FlushBudget
+	}
+	pol.MaxBatchBytes = cfg.MaxBatchBytes
+	return pol
 }
 
 // OpenLog opens the (dc,p) partition's WAL — recovering whatever a previous

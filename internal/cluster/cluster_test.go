@@ -59,35 +59,6 @@ func startCluster(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
-// TestStoreShardsKnob pins the end-to-end shard knob: out-of-range values
-// are rejected up front, and an in-range value still yields a working
-// cluster for every protocol family (the engine rounds it up internally).
-func TestStoreShardsKnob(t *testing.T) {
-	if _, err := Start(Config{StoreShards: -1, Latency: NoLatency()}); err == nil {
-		t.Fatal("negative StoreShards accepted")
-	}
-	if _, err := Start(Config{StoreShards: 1 << 20, Latency: NoLatency()}); err == nil {
-		t.Fatal("StoreShards beyond store.MaxShards accepted")
-	}
-	for _, p := range Families() {
-		t.Run(p.String(), func(t *testing.T) {
-			c := startCluster(t, Config{Protocol: p, Partitions: 1, StoreShards: 2, Latency: NoLatency()})
-			ctx := testCtx(t)
-			cli, err := c.NewClient(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
-			if _, err := cli.Put(ctx, "k", []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := cli.Get(ctx, "k"); err != nil || string(got) != "v" {
-				t.Fatalf("get over a 2-shard store: %q %v", got, err)
-			}
-		})
-	}
-}
-
 func TestPutGetROTAllProtocols(t *testing.T) {
 	for _, p := range allProtocols {
 		t.Run(p.String(), func(t *testing.T) {

@@ -135,7 +135,6 @@ func (cfg Config) NewServer(dc, part int, skew time.Duration, log *wal.Log, net 
 		s, err := cops.NewServer(cops.Config{
 			DC: dc, Part: part, NumDCs: cfg.DCs, NumParts: cfg.Partitions,
 			MaxVersions: cfg.MaxVersions,
-			StoreShards: cfg.StoreShards,
 			Durable:     durable,
 			Slow:        cfg.Slow,
 		}, net)
@@ -148,7 +147,6 @@ func (cfg Config) NewServer(dc, part int, skew time.Duration, log *wal.Log, net 
 			DC: dc, Part: part, NumDCs: cfg.DCs, NumParts: cfg.Partitions,
 			GCWindow:    cfg.ReaderGCWindow,
 			MaxVersions: cfg.MaxVersions,
-			StoreShards: cfg.StoreShards,
 			Durable:     durable,
 			Slow:        cfg.Slow,
 		}, net)
@@ -167,7 +165,6 @@ func (cfg Config) NewServer(dc, part int, skew time.Duration, log *wal.Log, net 
 			Skew:          skew,
 			RepFlushEvery: cfg.RepFlushEvery,
 			MaxVersions:   cfg.MaxVersions,
-			StoreShards:   cfg.StoreShards,
 			Durable:       durable,
 			Slow:          cfg.Slow,
 		}, net)

@@ -51,16 +51,20 @@ func TestParseTopology(t *testing.T) {
 }
 
 func TestParseTopologyErrors(t *testing.T) {
-	cases := []string{
-		"0 0",                // too few fields
-		"x 0 127.0.0.1:7000", // bad dc
-		"0 y 127.0.0.1:7000", // bad partition
-		"0 0 a:1\n0 0 b:2",   // duplicate
-		"# only comments",    // no partitions
+	cases := []struct{ src, want string }{
+		{"0 0", "want 3 fields"},
+		{"x 0 127.0.0.1:7000", "bad dc"},
+		{"0 y 127.0.0.1:7000", "bad partition"},
+		{"0 0 a:1\n0 0 b:2", "duplicate"},
+		{"# only comments", "no partitions"},
+		// Holes: each parsed, and kvserver then retried the absent address.
+		{"0 0 a:1\n0 2 b:1", "no entry for dc 0 partition 1"},
+		{"0 0 a:1\n1 stab b:1", "no entry for dc 1 partition 0"},
 	}
-	for _, src := range cases {
-		if _, err := ParseTopology(strings.NewReader(src)); err == nil {
-			t.Errorf("ParseTopology(%q) succeeded, want error", src)
+	for _, c := range cases {
+		_, err := ParseTopology(strings.NewReader(c.src))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseTopology(%q) = %v, want an error containing %q", c.src, err, c.want)
 		}
 	}
 }

@@ -23,7 +23,10 @@ type Topology struct {
 //	<dc> <partition|stab> <host:port>
 //
 // Blank lines and lines starting with '#' are ignored. The DC and
-// partition counts are inferred from the entries.
+// partition counts are inferred from the entries, and every DC must list
+// every partition: a hole would leave ROT legs and replication streams
+// retrying an address nobody serves. Stabilizer lines are optional (the
+// dependency-list families run none).
 func ParseTopology(r io.Reader) (*Topology, error) {
 	t := &Topology{Directory: make(map[wire.Addr]string)}
 	sc := bufio.NewScanner(r)
@@ -68,6 +71,13 @@ func ParseTopology(r io.Reader) (*Topology, error) {
 	}
 	if t.Partitions == 0 {
 		return nil, fmt.Errorf("topology: no partitions defined")
+	}
+	for dc := 0; dc < t.DCs; dc++ {
+		for p := 0; p < t.Partitions; p++ {
+			if _, ok := t.Directory[wire.ServerAddr(dc, p)]; !ok {
+				return nil, fmt.Errorf("topology: no entry for dc %d partition %d (have %d DCs x %d partitions)", dc, p, t.DCs, t.Partitions)
+			}
+		}
 	}
 	return t, nil
 }

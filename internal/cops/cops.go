@@ -40,9 +40,6 @@ type Config struct {
 
 	// MaxVersions caps per-key version chains.
 	MaxVersions int
-	// StoreShards is the storage engine shard count (0 = auto from
-	// GOMAXPROCS; see internal/store).
-	StoreShards int
 
 	// Durable, when non-nil, makes every install — with its dependency
 	// list, which COPS needs to recompute causal cuts — durable before it
@@ -194,7 +191,7 @@ type Server struct {
 // NewServer builds the partition server and attaches it to net.
 func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	cfg = cfg.withDefaults()
-	st := newStore(cfg.MaxVersions, cfg.StoreShards)
+	st := newStore(cfg.MaxVersions, 0)
 	s := &Server{store: st}
 	s.LoServer = family.NewLoServer("cops", cfg.DC, cfg.Part, cfg.NumDCs, cfg.NumParts, cfg.Durable, cfg.Slow,
 		family.LoStore{HasVersion: st.hasVersion, Install: st.installRecord, Snapshot: st.snapshot})

@@ -61,22 +61,10 @@ type Config struct {
 	// builder from ±MaxSkew to model NTP-quality synchronization.
 	Skew time.Duration
 
-	// StabilizeEvery is the stabilization protocol period (paper: 5 ms).
-	StabilizeEvery time.Duration
 	// RepFlushEvery bounds replication batching delay.
 	RepFlushEvery time.Duration
-	// RepBatchMax caps updates per replication batch.
-	RepBatchMax int
-	// CallTimeout bounds internal server-to-server calls.
-	CallTimeout time.Duration
-	// RepRetryTimeout bounds one replication batch attempt before the
-	// (idempotent) batch is retried; it masks WAN loss quickly.
-	RepRetryTimeout time.Duration
 	// MaxVersions caps per-key version chains (0 = default).
 	MaxVersions int
-	// StoreShards sets the store's shard count (0 = auto-size from
-	// GOMAXPROCS; values are rounded up to a power of two).
-	StoreShards int
 
 	// Durable, when non-nil, makes every install durable before it is
 	// acknowledged: NewServer replays the recovered state into the store and
@@ -91,6 +79,19 @@ type Config struct {
 	Slow *metrics.SlowRing
 }
 
+// Engine constants: no figure, gate or test varies them.
+const (
+	// stabilizePeriod is the stabilization protocol period (paper §5.2:
+	// 5 ms) — both how often a partition reports its VV and, unless
+	// NewStabilizer is given another, the stabilizer's catch-all period.
+	stabilizePeriod = 5 * time.Millisecond
+	// repBatchMax caps updates per replication batch.
+	repBatchMax = 256
+	// repRetryTimeout bounds one replication batch attempt before the
+	// (idempotent) batch is retried; it masks WAN loss quickly.
+	repRetryTimeout = time.Second
+)
+
 // withDefaults fills zero fields with production defaults.
 func (c Config) withDefaults() Config {
 	if c.NumDCs <= 0 {
@@ -99,20 +100,8 @@ func (c Config) withDefaults() Config {
 	if c.NumParts <= 0 {
 		c.NumParts = 1
 	}
-	if c.StabilizeEvery <= 0 {
-		c.StabilizeEvery = 5 * time.Millisecond
-	}
 	if c.RepFlushEvery <= 0 {
 		c.RepFlushEvery = 2 * time.Millisecond
-	}
-	if c.RepBatchMax <= 0 {
-		c.RepBatchMax = 256
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 10 * time.Second
-	}
-	if c.RepRetryTimeout <= 0 {
-		c.RepRetryTimeout = time.Second
 	}
 	return c
 }

@@ -31,8 +31,7 @@ func deploy(t *testing.T, dcs, parts int, clock ClockMode) *testDeployment {
 		for p := 0; p < parts; p++ {
 			s, err := NewServer(Config{
 				DC: dc, Part: p, NumDCs: dcs, NumParts: parts,
-				Clock: clock, StabilizeEvery: time.Millisecond,
-				RepFlushEvery: time.Millisecond,
+				Clock: clock, RepFlushEvery: time.Millisecond,
 			}, d.net)
 			if err != nil {
 				t.Fatal(err)
@@ -259,11 +258,11 @@ func TestTwoRoundROTReadsOwnCoordinatorPartition(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.StabilizeEvery != 5*time.Millisecond {
-		t.Fatalf("default stabilization = %v, want 5ms (paper §5.2)", c.StabilizeEvery)
+	if stabilizePeriod != 5*time.Millisecond {
+		t.Fatalf("stabilization period = %v, want 5ms (paper §5.2)", stabilizePeriod)
 	}
-	if c.NumDCs != 1 || c.NumParts != 1 || c.RepBatchMax <= 0 || c.CallTimeout <= 0 {
+	c := Config{}.withDefaults()
+	if c.NumDCs != 1 || c.NumParts != 1 || c.RepFlushEvery <= 0 {
 		t.Fatalf("bad defaults: %+v", c)
 	}
 }

@@ -141,7 +141,7 @@ func (r *replicator) enqueue(u wire.Update, durable *atomic.Bool) {
 	}
 }
 
-// cut drains up to RepBatchMax queued DURABLE updates and computes the
+// cut drains up to repBatchMax queued DURABLE updates and computes the
 // replication cut. Draining stops at the first update whose WAL append has
 // not committed yet, and the cut is clamped below that update's timestamp:
 // updates are enqueued in timestamp order inside the fence, so everything
@@ -160,7 +160,7 @@ func (r *replicator) enqueue(u wire.Update, durable *atomic.Bool) {
 func (st *repStream) cut() ([]wire.Update, uint64) {
 	st.s.putMu.Lock()
 	defer st.s.putMu.Unlock()
-	n := min(len(st.queue), st.s.cfg.RepBatchMax)
+	n := min(len(st.queue), repBatchMax)
 	k := 0
 	for k < n && st.queue[k].ready() {
 		k++
@@ -227,7 +227,7 @@ func (st *repStream) run() {
 			}
 			// Keep draining without waiting for the ticker while there is
 			// backlog; an idle queue returns to heartbeat pacing.
-			if !acked || len(batch) < st.s.cfg.RepBatchMax {
+			if !acked || len(batch) < repBatchMax {
 				break
 			}
 		}
@@ -237,7 +237,7 @@ func (st *repStream) run() {
 // deliver retries the batch until acknowledged (true) or the stream stops.
 func (st *repStream) deliver(msg *wire.RepBatch) bool {
 	for {
-		ctx, cancel := context.WithTimeout(st.ctx, st.s.cfg.RepRetryTimeout)
+		ctx, cancel := context.WithTimeout(st.ctx, repRetryTimeout)
 		resp, err := st.s.node.Call(ctx, st.dst, msg)
 		cancel()
 		if err == nil {

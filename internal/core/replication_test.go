@@ -22,7 +22,7 @@ func (f *flipFlag) Load() bool {
 // second time, and the "head is durable" branch indexed batch[k-1]. The cut
 // must clamp below the head it read as undurable and ship it next time.
 func TestCutReadsUndurableHeadOnce(t *testing.T) {
-	s := &Server{cfg: Config{RepBatchMax: 8}, clock: hlc.NewLamport(20)}
+	s := &Server{clock: hlc.NewLamport(20)}
 	head := &flipFlag{}
 	st := &repStream{s: s, queue: []repUpdate{
 		{Update: wire.Update{Key: "a", TS: 10}, durable: head},
@@ -42,14 +42,20 @@ func TestCutReadsUndurableHeadOnce(t *testing.T) {
 }
 
 // TestCutFullBatchCutsAtItsLastUpdate: a drain that stops only because the
-// batch is full cuts at the last update shipped, not at the clock.
+// batch is full cuts at the last update shipped, not at the clock — one
+// update past repBatchMax stays queued.
 func TestCutFullBatchCutsAtItsLastUpdate(t *testing.T) {
-	s := &Server{cfg: Config{RepBatchMax: 2}, clock: hlc.NewLamport(20)}
-	st := &repStream{s: s, queue: []repUpdate{
-		{Update: wire.Update{TS: 10}}, {Update: wire.Update{TS: 11}}, {Update: wire.Update{TS: 12}},
-	}}
-	if batch, high := st.cut(); len(batch) != 2 || high != 11 {
-		t.Fatalf("full batch = %d updates, HighTS %d; want 2 cut at 11", len(batch), high)
+	s := &Server{clock: hlc.NewLamport(1000)}
+	st := &repStream{s: s}
+	for i := range repBatchMax + 1 {
+		st.queue = append(st.queue, repUpdate{Update: wire.Update{TS: uint64(10 + i)}})
+	}
+	last := uint64(10 + repBatchMax - 1)
+	if batch, high := st.cut(); len(batch) != repBatchMax || high != last {
+		t.Fatalf("full batch = %d updates, HighTS %d; want %d cut at %d", len(batch), high, repBatchMax, last)
+	}
+	if len(st.queue) != 1 {
+		t.Fatalf("%d updates left queued, want 1", len(st.queue))
 	}
 }
 
@@ -63,7 +69,7 @@ func TestCutFullBatchCutsAtItsLastUpdate(t *testing.T) {
 func TestCutOfDrainedQueueStaysBelowNextPut(t *testing.T) {
 	var src hlc.ManualSource
 	src.Set(1000)
-	s := &Server{cfg: Config{RepBatchMax: 8}, clock: hlc.NewHLC(src.Now)}
+	s := &Server{clock: hlc.NewHLC(src.Now)}
 	st := &repStream{s: s}
 	_, high := st.cut()
 	ts := s.clock.Tick()

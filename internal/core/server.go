@@ -142,7 +142,7 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		clock: cfg.newClock(),
-		store: mvstore.NewSharded(cfg.MaxVersions, cfg.StoreShards),
+		store: mvstore.New(cfg.MaxVersions),
 		vv:    vclock.New(cfg.NumDCs),
 		gss:   vclock.New(cfg.NumDCs),
 		stop:  make(chan struct{}),
@@ -629,7 +629,7 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) {
 // reportLoop periodically reports the server's VV to the DC stabilizer.
 func (s *Server) reportLoop() {
 	defer s.wg.Done()
-	t := newTicker(s.cfg.StabilizeEvery)
+	t := newTicker(stabilizePeriod)
 	defer t.Stop()
 	stab := wire.StabilizerAddr(s.cfg.DC)
 	for {

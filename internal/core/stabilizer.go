@@ -49,7 +49,7 @@ type Stabilizer struct {
 // NewStabilizer attaches a stabilization service for dc to net.
 func NewStabilizer(dc, numParts, numDCs int, period time.Duration, net transport.Network) (*Stabilizer, error) {
 	if period <= 0 {
-		period = 5 * time.Millisecond
+		period = stabilizePeriod
 	}
 	st := &Stabilizer{
 		dc:     dc,

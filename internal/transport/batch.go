@@ -22,16 +22,15 @@ import (
 //	(c) the batch reaches MaxBatchBytes (bound memory and write size).
 //
 // FlushBudget = 0 disables (b): that is the seed's greedy drain-until-idle,
-// still reachable for ablations. TCP turns a batch into one scatter-gather
+// which the engine tests keep as their reference. TCP turns a batch into one scatter-gather
 // socket write (see tcpSink); the Local simulator turns it into one
 // delivery with a single latency charge (see localSink), so simulated and
 // real deployments share this one batching model.
 
-// DefaultFlushBudget is the adaptive flush latency budget applied by the
-// configuration layers (cluster.Config, causalkv.Options, kvserver flags)
-// when none is given: it caps how long a queued frame can wait for the
-// batch it joined to be cut, while staying well under the intra-DC RTT it
-// is amortizing syscalls against.
+// DefaultFlushBudget is the adaptive flush latency budget of DefaultPolicy,
+// and of cluster.Config.Batching when none is given: it caps how long a
+// queued frame can wait for the batch it joined to be cut, while staying
+// well under the intra-DC RTT it is amortizing syscalls against.
 const DefaultFlushBudget = 200 * time.Microsecond
 
 // Batch sizing defaults.
@@ -77,21 +76,6 @@ type BatchPolicy struct {
 // constructors use.
 func DefaultPolicy() BatchPolicy {
 	return BatchPolicy{FlushBudget: DefaultFlushBudget}
-}
-
-// ResolveFlushBudget maps a configuration-level flush budget — where the
-// zero value must mean "default" (struct configs can't distinguish unset
-// from zero) and negative means greedy drain — onto the engine convention
-// (0 = greedy).
-func ResolveFlushBudget(d time.Duration) time.Duration {
-	switch {
-	case d == 0:
-		return DefaultFlushBudget
-	case d < 0:
-		return 0
-	default:
-		return d
-	}
 }
 
 func (p BatchPolicy) withDefaults() BatchPolicy {

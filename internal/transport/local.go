@@ -107,8 +107,8 @@ func NewLocal(latency LatencyModel) *Local {
 	return NewLocalOpts(latency, DefaultPolicy())
 }
 
-// NewLocalOpts is NewLocal with an explicit batch policy (cluster.Config
-// wires its flush knobs through here).
+// NewLocalOpts is NewLocal with an explicit batch policy (cluster.Start
+// passes cluster.Config.Batching here).
 func NewLocalOpts(latency LatencyModel, pol BatchPolicy) *Local {
 	l := &Local{
 		latency: latency,

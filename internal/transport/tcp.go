@@ -67,8 +67,8 @@ func NewTCP(directory map[wire.Addr]string) *TCP {
 	return NewTCPOpts(directory, DefaultPolicy())
 }
 
-// NewTCPOpts is NewTCP with an explicit batch policy (kvserver wires its
-// -flush-budget/-writev-bytes flags through here).
+// NewTCPOpts is NewTCP with an explicit batch policy (kvserver passes
+// cluster.Config.Batching here).
 func NewTCPOpts(directory map[wire.Addr]string, pol BatchPolicy) *TCP {
 	dir := make(map[wire.Addr]string, len(directory))
 	for a, hp := range directory {
