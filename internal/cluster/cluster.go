@@ -38,7 +38,9 @@ type Config struct {
 	// live. Crash tests shrink or stretch it to make reader-state expiry
 	// deterministic around a kill/restart.
 	ReaderGCWindow time.Duration
-	// MaxVersions caps per-key version chains.
+	// MaxVersions caps per-key version chains of the dependency-list
+	// families (CC-LO, COPS; 0 = their default). The timestamp families
+	// trim by their GSS frontier instead.
 	MaxVersions int
 	// Seed randomizes clock skews deterministically.
 	Seed int64

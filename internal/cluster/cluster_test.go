@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mvstore"
 	"repro/internal/ring"
 	"repro/internal/transport"
 )
@@ -332,15 +331,9 @@ func TestEventualVisibilityTwoDCs(t *testing.T) {
 
 // TestCausalSnapshotTwoDCs runs the chained-writer checker with the writer
 // and readers in different DCs: remote readers may see stale data but never
-// an inconsistent snapshot.
-//
-// One documented exception: a key overwritten more than MaxVersions (64)
-// times while the GSS stalls has its chain trimmed, and ReadAtSnapshot then
-// serves the oldest RETAINED version — newer than the snapshot
-// (mvstore.Store.ApproxReads counts those reads). Five raced clusters on two
-// cores do stall the GSS that long, and every "violation" this test ever
-// reported came from a cluster with ApproxReads > 0 (CHANGES.md, PR 19). So a
-// violation fails the test only when no read took the fallback.
+// an inconsistent snapshot. Five raced clusters on two cores stall the GSS
+// long enough for the writer to run far past it; the store then refuses a
+// snapshot it trimmed instead of approximating it, and any violation fails.
 func TestCausalSnapshotTwoDCs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized soak")
@@ -412,18 +405,8 @@ func TestCausalSnapshotTwoDCs(t *testing.T) {
 				t.Fatal(err)
 			}
 			close(violations)
-			var approx uint64
-			for _, srv := range c.Servers() {
-				if s, ok := srv.(interface{ Store() *mvstore.Store }); ok {
-					approx += s.Store().ApproxReads()
-				}
-			}
 			for v := range violations {
-				if approx == 0 {
-					t.Error(v)
-				} else {
-					t.Logf("%s — with %d reads served past a trimmed chain (the documented approximation)", v, approx)
-				}
+				t.Error(v)
 			}
 		})
 	}

@@ -164,7 +164,6 @@ func (cfg Config) NewServer(dc, part int, skew time.Duration, log *wal.Log, net 
 			Clock:         clock,
 			Skew:          skew,
 			RepFlushEvery: cfg.RepFlushEvery,
-			MaxVersions:   cfg.MaxVersions,
 			Durable:       durable,
 			Slow:          cfg.Slow,
 		}, net)

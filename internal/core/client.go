@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -92,13 +93,16 @@ func (c *Client) Seen() vclock.Vec {
 // handle routes direct server-to-client ROT messages (1 1/2-round mode).
 // A shed coordinator request comes back as a one-way Busy whose Echo
 // carries the RotID (the request was un-awaited, so there is no reqID to
-// answer); it is routed to the same waiter, which retries the whole ROT.
+// answer), and a refused leg as a RotRefused; both are routed to the same
+// waiter, which retries the whole ROT.
 func (c *Client) handle(_ transport.Node, _ wire.From, _ uint64, m wire.Message) {
 	var rotID uint64
 	switch msg := m.(type) {
 	case *wire.RotSnap:
 		rotID = msg.RotID
 	case *wire.RotVals:
+		rotID = msg.RotID
+	case *wire.RotRefused:
 		rotID = msg.RotID
 	case *wire.Busy:
 		rotID = msg.Echo
@@ -148,34 +152,72 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	return kvs[0].Value, nil
 }
 
+// ErrSnapshotTooOld is returned by ROT (and Get) when a partition kept
+// refusing the transaction's snapshot: the versions it needed had been
+// trimmed, and snapshotRetries fresher snapshots did not get past the trim
+// either — the partition's GSS stood still (a stalled stabilizer) while the
+// key was written past the store's count ceiling.
+var ErrSnapshotTooOld = errors.New("core: snapshot too old")
+
+// snapshotRetries bounds how often one ROT is retried after a refusal. The
+// backoff starts at a stabilization period and doubles to
+// transport.BusyBackoff's cap, so the budget spans a few hundred
+// milliseconds of GSS progress.
+const snapshotRetries = 10
+
 // ROT executes a causally consistent read-only transaction over keys and
 // returns one KV per key, in key order. A missing key yields a nil Value.
+//
+// A leg refused because the key's chain was trimmed past the snapshot (see
+// mvstore) aborts the attempt: the client folds the refusing partition's
+// trim frontier into its causal context and retries the whole transaction
+// with a fresh id and snapshot, never answering from a snapshot it could
+// not read exactly.
 func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
 	groups := c.groups(keys)
-	var (
-		vals map[string]wire.KV
-		err  error
-	)
+	once := c.rotOneAndHalf
 	if c.mode == TwoRounds {
-		vals, err = c.rotTwoRounds(ctx, keys, groups)
-	} else {
-		vals, err = c.rotOneAndHalf(ctx, keys, groups)
+		once = c.rotTwoRounds
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]wire.KV, len(keys))
-	for i, k := range keys {
-		if kv, ok := vals[k]; ok {
-			out[i] = kv
-		} else {
-			out[i] = wire.KV{Key: k}
+	busy, refused := 0, 0
+	for {
+		vals, again, err := once(ctx, keys, groups)
+		if err != nil {
+			return nil, err
+		}
+		switch m := again.(type) {
+		case nil:
+			out := make([]wire.KV, len(keys))
+			for i, k := range keys {
+				if kv, ok := vals[k]; ok {
+					out[i] = kv
+				} else {
+					out[i] = wire.KV{Key: k}
+				}
+			}
+			return out, nil
+		case *wire.Busy:
+			if busy >= transport.DefaultBusyRetries {
+				return nil, fmt.Errorf("core: rot: %w: coordinator still shedding after %d retries", transport.ErrOverloaded, busy)
+			}
+			c.CountRetry()
+			err = transport.AwaitRetry(ctx, busy, m.RetryAfter())
+			busy++
+		case *wire.RotRefused:
+			if refused >= snapshotRetries {
+				return nil, fmt.Errorf("core: rot: %w: refused after %d retries", ErrSnapshotTooOld, refused)
+			}
+			c.observe(m.Frontier)
+			err = transport.AwaitRetry(ctx, refused, stabilizePeriod)
+			refused++
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: rot: %w", err)
 		}
 	}
-	return out, nil
 }
 
 // groups splits keys by partition into a deterministic order; the first
@@ -200,28 +242,12 @@ func (c *Client) groups(keys []string) []wire.ReadGroup {
 	return groups
 }
 
-// rotOneAndHalf runs the 1 1/2-round ROT, retrying the whole transaction
-// when the coordinator sheds it: the coordinator request is a one-way Send
-// (the responses come straight from the partitions), so the gate's Busy
-// arrives as a one-way message routed back by Echo==RotID rather than as a
-// Call error. Each retry uses a fresh RotID after a jittered backoff.
-func (c *Client) rotOneAndHalf(ctx context.Context, keys []string, groups []wire.ReadGroup) (map[string]wire.KV, error) {
-	for attempt := 0; ; attempt++ {
-		vals, busy, err := c.rotOneAndHalfOnce(ctx, keys, groups)
-		if err != nil || busy == nil {
-			return vals, err
-		}
-		if attempt >= transport.DefaultBusyRetries {
-			return nil, fmt.Errorf("core: rot: %w: coordinator still shedding after %d retries", transport.ErrOverloaded, attempt)
-		}
-		c.CountRetry()
-		if err := transport.AwaitRetry(ctx, attempt, busy.RetryAfter()); err != nil {
-			return nil, fmt.Errorf("core: rot: %w", err)
-		}
-	}
-}
-
-func (c *Client) rotOneAndHalfOnce(ctx context.Context, keys []string, groups []wire.ReadGroup) (map[string]wire.KV, *wire.Busy, error) {
+// rotOneAndHalf runs one attempt of the 1 1/2-round ROT. The coordinator
+// request is a one-way Send (the responses come straight from the
+// partitions), so a shed comes back as a one-way Busy routed by
+// Echo==RotID, and a refused leg as a RotRefused in place of its values;
+// either is returned for ROT to retry on.
+func (c *Client) rotOneAndHalf(ctx context.Context, keys []string, groups []wire.ReadGroup) (map[string]wire.KV, wire.Message, error) {
 	rotID := c.rotSeq.Add(1)
 	ch := make(chan wire.Message, len(groups))
 	c.rots.Store(rotID, ch)
@@ -258,7 +284,7 @@ func (c *Client) rotOneAndHalfOnce(ctx context.Context, keys []string, groups []
 				for _, kv := range msg.Vals {
 					vals[kv.Key] = kv
 				}
-			case *wire.Busy:
+			case *wire.Busy, *wire.RotRefused:
 				return nil, msg, nil
 			}
 		case <-ctx.Done():
@@ -271,7 +297,9 @@ func (c *Client) rotOneAndHalfOnce(ctx context.Context, keys []string, groups []
 	return vals, nil, nil
 }
 
-func (c *Client) rotTwoRounds(ctx context.Context, keys []string, groups []wire.ReadGroup) (map[string]wire.KV, error) {
+// rotTwoRounds runs one attempt of the 2-round ROT; a refused leg's error
+// response is returned for ROT to retry on.
+func (c *Client) rotTwoRounds(ctx context.Context, keys []string, groups []wire.ReadGroup) (map[string]wire.KV, wire.Message, error) {
 	rotID := c.rotSeq.Add(1)
 	c.mu.Lock()
 	seenLocal := c.seen[c.dc]
@@ -285,11 +313,11 @@ func (c *Client) rotTwoRounds(ctx context.Context, keys []string, groups []wire.
 		SeenGSS:   seenGSS,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: rot coord: %w", err)
+		return nil, nil, fmt.Errorf("core: rot coord: %w", err)
 	}
 	cr, ok := resp.(*wire.RotCoordResp)
 	if !ok {
-		return nil, fmt.Errorf("core: rot coord: unexpected response %T", resp)
+		return nil, nil, fmt.Errorf("core: rot coord: unexpected response %T", resp)
 	}
 	sv := cr.SV
 
@@ -316,13 +344,17 @@ func (c *Client) rotTwoRounds(ctx context.Context, keys []string, groups []wire.
 	vals := make(map[string]wire.KV, len(keys))
 	for range groups {
 		r := <-ch
+		var refused *wire.RotRefused
+		if errors.As(r.err, &refused) {
+			return nil, refused, nil
+		}
 		if r.err != nil {
-			return nil, fmt.Errorf("core: rot read: %w", r.err)
+			return nil, nil, fmt.Errorf("core: rot read: %w", r.err)
 		}
 		for _, kv := range r.vals {
 			vals[kv.Key] = kv
 		}
 	}
 	c.observe(sv)
-	return vals, nil
+	return vals, nil, nil
 }

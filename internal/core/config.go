@@ -63,8 +63,6 @@ type Config struct {
 
 	// RepFlushEvery bounds replication batching delay.
 	RepFlushEvery time.Duration
-	// MaxVersions caps per-key version chains (0 = default).
-	MaxVersions int
 
 	// Durable, when non-nil, makes every install durable before it is
 	// acknowledged: NewServer replays the recovered state into the store and

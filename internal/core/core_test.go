@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/mvstore"
 	"repro/internal/ring"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -366,5 +368,93 @@ func TestStabilizerCloseWithoutStart(t *testing.T) {
 	case <-done:
 	case <-time.After(3 * time.Second):
 		t.Fatal("Close on a never-started stabilizer did not return within 3 s")
+	}
+}
+
+// TestRefusedLegRetriesAtFrontier: a ROT leg whose snapshot is below its
+// partition's trim frontier, on a key whose chain that frontier trimmed, is
+// refused rather than answered approximately; the client folds the
+// frontier into its causal context and the retry reads the exact snapshot
+// — on both ROT modes. A chain the count ceiling trimmed past anything the
+// client can see keeps refusing, and the ROT gives up with
+// ErrSnapshotTooOld after its bounded retries.
+func TestRefusedLegRetriesAtFrontier(t *testing.T) {
+	for _, mode := range []ROTMode{OneAndHalfRounds, TwoRounds} {
+		t.Run(fmt.Sprintf("mode%d", mode), func(t *testing.T) {
+			net := transport.NewLocal(transport.LatencyModel{})
+			defer net.Close()
+			// Two partitions of DC 0 in a 2-DC deployment, never Started: no
+			// stabilizer and no reports, so each one's GSS is what the test
+			// hands it, and DC 1's writes are installed directly.
+			var srv [2]*Server
+			for p := range srv {
+				s, err := NewServer(Config{DC: 0, Part: p, NumDCs: 2, NumParts: 2}, net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				srv[p] = s
+			}
+			rg := ring.New(2)
+			owned := func(p int, prefix string) string {
+				for i := 0; ; i++ {
+					if k := fmt.Sprintf("%s%d", prefix, i); rg.Owner(k) == p {
+						return k
+					}
+				}
+			}
+			x, y, z := owned(0, "x"), owned(1, "y"), owned(1, "z")
+			remote := func(ts uint64) mvstore.Version {
+				return mvstore.Version{Value: []byte(fmt.Sprint(ts)), TS: ts, SrcDC: 1, DV: vclock.Vec{0, ts}}
+			}
+			srv[0].store.Install(x, remote(5))
+			srv[1].store.Install(y, remote(10))
+			srv[1].store.Install(y, remote(20))
+			// Partition 1's GSS reaches [1 20] and holds for frontierLag more
+			// broadcasts, so [1 20] becomes its frontier; the next install of
+			// y drops 10, which 20 hides from every snapshot at or above it.
+			for i := 0; i <= frontierLag; i++ {
+				srv[1].applyGSS(vclock.Vec{1, 20})
+			}
+			srv[1].store.Install(y, remote(30))
+			if n := srv[1].store.ChainLen(y); n != 2 {
+				t.Fatalf("y retains %d versions, want 2 (20 and 30)", n)
+			}
+
+			cli, err := NewClient(ClientConfig{DC: 0, ID: 1, NumDCs: 2, Ring: rg, Mode: mode}, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			// Coordinator 0's GSS is zero, so the first snapshot sees no DC 1
+			// write: y's exact answer there (10, or nothing) was trimmed.
+			kvs, err := cli.ROT(ctx, []string{x, y})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := srv[1].store.Refusals(); got != 1 {
+				t.Fatalf("partition 1 refused %d reads, want exactly the first attempt's", got)
+			}
+			if string(kvs[0].Value) != "5" || string(kvs[1].Value) != "20" {
+				t.Fatalf("retry read x=%q y=%q, want the snapshot at the frontier: x=5 y=20", kvs[0].Value, kvs[1].Value)
+			}
+			if seen := cli.Seen(); seen[1] != 20 {
+				t.Fatalf("client context %v did not take the frontier's DC 1 entry", seen)
+			}
+
+			// z is written past the count ceiling with nothing the frontier
+			// reaches: every snapshot the client can get is refused.
+			for n := 1; srv[1].store.ChainLen(z) == n-1; n++ {
+				srv[1].store.Install(z, remote(uint64(99+n)))
+			}
+			if _, err := cli.ROT(ctx, []string{x, z}); !errors.Is(err, ErrSnapshotTooOld) {
+				t.Fatalf("ROT over a chain trimmed past every reachable snapshot: %v, want ErrSnapshotTooOld", err)
+			}
+			if got := srv[1].store.Refusals(); got != 1+1+snapshotRetries {
+				t.Fatalf("partition 1 refused %d reads, want %d", got, 1+1+snapshotRetries)
+			}
+		})
 	}
 }

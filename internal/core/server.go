@@ -28,6 +28,12 @@ type Server struct {
 	vv     vclock.Vec // vv[i], i ≠ local: latest ts received from DC i's replica
 	gss    vclock.Vec // latest Global Stable Snapshot broadcast
 	nextIn []uint64   // next expected replication sequence, per source DC
+	// past holds the GSS after each of the last frontierLag broadcasts, a
+	// ring indexed by rounds mod frontierLag: the entry a broadcast
+	// overwrites is the GSS frontierLag rounds ago, the store's trim
+	// frontier.
+	past   [frontierLag]vclock.Vec
+	rounds int
 
 	// putMu is the partition's ordering fence. A PUT assigns its timestamp,
 	// installs, and enqueues for replication inside the write lock; snapshot
@@ -142,7 +148,7 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		clock: cfg.newClock(),
-		store: mvstore.New(cfg.MaxVersions),
+		store: mvstore.New(),
 		vv:    vclock.New(cfg.NumDCs),
 		gss:   vclock.New(cfg.NumDCs),
 		stop:  make(chan struct{}),
@@ -341,11 +347,27 @@ func (s *Server) gssSnapshot() vclock.Vec {
 	return s.gss.Clone()
 }
 
-// applyGSS merges a broadcast GSS, keeping monotonicity under reordering.
+// frontierLag is how many GSS broadcasts the store's trim frontier trails
+// the GSS by — about 20 ms at the 5 ms period. A leg's snapshot takes its
+// remote entries from its coordinator's GSS (or a newer one the client
+// saw), which under scheduling noise can trail this partition's by a
+// broadcast or two, and a snapshot below the frontier risks a refusal; a
+// few rounds of slack make refusals vanish and cost only milliseconds of
+// writes kept.
+const frontierLag = 4
+
+// applyGSS merges a broadcast GSS, keeping monotonicity under reordering,
+// and moves the store's trim frontier to the GSS frontierLag broadcasts ago.
 func (s *Server) applyGSS(g vclock.Vec) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.gss.MaxInto(g)
-	s.mu.Unlock()
+	slot := &s.past[s.rounds%frontierLag]
+	if *slot != nil {
+		s.store.SetFrontier(*slot)
+	}
+	*slot = s.gss.Clone()
+	s.rounds++
 }
 
 // vvSnapshot returns the server's version vector with the local entry set
@@ -452,28 +474,49 @@ func (s *Server) handleRotCoord(src wire.From, reqID uint64, m *wire.RotCoordReq
 			Keys:   g.Keys,
 		})
 	}
-	vals, wait := s.readAt(sv, own)
-	_ = s.node.SendTo(src, &wire.RotSnap{RotID: m.RotID, SV: sv, Vals: vals})
+	vals, wait, err := s.readAt(sv, own)
+	var reply wire.Message = &wire.RotSnap{RotID: m.RotID, SV: sv, Vals: vals}
+	if err != nil {
+		reply = s.refusal(m.RotID)
+	}
+	_ = s.node.SendTo(src, reply)
 	s.ops.RecordRead(s.slow, start, wait, false, own)
 }
 
 // handleRotFwd serves the coordinator-forwarded leg of a 1 1/2-round ROT.
 func (s *Server) handleRotFwd(m *wire.RotFwd) {
 	start := time.Now()
-	vals, wait := s.readAt(m.SV, m.Keys)
-	_ = s.node.SendTo(wire.From{Addr: m.Client, Sess: m.Sess}, &wire.RotVals{RotID: m.RotID, Vals: vals})
+	vals, wait, err := s.readAt(m.SV, m.Keys)
+	var reply wire.Message = &wire.RotVals{RotID: m.RotID, Vals: vals}
+	if err != nil {
+		reply = s.refusal(m.RotID)
+	}
+	_ = s.node.SendTo(wire.From{Addr: m.Client, Sess: m.Sess}, reply)
 	s.ops.RecordRead(s.slow, start, wait, false, m.Keys)
 }
 
 // handleRotRead serves the second round of a 2-round ROT.
 func (s *Server) handleRotRead(src wire.From, reqID uint64, m *wire.RotReadReq) {
 	start := time.Now()
-	vals, wait := s.readAt(m.SV, m.Keys)
-	_ = s.node.Respond(src, reqID, &wire.RotReadResp{Vals: vals})
+	vals, wait, err := s.readAt(m.SV, m.Keys)
+	var reply wire.Message = &wire.RotReadResp{Vals: vals}
+	if err != nil {
+		reply = s.refusal(0)
+	}
+	_ = s.node.Respond(src, reqID, reply)
 	s.ops.RecordRead(s.slow, start, wait, len(m.Keys) == 1, m.Keys)
 }
 
-// readAt returns the freshest version of each key within snapshot sv.
+// refusal answers a ROT leg whose snapshot needs a version the store has
+// trimmed. It carries the trim frontier, which the client folds into its
+// causal context, so the retried ROT's snapshot covers what this partition
+// retains.
+func (s *Server) refusal(rotID uint64) *wire.RotRefused {
+	return &wire.RotRefused{RotID: rotID, Frontier: s.store.Frontier()}
+}
+
+// readAt returns the freshest version of each key within snapshot sv, or
+// mvstore.ErrTrimmed if one of them is no longer retained.
 //
 // The partition first brings its clock up to the snapshot's local entry so
 // no later PUT can be assigned a timestamp inside the snapshot. Clocks that
@@ -481,9 +524,9 @@ func (s *Server) handleRotRead(src wire.From, reqID uint64, m *wire.RotReadReq) 
 // physical clock sleeps out the difference — Cure's read-side blocking.
 // It also returns how long the read waited on the durability gate (the
 // slow-op trace's queue phase).
-func (s *Server) readAt(sv vclock.Vec, keys []string) ([]wire.KV, time.Duration) {
+func (s *Server) readAt(sv vclock.Vec, keys []string) ([]wire.KV, time.Duration, error) {
 	if len(keys) == 0 {
-		return nil, 0
+		return nil, 0, nil
 	}
 	var gateWait time.Duration
 	local := uint64(0)
@@ -526,14 +569,17 @@ func (s *Server) readAt(sv vclock.Vec, keys []string) ([]wire.KV, time.Duration)
 	defer s.putMu.RUnlock()
 	vals := make([]wire.KV, len(keys))
 	for i, k := range keys {
-		v, ok := s.store.ReadAtSnapshot(k, sv)
+		v, ok, err := s.store.ReadAtSnapshot(k, sv)
+		if err != nil {
+			return nil, gateWait, err
+		}
 		if ok {
 			vals[i] = wire.KV{Key: k, Value: v.Value, TS: v.TS}
 		} else {
 			vals[i] = wire.KV{Key: k}
 		}
 	}
-	return vals, gateWait
+	return vals, gateWait, nil
 }
 
 // handleRepBatch applies a replication batch from a sibling replica.

@@ -9,7 +9,9 @@ import (
 )
 
 // refStore is the pre-refactor store logic, vendored verbatim (minus
-// locking and sharding, which do not affect answers): the golden oracle the
+// locking and sharding, which do not affect answers) except that a read
+// that finds nothing visible on a trimmed chain is refused instead of
+// answered with the oldest retained version: the golden oracle the
 // engine-backed adapter must agree with on every operation of a recorded
 // trace. If a refactor of internal/store shifts install ordering, trim
 // accounting, or the snapshot-visibility rule, this test names the first
@@ -17,7 +19,7 @@ import (
 type refStore struct {
 	m           map[string]*refChain
 	maxVersions int
-	approxReads uint64
+	refusals    uint64
 }
 
 type refChain struct {
@@ -62,21 +64,21 @@ func (s *refStore) readLatest(key string) (Version, bool) {
 	return c.versions[len(c.versions)-1], true
 }
 
-func (s *refStore) readAtSnapshot(key string, sv vclock.Vec) (Version, bool) {
+func (s *refStore) readAtSnapshot(key string, sv vclock.Vec) (Version, bool, error) {
 	c := s.m[key]
 	if c == nil || len(c.versions) == 0 {
-		return Version{}, false
+		return Version{}, false, nil
 	}
 	for i := len(c.versions) - 1; i >= 0; i-- {
 		if c.versions[i].DV.LEQ(sv) {
-			return c.versions[i], true
+			return c.versions[i], true, nil
 		}
 	}
 	if c.trimmed {
-		s.approxReads++
-		return c.versions[0], true
+		s.refusals++
+		return Version{}, false, ErrTrimmed
 	}
-	return Version{}, false
+	return Version{}, false, nil
 }
 
 func (s *refStore) chainLen(key string) int {
@@ -106,7 +108,7 @@ func sameVersion(a, b Version) bool {
 func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 	const maxVersions = 4
 	r := rand.New(rand.NewSource(20180413)) // the paper's arXiv date: fixed trace
-	eng := New(maxVersions)
+	eng := NewSharded(maxVersions, 0)
 	ref := newRefStore(maxVersions)
 
 	keys := make([]string, 40)
@@ -139,10 +141,10 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 			}
 		case 3:
 			sv := randVec()
-			gv, gok := eng.ReadAtSnapshot(key, sv)
-			wv, wok := ref.readAtSnapshot(key, sv)
-			if gok != wok || (gok && !sameVersion(gv, wv)) {
-				t.Fatalf("op %d: ReadAtSnapshot(%s, %v) = (%+v, %v), golden (%+v, %v)", op, key, sv, gv, gok, wv, wok)
+			gv, gok, gerr := eng.ReadAtSnapshot(key, sv)
+			wv, wok, werr := ref.readAtSnapshot(key, sv)
+			if gok != wok || gerr != werr || (gok && !sameVersion(gv, wv)) {
+				t.Fatalf("op %d: ReadAtSnapshot(%s, %v) = (%+v, %v, %v), golden (%+v, %v, %v)", op, key, sv, gv, gok, gerr, wv, wok, werr)
 			}
 		case 4:
 			if got, want := eng.ChainLen(key), ref.chainLen(key); got != want {
@@ -153,8 +155,8 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 	if got, want := eng.Keys(), len(ref.m); got != want {
 		t.Fatalf("Keys() = %d, golden %d", got, want)
 	}
-	if got, want := eng.ApproxReads(), ref.approxReads; got != want {
-		t.Fatalf("ApproxReads() = %d, golden %d: trimmed-fallback accounting diverged", got, want)
+	if got, want := eng.Refusals(), ref.refusals; got != want || got == 0 {
+		t.Fatalf("Refusals() = %d, golden %d: refusal accounting diverged (or the trace never reached it)", got, want)
 	}
 	// Final sweep: every key's full visible state agrees (latest + the
 	// snapshot answer at every vector in the trace's range).
@@ -162,10 +164,10 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 		for x := 0; x < 64; x += 7 {
 			for y := 0; y < 64; y += 7 {
 				sv := vclock.Vec{uint64(x), uint64(y)}
-				gv, gok := eng.ReadAtSnapshot(key, sv)
-				wv, wok := ref.readAtSnapshot(key, sv)
-				if gok != wok || (gok && !sameVersion(gv, wv)) {
-					t.Fatalf("final sweep: ReadAtSnapshot(%s, %v) = (%+v, %v), golden (%+v, %v)", key, sv, gv, gok, wv, wok)
+				gv, gok, gerr := eng.ReadAtSnapshot(key, sv)
+				wv, wok, werr := ref.readAtSnapshot(key, sv)
+				if gok != wok || gerr != werr || (gok && !sameVersion(gv, wv)) {
+					t.Fatalf("final sweep: ReadAtSnapshot(%s, %v) = (%+v, %v, %v), golden (%+v, %v, %v)", key, sv, gv, gok, gerr, wv, wok, werr)
 				}
 			}
 		}

@@ -2,22 +2,29 @@
 // by the timestamp-based protocols (Contrarian, Cure). It is a thin adapter
 // over the shared engine in internal/store: version chains, sharding,
 // trimming, and lock-free reads live there; this package contributes the
-// dependency-vector payload and the snapshot-visibility rule.
+// dependency-vector payload, the snapshot-visibility rule and the trim
+// frontier.
 //
 // Each key holds a short chain of versions totally ordered by (TS, SrcDC) —
 // the last-writer-wins rule of Section 2.2 that guarantees convergence.
 // Reads select the freshest version whose dependency vector is entry-wise ≤
 // a snapshot vector, which is exactly the visibility rule of Section 4.
 //
-// Chains are capped: once a chain exceeds its cap the oldest versions are
-// discarded. A snapshot read that would have needed a discarded version
-// falls back to the oldest retained one and the store counts the event, so
-// benchmarks can verify the approximation never matters at the GSS lags the
-// protocols sustain (it does not; see mvstore tests and the zero-violation
-// checker verdicts in benchmark/results/).
+// Chains are trimmed by a frontier, a vector the snapshots readers get are
+// expected to dominate (core sets it to a lagged GSS). Every install drops
+// the versions older than the newest one visible at the frontier, since
+// that one hides them from any such snapshot; a count ceiling bounds a
+// chain while the frontier stands still. A snapshot below the frontier may
+// then find no retained version it can see on a trimmed chain. Because
+// trimming only ever drops a prefix, the version it wanted was trimmed (or
+// the key did not exist at the snapshot — the store can no longer tell),
+// so ReadAtSnapshot refuses with ErrTrimmed rather than guess, and the
+// reader retries at a fresher snapshot. A retained version visible at the
+// snapshot is always the exact answer: every trimmed version precedes it.
 package mvstore
 
 import (
+	"errors"
 	"sync/atomic"
 
 	"repro/internal/metrics"
@@ -41,25 +48,60 @@ func (v *Version) Before(o *Version) bool {
 	return v.SrcDC < o.SrcDC
 }
 
+// ErrTrimmed is ReadAtSnapshot's refusal: the key's chain was trimmed and
+// no retained version is visible at the snapshot, so the exact answer is
+// gone.
+var ErrTrimmed = errors.New("mvstore: the snapshot's version was trimmed")
+
+// ceiling bounds a chain while the frontier does not advance — before the
+// first GSS arrives, during WAL replay, under a stalled stabilizer — when
+// every version stays above it. It only has to outlast such a stall long
+// enough for readers' retries (core's ROT retry budget spans a few hundred
+// milliseconds) to see the GSS move; it is never reached while the GSS
+// advances.
+const ceiling = 1024
+
 // Store is a sharded multi-version key-value map. All methods are safe for
 // concurrent use; reads and iteration are lock-free (see internal/store).
 type Store struct {
-	eng *store.Engine[vclock.Vec, struct{}]
-
-	approxReads atomic.Uint64 // snapshot reads served past a trimmed chain
+	eng      *store.Engine[vclock.Vec, struct{}]
+	frontier atomic.Pointer[vclock.Vec] // nil until SetFrontier
+	refusals atomic.Uint64              // snapshot reads refused with ErrTrimmed
 }
 
-// DefaultMaxVersions caps per-key chains; see store.DefaultMaxVersions.
-const DefaultMaxVersions = store.DefaultMaxVersions
+// New returns an empty store with the default shard count.
+func New() *Store { return NewSharded(0, 0) }
 
-// New returns an empty store keeping at most maxVersions versions per key
-// (0 means DefaultMaxVersions) with the default shard count.
-func New(maxVersions int) *Store { return NewSharded(maxVersions, 0) }
-
-// NewSharded is New with an explicit shard count (0 = auto from
-// GOMAXPROCS).
+// NewSharded is New with an explicit count ceiling (0 = the store's own)
+// and shard count (0 = auto from GOMAXPROCS).
 func NewSharded(maxVersions, shards int) *Store {
-	return &Store{eng: store.New[vclock.Vec, struct{}](maxVersions, shards)}
+	if maxVersions <= 0 {
+		maxVersions = ceiling
+	}
+	s := &Store{}
+	s.eng = store.NewTrimmed[vclock.Vec, struct{}](maxVersions, shards, s.stable)
+	return s
+}
+
+// stable is the engine's trim predicate: v is visible at the frontier.
+func (s *Store) stable(v *store.Version[vclock.Vec]) bool {
+	f := s.frontier.Load()
+	return f != nil && v.Extra.LEQ(*f)
+}
+
+// SetFrontier makes f the trim frontier. Snapshots below it risk refusal,
+// so it should trail the snapshots readers get (core: the GSS a few
+// broadcasts ago). Successive frontiers must be monotone, and f must not be
+// modified afterwards.
+func (s *Store) SetFrontier(f vclock.Vec) { s.frontier.Store(&f) }
+
+// Frontier returns the current trim frontier (nil before the first
+// SetFrontier). The vector must not be modified.
+func (s *Store) Frontier() vclock.Vec {
+	if f := s.frontier.Load(); f != nil {
+		return *f
+	}
+	return nil
 }
 
 func toEngine(v Version) store.Version[vclock.Vec] {
@@ -70,20 +112,19 @@ func fromEngine(ev *store.Version[vclock.Vec]) Version {
 	return Version{Value: ev.Value, TS: ev.TS, SrcDC: ev.Src, DV: ev.Extra}
 }
 
-// ApproxReads returns how many snapshot reads were answered with the oldest
-// retained version because the exact version had been trimmed.
-func (s *Store) ApproxReads() uint64 { return s.approxReads.Load() }
+// Refusals returns how many snapshot reads were refused with ErrTrimmed.
+func (s *Store) Refusals() uint64 { return s.refusals.Load() }
 
 // Register exposes the underlying engine's occupancy gauges plus the
-// approximate-read counter under the given registry.
+// refusal counter under the given registry.
 func (s *Store) Register(r *metrics.Registry, labels ...metrics.Label) {
 	s.eng.Register(r, labels...)
-	r.CounterFunc("kv_store_approx_reads_total",
-		"Snapshot reads served with the oldest retained version because the exact one was trimmed.",
-		func() float64 { return float64(s.approxReads.Load()) }, labels...)
+	r.CounterFunc("kv_store_snapshot_refusals_total",
+		"Snapshot reads refused because the version the snapshot needed was trimmed (the reader retries at a fresher snapshot).",
+		func() float64 { return float64(s.refusals.Load()) }, labels...)
 }
 
-// Install inserts version v of key, keeping the chain ordered and capped.
+// Install inserts version v of key, keeping the chain ordered and trimmed.
 // Duplicate (TS, SrcDC) installs are idempotent. It returns true if v is
 // now the newest version of key.
 func (s *Store) Install(key string, v Version) bool {
@@ -101,32 +142,31 @@ func (s *Store) ReadLatest(key string) (Version, bool) {
 
 // ReadAtSnapshot returns the freshest version of key whose dependency
 // vector is entry-wise ≤ sv. If the key has no version inside the snapshot
-// it returns false — the key does not exist yet in this snapshot. Lock-free.
-func (s *Store) ReadAtSnapshot(key string, sv vclock.Vec) (Version, bool) {
+// it returns false — the key does not exist yet in this snapshot — unless
+// the chain was trimmed, in which case that cannot be told from "its
+// version was trimmed" and it returns ErrTrimmed. Lock-free.
+func (s *Store) ReadAtSnapshot(key string, sv vclock.Vec) (Version, bool, error) {
 	ref := s.eng.Ref(key)
 	// Fast path: the newest version is usually inside the snapshot (the GSS
 	// lags writes by only a stabilization interval), and checking it through
 	// the cached latest pointer skips the chain-header load.
 	if v := ref.Latest(); v != nil && v.Extra.LEQ(sv) {
-		return fromEngine(v), true
+		return fromEngine(v), true, nil
 	}
 	c := ref.View()
 	if c.Len() == 0 {
-		return Version{}, false
+		return Version{}, false, nil
 	}
 	for i := len(c.Versions) - 1; i >= 0; i-- {
 		if c.Versions[i].Extra.LEQ(sv) {
-			return fromEngine(&c.Versions[i]), true
+			return fromEngine(&c.Versions[i]), true, nil
 		}
 	}
 	if c.Trimmed {
-		// The exact version was discarded; serve the oldest retained one
-		// rather than blocking. Counted so experiments can prove this is
-		// vanishingly rare.
-		s.approxReads.Add(1)
-		return fromEngine(&c.Versions[0]), true
+		s.refusals.Add(1)
+		return Version{}, false, ErrTrimmed
 	}
-	return Version{}, false
+	return Version{}, false, nil
 }
 
 // Keys returns the number of keys present.

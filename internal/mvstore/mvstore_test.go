@@ -1,6 +1,7 @@
 package mvstore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -16,7 +17,7 @@ func v(ts uint64, dc uint8, dv ...uint64) Version {
 }
 
 func TestInstallAndReadLatest(t *testing.T) {
-	s := New(0)
+	s := New()
 	if _, ok := s.ReadLatest("x"); ok {
 		t.Fatal("empty store should miss")
 	}
@@ -39,7 +40,7 @@ func TestInstallAndReadLatest(t *testing.T) {
 }
 
 func TestInstallIdempotent(t *testing.T) {
-	s := New(0)
+	s := New()
 	s.Install("x", v(10, 1, 0, 10))
 	s.Install("x", v(10, 1, 0, 10))
 	if s.ChainLen("x") != 1 {
@@ -48,7 +49,7 @@ func TestInstallIdempotent(t *testing.T) {
 }
 
 func TestLWWTieBreakByDC(t *testing.T) {
-	s := New(0)
+	s := New()
 	s.Install("x", v(10, 1, 0, 10))
 	s.Install("x", v(10, 0, 10, 0))
 	got, _ := s.ReadLatest("x")
@@ -58,51 +59,88 @@ func TestLWWTieBreakByDC(t *testing.T) {
 }
 
 func TestReadAtSnapshot(t *testing.T) {
-	s := New(0)
+	s := New()
 	s.Install("x", v(10, 0, 10, 0))
 	s.Install("x", v(20, 0, 20, 0))
 	s.Install("x", v(30, 0, 30, 5)) // depends on remote ts 5
 
-	got, ok := s.ReadAtSnapshot("x", vclock.Vec{25, 100})
+	got, ok, _ := s.ReadAtSnapshot("x", vclock.Vec{25, 100})
 	if !ok || got.TS != 20 {
 		t.Fatalf("snapshot [25 100]: got %+v ok=%v, want TS=20", got, ok)
 	}
-	got, ok = s.ReadAtSnapshot("x", vclock.Vec{30, 4})
+	got, ok, _ = s.ReadAtSnapshot("x", vclock.Vec{30, 4})
 	if !ok || got.TS != 20 {
 		t.Fatalf("snapshot [30 4] must exclude version depending on remote 5: got TS=%d", got.TS)
 	}
-	got, ok = s.ReadAtSnapshot("x", vclock.Vec{30, 5})
+	got, ok, _ = s.ReadAtSnapshot("x", vclock.Vec{30, 5})
 	if !ok || got.TS != 30 {
 		t.Fatalf("snapshot [30 5]: got %+v, want TS=30", got)
 	}
-	if _, ok = s.ReadAtSnapshot("x", vclock.Vec{5, 0}); ok {
-		t.Fatal("snapshot below all versions must miss (key not yet created)")
+	if _, ok, err := s.ReadAtSnapshot("x", vclock.Vec{5, 0}); ok || err != nil {
+		t.Fatalf("snapshot below all versions of an untrimmed chain must miss (key not yet created): ok=%v err=%v", ok, err)
 	}
-	if _, ok = s.ReadAtSnapshot("nope", vclock.Vec{99, 99}); ok {
-		t.Fatal("missing key must miss")
+	if _, ok, err := s.ReadAtSnapshot("nope", vclock.Vec{99, 99}); ok || err != nil {
+		t.Fatalf("missing key must miss: ok=%v err=%v", ok, err)
 	}
 }
 
-func TestTrimmingAndApproxReads(t *testing.T) {
-	s := New(4)
+// A snapshot below everything a count-trimmed chain retains is refused —
+// the exact version is gone — while one that sees a retained version gets
+// the exact answer.
+func TestTrimmedSnapshotReadRefused(t *testing.T) {
+	s := NewSharded(4, 0)
 	for ts := uint64(1); ts <= 10; ts++ {
 		s.Install("x", v(ts, 0, ts, 0))
 	}
 	if s.ChainLen("x") != 4 {
 		t.Fatalf("chain len = %d, want cap 4", s.ChainLen("x"))
 	}
-	// Snapshot below the retained window: falls back to oldest retained.
-	got, ok := s.ReadAtSnapshot("x", vclock.Vec{2, 0})
-	if !ok || got.TS != 7 {
-		t.Fatalf("trimmed read: got %+v ok=%v, want oldest retained TS=7", got, ok)
+	if got, ok, err := s.ReadAtSnapshot("x", vclock.Vec{2, 0}); ok || !errors.Is(err, ErrTrimmed) {
+		t.Fatalf("read below the retained window: got %+v ok=%v err=%v, want ErrTrimmed", got, ok, err)
 	}
-	if s.ApproxReads() != 1 {
-		t.Fatalf("approxReads = %d, want 1", s.ApproxReads())
+	if got, ok, err := s.ReadAtSnapshot("x", vclock.Vec{8, 0}); !ok || err != nil || got.TS != 8 {
+		t.Fatalf("read inside the retained window: got %+v ok=%v err=%v, want TS=8", got, ok, err)
+	}
+	if s.Refusals() != 1 {
+		t.Fatalf("Refusals() = %d, want 1", s.Refusals())
+	}
+}
+
+// The frontier trims each chain to the newest version visible at it plus
+// everything above; snapshots that dominate the frontier keep getting exact
+// answers, and only one below it on a chain with nothing it can see is
+// refused. A version visible at the frontier need not be the newest by
+// (TS, SrcDC): stability is per dependency vector.
+func TestFrontierTrim(t *testing.T) {
+	s := New()
+	s.Install("x", v(10, 0, 10, 0))
+	s.Install("x", v(20, 1, 0, 20))
+	s.Install("x", v(30, 0, 30, 25)) // depends on a remote write the frontier has not passed
+	s.SetFrontier(vclock.Vec{40, 20})
+	s.Install("x", v(50, 0, 50, 0))
+	// The newest version visible at [40 20] is the DC1 write at 20: 10 goes,
+	// and 30 stays — it is above that version, whatever its own DV.
+	if s.ChainLen("x") != 3 {
+		t.Fatalf("chain len = %d, want 3 (20, 30, 50)", s.ChainLen("x"))
+	}
+	for _, c := range []struct {
+		sv   vclock.Vec
+		want uint64
+	}{{vclock.Vec{40, 20}, 20}, {vclock.Vec{45, 30}, 30}, {vclock.Vec{60, 0}, 50}} {
+		if got, ok, err := s.ReadAtSnapshot("x", c.sv); !ok || err != nil || got.TS != c.want {
+			t.Fatalf("snapshot %v: got %+v ok=%v err=%v, want TS=%d", c.sv, got, ok, err, c.want)
+		}
+	}
+	if _, _, err := s.ReadAtSnapshot("x", vclock.Vec{15, 0}); !errors.Is(err, ErrTrimmed) {
+		t.Fatalf("snapshot below the frontier that saw only the trimmed 10: err=%v, want ErrTrimmed", err)
+	}
+	if !s.Frontier().Equal(vclock.Vec{40, 20}) {
+		t.Fatalf("Frontier() = %v", s.Frontier())
 	}
 }
 
 func TestKeysAndForEachLatest(t *testing.T) {
-	s := New(0)
+	s := New()
 	for i := 0; i < 100; i++ {
 		s.Install(fmt.Sprintf("k%d", i), v(uint64(i+1), 0, uint64(i+1), 0))
 	}
@@ -130,7 +168,7 @@ func TestQuickConvergenceOrderIndependent(t *testing.T) {
 			versions[i] = v(ts, dc, ts+uint64(dc))
 		}
 		apply := func(perm []int) map[string]Version {
-			s := New(0)
+			s := New()
 			for _, i := range perm {
 				s.Install("k", versions[i])
 			}
@@ -147,20 +185,19 @@ func TestQuickConvergenceOrderIndependent(t *testing.T) {
 	}
 }
 
-// Property: a snapshot read never returns a version outside the snapshot
-// (unless the chain was trimmed, which we exclude here by keeping chains
-// short).
+// Property: a snapshot read never returns a version outside the snapshot,
+// trimmed chain or not (the cap of 4 trims most of these).
 func TestQuickSnapshotContainment(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := New(0)
+		s := NewSharded(4, 0)
 		for i := 0; i < 20; i++ {
 			ts := uint64(r.Intn(50) + 1)
 			rem := uint64(r.Intn(50))
 			s.Install("k", v(ts, 0, ts, rem))
 		}
 		sv := vclock.Vec{uint64(r.Intn(60)), uint64(r.Intn(60))}
-		got, ok := s.ReadAtSnapshot("k", sv)
+		got, ok, _ := s.ReadAtSnapshot("k", sv)
 		if !ok {
 			return true
 		}
@@ -172,7 +209,7 @@ func TestQuickSnapshotContainment(t *testing.T) {
 }
 
 func TestConcurrentInstallRead(t *testing.T) {
-	s := New(0)
+	s := New()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -195,7 +232,7 @@ func TestConcurrentInstallRead(t *testing.T) {
 }
 
 func BenchmarkInstall(b *testing.B) {
-	s := New(0)
+	s := New()
 	dv := vclock.Vec{0, 0}
 	val := make([]byte, 8)
 	b.ReportAllocs()
@@ -207,7 +244,7 @@ func BenchmarkInstall(b *testing.B) {
 }
 
 func BenchmarkReadAtSnapshot(b *testing.B) {
-	s := New(0)
+	s := New()
 	for i := 0; i < 4096; i++ {
 		ts := uint64(i + 1)
 		s.Install(fmt.Sprintf("k%d", i), Version{Value: make([]byte, 8), TS: ts, DV: vclock.Vec{ts, 0}})

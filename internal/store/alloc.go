@@ -18,13 +18,13 @@ import (
 // whole chunk alive, including every byte that belonged to neighbours
 // republished long ago — and everything those dead neighbours still point
 // at. That is affordable only for what a key allocates a bounded number of
-// times: its entry, and the backing arrays and chain headers of its first
-// slabMaxAlloc versions (arrays of 1, 2, 4 and 8 slots, a header per
-// install). What a frequently written key allocates without bound — long or
-// at-the-cap backing arrays, a header per install — is allocated privately
-// (engine.go: backing, publish), so the GC frees it object by object,
-// exactly when the key moves off it. Values are the exception that remains:
-// one per install, from arena chunks a cold neighbour can pin.
+// times: its entry, and the backing arrays, chain headers and values of its
+// first versions, until its chain is trimmed or outgrows slabMaxAlloc
+// (arrays of 1, 2, 4 and 8 slots, a header and a value per install). What a
+// frequently written key allocates without bound — trimmed or long backing
+// arrays, a header and a value per install — is allocated privately
+// (engine.go: backing, privateTier, publish), so the GC frees it object by
+// object, exactly when the key moves off it.
 
 // arenaChunk is the value-arena chunk size. Values larger than a quarter
 // chunk get a private allocation so one big value cannot pin a mostly-dead
@@ -49,10 +49,15 @@ type arena struct {
 	bytes *atomic.Int64 // engine-wide reserved-bytes counter, may be nil
 }
 
-// copy returns a stable copy of b backed by the arena.
-func (a *arena) copy(b []byte) []byte {
+// copy returns a stable copy of b: a private allocation when private is set
+// (uncounted, like the headers of private-tier chains) or b is oversized,
+// arena bytes otherwise.
+func (a *arena) copy(b []byte, private bool) []byte {
 	if len(b) == 0 {
 		return nil
+	}
+	if private {
+		return append([]byte(nil), b...)
 	}
 	if len(b) > arenaChunk/4 {
 		addBytes(a.bytes, int64(len(b)))
@@ -72,9 +77,9 @@ func (a *arena) copy(b []byte) []byte {
 const slabChunk = 512
 
 // slabMaxAlloc is the largest alloc a slab serves; callers allocate longer
-// slices privately. It keeps the 1–8 version chains of the cold majority of
-// keys collapsed into chunks and leaves the long chains of frequently
-// written keys to the GC.
+// slices privately. It keeps the untrimmed 1–8 version chains of the cold
+// majority of keys collapsed into chunks and leaves the chains of
+// frequently written keys to the GC.
 const slabMaxAlloc = 8
 
 // slab is a bump allocator for []T (version backing arrays) and single T

@@ -33,23 +33,34 @@
 //     no lock-free reader dereferences that interior state, because readers
 //     copying the version struct only read the field's pointer word.
 //
+// Trimming: an engine may be built with a stable predicate (NewTrimmed) —
+// the adapter's statement that a version is visible in every snapshot a
+// reader can still be served from. Each install then drops every version
+// older than the newest one the predicate accepts: no reader can need them,
+// because that version hides them all. The version cap remains as a hard
+// ceiling for when the predicate accepts nothing (no frontier yet, or a
+// stalled one). Either way a chain only ever loses a prefix, so every
+// discarded version precedes every retained one, and Chain.Trimmed tells a
+// reader that found nothing old enough that the answer it wanted is gone.
+//
 // Memory model: an install of a key's newest version — the common case —
 // writes the one slot past the published len and publishes a header one slot
-// longer; at the version cap the window slides forward instead. Versions are
-// copied only when the backing array is full (capacity doubles up to twice
-// the cap, so a chain at the cap re-copies once per MaxVersions installs),
-// when a version lands mid-chain, and in SetExtra. Nothing is recycled:
-// lock-free readers have unbounded lifetime, so reclamation is left to the
-// GC. Values come from per-shard bump arenas and key entries from per-shard
-// slabs (alloc.go), as do the backing arrays and chain headers of keys
-// written at most slabMaxAlloc times — the cold majority — which collapses
-// millions of tiny heap objects into a few large ones and is what cuts GC
-// mark cost and pause times at 10M+ keys (benchfig -fig store). Longer
-// chains get private arrays and headers, because a chunk lives as long as
-// its longest-lived tenant and a frequently written key would leave garbage
-// in every one. A backing array keeps the versions the window slid past
-// (and their values) reachable until the key moves to its next array, which
-// bounds that excess at one cap's worth of versions per key.
+// longer; when it trims, the window slides forward instead. Versions are
+// copied only when the backing array is full, when a version lands
+// mid-chain, and in SetExtra. Nothing is recycled: lock-free readers have
+// unbounded lifetime, so reclamation is left to the GC. Values come from
+// per-shard bump arenas and key entries from per-shard slabs (alloc.go), as
+// do the backing arrays and chain headers of untrimmed chains of at most
+// slabMaxAlloc versions — the cold majority — which collapses millions of
+// tiny heap objects into a few large ones and is what cuts GC mark cost and
+// pause times at 10M+ keys (benchfig -fig store). A chain that has been
+// trimmed or has outgrown the slab is written often, so everything it
+// allocates from then on — backing array, header and value — is private,
+// because a chunk lives as long as its longest-lived tenant and a frequently
+// written key would leave garbage in every one. A trimmed chain's array is
+// sized to its live window (twice it, rounded up to a power of two), so the
+// versions the window slid past stay reachable for at most about one
+// window's worth of installs.
 package store
 
 import (
@@ -205,7 +216,8 @@ type Engine[X, A any] struct {
 	keys   atomic.Int64
 	shards []shard[X, A]
 	mask   uint64
-	max    int // per-key version cap
+	max    int                    // per-key version cap: the hard ceiling
+	stable func(*Version[X]) bool // the trim predicate; nil: the cap alone
 	seed   maphash.Seed
 	// Reserved allocator bytes, engine-wide. Bumped only on chunk
 	// reservation (alloc.go), so installs pay nothing for the accounting.
@@ -213,10 +225,9 @@ type Engine[X, A any] struct {
 	slabBytes  atomic.Int64
 }
 
-// DefaultMaxVersions caps per-key chains. The GSS lags by roughly one
-// stabilization interval (5 ms), so even a key written continuously needs
-// only (write rate × lag) retained versions; 64 is far above that at our
-// scales.
+// DefaultMaxVersions caps per-key chains of an engine built with no cap of
+// its own: a guess at what a reader can still ask for, kept by the families
+// that have no trim frontier yet.
 const DefaultMaxVersions = 64
 
 // DefaultShards derives the shard count from GOMAXPROCS: enough shards that
@@ -247,6 +258,15 @@ func ceilPow2(n int) int {
 // (0 means DefaultMaxVersions) across `shards` shards (0 means
 // DefaultShards; rounded up to a power of two, capped at MaxShards).
 func New[X, A any](maxVersions, shards int) *Engine[X, A] {
+	return NewTrimmed[X, A](maxVersions, shards, nil)
+}
+
+// NewTrimmed is New with a trim predicate: every install drops the versions
+// older than the newest one stable accepts (see the package comment), and
+// maxVersions becomes the ceiling for when it accepts none. stable runs
+// under the shard lock and must be safe for concurrent use across shards;
+// it may change its answers over time, but only ever from false to true.
+func NewTrimmed[X, A any](maxVersions, shards int, stable func(*Version[X]) bool) *Engine[X, A] {
 	if maxVersions <= 0 {
 		maxVersions = DefaultMaxVersions
 	}
@@ -261,6 +281,7 @@ func New[X, A any](maxVersions, shards int) *Engine[X, A] {
 		shards: make([]shard[X, A], shards),
 		mask:   uint64(shards - 1),
 		max:    maxVersions,
+		stable: stable,
 		seed:   maphash.MakeSeed(),
 	}
 	for i := range e.shards {
@@ -280,8 +301,9 @@ func New[X, A any](maxVersions, shards int) *Engine[X, A] {
 // built — every chunk, every oversized value and every private backing
 // array, counted once when allocated and never subtracted: the GC frees a
 // chunk or an array once nothing published references it, which this
-// accounting does not observe. (The 32-byte private headers of long chains
-// are not counted; that would cost an atomic per install.) Both numbers
+// accounting does not observe. (The private headers and values of trimmed
+// or long chains are not counted; that would cost an atomic per install.)
+// Both numbers
 // bound retained memory from above and grow with write traffic; slab bytes
 // over Versions() is the reservation each retained version has cost so far.
 func (e *Engine[X, A]) MemBytes() (arena, slab int64) {
@@ -335,7 +357,8 @@ func (e *Engine[X, A]) find(h uint64, key string) *entry[X, A] {
 // NumShards returns the shard count in use.
 func (e *Engine[X, A]) NumShards() int { return len(e.shards) }
 
-// MaxVersions returns the per-key chain cap.
+// MaxVersions returns the per-key chain cap (the ceiling, under a trim
+// predicate).
 func (e *Engine[X, A]) MaxVersions() int { return e.max }
 
 // View returns key's current chain without locking, or nil if the key has
@@ -429,12 +452,12 @@ func (k *Key[X, A]) Chain() *Chain[X] { return k.en.chain.Load() }
 func (k *Key[X, A]) Aux() *A { return &k.en.aux }
 
 // Install inserts v into the chain, keeping it ordered by (TS, Src) and
-// capped at the engine's MaxVersions. v.Value is copied into the shard
-// arena; the caller's slice is not retained.
+// trimmed by the engine's rule (see the package comment). v.Value is
+// copied; the caller's slice is not retained.
 //
-// It returns the index of v in the resulting chain (-1 if the chain was at
-// capacity and v, being oldest, was immediately discarded), whether v is now
-// the newest version, and whether an identical (TS, Src) version already
+// It returns the index of v in the resulting chain (-1 if v was older than
+// what the trim keeps and was discarded at once), whether v is now the
+// newest version, and whether an identical (TS, Src) version already
 // existed — in which case the chain is unchanged, idx points at the existing
 // version, and newest reports whether that version is the newest.
 func (k *Key[X, A]) Install(v Version[X]) (idx int, newest, dup bool) {
@@ -459,53 +482,85 @@ func (e *Engine[X, A]) installLocked(sh *shard[X, A], en *entry[X, A], v Version
 		return i - 1, i == len(vs), true
 	}
 	n := len(vs) + 1
-	drop := 0
-	if n > e.max {
-		drop = 1 // chains never exceed max, so one insert overflows by one
-	}
+	drop := e.floor(vs, i, &v)
 	if i < drop {
-		// At capacity and older than everything retained: v is the version
-		// the trim would discard, so nothing is stored. Readers tell "grew to
-		// capacity" from "dropped something" by Trimmed, and this did drop.
-		if !trimmed {
-			sh.publish(en, vs, true)
+		// Older than what the trim keeps: v is discarded unstored, along with
+		// the versions below the floor. Readers tell "grew" from "dropped
+		// something" by Trimmed, and this did drop.
+		if keep := vs[drop-1:]; len(keep) < len(vs) || !trimmed {
+			sh.live -= len(vs) - len(keep)
+			sh.publish(en, keep, true)
 		}
 		return -1, false, false
 	}
-	v.Value = sh.arena.copy(v.Value)
+	trimmed = trimmed || drop > 0
 	var nvs []Version[X]
 	if i == len(vs) && cap(vs) > len(vs) {
 		// Newest version and the backing array has room: write the slot past
 		// every published len and slide the window over it.
 		nvs = vs[drop:n]
-		nvs[i-drop] = v
 	} else {
-		nvs = e.backing(sh, n-drop)
+		nvs = e.backing(sh, n-drop, trimmed)
 		copy(nvs, vs[drop:i])
-		nvs[i-drop] = v
 		copy(nvs[i-drop+1:], vs[i:])
 	}
+	v.Value = sh.arena.copy(v.Value, privateTier(nvs, trimmed))
+	nvs[i-drop] = v
 	sh.live += len(nvs) - len(vs)
-	sh.publish(en, nvs, trimmed || drop > 0)
+	sh.publish(en, nvs, trimmed)
 	return i - drop, i == n-1, false
 }
 
-// backing returns a zeroed chain of n versions on a new backing array with
-// room to grow: capacity is the next power of two, so a growing chain is
-// copied a constant number of times per version, and twice the cap once the
-// chain is at it, so the window has max installs to slide before the next
-// copy. A chain short of the cap that fits a slab array gets one — the cold
-// majority of keys never needs another; every other array is private, so
-// the GC frees exactly what a frequently written key leaves behind.
-func (e *Engine[X, A]) backing(sh *shard[X, A], n int) []Version[X] {
-	c := 2 * e.max
-	if n < e.max {
-		if c = ceilPow2(n); c <= slabMaxAlloc {
-			return sh.slab.alloc(c)[:n]
+// floor returns how many of the oldest versions of the n = len(vs)+1 long
+// chain that inserting v at i would make the trim drops: everything below
+// its newest stable version, and at least what the ceiling demands. The
+// scan runs from the tail, so on a key the frontier has reached it stops
+// after the few versions written since.
+func (e *Engine[X, A]) floor(vs []Version[X], i int, v *Version[X]) int {
+	n := len(vs) + 1
+	lo := max(n-e.max, 0)
+	if e.stable == nil {
+		return lo
+	}
+	for j := n - 1; j > lo; j-- {
+		m := v
+		if j < i {
+			m = &vs[j]
+		} else if j > i {
+			m = &vs[j-1]
 		}
+		if e.stable(m) {
+			return j
+		}
+	}
+	return lo
+}
+
+// backing returns a zeroed chain of n versions on a new backing array with
+// room to grow. An untrimmed chain's capacity is the next power of two, so a
+// growing chain is copied a constant number of times per version, and one
+// that fits a slab array gets one — the cold majority of keys never needs
+// another. A trimmed chain's window slides, so its array is twice the
+// window (at least 4 slots): the window gets about its own length in
+// installs before the next copy, and what it slid past stays reachable for
+// no longer. Every array but a slab one is private, so the GC frees exactly
+// what a frequently written key leaves behind.
+func (e *Engine[X, A]) backing(sh *shard[X, A], n int, trimmed bool) []Version[X] {
+	c := ceilPow2(n)
+	if trimmed {
+		c = max(4, ceilPow2(2*n))
+	} else if c <= slabMaxAlloc {
+		return sh.slab.alloc(c)[:n]
 	}
 	e.slabBytes.Add(int64(c) * sh.slab.elem)
 	return make([]Version[X], n, c)
+}
+
+// privateTier reports whether a chain on vs is in the private tier: trimmed, or
+// past what the slab serves. Such a key is written often, so its headers and
+// values are private allocations too, freed object by object.
+func privateTier[X any](vs []Version[X], trimmed bool) bool {
+	return trimmed || cap(vs) > slabMaxAlloc
 }
 
 // publish makes vs (non-empty) en's chain. The caller holds sh.mu.
@@ -513,11 +568,11 @@ func (e *Engine[X, A]) backing(sh *shard[X, A], n int) []Version[X] {
 // A superseded header in a slab chunk stays reachable for as long as any
 // neighbour is current, and keeps its backing array reachable with it. That
 // is harmless for a key written a handful of times and is what pinned most
-// of the heap for keys written constantly, so a chain that has outgrown the
-// slab's arrays or reached the cap gets private headers.
+// of the heap for keys written constantly, so a private-tier chain gets
+// private headers.
 func (sh *shard[X, A]) publish(en *entry[X, A], vs []Version[X], trimmed bool) {
 	var nc *Chain[X]
-	if trimmed || cap(vs) > slabMaxAlloc {
+	if privateTier(vs, trimmed) {
 		nc = new(Chain[X])
 	} else {
 		nc = sh.chains.one()
@@ -533,7 +588,7 @@ func (sh *shard[X, A]) publish(en *entry[X, A], vs []Version[X], trimmed bool) {
 // readers copying the version struct.
 func (k *Key[X, A]) SetExtra(idx int, x X) {
 	old := k.en.chain.Load()
-	nvs := k.e.backing(k.sh, len(old.Versions))
+	nvs := k.e.backing(k.sh, len(old.Versions), old.Trimmed)
 	copy(nvs, old.Versions)
 	nvs[idx].Extra = x
 	k.sh.publish(k.en, nvs, old.Trimmed)

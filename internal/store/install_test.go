@@ -12,13 +12,15 @@ import (
 	"repro/internal/workload"
 )
 
-// refChain is the reference the model test compares against: the parent
-// commit's installLocked and SetExtra, copy-per-install, vendored verbatim
-// except that allocation is plain make and the chain lives in a struct.
+// refChain is the reference the model test compares against: the
+// copy-per-install core the in-place engine replaced, allocation by plain
+// make, plus the trim rule stated as directly as it reads — keep the
+// suffix from the newest stable version, and at most max.
 type refChain struct {
 	vs      []Version[int]
 	trimmed bool
 	max     int
+	stable  func(*Version[int]) bool // nil: the cap alone
 }
 
 func (r *refChain) install(v Version[int]) (idx int, newest, dup bool) {
@@ -31,28 +33,20 @@ func (r *refChain) install(v Version[int]) (idx int, newest, dup bool) {
 	if i > 0 && vs[i-1].TS == v.TS && vs[i-1].Src == v.Src {
 		return i - 1, i == len(vs), true
 	}
-	n := len(vs) + 1
+	merged := append(append(append([]Version[int](nil), vs[:i]...), v), vs[i:]...)
 	drop := 0
-	if n > r.max {
-		drop = n - r.max
-	}
-	nvs := make([]Version[int], n-drop)
-	for d, s := 0, drop; s < n; d, s = d+1, s+1 {
-		switch {
-		case s < i:
-			nvs[d] = vs[s]
-		case s == i:
-			nvs[d] = v
-		default:
-			nvs[d] = vs[s-1]
+	for j := range merged {
+		if r.stable != nil && r.stable(&merged[j]) {
+			drop = j
 		}
 	}
-	r.vs, r.trimmed = nvs, trimmed || drop > 0
+	drop = max(drop, len(merged)-r.max)
+	r.vs, r.trimmed = merged[drop:], trimmed || drop > 0
 	idx = i - drop
 	if idx < 0 {
-		idx = -1 // at capacity and older than everything retained
+		idx = -1 // older than what the trim keeps
 	}
-	return idx, i == n-1, false
+	return idx, i == len(merged)-1, false
 }
 
 func (r *refChain) setExtra(idx, x int) {
@@ -79,61 +73,143 @@ func sameVersions(a, b []Version[int]) bool {
 }
 
 // Model test: whatever the in-place engine does with its backing arrays,
-// every install answers and leaves behind exactly what copy-per-install did.
+// every install answers and leaves behind exactly what copy-per-install did
+// — under the cap alone, and with a trim frontier that advances at random
+// while lock-free readers hold and re-check what they saw.
 func TestInstallMatchesCopyPerInstallModel(t *testing.T) {
 	for _, max := range []int{1, 2, 3, 64} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("max%d/seed%d", max, seed), func(t *testing.T) {
-				r := rand.New(rand.NewSource(seed))
-				e := New[int, struct{}](max, 1)
-				ref := &refChain{max: max}
-				next := uint64(1000) // newest TS so far
-				for step := 0; step < 40*max+200; step++ {
-					var ver Version[int]
-					setExtra := false
-					switch p := r.Intn(100); {
-					case p < 55: // in order
-						next += uint64(1 + r.Intn(3))
-						ver = v(next, uint8(r.Intn(3)))
-					case p < 70 && len(ref.vs) > 0: // mid-chain, or a duplicate when the TS is taken
-						lo := ref.vs[0].TS
-						ver = v(lo+uint64(r.Int63n(int64(next-lo)+1)), uint8(r.Intn(3)))
-					case p < 80 && len(ref.vs) > 0: // exact duplicate
-						ver = ref.vs[r.Intn(len(ref.vs))]
-					case p < 90: // older than everything retained: too old once at cap
-						ver = v(uint64(1+r.Intn(999)), uint8(r.Intn(3)))
-					default:
-						setExtra = len(ref.vs) > 0
-						if !setExtra {
-							continue
-						}
-					}
-					e.Update("k", true, func(k *Key[int, struct{}]) {
-						if setExtra {
-							i, x := r.Intn(len(ref.vs)), r.Int()
-							ref.setExtra(i, x)
-							k.SetExtra(i, x)
-							return
-						}
-						wi, wn, wd := ref.install(ver)
-						gi, gn, gd := k.Install(ver)
-						if gi != wi || gn != wn || gd != wd {
-							t.Fatalf("step %d install %d/%d: got (%d,%v,%v), want (%d,%v,%v)", step, ver.TS, ver.Src, gi, gn, gd, wi, wn, wd)
-						}
-					})
-					c := e.View("k")
-					if !sameVersions(c.Versions, ref.vs) || c.Trimmed != ref.trimmed {
-						t.Fatalf("step %d: chain diverged\n got %+v trimmed=%v\nwant %+v trimmed=%v", step, c.Versions, c.Trimmed, ref.vs, ref.trimmed)
-					}
-					if l := e.Latest("k"); l != &c.Versions[len(c.Versions)-1] {
-						t.Fatalf("step %d: latest does not point at the chain's tail", step)
-					}
-					if got := e.Versions(); got != len(ref.vs) {
-						t.Fatalf("step %d: Versions() = %d, want %d", step, got, len(ref.vs))
-					}
-				}
+				modelWalk(t, max, seed, false)
+				modelWalk(t, max, seed, true)
 			})
 		}
+	}
+}
+
+func modelWalk(t *testing.T, limit int, seed int64, trim bool) {
+	r := rand.New(rand.NewSource(seed))
+	// A version is stable once its Extra is at most the frontier. Extra is
+	// the TS jittered by a few, so stability is not monotone along a chain:
+	// a stable version may sit above one that is not (a DV can lag its TS).
+	frontier := 0
+	var stable func(*Version[int]) bool
+	if trim {
+		stable = func(v *Version[int]) bool { return v.Extra <= frontier }
+	}
+	e := NewTrimmed[int, struct{}](limit, 1, stable)
+	ref := &refChain{max: limit, stable: stable}
+	defer frozenReaders(t, e, "k", limit)()
+	next := uint64(1000) // newest TS so far
+	for step := 0; step < 40*limit+200; step++ {
+		if trim && r.Intn(8) == 0 {
+			frontier = int(max(uint64(frontier), next-uint64(r.Intn(12))))
+		}
+		var ver Version[int]
+		setExtra := false
+		switch p := r.Intn(100); {
+		case p < 55: // in order
+			next += uint64(1 + r.Intn(3))
+			ver = v(next, uint8(r.Intn(3)))
+			ver.Extra += r.Intn(7) - 3
+		case p < 70 && len(ref.vs) > 0: // mid-chain, or a duplicate when the TS is taken
+			lo := ref.vs[0].TS
+			ver = v(lo+uint64(r.Int63n(int64(next-lo)+1)), uint8(r.Intn(3)))
+		case p < 80 && len(ref.vs) > 0: // exact duplicate
+			ver = ref.vs[r.Intn(len(ref.vs))]
+		case p < 90: // older than everything retained: too old once trimmed
+			ver = v(uint64(1+r.Intn(999)), uint8(r.Intn(3)))
+		default:
+			setExtra = len(ref.vs) > 0
+			if !setExtra {
+				continue
+			}
+		}
+		e.Update("k", true, func(k *Key[int, struct{}]) {
+			if setExtra {
+				i, x := r.Intn(len(ref.vs)), int(ref.vs[0].TS)+r.Intn(2000)
+				ref.setExtra(i, x)
+				k.SetExtra(i, x)
+				return
+			}
+			wi, wn, wd := ref.install(ver)
+			gi, gn, gd := k.Install(ver)
+			if gi != wi || gn != wn || gd != wd {
+				t.Fatalf("trim=%v step %d install %d/%d: got (%d,%v,%v), want (%d,%v,%v)", trim, step, ver.TS, ver.Src, gi, gn, gd, wi, wn, wd)
+			}
+		})
+		c := e.View("k")
+		if !sameVersions(c.Versions, ref.vs) || c.Trimmed != ref.trimmed {
+			t.Fatalf("trim=%v step %d: chain diverged\n got %+v trimmed=%v\nwant %+v trimmed=%v", trim, step, c.Versions, c.Trimmed, ref.vs, ref.trimmed)
+		}
+		if l := e.Latest("k"); l != &c.Versions[len(c.Versions)-1] {
+			t.Fatalf("trim=%v step %d: latest does not point at the chain's tail", trim, step)
+		}
+		if got := e.Versions(); got != len(ref.vs) {
+			t.Fatalf("trim=%v step %d: Versions() = %d, want %d", trim, step, got, len(ref.vs))
+		}
+	}
+}
+
+// frozenReaders starts readers that keep grabbing key's chain and latest
+// version and re-checking every one they still hold: a held snapshot must
+// never change, stay sorted and within max, and every version must carry
+// its own TS in its first value byte (the v helper's layout). The returned
+// func stops and joins them.
+func frozenReaders(t *testing.T, e *Engine[int, struct{}], key string, max int) (stop func()) {
+	type held struct {
+		c      *Chain[int]
+		copied []Version[int]
+		latest *Version[int]
+		lcopy  Version[int]
+	}
+	verify := func(h held) {
+		if len(h.c.Versions) != len(h.copied) || len(h.copied) > max {
+			t.Errorf("held chain changed length: %d → %d", len(h.copied), len(h.c.Versions))
+			return
+		}
+		for i := range h.copied {
+			got, want := &h.c.Versions[i], &h.copied[i]
+			if !sameVersion(got, want) {
+				t.Errorf("held chain slot %d changed: %+v → %+v", i, *want, *got)
+			}
+			if len(got.Value) != 2 || got.Value[0] != byte(got.TS) {
+				t.Errorf("torn version in held chain: %+v", *got)
+			}
+			if i > 0 && !h.c.Versions[i-1].Before(got) {
+				t.Errorf("held chain unsorted at %d", i)
+			}
+		}
+		if !sameVersion(h.latest, &h.lcopy) {
+			t.Errorf("held latest changed: %+v → %+v", h.lcopy, *h.latest)
+		}
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ring [16]held
+			n := 0
+			for !done.Load() {
+				c, l := e.View(key), e.Latest(key)
+				if c == nil || l == nil {
+					runtime.Gosched()
+					continue
+				}
+				ring[n%len(ring)] = held{c: c, copied: append([]Version[int](nil), c.Versions...), latest: l, lcopy: *l}
+				n++
+				for _, h := range ring[:min(n, len(ring))] {
+					verify(h)
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	return func() {
+		done.Store(true)
+		wg.Wait()
 	}
 }
 
@@ -220,56 +296,7 @@ func TestSnapshotsStayFrozenUnderInPlaceAppend(t *testing.T) {
 	const max = 8
 	e := New[int, struct{}](max, 1)
 	e.Install("x", v(2, 0))
-
-	type held struct {
-		c      *Chain[int]
-		copied []Version[int]
-		latest *Version[int]
-		lcopy  Version[int]
-	}
-	grab := func() held {
-		c := e.View("x")
-		l := e.Latest("x")
-		return held{c: c, copied: append([]Version[int](nil), c.Versions...), latest: l, lcopy: *l}
-	}
-	verify := func(h held) {
-		if len(h.c.Versions) != len(h.copied) || len(h.copied) > max {
-			t.Errorf("held chain changed length: %d → %d", len(h.copied), len(h.c.Versions))
-			return
-		}
-		for i := range h.copied {
-			got, want := &h.c.Versions[i], &h.copied[i]
-			if !sameVersion(got, want) {
-				t.Errorf("held chain slot %d changed: %+v → %+v", i, *want, *got)
-			}
-			if len(got.Value) != 2 || got.Value[0] != byte(got.TS) {
-				t.Errorf("torn version in held chain: %+v", *got)
-			}
-			if i > 0 && !h.c.Versions[i-1].Before(got) {
-				t.Errorf("held chain unsorted at %d", i)
-			}
-		}
-		if !sameVersion(h.latest, &h.lcopy) {
-			t.Errorf("held latest changed: %+v → %+v", h.lcopy, *h.latest)
-		}
-	}
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ring [16]held
-			for n := 0; !stop.Load(); n++ {
-				ring[n%len(ring)] = grab()
-				for _, h := range ring[:min(n+1, len(ring))] {
-					verify(h)
-				}
-				runtime.Gosched()
-			}
-		}()
-	}
+	stop := frozenReaders(t, e, "x", max)
 	// Even TSs arrive in order (append, then slide at max, regrow every max);
 	// every seventh step an odd TS lands mid-chain and every eleventh a
 	// SetExtra republishes — both move the key to a fresh backing array.
@@ -285,8 +312,44 @@ func TestSnapshotsStayFrozenUnderInPlaceAppend(t *testing.T) {
 			})
 		}
 	}
-	stop.Store(true)
-	wg.Wait()
+	stop()
+}
+
+// What the trim frees must be collectable: once a hot key's chain is
+// trimmed, its backing arrays are sized to the live window, not to the
+// ceiling, and its values stop coming from the arena, whose chunks a cold
+// neighbour pins. A cold key's first versions still do.
+func TestTrimmedChainAllocatesPrivatelyToItsWindow(t *testing.T) {
+	frontier := uint64(0)
+	e := NewTrimmed[int, struct{}](1024, 1, func(v *Version[int]) bool { return v.TS <= frontier })
+	e.Install("cold", v(1, 0))
+	arena0, _ := e.MemBytes()
+	if arena0 == 0 {
+		t.Fatal("a cold key's first value must come from the arena")
+	}
+	sh := &e.shards[0]
+	for ts := uint64(2); ts < 5000; ts++ {
+		frontier = max(ts, 3) - 3 // the frontier trails the writes by three versions
+		e.Install("hot", v(ts, 0))
+		if c := e.View("hot"); ts > 10 && (c.Len() > 4 || cap(c.Versions) > 16) {
+			t.Fatalf("ts %d: chain len %d cap %d, want the live window (≤ 4) on an array sized to it", ts, c.Len(), cap(c.Versions))
+		}
+		if ts == 10 {
+			// Fill the arena's current chunk: any value still bumped from the
+			// arena would now have to reserve a new chunk and show in MemBytes.
+			sh.arena.buf = sh.arena.buf[:cap(sh.arena.buf)]
+			arena0, _ = e.MemBytes()
+		}
+	}
+	if arena1, _ := e.MemBytes(); arena1 != arena0 {
+		t.Fatalf("a trimmed chain's values reserved %d arena bytes", arena1-arena0)
+	}
+	if c := e.View("hot"); !c.Trimmed || c.Versions[0].TS != 4996 {
+		t.Fatalf("hot chain %+v trimmed=%v, want it to start at the newest stable version 4996", c.Versions, c.Trimmed)
+	}
+	if got := e.Versions(); got != 1+4 {
+		t.Fatalf("Versions() = %d, want the cold key's 1 and the hot key's window of 4", got)
+	}
 }
 
 var installSink bool

@@ -279,6 +279,14 @@ func (e *endpoint) Session(id wire.SessionID, h Handler) (Session, error) {
 		return nil, ErrAttached
 	}
 	e.stats.Sessions.Add(1)
+	// shut may have run between the check above and the store, its sweep
+	// missing s. Seen closed now, s is withdrawn (Close is idempotent, so a
+	// sweep that did reach it changes nothing); seen open, the store came
+	// first, so the sweep that follows the flag will close s.
+	if e.closed.Load() {
+		_ = s.Close()
+		return nil, ErrClosed
+	}
 	return s, nil
 }
 

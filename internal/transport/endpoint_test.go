@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,5 +212,39 @@ func TestEndpointShutDeregistersSessions(t *testing.T) {
 	}
 	if err := all[1].Send(wire.ServerAddr(0, 1), &wire.Ping{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Send on a session of a shut endpoint: %v, want ErrClosed", err)
+	}
+}
+
+// TestEndpointSessionRacesShut: a session registered while the endpoint
+// shuts must not outlive it. shut can set its flag and sweep the sessions
+// between Session's check of closed and its store; a session stored after
+// the sweep would never be closed, and the gauge would count it forever.
+func TestEndpointSessionRacesShut(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		e, stats := bareEndpoint(func(*endpoint, wire.Envelope) error { return nil })
+		got := make(chan Session, 4)
+		var wg sync.WaitGroup
+		for id := uint16(1); id <= 4; id++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if s, err := e.Session(wire.MakeSession(1, id), nil); err == nil {
+					got <- s
+				} else if !errors.Is(err, ErrClosed) {
+					t.Errorf("Session: %v", err)
+				}
+			}()
+		}
+		e.shut()
+		wg.Wait()
+		close(got)
+		for s := range got {
+			if !s.(*session).closed.Load() {
+				t.Fatalf("run %d: session %v registered during shut is still open", i, s.ID())
+			}
+		}
+		if n := stats.Sessions.Load(); n != 0 {
+			t.Fatalf("run %d: Sessions gauge = %d after shut, want 0", i, n)
+		}
 	}
 }

@@ -237,14 +237,12 @@ func RespondError(n Node, to wire.From, reqID uint64, code uint16, text string) 
 	_ = n.Respond(to, reqID, &wire.ErrorResp{Code: code, Text: text})
 }
 
-// unwrapResp converts a response envelope into Call's return values,
-// surfacing *wire.ErrorResp and the admission gate's *wire.Busy as the
-// error (both implement error), so every Call path sees shedding uniformly.
+// unwrapResp converts a response envelope into Call's return values: a
+// response message that implements error — *wire.ErrorResp, the admission
+// gate's *wire.Busy, a ROT leg's *wire.RotRefused — is the Call's error, so
+// every Call path sees shedding and refusals uniformly.
 func unwrapResp(env *wire.Envelope) (wire.Message, error) {
-	switch e := env.Msg.(type) {
-	case *wire.ErrorResp:
-		return nil, e
-	case *wire.Busy:
+	if e, ok := env.Msg.(error); ok {
 		return nil, e
 	}
 	return env.Msg, nil

@@ -24,6 +24,7 @@ const (
 	TRepAck       = 11
 	TVVReport     = 12
 	TGSSBcast     = 13
+	TRotRefused   = 14
 
 	TLoPutReq       = 20
 	TLoPutResp      = 21
@@ -61,6 +62,7 @@ func init() {
 	Register(TRepAck, func() Message { return new(RepAck) })
 	Register(TVVReport, func() Message { return new(VVReport) })
 	Register(TGSSBcast, func() Message { return new(GSSBcast) })
+	Register(TRotRefused, func() Message { return new(RotRefused) })
 
 	Register(TLoPutReq, func() Message { return new(LoPutReq) })
 	Register(TLoPutResp, func() Message { return new(LoPutResp) })
@@ -372,6 +374,32 @@ type RotReadResp struct {
 func (*RotReadResp) Type() uint16       { return TRotReadResp }
 func (m *RotReadResp) Encode(b *Buffer) { encodeKVs(b, m.Vals) }
 func (m *RotReadResp) Decode(r *Reader) { m.Vals = decodeKVs(r) }
+
+// RotRefused is a partition's refusal to serve a ROT leg: the key's chain
+// was trimmed past the snapshot, so the version the snapshot needs is gone.
+// In 1 1/2-round mode it replaces the leg's RotSnap or RotVals, routed to
+// the client by RotID; in 2-round mode it is the error response to
+// RotReadReq (RotID 0). Frontier is the partition's trim frontier: a
+// stable vector of the client's own DC, which the client folds into its
+// causal context so the retried ROT's snapshot covers what the partition
+// retains. It is not pooled — client ROT state retains it.
+type RotRefused struct {
+	RotID    uint64
+	Frontier vclock.Vec
+}
+
+func (*RotRefused) Type() uint16 { return TRotRefused }
+func (m *RotRefused) Encode(b *Buffer) {
+	b.U64(m.RotID)
+	b.Vec(m.Frontier)
+}
+func (m *RotRefused) Decode(r *Reader) {
+	m.RotID = r.U64()
+	m.Frontier = r.Vec()
+}
+
+// Error makes RotRefused returnable as a Call error (transport.unwrapResp).
+func (m *RotRefused) Error() string { return "snapshot too old: its version was trimmed" }
 
 // Update is one replicated version inside a RepBatch.
 type Update struct {

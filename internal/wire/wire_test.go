@@ -133,6 +133,7 @@ func sampleMessages(r *rand.Rand) []Message {
 		&RotSnap{RotID: 12, SV: vec(), Vals: kvs},
 		&RotReadReq{SV: vec(), Keys: []string{"q", "w"}},
 		&RotReadResp{Vals: kvs},
+		&RotRefused{RotID: 13, Frontier: vec()},
 		&RepBatch{SrcDC: 1, SrcPart: 7, Seq: 100, HighTS: 2000, Ups: []Update{
 			{Key: "u", Value: val, TS: 5, DV: vec()},
 			{Key: "v", Value: nil, TS: 6, DV: vec()},
