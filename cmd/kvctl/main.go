@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -166,9 +167,9 @@ func main() {
 			fmt.Sscanf(args[1], "%d", &n)
 		}
 		if *sessions > 0 {
-			benchSessions(net, cfg, *dc, n, *tenants, *sessions, *sockPool, rng)
+			benchSessions(net, cfg, *dc, n, *tenants, *sessions, *sockPool, *timeout, rng)
 		} else {
-			benchLoop(cli, n, rng)
+			benchLoop(cli, n, *timeout, rng)
 		}
 	default:
 		log.Fatalf("unknown command %q", args[0])
@@ -237,8 +238,11 @@ func straddle(net transport.Network, dc, parts, id int, gap time.Duration, k1, k
 // sessions share one multiplexed endpoint whose socket pool is capped at
 // pool connections per server, and hammer the cluster concurrently. The
 // summary line reports aggregate goodput plus the endpoint's socket
-// high-water mark — the number the connection-scale smoke bounds.
-func benchSessions(net *transport.TCP, cfg cluster.Config, dc, n, tenants, perConn, pool int, rng *rand.Rand) {
+// high-water mark — the number the connection-scale smoke bounds. Warm-up
+// and every op are bounded by timeout; a session whose call times out
+// stops there and counts its remaining ops as failed, so an unanswering
+// server costs the run one timeout, not one per op.
+func benchSessions(net *transport.TCP, cfg cluster.Config, dc, n, tenants, perConn, pool int, timeout time.Duration, rng *rand.Rand) {
 	if tenants < 1 {
 		tenants = 1
 	}
@@ -267,14 +271,7 @@ func benchSessions(net *transport.TCP, cfg cluster.Config, dc, n, tenants, perCo
 		}
 	}()
 
-	ctx := context.Background()
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bench-%02d", i)
-		if _, err := clis[0].Put(ctx, keys[i], []byte("seed")); err != nil {
-			log.Fatal(err)
-		}
-	}
+	keys := seedKeys(clis[0], timeout)
 
 	perSession := max(n/total, 1)
 	var ops, fails atomic.Int64
@@ -286,16 +283,24 @@ func benchSessions(net *transport.TCP, cfg cluster.Config, dc, n, tenants, perCo
 			defer wg.Done()
 			// Per-session generator: the shared one is not goroutine-safe.
 			rng := rand.New(rand.NewSource(int64(i)*7919 + 1))
-			if err := cli.Warm(ctx); err != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			err := cli.Warm(ctx)
+			cancel()
+			if err != nil {
 				fails.Add(int64(perSession))
 				return
 			}
 			for j := 0; j < perSession; j++ {
-				var err error
+				ctx, cancel := context.WithTimeout(context.Background(), timeout)
 				if j%5 == 0 {
 					_, err = cli.Put(ctx, keys[rng.Intn(len(keys))], []byte("v"))
 				} else {
 					_, err = cli.ROT(ctx, []string{keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]})
+				}
+				cancel()
+				if errors.Is(err, context.DeadlineExceeded) {
+					fails.Add(int64(perSession - j))
+					return
 				}
 				if err != nil {
 					fails.Add(1)
@@ -313,33 +318,44 @@ func benchSessions(net *transport.TCP, cfg cluster.Config, dc, n, tenants, perCo
 		float64(ops.Load())/elapsed.Seconds(), fails.Load(), v.OpenConnsPeak, v.SessionsPeak)
 }
 
-func benchLoop(cli cluster.Client, n int, rng *rand.Rand) {
-	ctx := context.Background()
+// seedKeys writes the bench's 64 keys through cli, each put bounded by
+// timeout, and returns them.
+func seedKeys(cli cluster.Client, timeout time.Duration) []string {
 	keys := make([]string, 64)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("bench-%02d", i)
-		if _, err := cli.Put(ctx, keys[i], []byte("seed")); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		_, err := cli.Put(ctx, keys[i], []byte("seed"))
+		cancel()
+		if err != nil {
 			log.Fatal(err)
 		}
 	}
+	return keys
+}
+
+// benchLoop runs n ops on one client, each bounded by timeout.
+func benchLoop(cli cluster.Client, n int, timeout time.Duration, rng *rand.Rand) {
+	keys := seedKeys(cli, timeout)
 	var rotTot, putTot time.Duration
 	var rots, puts int
 	start := time.Now()
 	for i := 0; i < n; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		t0 := time.Now()
+		var err error
 		if i%5 == 0 {
-			if _, err := cli.Put(ctx, keys[rng.Intn(len(keys))], []byte("v")); err != nil {
-				log.Fatal(err)
-			}
+			_, err = cli.Put(ctx, keys[rng.Intn(len(keys))], []byte("v"))
 			putTot += time.Since(t0)
 			puts++
 		} else {
-			ks := []string{keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]}
-			if _, err := cli.ROT(ctx, ks); err != nil {
-				log.Fatal(err)
-			}
+			_, err = cli.ROT(ctx, []string{keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]})
 			rotTot += time.Since(t0)
 			rots++
+		}
+		cancel()
+		if err != nil {
+			log.Fatal(err)
 		}
 	}
 	elapsed := time.Since(start)

@@ -1,9 +1,12 @@
 package cclo
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"time"
+
+	storeeng "repro/internal/store"
 )
 
 // TestHotKeyReadersBounded: a hot dependency key under a read-heavy,
@@ -13,7 +16,7 @@ import (
 // is a client's first, so every read's insertion pass drops what expired:
 // the set holds exactly the reads of the last window.
 func TestHotKeyReadersBounded(t *testing.T) {
-	s := newLoStore(4, 1, 5*time.Millisecond)
+	s := newLoStore(1, 5*time.Millisecond, false)
 	t0 := time.Now()
 	s.install("hot", loVersion{value: []byte("v"), ts: 1, srcDC: 0}, nil, t0)
 	for i := 0; i < 10000; i++ {
@@ -31,7 +34,7 @@ func TestHotKeyReadersBounded(t *testing.T) {
 // slot — the paper's one-id-per-client rule applied at insertion — and the
 // slot is the newest ROT's.
 func TestOneSlotPerClient(t *testing.T) {
-	s := newLoStore(4, 1, time.Minute)
+	s := newLoStore(1, time.Minute, false)
 	t0 := time.Now()
 	s.install("hot", loVersion{value: []byte("v"), ts: 1, srcDC: 0}, nil, t0)
 	for i := 1; i <= 10000; i++ {
@@ -53,7 +56,7 @@ func TestOneSlotPerClient(t *testing.T) {
 // to expire them. 60 rounds of (10 fresh clients, one install) against a
 // 5 ms window must retain only the rounds still inside the window.
 func TestOldReadersSweptOnInstall(t *testing.T) {
-	s := newLoStore(4, 1, 5*time.Millisecond)
+	s := newLoStore(1, 5*time.Millisecond, false)
 	t0 := time.Now()
 	s.install("churn", loVersion{value: []byte("v"), ts: 1, srcDC: 0}, nil, t0)
 	id := uint64(1)
@@ -77,7 +80,7 @@ func TestOldReadersSweptOnInstall(t *testing.T) {
 // is current is never collected from, so nothing but reads would expire its
 // reader set. The collect path must bound it too.
 func TestProbeHeavyKeySweptOnCollect(t *testing.T) {
-	s := newLoStore(4, 1, 5*time.Millisecond)
+	s := newLoStore(1, 5*time.Millisecond, false)
 	t0 := time.Now()
 	s.install("dep", loVersion{value: []byte("v"), ts: 100, srcDC: 0}, nil, t0)
 	for i := 0; i < 128; i++ {
@@ -94,34 +97,71 @@ func TestProbeHeavyKeySweptOnCollect(t *testing.T) {
 	}
 }
 
-// TestAllInvisibleAtCapacityIsNotFound: the trimmed-chain read fallback
-// must key on whether versions were actually dropped, not on chain
-// length. A chain that merely GREW to capacity with every version
-// invisible to a probing ROT answers "not found" (the ROT predates the
-// first version); only after a real trim may the store approximate with
-// the oldest retained version.
+// TestAllInvisibleAtCapacityIsNotFound: what a ROT hidden from every
+// retained version gets must key on whether versions were actually
+// dropped, not on chain length. Live marks on every version keep the whole
+// chain, so it grows to the ceiling untrimmed, and the probing ROT gets
+// "not found" (it predates the first version). One more install makes the
+// ceiling drop the oldest: now the version that ROT needed may be gone, so
+// the read is refused — never answered with the oldest retained version.
 func TestAllInvisibleAtCapacityIsNotFound(t *testing.T) {
-	const rot, cap = uint64(7), 4
-	s := newLoStore(cap, 1, time.Minute)
+	const rot = uint64(7)
+	s := newLoStore(1, time.Minute, false)
 	t0 := time.Now()
 	marked := slotSet{{rotID: rot, t: 1}}
-	for i := 1; i <= cap; i++ { // exactly at capacity, never trimmed
+	for i := 1; i <= storeeng.Ceiling; i++ { // exactly at the ceiling, never trimmed
 		s.install("k", loVersion{value: []byte{byte(i)}, ts: uint64(i), srcDC: 0}, slices.Clone(marked), t0)
 	}
-	if _, _, _, ok := s.read("k", rot, 99, t0); ok {
-		t.Fatal("at-capacity untrimmed chain served a version invisible to the probing ROT")
+	if kv, err := s.serve("k", rot, 99, t0); err != nil || kv.TS != 0 {
+		t.Fatalf("at-ceiling untrimmed chain answered (%+v, %v) to a ROT hidden from all of it, want not found", kv, err)
 	}
 	if s.hasVersion("k", 0, 0) {
 		t.Fatal("hasVersion claimed an uninstalled pre-chain version on an untrimmed chain")
 	}
-	// One more install trims the oldest; now the fallback (and the trimmed
-	// dependency-check shortcut) are legitimate.
-	s.install("k", loVersion{value: []byte{cap + 1}, ts: cap + 1, srcDC: 0}, slices.Clone(marked), t0)
-	if _, _, _, ok := s.read("k", rot, 100, t0); !ok {
-		t.Fatal("trimmed chain refused the oldest-retained fallback")
+	s.install("k", loVersion{value: []byte{0}, ts: storeeng.Ceiling + 1, srcDC: 0}, slices.Clone(marked), t0)
+	if c := s.eng.View("k"); c.Len() != storeeng.Ceiling || !c.Trimmed {
+		t.Fatalf("chain len %d trimmed %v, want the ceiling to have dropped one", c.Len(), c.Trimmed)
+	}
+	if kv, err := s.serve("k", rot, 100, t0); !errors.Is(err, errTrimmed) {
+		t.Fatalf("ROT hidden from every version the ceiling left got (%+v, %v), want errTrimmed", kv, err)
+	}
+	if s.refusals.Load() != 1 {
+		t.Fatalf("refusals = %d, want 1", s.refusals.Load())
 	}
 	if !s.hasVersion("k", 1, 0) {
 		t.Fatal("hasVersion denied a genuinely trimmed-away version")
+	}
+}
+
+// TestChainKeepsOnlyWhatLiveMarksNeed: versions stay while a version at or
+// above them hides from some ROT, and one GC window later a single write
+// leaves the key its newest version alone. A key nobody writes again is
+// never trimmed again, so a read is what releases its expired marks.
+func TestChainKeepsOnlyWhatLiveMarksNeed(t *testing.T) {
+	const window = 10 * time.Millisecond
+	s := newLoStore(1, window, false)
+	t0 := time.Now()
+	s.install("k", loVersion{value: []byte("v1"), ts: 1}, nil, t0)
+	s.install("k", loVersion{value: []byte("v2"), ts: 2}, slotSet{{rotID: 1 << 32, t: 1}}, t0)
+	s.install("k", loVersion{value: []byte("v3"), ts: 3}, slotSet{{rotID: 2 << 32, t: 1}}, t0)
+	if got := retained(s, "k"); len(got) != 3 {
+		t.Fatalf("retained %v, want v1 (the rewind target below the oldest mark) through v3", got)
+	}
+	s.install("k", loVersion{value: []byte("v4"), ts: 4}, nil, t0.Add(window+time.Millisecond))
+	c := s.eng.View("k")
+	if c.Len() != 1 || c.Versions[0].TS != 4 || c.Versions[0].Extra.invisible != nil {
+		t.Fatalf("one window later a write left %v, want v4 alone, unmarked", retained(s, "k"))
+	}
+
+	s.install("cold", loVersion{value: []byte("c1"), ts: 1}, nil, t0)
+	s.install("cold", loVersion{value: []byte("c2"), ts: 2}, slotSet{{rotID: 1 << 32, t: 1}}, t0)
+	s.read("cold", 3<<32, 5, t0.Add(window+time.Millisecond))
+	inv := s.eng.Latest("cold").Extra.invisible
+	if inv == nil || *inv != nil {
+		t.Fatalf("a read past the window left the newest version's marks %v, want them released", inv)
+	}
+	if got := s.eng.Versions(); got != 1+2 {
+		t.Fatalf("the store retains %d versions, want k's one and cold's two", got)
 	}
 }
 
@@ -130,7 +170,7 @@ func TestAllInvisibleAtCapacityIsNotFound(t *testing.T) {
 // longer hides the version from the marked ROT (and is dropped).
 func TestExpiredMarkUnhidesNewVersion(t *testing.T) {
 	const rot = uint64(42)
-	s := newLoStore(4, 1, 10*time.Millisecond)
+	s := newLoStore(1, 10*time.Millisecond, false)
 	t0 := time.Now()
 	s.install("k", loVersion{value: []byte("v1"), ts: 1, srcDC: 0}, nil, t0)
 	s.install("k", loVersion{value: []byte("v2"), ts: 2, srcDC: 0},

@@ -2,11 +2,13 @@ package cclo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/family"
 	"repro/internal/ring"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -316,8 +318,15 @@ func TestAbsorbOnePerClient(t *testing.T) {
 	}
 }
 
+// read is serve in the shape the store tests compare: a refusal reads as
+// not found (the refusal counter tells the two apart).
+func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val []byte, ts uint64, src uint8, ok bool) {
+	kv, err := s.serve(key, rotID, t, now)
+	return kv.Value, kv.TS, kv.Src, err == nil && kv.TS != 0
+}
+
 func TestLWWConvergenceOrder(t *testing.T) {
-	s := newLoStore(0, 1, time.Second)
+	s := newLoStore(1, time.Second, false)
 	now := time.Now()
 	s.install("k", loVersion{value: []byte("a"), ts: 5, srcDC: 0}, nil, now)
 	s.install("k", loVersion{value: []byte("b"), ts: 5, srcDC: 1}, nil, now)
@@ -327,7 +336,7 @@ func TestLWWConvergenceOrder(t *testing.T) {
 		t.Fatalf("latest = %+v, want ts 5 dc 1", v)
 	}
 	// Same set, different order, same winner.
-	s2 := newLoStore(0, 1, time.Second)
+	s2 := newLoStore(1, time.Second, false)
 	s2.install("k", loVersion{value: []byte("c"), ts: 3, srcDC: 1}, nil, now)
 	s2.install("k", loVersion{value: []byte("b"), ts: 5, srcDC: 1}, nil, now)
 	s2.install("k", loVersion{value: []byte("a"), ts: 5, srcDC: 0}, nil, now)
@@ -338,7 +347,7 @@ func TestLWWConvergenceOrder(t *testing.T) {
 }
 
 func TestHasVersion(t *testing.T) {
-	s := newLoStore(0, 1, time.Second)
+	s := newLoStore(1, time.Second, false)
 	if s.hasVersion("k", 1, 0) {
 		t.Fatal("empty store claims version")
 	}
@@ -355,9 +364,10 @@ func TestHasVersion(t *testing.T) {
 	if s.hasVersion("k", 11, 1) {
 		t.Fatal("hasVersion above latest must fail")
 	}
-	// A trimmed chain whose oldest retained version is LWW-above the asked
-	// identity proves the version was installed and compacted away.
-	s2 := newLoStore(2, 1, time.Second)
+	// On a trimmed chain — unmarked versions keep only the newest — a
+	// version LWW-below the oldest retained one can never be served again,
+	// so it counts as installed.
+	s2 := newLoStore(1, time.Second, false)
 	now := time.Now()
 	for ts := uint64(1); ts <= 5; ts++ {
 		s2.install("k", loVersion{ts: ts}, nil, now)
@@ -367,18 +377,66 @@ func TestHasVersion(t *testing.T) {
 	}
 }
 
+// TestRefusedLegRetriesUnderFreshID: marks that land, through a re-delivered
+// update, on the only version a trimmed chain kept leave the ROT they name
+// nothing to be served. Its leg is refused — never answered with a version
+// hidden from it — and the client retries the whole ROT under a fresh id,
+// which no mark names. A ROT whose every attempt is refused fails with
+// family.ErrSnapshotTooOld once the retries run out.
+func TestRefusedLegRetriesUnderFreshID(t *testing.T) {
+	d := deploy(t, 1, 1, time.Minute)
+	srv, cli := d.servers[0], d.client(t, 0, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// markNext installs two versions of key (the chain keeps only the
+	// second) and re-delivers the second carrying a mark for the id the
+	// client's attempt ahead will take.
+	markNext := func(key string, ahead uint64) {
+		now := time.Now()
+		srv.store.install(key, loVersion{value: []byte("v1"), ts: 1}, nil, now)
+		srv.store.install(key, loVersion{value: []byte("v2"), ts: 2}, nil, now)
+		if c := srv.store.eng.View(key); c.Len() != 1 || !c.Trimmed {
+			t.Fatalf("%s: chain len %d trimmed %v, want the newest version alone", key, c.Len(), c.Trimmed)
+		}
+		rot := uint64(wire.ClientAddr(0, 1))<<32 | (cli.rotSeq.Load() + ahead)
+		srv.store.install(key, loVersion{value: []byte("v2"), ts: 2}, slotSet{{rotID: rot, t: 1}}, now)
+	}
+
+	markNext("k", 1)
+	seq := cli.rotSeq.Load()
+	v, err := cli.Get(ctx, "k")
+	if err != nil || string(v) != "v2" {
+		t.Fatalf("Get = %q, %v; want v2 after a retry", v, err)
+	}
+	if got := srv.Refusals(); got != 1 {
+		t.Fatalf("refusals = %d, want 1", got)
+	}
+	if got := cli.rotSeq.Load() - seq; got != 2 {
+		t.Fatalf("the ROT took %d ids, want the refused one and a fresh one", got)
+	}
+
+	keys := make([]string, maxFenceRetries+1)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("r%d", i)
+		markNext(keys[i], uint64(i+1))
+	}
+	if _, err := cli.ROT(ctx, keys); !errors.Is(err, family.ErrSnapshotTooOld) {
+		t.Fatalf("ROT refused on every attempt: %v, want family.ErrSnapshotTooOld", err)
+	}
+}
+
 // TestReadersMoveOnFullChain is the regression test for a subtle bug: once
 // a hot key's version chain reached its cap, installs were misclassified as
 // "not newest" (the check ran after trimming) and readers were never moved
 // to old readers, so readers checks missed them and ROTs could observe
 // causally inconsistent snapshots.
 func TestReadersMoveOnFullChain(t *testing.T) {
-	s := newLoStore(4, 1, time.Minute) // tiny cap
+	s := newLoStore(1, time.Minute, false)
 	now := time.Now()
 	for ts := uint64(1); ts <= 10; ts++ {
 		s.install("k", loVersion{ts: ts}, nil, now)
 	}
-	// Chain is full (cap 4). A reader reads the latest version...
+	// The chain is trimmed to its newest version. A reader reads it...
 	if _, ts, _, ok := s.read("k", 42, 100, now); !ok || ts != 10 {
 		t.Fatalf("read latest = %d ok=%v", ts, ok)
 	}
@@ -390,7 +448,7 @@ func TestReadersMoveOnFullChain(t *testing.T) {
 }
 
 func BenchmarkStoreRead(b *testing.B) {
-	s := newLoStore(0, 1, time.Minute)
+	s := newLoStore(1, time.Minute, false)
 	now := time.Now()
 	s.install("k", loVersion{value: make([]byte, 8), ts: 1}, nil, now)
 	b.ResetTimer()
@@ -403,7 +461,7 @@ func BenchmarkStoreRead(b *testing.B) {
 // realistic number of old readers (≈ the per-client linear growth of
 // Figure 6 at 256 clients).
 func BenchmarkCollectOldReaders(b *testing.B) {
-	s := newLoStore(0, 1, time.Minute)
+	s := newLoStore(1, time.Minute, false)
 	now := time.Now()
 	s.install("k", loVersion{ts: 1}, nil, now)
 	for c := uint64(0); c < 256; c++ {

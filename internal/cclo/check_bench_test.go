@@ -17,7 +17,7 @@ import (
 // those ROTs is an old reader of every key. deps names each key at its new
 // version.
 func checkFixture(keys, clients, rots int) (*Server, []wire.LoDep, time.Time) {
-	s := &Server{store: newLoStore(0, 1, time.Minute)}
+	s := &Server{store: newLoStore(1, time.Minute, false)}
 	now := time.Now()
 	deps := make([]wire.LoDep, keys)
 	for k := range deps {

@@ -2,6 +2,7 @@ package cclo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -140,6 +141,8 @@ func (c *Client) FenceRetries() uint64 { return c.fenceRetries.Load() }
 // maxFenceRetries bounds epoch-fence retries per ROT: each retry means a
 // partition finished a crash recovery while the ROT was in flight, so more
 // than a few in a row is a cluster in a restart loop, not a race to mask.
+// The same bound caps retries after a refused leg, which the fresh id alone
+// gets past: marks hide versions from the ids they name.
 const maxFenceRetries = 3
 
 // ROT executes CC-LO's one-round read-only transaction: one request to
@@ -156,13 +159,27 @@ const maxFenceRetries = 3
 // crash-recovery corner case, so steady-state reads stay one round
 // (latency optimality intact). Single-partition ROTs are served atomically
 // by one handler and cannot straddle anything; they skip the check.
+//
+// A leg refused with wire.RotRefused — the version this ROT had to be
+// served was trimmed — retries the whole ROT the same way; past
+// maxFenceRetries refusals the ROT fails with family.ErrSnapshotTooOld. It
+// is never answered from an approximate read.
 func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
 	groups := c.ring.Group(keys)
-	for attempt := 0; ; attempt++ {
+	fenced, refusals := 0, 0
+	for {
 		vals, legEpochs, err := c.rotOnce(ctx, groups, len(keys))
+		var refused *wire.RotRefused
+		if errors.As(err, &refused) {
+			if refusals >= maxFenceRetries {
+				return nil, fmt.Errorf("cclo: rot: %w: refused %d times", family.ErrSnapshotTooOld, refusals+1)
+			}
+			refusals++
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -187,9 +204,10 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 			}
 			return out, nil
 		}
-		if attempt >= maxFenceRetries {
-			return nil, fmt.Errorf("cclo: rot: epoch fence tripped %d times: partitions kept restarting", attempt+1)
+		if fenced >= maxFenceRetries {
+			return nil, fmt.Errorf("cclo: rot: epoch fence tripped %d times: partitions kept restarting", fenced+1)
 		}
+		fenced++
 		c.fenceRetries.Add(1)
 	}
 }

@@ -5,17 +5,28 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
+
+	storeeng "repro/internal/store"
 )
 
 // refLoStore is the pre-refactor CC-LO store logic, vendored verbatim
-// (minus locking and sharding): the golden oracle for the reader-tracking
-// and invisibility semantics — reads that rewind past marked versions,
-// reader recording, the readers → oldReaders move on install, dup-merge of
-// re-collected marks, collectOldReaders' three sources, GC sweeps, and the
-// trimmed-chain fallbacks. The trace uses a synthetic clock, so every
-// sweep and expiry fires identically in both implementations.
+// (minus locking and sharding) except for what a chain retains: the count
+// cap is replaced by the live-mark floor, stated directly — after an
+// install a chain starts just below its oldest version holding an unexpired
+// mark, or at its newest version when none does, and at most store.Ceiling
+// versions stay; a version arriving below a trimmed chain is dropped and
+// its marks land on the oldest version kept — and a read that finds every
+// version of a trimmed chain hidden is refused instead of served the
+// oldest. Marks merge one ROT per client, as the slot sets do. It is the
+// golden oracle for the reader-tracking and invisibility semantics — reads
+// that rewind past marked versions, reader recording, the readers →
+// oldReaders move on install, dup-merge of re-collected marks,
+// collectOldReaders' three sources, GC sweeps, trimming and refusals. The
+// trace uses a synthetic clock, so every sweep and expiry fires identically
+// in both implementations.
 type refEntry struct {
 	rotID   uint64
 	t       uint64
@@ -65,18 +76,96 @@ type refLoKey struct {
 }
 
 type refLoStore struct {
-	m           map[string]*refLoKey
-	maxVersions int
-	gcWindow    time.Duration
-	approxReads uint64
+	m        map[string]*refLoKey
+	gcWindow time.Duration
+	refusals uint64
+	keepAll  bool // never trim: the store every served answer must agree with
 }
 
-func newRefLoStore(maxVersions int, gcWindow time.Duration) *refLoStore {
-	return &refLoStore{m: make(map[string]*refLoKey), maxVersions: maxVersions, gcWindow: gcWindow}
+// verID is a version's identity, as the retained-chain comparisons see it.
+type verID struct {
+	ts  uint64
+	src uint8
+}
+
+// retained lists the versions key's chain keeps, oldest first.
+func (s *refLoStore) retained(key string) []verID {
+	var out []verID
+	if lk := s.m[key]; lk != nil {
+		for _, v := range lk.versions {
+			out = append(out, verID{v.ts, v.srcDC})
+		}
+	}
+	return out
+}
+
+// retained lists the versions the engine-backed store keeps for key.
+func retained(s *loStore, key string) []verID {
+	var out []verID
+	for _, v := range s.eng.View(key).Versions {
+		out = append(out, verID{v.TS, v.Src})
+	}
+	return out
+}
+
+func newRefLoStore(gcWindow time.Duration) *refLoStore {
+	return &refLoStore{m: make(map[string]*refLoKey), gcWindow: gcWindow}
 }
 
 func (s *refLoStore) expired(e refEntry, now time.Time) bool {
 	return now.Sub(e.addedAt) > s.gcWindow
+}
+
+// onePerClient drops the marks of m that a higher ROT id of the same client
+// supersedes: the rule the slot sets apply where marks land, and what
+// decides whether a version still hides from a ROT that can read — a
+// client's older ROTs have finished.
+func onePerClient(m map[uint64]refEntry) {
+	for id := range m {
+		for other := range m {
+			if other>>32 == id>>32 && other > id {
+				delete(m, id)
+				break
+			}
+		}
+	}
+}
+
+// mark merges freshly collected marks into a retained version's: expired
+// ones first dropped, the earliest read time kept per ROT, one ROT per
+// client.
+func (s *refLoStore) mark(v *refLoVersion, collected map[uint64]refEntry, now time.Time) {
+	if len(collected) == 0 {
+		return
+	}
+	if v.invisible == nil {
+		v.invisible = make(map[uint64]refEntry, len(collected))
+	}
+	refSweep(v.invisible, s.gcWindow, now)
+	for id, e := range collected {
+		e.addedAt = now
+		refMerge(v.invisible, id, e)
+	}
+	onePerClient(v.invisible)
+}
+
+// asRef is a slot set as the reference's map.
+func asRef(s slotSet) map[uint64]refEntry {
+	m := make(map[uint64]refEntry, len(s))
+	for _, e := range s {
+		m[e.rotID] = refEntry{rotID: e.rotID, t: e.t, vts: e.vts}
+	}
+	return m
+}
+
+// liveMark reports whether v holds a mark still inside the GC window.
+func (s *refLoStore) liveMark(v *refLoVersion, now time.Time) bool {
+	for _, e := range v.invisible {
+		if !s.expired(e, now) {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *refLoStore) sweepReaders(m map[uint64]refEntry, at time.Time, now time.Time) time.Time {
@@ -87,7 +176,7 @@ func (s *refLoStore) sweepReaders(m map[uint64]refEntry, at time.Time, now time.
 	return now.Add(s.gcWindow / 4)
 }
 
-func (s *refLoStore) read(key string, rotID uint64, t uint64, now time.Time) (val []byte, ts uint64, src uint8, ok bool) {
+func (s *refLoStore) read(key string, rotID uint64, t uint64, now time.Time) (val []byte, ts uint64, src uint8, ok, refused bool) {
 	lk := s.m[key]
 	if lk == nil || len(lk.versions) == 0 {
 		if lk == nil {
@@ -99,7 +188,7 @@ func (s *refLoStore) read(key string, rotID uint64, t uint64, now time.Time) (va
 		}
 		lk.readersSweepAt = s.sweepReaders(lk.readers, lk.readersSweepAt, now)
 		lk.readers[rotID] = refEntry{rotID: rotID, t: t, vts: 0, addedAt: now}
-		return nil, 0, 0, false
+		return nil, 0, 0, false, false
 	}
 	for i := len(lk.versions) - 1; i >= 0; i-- {
 		v := &lk.versions[i]
@@ -116,13 +205,13 @@ func (s *refLoStore) read(key string, rotID uint64, t uint64, now time.Time) (va
 			lk.readersSweepAt = s.sweepReaders(lk.readers, lk.readersSweepAt, now)
 			lk.readers[rotID] = refEntry{rotID: rotID, t: t, vts: v.ts, addedAt: now}
 		}
-		return v.value, v.ts, v.srcDC, true
+		return v.value, v.ts, v.srcDC, true, false
 	}
 	if lk.trimmed {
-		s.approxReads++
-		return lk.versions[0].value, lk.versions[0].ts, lk.versions[0].srcDC, true
+		s.refusals++
+		return nil, 0, 0, false, true
 	}
-	return nil, 0, 0, false
+	return nil, 0, 0, false, false
 }
 
 func (s *refLoStore) collectOldReaders(key string, depTS uint64, now time.Time, out map[uint64]refEntry) {
@@ -171,15 +260,8 @@ func (s *refLoStore) install(key string, v refLoVersion, collected map[uint64]re
 		i--
 	}
 	dup := i > 0 && lk.versions[i-1].ts == v.ts && lk.versions[i-1].srcDC == v.srcDC
-	if dup && len(collected) > 0 {
-		ex := &lk.versions[i-1]
-		if ex.invisible == nil {
-			ex.invisible = make(map[uint64]refEntry, len(collected))
-		}
-		for id, e := range collected {
-			e.addedAt = now
-			refMerge(ex.invisible, id, e)
-		}
+	if dup {
+		s.mark(&lk.versions[i-1], collected, now)
 	}
 	newest := false
 	if !dup {
@@ -189,15 +271,31 @@ func (s *refLoStore) install(key string, v refLoVersion, collected map[uint64]re
 				e.addedAt = now
 				v.invisible[id] = e
 			}
+			onePerClient(v.invisible)
 		}
 		lk.versions = append(lk.versions, refLoVersion{})
 		copy(lk.versions[i+1:], lk.versions[i:])
 		lk.versions[i] = v
 		newest = i == len(lk.versions)-1
-		if len(lk.versions) > s.maxVersions {
-			drop := len(lk.versions) - s.maxVersions
+		drop := len(lk.versions) - 1
+		for j := range lk.versions {
+			if s.liveMark(&lk.versions[j], now) {
+				drop = max(j-1, 0)
+				break
+			}
+		}
+		drop = max(drop, len(lk.versions)-storeeng.Ceiling)
+		if lk.trimmed && i == 0 {
+			// Below a trimmed chain v may belong below discarded versions:
+			// it is dropped, and its marks land on the oldest version kept.
+			drop = max(drop, 1)
+		}
+		if drop > 0 && !s.keepAll {
 			lk.versions = append(lk.versions[:0:0], lk.versions[drop:]...)
 			lk.trimmed = true
+			if i < drop {
+				s.mark(&lk.versions[0], collected, now)
+			}
 		}
 	}
 	if newest && len(lk.readers) > 0 {
@@ -295,26 +393,31 @@ func sameCollected(a slotSet, b map[uint64]refEntry, gen uint64) bool {
 
 // TestGoldenTraceMatchesPreRefactorStore replays a deterministic
 // synthetic-clock trace — ROT reads, installs with freshly collected old
-// readers, dup re-deliveries, dependency probes, GC-window expiries —
-// against the engine-backed loStore and the vendored pre-refactor logic,
-// requiring identical answers and identical reader-map footprints at every
-// step.
+// readers, dup re-deliveries that land marks on retained versions,
+// dependency probes, GC-window expiries — against the engine-backed loStore
+// and the vendored logic, requiring identical answers, identical retained
+// chains and identical reader-map footprints at every step. A third copy of
+// the vendored logic never trims: every read the trimmed stores do not
+// refuse must serve exactly what it serves, which is the trim's whole claim
+// — it drops only versions no ROT can still be served.
 func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
-	const maxVersions = 4
 	const gcWindow = 40 * time.Millisecond
 	r := rand.New(rand.NewSource(20180413))
-	eng := newLoStore(maxVersions, 1, gcWindow)
-	ref := newRefLoStore(maxVersions, gcWindow)
+	eng := newLoStore(1, gcWindow, false)
+	ref := newRefLoStore(gcWindow)
+	full := newRefLoStore(gcWindow)
+	full.keepAll = true
 
 	keys := make([]string, 12)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%02d", i)
 	}
 	t0 := time.Now()
-	var clock time.Duration // synthetic time; both sides see the same now
+	var clock time.Duration // synthetic time; every side sees the same now
 	nextTS := uint64(1)
 	gen := uint64(1)       // the ROT sequence number every client is on
-	served := fnv.New64a() // every value served, in trace order
+	served := fnv.New64a() // every answer served, in trace order
+	trimmed := 0           // reads whose answer came from a trimmed chain
 	for op := 0; op < 6000; op++ {
 		// Advance time; occasional jumps push entries past the GC window so
 		// expiry paths (sweeps, collect drops) execute. The trace keeps the
@@ -333,13 +436,21 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 		rotID := uint64(r.Intn(64)+1)<<32 | gen
 		switch r.Intn(6) {
 		case 0, 1: // ROT read
-			gv, gts, gsrc, gok := eng.read(key, rotID, nextTS, now)
-			wv, wts, wsrc, wok := ref.read(key, rotID, nextTS, now)
-			if gok != wok || gts != wts || gsrc != wsrc || !bytes.Equal(gv, wv) {
-				t.Fatalf("op %d: read(%s, rot %d) = (%q,%d,%d,%v), golden (%q,%d,%d,%v)",
-					op, key, rotID, gv, gts, gsrc, gok, wv, wts, wsrc, wok)
+			if lk := ref.m[key]; lk != nil && lk.trimmed {
+				trimmed++
 			}
-			fmt.Fprintf(served, "%d|%q|%d|%d|%v;", op, gv, gts, gsrc, gok)
+			gkv, gerr := eng.serve(key, rotID, nextTS, now)
+			wv, wts, wsrc, wok, wrefused := ref.read(key, rotID, nextTS, now)
+			if (gerr != nil) != wrefused || gkv.TS != wts || gkv.Src != wsrc || !bytes.Equal(gkv.Value, wv) || (gkv.TS != 0) != wok {
+				t.Fatalf("op %d: serve(%s, rot %d) = (%+v, %v), golden (%q,%d,%d,%v, refused %v)",
+					op, key, rotID, gkv, gerr, wv, wts, wsrc, wok, wrefused)
+			}
+			fv, fts, fsrc, fok, _ := full.read(key, rotID, nextTS, now)
+			if !wrefused && (fok != wok || fts != wts || fsrc != wsrc) {
+				t.Fatalf("op %d: read(%s, rot %d) served %d/%d (found %v) where the untrimmed store serves %q@%d/%d (found %v)",
+					op, key, rotID, wts, wsrc, wok, fv, fts, fsrc, fok)
+			}
+			fmt.Fprintf(served, "%d|%q|%d|%d|%v|%v;", op, gkv.Value, gkv.TS, gkv.Src, gkv.TS != 0, gerr != nil)
 			nextTS++
 		case 2, 3: // install, with old readers collected from a dependency key
 			depKey := keys[r.Intn(len(keys))]
@@ -350,18 +461,30 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 			if !sameCollected(gout, wout, gen) {
 				t.Fatalf("op %d: collectOldReaders(%s, %d) = %v, golden %v", op, depKey, depTS, gout, wout)
 			}
-			ts := nextTS
-			if r.Intn(4) == 0 && ts > 1 {
+			ts, src := nextTS, uint8(r.Intn(2))
+			if kept := ref.retained(key); len(kept) > 0 && r.Intn(6) == 0 {
+				// Re-delivery of a retained version: its fresh marks land on
+				// it afterwards, possibly on a trimmed chain's oldest.
+				id := kept[r.Intn(len(kept))]
+				ts, src = id.ts, id.src
+			} else if r.Intn(4) == 0 && ts > 1 {
 				ts = uint64(r.Intn(int(ts)) + 1) // re-delivery: may hit a dup
 			} else {
 				nextTS++
 			}
 			val := []byte(fmt.Sprintf("%s@%d", key, ts))
-			src := uint8(r.Intn(2))
+			// Every side marks the new version with the engine's answer: it
+			// matched the reference's on every ROT that can still read, and
+			// the maps' extra ids — finished ROTs — would keep versions alive
+			// for no reader.
+			full.install(key, refLoVersion{value: val, ts: ts, srcDC: src}, asRef(gout), now)
+			wnew := ref.install(key, refLoVersion{value: val, ts: ts, srcDC: src}, asRef(gout), now)
 			gnew := eng.install(key, loVersion{value: val, ts: ts, srcDC: src}, gout, now)
-			wnew := ref.install(key, refLoVersion{value: val, ts: ts, srcDC: src}, wout, now)
 			if gnew != wnew {
 				t.Fatalf("op %d: install(%s, ts=%d src=%d) newest=%v, golden %v", op, key, ts, src, gnew, wnew)
+			}
+			if got, want := retained(eng, key), ref.retained(key); !slices.Equal(got, want) {
+				t.Fatalf("op %d: install(%s, ts=%d src=%d) left %v, golden %v", op, key, ts, src, got, want)
 			}
 		case 4: // dependency probe
 			ts := uint64(r.Intn(int(nextTS)) + 1)
@@ -389,14 +512,16 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 			}
 		}
 	}
-	// The served values are also pinned: this hash is what the map-based
-	// store of the parent commit (d32e4cb) produces replaying this same
-	// trace. The refactor changed bookkeeping, not one byte of what a ROT is
-	// served.
-	if got, want := served.Sum64(), uint64(0xecf5646bd99729dd); got != want {
+	if trimmed == 0 {
+		t.Fatal("the trace never read a trimmed chain")
+	}
+	// The served answers are also pinned: this hash is what this trace
+	// served when the live-mark floor replaced the count cap. Before that,
+	// the same trace pinned the map-based store of d32e4cb.
+	if got, want := served.Sum64(), uint64(0xaf3a4234520ee7d9); got != want {
 		t.Fatalf("served-value hash = %x, want %x", got, want)
 	}
-	if got, want := eng.approxReads.Load(), ref.approxReads; got != want {
-		t.Fatalf("approxReads = %d, golden %d: trimmed-fallback accounting diverged", got, want)
+	if got, want := eng.refusals.Load(), ref.refusals; got != want || got == 0 {
+		t.Fatalf("refusals = %d, golden %d: refusal accounting diverged (or the trace never reached it)", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -55,9 +56,11 @@ func (m modelStore) check(deps []string, depTS uint64, now time.Time) map[uint64
 // of the entries, on a synthetic clock, against the model. Clients behave as
 // §5.2 assumes: one ROT at a time, ids only growing.
 //
-// Required: every read serves the same version on both sides, and every
-// readers check gives the same {client → ROT id, read time} for every ROT
-// that can still read — each client's current one. (For a client whose
+// Required: every read serves the same version on both sides (or both
+// refuse it), every install leaves the same retained chain — the model
+// states the live-mark floor directly — and every readers check gives the
+// same {client → ROT id, read time} for every ROT that can still read —
+// each client's current one. (For a client whose
 // current ROT is not an old reader, the maps may still name one of its
 // finished ROTs where the slot sets already dropped it: nothing will ever be
 // read under that id again, which is the whole argument for the rule.)
@@ -69,13 +72,12 @@ func TestSlotSetsMatchMapModel(t *testing.T) {
 
 func runModelTrace(t *testing.T, seed int64) {
 	const (
-		maxVersions = 4
-		gcWindow    = 10 * time.Millisecond
-		clients     = 16
+		gcWindow = 10 * time.Millisecond
+		clients  = 16
 	)
 	r := rand.New(rand.NewSource(seed))
-	eng := newLoStore(maxVersions, 1, gcWindow)
-	model := modelStore{newRefLoStore(maxVersions, gcWindow)}
+	eng := newLoStore(1, gcWindow, false)
+	model := modelStore{newRefLoStore(gcWindow)}
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	var seq [clients]uint64 // each client's current ROT sequence number
 	current := func(rotID uint64) bool { return seq[rotID>>32] == rotID&0xFFFFFFFF }
@@ -101,11 +103,11 @@ func runModelTrace(t *testing.T, seed int64) {
 			}
 			rotID := c<<32 | seq[c]
 			model.sweep(key, now)
-			gv, gts, gsrc, gok := eng.read(key, rotID, nextTS, now)
-			wv, wts, wsrc, wok := model.read(key, rotID, nextTS, now)
-			if gok != wok || gts != wts || gsrc != wsrc || !bytes.Equal(gv, wv) {
-				t.Fatalf("op %d: read(%s, client %d rot %d) = (%q,%d,%d,%v), model (%q,%d,%d,%v)",
-					op, key, c, seq[c], gv, gts, gsrc, gok, wv, wts, wsrc, wok)
+			gkv, gerr := eng.serve(key, rotID, nextTS, now)
+			wv, wts, wsrc, wok, wrefused := model.read(key, rotID, nextTS, now)
+			if (gerr != nil) != wrefused || (gkv.TS != 0) != wok || gkv.TS != wts || gkv.Src != wsrc || !bytes.Equal(gkv.Value, wv) {
+				t.Fatalf("op %d: serve(%s, client %d rot %d) = (%+v, %v), model (%q,%d,%d,%v, refused %v)",
+					op, key, c, seq[c], gkv, gerr, wv, wts, wsrc, wok, wrefused)
 			}
 			nextTS++
 		default: // readers check over 1–3 dependency keys, then (mostly) an install
@@ -139,23 +141,32 @@ func runModelTrace(t *testing.T, seed int64) {
 			if r.Intn(5) == 0 {
 				continue // a bare check
 			}
-			ts := nextTS
-			if r.Intn(4) == 0 && ts > 1 {
+			ts, src := nextTS, uint8(r.Intn(2))
+			if kept := model.retained(key); len(kept) > 0 && r.Intn(6) == 0 {
+				// Re-delivery of a retained version: its fresh marks land on
+				// it afterwards, possibly on a trimmed chain's oldest.
+				id := kept[r.Intn(len(kept))]
+				ts, src = id.ts, id.src
+			} else if r.Intn(4) == 0 && ts > 1 {
 				ts = uint64(r.Intn(int(ts)) + 1) // re-delivery: may hit a duplicate
 			} else {
 				nextTS++
 			}
 			val := []byte(fmt.Sprintf("%s@%d", key, ts))
-			src := uint8(r.Intn(2))
 			model.sweep(key, now)
+			// Both sides mark the new version with the slot sets' answer; the
+			// check above matched it to the model's on every current ROT.
+			wnew := model.install(key, refLoVersion{value: val, ts: ts, srcDC: src}, asRef(got), now)
 			gnew := eng.install(key, loVersion{value: val, ts: ts, srcDC: src}, got, now)
-			wnew := model.install(key, refLoVersion{value: val, ts: ts, srcDC: src}, want, now)
 			if gnew != wnew {
 				t.Fatalf("op %d: install(%s, ts=%d src=%d) newest=%v, model %v", op, key, ts, src, gnew, wnew)
 			}
+			if got, want := retained(eng, key), model.retained(key); !slices.Equal(got, want) {
+				t.Fatalf("op %d: install(%s, ts=%d src=%d) left %v, model %v", op, key, ts, src, got, want)
+			}
 		}
 	}
-	if got, want := eng.approxReads.Load(), model.approxReads; got != want {
-		t.Fatalf("approxReads = %d, model %d", got, want)
+	if got, want := eng.refusals.Load(), model.refusals; got != want || got == 0 {
+		t.Fatalf("refusals = %d, model %d (or the trace never reached one)", got, want)
 	}
 }

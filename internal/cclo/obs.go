@@ -9,9 +9,9 @@ import "repro/internal/metrics"
 func (s *Server) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 	s.LoServer.RegisterMetrics(r, labels...)
 	s.store.eng.Register(r, labels...)
-	r.CounterFunc("kv_store_approx_reads_total",
-		"Snapshot reads served with the oldest retained version because the exact one was trimmed.",
-		func() float64 { return float64(s.store.approxReads.Load()) }, labels...)
+	r.CounterFunc("kv_store_snapshot_refusals_total",
+		"Snapshot reads refused because the version the snapshot needed was trimmed (the reader retries at a fresher snapshot).",
+		func() float64 { return float64(s.store.refusals.Load()) }, labels...)
 	r.CounterFunc("kv_cclo_readers_checks_total", "Readers checks performed.",
 		func() float64 { return float64(s.stats.Checks.Load()) }, labels...)
 	r.CounterFunc("kv_cclo_keys_checked_total", "Dependencies examined by readers checks.",

@@ -20,10 +20,10 @@ type Config struct {
 	NumDCs   int
 	NumParts int
 
-	// GCWindow is how long reader entries live (paper: 500 ms).
+	// GCWindow is how long reader entries live (paper: 500 ms). It also
+	// bounds what a chain retains: a version stays until no version at or
+	// below it carries a mark younger than the window.
 	GCWindow time.Duration
-	// MaxVersions caps per-key version chains.
-	MaxVersions int
 
 	// Durable, when non-nil, makes every install durable before it is
 	// acknowledged (see wal.Durability), and closes CC-LO's crash gap for
@@ -119,7 +119,7 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		store:    newLoStore(cfg.MaxVersions, 0, cfg.GCWindow),
+		store:    newLoStore(0, cfg.GCWindow, cfg.Durable != nil),
 		epochVec: make([]uint64, cfg.NumParts),
 	}
 	s.LoServer = family.NewLoServer("cclo", cfg.DC, cfg.Part, cfg.NumDCs, cfg.NumParts, cfg.Durable, cfg.Slow,
@@ -139,7 +139,9 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 // per-version invisibility marks from the persisted old-reader records, and
 // durably bumps the partition's restart epoch.
 func (s *Server) recover() error {
+	s.store.replaying = true
 	marks, err := s.Replay()
+	s.store.replaying = false
 	if err != nil {
 		return err
 	}
@@ -160,7 +162,7 @@ func (s *Server) recover() error {
 
 // snapshot is the WAL snapshot source. Records carry each local version's
 // dependency list (the store keeps it alongside the version, see
-// loVersion.deps), so a local update that is BOTH unacked by some DC and
+// loExtra.deps), so a local update that is BOTH unacked by some DC and
 // already folded into a snapshot still re-enqueues with its deps — the
 // receiving DC's dependency check must never be skipped just because the
 // origin compacted its log. Versions at or below every stream's durable ack
@@ -260,6 +262,10 @@ func (s *Server) ackedFrontier() uint64 {
 // Stats returns the server's readers-check counters.
 func (s *Server) Stats() *Stats { return &s.stats }
 
+// Refusals returns how many ROT legs this server refused because the
+// version the ROT had to be served was trimmed.
+func (s *Server) Refusals() uint64 { return s.store.refusals.Load() }
+
 // ForEachLatest visits every key's newest version (tests, convergence
 // checks).
 func (s *Server) ForEachLatest(fn func(key string, value []byte, ts uint64, srcDC uint8)) {
@@ -285,7 +291,9 @@ func (s *Server) Handle(_ transport.Node, src wire.From, reqID uint64, m wire.Me
 }
 
 // handleRot serves CC-LO's one-round read: latest version, or — for a
-// recorded old reader — the newest version older than its recorded time.
+// recorded old reader — the newest version older than its recorded time. A
+// leg with a key whose version was trimmed is refused whole with
+// wire.RotRefused; the client retries the ROT under a fresh id.
 func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.LoRotReq) {
 	start := time.Now()
 	// Fold the session's high-water mark into this partition's clock
@@ -298,13 +306,14 @@ func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.LoRotReq) {
 	now := time.Now()
 	vals := make([]wire.KV, len(m.Keys))
 	for i, k := range m.Keys {
-		t := s.Clock.Tick()
-		val, ts, src, ok := s.store.read(k, m.RotID, t, now)
-		if ok {
-			vals[i] = wire.KV{Key: k, Value: val, TS: ts, Src: src}
-		} else {
-			vals[i] = wire.KV{Key: k}
+		kv, err := s.store.serve(k, m.RotID, s.Clock.Tick(), now)
+		if err != nil {
+			_ = s.Node.Respond(src, reqID, &wire.RotRefused{RotID: m.RotID})
+			s.Ops.RecordRead(s.Slow, start, 0, len(m.Keys) == 1, m.Keys)
+			return
 		}
+		kv.Key = k
+		vals[i] = kv
 	}
 	// The epoch stamp is taken AFTER the reads: any version these reads
 	// observed was installed before the snapshot, so an epoch its readers

@@ -27,6 +27,7 @@ package cclo
 
 import (
 	"cmp"
+	"errors"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -37,10 +38,10 @@ import (
 )
 
 // loExtra is the per-version payload CC-LO attaches to the shared engine's
-// versions: the dependency list (locally originated versions only — it is
-// what the WAL snapshot serializer emits so a crash-recovered re-enqueue
-// still carries the deps the receiving DC's dependency check needs) and the
-// set of ROTs the version is invisible to.
+// versions: the dependency list (locally originated versions on a server
+// with a WAL only — the snapshot serializer is its one reader, emitting it
+// so a crash-recovered re-enqueue still carries the deps the receiving DC's
+// dependency check needs) and the set of ROTs the version is invisible to.
 //
 // Mutation rules (see internal/store): the set BEHIND the invisible pointer
 // may be mutated under the shard lock — lock-free readers (latest,
@@ -58,7 +59,7 @@ type loVersion struct {
 	value []byte
 	ts    uint64
 	srcDC uint8
-	deps  []wire.LoDep
+	deps  []wire.LoDep // install input only: kept as loExtra.deps, never read back
 }
 
 // slot is one tracked ROT of a key: the ROT id, the logical time of its
@@ -122,7 +123,8 @@ func (s *slotSet) hides(rotID uint64, cutoff int64) bool {
 }
 
 // expire drops, in place, the slots created before cutoff. A set with
-// nothing to drop — the usual case — is only read.
+// nothing to drop — the usual case — is only read; one that expires whole
+// releases its backing array.
 func (s *slotSet) expire(cutoff int64) {
 	set := *s
 	w := 0
@@ -137,6 +139,10 @@ func (s *slotSet) expire(cutoff int64) {
 			set[w] = e
 			w++
 		}
+	}
+	if w == 0 {
+		*s = nil
+		return
 	}
 	*s = set[:w]
 }
@@ -222,7 +228,7 @@ type (
 )
 
 // loStore is the CC-LO partition storage: a thin adapter over the shared
-// engine (internal/store). read/collectOldReaders/install/addMarks mutate
+// engine (internal/store). serve/collectOldReaders/install/addMarks mutate
 // reader state and run under the per-shard write lock; latest, hasVersion
 // and forEachLatest are lock-free.
 type loStore struct {
@@ -232,25 +238,62 @@ type loStore struct {
 	// creation time as an int64 offset from it (monotonic, 8 bytes) instead
 	// of a 24-byte time.Time.
 	base time.Time
+	// keepDeps keeps each installed version's dependency list: only a
+	// server with a WAL snapshots them.
+	keepDeps bool
+	// replaying holds the trim off while recovery replays the log: replayed
+	// installs carry no marks, which addMarks restores only afterwards.
+	// Set and cleared before the server serves anything.
+	replaying bool
 
-	approxReads atomic.Uint64
+	refusals atomic.Uint64 // ROT reads refused with errTrimmed
 }
 
-func newLoStore(maxVersions, shards int, gcWindow time.Duration) *loStore {
-	return &loStore{
-		eng:      storeeng.New[loExtra, loAux](maxVersions, shards),
-		gcWindow: gcWindow,
-		base:     time.Now(),
-	}
+// errTrimmed is serve's refusal: every version a trimmed chain retains is
+// hidden from the ROT, so the one it must be served is gone.
+var errTrimmed = errors.New("cclo: the version the ROT must be served was trimmed")
+
+func newLoStore(shards int, gcWindow time.Duration, keepDeps bool) *loStore {
+	s := &loStore{gcWindow: gcWindow, base: time.Now(), keepDeps: keepDeps}
+	s.eng = storeeng.NewTrimmed[loExtra, loAux](0, shards, s.floor)
+	return s
 }
 
 // nanos places now on the store's clock.
 func (s *loStore) nanos(now time.Time) int64 { return int64(now.Sub(s.base)) }
 
-// read serves a ROT read of key: the newest version not marked invisible
-// to rotID. It records rotID as a reader of the version it was served at
-// logical time t. ok is false if the key does not exist.
-func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val []byte, ts uint64, src uint8, ok bool) {
+// floor is the engine's trim rule: a chain starts just below its oldest
+// version carrying a live mark — that one hides from no ROT, so nothing
+// older can be served — or, with no live mark anywhere, at its newest
+// version. Every live mark is kept, so collectOldReaders still propagates
+// through the marks of non-latest versions; the mark sets the scan finds
+// expired are released on the way. The scan starts below p.Lo: a marked
+// version the engine drops there hands its marks to the oldest version kept
+// (see install), so they hold the chain from that version on.
+func (s *loStore) floor(p storeeng.Pending[loExtra]) int {
+	if s.replaying {
+		return 0
+	}
+	cutoff := p.Now - int64(s.gcWindow)
+	for j := 0; j < p.Len(); j++ {
+		if inv := p.Version(j).Extra.invisible; inv != nil {
+			inv.expire(cutoff)
+			if len(*inv) > 0 {
+				return j - 1
+			}
+		}
+	}
+	return p.Len() - 1
+}
+
+// serve serves a ROT read of key: the newest version not marked invisible
+// to rotID, or the zero KV if the key does not exist. It records rotID as a
+// reader of the version it was served at logical time t. When every version
+// a trimmed chain retains hides from rotID it refuses with errTrimmed: the
+// trim keeps the version below the oldest live mark, so that happens only
+// when marks landed on a trimmed chain's oldest version afterwards (a
+// re-delivered update) or the ceiling dropped versions.
+func (s *loStore) serve(key string, rotID uint64, t uint64, now time.Time) (kv wire.KV, err error) {
 	at := s.nanos(now)
 	cutoff := at - int64(s.gcWindow)
 	s.eng.Update(key, true, func(k *loKeyRef) {
@@ -267,6 +310,12 @@ func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val [
 			return
 		}
 		vs := c.Versions
+		// A key nobody installs on again is never trimmed again, so reads
+		// release its newest version's marks. An install stamps its marks
+		// together, so an expired first slot is the cue to pay for the pass.
+		if inv := vs[len(vs)-1].Extra.invisible; inv != nil && len(*inv) > 0 && (*inv)[0].at < cutoff {
+			inv.expire(cutoff)
+		}
 		for i := len(vs) - 1; i >= 0; i-- {
 			v := &vs[i]
 			if v.Extra.invisible.hides(rotID, cutoff) {
@@ -277,24 +326,21 @@ func (s *loStore) read(key string, rotID uint64, t uint64, now time.Time) (val [
 				// supersedes it can find this ROT among its old readers.
 				aux.readers = aux.readers.put(slot{rotID: rotID, t: t, vts: v.TS, at: at}, cutoff)
 			}
-			val, ts, src, ok = v.Value, v.TS, v.Src, true
+			kv = wire.KV{Value: v.Value, TS: v.TS, Src: v.Src}
 			return
 		}
-		// Every retained version is invisible to this ROT. On a chain that has
-		// actually been trimmed, versions older than the marks were dropped,
-		// so fall back to the oldest retained one (an approximation, counted).
-		// On an untrimmed chain — even one that merely grew to capacity —
-		// nothing was ever dropped: the ROT genuinely predates the key's FIRST
-		// version (it probed the key while missing and a dependent write
-		// collected it), so the only consistent answer is "not found". Serving
-		// versions[0] here was the first-version startup race the checker's
-		// keyspace seeding used to paper over.
+		// Every retained version is invisible to this ROT. On an untrimmed
+		// chain nothing was ever dropped: the ROT genuinely predates the
+		// key's FIRST version (it probed the key while missing and a
+		// dependent write collected it), so the only consistent answer is
+		// "not found". On a trimmed chain that cannot be told from "its
+		// version was trimmed", so the read is refused, never approximated.
 		if c.Trimmed {
-			s.approxReads.Add(1)
-			val, ts, src, ok = vs[0].Value, vs[0].TS, vs[0].Src, true
+			s.refusals.Add(1)
+			err = errTrimmed
 		}
 	})
-	return val, ts, src, ok
+	return kv, err
 }
 
 // collectOldReaders merges into out the old readers of key relevant to a
@@ -338,9 +384,10 @@ func (s *loStore) collectOldReaders(key string, depTS uint64, now time.Time, out
 		// without covering the missed version's causal past on OTHER keys —
 		// and it is session-safe: marks only ever exist on versions installed
 		// during the marked ROT's own lifetime, so the extra hiding can never
-		// take back state its session observed before. Chains are bounded by
-		// maxVersions and marks are one per client, so this walk is small —
-		// and it is write-path cost, which is exactly where CC-LO pays (§3).
+		// take back state its session observed before. Chains keep only what
+		// live marks need (see floor) and marks are one per client, so this
+		// walk is small — and it is write-path cost, which is exactly where
+		// CC-LO pays (§3).
 		if c != nil {
 			for i := range c.Versions {
 				if inv := c.Versions[i].Extra.invisible; inv != nil {
@@ -363,20 +410,27 @@ func (s *loStore) install(key string, v loVersion, collected slotSet, now time.T
 	cutoff := at - int64(s.gcWindow)
 	newest := false
 	s.eng.Update(key, true, func(k *loKeyRef) {
-		ev := loEngVer{Value: v.value, TS: v.ts, Src: v.srcDC, Extra: loExtra{deps: v.deps}}
+		ev := loEngVer{Value: v.value, TS: v.ts, Src: v.srcDC}
+		if s.keepDeps {
+			ev.Extra.deps = v.deps
+		}
 		if len(collected) > 0 {
 			marks := collected.stamp(at) // boxed only when there are marks
 			ev.Extra.invisible = &marks
 		}
-		idx, isNewest, dup := k.Install(ev)
-		if dup {
+		idx, isNewest, dup := k.Install(ev, at)
+		if dup || idx < 0 {
 			if len(collected) > 0 {
 				// A re-delivered update (lost ack, or a retry against a
 				// recovered replica) arrives with freshly collected old
 				// readers; the marks must land on the existing version or the
 				// retry's readers check was for nothing and a rewound ROT
-				// could see the version anyway.
-				s.mark(k, idx, collected, cutoff)
+				// could see the version anyway. A version the trim dropped on
+				// arrival — it landed below a trimmed chain — hands its marks
+				// to the oldest version kept: collectOldReaders must still
+				// propagate them, and hiding one more version from the ROTs
+				// they name can only turn a read into a refusal.
+				s.mark(k, max(idx, 0), collected, cutoff)
 			}
 			return
 		}
@@ -398,7 +452,7 @@ func (s *loStore) install(key string, v loVersion, collected slotSet, now time.T
 
 // installRecord installs the version a WAL record describes — committed,
 // replayed or preloaded — hidden from readers. (A replicated version's
-// record carries no deps; see loVersion.deps.)
+// record carries no deps; see loExtra.deps.)
 func (s *loStore) installRecord(rec wal.Record, readers []wire.ReaderEntry) {
 	s.install(rec.Key, loVersion{value: rec.Value, ts: rec.TS, srcDC: rec.SrcDC, deps: rec.Deps},
 		slotsFromWire(make(slotSet, 0, len(readers)), readers), time.Now())
@@ -519,7 +573,7 @@ func (s *loStore) latest(key string) (loVersion, bool) {
 	if v == nil {
 		return loVersion{}, false
 	}
-	return loVersion{value: v.Value, ts: v.TS, srcDC: v.Src, deps: v.Extra.deps}, true
+	return loVersion{value: v.Value, ts: v.TS, srcDC: v.Src}, true
 }
 
 // hasVersion reports whether the version of key identified by (ts, src)
@@ -529,8 +583,11 @@ func (s *loStore) latest(key string) (loVersion, bool) {
 // dependent update become readable before the one version that ROT could
 // consistently be served has arrived — and a same-timestamp version from a
 // DIFFERENT DC is a different version entirely (Lamport timestamps collide
-// across DCs). A chain whose oldest retained version is already LWW-above
-// (ts, src) proves the version was installed and trimmed. Lock-free.
+// across DCs). On a trimmed chain a version LWW-below the oldest retained
+// one counts as installed: either the trim dropped it, or it will arrive
+// below the oldest retained version, which hides it from every ROT the
+// chain can still serve (see floor and serve), so a dependent has nothing
+// to wait for. Lock-free.
 func (s *loStore) hasVersion(key string, ts uint64, src uint8) bool {
 	c := s.eng.View(key)
 	if c.Len() == 0 {
@@ -538,9 +595,8 @@ func (s *loStore) hasVersion(key string, ts uint64, src uint8) bool {
 	}
 	want := loEngVer{TS: ts, Src: src}
 	if c.Trimmed && want.Before(&c.Versions[0]) {
-		// Only a chain that actually trimmed can have dropped the asked
-		// version; on an untrimmed chain (even one exactly at capacity)
-		// "LWW-below the oldest" just means never installed.
+		// On an untrimmed chain "LWW-below the oldest" just means never
+		// installed.
 		return true
 	}
 	return c.Find(ts, src) >= 0
@@ -560,7 +616,7 @@ func (s *loStore) forEachChain(fn func(key string, c *loChain)) {
 func (s *loStore) forEachLatest(fn func(key string, v loVersion)) {
 	s.forEachChain(func(key string, c *loChain) {
 		l := c.Latest()
-		fn(key, loVersion{value: l.Value, ts: l.TS, srcDC: l.Src, deps: l.Extra.deps})
+		fn(key, loVersion{value: l.Value, ts: l.TS, srcDC: l.Src})
 	})
 }
 

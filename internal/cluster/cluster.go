@@ -38,9 +38,10 @@ type Config struct {
 	// live. Crash tests shrink or stretch it to make reader-state expiry
 	// deterministic around a kill/restart.
 	ReaderGCWindow time.Duration
-	// MaxVersions caps per-key version chains of the dependency-list
-	// families (CC-LO, COPS; 0 = their default). The timestamp families
-	// trim by their GSS frontier instead.
+	// MaxVersions caps COPS's per-key version chains (0 = its default, 64).
+	// Every other family trims by what a reader can still be served: the
+	// timestamp families by their GSS frontier, CC-LO by the reader GC
+	// window.
 	MaxVersions int
 	// Seed randomizes clock skews deterministically.
 	Seed int64

@@ -145,10 +145,9 @@ func (cfg Config) NewServer(dc, part int, skew time.Duration, log *wal.Log, net 
 	case CCLO:
 		s, err := cclo.NewServer(cclo.Config{
 			DC: dc, Part: part, NumDCs: cfg.DCs, NumParts: cfg.Partitions,
-			GCWindow:    cfg.ReaderGCWindow,
-			MaxVersions: cfg.MaxVersions,
-			Durable:     durable,
-			Slow:        cfg.Slow,
+			GCWindow: cfg.ReaderGCWindow,
+			Durable:  durable,
+			Slow:     cfg.Slow,
 		}, net)
 		if err != nil {
 			return nil, err

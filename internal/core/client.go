@@ -152,17 +152,12 @@ func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
 	return kvs[0].Value, nil
 }
 
-// ErrSnapshotTooOld is returned by ROT (and Get) when a partition kept
-// refusing the transaction's snapshot: the versions it needed had been
-// trimmed, and snapshotRetries fresher snapshots did not get past the trim
-// either — the partition's GSS stood still (a stalled stabilizer) while the
-// key was written past the store's count ceiling.
-var ErrSnapshotTooOld = errors.New("core: snapshot too old")
-
 // snapshotRetries bounds how often one ROT is retried after a refusal. The
 // backoff starts at a stabilization period and doubles to
 // transport.BusyBackoff's cap, so the budget spans a few hundred
-// milliseconds of GSS progress.
+// milliseconds of GSS progress; exhausting it (family.ErrSnapshotTooOld)
+// means the partition's GSS stood still (a stalled stabilizer) while the
+// key was written past the store's count ceiling.
 const snapshotRetries = 10
 
 // ROT executes a causally consistent read-only transaction over keys and
@@ -208,7 +203,7 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 			busy++
 		case *wire.RotRefused:
 			if refused >= snapshotRetries {
-				return nil, fmt.Errorf("core: rot: %w: refused after %d retries", ErrSnapshotTooOld, refused)
+				return nil, fmt.Errorf("core: rot: %w: refused after %d retries", family.ErrSnapshotTooOld, refused)
 			}
 			c.observe(m.Frontier)
 			err = transport.AwaitRetry(ctx, refused, stabilizePeriod)

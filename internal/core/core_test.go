@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/family"
 	"repro/internal/mvstore"
 	"repro/internal/ring"
 	"repro/internal/transport"
@@ -377,7 +378,7 @@ func TestStabilizerCloseWithoutStart(t *testing.T) {
 // frontier into its causal context and the retry reads the exact snapshot
 // — on both ROT modes. A chain the count ceiling trimmed past anything the
 // client can see keeps refusing, and the ROT gives up with
-// ErrSnapshotTooOld after its bounded retries.
+// family.ErrSnapshotTooOld after its bounded retries.
 func TestRefusedLegRetriesAtFrontier(t *testing.T) {
 	for _, mode := range []ROTMode{OneAndHalfRounds, TwoRounds} {
 		t.Run(fmt.Sprintf("mode%d", mode), func(t *testing.T) {
@@ -449,8 +450,8 @@ func TestRefusedLegRetriesAtFrontier(t *testing.T) {
 			for n := 1; srv[1].store.ChainLen(z) == n-1; n++ {
 				srv[1].store.Install(z, remote(uint64(99+n)))
 			}
-			if _, err := cli.ROT(ctx, []string{x, z}); !errors.Is(err, ErrSnapshotTooOld) {
-				t.Fatalf("ROT over a chain trimmed past every reachable snapshot: %v, want ErrSnapshotTooOld", err)
+			if _, err := cli.ROT(ctx, []string{x, z}); !errors.Is(err, family.ErrSnapshotTooOld) {
+				t.Fatalf("ROT over a chain trimmed past every reachable snapshot: %v, want family.ErrSnapshotTooOld", err)
 			}
 			if got := srv[1].store.Refusals(); got != 1+1+snapshotRetries {
 				t.Fatalf("partition 1 refused %d reads, want %d", got, 1+1+snapshotRetries)

@@ -2,12 +2,18 @@ package family
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
+
+// ErrSnapshotTooOld is returned by a ROT (and Get) that partitions kept
+// refusing with wire.RotRefused: the versions its snapshot needed were
+// trimmed, and the family's bounded retries did not get past the trim.
+var ErrSnapshotTooOld = errors.New("snapshot too old")
 
 // Base is the part of a client session every family repeats: the attached
 // node, liveness and warm-up against the partitions of the client's DC,

@@ -53,14 +53,6 @@ func (v *Version) Before(o *Version) bool {
 // gone.
 var ErrTrimmed = errors.New("mvstore: the snapshot's version was trimmed")
 
-// ceiling bounds a chain while the frontier does not advance — before the
-// first GSS arrives, during WAL replay, under a stalled stabilizer — when
-// every version stays above it. It only has to outlast such a stall long
-// enough for readers' retries (core's ROT retry budget spans a few hundred
-// milliseconds) to see the GSS move; it is never reached while the GSS
-// advances.
-const ceiling = 1024
-
 // Store is a sharded multi-version key-value map. All methods are safe for
 // concurrent use; reads and iteration are lock-free (see internal/store).
 type Store struct {
@@ -72,21 +64,30 @@ type Store struct {
 // New returns an empty store with the default shard count.
 func New() *Store { return NewSharded(0, 0) }
 
-// NewSharded is New with an explicit count ceiling (0 = the store's own)
-// and shard count (0 = auto from GOMAXPROCS).
+// NewSharded is New with an explicit count ceiling (0 = store.Ceiling, which
+// only has to outlast a stalled GSS long enough for core's ROT retry budget
+// of a few hundred milliseconds to see it move) and shard count (0 = auto
+// from GOMAXPROCS).
 func NewSharded(maxVersions, shards int) *Store {
-	if maxVersions <= 0 {
-		maxVersions = ceiling
-	}
 	s := &Store{}
-	s.eng = store.NewTrimmed[vclock.Vec, struct{}](maxVersions, shards, s.stable)
+	s.eng = store.NewTrimmed[vclock.Vec, struct{}](maxVersions, shards, s.trim)
 	return s
 }
 
-// stable is the engine's trim predicate: v is visible at the frontier.
-func (s *Store) stable(v *store.Version[vclock.Vec]) bool {
+// trim is the engine's trim rule: a chain starts at its newest version
+// visible at the frontier. The scan runs from the tail, so on a key the
+// frontier has reached it stops after the few versions written since.
+func (s *Store) trim(p store.Pending[vclock.Vec]) int {
 	f := s.frontier.Load()
-	return f != nil && v.Extra.LEQ(*f)
+	if f == nil {
+		return 0
+	}
+	for j := p.Len() - 1; j > p.Lo; j-- {
+		if p.Version(j).Extra.LEQ(*f) {
+			return j
+		}
+	}
+	return 0
 }
 
 // SetFrontier makes f the trim frontier. Snapshots below it risk refusal,

@@ -33,15 +33,17 @@
 //     no lock-free reader dereferences that interior state, because readers
 //     copying the version struct only read the field's pointer word.
 //
-// Trimming: an engine may be built with a stable predicate (NewTrimmed) —
-// the adapter's statement that a version is visible in every snapshot a
-// reader can still be served from. Each install then drops every version
-// older than the newest one the predicate accepts: no reader can need them,
-// because that version hides them all. The version cap remains as a hard
-// ceiling for when the predicate accepts nothing (no frontier yet, or a
-// stalled one). Either way a chain only ever loses a prefix, so every
-// discarded version precedes every retained one, and Chain.Trimmed tells a
-// reader that found nothing old enough that the answer it wanted is gone.
+// Trimming: an engine may be built with a trim rule (NewTrimmed) — the
+// adapter's statement of where the chain an install is about to publish may
+// start, because no reader can still be served anything older. Contrarian
+// starts it at the newest version visible at its stable frontier; CC-LO just
+// below the oldest version still hiding from some ROT. The version cap
+// remains as a hard ceiling for when the rule keeps more (no frontier yet, a
+// stalled one, marks that outlive a burst of writes). Either way a chain only
+// ever loses a prefix, and a trimmed chain takes no version below its oldest,
+// so every discarded version precedes every retained one, and Chain.Trimmed
+// tells a reader that found nothing old enough that the answer it wanted is
+// gone.
 //
 // Memory model: an install of a key's newest version — the common case —
 // writes the one slot past the published len and publishes a header one slot
@@ -216,8 +218,8 @@ type Engine[X, A any] struct {
 	keys   atomic.Int64
 	shards []shard[X, A]
 	mask   uint64
-	max    int                    // per-key version cap: the hard ceiling
-	stable func(*Version[X]) bool // the trim predicate; nil: the cap alone
+	max    int     // per-key version cap: the hard ceiling
+	trim   Trim[X] // the trim rule; nil: the cap alone
 	seed   maphash.Seed
 	// Reserved allocator bytes, engine-wide. Bumped only on chunk
 	// reservation (alloc.go), so installs pay nothing for the accounting.
@@ -225,10 +227,55 @@ type Engine[X, A any] struct {
 	slabBytes  atomic.Int64
 }
 
-// DefaultMaxVersions caps per-key chains of an engine built with no cap of
-// its own: a guess at what a reader can still ask for, kept by the families
-// that have no trim frontier yet.
+// DefaultMaxVersions caps per-key chains of an engine built with neither a
+// cap nor a trim rule of its own: a guess at what a reader can still ask
+// for, kept by the family that has no trim rule (COPS).
 const DefaultMaxVersions = 64
+
+// Ceiling is the default cap of an engine with a trim rule. The rule decides
+// what a chain keeps; the ceiling only bounds a chain while the rule keeps
+// everything — before a frontier exists, while one stands still, while marks
+// outlive a burst of writes to one key — so it is never reached in steady
+// state. A reader that needed a version the ceiling dropped is refused.
+const Ceiling = 1024
+
+// Pending is the chain an install is about to publish — the retained
+// versions with the new one in place, oldest first — as a trim rule sees
+// it. It is a view: building it copies no version but the new one.
+type Pending[X any] struct {
+	vs []Version[X] // the published chain
+	i  int          // where v lands
+	v  Version[X]
+	// Lo is where the engine starts the chain whatever the rule says — the
+	// ceiling's floor, and past a version arriving below a trimmed chain. A
+	// rule need not look below it: its answer is raised to Lo.
+	Lo int
+	// Now is the install's clock reading, as its caller passed it to
+	// Key.Install (Engine.Install passes 0). The engine keeps no clock: a
+	// rule that ages what versions carry takes the time from here.
+	Now int64
+}
+
+// Len returns the pending chain's length.
+func (p *Pending[X]) Len() int { return len(p.vs) + 1 }
+
+// Version returns the pending chain's j-th version, oldest first.
+func (p *Pending[X]) Version(j int) *Version[X] {
+	switch {
+	case j < p.i:
+		return &p.vs[j]
+	case j == p.i:
+		return &p.v
+	}
+	return &p.vs[j-1]
+}
+
+// Trim is an engine's trim rule: the index at which the pending chain may
+// start, every version below it being one no reader can still be served.
+// The engine keeps at least the newest version and at most the cap,
+// whatever the rule answers. It runs under the shard lock, concurrently on
+// different shards.
+type Trim[X any] func(p Pending[X]) int
 
 // DefaultShards derives the shard count from GOMAXPROCS: enough shards that
 // writers rarely collide (16× the parallelism), clamped to [16, 1024] and
@@ -261,14 +308,15 @@ func New[X, A any](maxVersions, shards int) *Engine[X, A] {
 	return NewTrimmed[X, A](maxVersions, shards, nil)
 }
 
-// NewTrimmed is New with a trim predicate: every install drops the versions
-// older than the newest one stable accepts (see the package comment), and
-// maxVersions becomes the ceiling for when it accepts none. stable runs
-// under the shard lock and must be safe for concurrent use across shards;
-// it may change its answers over time, but only ever from false to true.
-func NewTrimmed[X, A any](maxVersions, shards int, stable func(*Version[X]) bool) *Engine[X, A] {
+// NewTrimmed is New with a trim rule: every install starts the chain where
+// trim says it may (see the package comment), and maxVersions (0 means
+// Ceiling) becomes the ceiling for when the rule keeps more.
+func NewTrimmed[X, A any](maxVersions, shards int, trim Trim[X]) *Engine[X, A] {
 	if maxVersions <= 0 {
 		maxVersions = DefaultMaxVersions
+		if trim != nil {
+			maxVersions = Ceiling
+		}
 	}
 	if shards <= 0 {
 		shards = DefaultShards()
@@ -281,7 +329,7 @@ func NewTrimmed[X, A any](maxVersions, shards int, stable func(*Version[X]) bool
 		shards: make([]shard[X, A], shards),
 		mask:   uint64(shards - 1),
 		max:    maxVersions,
-		stable: stable,
+		trim:   trim,
 		seed:   maphash.MakeSeed(),
 	}
 	for i := range e.shards {
@@ -452,21 +500,21 @@ func (k *Key[X, A]) Chain() *Chain[X] { return k.en.chain.Load() }
 func (k *Key[X, A]) Aux() *A { return &k.en.aux }
 
 // Install inserts v into the chain, keeping it ordered by (TS, Src) and
-// trimmed by the engine's rule (see the package comment). v.Value is
-// copied; the caller's slice is not retained.
+// trimmed by the engine's rule (see the package comment), which reads now as
+// Pending.Now. v.Value is copied; the caller's slice is not retained.
 //
 // It returns the index of v in the resulting chain (-1 if v was older than
 // what the trim keeps and was discarded at once), whether v is now the
 // newest version, and whether an identical (TS, Src) version already
 // existed — in which case the chain is unchanged, idx points at the existing
 // version, and newest reports whether that version is the newest.
-func (k *Key[X, A]) Install(v Version[X]) (idx int, newest, dup bool) {
-	return k.e.installLocked(k.sh, k.en, v)
+func (k *Key[X, A]) Install(v Version[X], now int64) (idx int, newest, dup bool) {
+	return k.e.installLocked(k.sh, k.en, v, now)
 }
 
 // installLocked is the install core; the caller holds sh.mu and en belongs
 // to sh.
-func (e *Engine[X, A]) installLocked(sh *shard[X, A], en *entry[X, A], v Version[X]) (idx int, newest, dup bool) {
+func (e *Engine[X, A]) installLocked(sh *shard[X, A], en *entry[X, A], v Version[X], now int64) (idx int, newest, dup bool) {
 	old := en.chain.Load()
 	var vs []Version[X]
 	trimmed := false
@@ -482,7 +530,7 @@ func (e *Engine[X, A]) installLocked(sh *shard[X, A], en *entry[X, A], v Version
 		return i - 1, i == len(vs), true
 	}
 	n := len(vs) + 1
-	drop := e.floor(vs, i, &v)
+	drop := e.floor(vs, trimmed, i, v, now)
 	if i < drop {
 		// Older than what the trim keeps: v is discarded unstored, along with
 		// the versions below the floor. Readers tell "grew" from "dropped
@@ -512,28 +560,22 @@ func (e *Engine[X, A]) installLocked(sh *shard[X, A], en *entry[X, A], v Version
 }
 
 // floor returns how many of the oldest versions of the n = len(vs)+1 long
-// chain that inserting v at i would make the trim drops: everything below
-// its newest stable version, and at least what the ceiling demands. The
-// scan runs from the tail, so on a key the frontier has reached it stops
-// after the few versions written since.
-func (e *Engine[X, A]) floor(vs []Version[X], i int, v *Version[X]) int {
+// chain that inserting v at i would make the trim drops: what the rule
+// allows, at least what the ceiling demands, never the newest version. A
+// version arriving below the oldest one a trimmed chain retains may belong
+// below versions already discarded, where keeping it would open a hole a
+// reader could fall through to an older answer than the exact one: it is
+// dropped whatever the rule says.
+func (e *Engine[X, A]) floor(vs []Version[X], trimmed bool, i int, v Version[X], now int64) int {
 	n := len(vs) + 1
 	lo := max(n-e.max, 0)
-	if e.stable == nil {
+	if trimmed && i == 0 {
+		lo = max(lo, 1)
+	}
+	if e.trim == nil {
 		return lo
 	}
-	for j := n - 1; j > lo; j-- {
-		m := v
-		if j < i {
-			m = &vs[j]
-		} else if j > i {
-			m = &vs[j-1]
-		}
-		if e.stable(m) {
-			return j
-		}
-	}
-	return lo
+	return min(max(lo, e.trim(Pending[X]{vs: vs, i: i, v: v, Lo: lo, Now: now})), n-1)
 }
 
 // backing returns a zeroed chain of n versions on a new backing array with
@@ -646,14 +688,14 @@ func (e *Engine[X, A]) Update(key string, create bool, fn func(k *Key[X, A])) bo
 // Install inserts version v of key and reports whether v is now the newest
 // version of key (duplicates report the existing version's position, so a
 // re-install of the current newest version still reports true). Equivalent
-// to Update+Key.Install but allocation-free on the call itself — the install
-// fast path skips the callback machinery.
+// to Update+Key.Install at clock reading 0, but allocation-free on the call
+// itself — the install fast path skips the callback machinery.
 func (e *Engine[X, A]) Install(key string, v Version[X]) (newest bool) {
 	h := maphash.String(e.seed, key)
 	sh := &e.shards[h&e.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	en := e.entryLocked(sh, h, key, true)
-	_, newest, _ = e.installLocked(sh, en, v)
+	_, newest, _ = e.installLocked(sh, en, v, 0)
 	return
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,7 +63,7 @@ func TestTrim(t *testing.T) {
 	}
 	// Installing below the retained window drops the new version itself.
 	e.Update("x", false, func(k *Key[int, struct{}]) {
-		idx, newest, dup := k.Install(v(1, 0))
+		idx, newest, dup := k.Install(v(1, 0), 0)
 		if idx != -1 || newest || dup {
 			t.Fatalf("below-window install: idx=%d newest=%v dup=%v", idx, newest, dup)
 		}
@@ -72,17 +73,76 @@ func TestTrim(t *testing.T) {
 	}
 }
 
+// A trim rule sees the chain the install is about to publish, with the new
+// version in place wherever it lands, the caller's clock and the ceiling's
+// floor; whatever it answers, the engine keeps the newest version and at
+// most the cap.
+func TestTrimRuleSeesPendingChain(t *testing.T) {
+	var seen []uint64
+	var now int64
+	lo, answer := -1, 0
+	e := NewTrimmed[int, struct{}](4, 1, func(p Pending[int]) int {
+		seen = seen[:0]
+		for j := 0; j < p.Len(); j++ {
+			seen = append(seen, p.Version(j).TS)
+		}
+		now, lo = p.Now, p.Lo
+		return answer
+	})
+	install := func(ts uint64, at int64) {
+		e.Update("x", true, func(k *Key[int, struct{}]) { k.Install(v(ts, 0), at) })
+	}
+	chain := func() (out []uint64) {
+		for _, ver := range e.View("x").Versions {
+			out = append(out, ver.TS)
+		}
+		return out
+	}
+	install(10, 1)
+	install(30, 2)
+	install(20, 3) // lands mid-chain
+	if !slices.Equal(seen, []uint64{10, 20, 30}) || now != 3 || lo != 0 {
+		t.Fatalf("rule saw %v at %d with Lo %d, want [10 20 30] at 3 with Lo 0", seen, now, lo)
+	}
+	install(40, 4)
+	install(50, 5) // five pending under a cap of four
+	if lo != 1 || !slices.Equal(chain(), []uint64{20, 30, 40, 50}) {
+		t.Fatalf("Lo %d, chain %v; want 1 and the cap's [20 30 40 50]", lo, chain())
+	}
+	answer = 2
+	install(60, 6)
+	if got := chain(); !slices.Equal(got, []uint64{40, 50, 60}) || !e.View("x").Trimmed {
+		t.Fatalf("rule answering 2: chain %v, want [40 50 60], trimmed", got)
+	}
+	answer = 99 // past the newest
+	install(70, 7)
+	if got := chain(); !slices.Equal(got, []uint64{70}) {
+		t.Fatalf("rule answering past the newest: chain %v, want [70]", got)
+	}
+	// Below the oldest version of a trimmed chain a version may belong
+	// below discarded ones: it is dropped even when the rule keeps all.
+	answer = 0
+	install(65, 8)
+	if got := chain(); lo != 1 || !slices.Equal(got, []uint64{70}) {
+		t.Fatalf("arrival below a trimmed chain: Lo %d, chain %v; want Lo 1 and [70]", lo, got)
+	}
+	install(75, 9)
+	if got := chain(); lo != 0 || !slices.Equal(got, []uint64{70, 75}) {
+		t.Fatalf("rule keeping all: Lo %d, chain %v; want Lo 0 and [70 75]", lo, got)
+	}
+}
+
 func TestInstallIdxReportsPosition(t *testing.T) {
 	e := New[int, struct{}](0, 1)
 	e.Update("x", true, func(k *Key[int, struct{}]) {
 		for _, ts := range []uint64{10, 30} {
-			k.Install(v(ts, 0))
+			k.Install(v(ts, 0), 0)
 		}
-		idx, newest, dup := k.Install(v(20, 0))
+		idx, newest, dup := k.Install(v(20, 0), 0)
 		if idx != 1 || newest || dup {
 			t.Fatalf("middle install: idx=%d newest=%v dup=%v", idx, newest, dup)
 		}
-		idx, newest, dup = k.Install(v(20, 0))
+		idx, newest, dup = k.Install(v(20, 0), 0)
 		if idx != 1 || newest || !dup {
 			t.Fatalf("middle dup: idx=%d newest=%v dup=%v", idx, newest, dup)
 		}

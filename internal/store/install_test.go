@@ -41,12 +41,28 @@ func (r *refChain) install(v Version[int]) (idx int, newest, dup bool) {
 		}
 	}
 	drop = max(drop, len(merged)-r.max)
+	if trimmed && i == 0 {
+		drop = max(drop, 1) // a trimmed chain takes nothing below its oldest
+	}
 	r.vs, r.trimmed = merged[drop:], trimmed || drop > 0
 	idx = i - drop
 	if idx < 0 {
 		idx = -1 // older than what the trim keeps
 	}
 	return idx, i == len(merged)-1, false
+}
+
+// newestStable is mvstore's frontier rule over the trim hook: a chain starts
+// at its newest stable version.
+func newestStable(stable func(*Version[int]) bool) Trim[int] {
+	return func(p Pending[int]) int {
+		for j := p.Len() - 1; j > p.Lo; j-- {
+			if stable(p.Version(j)) {
+				return j
+			}
+		}
+		return 0
+	}
 }
 
 func (r *refChain) setExtra(idx, x int) {
@@ -94,10 +110,12 @@ func modelWalk(t *testing.T, limit int, seed int64, trim bool) {
 	// a stable version may sit above one that is not (a DV can lag its TS).
 	frontier := 0
 	var stable func(*Version[int]) bool
+	var rule Trim[int]
 	if trim {
 		stable = func(v *Version[int]) bool { return v.Extra <= frontier }
+		rule = newestStable(stable)
 	}
-	e := NewTrimmed[int, struct{}](limit, 1, stable)
+	e := NewTrimmed[int, struct{}](limit, 1, rule)
 	ref := &refChain{max: limit, stable: stable}
 	defer frozenReaders(t, e, "k", limit)()
 	next := uint64(1000) // newest TS so far
@@ -133,7 +151,7 @@ func modelWalk(t *testing.T, limit int, seed int64, trim bool) {
 				return
 			}
 			wi, wn, wd := ref.install(ver)
-			gi, gn, gd := k.Install(ver)
+			gi, gn, gd := k.Install(ver, 0)
 			if gi != wi || gn != wn || gd != wd {
 				t.Fatalf("trim=%v step %d install %d/%d: got (%d,%v,%v), want (%d,%v,%v)", trim, step, ver.TS, ver.Src, gi, gn, gd, wi, wn, wd)
 			}
@@ -234,7 +252,7 @@ func TestTooOldInstallReservesNothing(t *testing.T) {
 	arena0, slab0 := e.MemBytes()
 	tooOld := func(ts uint64) {
 		e.Update("x", false, func(k *Key[int, struct{}]) {
-			if idx, newest, dup := k.Install(v(ts, 0)); idx != -1 || newest || dup {
+			if idx, newest, dup := k.Install(v(ts, 0), 0); idx != -1 || newest || dup {
 				t.Fatalf("too-old install: idx=%d newest=%v dup=%v", idx, newest, dup)
 			}
 		})
@@ -321,7 +339,7 @@ func TestSnapshotsStayFrozenUnderInPlaceAppend(t *testing.T) {
 // neighbour pins. A cold key's first versions still do.
 func TestTrimmedChainAllocatesPrivatelyToItsWindow(t *testing.T) {
 	frontier := uint64(0)
-	e := NewTrimmed[int, struct{}](1024, 1, func(v *Version[int]) bool { return v.TS <= frontier })
+	e := NewTrimmed[int, struct{}](0, 1, newestStable(func(v *Version[int]) bool { return v.TS <= frontier }))
 	e.Install("cold", v(1, 0))
 	arena0, _ := e.MemBytes()
 	if arena0 == 0 {

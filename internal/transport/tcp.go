@@ -127,6 +127,14 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 	if _, dup := t.nodes[addr]; dup {
 		return nil, ErrAttached
 	}
+	// Listen before anything starts, so a failure has nothing to unwind.
+	var ln net.Listener
+	if hp, ok := t.dir[addr]; ok {
+		var err error
+		if ln, err = net.Listen("tcp", hp); err != nil {
+			return nil, fmt.Errorf("transport: listen %s: %w", hp, err)
+		}
+	}
 	// The queue must hold at least one entry per worker: dispatch reserves
 	// an idle worker before queueing, and a reservation finding the queue
 	// full would spill despite the idle worker.
@@ -134,6 +142,7 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 	n := &tcpNode{
 		endpoint: endpoint{addr: addr, h: h, stats: &t.stats, pool: uint8(pool), stop: make(chan struct{})},
 		t:        t,
+		ln:       ln,
 		conns:    make(map[connKey]*tcpConn),
 		all:      make(map[*tcpConn]struct{}),
 		dialing:  make(map[connKey]chan struct{}),
@@ -146,14 +155,7 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 		n.wg.Add(1)
 		go n.shedResponder()
 	}
-	if hp, ok := t.dir[addr]; ok {
-		ln, err := net.Listen("tcp", hp)
-		if err != nil {
-			close(n.stop)
-			n.wg.Wait()
-			return nil, fmt.Errorf("transport: listen %s: %w", hp, err)
-		}
-		n.ln = ln
+	if ln != nil {
 		n.wg.Add(1)
 		go n.acceptLoop()
 	}

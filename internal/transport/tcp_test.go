@@ -125,6 +125,31 @@ func TestTCPCloseReleasesResources(t *testing.T) {
 	}
 }
 
+// TestTCPAttachListenFailureStartsNothing: an admission-enabled server
+// address whose port is taken fails to attach, and the failed attach
+// leaves no goroutine behind (no shed responder, no workers) and no node.
+func TestTCPAttachListenFailureStartsNothing(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	tnet := NewTCP(map[wire.Addr]string{wire.ServerAddr(0, 0): taken.Addr().String()})
+	defer tnet.Close()
+	tnet.SetAdmission(AdmitConfig{Limit: 2})
+	before := runtime.NumGoroutine()
+	if _, err := tnet.Attach(wire.ServerAddr(0, 0), &echoHandler{}); err == nil {
+		t.Fatal("attach on a port in use succeeded")
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutines: %d before the failed attach, %d after\n%s", before, g, buf[:runtime.Stack(buf, true)])
+	}
+	if _, dup := tnet.nodes[wire.ServerAddr(0, 0)]; dup {
+		t.Fatal("a failed attach registered its node")
+	}
+}
+
 // TestTCPLearnRaceLoserPromoted pins the learn-race semantics: when two
 // connections to the same peer race (symmetric dials, or a reconnect while
 // the stale conn lingers), the loser must be promoted into the routing map
