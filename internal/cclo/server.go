@@ -342,12 +342,6 @@ type checkScratch struct{ out, in slotSet }
 
 var checkScratchPool = sync.Pool{New: func() any { return new(checkScratch) }}
 
-// partDeps is the share of a readers check addressed to one partition.
-type partDeps struct {
-	part int
-	deps []wire.LoDep
-}
-
 // oldReadersAnswer is one remote partition's reply to a readers check.
 type oldReadersAnswer struct {
 	resp *wire.OldReadersResp
@@ -355,10 +349,10 @@ type oldReadersAnswer struct {
 }
 
 // askOldReaders runs the remote leg of a readers check against one partition.
-func (s *Server) askOldReaders(g partDeps, epochs []uint64) oldReadersAnswer {
+func (s *Server) askOldReaders(g family.PartDeps, epochs []uint64) oldReadersAnswer {
 	ctx, cancel := context.WithTimeout(context.Background(), family.CallTimeout)
 	defer cancel()
-	resp, err := s.Node.Call(ctx, wire.ServerAddr(s.cfg.DC, g.part), &wire.OldReadersReq{Deps: g.deps, Epochs: epochs})
+	resp, err := s.Node.Call(ctx, wire.ServerAddr(s.cfg.DC, g.Part), &wire.OldReadersReq{Deps: g.Deps, Epochs: epochs})
 	if err != nil {
 		return oldReadersAnswer{err: err}
 	}
@@ -401,25 +395,14 @@ func (s *Server) readersCheck(deps []wire.LoDep, replicated bool, origin []wire.
 	// before this check returns — i.e. before the version being checked
 	// installs — which is the propagation that lets ROT legs expose a restart
 	// to the client fence.
-	var groups []partDeps
-next:
-	for _, d := range deps {
-		p := s.Ring.Owner(d.Key)
-		for i := range groups {
-			if groups[i].part == p {
-				groups[i].deps = append(groups[i].deps, d)
-				continue next
-			}
-		}
-		groups = append(groups, partDeps{part: p, deps: []wire.LoDep{d}})
-	}
+	groups := family.ByOwner(s.Ring, deps)
 	remote := 0
 	ch := make(chan oldReadersAnswer, len(groups))
 	reqEpochs := s.epochsView()
 	for _, g := range groups {
-		if g.part == s.cfg.Part {
+		if g.Part == s.cfg.Part {
 			var n int
-			out, n = s.collectDeps(g.deps, now, out)
+			out, n = s.collectDeps(g.Deps, now, out)
 			scanned += n
 			continue
 		}

@@ -3,7 +3,9 @@ package family
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ring"
@@ -18,6 +20,31 @@ const CallTimeout = 10 * time.Second
 
 // errStopping answers dependency waits a shutdown cut short.
 var errStopping = errors.New("dep check aborted: server stopping")
+
+// PartDeps is the share of a dependency list owned by one partition.
+type PartDeps struct {
+	Part int
+	Deps []wire.LoDep
+}
+
+// ByOwner splits deps by owning partition: one group per partition holding
+// at least one, in order of first appearance, each listing its
+// dependencies in their original order. Every check that fans out over a
+// dependency list (the dependency check, CC-LO's readers check) asks each
+// partition once, with its group.
+func ByOwner(r ring.Ring, deps []wire.LoDep) []PartDeps {
+	var groups []PartDeps
+	for _, d := range deps {
+		p := r.Owner(d.Key)
+		i := slices.IndexFunc(groups, func(g PartDeps) bool { return g.Part == p })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, PartDeps{Part: p})
+		}
+		groups[i].Deps = append(groups[i].Deps, d)
+	}
+	return groups
+}
 
 // DepWaiter is COPS-style dependency checking for one partition: a
 // replicated update installs only after every version it depends on is
@@ -34,6 +61,11 @@ type DepWaiter struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // signalled by Installed and Stop
 	stopped bool
+
+	// requests and keys count the DepCheckReqs sent and the dependencies
+	// they carried; waits counts dependencies missing on arrival — of a
+	// replicated update on this partition, or of a request served here.
+	requests, keys, waits atomic.Uint64
 }
 
 // NewDepWaiter builds the waiter of partition (dc, part).
@@ -50,7 +82,7 @@ func (w *DepWaiter) Installed() {
 	w.mu.Unlock()
 }
 
-// Stop releases every blocked Wait with false, now and from here on.
+// Stop releases every blocked wait with false, now and from here on.
 func (w *DepWaiter) Stop() {
 	w.mu.Lock()
 	w.stopped = true
@@ -61,12 +93,33 @@ func (w *DepWaiter) Stop() {
 // Wait blocks until the (ts, src) version of key is installed; false means
 // the server is stopping and the dependency was NOT verified.
 func (w *DepWaiter) Wait(key string, ts uint64, src uint8) bool {
-	if w.hasVersion(key, ts, src) {
+	return w.waitInstalled([]wire.LoDep{{Key: key, TS: ts, Src: src}})
+}
+
+// waitInstalled blocks until every listed version is installed here; false
+// means the server is stopping and some dependency was NOT verified. The
+// installed ones settle without the lock. hasVersion stays true once it
+// holds (a trimmed chain still claims what it trimmed), so the wait only
+// moves forward through the list.
+func (w *DepWaiter) waitInstalled(deps []wire.LoDep) bool {
+	first, missing := len(deps), 0
+	for i, d := range deps {
+		if !w.hasVersion(d.Key, d.TS, d.Src) {
+			first = min(first, i)
+			missing++
+		}
+	}
+	if missing == 0 {
 		return true
 	}
+	w.waits.Add(uint64(missing))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for !w.hasVersion(key, ts, src) {
+	for i := first; i < len(deps); {
+		if d := deps[i]; w.hasVersion(d.Key, d.TS, d.Src) {
+			i++
+			continue
+		}
 		if w.stopped {
 			return false
 		}
@@ -75,12 +128,13 @@ func (w *DepWaiter) Wait(key string, ts uint64, src uint8) bool {
 	return true
 }
 
-// HandleDepCheck blocks until this partition holds the version the request
-// names, then responds. A shutdown abort answers with an error — never
-// success: the caller would otherwise durably install a dependent whose
-// dependency this partition never had.
+// HandleDepCheck blocks until this partition holds every version the
+// request lists, then responds. A shutdown abort answers with an error —
+// never success, while any listed version is missing: the caller would
+// otherwise durably install a dependent whose dependency this partition
+// never had.
 func (w *DepWaiter) HandleDepCheck(src wire.From, reqID uint64, m *wire.DepCheckReq) {
-	if !w.Wait(m.Key, m.TS, m.Src) {
+	if !w.waitInstalled(m.Deps) {
 		transport.RespondError(w.node, src, reqID, 503, errStopping.Error())
 		return
 	}
@@ -93,38 +147,44 @@ func (w *DepWaiter) HandleDepCheck(src wire.From, reqID uint64, m *wire.DepCheck
 // unverified dependent would be durably wrong, while the origin simply
 // retries the (idempotent) update later.
 //
-// A local dependency that is already installed — the common case — is
-// settled inline; only what is missing gets a waiter (or, for another
-// partition's key, a DepCheckReq).
+// Dependencies are grouped by owning partition. Every other partition
+// holding one gets a single DepCheckReq listing its group, all in
+// parallel; this partition's own are settled inline when installed — the
+// common case — and waited for here when not. The first failure cancels
+// the remaining requests.
 func (w *DepWaiter) WaitAll(deps []wire.LoDep) error {
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(deps))
-	for _, d := range deps {
-		p := w.ring.Owner(d.Key)
-		if p == w.part && w.hasVersion(d.Key, d.TS, d.Src) {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if p == w.part {
-				if !w.Wait(d.Key, d.TS, d.Src) {
-					errCh <- errStopping
-				}
-				return
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), CallTimeout)
-			defer cancel()
-			if _, err := w.node.Call(ctx, wire.ServerAddr(w.dc, p), &wire.DepCheckReq{Key: d.Key, TS: d.TS, Src: d.Src}); err != nil {
-				errCh <- err
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return err
-	default:
+	if len(deps) == 0 {
 		return nil
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), CallTimeout)
+	defer cancel()
+	var local []wire.LoDep
+	groups := ByOwner(w.ring, deps)
+	errs := make(chan error, len(groups))
+	asked := 0
+	for _, g := range groups {
+		if g.Part == w.part {
+			local = g.Deps
+			continue
+		}
+		asked++
+		w.requests.Add(1)
+		w.keys.Add(uint64(len(g.Deps)))
+		go func() {
+			_, err := w.node.Call(ctx, wire.ServerAddr(w.dc, g.Part), &wire.DepCheckReq{Deps: g.Deps})
+			errs <- err
+		}()
+	}
+	var err error
+	if !w.waitInstalled(local) {
+		err = errStopping
+		cancel()
+	}
+	for range asked {
+		if e := <-errs; e != nil && err == nil {
+			err = e
+			cancel()
+		}
+	}
+	return err
 }

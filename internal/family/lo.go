@@ -194,13 +194,21 @@ func (s *LoServer) Preload(keys []string, val []byte) {
 	s.Clock.Update(1)
 }
 
-// RegisterMetrics exposes the per-op histograms and the
-// replication-receipt ages under r; the family adds its store's and its
-// own series.
+// RegisterMetrics exposes the per-op histograms, the replication-receipt
+// ages and the dependency checks under r; the family adds its store's and
+// its own series.
 func (s *LoServer) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
 	s.Ops.Register(r, "kv_server_op_seconds",
 		"End-to-end server handler latency by operation.", labels...)
 	s.repAges.Register(r, s.dc, labels...)
+	r.CounterFunc("kv_dep_check_requests_total",
+		"Dependency checks sent: one per partition holding a dependency of a replicated update.",
+		func() float64 { return float64(s.deps.requests.Load()) }, labels...)
+	r.CounterFunc("kv_dep_check_keys_total", "Dependencies carried by the dependency checks sent.",
+		func() float64 { return float64(s.deps.keys.Load()) }, labels...)
+	r.CounterFunc("kv_dep_waits_total",
+		"Dependencies missing on arrival — of a replicated update here, or of a check served here — that had to wait for their install.",
+		func() float64 { return float64(s.deps.waits.Load()) }, labels...)
 }
 
 // HandleShared serves the messages every dependency-list family answers

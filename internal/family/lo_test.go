@@ -304,7 +304,7 @@ func TestHandleShared(t *testing.T) {
 		t.Fatalf("ping answered with %+v", p)
 	}
 	r.srv.store.Install(wal.Record{Key: r.own, TS: 5}, nil)
-	r.srv.HandleShared(wire.From{}, 2, &wire.DepCheckReq{Key: r.own, TS: 5})
+	r.srv.HandleShared(wire.From{}, 2, &wire.DepCheckReq{Deps: []wire.LoDep{{Key: r.own, TS: 5}}})
 	if _, ok := (<-r.node.responds).(*wire.DepCheckResp); !ok {
 		t.Fatal("dependency check on an installed version not answered")
 	}

@@ -808,31 +808,23 @@ func (*LoRepAck) Type() uint16       { return TLoRepAck }
 func (m *LoRepAck) Encode(b *Buffer) { b.U64(m.Seq) }
 func (m *LoRepAck) Decode(r *Reader) { m.Seq = r.U64() }
 
-// DepCheckReq asks whether the receiver has installed the version of Key
-// identified by (TS, Src); the receiver delays its response until it has
-// (COPS-style dependency checking).
-type DepCheckReq struct {
-	Key string
-	TS  uint64
-	Src uint8
+// DepCheckReq asks whether the receiver has installed every listed version
+// — all dependencies of one replicated update that the receiver owns; the
+// receiver delays its response until it has (COPS-style dependency
+// checking).
+type DepCheckReq struct{ Deps []LoDep }
+
+func (*DepCheckReq) Type() uint16       { return TDepCheckReq }
+func (m *DepCheckReq) Encode(b *Buffer) { encodeDeps(b, m.Deps) }
+func (m *DepCheckReq) Decode(r *Reader) { m.Deps = decodeDepsInto(m.Deps, r) }
+
+// Reset recycles the Deps container (the check only scans it).
+func (m *DepCheckReq) Reset() {
+	clear(m.Deps)
+	*m = DepCheckReq{Deps: m.Deps[:0]}
 }
 
-func (*DepCheckReq) Type() uint16 { return TDepCheckReq }
-func (m *DepCheckReq) Encode(b *Buffer) {
-	b.String(m.Key)
-	b.U64(m.TS)
-	b.U8(m.Src)
-}
-func (m *DepCheckReq) Decode(r *Reader) {
-	m.Key = r.String()
-	m.TS = r.U64()
-	m.Src = r.U8()
-}
-
-// Reset clears the scalar fields.
-func (m *DepCheckReq) Reset() { *m = DepCheckReq{} }
-
-// DepCheckResp signals the dependency is present.
+// DepCheckResp signals every listed dependency is present.
 type DepCheckResp struct{}
 
 func (*DepCheckResp) Type() uint16   { return TDepCheckResp }

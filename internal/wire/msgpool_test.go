@@ -90,6 +90,13 @@ func TestResetPolicies(t *testing.T) {
 		t.Fatalf("LoRepUpdate.Reset lost OldReaders capacity")
 	}
 
+	dc := &DepCheckReq{Deps: []LoDep{{Key: "a", TS: 1}, {Key: "b", TS: 2}, {Key: "c", TS: 3}}}
+	kept := dc.Deps
+	dc.Reset()
+	if len(dc.Deps) != 0 || cap(dc.Deps) != 3 || kept[0].Key != "" {
+		t.Fatalf("DepCheckReq.Reset: %+v (cap %d), old entry %+v", dc, cap(dc.Deps), kept[0])
+	}
+
 	rot := &LoRotReq{RotID: 1, Keys: make([]string, 2, 4)}
 	rot.Reset()
 	if rot.RotID != 0 || len(rot.Keys) != 0 || cap(rot.Keys) != 4 {
@@ -114,7 +121,7 @@ func TestEveryPooledTypeRoundTrips(t *testing.T) {
 		&OldReadersReq{Deps: []LoDep{{Key: "d", TS: 2}}},
 		&LoRepUpdate{Seq: 1, SrcDC: 2, SrcPart: 3, Key: "k", Value: []byte("v"),
 			TS: 4, Deps: []LoDep{{Key: "d", TS: 5}}, OldReaders: []ReaderEntry{{RotID: 6, T: 7}}},
-		&DepCheckReq{Key: "k", TS: 8},
+		&DepCheckReq{Deps: []LoDep{{Key: "k", TS: 8}, {Key: "l", TS: 9, Src: 1}}},
 		&Ping{Nonce: 42},
 		&CopsRotReq{Keys: []string{"m", "n"}},
 		&CopsVerReq{Key: "k", TS: 10},

@@ -152,7 +152,7 @@ func sampleMessages(r *rand.Rand) []Message {
 			Deps: deps, OldReaders: readers,
 		},
 		&LoRepAck{Seq: 1},
-		&DepCheckReq{Key: "d", TS: 44},
+		&DepCheckReq{Deps: []LoDep{{Key: "d", TS: 44}, {Key: "e", TS: 45, Src: 2}, {Key: "d", TS: 46, Src: 1}}},
 		&DepCheckResp{},
 		&ErrorResp{Code: 2, Text: "boom"},
 		&Ping{Nonce: 1},
