@@ -115,7 +115,7 @@ func TestAllInvisibleAtCapacityIsNotFound(t *testing.T) {
 	if kv, err := s.serve("k", rot, 99, t0); err != nil || kv.TS != 0 {
 		t.Fatalf("at-ceiling untrimmed chain answered (%+v, %v) to a ROT hidden from all of it, want not found", kv, err)
 	}
-	if s.hasVersion("k", 0, 0) {
+	if s.eng.Has("k", 0, 0) {
 		t.Fatal("hasVersion claimed an uninstalled pre-chain version on an untrimmed chain")
 	}
 	s.install("k", loVersion{value: []byte{0}, ts: storeeng.Ceiling + 1, srcDC: 0}, slices.Clone(marked), t0)
@@ -125,10 +125,10 @@ func TestAllInvisibleAtCapacityIsNotFound(t *testing.T) {
 	if kv, err := s.serve("k", rot, 100, t0); !errors.Is(err, errTrimmed) {
 		t.Fatalf("ROT hidden from every version the ceiling left got (%+v, %v), want errTrimmed", kv, err)
 	}
-	if s.refusals.Load() != 1 {
-		t.Fatalf("refusals = %d, want 1", s.refusals.Load())
+	if s.eng.Refusals() != 1 {
+		t.Fatalf("refusals = %d, want 1", s.eng.Refusals())
 	}
-	if !s.hasVersion("k", 1, 0) {
+	if !s.eng.Has("k", 1, 0) {
 		t.Fatal("hasVersion denied a genuinely trimmed-away version")
 	}
 }

@@ -348,20 +348,20 @@ func TestLWWConvergenceOrder(t *testing.T) {
 
 func TestHasVersion(t *testing.T) {
 	s := newLoStore(1, time.Second, false)
-	if s.hasVersion("k", 1, 0) {
+	if s.eng.Has("k", 1, 0) {
 		t.Fatal("empty store claims version")
 	}
 	s.install("k", loVersion{ts: 10, srcDC: 1}, nil, time.Now())
-	if !s.hasVersion("k", 10, 1) {
+	if !s.eng.Has("k", 10, 1) {
 		t.Fatal("exact version must hold")
 	}
-	if s.hasVersion("k", 10, 0) {
+	if s.eng.Has("k", 10, 0) {
 		t.Fatal("same timestamp from another DC is a different version")
 	}
-	if s.hasVersion("k", 5, 1) {
+	if s.eng.Has("k", 5, 1) {
 		t.Fatal("never-installed version must fail (exact check, not ≥)")
 	}
-	if s.hasVersion("k", 11, 1) {
+	if s.eng.Has("k", 11, 1) {
 		t.Fatal("hasVersion above latest must fail")
 	}
 	// On a trimmed chain — unmarked versions keep only the newest — a
@@ -372,7 +372,7 @@ func TestHasVersion(t *testing.T) {
 	for ts := uint64(1); ts <= 5; ts++ {
 		s2.install("k", loVersion{ts: ts}, nil, now)
 	}
-	if !s2.hasVersion("k", 2, 0) {
+	if !s2.eng.Has("k", 2, 0) {
 		t.Fatal("trimmed-past version must count as installed")
 	}
 }

@@ -2,7 +2,6 @@ package cclo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -20,17 +19,12 @@ import (
 // with reads between writes is the "C2 reads other keys from partitions
 // pi" effect of Section 3.
 type Client struct {
-	family.Base // node, Ping/Warm/Close/Addr, Busy-retry counter
+	family.Base // node, Ping/Warm/Close/Addr, Get, retry counters, ROT retry loop
 
 	dc     int
 	id     int
 	ring   ring.Ring
 	rotSeq atomic.Uint64
-
-	// fenceRetries counts whole-ROT retries forced by the restart-epoch
-	// fence (bench surfaces it; steady state is zero — the retry round is
-	// paid only when a ROT actually straddles a crash recovery).
-	fenceRetries atomic.Uint64
 
 	// legGate, when non-nil, runs before each ROT leg is sent (tests use it
 	// to hold one leg while a partition is crashed and restarted, making
@@ -83,7 +77,7 @@ func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node,
 	if err != nil {
 		return nil, err
 	}
-	c.Init(node, cfg.DC, cfg.Ring.Parts())
+	c.Init(node, cfg.DC, cfg.Ring.Parts(), c.ROT)
 	return c, nil
 }
 
@@ -125,19 +119,6 @@ func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, err
 	return pr.TS, nil
 }
 
-// Get reads one key causally (a one-key ROT).
-func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	kvs, err := c.ROT(ctx, []string{key})
-	if err != nil {
-		return nil, err
-	}
-	return kvs[0].Value, nil
-}
-
-// FenceRetries returns how many whole-ROT retries the restart-epoch fence
-// has forced on this session.
-func (c *Client) FenceRetries() uint64 { return c.fenceRetries.Load() }
-
 // maxFenceRetries bounds epoch-fence retries per ROT: each retry means a
 // partition finished a crash recovery while the ROT was in flight, so more
 // than a few in a row is a cluster in a restart loop, not a race to mask.
@@ -165,59 +146,21 @@ const maxFenceRetries = 3
 // maxFenceRetries refusals the ROT fails with family.ErrSnapshotTooOld. It
 // is never answered from an approximate read.
 func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
-	if len(keys) == 0 {
-		return nil, nil
+	kvs, err := c.Base.ROT(ctx, keys, family.RotRetry{Refusals: maxFenceRetries, Fences: maxFenceRetries},
+		func() (map[string]wire.KV, error) { return c.rotOnce(ctx, keys) })
+	if err != nil {
+		return nil, fmt.Errorf("cclo: rot: %w", err)
 	}
-	groups := c.ring.Group(keys)
-	fenced, refusals := 0, 0
-	for {
-		vals, legEpochs, err := c.rotOnce(ctx, groups, len(keys))
-		var refused *wire.RotRefused
-		if errors.As(err, &refused) {
-			if refusals >= maxFenceRetries {
-				return nil, fmt.Errorf("cclo: rot: %w: refused %d times", family.ErrSnapshotTooOld, refusals+1)
-			}
-			refusals++
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if !fenceTripped(legEpochs) {
-			// Reads extend the nearest-dependency set and the session's
-			// Lamport high-water mark.
-			c.mu.Lock()
-			for _, kv := range vals {
-				if prev, ok := c.deps[kv.Key]; kv.TS > 0 && (!ok || kv.TS > prev.TS || (kv.TS == prev.TS && kv.Src > prev.Src)) {
-					c.deps[kv.Key] = wire.LoDep{Key: kv.Key, TS: kv.TS, Src: kv.Src}
-				}
-				c.seenTS = max(c.seenTS, kv.TS)
-			}
-			c.mu.Unlock()
-			out := make([]wire.KV, len(keys))
-			for i, k := range keys {
-				if kv, ok := vals[k]; ok {
-					out[i] = kv
-				} else {
-					out[i] = wire.KV{Key: k}
-				}
-			}
-			return out, nil
-		}
-		if fenced >= maxFenceRetries {
-			return nil, fmt.Errorf("cclo: rot: epoch fence tripped %d times: partitions kept restarting", fenced+1)
-		}
-		fenced++
-		c.fenceRetries.Add(1)
-	}
+	return kvs, nil
 }
 
 // rotOnce runs one ROT attempt: a fresh rot id, one leg per partition, all
-// in parallel. It returns the merged reads and each leg's epoch vector
-// (nil entries for partitions outside the ROT). Session epoch knowledge is
-// merged in even when the attempt will be fenced — the retry runs against
-// the newest epochs.
-func (c *Client) rotOnce(ctx context.Context, groups map[int][]string, nkeys int) (map[string]wire.KV, map[int][]uint64, error) {
+// in parallel. Session epoch knowledge is merged in even when the attempt
+// is fenced (family.ErrFenced) — the retry runs against the newest epochs.
+// Only an attempt that passes the fence extends the nearest-dependency set
+// and the session's Lamport high-water mark with what it read.
+func (c *Client) rotOnce(ctx context.Context, keys []string) (map[string]wire.KV, error) {
+	groups := c.ring.Group(keys)
 	// Rot identity comes from (DC, ID), not the attached address: sessions
 	// multiplexed over one endpoint share an address, but each still needs
 	// globally distinct rot ids for its server-side reader records.
@@ -252,14 +195,14 @@ func (c *Client) rotOnce(ctx context.Context, groups map[int][]string, nkeys int
 			ch <- result{part: p, vals: rr.Vals, epochs: rr.Epochs}
 		}(p, ks)
 	}
-	vals := make(map[string]wire.KV, nkeys)
+	vals := make(map[string]wire.KV, len(keys))
 	legEpochs := make(map[int][]uint64, len(groups))
 	var firstErr error
 	for range groups {
 		r := <-ch
 		if r.err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cclo: rot: %w", r.err)
+				firstErr = r.err
 			}
 			continue
 		}
@@ -270,9 +213,20 @@ func (c *Client) rotOnce(ctx context.Context, groups map[int][]string, nkeys int
 	}
 	c.mergeEpochs(legEpochs)
 	if firstErr != nil {
-		return nil, nil, firstErr
+		return nil, firstErr
 	}
-	return vals, legEpochs, nil
+	if fenceTripped(legEpochs) {
+		return nil, family.ErrFenced
+	}
+	c.mu.Lock()
+	for _, kv := range vals {
+		if prev, ok := c.deps[kv.Key]; kv.TS > 0 && (!ok || kv.TS > prev.TS || (kv.TS == prev.TS && kv.Src > prev.Src)) {
+			c.deps[kv.Key] = wire.LoDep{Key: kv.Key, TS: kv.TS, Src: kv.Src}
+		}
+		c.seenTS = max(c.seenTS, kv.TS)
+	}
+	c.mu.Unlock()
+	return vals, nil
 }
 
 // mergeEpochs folds every leg's vector into the session's known epochs.

@@ -488,7 +488,7 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 			}
 		case 4: // dependency probe
 			ts := uint64(r.Intn(int(nextTS)) + 1)
-			if got, want := eng.hasVersion(key, ts, 0), ref.hasVersion(key, ts, 0); got != want {
+			if got, want := eng.eng.Has(key, ts, 0), ref.hasVersion(key, ts, 0); got != want {
 				t.Fatalf("op %d: hasVersion(%s, %d) = %v, golden %v", op, key, ts, got, want)
 			}
 		case 5: // latest + reader-map footprint
@@ -521,7 +521,7 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 	if got, want := served.Sum64(), uint64(0xaf3a4234520ee7d9); got != want {
 		t.Fatalf("served-value hash = %x, want %x", got, want)
 	}
-	if got, want := eng.refusals.Load(), ref.refusals; got != want || got == 0 {
+	if got, want := eng.eng.Refusals(), ref.refusals; got != want || got == 0 {
 		t.Fatalf("refusals = %d, golden %d: refusal accounting diverged (or the trace never reached it)", got, want)
 	}
 }

@@ -166,7 +166,7 @@ func runModelTrace(t *testing.T, seed int64) {
 			}
 		}
 	}
-	if got, want := eng.refusals.Load(), model.refusals; got != want || got == 0 {
+	if got, want := eng.eng.Refusals(), model.refusals; got != want || got == 0 {
 		t.Fatalf("refusals = %d, model %d (or the trace never reached one)", got, want)
 	}
 }

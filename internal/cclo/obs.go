@@ -2,16 +2,10 @@ package cclo
 
 import "repro/internal/metrics"
 
-// RegisterMetrics exposes the server's per-op histograms, store occupancy,
-// readers-check overhead counters, restart epoch, and replication-receipt
-// ages under r. Labels should identify the partition (dc, partition,
-// family).
-func (s *Server) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
-	s.LoServer.RegisterMetrics(r, labels...)
-	s.store.eng.Register(r, labels...)
-	r.CounterFunc("kv_store_snapshot_refusals_total",
-		"Snapshot reads refused because the version the snapshot needed was trimmed (the reader retries at a fresher snapshot).",
-		func() float64 { return float64(s.store.refusals.Load()) }, labels...)
+// registerChecks exposes the readers-check overhead counters and the
+// restart epoch under r: what CC-LO adds to the skeleton's series
+// (family.Partition.RegisterMetrics).
+func (s *Server) registerChecks(r *metrics.Registry, labels ...metrics.Label) {
 	r.CounterFunc("kv_cclo_readers_checks_total", "Readers checks performed.",
 		func() float64 { return float64(s.stats.Checks.Load()) }, labels...)
 	r.CounterFunc("kv_cclo_keys_checked_total", "Dependencies examined by readers checks.",

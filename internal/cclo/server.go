@@ -123,13 +123,14 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 		epochVec: make([]uint64, cfg.NumParts),
 	}
 	s.LoServer = family.NewLoServer("cclo", cfg.DC, cfg.Part, cfg.NumDCs, cfg.NumParts, cfg.Durable, cfg.Slow,
-		family.LoStore{HasVersion: s.store.hasVersion, Install: s.store.installRecord, Snapshot: s.snapshot})
+		family.LoStore{HasVersion: s.store.eng.Has, Install: s.store.installRecord, Snapshot: s.snapshot, Register: s.store.eng.Register})
+	s.Expose(s.registerChecks)
 	if cfg.Durable != nil {
 		if err := s.recover(); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.Attach(net, s); err != nil {
+	if err := s.Attach(net, s.dispatch); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -264,7 +265,7 @@ func (s *Server) Stats() *Stats { return &s.stats }
 
 // Refusals returns how many ROT legs this server refused because the
 // version the ROT had to be served was trimmed.
-func (s *Server) Refusals() uint64 { return s.store.refusals.Load() }
+func (s *Server) Refusals() uint64 { return s.store.eng.Refusals() }
 
 // ForEachLatest visits every key's newest version (tests, convergence
 // checks).
@@ -274,28 +275,27 @@ func (s *Server) ForEachLatest(fn func(key string, value []byte, ts uint64, srcD
 	})
 }
 
-// Handle dispatches one incoming message.
-func (s *Server) Handle(_ transport.Node, src wire.From, reqID uint64, m wire.Message) {
+// dispatch is the partition's message switch (see family.Partition.Handle).
+func (s *Server) dispatch(src wire.From, reqID uint64, m wire.Message) (family.Op, bool) {
 	switch msg := m.(type) {
 	case *wire.LoRotReq:
-		s.handleRot(src, reqID, msg)
+		return s.handleRot(src, reqID, msg), true
 	case *wire.LoPutReq:
-		s.handlePut(src, reqID, msg)
+		return s.handlePut(src, reqID, msg), true
 	case *wire.OldReadersReq:
 		s.handleOldReaders(src, reqID, msg)
+		return family.Op{}, true
 	case *wire.LoRepUpdate:
-		s.handleRepUpdate(src, reqID, msg)
-	default:
-		s.HandleShared(src, reqID, m)
+		return s.handleRepUpdate(src, reqID, msg), true
 	}
+	return family.Op{}, false
 }
 
 // handleRot serves CC-LO's one-round read: latest version, or — for a
 // recorded old reader — the newest version older than its recorded time. A
 // leg with a key whose version was trimmed is refused whole with
 // wire.RotRefused; the client retries the ROT under a fresh id.
-func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.LoRotReq) {
-	start := time.Now()
+func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.LoRotReq) family.Op {
 	// Fold the session's high-water mark into this partition's clock
 	// before assigning read times: per-partition Lamport clocks know
 	// nothing of what a session observed elsewhere, and an old-reader
@@ -309,8 +309,7 @@ func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.LoRotReq) {
 		kv, err := s.store.serve(k, m.RotID, s.Clock.Tick(), now)
 		if err != nil {
 			_ = s.Node.Respond(src, reqID, &wire.RotRefused{RotID: m.RotID})
-			s.Ops.RecordRead(s.Slow, start, 0, len(m.Keys) == 1, m.Keys)
-			return
+			return family.Read(m.Keys)
 		}
 		kv.Key = k
 		vals[i] = kv
@@ -320,19 +319,18 @@ func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.LoRotReq) {
 	// check carried is already folded in — the client's fence can compare
 	// legs without a lost-update window on this side.
 	_ = s.Node.Respond(src, reqID, &wire.LoRotResp{Vals: vals, Epochs: s.epochsView()})
-	s.Ops.RecordRead(s.Slow, start, 0, len(m.Keys) == 1, m.Keys)
+	return family.Read(m.Keys)
 }
 
 // handlePut runs a client PUT: readers check first, then COPS' commit
 // (Figure 2's write path).
-func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
-	start := time.Now()
+func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) family.Op {
 	readers, maxT, err := s.readersCheck(m.Deps, false, nil)
 	if err != nil {
 		transport.RespondError(s.Node, src, reqID, 500, "cclo: readers check: "+err.Error())
-		return
+		return family.Op{}
 	}
-	s.CommitLocal(start, src, reqID, m, maxT, readers)
+	return s.CommitLocal(src, reqID, m, maxT, readers)
 }
 
 // checkScratch is the working memory of one readers check: the merged set
@@ -477,16 +475,15 @@ func (s *Server) handleOldReaders(src wire.From, reqID uint64, m *wire.OldReader
 // commit (§3, "Challenges of geo-replication"; the two checks are the
 // combined protocol). The install record carries no dependency list: only
 // locally originated versions are ever re-enqueued.
-func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdate) {
-	start := time.Now()
+func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdate) family.Op {
 	if !s.WaitDeps(src, reqID, m) {
-		return
+		return family.Op{}
 	}
 	readers, maxT, err := s.readersCheck(m.Deps, true, m.OldReaders)
 	if err != nil {
 		transport.RespondError(s.Node, src, reqID, 500, "cclo: readers check: "+err.Error())
-		return
+		return family.Op{}
 	}
-	s.CommitRemote(start, src, reqID, m,
+	return s.CommitRemote(src, reqID, m,
 		wal.Record{Key: m.Key, Value: m.Value, TS: m.TS, SrcDC: m.SrcDC}, maxT, readers)
 }

@@ -29,7 +29,6 @@ import (
 	"cmp"
 	"errors"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	storeeng "repro/internal/store"
@@ -45,7 +44,7 @@ import (
 //
 // Mutation rules (see internal/store): the set BEHIND the invisible pointer
 // may be mutated under the shard lock — lock-free readers (latest,
-// hasVersion, forEachLatest) never look through it — but the invisible FIELD
+// eng.Has, forEachLatest) never look through it — but the invisible FIELD
 // of a published version must never be reassigned; when it is nil and marks
 // must land, the chain is republished via SetExtra.
 type loExtra struct {
@@ -229,7 +228,7 @@ type (
 
 // loStore is the CC-LO partition storage: a thin adapter over the shared
 // engine (internal/store). serve/collectOldReaders/install/addMarks mutate
-// reader state and run under the per-shard write lock; latest, hasVersion
+// reader state and run under the per-shard write lock; latest, eng.Has
 // and forEachLatest are lock-free.
 type loStore struct {
 	eng      *loEngine
@@ -245,8 +244,6 @@ type loStore struct {
 	// installs carry no marks, which addMarks restores only afterwards.
 	// Set and cleared before the server serves anything.
 	replaying bool
-
-	refusals atomic.Uint64 // ROT reads refused with errTrimmed
 }
 
 // errTrimmed is serve's refusal: every version a trimmed chain retains is
@@ -335,8 +332,7 @@ func (s *loStore) serve(key string, rotID uint64, t uint64, now time.Time) (kv w
 		// dependent write collected it), so the only consistent answer is
 		// "not found". On a trimmed chain that cannot be told from "its
 		// version was trimmed", so the read is refused, never approximated.
-		if c.Trimmed {
-			s.refusals.Add(1)
+		if s.eng.Refuse(c) {
 			err = errTrimmed
 		}
 	})
@@ -574,32 +570,6 @@ func (s *loStore) latest(key string) (loVersion, bool) {
 		return loVersion{}, false
 	}
 	return loVersion{value: v.Value, ts: v.TS, srcDC: v.Src}, true
-}
-
-// hasVersion reports whether the version of key identified by (ts, src)
-// has been installed here (dependency-check predicate). The check is
-// EXACT, not "any newer version": a newer CONCURRENT version can satisfy a
-// ≥ check while being invisible to some rewound ROT, which would let a
-// dependent update become readable before the one version that ROT could
-// consistently be served has arrived — and a same-timestamp version from a
-// DIFFERENT DC is a different version entirely (Lamport timestamps collide
-// across DCs). On a trimmed chain a version LWW-below the oldest retained
-// one counts as installed: either the trim dropped it, or it will arrive
-// below the oldest retained version, which hides it from every ROT the
-// chain can still serve (see floor and serve), so a dependent has nothing
-// to wait for. Lock-free.
-func (s *loStore) hasVersion(key string, ts uint64, src uint8) bool {
-	c := s.eng.View(key)
-	if c.Len() == 0 {
-		return false
-	}
-	want := loEngVer{TS: ts, Src: src}
-	if c.Trimmed && want.Before(&c.Versions[0]) {
-		// On an untrimmed chain "LWW-below the oldest" just means never
-		// installed.
-		return true
-	}
-	return c.Find(ts, src) >= 0
 }
 
 // forEachChain visits every key's retained chain (lock-free; chains are

@@ -124,6 +124,9 @@ type Client interface {
 	Warm(ctx context.Context) error
 	// BusyRetries counts the Busy responses the session has retried.
 	BusyRetries() uint64
+	// FenceRetries counts the ROT attempts a restart fence made the session
+	// retry (only CC-LO's fence ever trips).
+	FenceRetries() uint64
 	// Close detaches the client.
 	Close() error
 }
@@ -522,15 +525,12 @@ func (c *Cluster) ClientBusyRetries() uint64 {
 	return sum
 }
 
-// fenceRetries sums the epoch-fence ROT retries of every session that
-// counts them (CC-LO's do).
+// fenceRetries sums the epoch-fence ROT retries of every session.
 func (c *Cluster) fenceRetries() uint64 {
 	var sum uint64
 	c.clientMu.Lock()
 	for _, cli := range c.clients {
-		if f, ok := cli.(interface{ FenceRetries() uint64 }); ok {
-			sum += f.FenceRetries()
-		}
+		sum += cli.FenceRetries()
 	}
 	c.clientMu.Unlock()
 	return sum

@@ -1,11 +1,17 @@
 package cluster
 
 import (
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/transport"
+	"repro/internal/vclock"
+	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // TestProtocolTable pins the one table the commands, the metric labels and
@@ -85,5 +91,98 @@ func TestClientIDSpaceExhaustion(t *testing.T) {
 	if cli, err := c.NewSessionClient(0, 0); err == nil {
 		cli.Close()
 		t.Fatal("session client past the id space attached")
+	}
+}
+
+// TestOneKeyGetRecordsGet: on every row, one PUT and one one-key Get move
+// op="put" and op="get" by exactly one each — the partition skeleton applies
+// one rule (a read whose request carries one key is a get) for every family.
+func TestOneKeyGetRecordsGet(t *testing.T) {
+	for _, p := range Families() {
+		t.Run(p.Slug(), func(t *testing.T) {
+			c := startCluster(t, Config{Protocol: p, DCs: 1, Partitions: 1, Latency: NoLatency()})
+			reg := metrics.NewRegistry()
+			c.RegisterMetrics(reg)
+			count := func(op string) float64 {
+				var sb strings.Builder
+				if err := reg.WritePrometheus(&sb); err != nil {
+					t.Fatal(err)
+				}
+				for _, line := range strings.Split(sb.String(), "\n") {
+					if strings.HasPrefix(line, "kv_server_op_seconds_count{") && strings.Contains(line, `op="`+op+`"`) {
+						n, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+						if err != nil {
+							t.Fatalf("unparsable series %q", line)
+						}
+						return n
+					}
+				}
+				t.Fatalf("no op=%q series", op)
+				return 0
+			}
+			put0, get0 := count("put"), count("get")
+			ctx := testCtx(t)
+			cli, err := c.NewClient(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			if _, err := cli.Put(ctx, "k", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cli.Get(ctx, "k"); err != nil {
+				t.Fatal(err)
+			}
+			if puts, gets := count("put")-put0, count("get")-get0; puts != 1 || gets != 1 {
+				t.Fatalf("one put and one one-key get recorded %v puts and %v gets", puts, gets)
+			}
+		})
+	}
+}
+
+// TestForgedReplicationSourceRefused: on every row, replicated data claiming
+// the receiver's own DC, or a DC that does not exist, as its source is
+// answered 400 and neither logged nor installed.
+func TestForgedReplicationSourceRefused(t *testing.T) {
+	for _, p := range Families() {
+		t.Run(p.Slug(), func(t *testing.T) {
+			net := transport.NewLocal(*NoLatency())
+			defer net.Close()
+			log, err := wal.Open(wal.Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log.Close()
+			s, err := Config{Protocol: p, DCs: 2, Partitions: 1}.NewServer(0, 0, 0, log, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			peer, err := net.Attach(wire.ServerAddr(1, 0), transport.HandlerFunc(
+				func(transport.Node, wire.From, uint64, wire.Message) {}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			appends := log.Stats().View().Appends
+			ctx := testCtx(t)
+			for _, src := range []uint8{0, 7} {
+				var forged wire.Message = &wire.LoRepUpdate{Seq: 1, SrcDC: src, Key: "k", Value: []byte("forged"), TS: 90}
+				if p.Stabilized() {
+					forged = &wire.RepBatch{SrcDC: src, Seq: 1, HighTS: 90,
+						Ups: []wire.Update{{Key: "k", Value: []byte("forged"), TS: 90, DV: vclock.Vec{90, 90}}}}
+				}
+				_, err := peer.Call(ctx, wire.ServerAddr(0, 0), forged)
+				var e *wire.ErrorResp
+				if !errors.As(err, &e) || e.Code != 400 {
+					t.Fatalf("update from DC %d answered %v, want a 400", src, err)
+				}
+			}
+			if n := log.Stats().View().Appends - appends; n != 0 {
+				t.Fatalf("forged updates made %d appends", n)
+			}
+			s.ForEachLatest(func(key string, _ []byte, ts uint64, src uint8) {
+				t.Fatalf("forged update installed: %s@%d from DC %d", key, ts, src)
+			})
+		})
 	}
 }

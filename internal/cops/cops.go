@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/family"
 	"repro/internal/metrics"
@@ -83,7 +82,7 @@ func (v *version) before(o *version) bool {
 // store is the COPS partition storage: version chains with dependency
 // lists, supporting latest reads and exact-version fetches. It is a thin
 // adapter over the shared engine (internal/store) with deps as the
-// per-version payload; latest/at/hasVersion/forEachLatest are lock-free.
+// per-version payload; latest/at/forEachLatest (and eng.Has) are lock-free.
 type store struct {
 	eng *storeeng.Engine[[]wire.LoDep, struct{}]
 }
@@ -135,26 +134,6 @@ func (s *store) at(key string, ts uint64, src uint8) (version, bool) {
 	return version{}, false
 }
 
-// hasVersion reports whether the version of key identified by (ts, src) is
-// installed (dependency-check predicate). Exact identity, not "any newer
-// timestamp": Lamport timestamps collide across DCs, and a same-timestamp
-// version from another DC satisfying the check would break the causal
-// install order. A chain whose oldest retained version is LWW-above the
-// identity proves it was installed and trimmed — the engine's Trimmed flag
-// records that precisely (the old at-capacity heuristic answered true for a
-// full chain that had never dropped anything; see TestHasVersionAtCapacity).
-func (s *store) hasVersion(key string, ts uint64, src uint8) bool {
-	c := s.eng.View(key)
-	if c.Len() == 0 {
-		return false
-	}
-	want := storeeng.Version[[]wire.LoDep]{TS: ts, Src: src}
-	if c.Trimmed && want.Before(&c.Versions[0]) {
-		return true
-	}
-	return c.Find(ts, src) >= 0
-}
-
 func (s *store) forEachLatest(fn func(key string, v version)) {
 	s.eng.ForEach(func(key string, c *storeeng.Chain[[]wire.LoDep]) bool {
 		fn(key, fromEngine(c.Latest()))
@@ -194,11 +173,11 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	st := newStore(cfg.MaxVersions, 0)
 	s := &Server{store: st}
 	s.LoServer = family.NewLoServer("cops", cfg.DC, cfg.Part, cfg.NumDCs, cfg.NumParts, cfg.Durable, cfg.Slow,
-		family.LoStore{HasVersion: st.hasVersion, Install: st.installRecord, Snapshot: st.snapshot})
+		family.LoStore{HasVersion: st.eng.Has, Install: st.installRecord, Snapshot: st.snapshot, Register: st.eng.Register})
 	if _, err := s.Replay(); err != nil {
 		return nil, err
 	}
-	if err := s.Attach(net, s); err != nil {
+	if err := s.Attach(net, s.dispatch); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -229,26 +208,24 @@ func (s *Server) Latest(key string) (value []byte, ts uint64, deps []wire.LoDep,
 	return v.value, v.ts, v.deps, ok
 }
 
-// Handle dispatches one incoming message.
-func (s *Server) Handle(_ transport.Node, src wire.From, reqID uint64, m wire.Message) {
+// dispatch is the partition's message switch (see family.Partition.Handle).
+func (s *Server) dispatch(src wire.From, reqID uint64, m wire.Message) (family.Op, bool) {
 	switch msg := m.(type) {
 	case *wire.CopsRotReq:
-		s.handleRot(src, reqID, msg)
+		return s.handleRot(src, reqID, msg), true
 	case *wire.CopsVerReq:
-		s.handleVer(src, reqID, msg)
+		return s.handleVer(src, reqID, msg), true
 	case *wire.LoPutReq:
-		s.handlePut(src, reqID, msg)
+		return s.handlePut(src, reqID, msg), true
 	case *wire.LoRepUpdate:
-		s.handleRepUpdate(src, reqID, msg)
-	default:
-		s.HandleShared(src, reqID, m)
+		return s.handleRepUpdate(src, reqID, msg), true
 	}
+	return family.Op{}, false
 }
 
 // handleRot serves the first ROT round: latest versions with their
 // dependency lists (the metadata COPS reads pay for).
-func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.CopsRotReq) {
-	start := time.Now()
+func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.CopsRotReq) family.Op {
 	vals := make([]wire.DepKV, len(m.Keys))
 	for i, k := range m.Keys {
 		if v, ok := s.store.latest(k); ok {
@@ -261,36 +238,35 @@ func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.CopsRotReq) {
 		}
 	}
 	_ = s.Node.Respond(src, reqID, &wire.CopsRotResp{Vals: vals})
-	s.Ops.RecordRead(s.Slow, start, 0, len(m.Keys) == 1, m.Keys)
+	return family.Read(m.Keys)
 }
 
 // handleVer serves the second ROT round: a specific version.
-func (s *Server) handleVer(src wire.From, reqID uint64, m *wire.CopsVerReq) {
-	start := time.Now()
+func (s *Server) handleVer(src wire.From, reqID uint64, m *wire.CopsVerReq) family.Op {
 	val := wire.KV{Key: m.Key}
 	if v, ok := s.store.at(m.Key, m.TS, m.Src); ok {
 		val = wire.KV{Key: m.Key, Value: v.value, TS: v.ts, Src: v.srcDC}
 	}
 	_ = s.Node.Respond(src, reqID, &wire.CopsVerResp{Val: val})
-	s.Ops.RecordRead(s.Slow, start, 0, true, []string{m.Key})
+	return family.Op{Kind: family.OpRead, Key: m.Key, Keys: 1}
 }
 
 // handlePut installs a new version carrying the client's dependency set.
 // COPS writes are one round trip with no server-to-server communication in
 // the local DC — the cheap-writes end of the paper's design space.
-func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) {
-	s.CommitLocal(time.Now(), src, reqID, m, 0, nil)
+func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.LoPutReq) family.Op {
+	return s.CommitLocal(src, reqID, m, 0, nil)
 }
 
 // handleRepUpdate installs a replicated version, dependency list and all,
 // once its dependencies are present in this DC — with no readers check:
 // COPS predates latency optimality.
-func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdate) {
-	start := time.Now()
-	if s.WaitDeps(src, reqID, m) {
-		s.CommitRemote(start, src, reqID, m,
-			wal.Record{Key: m.Key, Value: m.Value, TS: m.TS, SrcDC: m.SrcDC, Deps: m.Deps}, 0, nil)
+func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdate) family.Op {
+	if !s.WaitDeps(src, reqID, m) {
+		return family.Op{}
 	}
+	return s.CommitRemote(src, reqID, m,
+		wal.Record{Key: m.Key, Value: m.Value, TS: m.TS, SrcDC: m.SrcDC, Deps: m.Deps}, 0, nil)
 }
 
 // Client is a COPS-GT session. Unlike CC-LO's nearest-dependency contexts,
@@ -300,7 +276,7 @@ func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdat
 // requires carrying the full accumulated set (the metadata growth the
 // paper's Table 2 writes as |deps|).
 type Client struct {
-	family.Base // node, Ping/Warm/Close/Addr, Busy-retry counter
+	family.Base // node, Ping/Warm/Close/Addr, Get, retry counters
 
 	dc   int
 	ring ring.Ring
@@ -338,7 +314,7 @@ func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node,
 	if err != nil {
 		return nil, err
 	}
-	c.Init(node, cfg.DC, cfg.Ring.Parts())
+	c.Init(node, cfg.DC, cfg.Ring.Parts(), c.ROT)
 	return c, nil
 }
 
@@ -380,15 +356,6 @@ func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, err
 	}
 	c.observe(key, pr.TS, uint8(c.dc))
 	return pr.TS, nil
-}
-
-// Get reads one key causally.
-func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	kvs, err := c.ROT(ctx, []string{key})
-	if err != nil {
-		return nil, err
-	}
-	return kvs[0].Value, nil
 }
 
 // ROT executes COPS' two-round read-only transaction: read the latest

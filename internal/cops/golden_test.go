@@ -139,7 +139,7 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 				t.Fatalf("op %d: at(%s, %d, %d) = (%+v, %v), golden (%+v, %v)", op, key, ts, src, gv, gok, wv, wok)
 			}
 		case 4:
-			if got, want := eng.hasVersion(key, ts, src), ref.hasVersion(key, ts, src); got != want {
+			if got, want := eng.eng.Has(key, ts, src), ref.hasVersion(key, ts, src); got != want {
 				t.Fatalf("op %d: hasVersion(%s, %d, %d) = %v, golden %v", op, key, ts, src, got, want)
 			}
 		}
@@ -148,7 +148,7 @@ func TestGoldenTraceMatchesPreRefactorStore(t *testing.T) {
 	for _, key := range keys {
 		for ts := uint64(1); ts <= 48; ts++ {
 			for src := uint8(0); src < 3; src++ {
-				if got, want := eng.hasVersion(key, ts, src), ref.hasVersion(key, ts, src); got != want {
+				if got, want := eng.eng.Has(key, ts, src), ref.hasVersion(key, ts, src); got != want {
 					t.Fatalf("final sweep: hasVersion(%s, %d, %d) = %v, golden %v", key, ts, src, got, want)
 				}
 				gv, gok := eng.at(key, ts, src)
@@ -173,19 +173,19 @@ func TestHasVersionAtCapacity(t *testing.T) {
 	for i := 1; i <= cap; i++ { // exactly at capacity, nothing trimmed
 		s.install("k", version{value: []byte{byte(i)}, ts: uint64(i + 10), srcDC: 1})
 	}
-	if s.hasVersion("k", 5, 0) {
+	if s.eng.Has("k", 5, 0) {
 		t.Fatal("at-capacity untrimmed chain claimed a never-installed below-window version")
 	}
-	if !s.hasVersion("k", 11, 1) {
+	if !s.eng.Has("k", 11, 1) {
 		t.Fatal("retained version denied")
 	}
 	// One more install trims ts=11; now — and only now — below-window
 	// identities are provably installed-and-trimmed.
 	s.install("k", version{value: []byte{9}, ts: 99, srcDC: 1})
-	if !s.hasVersion("k", 11, 1) {
+	if !s.eng.Has("k", 11, 1) {
 		t.Fatal("trimmed-away version denied after a real trim")
 	}
-	if !s.hasVersion("k", 5, 0) {
+	if !s.eng.Has("k", 5, 0) {
 		t.Fatal("below-window version denied on a trimmed chain")
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/family"
 	"repro/internal/ring"
@@ -23,7 +23,7 @@ import (
 // A Client is safe for concurrent use, though the benchmark drivers use one
 // per closed-loop thread, as the paper's clients do.
 type Client struct {
-	family.Base // node, Ping/Warm/Close/Addr, Busy-retry counter
+	family.Base // node, Ping/Warm/Close/Addr, Get, retry counters, ROT retry loop
 
 	dc     int
 	numDCs int
@@ -79,7 +79,7 @@ func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node,
 	if err != nil {
 		return nil, err
 	}
-	c.Init(node, cfg.DC, cfg.Ring.Parts())
+	c.Init(node, cfg.DC, cfg.Ring.Parts(), c.ROT)
 	return c, nil
 }
 
@@ -143,15 +143,6 @@ func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, err
 	return pr.TS, nil
 }
 
-// Get reads a single key causally (a one-key ROT).
-func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	kvs, err := c.ROT(ctx, []string{key})
-	if err != nil {
-		return nil, err
-	}
-	return kvs[0].Value, nil
-}
-
 // snapshotRetries bounds how often one ROT is retried after a refusal. The
 // backoff starts at a stabilization period and doubles to
 // transport.BusyBackoff's cap, so the budget spans a few hundred
@@ -169,50 +160,24 @@ const snapshotRetries = 10
 // with a fresh id and snapshot, never answering from a snapshot it could
 // not read exactly.
 func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	groups := c.groups(keys)
-	once := c.rotOneAndHalf
+	attempt := c.rotOneAndHalf
 	if c.mode == TwoRounds {
-		once = c.rotTwoRounds
+		attempt = c.rotTwoRounds
 	}
-	busy, refused := 0, 0
-	for {
-		vals, again, err := once(ctx, keys, groups)
-		if err != nil {
-			return nil, err
-		}
-		switch m := again.(type) {
-		case nil:
-			out := make([]wire.KV, len(keys))
-			for i, k := range keys {
-				if kv, ok := vals[k]; ok {
-					out[i] = kv
-				} else {
-					out[i] = wire.KV{Key: k}
-				}
-			}
-			return out, nil
-		case *wire.Busy:
-			if busy >= transport.DefaultBusyRetries {
-				return nil, fmt.Errorf("core: rot: %w: coordinator still shedding after %d retries", transport.ErrOverloaded, busy)
-			}
-			c.CountRetry()
-			err = transport.AwaitRetry(ctx, busy, m.RetryAfter())
-			busy++
-		case *wire.RotRefused:
-			if refused >= snapshotRetries {
-				return nil, fmt.Errorf("core: rot: %w: refused after %d retries", family.ErrSnapshotTooOld, refused)
-			}
-			c.observe(m.Frontier)
-			err = transport.AwaitRetry(ctx, refused, stabilizePeriod)
-			refused++
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: rot: %w", err)
-		}
+	kvs, err := c.Base.ROT(ctx, keys, family.RotRetry{Refusals: snapshotRetries, Refused: c.refused},
+		func() (map[string]wire.KV, error) { return attempt(ctx, keys) })
+	if err != nil {
+		return nil, fmt.Errorf("core: rot: %w", err)
 	}
+	return kvs, nil
+}
+
+// refused folds a refusal's trim frontier into the causal context, so the
+// retried snapshot covers what the refusing partition retains, and backs off
+// a stabilization period for the GSS to move.
+func (c *Client) refused(m *wire.RotRefused) time.Duration {
+	c.observe(m.Frontier)
+	return stabilizePeriod
 }
 
 // groups splits keys by partition into a deterministic order; the first
@@ -241,8 +206,9 @@ func (c *Client) groups(keys []string) []wire.ReadGroup {
 // request is a one-way Send (the responses come straight from the
 // partitions), so a shed comes back as a one-way Busy routed by
 // Echo==RotID, and a refused leg as a RotRefused in place of its values;
-// either is returned for ROT to retry on.
-func (c *Client) rotOneAndHalf(ctx context.Context, keys []string, groups []wire.ReadGroup) (map[string]wire.KV, wire.Message, error) {
+// either is returned as the attempt's error for ROT to retry on.
+func (c *Client) rotOneAndHalf(ctx context.Context, keys []string) (map[string]wire.KV, error) {
+	groups := c.groups(keys)
 	rotID := c.rotSeq.Add(1)
 	ch := make(chan wire.Message, len(groups))
 	c.rots.Store(rotID, ch)
@@ -261,7 +227,7 @@ func (c *Client) rotOneAndHalf(ctx context.Context, keys []string, groups []wire
 		Groups:    groups,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: rot: %w", err)
+		return nil, err
 	}
 
 	vals := make(map[string]wire.KV, len(keys))
@@ -280,21 +246,22 @@ func (c *Client) rotOneAndHalf(ctx context.Context, keys []string, groups []wire
 					vals[kv.Key] = kv
 				}
 			case *wire.Busy, *wire.RotRefused:
-				return nil, msg, nil
+				return nil, m.(error)
 			}
 		case <-ctx.Done():
-			return nil, nil, fmt.Errorf("core: rot: %w", ctx.Err())
+			return nil, ctx.Err()
 		}
 	}
 	if sv != nil {
 		c.observe(sv)
 	}
-	return vals, nil, nil
+	return vals, nil
 }
 
 // rotTwoRounds runs one attempt of the 2-round ROT; a refused leg's error
 // response is returned for ROT to retry on.
-func (c *Client) rotTwoRounds(ctx context.Context, keys []string, groups []wire.ReadGroup) (map[string]wire.KV, wire.Message, error) {
+func (c *Client) rotTwoRounds(ctx context.Context, keys []string) (map[string]wire.KV, error) {
+	groups := c.groups(keys)
 	rotID := c.rotSeq.Add(1)
 	c.mu.Lock()
 	seenLocal := c.seen[c.dc]
@@ -308,11 +275,11 @@ func (c *Client) rotTwoRounds(ctx context.Context, keys []string, groups []wire.
 		SeenGSS:   seenGSS,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: rot coord: %w", err)
+		return nil, fmt.Errorf("coord: %w", err)
 	}
 	cr, ok := resp.(*wire.RotCoordResp)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: rot coord: unexpected response %T", resp)
+		return nil, fmt.Errorf("coord: unexpected response %T", resp)
 	}
 	sv := cr.SV
 
@@ -339,17 +306,13 @@ func (c *Client) rotTwoRounds(ctx context.Context, keys []string, groups []wire.
 	vals := make(map[string]wire.KV, len(keys))
 	for range groups {
 		r := <-ch
-		var refused *wire.RotRefused
-		if errors.As(r.err, &refused) {
-			return nil, refused, nil
-		}
 		if r.err != nil {
-			return nil, nil, fmt.Errorf("core: rot read: %w", r.err)
+			return nil, fmt.Errorf("read: %w", r.err)
 		}
 		for _, kv := range r.vals {
 			vals[kv.Key] = kv
 		}
 	}
 	c.observe(sv)
-	return vals, nil, nil
+	return vals, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -455,6 +456,68 @@ func TestRefusedLegRetriesAtFrontier(t *testing.T) {
 			}
 			if got := srv[1].store.Refusals(); got != 1+1+snapshotRetries {
 				t.Fatalf("partition 1 refused %d reads, want %d", got, 1+1+snapshotRetries)
+			}
+		})
+	}
+}
+
+// TestCoordinatorShedRetried: a coordinator that sheds a 1 1/2-round ROT
+// answers with a one-way Busy echoing the ROT id (the request was itself
+// one-way, so there is no request id to answer). The client backs off and
+// retries the whole ROT, counting the retry; against a partition that never
+// stops shedding it gives up with transport.ErrOverloaded.
+func TestCoordinatorShedRetried(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sheds int32
+	}{
+		{"sheds once", 1},
+		{"always sheds", 1 << 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewLocal(transport.LatencyModel{})
+			defer net.Close()
+			var attempts atomic.Int32
+			if _, err := net.Attach(wire.ServerAddr(0, 0), transport.HandlerFunc(
+				func(n transport.Node, src wire.From, _ uint64, m wire.Message) {
+					req, ok := m.(*wire.RotCoordReq)
+					if !ok {
+						return
+					}
+					if attempts.Add(1) <= tc.sheds {
+						_ = n.SendTo(src, &wire.Busy{Echo: req.RotID, RetryAfterMicros: 100})
+						return
+					}
+					_ = n.SendTo(src, &wire.RotSnap{RotID: req.RotID, SV: vclock.Vec{1},
+						Vals: []wire.KV{{Key: "k", Value: []byte("v"), TS: 1}}})
+				})); err != nil {
+				t.Fatal(err)
+			}
+			cli, err := NewClient(ClientConfig{DC: 0, ID: 1, NumDCs: 1, Ring: ring.New(1)}, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			kvs, err := cli.ROT(ctx, []string{"k"})
+			if tc.sheds > 1 {
+				if !errors.Is(err, transport.ErrOverloaded) {
+					t.Fatalf("ROT against a partition that always sheds: %v, want transport.ErrOverloaded", err)
+				}
+				if n := cli.BusyRetries(); n != transport.DefaultBusyRetries {
+					t.Fatalf("BusyRetries = %d, want %d", n, transport.DefaultBusyRetries)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(kvs[0].Value) != "v" {
+				t.Fatalf("retried ROT read %q, want v", kvs[0].Value)
+			}
+			if n := cli.BusyRetries(); n != 1 {
+				t.Fatalf("BusyRetries = %d after one shed, want 1", n)
 			}
 		})
 	}

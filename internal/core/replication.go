@@ -238,7 +238,7 @@ func (st *repStream) run() {
 func (st *repStream) deliver(msg *wire.RepBatch) bool {
 	for {
 		ctx, cancel := context.WithTimeout(st.ctx, repRetryTimeout)
-		resp, err := st.s.node.Call(ctx, st.dst, msg)
+		resp, err := st.s.Node.Call(ctx, st.dst, msg)
 		cancel()
 		if err == nil {
 			if _, ok := resp.(*wire.RepAck); ok {

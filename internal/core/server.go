@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/family"
 	"repro/internal/hlc"
-	"repro/internal/metrics"
 	"repro/internal/mvstore"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -16,12 +15,15 @@ import (
 	"repro/internal/wire"
 )
 
-// Server is one partition replica of the timestamp-based engine.
+// Server is one partition replica of the timestamp-based engine: the
+// shared partition skeleton (family.Partition) plus what the timestamp
+// families add to it — the put fence, the durability gate, the batch-cut
+// replication stream and the stabilized snapshot.
 type Server struct {
+	*family.Partition
 	cfg   Config
 	clock hlc.Clock
 	store *mvstore.Store
-	node  transport.Node
 	repl  *replicator
 
 	mu     sync.RWMutex
@@ -53,13 +55,6 @@ type Server struct {
 	// install after the fsync — instead the read path waits out the
 	// sub-millisecond gap between install and group commit.
 	durGate *durGate
-
-	// Observability (obs.go): per-op latency histograms, the process-wide
-	// slow-op trace ring (nil-safe), and per-peer last-replication receipt
-	// stamps.
-	ops     metrics.OpHists
-	slow    *metrics.SlowRing
-	repAges *family.RepAges
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -157,8 +152,10 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	for i := range s.nextIn {
 		s.nextIn[i] = 1
 	}
-	s.slow = cfg.Slow
-	s.repAges = family.NewRepAges(cfg.NumDCs)
+	s.Partition = family.NewPartition("core", cfg.DC, cfg.NumDCs, cfg.Slow, s.store.Register)
+	if cfg.Clock != ClockLogical {
+		s.Expose(s.registerLags)
+	}
 	var recovered []wire.Update
 	if cfg.Durable != nil {
 		s.durGate = newDurGate()
@@ -170,11 +167,10 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	// The replicator must exist before the server is reachable: the first
 	// PUT to arrive enqueues into its streams.
 	s.repl = newReplicator(s, recovered)
-	node, open, err := family.Attach(net, wire.ServerAddr(cfg.DC, cfg.Part), s)
+	open, err := s.Attach(net, wire.ServerAddr(cfg.DC, cfg.Part), s.dispatch)
 	if err != nil {
 		return nil, err
 	}
-	s.node = node
 	open()
 	return s, nil
 }
@@ -258,9 +254,6 @@ func (s *Server) logInstall(key string, value []byte, ts uint64, dv vclock.Vec, 
 	return err
 }
 
-// Addr returns the server's wire address.
-func (s *Server) Addr() wire.Addr { return s.node.Addr() }
-
 // Store exposes the underlying storage for tests and convergence checks.
 func (s *Server) Store() *mvstore.Store { return s.store }
 
@@ -282,9 +275,6 @@ func (s *Server) ForEachLatest(fn func(key string, value []byte, ts uint64, srcD
 		fn(k, v.Value, v.TS, v.SrcDC)
 	})
 }
-
-// Clock exposes the server clock for tests.
-func (s *Server) Clock() hlc.Clock { return s.clock }
 
 // NextIn exposes the replication dedup cursor for dc (tests: a restarted
 // sender must resume exactly at the receiver's cursor).
@@ -312,32 +302,27 @@ func (s *Server) Close() error {
 	}
 	s.repl.stopAll()
 	s.wg.Wait()
-	return s.node.Close()
+	return s.Node.Close()
 }
 
-// Handle dispatches one incoming message. It runs on a fresh goroutine per
-// message (see transport) and may block.
-func (s *Server) Handle(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
+// dispatch is the partition's message switch (see family.Partition.Handle).
+func (s *Server) dispatch(src wire.From, reqID uint64, m wire.Message) (family.Op, bool) {
 	switch msg := m.(type) {
 	case *wire.PutReq:
-		s.handlePut(src, reqID, msg)
+		return s.handlePut(src, reqID, msg), true
 	case *wire.RotCoordReq:
-		s.handleRotCoord(src, reqID, msg)
+		return s.handleRotCoord(src, reqID, msg), true
 	case *wire.RotFwd:
-		s.handleRotFwd(msg)
+		return s.handleRotFwd(msg), true
 	case *wire.RotReadReq:
-		s.handleRotRead(src, reqID, msg)
+		return s.handleRotRead(src, reqID, msg), true
 	case *wire.RepBatch:
-		s.handleRepBatch(src, reqID, msg)
+		return s.handleRepBatch(src, reqID, msg), true
 	case *wire.GSSBcast:
 		s.applyGSS(msg.GSS)
-	case *wire.Ping:
-		_ = n.Respond(src, reqID, &wire.Pong{Nonce: msg.Nonce})
-	default:
-		if reqID != 0 {
-			transport.RespondError(n, src, reqID, 400, "core: unexpected message")
-		}
+		return family.Op{}, true
 	}
+	return family.Op{}, false
 }
 
 // gssSnapshot returns a copy of the current GSS.
@@ -383,17 +368,8 @@ func (s *Server) vvSnapshot() vclock.Vec {
 }
 
 // handlePut installs a new local version (Section 4, PUT path).
-func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.PutReq) {
-	start := time.Now()
-	var fsyncDur time.Duration
-	defer func() {
-		total := time.Since(start)
-		s.ops.Put.Record(total)
-		s.slow.Record(metrics.SlowOp{
-			Start: start.UnixNano(), Op: "put", KeyHash: metrics.KeyHash(m.Key),
-			Total: total, Fsync: fsyncDur,
-		})
-	}()
+func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.PutReq) family.Op {
+	op := family.Op{Kind: family.OpPut, Key: m.Key}
 	deps := m.Deps
 	if len(deps) != s.cfg.NumDCs {
 		d := vclock.New(s.cfg.NumDCs)
@@ -431,13 +407,14 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.PutReq) {
 	if s.cfg.Durable != nil {
 		fs := time.Now()
 		err := s.logInstall(m.Key, m.Value, ts, dv, durable)
-		fsyncDur = time.Since(fs)
+		op.Fsync = time.Since(fs)
 		if err != nil {
-			transport.RespondError(s.node, src, reqID, 500, "core: wal: "+err.Error())
-			return
+			transport.RespondError(s.Node, src, reqID, 500, "core: wal: "+err.Error())
+			return op
 		}
 	}
-	_ = s.node.Respond(src, reqID, &wire.PutResp{TS: ts, GSS: s.gssSnapshot()})
+	_ = s.Node.Respond(src, reqID, &wire.PutResp{TS: ts, GSS: s.gssSnapshot()})
+	return op
 }
 
 // makeSV picks the snapshot vector for a ROT: remote entries from the GSS
@@ -450,23 +427,24 @@ func (s *Server) makeSV(seenLocal uint64, seenGSS vclock.Vec) vclock.Vec {
 	return sv
 }
 
-// handleRotCoord runs the coordinator role (Figure 3).
-func (s *Server) handleRotCoord(src wire.From, reqID uint64, m *wire.RotCoordReq) {
-	start := time.Now()
+// handleRotCoord runs the coordinator role (Figure 3). Its read is the
+// whole ROT's: the request carries every key.
+func (s *Server) handleRotCoord(src wire.From, reqID uint64, m *wire.RotCoordReq) family.Op {
 	sv := s.makeSV(m.SeenLocal, m.SeenGSS)
 	if m.Mode == uint8(TwoRounds) {
-		_ = s.node.Respond(src, reqID, &wire.RotCoordResp{RotID: m.RotID, SV: sv})
-		s.ops.ROT.Record(time.Since(start))
-		return
+		_ = s.Node.Respond(src, reqID, &wire.RotCoordResp{RotID: m.RotID, SV: sv})
+		return family.Read(nil)
 	}
 	// 1 1/2 rounds: forward reads; partitions answer the client directly.
 	var own []string
+	keys := 0
 	for _, g := range m.Groups {
+		keys += len(g.Keys)
 		if int(g.Part) == s.cfg.Part {
 			own = g.Keys
 			continue
 		}
-		_ = s.node.Send(wire.ServerAddr(s.cfg.DC, int(g.Part)), &wire.RotFwd{
+		_ = s.Node.Send(wire.ServerAddr(s.cfg.DC, int(g.Part)), &wire.RotFwd{
 			RotID:  m.RotID,
 			Client: src.Addr,
 			Sess:   src.Sess,
@@ -474,37 +452,41 @@ func (s *Server) handleRotCoord(src wire.From, reqID uint64, m *wire.RotCoordReq
 			Keys:   g.Keys,
 		})
 	}
+	op := family.Read(own)
 	vals, wait, err := s.readAt(sv, own)
 	var reply wire.Message = &wire.RotSnap{RotID: m.RotID, SV: sv, Vals: vals}
 	if err != nil {
 		reply = s.refusal(m.RotID)
 	}
-	_ = s.node.SendTo(src, reply)
-	s.ops.RecordRead(s.slow, start, wait, false, own)
+	_ = s.Node.SendTo(src, reply)
+	op.Keys, op.Queue = keys, wait
+	return op
 }
 
 // handleRotFwd serves the coordinator-forwarded leg of a 1 1/2-round ROT.
-func (s *Server) handleRotFwd(m *wire.RotFwd) {
-	start := time.Now()
+func (s *Server) handleRotFwd(m *wire.RotFwd) family.Op {
+	op := family.Read(m.Keys)
 	vals, wait, err := s.readAt(m.SV, m.Keys)
 	var reply wire.Message = &wire.RotVals{RotID: m.RotID, Vals: vals}
 	if err != nil {
 		reply = s.refusal(m.RotID)
 	}
-	_ = s.node.SendTo(wire.From{Addr: m.Client, Sess: m.Sess}, reply)
-	s.ops.RecordRead(s.slow, start, wait, false, m.Keys)
+	_ = s.Node.SendTo(wire.From{Addr: m.Client, Sess: m.Sess}, reply)
+	op.Queue = wait
+	return op
 }
 
 // handleRotRead serves the second round of a 2-round ROT.
-func (s *Server) handleRotRead(src wire.From, reqID uint64, m *wire.RotReadReq) {
-	start := time.Now()
+func (s *Server) handleRotRead(src wire.From, reqID uint64, m *wire.RotReadReq) family.Op {
+	op := family.Read(m.Keys)
 	vals, wait, err := s.readAt(m.SV, m.Keys)
 	var reply wire.Message = &wire.RotReadResp{Vals: vals}
 	if err != nil {
 		reply = s.refusal(0)
 	}
-	_ = s.node.Respond(src, reqID, reply)
-	s.ops.RecordRead(s.slow, start, wait, len(m.Keys) == 1, m.Keys)
+	_ = s.Node.Respond(src, reqID, reply)
+	op.Queue = wait
+	return op
 }
 
 // refusal answers a ROT leg whose snapshot needs a version the store has
@@ -594,32 +576,21 @@ func (s *Server) readAt(sv vclock.Vec, keys []string) ([]wire.KV, time.Duration,
 // which may trail what we acknowledged (the cursor fsync raced the crash),
 // so stale-sequence batches with fresh HighTS carry the re-shipped
 // recovered tail and must be applied (installs are idempotent).
-func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) {
-	srcDC := int(m.SrcDC)
-	if srcDC == s.cfg.DC || srcDC >= s.cfg.NumDCs {
-		transport.RespondError(s.node, src, reqID, 400, "core: bad replication source")
-		return
+func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) family.Op {
+	if !s.FromPeer(src, reqID, m.SrcDC) {
+		return family.Op{}
 	}
-	start := time.Now()
-	var fsyncDur time.Duration
-	defer func() {
-		s.repAges.Note(srcDC)
-		total := time.Since(start)
-		s.ops.Rep.Record(total)
-		var kh uint64
-		if len(m.Ups) > 0 {
-			kh = metrics.KeyHash(m.Ups[0].Key)
-		}
-		s.slow.Record(metrics.SlowOp{
-			Start: start.UnixNano(), Op: "rep", KeyHash: kh, Total: total, Fsync: fsyncDur,
-		})
-	}()
+	srcDC := int(m.SrcDC)
+	op := family.Op{Kind: family.OpRep}
+	if len(m.Ups) > 0 {
+		op.Key = m.Ups[0].Key
+	}
 	s.mu.Lock()
 	if m.Seq < s.nextIn[srcDC] && m.HighTS <= s.vv[srcDC] {
 		// Provable duplicate (lost or delayed ack); already applied.
 		s.mu.Unlock()
-		_ = s.node.Respond(src, reqID, &wire.RepAck{Seq: m.Seq})
-		return
+		_ = s.Node.Respond(src, reqID, &wire.RepAck{Seq: m.Seq})
+		return op
 	}
 	prevNextIn := s.nextIn[srcDC]
 	if m.Seq >= s.nextIn[srcDC] {
@@ -643,7 +614,7 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) {
 		}
 		fs := time.Now()
 		err := wal.AppendAndSync(s.cfg.Durable, recs)
-		fsyncDur = time.Since(fs)
+		op.Fsync = time.Since(fs)
 		if err != nil {
 			// Withholding the ack makes the sender retry; roll the dedup
 			// cursor back (unless a later batch already advanced it) so the
@@ -654,8 +625,8 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) {
 				s.nextIn[srcDC] = prevNextIn
 			}
 			s.mu.Unlock()
-			transport.RespondError(s.node, src, reqID, 500, "core: wal: "+err.Error())
-			return
+			transport.RespondError(s.Node, src, reqID, 500, "core: wal: "+err.Error())
+			return op
 		}
 	}
 	for i := range m.Ups {
@@ -669,7 +640,8 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) {
 		s.vv[srcDC] = m.HighTS
 	}
 	s.mu.Unlock()
-	_ = s.node.Respond(src, reqID, &wire.RepAck{Seq: m.Seq})
+	_ = s.Node.Respond(src, reqID, &wire.RepAck{Seq: m.Seq})
+	return op
 }
 
 // reportLoop periodically reports the server's VV to the DC stabilizer.
@@ -683,7 +655,7 @@ func (s *Server) reportLoop() {
 		case <-s.stop:
 			return
 		case <-t.C:
-			_ = s.node.Send(stab, &wire.VVReport{
+			_ = s.Node.Send(stab, &wire.VVReport{
 				Part: uint32(s.cfg.Part),
 				VV:   s.vvSnapshot(),
 			})

@@ -23,6 +23,8 @@ type LoStore struct {
 	Install func(rec wal.Record, readers []wire.ReaderEntry)
 	// Snapshot streams the store's durable state to a WAL snapshot.
 	Snapshot wal.SnapshotSource
+	// Register exposes the store's series.
+	Register Series
 }
 
 // LoServer is the write, replication-install and recovery skeleton of a
@@ -62,42 +64,32 @@ type LoStore struct {
 //   - A failed append does none of install, enqueue and ack. The client
 //     sees a 500; an unacked update is retried (idempotently) by its origin.
 type LoServer struct {
+	*Partition
 	Clock *hlc.Lamport
-	Node  transport.Node // set by Attach
 	Ring  ring.Ring
 
-	// Per-op latency histograms and the process-wide slow-op trace ring
-	// (nil-safe). The commits record "put" and "rep" themselves; the
-	// family's read handlers call Ops.RecordRead.
-	Ops  metrics.OpHists
-	Slow *metrics.SlowRing
-
-	name             string // error-message prefix: "cclo", "cops"
-	dc, part, numDCs int
-	durable          wal.Durability // nil: in memory
-	store            LoStore
+	part    int
+	durable wal.Durability // nil: in memory
+	store   LoStore
 
 	recovered []*wire.LoRepUpdate // Replay's local updates, for Attach
 	deps      *DepWaiter
 	repl      *WindowReplicator
-	repAges   *RepAges
 }
 
 // NewLoServer builds the skeleton of partition (dc, part). Replay it (when
 // durable), then Attach it.
 func NewLoServer(name string, dc, part, numDCs, numParts int, durable wal.Durability, slow *metrics.SlowRing, store LoStore) *LoServer {
-	return &LoServer{
-		Clock:   hlc.NewLamport(0),
-		Ring:    ring.New(numParts),
-		Slow:    slow,
-		name:    name,
-		dc:      dc,
-		part:    part,
-		numDCs:  numDCs,
-		durable: durable,
-		store:   store,
-		repAges: NewRepAges(numDCs),
+	s := &LoServer{
+		Partition: NewPartition(name, dc, numDCs, slow, store.Register),
+		Clock:     hlc.NewLamport(0),
+		Ring:      ring.New(numParts),
+		part:      part,
+		durable:   durable,
+		store:     store,
 	}
+	s.Expose(s.registerDeps)
+	return s
 }
 
 // Replay replays the durable log into the store (a no-op in memory),
@@ -150,30 +142,34 @@ func (s *LoServer) Replay() (map[wire.LoDep][]wire.ReaderEntry, error) {
 	return readers, nil
 }
 
-// Attach registers h — the family's Handle — at the partition's address and
-// builds the dependency waiter and the replication streams (seeded with
-// what Replay recovered). Dispatch stays gated until both exist: the first
-// PUT to arrive enqueues into the streams. The snapshot source is
-// registered here, not by Replay: a periodic snapshot must not run before
-// the family has finished rebuilding what Replay handed back to it.
-func (s *LoServer) Attach(net transport.Network, h transport.Handler) error {
-	node, open, err := Attach(net, wire.ServerAddr(s.dc, s.part), h)
+// Attach registers the partition with dispatch — the family's message
+// switch, behind the dependency checks every dependency-list family answers
+// alike — and builds the dependency waiter and the replication streams
+// (seeded with what Replay recovered). Dispatch stays gated until both
+// exist: the first PUT to arrive enqueues into the streams. The snapshot
+// source is registered here, not by Replay: a periodic snapshot must not run
+// before the family has finished rebuilding what Replay handed back to it.
+func (s *LoServer) Attach(net transport.Network, dispatch Dispatch) error {
+	open, err := s.Partition.Attach(net, wire.ServerAddr(s.dc, s.part),
+		func(src wire.From, reqID uint64, m wire.Message) (Op, bool) {
+			if msg, ok := m.(*wire.DepCheckReq); ok {
+				s.deps.HandleDepCheck(src, reqID, msg)
+				return Op{}, true
+			}
+			return dispatch(src, reqID, m)
+		})
 	if err != nil {
 		return err
 	}
 	if s.durable != nil {
 		s.durable.SetSnapshotSource(s.store.Snapshot)
 	}
-	s.Node = node
-	s.deps = NewDepWaiter(node, s.dc, s.part, s.Ring, s.store.HasVersion)
-	s.repl = NewWindowReplicator(node, s.dc, s.part, s.numDCs, s.durable, s.recovered)
+	s.deps = NewDepWaiter(s.Node, s.dc, s.part, s.Ring, s.store.HasVersion)
+	s.repl = NewWindowReplicator(s.Node, s.dc, s.part, s.numDCs, s.durable, s.recovered)
 	s.recovered = nil
 	open()
 	return nil
 }
-
-// Addr returns the server's wire address.
-func (s *LoServer) Addr() wire.Addr { return s.Node.Addr() }
 
 // Start launches replication streams.
 func (s *LoServer) Start() { s.repl.Start() }
@@ -194,13 +190,8 @@ func (s *LoServer) Preload(keys []string, val []byte) {
 	s.Clock.Update(1)
 }
 
-// RegisterMetrics exposes the per-op histograms, the replication-receipt
-// ages and the dependency checks under r; the family adds its store's and
-// its own series.
-func (s *LoServer) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
-	s.Ops.Register(r, "kv_server_op_seconds",
-		"End-to-end server handler latency by operation.", labels...)
-	s.repAges.Register(r, s.dc, labels...)
+// registerDeps exposes the dependency checks under r.
+func (s *LoServer) registerDeps(r *metrics.Registry, labels ...metrics.Label) {
 	r.CounterFunc("kv_dep_check_requests_total",
 		"Dependency checks sent: one per partition holding a dependency of a replicated update.",
 		func() float64 { return float64(s.deps.requests.Load()) }, labels...)
@@ -211,29 +202,14 @@ func (s *LoServer) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label)
 		func() float64 { return float64(s.deps.waits.Load()) }, labels...)
 }
 
-// HandleShared serves the messages every dependency-list family answers
-// the same way; a family's Handle falls through to it.
-func (s *LoServer) HandleShared(src wire.From, reqID uint64, m wire.Message) {
-	switch msg := m.(type) {
-	case *wire.DepCheckReq:
-		s.deps.HandleDepCheck(src, reqID, msg)
-	case *wire.Ping:
-		_ = s.Node.Respond(src, reqID, &wire.Pong{Nonce: msg.Nonce})
-	default:
-		if reqID != 0 {
-			transport.RespondError(s.Node, src, reqID, 400, s.name+": unexpected message")
-		}
-	}
-}
-
-// CommitLocal commits a client PUT whose handler began at start: it
-// assigns a timestamp above floor and every dependency, tracks, appends,
-// installs, wakes dependency checks, enqueues the update for the other DCs
-// and answers the client (see LoServer for why in that order). readers are
-// the old readers the new version must stay invisible to; they are
-// persisted, installed and shipped with it.
-func (s *LoServer) CommitLocal(start time.Time, src wire.From, reqID uint64, m *wire.LoPutReq, floor uint64, readers []wire.ReaderEntry) {
-	queue := time.Since(start)
+// CommitLocal commits a client PUT: it assigns a timestamp above floor and
+// every dependency, tracks, appends, installs, wakes dependency checks,
+// enqueues the update for the other DCs and answers the client (see
+// LoServer for why in that order). readers are the old readers the new
+// version must stay invisible to; they are persisted, installed and shipped
+// with it. It returns the put's Op for the family's dispatch to report.
+func (s *LoServer) CommitLocal(src wire.From, reqID uint64, m *wire.LoPutReq, floor uint64, readers []wire.ReaderEntry) Op {
+	op := Op{Kind: OpPut, Key: m.Key, Commit: time.Now()}
 	// The timestamp must exceed every dependency timestamp (and, through
 	// floor, every collected read time), so that "old" is well defined.
 	for _, d := range m.Deps {
@@ -241,7 +217,8 @@ func (s *LoServer) CommitLocal(start time.Time, src wire.From, reqID uint64, m *
 	}
 	ts := s.Clock.Update(floor)
 	s.repl.Track(ts)
-	fsync, ok := s.commit(src, reqID, wal.Record{Key: m.Key, Value: m.Value, TS: ts, SrcDC: uint8(s.dc), Deps: m.Deps}, readers)
+	var ok bool
+	op.Fsync, ok = s.commit(src, reqID, wal.Record{Key: m.Key, Value: m.Value, TS: ts, SrcDC: uint8(s.dc), Deps: m.Deps}, readers)
 	if ok {
 		s.repl.Enqueue(&wire.LoRepUpdate{
 			SrcDC:      uint8(s.dc),
@@ -254,17 +231,20 @@ func (s *LoServer) CommitLocal(start time.Time, src wire.From, reqID uint64, m *
 		})
 		_ = s.Node.Respond(src, reqID, &wire.LoPutResp{TS: ts})
 	}
-	s.observe(&s.Ops.Put, "put", start, m.Key, queue, fsync)
+	return op
 }
 
 // WaitDeps is the first half of a remote commit: it returns true once every
-// dependency of the replicated update is installed in this DC. A failed or
-// shutdown-aborted check answers the origin with an error and returns
-// false; the caller withholds the install and the ack, and the origin
-// retries the (idempotent) update. The family's pre-commit step, if it has
-// one, runs between WaitDeps and CommitRemote.
+// dependency of the replicated update is installed in this DC. An update
+// from no peer DC (see FromPeer), or a failed or shutdown-aborted check,
+// answers the origin with an error and returns false; the caller withholds
+// the install and the ack, and the origin retries the (idempotent) update.
+// The family's pre-commit step, if it has one, runs between WaitDeps and
+// CommitRemote.
 func (s *LoServer) WaitDeps(src wire.From, reqID uint64, m *wire.LoRepUpdate) bool {
-	s.repAges.Note(int(m.SrcDC))
+	if !s.FromPeer(src, reqID, m.SrcDC) {
+		return false
+	}
 	if err := s.deps.WaitAll(m.Deps); err != nil {
 		transport.RespondError(s.Node, src, reqID, 500, s.name+": dep check: "+err.Error())
 		return false
@@ -273,19 +253,20 @@ func (s *LoServer) WaitDeps(src wire.From, reqID uint64, m *wire.LoRepUpdate) bo
 }
 
 // CommitRemote installs a replicated update whose dependencies WaitDeps
-// found satisfied and whose handler began at start: it moves the clock past
-// the origin timestamp and floor (Lamport clocks stay related), appends
-// logged — the install record as the family wants it persisted — with the
-// reader record, installs under the origin timestamp, wakes dependency
-// checks and acks (see LoServer for why in that order).
-func (s *LoServer) CommitRemote(start time.Time, src wire.From, reqID uint64, m *wire.LoRepUpdate, logged wal.Record, floor uint64, readers []wire.ReaderEntry) {
-	queue := time.Since(start)
+// found satisfied: it moves the clock past the origin timestamp and floor
+// (Lamport clocks stay related), appends logged — the install record as the
+// family wants it persisted — with the reader record, installs under the
+// origin timestamp, wakes dependency checks and acks (see LoServer for why
+// in that order). It returns the update's Op for the family's dispatch to
+// report.
+func (s *LoServer) CommitRemote(src wire.From, reqID uint64, m *wire.LoRepUpdate, logged wal.Record, floor uint64, readers []wire.ReaderEntry) Op {
+	op := Op{Kind: OpRep, Key: m.Key, Commit: time.Now()}
 	s.Clock.Update(max(m.TS, floor))
-	fsync, ok := s.commit(src, reqID, logged, readers)
-	if ok {
+	var ok bool
+	if op.Fsync, ok = s.commit(src, reqID, logged, readers); ok {
 		_ = s.Node.Respond(src, reqID, &wire.LoRepAck{Seq: m.Seq})
 	}
-	s.observe(&s.Ops.Rep, "rep", start, m.Key, queue, fsync)
+	return op
 }
 
 // commit is the step both commits share: append and fsync, then install,
@@ -316,16 +297,4 @@ func installRecords(install wal.Record, readers []wire.ReaderEntry) []wal.Record
 		{Kind: wal.RecReaders, Key: install.Key, TS: install.TS, SrcDC: install.SrcDC, Readers: readers},
 		install,
 	}
-}
-
-// observe feeds a finished commit to its histogram and the slow-op ring;
-// queue is the time the handler spent before the commit (dependency wait,
-// pre-commit step).
-func (s *LoServer) observe(h *metrics.StaticHist, op string, start time.Time, key string, queue, fsync time.Duration) {
-	total := time.Since(start)
-	h.Record(total)
-	s.Slow.Record(metrics.SlowOp{
-		Start: start.UnixNano(), Op: op, KeyHash: metrics.KeyHash(key),
-		Total: total, Queue: queue, Fsync: fsync,
-	})
 }

@@ -136,7 +136,7 @@ func TestCommitLocalOrder(t *testing.T) {
 			r.attach(t)
 			woke := r.waiter(r.own)
 			deps := []wire.LoDep{{Key: r.other, TS: 7, Src: 1}}
-			r.srv.CommitLocal(time.Now(), wire.From{}, 1, &wire.LoPutReq{Key: r.own, Value: []byte("v"), Deps: deps}, tc.floor, tc.readers)
+			op := r.srv.CommitLocal(wire.From{}, 1, &wire.LoPutReq{Key: r.own, Value: []byte("v"), Deps: deps}, tc.floor, tc.readers)
 
 			installed := fmt.Sprintf("install %s@%d readers=%d", r.own, tc.wantTS, len(tc.readers))
 			r.expect(t, woke, installed, tc.append, installed, "enqueue", "respond LoPutResp")
@@ -147,8 +147,8 @@ func TestCommitLocalOrder(t *testing.T) {
 			if u := <-r.srv.repl.streams[0].ch; !reflect.DeepEqual(u, want) {
 				t.Fatalf("enqueued %+v, want %+v", u, want)
 			}
-			if n := r.srv.Ops.Put.Count(); n != 1 {
-				t.Fatalf("put histogram holds %d samples, want 1", n)
+			if op.Kind != OpPut || op.Key != r.own || op.Commit.IsZero() {
+				t.Fatalf("commit reported %+v, want a put of %s with its commit time", op, r.own)
 			}
 		})
 	}
@@ -164,11 +164,10 @@ func TestCommitRemoteOrder(t *testing.T) {
 	woke := r.waiter(r.own)
 	m := &wire.LoRepUpdate{Seq: 9, SrcDC: 1, Key: r.own, Value: []byte("v"), TS: 40,
 		Deps: []wire.LoDep{{Key: r.other, TS: 7, Src: 1}}}
-	start := time.Now()
 	if !r.srv.WaitDeps(wire.From{}, 1, m) {
 		t.Fatal("WaitDeps failed with every dependency check answered")
 	}
-	r.srv.CommitRemote(start, wire.From{}, 1, m, wal.Record{Key: m.Key, Value: m.Value, TS: m.TS, SrcDC: m.SrcDC}, 60, twoReaders[:1])
+	op := r.srv.CommitRemote(wire.From{}, 1, m, wal.Record{Key: m.Key, Value: m.Value, TS: m.TS, SrcDC: m.SrcDC}, 60, twoReaders[:1])
 
 	installed := fmt.Sprintf("install %s@40 readers=1", r.own)
 	r.expect(t, woke, installed, "call DepCheckReq", "append readers,install", installed, "respond LoRepAck")
@@ -178,8 +177,8 @@ func TestCommitRemoteOrder(t *testing.T) {
 	if now := r.srv.Clock.Now(); now != 61 {
 		t.Fatalf("clock at %d after an update at 40 with floor 60, want 61", now)
 	}
-	if n := r.srv.Ops.Rep.Count(); n != 1 {
-		t.Fatalf("rep histogram holds %d samples, want 1", n)
+	if op.Kind != OpRep || op.Key != r.own || op.Commit.IsZero() {
+		t.Fatalf("commit reported %+v, want a replicated update of %s with its commit time", op, r.own)
 	}
 }
 
@@ -208,9 +207,9 @@ func TestFailedAppendWithholds(t *testing.T) {
 	r.attach(t)
 	r.dur.appendErr = errors.New("disk full")
 
-	r.srv.CommitLocal(time.Now(), wire.From{}, 1, &wire.LoPutReq{Key: r.own, Value: []byte("v")}, 0, twoReaders)
+	r.srv.CommitLocal(wire.From{}, 1, &wire.LoPutReq{Key: r.own, Value: []byte("v")}, 0, twoReaders)
 	m := &wire.LoRepUpdate{Seq: 3, SrcDC: 1, Key: r.own, TS: 40}
-	r.srv.CommitRemote(time.Now(), wire.From{}, 2, m, wal.Record{Key: m.Key, TS: m.TS, SrcDC: m.SrcDC}, 0, nil)
+	r.srv.CommitRemote(wire.From{}, 2, m, wal.Record{Key: m.Key, TS: m.TS, SrcDC: m.SrcDC}, 0, nil)
 
 	want := []string{"append readers,install", "respond ErrorResp 500", "append install", "respond ErrorResp 500"}
 	if got := r.ev.list(); !reflect.DeepEqual(got, want) {
@@ -228,7 +227,7 @@ func TestFailedAppendWithholds(t *testing.T) {
 	// The disk recovers; a later PUT commits, ships and is acknowledged.
 	r.dur.appendErr = nil
 	r.node.onCall = ackAll
-	r.srv.CommitLocal(time.Now(), wire.From{}, 3, &wire.LoPutReq{Key: r.own, Value: []byte("v")}, 0, nil)
+	r.srv.CommitLocal(wire.From{}, 3, &wire.LoPutReq{Key: r.own, Value: []byte("v")}, 0, nil)
 	r.srv.Start()
 	r.node.nextCall(t)
 	r.srv.repl.Stop() // waits for the delivery, its cursor handling included
@@ -295,27 +294,27 @@ func TestReplay(t *testing.T) {
 	}
 }
 
-// TestHandleShared: the arms every dependency-list family used to repeat.
-func TestHandleShared(t *testing.T) {
+// TestLoServerAnswersDepChecks: a dependency check reaches the waiter ahead
+// of the family's dispatch, and everything else reaches the dispatch.
+func TestLoServerAnswersDepChecks(t *testing.T) {
 	r := newLoRig(t)
-	r.attach(t)
-	r.srv.HandleShared(wire.From{}, 1, &wire.Ping{Nonce: 6})
-	if p, ok := (<-r.node.responds).(*wire.Pong); !ok || p.Nonce != 6 {
-		t.Fatalf("ping answered with %+v", p)
+	var dispatched []wire.Message
+	if err := r.srv.Attach(fakeNet{r.node}, func(_ wire.From, _ uint64, m wire.Message) (Op, bool) {
+		dispatched = append(dispatched, m)
+		return Op{}, true
+	}); err != nil {
+		t.Fatal(err)
 	}
 	r.srv.store.Install(wal.Record{Key: r.own, TS: 5}, nil)
-	r.srv.HandleShared(wire.From{}, 2, &wire.DepCheckReq{Deps: []wire.LoDep{{Key: r.own, TS: 5}}})
+	r.srv.Handle(nil, wire.From{}, 2, &wire.DepCheckReq{Deps: []wire.LoDep{{Key: r.own, TS: 5}}})
 	if _, ok := (<-r.node.responds).(*wire.DepCheckResp); !ok {
 		t.Fatal("dependency check on an installed version not answered")
 	}
-	r.srv.HandleShared(wire.From{}, 3, &wire.RepAck{})
-	if e, ok := (<-r.node.responds).(*wire.ErrorResp); !ok || e.Code != 400 || e.Text != "fam: unexpected message" {
-		t.Fatalf("unexpected request answered with %+v", e)
+	r.srv.Handle(nil, wire.From{}, 3, &wire.LoPutReq{})
+	if len(dispatched) != 1 {
+		t.Fatalf("dispatch saw %d messages, want only the put", len(dispatched))
 	}
-	r.srv.HandleShared(wire.From{}, 0, &wire.RepAck{}) // one-way: nothing to answer
-	select {
-	case m := <-r.node.responds:
-		t.Fatalf("one-way unexpected message answered with %T", m)
-	default:
+	if _, ok := dispatched[0].(*wire.LoPutReq); !ok {
+		t.Fatalf("dispatch saw %T, want the put", dispatched[0])
 	}
 }

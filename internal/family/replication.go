@@ -1,16 +1,22 @@
 // Package family holds the protocol skeleton the families share: the code
-// that is identical whichever visibility rule a family implements. The
-// dependency-list families (CC-LO, COPS) embed LoServer, which owns their
-// commit path and recovery loop over the windowed replication stream and
-// the dependency waiter; the timestamp family (core) takes the ready-gated
-// attach, the replication ages and the client base, and keeps its own
-// install-inside-the-fence write path and batch-cut replication stream,
-// which are different disciplines.
+// that is identical whichever visibility rule a family implements. Every
+// partition server embeds a Partition — the one transport.Handler a family
+// registers, which answers Ping, refuses unknown messages, vets replication
+// sources, and times and records every op its family's dispatch reports —
+// and every client embeds a Base, whose one ROT loop retries a family's
+// single attempt. The dependency-list families (CC-LO, COPS) embed
+// LoServer on top, which owns their commit path and recovery loop over the
+// windowed replication stream and the dependency waiter; the timestamp
+// family (core) keeps its own install-inside-the-fence write path, its
+// durability gate and its batch-cut replication stream, which are
+// different disciplines.
 //
-// Everything here is a concrete type a family calls directly. A
-// dependency-list family supplies its store adapter, whatever it runs
-// before a commit, its ROT handlers, its client and its snapshot emission;
-// nothing in this package knows which family is calling.
+// Everything here is a concrete type a family calls directly. A family
+// supplies its dispatch (a type switch that reports what each message did
+// as an Op), its store and its own series; a dependency-list family also
+// supplies its store adapter, whatever it runs before a commit, its ROT
+// handlers, its client's ROT attempt and its snapshot emission. Nothing in
+// this package knows which family is calling.
 package family
 
 import (

@@ -10,23 +10,171 @@ import (
 	"repro/internal/wire"
 )
 
-// Attach registers h at addr behind a ready gate. A server is reachable
-// the instant the network's Attach returns, but its handlers need the node
-// Attach returns (and whatever the server builds from it): dispatch blocks
-// until the caller invokes open, so an early message cannot observe a
-// half-built server. Call open exactly once, when construction is
-// complete.
-func Attach(net transport.Network, addr wire.Addr, h transport.Handler) (node transport.Node, open func(), err error) {
+// OpKind is what a served message did, as far as a partition's per-op
+// histograms and slow-op trace are concerned.
+type OpKind uint8
+
+const (
+	NoOp   OpKind = iota // nothing to record: control traffic, checks, a refused request
+	OpPut                // a client write
+	OpRep                // the application of replicated data
+	OpRead               // a read or ROT leg: "get" if its request carried one key, else "rot"
+)
+
+// Op is what a family's dispatch reports about one message: Partition.Handle
+// times the call and records the rest.
+type Op struct {
+	Kind OpKind
+	Key  string // the (first) key touched; the slow-op trace keeps its hash
+	Keys int    // reads: how many keys the request carried
+
+	// Queue is how long the op waited before it could be served (core: the
+	// durability gate). A dependency-list commit leaves it zero and sets
+	// Commit, the moment the commit began, instead: what the handler spent
+	// before then (dependency wait, readers check) is its queue.
+	Queue  time.Duration
+	Commit time.Time
+	Fsync  time.Duration // the WAL append
+}
+
+// Read is the Op of a read whose request carried keys.
+func Read(keys []string) Op {
+	op := Op{Kind: OpRead, Keys: len(keys)}
+	if len(keys) > 0 {
+		op.Key = keys[0]
+	}
+	return op
+}
+
+// Dispatch is a family's message switch: it serves m and reports what it
+// did. ok is false for a message the family does not know.
+type Dispatch func(src wire.From, reqID uint64, m wire.Message) (op Op, ok bool)
+
+// Series registers a set of series under r with the caller's labels.
+type Series func(r *metrics.Registry, labels ...metrics.Label)
+
+// Partition is every family's partition server less its protocol: the
+// attached node, the per-op histograms and the slow-op ring, the
+// replication-receipt ages, and the one transport.Handler a family
+// registers. Its Handle answers Ping, refuses what the family does not know,
+// and hands everything else to the family's Dispatch, whose report it times
+// and records — so no family records an op itself.
+type Partition struct {
+	Node transport.Node // set by Attach
+
+	name       string // error-message prefix: "core", "cclo", "cops"
+	dc, numDCs int
+	dispatch   Dispatch
+
+	ops     metrics.OpHists
+	slow    *metrics.SlowRing // process-wide, nil-safe
+	repAges *RepAges
+	series  []Series // the store's, then what the family exposes
+}
+
+// NewPartition starts the books of a partition server of family name in DC
+// dc of numDCs; store registers the family's store series.
+func NewPartition(name string, dc, numDCs int, slow *metrics.SlowRing, store Series) *Partition {
+	return &Partition{
+		name: name, dc: dc, numDCs: numDCs,
+		slow: slow, repAges: NewRepAges(numDCs), series: []Series{store},
+	}
+}
+
+// Attach registers the partition at addr behind a ready gate, with dispatch
+// as the family's message switch. A server is reachable the instant the
+// network's Attach returns, but its handlers need the node (and whatever the
+// server builds from it): dispatch blocks until the caller invokes open, so
+// an early message cannot observe a half-built server. Call open exactly
+// once, when construction is complete.
+func (p *Partition) Attach(net transport.Network, addr wire.Addr, dispatch Dispatch) (open func(), err error) {
 	ready := make(chan struct{})
-	node, err = net.Attach(addr, transport.HandlerFunc(
+	p.dispatch = dispatch
+	p.Node, err = net.Attach(addr, transport.HandlerFunc(
 		func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
 			<-ready
-			h.Handle(n, src, reqID, m)
+			p.Handle(n, src, reqID, m)
 		}))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return node, func() { close(ready) }, nil
+	return func() { close(ready) }, nil
+}
+
+// Addr returns the server's wire address.
+func (p *Partition) Addr() wire.Addr { return p.Node.Addr() }
+
+// Handle serves one incoming message. It runs on a fresh goroutine per
+// message (see transport) and may block.
+func (p *Partition) Handle(_ transport.Node, src wire.From, reqID uint64, m wire.Message) {
+	if ping, ok := m.(*wire.Ping); ok {
+		_ = p.Node.Respond(src, reqID, &wire.Pong{Nonce: ping.Nonce})
+		return
+	}
+	start := time.Now()
+	op, ok := p.dispatch(src, reqID, m)
+	if !ok {
+		if reqID != 0 {
+			transport.RespondError(p.Node, src, reqID, 400, p.name+": unexpected message")
+		}
+		return
+	}
+	var h *metrics.StaticHist
+	var name string
+	switch {
+	case op.Kind == OpPut:
+		h, name = &p.ops.Put, "put"
+	case op.Kind == OpRep:
+		h, name = &p.ops.Rep, "rep"
+	case op.Kind == OpRead && op.Keys == 1:
+		h, name = &p.ops.Get, "get"
+	case op.Kind == OpRead:
+		h, name = &p.ops.ROT, "rot"
+	default:
+		return
+	}
+	total := time.Since(start)
+	h.Record(total)
+	if !op.Commit.IsZero() {
+		op.Queue = op.Commit.Sub(start)
+	}
+	var kh uint64
+	if op.Key != "" {
+		kh = metrics.KeyHash(op.Key)
+	}
+	p.slow.Record(metrics.SlowOp{
+		Start: start.UnixNano(), Op: name, KeyHash: kh,
+		Total: total, Queue: op.Queue, Fsync: op.Fsync,
+	})
+}
+
+// FromPeer vets the source DC of replicated data and stamps its receipt. A
+// source that is this DC, or no DC at all, is answered 400 and FromPeer
+// returns false: installing it would take an identity a real write of that
+// DC may later need, and the caller must do nothing with it.
+func (p *Partition) FromPeer(src wire.From, reqID uint64, srcDC uint8) bool {
+	if int(srcDC) == p.dc || int(srcDC) >= p.numDCs {
+		transport.RespondError(p.Node, src, reqID, 400, p.name+": bad replication source")
+		return false
+	}
+	p.repAges.Note(int(srcDC))
+	return true
+}
+
+// Expose adds a family's own series to what RegisterMetrics registers.
+func (p *Partition) Expose(s Series) { p.series = append(p.series, s) }
+
+// RegisterMetrics exposes the per-op histograms, the replication-receipt
+// ages, the store and whatever the family exposed under r. Labels should
+// identify the partition (dc, partition, family); every partition in a
+// process shares r.
+func (p *Partition) RegisterMetrics(r *metrics.Registry, labels ...metrics.Label) {
+	p.ops.Register(r, "kv_server_op_seconds",
+		"End-to-end server handler latency by operation.", labels...)
+	p.repAges.Register(r, p.dc, labels...)
+	for _, s := range p.series {
+		s(r, labels...)
+	}
 }
 
 // RepAges keeps the wall-clock receipt time of the newest replicated

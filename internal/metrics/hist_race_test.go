@@ -171,22 +171,10 @@ func TestSlowRingConcurrent(t *testing.T) {
 	}
 }
 
-func TestOpHistsRecordRead(t *testing.T) {
+// TestOpHistsRegister: the four histograms register under one name, an op
+// label each, next to the caller's labels.
+func TestOpHistsRegister(t *testing.T) {
 	var o OpHists
-	slow := NewSlowRing(16, 0)
-	o.RecordRead(slow, time.Now(), time.Microsecond, true, []string{"a"})
-	o.RecordRead(slow, time.Now(), 0, false, []string{"b", "c"})
-	o.RecordRead(slow, time.Now(), 0, false, nil)
-	if o.Get.Count() != 1 || o.ROT.Count() != 2 {
-		t.Fatalf("RecordRead op selection wrong: get %d, rot %d", o.Get.Count(), o.ROT.Count())
-	}
-	ops := slow.Snapshot() // newest first
-	if len(ops) != 3 || ops[2].Op != "get" || ops[2].KeyHash != KeyHash("a") || ops[2].Queue != time.Microsecond ||
-		ops[1].Op != "rot" || ops[1].KeyHash != KeyHash("b") || ops[0].KeyHash != 0 {
-		t.Fatalf("RecordRead slow-op records wrong: %+v", ops)
-	}
-	o.Get.Reset()
-	o.ROT.Reset()
 	r := NewRegistry()
 	o.Put.Record(time.Millisecond)
 	o.Register(r, "x_op_seconds", "h", Label{"family", "cclo"})

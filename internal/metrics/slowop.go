@@ -111,34 +111,16 @@ func KeyHash(key string) uint64 {
 	return h
 }
 
-// OpHists is the per-op server-side latency histogram block every protocol
-// family embeds: end-to-end handler latency for client puts, single-key
-// reads (a 1-key ROT), multi-key ROTs, and replicated-update application.
-// The zero value is ready to use; Record stays lock-free.
+// OpHists is the per-op server-side latency histogram block of every
+// partition server (family.Partition records it): end-to-end handler latency
+// for client puts, single-key reads (a 1-key ROT), multi-key ROTs, and
+// replicated-update application. The zero value is ready to use; Record
+// stays lock-free.
 type OpHists struct {
 	Put StaticHist
 	Get StaticHist
 	ROT StaticHist
 	Rep StaticHist
-}
-
-// RecordRead feeds a read that began at start to the read-side
-// observability of every family: the Get histogram for a single-key read and
-// the ROT histogram otherwise, plus a slow-op trace under the same op name
-// keyed by the first key. queue is the part of the read spent waiting before
-// it could be served (core's durability gate; zero where reads never wait).
-func (o *OpHists) RecordRead(slow *SlowRing, start time.Time, queue time.Duration, single bool, keys []string) {
-	total := time.Since(start)
-	op, h := "rot", &o.ROT
-	if single {
-		op, h = "get", &o.Get
-	}
-	h.Record(total)
-	var kh uint64
-	if len(keys) > 0 {
-		kh = KeyHash(keys[0])
-	}
-	slow.Record(SlowOp{Start: start.UnixNano(), Op: op, KeyHash: kh, Total: total, Queue: queue})
 }
 
 // Register registers the four histograms under name with an op label each,

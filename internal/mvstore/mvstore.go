@@ -58,7 +58,6 @@ var ErrTrimmed = errors.New("mvstore: the snapshot's version was trimmed")
 type Store struct {
 	eng      *store.Engine[vclock.Vec, struct{}]
 	frontier atomic.Pointer[vclock.Vec] // nil until SetFrontier
-	refusals atomic.Uint64              // snapshot reads refused with ErrTrimmed
 }
 
 // New returns an empty store with the default shard count.
@@ -114,15 +113,12 @@ func fromEngine(ev *store.Version[vclock.Vec]) Version {
 }
 
 // Refusals returns how many snapshot reads were refused with ErrTrimmed.
-func (s *Store) Refusals() uint64 { return s.refusals.Load() }
+func (s *Store) Refusals() uint64 { return s.eng.Refusals() }
 
-// Register exposes the underlying engine's occupancy gauges plus the
-// refusal counter under the given registry.
+// Register exposes the underlying engine's series (occupancy and refusals)
+// under the given registry.
 func (s *Store) Register(r *metrics.Registry, labels ...metrics.Label) {
 	s.eng.Register(r, labels...)
-	r.CounterFunc("kv_store_snapshot_refusals_total",
-		"Snapshot reads refused because the version the snapshot needed was trimmed (the reader retries at a fresher snapshot).",
-		func() float64 { return float64(s.refusals.Load()) }, labels...)
 }
 
 // Install inserts version v of key, keeping the chain ordered and trimmed.
@@ -163,8 +159,7 @@ func (s *Store) ReadAtSnapshot(key string, sv vclock.Vec) (Version, bool, error)
 			return fromEngine(&c.Versions[i]), true, nil
 		}
 	}
-	if c.Trimmed {
-		s.refusals.Add(1)
+	if s.eng.Refuse(c) {
 		return Version{}, false, ErrTrimmed
 	}
 	return Version{}, false, nil

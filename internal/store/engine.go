@@ -225,6 +225,7 @@ type Engine[X, A any] struct {
 	// reservation (alloc.go), so installs pay nothing for the accounting.
 	arenaBytes atomic.Int64
 	slabBytes  atomic.Int64
+	refusals   atomic.Uint64 // reads Refuse turned away
 }
 
 // DefaultMaxVersions caps per-key chains of an engine built with neither a
@@ -386,7 +387,26 @@ func (e *Engine[X, A]) Register(r *metrics.Registry, labels ...metrics.Label) {
 		func() float64 { return float64(e.slabBytes.Load()) }, labels...)
 	r.GaugeFunc("kv_store_versions", "Versions retained across all chains; kv_store_slab_bytes over this is the reservation per live version.",
 		func() float64 { return float64(e.Versions()) }, labels...)
+	r.CounterFunc("kv_store_snapshot_refusals_total",
+		"Snapshot reads refused because the version the snapshot needed was trimmed (the reader retries at a fresher snapshot).",
+		func() float64 { return float64(e.refusals.Load()) }, labels...)
 }
+
+// Refuse is the verdict on a read that found nothing on c it may be served.
+// On a trimmed chain that cannot be told from "what it wanted was trimmed",
+// so the read must be refused, never approximated: Refuse counts it and
+// returns true. On an untrimmed chain nothing was ever dropped, and the
+// answer (not found) is exact.
+func (e *Engine[X, A]) Refuse(c *Chain[X]) bool {
+	if !c.Trimmed {
+		return false
+	}
+	e.refusals.Add(1)
+	return true
+}
+
+// Refusals returns how many reads Refuse turned away.
+func (e *Engine[X, A]) Refusals() uint64 { return e.refusals.Load() }
 
 // find returns key's entry (h is its maphash) or nil, lock-free.
 func (e *Engine[X, A]) find(h uint64, key string) *entry[X, A] {
@@ -425,6 +445,29 @@ func (e *Engine[X, A]) Latest(key string) *Version[X] {
 		return en.latest.Load()
 	}
 	return nil
+}
+
+// Has reports whether the version of key identified by (ts, src) is
+// installed — the dependency-check predicate of the dependency-list
+// families. The identity is EXACT, not "any newer version": a same-timestamp
+// version from a DIFFERENT DC is a different version entirely (Lamport
+// timestamps collide across DCs), and a newer CONCURRENT version can pass a
+// ≥ check while being hidden from some reader, which would let a dependent
+// become readable before the one version that reader could consistently be
+// served. On a trimmed chain a version LWW-below the oldest retained one
+// counts as installed: the trim dropped it, or it arrives below the chain
+// and is dropped at once (see floor), so a dependent has nothing to wait
+// for. On an untrimmed chain "below the oldest" just means never installed.
+// Lock-free.
+func (e *Engine[X, A]) Has(key string, ts uint64, src uint8) bool {
+	c := e.View(key)
+	if c.Len() == 0 {
+		return false
+	}
+	if want := (Version[X]{TS: ts, Src: src}); c.Trimmed && want.Before(&c.Versions[0]) {
+		return true
+	}
+	return c.Find(ts, src) >= 0
 }
 
 // Ref is a lock-free handle to one key's published state: one index probe,
