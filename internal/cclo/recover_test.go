@@ -83,7 +83,7 @@ func TestRecoverAfterSnapshotKeepsDeps(t *testing.T) {
 		func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
 			if u, ok := m.(*wire.LoRepUpdate); ok {
 				got <- &wire.LoRepUpdate{Key: u.Key, Deps: slices.Clone(u.Deps)}
-				_ = n.Respond(src, reqID, &wire.LoRepAck{Seq: u.Seq})
+				_ = n.Respond(src, reqID, &wire.RepAck{})
 			}
 		}))
 	if err != nil {

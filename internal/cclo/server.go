@@ -246,16 +246,11 @@ func (s *Server) ackedFrontier() uint64 {
 	if s.cfg.NumDCs <= 1 {
 		return ^uint64(0)
 	}
-	byDC := make(map[uint8]uint64)
-	for _, c := range s.cfg.Durable.Cursors() {
-		byDC[c.DstDC] = c.HighTS
-	}
 	frontier := ^uint64(0)
-	for dc := 0; dc < s.cfg.NumDCs; dc++ {
-		if dc == s.cfg.DC {
-			continue
+	for dc, high := range family.Acked(s.cfg.Durable, s.cfg.NumDCs) {
+		if dc != s.cfg.DC {
+			frontier = min(frontier, high)
 		}
-		frontier = min(frontier, byDC[uint8(dc)])
 	}
 	return frontier
 }

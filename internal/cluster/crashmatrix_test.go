@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -425,7 +424,7 @@ func TestCrashMatrixTornCursorRecord(t *testing.T) {
 	}
 
 	// Liveness: new writes still cross, re-shipped suffixes are dropped by
-	// the receiver's dedup, and the stores agree per key.
+	// the receiver (its VV covers them), and the stores agree per key.
 	for i := 8; i < 12; i++ {
 		if _, err := w.Put(ctx, fmt.Sprintf("torn-%d", i), seqVal(uint64(i+1))); err != nil {
 			t.Fatal(err)
@@ -437,85 +436,5 @@ func TestCrashMatrixTornCursorRecord(t *testing.T) {
 		if err != nil || seqOf(got) != uint64(i+1) {
 			t.Fatalf("torn-%d after torn-cursor recovery: %q %v", i, got, err)
 		}
-	}
-}
-
-// TestSenderResumesAtReceiverCursor is the regression test for the removed
-// wall-clock sequence base: a restarted sender must resume from its durable
-// cursor — small, ordinal sequence numbers that continue where the receiver
-// expects them — rather than re-basing at wall-clock nanoseconds (~1e18).
-func TestSenderResumesAtReceiverCursor(t *testing.T) {
-	c := startCluster(t, Config{
-		Protocol:   Contrarian,
-		DCs:        2,
-		Partitions: 1,
-		Latency:    NoLatency(),
-		DataDir:    t.TempDir(),
-	})
-	ctx := testCtx(t)
-	w, err := c.NewClient(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	r, err := c.NewClient(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	if _, err := w.Put(ctx, "resume", seqVal(1)); err != nil {
-		t.Fatal(err)
-	}
-	waitRemote(t, r, ctx, "resume", seqVal(1))
-	var c1 uint64
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if cur := c.WALCursors(0, 0); len(cur) == 1 {
-			c1 = cur[0].Seq
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no cursor persisted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if c1 == 0 || c1 > 1_000_000 {
-		t.Fatalf("cursor seq %d: not a small ordinal (wall-clock bases are ~1e18)", c1)
-	}
-
-	if err := c.RestartPartition(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Put(ctx, "resume", seqVal(2)); err != nil {
-		t.Fatal(err)
-	}
-	waitRemote(t, r, ctx, "resume", seqVal(2))
-
-	var c2 uint64
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		if cur := c.WALCursors(0, 0); len(cur) == 1 && cur[0].Seq > c1 {
-			c2 = cur[0].Seq
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("cursor did not advance after restart")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The restarted stream continued from the durable cursor: its sequence
-	// numbers stay ordinal and contiguous-ish (heartbeats may add a few),
-	// and the receiver's dedup cursor advanced with it instead of jumping
-	// eighteen orders of magnitude.
-	if c2-c1 > 100_000 {
-		t.Fatalf("post-restart cursor jumped %d → %d: wall-clock re-base is back?", c1, c2)
-	}
-	nextIn := c.Servers()[1].(*core.Server).NextIn(0) // dc1-p0's dedup cursor for source DC0
-	if nextIn > 1_000_000 {
-		t.Fatalf("receiver dedup cursor %d: not ordinal", nextIn)
-	}
-	if nextIn <= c1 {
-		t.Fatalf("receiver dedup cursor %d did not advance past pre-restart cursor %d", nextIn, c1)
 	}
 }

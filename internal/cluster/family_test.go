@@ -166,9 +166,9 @@ func TestForgedReplicationSourceRefused(t *testing.T) {
 			appends := log.Stats().View().Appends
 			ctx := testCtx(t)
 			for _, src := range []uint8{0, 7} {
-				var forged wire.Message = &wire.LoRepUpdate{Seq: 1, SrcDC: src, Key: "k", Value: []byte("forged"), TS: 90}
+				var forged wire.Message = &wire.LoRepUpdate{SrcDC: src, Key: "k", Value: []byte("forged"), TS: 90}
 				if p.Stabilized() {
-					forged = &wire.RepBatch{SrcDC: src, Seq: 1, HighTS: 90,
+					forged = &wire.RepBatch{SrcDC: src, HighTS: 90,
 						Ups: []wire.Update{{Key: "k", Value: []byte("forged"), TS: 90, DV: vclock.Vec{90, 90}}}}
 				}
 				_, err := peer.Call(ctx, wire.ServerAddr(0, 0), forged)

@@ -60,6 +60,48 @@ func TestReplicationSurvivesWANLoss(t *testing.T) {
 	}
 }
 
+// TestPutsAnswerBehindSeveredWAN: a put is durable and visible in its own DC
+// before it is shipped, and causal consistency stays available under
+// partition, so no family may hold a put's answer on the WAN. With every
+// inter-DC message dropped, more puts than any replication window and
+// buffer hold must all answer; once the WAN heals, every key's last value
+// reaches the other DC.
+func TestPutsAnswerBehindSeveredWAN(t *testing.T) {
+	const puts, keys = 8400, 16
+	for _, p := range Families() {
+		t.Run(p.String(), func(t *testing.T) {
+			c := startCluster(t, Config{Protocol: p, DCs: 2, Partitions: 1, Latency: NoLatency()})
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			w, err := c.NewClient(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			r, err := c.NewClient(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+
+			c.SetInterDCLoss(1.0)
+			for i := 1; i <= puts; i++ {
+				pctx, pcancel := context.WithTimeout(ctx, 3*time.Second)
+				_, err := w.Put(pctx, fmt.Sprintf("severed-%d", i%keys), seqVal(uint64(i)))
+				pcancel()
+				if err != nil {
+					t.Fatalf("put #%d behind a severed WAN: %v", i, err)
+				}
+			}
+			c.SetInterDCLoss(0)
+			for k := range keys {
+				last := puts - (puts-k)%keys // the last i with i%keys == k
+				waitRemote(t, r, ctx, fmt.Sprintf("severed-%d", k), seqVal(uint64(last)))
+			}
+		})
+	}
+}
+
 // TestCCLOSessionGuaranteesAcrossCrashes drives CC-LO sessions through
 // repeated kill -9 + restart cycles of both partitions and holds every
 // recorded operation to the checker's session guarantees: observed writes

@@ -192,8 +192,8 @@ func TestCrashRecoveryDurable(t *testing.T) {
 // TestDurableReplicationAcrossDCs checks the durability gate does not
 // stall geo-replication: with WALs on, writes still become visible in the
 // remote DC (the replication cut waits for each update's fsync), and —
-// after a partition restart — fresh writes keep replicating (the stream's
-// sequence base stays above the receiver's dedup cursor).
+// after a partition restart — fresh writes keep replicating (their batches'
+// HighTS stays above the receiver's version vector).
 func TestDurableReplicationAcrossDCs(t *testing.T) {
 	c := startCluster(t, Config{
 		Protocol:   Contrarian,

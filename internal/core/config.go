@@ -86,7 +86,9 @@ const (
 	// repBatchMax caps updates per replication batch.
 	repBatchMax = 256
 	// repRetryTimeout bounds one replication batch attempt before the
-	// (idempotent) batch is retried; it masks WAN loss quickly.
+	// (idempotent) batch is retried; it masks WAN loss quickly. Half the
+	// dependency-list streams' timeout: a batch's receiver never waits on
+	// another partition before it acks.
 	repRetryTimeout = time.Second
 )
 

@@ -220,29 +220,50 @@ func TestStabilizerWaitsForAllPartitions(t *testing.T) {
 	}
 }
 
+// TestReplicationDuplicateBatchIgnored pins the receiver rule: a batch is
+// dropped if and only if the receiver's VV already covers its HighTS, and
+// either way it is acked. The receiver is durable and alone — DC1's replica
+// with no live DC0 stream moving its VV behind the test's back.
 func TestReplicationDuplicateBatchIgnored(t *testing.T) {
-	d := deploy(t, 2, 1, ClockHLC)
-	s := d.servers[1] // dc1
-	sender, _ := d.net.Attach(wire.ClientAddr(0, 50), transport.HandlerFunc(func(transport.Node, wire.From, uint64, wire.Message) {}))
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	// A sequence far above anything DC0's live stream (heartbeats every
-	// millisecond) reaches during the test: with Seq 1 a heartbeat that won
-	// the race made the FIRST delivery the stale one.
-	batch := &wire.RepBatch{
-		SrcDC: 0, SrcPart: 0, Seq: 1 << 40, HighTS: 10,
-		Ups: []wire.Update{{Key: "dup", Value: []byte("v"), TS: 10, DV: vclock.Vec{10, 0}}},
-	}
-	if _, err := sender.Call(ctx, s.Addr(), batch); err != nil {
+	net := transport.NewLocal(transport.LatencyModel{})
+	defer net.Close()
+	dur := newFakeDurable()
+	s, err := NewServer(Config{DC: 1, NumDCs: 2, Durable: dur}, net)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sender.Call(ctx, s.Addr(), batch); err != nil {
-		t.Fatal(err) // duplicate must still be acked
+	defer s.Close()
+	sender, _ := net.Attach(wire.ServerAddr(0, 0), transport.HandlerFunc(func(transport.Node, wire.From, uint64, wire.Message) {}))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	send := func(b *wire.RepBatch, wantAppends, wantChain int, wantVV uint64) {
+		t.Helper()
+		resp, err := sender.Call(ctx, s.Addr(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := resp.(*wire.RepAck); !ok {
+			t.Fatalf("batch at HighTS %d answered %T, want a RepAck", b.HighTS, resp)
+		}
+		if got := dur.synced.Load(); got != int64(wantAppends) {
+			t.Fatalf("after the batch at HighTS %d: %d WAL appends, want %d", b.HighTS, got, wantAppends)
+		}
+		if got := s.store.ChainLen("dup"); got != wantChain {
+			t.Fatalf("after the batch at HighTS %d: chain len %d, want %d", b.HighTS, got, wantChain)
+		}
+		if got := s.vvSnapshot()[0]; got != wantVV {
+			t.Fatalf("after the batch at HighTS %d: vv[0] = %d, want %d", b.HighTS, got, wantVV)
+		}
 	}
-	if got := s.store.ChainLen("dup"); got != 1 {
-		t.Fatalf("duplicate batch installed twice: chain len %d", got)
+
+	batch := &wire.RepBatch{
+		SrcDC: 0, HighTS: 10,
+		Ups: []wire.Update{{Key: "dup", Value: []byte("v"), TS: 10, DV: vclock.Vec{10, 0}}},
 	}
+	send(batch, 1, 1, 10)                                // above VV: logged, installed once, VV moves
+	send(batch, 1, 1, 10)                                // covered: acked, neither logged nor installed again
+	send(&wire.RepBatch{SrcDC: 0, HighTS: 20}, 1, 1, 20) // an empty batch above VV moves it
+	send(&wire.RepBatch{SrcDC: 0, HighTS: 15}, 1, 1, 20) // one at or below VV changes nothing
 }
 
 func TestTwoRoundROTReadsOwnCoordinatorPartition(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/family"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -32,8 +33,9 @@ func newTicker(d time.Duration) *time.Ticker {
 // An empty batch with a fresh cut is the replication heartbeat of Section 4
 // that keeps remote VVs moving while a partition is idle.
 type replicator struct {
-	s       *Server
 	streams []*repStream
+	ctx     context.Context // cancelled on stop so in-flight calls abort
+	cancel  context.CancelFunc
 	wg      sync.WaitGroup // the started streams' run loops
 }
 
@@ -58,47 +60,26 @@ type repStream struct {
 	s     *Server
 	dst   wire.Addr
 	dstDC int
-	// seq is the last sequence this stream used; seeded from the durable
-	// cursor so a restarted sender resumes exactly where the receiver's
-	// dedup expects it (see ROADMAP: this replaced the wall-clock base).
-	seq uint64
 
 	queue []repUpdate // guarded by s.putMu
-
-	ctx    context.Context // cancelled on stop so in-flight calls abort
-	cancel context.CancelFunc
-	stop   chan struct{}
 }
 
 // newReplicator builds one stream per remote DC. recovered holds this
 // partition's WAL-recovered local updates in timestamp order; each stream
-// is seeded with its durable cursor and re-enqueues the recovered updates
-// the cursor says that DC has not acknowledged — the tail a crash stranded
-// between local fsync and remote delivery.
+// re-enqueues the recovered updates its durable cursor says that DC has
+// not acknowledged — the tail a crash stranded between local fsync and
+// remote delivery.
 func newReplicator(s *Server, recovered []wire.Update) *replicator {
-	cursors := make(map[int]wal.Cursor)
-	if s.cfg.Durable != nil {
-		for _, c := range s.cfg.Durable.Cursors() {
-			cursors[int(c.DstDC)] = c
-		}
-	}
-	r := &replicator{s: s}
+	acked := family.Acked(s.cfg.Durable, s.cfg.NumDCs)
+	r := &replicator{}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
 	for dc := 0; dc < s.cfg.NumDCs; dc++ {
 		if dc == s.cfg.DC {
 			continue
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		st := &repStream{
-			s:      s,
-			dst:    wire.ServerAddr(dc, s.cfg.Part),
-			dstDC:  dc,
-			seq:    cursors[dc].Seq,
-			ctx:    ctx,
-			cancel: cancel,
-			stop:   make(chan struct{}),
-		}
+		st := &repStream{s: s, dst: wire.ServerAddr(dc, s.cfg.Part), dstDC: dc}
 		for _, u := range recovered {
-			if u.TS > cursors[dc].HighTS {
+			if u.TS > acked[dc] {
 				// Recovered from the WAL, so durable by definition: no gate.
 				st.queue = append(st.queue, repUpdate{Update: u})
 			}
@@ -113,7 +94,7 @@ func (r *replicator) start() {
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			st.run()
+			st.run(r.ctx)
 		}()
 	}
 }
@@ -121,10 +102,7 @@ func (r *replicator) start() {
 // stopAll aborts in-flight calls and waits for the streams that were
 // started; on a replicator that never was, it returns at once.
 func (r *replicator) stopAll() {
-	for _, st := range r.streams {
-		close(st.stop)
-		st.cancel()
-	}
+	r.cancel()
 	r.wg.Wait()
 }
 
@@ -188,70 +166,39 @@ func (st *repStream) cut() ([]wire.Update, uint64) {
 	return batch, batch[k-1].TS // k == n ≥ 1: the batch filled up
 }
 
-func (st *repStream) run() {
-	// st.seq resumes from the durable cursor (zero without a WAL), so a
-	// recovered sender continues exactly where the receiver's dedup cursor
-	// expects. Receivers no longer trust sequence alone: a batch is dropped
-	// as a duplicate only when its sequence is stale AND its HighTS is
-	// covered by the receiver's version vector, which makes sequence
-	// discontinuities across restarts (heartbeat sequences are not
-	// persisted) safe in both directions.
+// run ships a batch every flush tick, stop-and-wait: the next batch is cut
+// only once the receiver has acknowledged this one, so a receiver whose VV
+// reached a batch's HighTS holds every update at or below it.
+func (st *repStream) run(ctx context.Context) {
 	flush := newTicker(st.s.cfg.RepFlushEvery)
 	defer flush.Stop()
 	for {
 		select {
-		case <-st.stop:
+		case <-ctx.Done():
 			return
 		case <-flush.C:
 		}
 		for {
 			batch, high := st.cut()
-			st.seq++
-			acked := st.deliver(&wire.RepBatch{
-				SrcDC:   uint8(st.s.cfg.DC),
-				SrcPart: uint32(st.s.cfg.Part),
-				Seq:     st.seq,
-				HighTS:  high,
-				Ups:     batch,
-			})
+			acked := family.Deliver(ctx, st.s.Node, st.dst, &wire.RepBatch{
+				SrcDC:  uint8(st.s.cfg.DC),
+				HighTS: high,
+				Ups:    batch,
+			}, repRetryTimeout)
 			// Persist the acknowledged frontier — but only for batches that
 			// carried updates: heartbeats advance the cut every few
 			// milliseconds and journaling each would turn an idle system
 			// into constant fsync traffic. A stale cursor only means the
 			// recovered sender re-ships an acknowledged suffix, which the
-			// receiver detects and drops.
+			// receiver's VV already covers and it drops.
 			if acked && len(batch) > 0 && st.s.cfg.Durable != nil {
-				_ = st.s.cfg.Durable.AppendCursor(wal.Cursor{
-					DstDC: uint8(st.dstDC), Seq: st.seq, HighTS: high,
-				})
+				_ = st.s.cfg.Durable.AppendCursor(wal.Cursor{DstDC: uint8(st.dstDC), HighTS: high})
 			}
 			// Keep draining without waiting for the ticker while there is
 			// backlog; an idle queue returns to heartbeat pacing.
 			if !acked || len(batch) < repBatchMax {
 				break
 			}
-		}
-	}
-}
-
-// deliver retries the batch until acknowledged (true) or the stream stops.
-func (st *repStream) deliver(msg *wire.RepBatch) bool {
-	for {
-		ctx, cancel := context.WithTimeout(st.ctx, repRetryTimeout)
-		resp, err := st.s.Node.Call(ctx, st.dst, msg)
-		cancel()
-		if err == nil {
-			if _, ok := resp.(*wire.RepAck); ok {
-				return true
-			}
-		}
-		if st.ctx.Err() != nil {
-			return false
-		}
-		select {
-		case <-st.stop:
-			return false
-		case <-time.After(10 * time.Millisecond):
 		}
 	}
 }

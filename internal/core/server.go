@@ -26,10 +26,9 @@ type Server struct {
 	store *mvstore.Store
 	repl  *replicator
 
-	mu     sync.RWMutex
-	vv     vclock.Vec // vv[i], i ≠ local: latest ts received from DC i's replica
-	gss    vclock.Vec // latest Global Stable Snapshot broadcast
-	nextIn []uint64   // next expected replication sequence, per source DC
+	mu  sync.RWMutex
+	vv  vclock.Vec // vv[i], i ≠ local: latest ts received from DC i's replica
+	gss vclock.Vec // latest Global Stable Snapshot broadcast
 	// past holds the GSS after each of the last frontierLag broadcasts, a
 	// ring indexed by rounds mod frontierLag: the entry a broadcast
 	// overwrites is the GSS frontierLag rounds ago, the store's trim
@@ -147,10 +146,6 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 		vv:    vclock.New(cfg.NumDCs),
 		gss:   vclock.New(cfg.NumDCs),
 		stop:  make(chan struct{}),
-	}
-	s.nextIn = make([]uint64, cfg.NumDCs)
-	for i := range s.nextIn {
-		s.nextIn[i] = 1
 	}
 	s.Partition = family.NewPartition("core", cfg.DC, cfg.NumDCs, cfg.Slow, s.store.Register)
 	if cfg.Clock != ClockLogical {
@@ -274,17 +269,6 @@ func (s *Server) ForEachLatest(fn func(key string, value []byte, ts uint64, srcD
 	s.store.ForEachLatest(func(k string, v mvstore.Version) {
 		fn(k, v.Value, v.TS, v.SrcDC)
 	})
-}
-
-// NextIn exposes the replication dedup cursor for dc (tests: a restarted
-// sender must resume exactly at the receiver's cursor).
-func (s *Server) NextIn(dc int) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if dc < 0 || dc >= len(s.nextIn) {
-		return 0
-	}
-	return s.nextIn[dc]
 }
 
 // Start launches replication streams and the VV reporting loop.
@@ -566,16 +550,14 @@ func (s *Server) readAt(sv vclock.Vec, keys []string) ([]wire.KV, time.Duration,
 
 // handleRepBatch applies a replication batch from a sibling replica.
 //
-// Deduplication: a batch is dropped only when BOTH its sequence is stale
-// (below the per-source cursor) and its HighTS is covered by our version
-// vector. The second condition is what makes the drop provably safe: every
-// update in the batch has ts ≤ HighTS, and vv[src] = H means the origin's
-// cut invariant already delivered us every origin update with ts ≤ H — so
-// the batch's content is a subset of what we hold. Sequence alone is NOT
-// proof: a sender recovering from a crash resumes from its durable cursor,
-// which may trail what we acknowledged (the cursor fsync raced the crash),
-// so stale-sequence batches with fresh HighTS carry the re-shipped
-// recovered tail and must be applied (installs are idempotent).
+// A batch whose HighTS our version vector already covers is a duplicate — a
+// lost or delayed ack, or a restarted sender re-shipping from a stale
+// cursor — and is acked without being logged or installed. The drop is
+// provably safe: every update in the batch has ts ≤ HighTS, and vv[src] = H
+// means the origin's stop-and-wait stream and its cut invariant (see
+// repStream.cut) already delivered us every origin update with ts ≤ H,
+// since VV moves only after a batch's installs. Any other batch is applied;
+// installs are idempotent, so a re-shipped recovered tail above VV is safe.
 func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) family.Op {
 	if !s.FromPeer(src, reqID, m.SrcDC) {
 		return family.Op{}
@@ -585,18 +567,13 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) f
 	if len(m.Ups) > 0 {
 		op.Key = m.Ups[0].Key
 	}
-	s.mu.Lock()
-	if m.Seq < s.nextIn[srcDC] && m.HighTS <= s.vv[srcDC] {
-		// Provable duplicate (lost or delayed ack); already applied.
-		s.mu.Unlock()
-		_ = s.Node.Respond(src, reqID, &wire.RepAck{Seq: m.Seq})
+	s.mu.RLock()
+	covered := m.HighTS <= s.vv[srcDC]
+	s.mu.RUnlock()
+	if covered {
+		_ = s.Node.Respond(src, reqID, &wire.RepAck{})
 		return op
 	}
-	prevNextIn := s.nextIn[srcDC]
-	if m.Seq >= s.nextIn[srcDC] {
-		s.nextIn[srcDC] = m.Seq + 1
-	}
-	s.mu.Unlock()
 
 	// Replicated installs are logged as one multi-record append (one group
 	// commit) BEFORE they become visible and before the batch is
@@ -605,7 +582,8 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) f
 	// taken back by a crash, and our ack advances the sender's durable
 	// cursor, after which it will never re-send this batch, so acking
 	// inside our loss window could diverge the DCs. A WAL failure
-	// withholds the ack and the (idempotent) batch is retried.
+	// withholds the ack and the (idempotent) batch is retried; VV has not
+	// moved, so the retry is applied.
 	if s.cfg.Durable != nil && len(m.Ups) > 0 {
 		recs := make([]wal.Record, len(m.Ups))
 		for i := range m.Ups {
@@ -616,15 +594,6 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) f
 		err := wal.AppendAndSync(s.cfg.Durable, recs)
 		op.Fsync = time.Since(fs)
 		if err != nil {
-			// Withholding the ack makes the sender retry; roll the dedup
-			// cursor back (unless a later batch already advanced it) so the
-			// retry is not mistaken for an applied duplicate and the
-			// records get another chance at durability.
-			s.mu.Lock()
-			if s.nextIn[srcDC] == m.Seq+1 {
-				s.nextIn[srcDC] = prevNextIn
-			}
-			s.mu.Unlock()
 			transport.RespondError(s.Node, src, reqID, 500, "core: wal: "+err.Error())
 			return op
 		}
@@ -636,11 +605,9 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) f
 		})
 	}
 	s.mu.Lock()
-	if m.HighTS > s.vv[srcDC] {
-		s.vv[srcDC] = m.HighTS
-	}
+	s.vv[srcDC] = max(s.vv[srcDC], m.HighTS)
 	s.mu.Unlock()
-	_ = s.Node.Respond(src, reqID, &wire.RepAck{Seq: m.Seq})
+	_ = s.Node.Respond(src, reqID, &wire.RepAck{})
 	return op
 }
 

@@ -96,7 +96,7 @@ func (n recNode) Respond(to wire.From, reqID uint64, m wire.Message) error {
 	switch m.(type) {
 	case *wire.LoPutResp:
 		n.l.add("respond")
-	case *wire.LoRepAck:
+	case *wire.RepAck:
 		n.l.add("ack")
 	}
 	return n.Node.Respond(to, reqID, m)
@@ -169,9 +169,9 @@ func TestCopsPlusOneStep(t *testing.T) {
 			}
 			origin, err := local.Attach(wire.ServerAddr(1, 0), transport.HandlerFunc(
 				func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
-					if u, ok := m.(*wire.LoRepUpdate); ok {
+					if _, ok := m.(*wire.LoRepUpdate); ok {
 						l.add("ship")
-						_ = n.Respond(src, reqID, &wire.LoRepAck{Seq: u.Seq})
+						_ = n.Respond(src, reqID, &wire.RepAck{})
 						l.shipped <- struct{}{}
 					}
 				}))
@@ -214,7 +214,7 @@ func TestCopsPlusOneStep(t *testing.T) {
 			put := l.take(t)
 
 			if _, err := origin.Call(ctx, wire.ServerAddr(0, 0), &wire.LoRepUpdate{
-				Seq: 1, SrcDC: 1, Key: own, Value: []byte("v2"), TS: 90, Deps: deps}); err != nil {
+				SrcDC: 1, Key: own, Value: []byte("v2"), TS: 90, Deps: deps}); err != nil {
 				t.Fatal(err)
 			}
 			logs[fam.name] = [2][]string{put, l.take(t)}

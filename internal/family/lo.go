@@ -116,12 +116,11 @@ func (s *LoServer) Replay() (map[wire.LoDep][]wire.ReaderEntry, error) {
 		maxTS = max(maxTS, rec.TS)
 		if int(rec.SrcDC) == s.dc {
 			s.recovered = append(s.recovered, &wire.LoRepUpdate{
-				SrcDC:   rec.SrcDC,
-				SrcPart: uint32(s.part),
-				Key:     rec.Key,
-				Value:   rec.Value,
-				TS:      rec.TS,
-				Deps:    rec.Deps,
+				SrcDC: rec.SrcDC,
+				Key:   rec.Key,
+				Value: rec.Value,
+				TS:    rec.TS,
+				Deps:  rec.Deps,
 			})
 		}
 		return nil
@@ -222,7 +221,6 @@ func (s *LoServer) CommitLocal(src wire.From, reqID uint64, m *wire.LoPutReq, fl
 	if ok {
 		s.repl.Enqueue(&wire.LoRepUpdate{
 			SrcDC:      uint8(s.dc),
-			SrcPart:    uint32(s.part),
 			Key:        m.Key,
 			Value:      m.Value,
 			TS:         ts,
@@ -264,7 +262,7 @@ func (s *LoServer) CommitRemote(src wire.From, reqID uint64, m *wire.LoRepUpdate
 	s.Clock.Update(max(m.TS, floor))
 	var ok bool
 	if op.Fsync, ok = s.commit(src, reqID, logged, readers); ok {
-		_ = s.Node.Respond(src, reqID, &wire.LoRepAck{Seq: m.Seq})
+		_ = s.Node.Respond(src, reqID, &wire.RepAck{})
 	}
 	return op
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 // loRig is partition (0, 0) of a 2-DC × 2-partition deployment built on the
 // fakes: a durable LoServer whose node, log and store all record on ev. Its
 // replication stream is never started, so an enqueued update stays in the
-// stream's channel, where ev's probe and the tests can see it.
+// stream's queue, where ev's probe and the tests can see it.
 type loRig struct {
 	ev   *events
 	node *fakeNode
@@ -75,12 +76,19 @@ func (r *loRig) attach(t *testing.T) {
 	}
 	seen := false
 	r.ev.before = func() string {
-		if !seen && len(r.srv.repl.streams[0].ch) > 0 {
+		if !seen && len(r.srv.repl.streams[0].queued()) > 0 {
 			seen = true
 			return "enqueue"
 		}
 		return ""
 	}
+}
+
+// queued returns what the stream holds that it has not launched yet.
+func (st *windowStream) queued() []*wire.LoRepUpdate {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return slices.Clone(st.queue)
 }
 
 // waiter blocks a dependency check on the first version of key and records
@@ -143,8 +151,8 @@ func TestCommitLocalOrder(t *testing.T) {
 			if resp := (<-r.node.responds).(*wire.LoPutResp); resp.TS != tc.wantTS {
 				t.Fatalf("acknowledged timestamp %d, want %d", resp.TS, tc.wantTS)
 			}
-			want := &wire.LoRepUpdate{SrcDC: 0, SrcPart: 0, Key: r.own, Value: []byte("v"), TS: tc.wantTS, Deps: deps, OldReaders: tc.readers}
-			if u := <-r.srv.repl.streams[0].ch; !reflect.DeepEqual(u, want) {
+			want := []*wire.LoRepUpdate{{SrcDC: 0, Key: r.own, Value: []byte("v"), TS: tc.wantTS, Deps: deps, OldReaders: tc.readers}}
+			if u := r.srv.repl.streams[0].queued(); !reflect.DeepEqual(u, want) {
 				t.Fatalf("enqueued %+v, want %+v", u, want)
 			}
 			if op.Kind != OpPut || op.Key != r.own || op.Commit.IsZero() {
@@ -162,7 +170,7 @@ func TestCommitRemoteOrder(t *testing.T) {
 	r := newLoRig(t)
 	r.attach(t)
 	woke := r.waiter(r.own)
-	m := &wire.LoRepUpdate{Seq: 9, SrcDC: 1, Key: r.own, Value: []byte("v"), TS: 40,
+	m := &wire.LoRepUpdate{SrcDC: 1, Key: r.own, Value: []byte("v"), TS: 40,
 		Deps: []wire.LoDep{{Key: r.other, TS: 7, Src: 1}}}
 	if !r.srv.WaitDeps(wire.From{}, 1, m) {
 		t.Fatal("WaitDeps failed with every dependency check answered")
@@ -170,10 +178,8 @@ func TestCommitRemoteOrder(t *testing.T) {
 	op := r.srv.CommitRemote(wire.From{}, 1, m, wal.Record{Key: m.Key, Value: m.Value, TS: m.TS, SrcDC: m.SrcDC}, 60, twoReaders[:1])
 
 	installed := fmt.Sprintf("install %s@40 readers=1", r.own)
-	r.expect(t, woke, installed, "call DepCheckReq", "append readers,install", installed, "respond LoRepAck")
-	if ack := (<-r.node.responds).(*wire.LoRepAck); ack.Seq != 9 {
-		t.Fatalf("acked sequence %d, want 9", ack.Seq)
-	}
+	r.expect(t, woke, installed, "call DepCheckReq", "append readers,install", installed, "respond RepAck")
+	<-r.node.responds
 	if now := r.srv.Clock.Now(); now != 61 {
 		t.Fatalf("clock at %d after an update at 40 with floor 60, want 61", now)
 	}
@@ -188,7 +194,7 @@ func TestFailedDepCheckWithholds(t *testing.T) {
 	r := newLoRig(t)
 	r.attach(t)
 	r.node.onCall = func(context.Context, call) (wire.Message, error) { return nil, errors.New("partition down") }
-	m := &wire.LoRepUpdate{Seq: 1, SrcDC: 1, Key: r.own, TS: 40, Deps: []wire.LoDep{{Key: r.other, TS: 7, Src: 1}}}
+	m := &wire.LoRepUpdate{SrcDC: 1, Key: r.own, TS: 40, Deps: []wire.LoDep{{Key: r.other, TS: 7, Src: 1}}}
 	if r.srv.WaitDeps(wire.From{}, 1, m) {
 		t.Fatal("WaitDeps succeeded with the dependency's partition down")
 	}
@@ -208,7 +214,7 @@ func TestFailedAppendWithholds(t *testing.T) {
 	r.dur.appendErr = errors.New("disk full")
 
 	r.srv.CommitLocal(wire.From{}, 1, &wire.LoPutReq{Key: r.own, Value: []byte("v")}, 0, twoReaders)
-	m := &wire.LoRepUpdate{Seq: 3, SrcDC: 1, Key: r.own, TS: 40}
+	m := &wire.LoRepUpdate{SrcDC: 1, Key: r.own, TS: 40}
 	r.srv.CommitRemote(wire.From{}, 2, m, wal.Record{Key: m.Key, TS: m.TS, SrcDC: m.SrcDC}, 0, nil)
 
 	want := []string{"append readers,install", "respond ErrorResp 500", "append install", "respond ErrorResp 500"}
@@ -270,8 +276,8 @@ func TestReplay(t *testing.T) {
 		t.Fatalf("reader records %+v, want %+v", readers, wantReaders)
 	}
 	wantLocal := []*wire.LoRepUpdate{
-		{SrcDC: 0, SrcPart: 0, Key: "c", Value: []byte("c4"), TS: 4},
-		{SrcDC: 0, SrcPart: 0, Key: "a", Value: []byte("a9"), TS: 9, Deps: deps, OldReaders: twoReaders},
+		{SrcDC: 0, Key: "c", Value: []byte("c4"), TS: 4},
+		{SrcDC: 0, Key: "a", Value: []byte("a9"), TS: 9, Deps: deps, OldReaders: twoReaders},
 	}
 	if !reflect.DeepEqual(r.srv.recovered, wantLocal) {
 		t.Fatalf("recovered local updates %+v, want %+v", r.srv.recovered, wantLocal)
@@ -283,8 +289,8 @@ func TestReplay(t *testing.T) {
 	if r.dur.source == nil {
 		t.Fatal("Attach registered no snapshot source")
 	}
-	if got := len(r.srv.repl.streams[0].backlog); got != 2 {
-		t.Fatalf("stream backlog holds %d recovered updates, want 2", got)
+	if got := len(r.srv.repl.streams[0].queued()); got != 2 {
+		t.Fatalf("stream queue holds %d recovered updates, want 2", got)
 	}
 
 	// In memory there is nothing to replay.

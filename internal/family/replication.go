@@ -9,7 +9,8 @@
 // windowed replication stream and the dependency waiter; the timestamp
 // family (core) keeps its own install-inside-the-fence write path, its
 // durability gate and its batch-cut replication stream, which are
-// different disciplines.
+// different disciplines; both streams share one delivery loop (Deliver)
+// and one lookup of what each DC has acknowledged (Acked).
 //
 // Everything here is a concrete type a family calls directly. A family
 // supplies its dispatch (a type switch that reports what each message did
@@ -34,15 +35,56 @@ const (
 	// DC; receivers order installs by dependency checks, not sequencing.
 	repWindow = 64
 	// repRetryTimeout bounds one replication attempt before the
-	// (idempotent) update is retried; it masks WAN loss quickly.
+	// (idempotent) update is retried; it masks WAN loss quickly, and covers a
+	// receiver that waits out a dependency check before it acks.
 	repRetryTimeout = 2 * time.Second
 )
+
+// Deliver is the delivery loop of both replication streams: it calls dst
+// with m, each attempt bounded by timeout, until one is answered without an
+// error — the acknowledgment — and returns true; it returns false once ctx
+// is done. An error answer (an ErrorResp, a Busy: the transport returns
+// both as the Call's error) is retried like a lost one, since replicated
+// data is idempotent at its receiver.
+func Deliver(ctx context.Context, node transport.Node, dst wire.Addr, m wire.Message, timeout time.Duration) bool {
+	for {
+		attempt, cancel := context.WithTimeout(ctx, timeout)
+		_, err := node.Call(attempt, dst, m)
+		cancel()
+		if err == nil {
+			return true
+		}
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// Acked returns, indexed by DC, the HighTS up to which each remote DC has
+// durably acknowledged this partition's local updates: its replication
+// cursor's, zero for a DC with no cursor, and all zero without a WAL.
+func Acked(durable wal.Durability, numDCs int) []uint64 {
+	acked := make([]uint64, numDCs)
+	if durable == nil {
+		return acked
+	}
+	for _, c := range durable.Cursors() {
+		if int(c.DstDC) < numDCs {
+			acked[c.DstDC] = c.HighTS
+		}
+	}
+	return acked
+}
 
 // WindowReplicator ships a partition's local PUTs — with their dependency
 // lists and whatever else the family put in the update — to its sibling
 // replicas in the other DCs. Ordering is enforced by the receiver's
 // dependency checks, not by stream sequencing, so each stream keeps a
-// window of updates in flight.
+// window of updates in flight. Its queue is unbounded: a put is durable and
+// visible locally before it is enqueued, and causal consistency stays
+// available under partition, so a severed WAN must never hold up a put.
 //
 // Durability: each stream tracks its acknowledged frontier — the highest
 // timestamp below which every update has been acked — with a
@@ -50,8 +92,6 @@ const (
 // persists it as a replication cursor. A recovering partition re-enqueues
 // its recovered local updates above each stream's cursor, so a crash
 // between the local fsync and remote delivery does not strand the tail.
-// Window streams have no receiver-side sequence cursor, so the persisted
-// Seq simply mirrors HighTS (both frontiers coincide).
 type WindowReplicator struct {
 	node    transport.Node
 	durable wal.Durability // nil: in-memory streams keep no cursors
@@ -66,27 +106,21 @@ type windowStream struct {
 	r       *WindowReplicator
 	dst     wire.Addr
 	dstDC   int
-	seq     uint64
-	backlog []*wire.LoRepUpdate // recovered-but-unacked tail, sent before ch
 	tracker wal.CursorTracker
-	// ch buffers local PUTs between their install and their launch; 8192
-	// absorbs a burst while the window is full without blocking handlePut.
-	ch  chan *wire.LoRepUpdate
-	sem chan struct{} // window of in-flight updates
+	sem     chan struct{} // window of in-flight updates
+
+	mu    sync.Mutex
+	queue []*wire.LoRepUpdate // enqueued, not yet launched
+	wake  chan struct{}       // holds a token once the queue has grown
 }
 
 // NewWindowReplicator builds one stream per remote DC of partition part,
-// seeding each with the WAL-recovered local updates (timestamp order) its
-// durable cursor says that DC has not acknowledged. Recovered updates
+// seeding each queue with the WAL-recovered local updates (timestamp order)
+// its durable cursor says that DC has not acknowledged. Recovered updates
 // re-ship exactly what their pre-crash enqueue carried; the receiver still
 // runs its own checks before installing.
 func NewWindowReplicator(node transport.Node, dc, part, numDCs int, durable wal.Durability, recovered []*wire.LoRepUpdate) *WindowReplicator {
-	cursors := make(map[int]wal.Cursor)
-	if durable != nil {
-		for _, c := range durable.Cursors() {
-			cursors[int(c.DstDC)] = c
-		}
-	}
+	acked := Acked(durable, numDCs)
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &WindowReplicator{node: node, durable: durable, ctx: ctx, cancel: cancel}
 	for dst := 0; dst < numDCs; dst++ {
@@ -97,16 +131,15 @@ func NewWindowReplicator(node transport.Node, dc, part, numDCs int, durable wal.
 			r:     r,
 			dst:   wire.ServerAddr(dst, part),
 			dstDC: dst,
-			ch:    make(chan *wire.LoRepUpdate, 8192),
 			sem:   make(chan struct{}, repWindow),
+			wake:  make(chan struct{}, 1),
 		}
 		for _, u := range recovered {
-			if u.TS > cursors[dst].HighTS {
-				cp := *u
+			if u.TS > acked[dst] {
 				if durable != nil {
-					st.tracker.Enqueue(cp.TS)
+					st.tracker.Enqueue(u.TS)
 				}
-				st.backlog = append(st.backlog, &cp)
+				st.queue = append(st.queue, u)
 			}
 		}
 		r.streams = append(r.streams, st)
@@ -135,7 +168,7 @@ func (r *WindowReplicator) Stop() {
 // update the tracker has not seen could be skipped by the recovery
 // re-enqueue if a crash lands between its fsync and its enqueue. A tracked
 // update whose put then fails merely pins the frontier (stale cursors are
-// safe — recovery re-ships more, receivers dedup).
+// safe — recovery re-ships more, receivers install idempotently).
 func (r *WindowReplicator) Track(ts uint64) {
 	if r.durable == nil {
 		return
@@ -145,45 +178,45 @@ func (r *WindowReplicator) Track(ts uint64) {
 	}
 }
 
-// Enqueue hands one local update to every stream.
+// Enqueue hands one local update to every stream; it never blocks. The
+// streams share u and only read it.
 func (r *WindowReplicator) Enqueue(u *wire.LoRepUpdate) {
 	for _, st := range r.streams {
-		// Per-stream copy: run() stamps Seq, and sharing one update across
-		// streams would race their stamps.
-		cp := *u
+		st.mu.Lock()
+		st.queue = append(st.queue, u)
+		st.mu.Unlock()
 		select {
-		case st.ch <- &cp:
-		case <-r.ctx.Done():
+		case st.wake <- struct{}{}:
+		default:
 		}
 	}
 }
 
+// run launches the queued updates in order, then waits for more.
 func (st *windowStream) run() {
 	defer st.r.wg.Done()
-	for _, u := range st.backlog {
-		if !st.launch(u) {
-			return
-		}
-	}
-	st.backlog = nil
 	for {
-		select {
-		case <-st.r.ctx.Done():
-			return
-		case u := <-st.ch:
+		st.mu.Lock()
+		queued := st.queue
+		st.queue = nil
+		st.mu.Unlock()
+		for _, u := range queued {
 			if !st.launch(u) {
 				return
 			}
 		}
+		select {
+		case <-st.r.ctx.Done():
+			return
+		case <-st.wake:
+		}
 	}
 }
 
-// launch stamps the update's sequence, claims a window slot, and delivers
-// in the background. Launch order preserves the property that an update's
-// same-partition dependencies are sent no later than the update itself.
+// launch claims a window slot and delivers in the background. Launch order
+// preserves the property that an update's same-partition dependencies are
+// sent no later than the update itself.
 func (st *windowStream) launch(u *wire.LoRepUpdate) bool {
-	st.seq++
-	u.Seq = st.seq
 	select {
 	case st.sem <- struct{}{}:
 	case <-st.r.ctx.Done():
@@ -193,7 +226,7 @@ func (st *windowStream) launch(u *wire.LoRepUpdate) bool {
 	go func() {
 		defer st.r.wg.Done()
 		defer func() { <-st.sem }()
-		if st.deliver(u) {
+		if Deliver(st.r.ctx, st.r.node, st.dst, u, repRetryTimeout) {
 			st.ackCursor(u.TS)
 		}
 	}()
@@ -209,28 +242,6 @@ func (st *windowStream) ackCursor(ts uint64) {
 		return
 	}
 	if high, advanced := st.tracker.Ack(ts); advanced {
-		_ = st.r.durable.AppendCursor(wal.Cursor{
-			DstDC: uint8(st.dstDC), Seq: high, HighTS: high,
-		})
-	}
-}
-
-// deliver retries the update until acknowledged (true) or the replicator
-// stops.
-func (st *windowStream) deliver(u *wire.LoRepUpdate) bool {
-	for {
-		ctx, cancel := context.WithTimeout(st.r.ctx, repRetryTimeout)
-		resp, err := st.r.node.Call(ctx, st.dst, u)
-		cancel()
-		if err == nil {
-			if _, ok := resp.(*wire.LoRepAck); ok {
-				return true
-			}
-		}
-		select {
-		case <-st.r.ctx.Done():
-			return false
-		case <-time.After(10 * time.Millisecond):
-		}
+		_ = st.r.durable.AppendCursor(wal.Cursor{DstDC: uint8(st.dstDC), HighTS: high})
 	}
 }

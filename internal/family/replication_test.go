@@ -5,9 +5,11 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -34,10 +36,9 @@ func (g *gatedAcks) gate(ts uint64) chan struct{} {
 func (g *gatedAcks) release(ts uint64) { close(g.gate(ts)) }
 
 func (g *gatedAcks) onCall(ctx context.Context, c call) (wire.Message, error) {
-	u := c.m.(*wire.LoRepUpdate)
 	select {
-	case <-g.gate(u.TS):
-		return &wire.LoRepAck{Seq: u.Seq}, nil
+	case <-g.gate(c.m.(*wire.LoRepUpdate).TS):
+		return &wire.RepAck{}, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -86,7 +87,7 @@ func TestCursorPersistedOnlyWhenFrontierMoves(t *testing.T) {
 	acks.release(1)
 	select {
 	case c := <-dur.cursorCh:
-		if want := (wal.Cursor{DstDC: 1, Seq: 2, HighTS: 2}); c != want {
+		if want := (wal.Cursor{DstDC: 1, HighTS: 2}); c != want {
 			t.Fatalf("cursor after the gap closed = %+v, want %+v", c, want)
 		}
 	case <-time.After(5 * time.Second):
@@ -95,8 +96,8 @@ func TestCursorPersistedOnlyWhenFrontierMoves(t *testing.T) {
 }
 
 // TestLostAckResendsSameUpdate: an attempt that fails (a lost ack looks the
-// same to the sender) is retried with the same update and the same Seq
-// until one is acknowledged; only then does the cursor move.
+// same to the sender) is retried with the same update until one is
+// acknowledged; only then does the cursor move.
 func TestLostAckResendsSameUpdate(t *testing.T) {
 	var mu sync.Mutex
 	attempts := 0
@@ -107,7 +108,7 @@ func TestLostAckResendsSameUpdate(t *testing.T) {
 		if attempts < 3 {
 			return nil, errors.New("ack lost")
 		}
-		return &wire.LoRepAck{Seq: c.m.(*wire.LoRepUpdate).Seq}, nil
+		return &wire.RepAck{}, nil
 	})
 	dur := newFakeDurable()
 	r := NewWindowReplicator(node, 0, 0, 2, dur, nil)
@@ -122,8 +123,8 @@ func TestLostAckResendsSameUpdate(t *testing.T) {
 		if c.m != first.m || c.dst != first.dst {
 			t.Fatalf("attempt %d sent a different update or destination", i)
 		}
-		if u := c.m.(*wire.LoRepUpdate); u.Seq != 1 || u.TS != 7 {
-			t.Fatalf("attempt %d carries Seq %d TS %d, want Seq 1 TS 7", i, u.Seq, u.TS)
+		if u := c.m.(*wire.LoRepUpdate); u.TS != 7 {
+			t.Fatalf("attempt %d carries TS %d, want 7", i, u.TS)
 		}
 	}
 	select {
@@ -142,23 +143,33 @@ func TestLostAckResendsSameUpdate(t *testing.T) {
 }
 
 // TestRecoveredTailResentAboveEachCursor: a recovering partition re-ships
-// to each DC exactly the recovered updates above that DC's cursor — once,
-// in timestamp order — and nothing at or below it.
+// to each DC exactly the recovered updates above that DC's cursor, once,
+// and nothing at or below it.
 func TestRecoveredTailResentAboveEachCursor(t *testing.T) {
 	node := newFakeNode(ackAll)
-	dur := newFakeDurable(wal.Cursor{DstDC: 1, Seq: 20, HighTS: 20}) // DC2 has acked nothing
+	dur := newFakeDurable(wal.Cursor{DstDC: 1, HighTS: 20}) // DC2 has acked nothing
 	recovered := []*wire.LoRepUpdate{update(10), update(20), update(30)}
 	r := NewWindowReplicator(node, 0, 3, 3, dur, recovered)
+	// Each stream launches its queue in timestamp order, which is what sends
+	// an update's same-partition dependencies no later than the update.
+	for i, want := range [][]uint64{{30}, {10, 20, 30}} {
+		var got []uint64
+		for _, u := range r.streams[i].queued() {
+			got = append(got, u.TS)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("stream to DC%d queued %v before Start, want %v", r.streams[i].dstDC, got, want)
+		}
+	}
 	r.Start()
 
-	sent := map[wire.Addr]map[uint64]uint64{} // destination → Seq → TS
+	sent := map[wire.Addr][]uint64{} // destination → TS (deliveries run concurrently, so sorted)
 	for range 4 {
 		c := node.nextCall(t)
-		u := c.m.(*wire.LoRepUpdate)
-		if sent[c.dst] == nil {
-			sent[c.dst] = map[uint64]uint64{}
-		}
-		sent[c.dst][u.Seq] = u.TS
+		sent[c.dst] = append(sent[c.dst], c.m.(*wire.LoRepUpdate).TS)
+	}
+	for _, ts := range sent {
+		slices.Sort(ts)
 	}
 	r.Stop()
 	select {
@@ -166,10 +177,10 @@ func TestRecoveredTailResentAboveEachCursor(t *testing.T) {
 		t.Fatalf("a recovered update was shipped twice: %+v to %v", c.m, c.dst)
 	default:
 	}
-	if got, want := sent[wire.ServerAddr(1, 3)], map[uint64]uint64{1: 30}; !mapsEqual(got, want) {
+	if got, want := sent[wire.ServerAddr(1, 3)], []uint64{30}; !slices.Equal(got, want) {
 		t.Fatalf("DC1 (cursor 20) was re-sent %v, want %v", got, want)
 	}
-	if got, want := sent[wire.ServerAddr(2, 3)], map[uint64]uint64{1: 10, 2: 20, 3: 30}; !mapsEqual(got, want) {
+	if got, want := sent[wire.ServerAddr(2, 3)], []uint64{10, 20, 30}; !slices.Equal(got, want) {
 		t.Fatalf("DC2 (no cursor) was re-sent %v, want %v", got, want)
 	}
 	// Every re-shipped update was tracked, so the acks move both frontiers
@@ -181,18 +192,6 @@ func TestRecoveredTailResentAboveEachCursor(t *testing.T) {
 	if high[1] != 30 || high[2] != 30 {
 		t.Fatalf("frontiers after the re-ship = %v, want 30 for both DCs", high)
 	}
-}
-
-func mapsEqual(a, b map[uint64]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // TestTrackedNeverAckedPinsFrontier: a timestamp that was tracked but whose
@@ -244,11 +243,48 @@ func TestStopAbortsCallInFlight(t *testing.T) {
 		t.Fatalf("aborted delivery persisted a cursor: %+v", got)
 	}
 	// Enqueue after Stop must not block on a stream nobody drains.
-	within(t, time.Second, "Enqueue after Stop", func() {
-		for range cap(r.streams[0].ch) + 1 {
-			r.Enqueue(update(2))
-		}
-	})
+	within(t, time.Second, "Enqueue after Stop", func() { r.Enqueue(update(2)) })
+}
+
+// TestDeliverRetriesErrorAnswers: over a real carrier, an attempt the
+// receiver answers with an error (a WAL failure's 500, an admission shed)
+// is retried, never taken as the ack; the first plain answer is. An
+// endless run of errors ends only with ctx, and Deliver says it failed.
+func TestDeliverRetriesErrorAnswers(t *testing.T) {
+	net := transport.NewLocal(transport.LatencyModel{})
+	defer net.Close()
+	var attempts, ackFrom atomic.Int32
+	ackFrom.Store(3)
+	if _, err := net.Attach(wire.ServerAddr(1, 0), transport.HandlerFunc(
+		func(n transport.Node, src wire.From, reqID uint64, _ wire.Message) {
+			switch a := attempts.Add(1); {
+			case a >= ackFrom.Load():
+				_ = n.Respond(src, reqID, &wire.RepAck{})
+			case a%2 == 1:
+				transport.RespondError(n, src, reqID, 500, "wal: disk full")
+			default:
+				_ = n.Respond(src, reqID, &wire.Busy{})
+			}
+		})); err != nil {
+		t.Fatal(err)
+	}
+	sender, err := net.Attach(wire.ServerAddr(0, 0), transport.HandlerFunc(func(transport.Node, wire.From, uint64, wire.Message) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Deliver(context.Background(), sender, wire.ServerAddr(1, 0), update(1), time.Second) {
+		t.Fatal("Deliver gave up under a live context")
+	}
+	if got := attempts.Load(); got != 3 {
+		t.Fatalf("acked after %d attempts, want 3 (an ErrorResp and a Busy retried, then the ack)", got)
+	}
+
+	ackFrom.Store(1 << 30)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if Deliver(ctx, sender, wire.ServerAddr(1, 0), update(2), time.Second) {
+		t.Fatal("Deliver reported an ack the receiver never sent")
+	}
 }
 
 // TestStopWithoutStart: stopping a replicator that was never started
@@ -258,23 +294,38 @@ func TestStopWithoutStart(t *testing.T) {
 	within(t, time.Second, "Stop on an unstarted replicator", r.Stop)
 }
 
-// TestEnqueueCopiesPerStream: every stream stamps its own Seq, so each gets
-// its own copy of the update and the caller's is left alone.
-func TestEnqueueCopiesPerStream(t *testing.T) {
-	node := newFakeNode(ackAll)
+// TestEnqueueNeverBlocks: a put hands its update to the streams after it is
+// durable and visible, so Enqueue must return at once however far behind a
+// stream is — here every Call hangs until the WAN heals, far more updates are
+// enqueued than the window and any buffer hold, and each one still reaches
+// both siblings once the WAN answers.
+func TestEnqueueNeverBlocks(t *testing.T) {
+	healed := make(chan struct{})
+	node := newFakeNode(func(ctx context.Context, c call) (wire.Message, error) {
+		select {
+		case <-healed:
+			return &wire.RepAck{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	const n = 10000
+	node.calls = make(chan call, 4*n) // every Call, with room for a retry of each, so none blocks
 	r := NewWindowReplicator(node, 1, 0, 3, nil, nil)
 	r.Start()
 	defer r.Stop()
-	u := update(4)
-	r.Enqueue(u)
-	a, b := node.nextCall(t), node.nextCall(t)
-	if a.m == b.m || a.m == wire.Message(u) {
-		t.Fatal("streams share one update: their Seq stamps would race")
+	within(t, 5*time.Second, "Enqueue behind a severed WAN", func() {
+		for ts := uint64(1); ts <= n; ts++ {
+			r.Enqueue(update(ts))
+		}
+	})
+	close(healed)
+	last := map[wire.Addr]uint64{}
+	for range 2 * n {
+		c := node.nextCall(t)
+		last[c.dst] = max(last[c.dst], c.m.(*wire.LoRepUpdate).TS)
 	}
-	if dsts := []wire.Addr{a.dst, b.dst}; !slices.Contains(dsts, wire.ServerAddr(0, 0)) || !slices.Contains(dsts, wire.ServerAddr(2, 0)) {
-		t.Fatalf("DC1's partition 0 replicated to %v, want its siblings in DC0 and DC2", dsts)
-	}
-	if u.Seq != 0 {
-		t.Fatal("Enqueue stamped the caller's update")
+	if len(last) != 2 || last[wire.ServerAddr(0, 0)] != n || last[wire.ServerAddr(2, 0)] != n {
+		t.Fatalf("DC1's partition 0 shipped up to %v, want %d to its siblings in DC0 and DC2", last, n)
 	}
 }

@@ -25,24 +25,43 @@ import (
 // timestamps.
 const LogicalBits = 16
 
-// epoch anchors physical readings so that timestamps are small and
-// comparable across every clock in the process (all our simulated nodes
-// live in one process; across real deployments NTP plays this role).
-var epoch = time.Now()
+// Physical readings count from a fixed instant, so readings compare across
+// processes (NTP keeps the hosts close) and a restarted process reads on
+// from where its previous incarnation stopped. The restart case is a
+// correctness condition: a replication receiver drops a batch its version
+// vector already covers, so a clock that restarted at zero would stamp new
+// writes at or below the heartbeats its predecessor shipped, and they would
+// never replicate. The wall clock is read once, at process start (base);
+// from then on readings advance by the monotonic clock, so a wall-clock
+// step inside a running process never moves them backwards.
+var (
+	started = time.Now()
+	base    = started.Sub(time.Date(2025, time.January, 1, 0, 0, 0, 0, time.UTC))
+)
+
+// maxMicros is the first reading Pack cannot hold: the 48-bit microsecond
+// field counted from 2025-01-01 runs out in late 2033.
+const maxMicros = 1 << (64 - LogicalBits)
 
 // Source yields the current physical time in microseconds. Distinct nodes
 // get distinct Sources so clock skew can be injected.
 type Source func() uint64
 
-// WallSource returns a Source reading the host monotonic clock offset by
-// skew. Negative skews model nodes running behind.
+// WallSource returns a Source reading the process's anchored monotonic
+// clock offset by skew. Negative skews model nodes running behind. It
+// panics once a reading no longer fits Pack's 48-bit field, rather than
+// wrapping to timestamps that would order below every earlier one.
 func WallSource(skew time.Duration) Source {
 	return func() uint64 {
-		d := time.Since(epoch) + skew
+		d := base + time.Since(started) + skew
 		if d < 0 {
 			return 0
 		}
-		return uint64(d / time.Microsecond)
+		us := uint64(d / time.Microsecond)
+		if us >= maxMicros {
+			panic("hlc: physical reading overflows the 48-bit microsecond field")
+		}
+		return us
 	}
 }
 

@@ -1,11 +1,42 @@
 package hlc
 
 import (
+	"os"
+	"os/exec"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// TestWallSourceContinuesAcrossProcesses: a restarted server is a new
+// process, and its physical clock must read on from where the old one
+// stopped, not restart at zero below every timestamp the old process
+// shipped. The test re-runs itself as a child process and compares the
+// child's reading with one taken here first.
+func TestWallSourceContinuesAcrossProcesses(t *testing.T) {
+	if os.Getenv("HLC_PRINT_WALL") != "" {
+		os.Stdout.WriteString(strconv.FormatUint(WallSource(0)(), 10) + "\n")
+		return
+	}
+	time.Sleep(10 * time.Millisecond) // this process has run for a while
+	before := WallSource(0)()
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestWallSourceContinuesAcrossProcesses$")
+	cmd.Env = append(os.Environ(), "HLC_PRINT_WALL=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	child, err := strconv.ParseUint(strings.Fields(string(out))[0], 10, 64)
+	if err != nil {
+		t.Fatalf("child printed %q: %v", out, err)
+	}
+	if child < before {
+		t.Fatalf("a later process reads %d µs, behind this one's earlier %d µs", child, before)
+	}
+}
 
 func TestPackMicros(t *testing.T) {
 	ts := Pack(123, 7)
@@ -142,12 +173,23 @@ func TestPhysicalCannotJump(t *testing.T) {
 	}
 }
 
+// TestWallSourcePanicsPastPackRange: a reading Pack cannot hold fails loudly
+// instead of wrapping to a timestamp below every earlier one.
+func TestWallSourcePanicsPastPackRange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a reading past the 48-bit field did not panic")
+		}
+	}()
+	WallSource(maxMicros * time.Microsecond)()
+}
+
 func TestPhysicalUpdateBlocks(t *testing.T) {
 	// A physical clock asked to pass a timestamp ahead of its reading must
 	// wait for (real or injected) time. Use a wall source with a negative
 	// skew and confirm Update takes roughly the skew to catch up.
 	p := NewPhysical(WallSource(0))
-	target := Pack(uint64(time.Since(epoch)/time.Microsecond)+3000, 0) // 3ms ahead
+	target := Pack(WallSource(0)()+3000, 0) // 3ms ahead
 	start := time.Now()
 	got := p.Update(target)
 	elapsed := time.Since(start)

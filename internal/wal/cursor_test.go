@@ -9,9 +9,9 @@ import (
 )
 
 // TestCursorPersistRecover checks the durable cursor table: appended
-// cursors survive close + reopen, later appends supersede earlier ones by
-// sequence, and the table is folded into snapshots so segment truncation
-// never loses it.
+// cursors survive close + reopen, each DC keeps its highest HighTS (a
+// lower cursor appended later does not take it back), and the table is
+// folded into snapshots so segment truncation never loses it.
 func TestCursorPersistRecover(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir})
@@ -20,14 +20,14 @@ func TestCursorPersistRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.AppendCursor(Cursor{DstDC: 1, Seq: 3, HighTS: 30}); err != nil {
-		t.Fatal(err)
+	for _, c := range []Cursor{{DstDC: 1, HighTS: 30}, {DstDC: 2, HighTS: 80}, {DstDC: 1, HighTS: 44}, {DstDC: 1, HighTS: 40}} {
+		if err := l.AppendCursor(c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := l.AppendCursor(Cursor{DstDC: 2, Seq: 9, HighTS: 80}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendCursor(Cursor{DstDC: 1, Seq: 5, HighTS: 44}); err != nil {
-		t.Fatal(err)
+	want := []Cursor{{DstDC: 1, HighTS: 44}, {DstDC: 2, HighTS: 80}}
+	if cur := l.Cursors(); len(cur) != 2 || cur[0] != want[0] || cur[1] != want[1] {
+		t.Fatalf("cursor table %+v, want %+v", cur, want)
 	}
 	l.Close()
 
@@ -39,11 +39,11 @@ func TestCursorPersistRecover(t *testing.T) {
 	if len(cur) != 2 {
 		t.Fatalf("cursors = %+v, want 2 entries", cur)
 	}
-	if cur[0] != (Cursor{DstDC: 1, Seq: 5, HighTS: 44}) || cur[1] != (Cursor{DstDC: 2, Seq: 9, HighTS: 80}) {
-		t.Fatalf("recovered cursors %+v", cur)
+	if cur[0] != want[0] || cur[1] != want[1] {
+		t.Fatalf("recovered cursors %+v, want %+v", cur, want)
 	}
-	if v := l2.Stats().View(); v.CursorsRecovered != 3 {
-		t.Fatalf("CursorsRecovered = %d, want 3", v.CursorsRecovered)
+	if v := l2.Stats().View(); v.CursorsRecovered != 4 {
+		t.Fatalf("CursorsRecovered = %d, want 4", v.CursorsRecovered)
 	}
 
 	// Snapshot: truncates every sealed segment (where all cursor records
@@ -59,7 +59,7 @@ func TestCursorPersistRecover(t *testing.T) {
 	l3 := mustOpen(t, Options{Dir: dir})
 	replayAll(t, l3) // recovery (and the cursor table) fills during Replay
 	cur = l3.Cursors()
-	if len(cur) != 2 || cur[0].Seq != 5 || cur[1].Seq != 9 {
+	if len(cur) != 2 || cur[0] != want[0] || cur[1] != want[1] {
 		t.Fatalf("cursors after snapshot truncation: %+v", cur)
 	}
 }
@@ -73,7 +73,7 @@ func TestTornCursorTailTolerated(t *testing.T) {
 	if err := l.Append(rec(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCursor(Cursor{DstDC: 1, Seq: 7, HighTS: 70}); err != nil {
+	if err := l.AppendCursor(Cursor{DstDC: 1, HighTS: 70}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -103,7 +103,7 @@ func TestTornCursorTailTolerated(t *testing.T) {
 		t.Fatalf("replayed %d installs, want 1", n)
 	}
 	cur := l2.Cursors()
-	if len(cur) != 1 || cur[0] != (Cursor{DstDC: 1, Seq: 7, HighTS: 70}) {
+	if len(cur) != 1 || cur[0] != (Cursor{DstDC: 1, HighTS: 70}) {
 		t.Fatalf("cursors after torn tail: %+v", cur)
 	}
 	if v := l2.Stats().View(); v.TornTails != 1 {

@@ -81,10 +81,10 @@ func TestReaderRecordRoundtrip(t *testing.T) {
 }
 
 // TestOldFormatMagicRejected: a segment carrying the magic of a format this
-// build no longer reads (02, or 01 from before the Kind byte) fails replay
-// with "bad magic" instead of being misparsed.
+// build no longer reads (03 with stream sequences, 02, or 01 from before
+// the Kind byte) fails replay with "bad magic" instead of being misparsed.
 func TestOldFormatMagicRejected(t *testing.T) {
-	for _, magic := range []string{"CKVWAL01", "CKVWAL02"} {
+	for _, magic := range []string{"CKVWAL01", "CKVWAL02", "CKVWAL03"} {
 		t.Run(magic, func(t *testing.T) {
 			dir := t.TempDir()
 			l := mustOpen(t, Options{Dir: dir})

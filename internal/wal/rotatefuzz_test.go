@@ -60,7 +60,7 @@ func FuzzWALRotationCrash(f *testing.F) {
 			return nil
 		})
 
-		seq, epoch, cursorSeq := 0, uint64(0), uint64(0)
+		seq, epoch, cursorTS := 0, uint64(0), uint64(0)
 		for _, b := range script {
 			switch b % 8 {
 			case 5: // explicit snapshot: rotate, compact, truncate old segments
@@ -68,8 +68,8 @@ func FuzzWALRotationCrash(f *testing.F) {
 					t.Fatalf("snapshot: %v", err)
 				}
 			case 6:
-				cursorSeq++
-				if err := l.AppendCursor(Cursor{DstDC: 1, Seq: cursorSeq, HighTS: cursorSeq}); err != nil {
+				cursorTS++
+				if err := l.AppendCursor(Cursor{DstDC: 1, HighTS: cursorTS}); err != nil {
 					t.Fatalf("cursor: %v", err)
 				}
 			case 7:
@@ -113,10 +113,10 @@ func FuzzWALRotationCrash(f *testing.F) {
 			if got := l.Epoch(); got != epoch {
 				t.Fatalf("%s: epoch %d, want %d", phase, got, epoch)
 			}
-			if cursorSeq > 0 {
+			if cursorTS > 0 {
 				cs := l.Cursors()
-				if len(cs) != 1 || cs[0].Seq != cursorSeq {
-					t.Fatalf("%s: cursors %+v, want one at seq %d", phase, cs, cursorSeq)
+				if len(cs) != 1 || cs[0].HighTS != cursorTS {
+					t.Fatalf("%s: cursors %+v, want one at HighTS %d", phase, cs, cursorTS)
 				}
 			}
 		}

@@ -21,15 +21,14 @@
 // never acknowledged.
 //
 // Beyond installs, the log persists per-stream replication cursors: the
-// highest (sequence, timestamp) a remote DC has acknowledged back to this
-// partition. Cursors make the durability and replication state recover
-// together — a restarted partition knows exactly which prefix of its local
-// writes every remote DC already holds, re-enqueues the rest, and resumes
-// its stream sequences where the receivers expect them. Cursor records ride
-// the same segments as installs and are folded into snapshots so truncation
+// highest timestamp a remote DC has acknowledged back to this partition.
+// Cursors make the durability and replication state recover together — a
+// restarted partition knows exactly which prefix of its local writes every
+// remote DC already holds and re-enqueues the rest. Cursor records ride the
+// same segments as installs and are folded into snapshots so truncation
 // never loses them; losing the tail of cursor updates is always safe (the
-// sender merely re-ships an acknowledged suffix, which receivers apply
-// idempotently).
+// sender merely re-ships an acknowledged suffix, which receivers drop or
+// install idempotently).
 //
 // Two sync modes are offered. SyncAlways (the default) is the classic
 // contract: Append returns only after the covering fsync, so an
@@ -74,9 +73,9 @@ const (
 	// RecInstall is one durable version install (the default zero value).
 	RecInstall uint8 = 0
 	// RecCursor is a replication-cursor update: SrcDC holds the destination
-	// DC, Seq the acknowledged stream sequence, TS the acknowledged HighTS.
+	// DC, TS the acknowledged HighTS.
 	RecCursor uint8 = 1
-	// RecEpoch is the partition's restart epoch: Seq holds the epoch value.
+	// RecEpoch is the partition's restart epoch: TS holds the epoch value.
 	// The epoch bumps once per recovery (see SetEpoch) and fences CC-LO
 	// read-only transactions across restarts: a ROT that observes two
 	// incarnations of a partition cannot rely on the soft reader state the
@@ -94,26 +93,24 @@ const (
 // Record is one durable log entry. Installs carry the union of the version
 // metadata the three protocol families persist: the timestamp engine's
 // dependency vector (DV), COPS' nearest-dependency list (Deps), or neither
-// (CC-LO). Cursor records reuse SrcDC/Seq/TS as documented on RecCursor.
+// (CC-LO). Cursor and epoch records reuse SrcDC and TS as documented on
+// RecCursor and RecEpoch.
 type Record struct {
 	Kind    uint8
 	Key     string
 	Value   []byte
 	TS      uint64
 	SrcDC   uint8
-	Seq     uint64             // cursor records: acknowledged stream sequence; epoch records: the epoch
 	DV      vclock.Vec         // timestamp-based engine; nil otherwise
 	Deps    []wire.LoDep       // COPS; nil otherwise
 	Readers []wire.ReaderEntry // reader records: the version's invisibility marks
 }
 
 // Cursor is one stream's durable replication frontier: the receiver in
-// DstDC has acknowledged every batch up to Seq, covering every local update
-// with timestamp ≤ HighTS. A partition recovering its WAL re-enqueues local
-// updates above HighTS and resumes the stream at Seq.
+// DstDC has acknowledged every local update with timestamp ≤ HighTS. A
+// partition recovering its WAL re-enqueues the local updates above HighTS.
 type Cursor struct {
 	DstDC  uint8
-	Seq    uint64
 	HighTS uint64
 }
 
@@ -235,12 +232,13 @@ const (
 )
 
 var (
-	// Format 03 is the only format this build reads or writes: a file
-	// carrying an older magic (02 lacks restart epochs and old-reader
-	// records, 01 predates the Kind byte) fails the header check rather
-	// than being misparsed.
-	segMagic  = [8]byte{'C', 'K', 'V', 'W', 'A', 'L', '0', '3'}
-	snapMagic = [8]byte{'C', 'K', 'V', 'S', 'N', 'P', '0', '3'}
+	// Format 04 is the only format this build reads or writes: a file
+	// carrying an older magic (03 has stream sequences in its cursor and
+	// epoch records, 02 lacks restart epochs and old-reader records, 01
+	// predates the Kind byte) fails the header check rather than being
+	// misparsed.
+	segMagic  = [8]byte{'C', 'K', 'V', 'W', 'A', 'L', '0', '4'}
+	snapMagic = [8]byte{'C', 'K', 'V', 'S', 'N', 'P', '0', '4'}
 
 	crcTable = crc32.MakeTable(crc32.Castagnoli)
 )
@@ -546,17 +544,23 @@ func AppendAndSync(d Durability, recs []Record) error {
 }
 
 // AppendCursor persists a replication-cursor update and folds it into the
-// in-memory cursor table. Cursor loss is always safe (the stream re-ships
-// an acknowledged suffix receivers dedup), so callers may ignore the error
-// beyond logging.
+// in-memory cursor table, which keeps each DC's highest. Cursor loss is
+// always safe (the stream re-ships an acknowledged suffix, which receivers
+// drop), so callers may ignore the error beyond logging.
 func (l *Log) AppendCursor(c Cursor) error {
+	l.foldCursor(c)
+	l.stats.CursorAppends.Add(1)
+	return l.Append(Record{Kind: RecCursor, SrcDC: c.DstDC, TS: c.HighTS})
+}
+
+// foldCursor keeps c in the cursor table unless its DC already has a higher
+// one.
+func (l *Log) foldCursor(c Cursor) {
 	l.cursorMu.Lock()
-	if prev, ok := l.cursors[c.DstDC]; !ok || c.Seq >= prev.Seq {
+	if prev, ok := l.cursors[c.DstDC]; !ok || c.HighTS >= prev.HighTS {
 		l.cursors[c.DstDC] = c
 	}
 	l.cursorMu.Unlock()
-	l.stats.CursorAppends.Add(1)
-	return l.Append(Record{Kind: RecCursor, SrcDC: c.DstDC, Seq: c.Seq, TS: c.HighTS})
 }
 
 // Epoch returns the current restart epoch (0 before any SetEpoch).
@@ -569,7 +573,7 @@ func (l *Log) Epoch() uint64 { return l.epoch.Load() }
 // sit out a background-fsync window to get that guarantee.
 func (l *Log) SetEpoch(e uint64) error {
 	f := wire.GetFrame()
-	r := Record{Kind: RecEpoch, Seq: e}
+	r := Record{Kind: RecEpoch, TS: e}
 	encodeRecord(&f.Buffer, &r)
 	req := &commitReq{buf: f, recs: 1, forceSync: true, done: make(chan error, 1)}
 	select {
@@ -941,21 +945,17 @@ func (l *Log) replayFile(path string, magic [8]byte, seq uint64, tolerateTail bo
 		}
 		if rec.Kind == RecCursor {
 			// Replication cursors are the log's own state, not the store's:
-			// fold into the table (max by sequence — snapshot entries replay
+			// fold into the table (max by HighTS — snapshot entries replay
 			// before newer segment entries) instead of handing to apply.
-			l.cursorMu.Lock()
-			if prev, ok := l.cursors[rec.SrcDC]; !ok || rec.Seq >= prev.Seq {
-				l.cursors[rec.SrcDC] = Cursor{DstDC: rec.SrcDC, Seq: rec.Seq, HighTS: rec.TS}
-			}
-			l.cursorMu.Unlock()
+			l.foldCursor(Cursor{DstDC: rec.SrcDC, HighTS: rec.TS})
 			l.stats.CursorsRecovered.Add(1)
 			continue
 		}
 		if rec.Kind == RecEpoch {
 			// Restart epochs are log-owned state too: fold the max (replay
 			// is single-goroutine, so Load+Store does not race).
-			if rec.Seq > l.epoch.Load() {
-				l.epoch.Store(rec.Seq)
+			if rec.TS > l.epoch.Load() {
+				l.epoch.Store(rec.TS)
 			}
 			continue
 		}
@@ -1041,7 +1041,7 @@ func (l *Log) Snapshot() error {
 			// live in the active segment and replay after).
 			for _, c := range l.Cursors() {
 				frame.B = frame.B[:0]
-				encodeRecord(&frame.Buffer, &Record{Kind: RecCursor, SrcDC: c.DstDC, Seq: c.Seq, TS: c.HighTS})
+				encodeRecord(&frame.Buffer, &Record{Kind: RecCursor, SrcDC: c.DstDC, TS: c.HighTS})
 				recs++
 				if _, werr := bw.Write(frame.B); werr != nil {
 					err = werr
@@ -1054,7 +1054,7 @@ func (l *Log) Snapshot() error {
 			// a sealed segment the snapshot is about to truncate.
 			if e := l.epoch.Load(); e > 0 {
 				frame.B = frame.B[:0]
-				encodeRecord(&frame.Buffer, &Record{Kind: RecEpoch, Seq: e})
+				encodeRecord(&frame.Buffer, &Record{Kind: RecEpoch, TS: e})
 				recs++
 				if _, werr := bw.Write(frame.B); werr != nil {
 					err = werr
@@ -1131,10 +1131,9 @@ func encodeRecord(b *wire.Buffer, rec *Record) {
 	switch rec.Kind {
 	case RecCursor:
 		b.U8(rec.SrcDC)
-		b.U64(rec.Seq)
 		b.U64(rec.TS)
 	case RecEpoch:
-		b.U64(rec.Seq)
+		b.U64(rec.TS)
 	case RecReaders:
 		b.String(rec.Key)
 		b.U64(rec.TS)
@@ -1168,10 +1167,10 @@ func decodeRecord(body []byte) (Record, error) {
 	kind := r.U8()
 	switch kind {
 	case RecCursor:
-		rec := Record{Kind: kind, SrcDC: r.U8(), Seq: r.U64(), TS: r.U64()}
+		rec := Record{Kind: kind, SrcDC: r.U8(), TS: r.U64()}
 		return rec, finish(r)
 	case RecEpoch:
-		rec := Record{Kind: kind, Seq: r.U64()}
+		rec := Record{Kind: kind, TS: r.U64()}
 		return rec, finish(r)
 	case RecReaders:
 		rec := Record{Kind: kind, Key: r.String(), TS: r.U64(), SrcDC: r.U8()}

@@ -124,7 +124,7 @@ func benchRepBatchEnvelope() []byte {
 		}
 	}
 	return EncodeEnvelope(nil, &Envelope{Src: 1, Dst: 2, ReqID: 9, Msg: &RepBatch{
-		SrcDC: 1, SrcPart: 3, Seq: 77, HighTS: 99, Ups: ups,
+		SrcDC: 1, HighTS: 99, Ups: ups,
 	}})
 }
 

@@ -67,6 +67,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 	}
 	f.Add(frame(TCopsRotResp, func(b *Buffer) { b.Uvarint(maxFieldLen) }))
+	f.Add(frame(27, func(b *Buffer) { b.U64(1) })) // the retired CC-LO ack type: an unknown type, never a RepAck
 	f.Add(frame(TOldReadersResp, func(b *Buffer) { // TestReadersGoldenBytes' widest entry
 		b.B = append(b.B, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0x0f,
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)

@@ -33,7 +33,6 @@ const (
 	TOldReadersReq  = 24
 	TOldReadersResp = 25
 	TLoRepUpdate    = 26
-	TLoRepAck       = 27
 	TDepCheckReq    = 28
 	TDepCheckResp   = 29
 
@@ -71,7 +70,6 @@ func init() {
 	Register(TOldReadersReq, func() Message { return new(OldReadersReq) })
 	Register(TOldReadersResp, func() Message { return new(OldReadersResp) })
 	Register(TLoRepUpdate, func() Message { return new(LoRepUpdate) })
-	Register(TLoRepAck, func() Message { return new(LoRepAck) })
 	Register(TDepCheckReq, func() Message { return new(DepCheckReq) })
 	Register(TDepCheckResp, func() Message { return new(DepCheckResp) })
 
@@ -410,22 +408,20 @@ type Update struct {
 }
 
 // RepBatch ships a sequence of versions from a partition to its replica in
-// another DC. HighTS is the sender's clock reading after the last update;
-// an empty batch with a fresh HighTS is a replication heartbeat keeping the
-// receiver's VV (and hence the GSS) moving.
+// another DC. HighTS is the sender's replication cut: every version of the
+// sender with a timestamp at or below it is in this or an earlier batch. It
+// is the batch's only identity; an empty batch with a fresh HighTS is a
+// replication heartbeat keeping the receiver's VV (and hence the GSS)
+// moving.
 type RepBatch struct {
-	SrcDC   uint8
-	SrcPart uint32
-	Seq     uint64
-	HighTS  uint64
-	Ups     []Update
+	SrcDC  uint8
+	HighTS uint64
+	Ups    []Update
 }
 
 func (*RepBatch) Type() uint16 { return TRepBatch }
 func (m *RepBatch) Encode(b *Buffer) {
 	b.U8(m.SrcDC)
-	b.U32(m.SrcPart)
-	b.U64(m.Seq)
 	b.U64(m.HighTS)
 	b.Uvarint(uint64(len(m.Ups)))
 	for i := range m.Ups {
@@ -437,8 +433,6 @@ func (m *RepBatch) Encode(b *Buffer) {
 }
 func (m *RepBatch) Decode(r *Reader) {
 	m.SrcDC = r.U8()
-	m.SrcPart = r.U32()
-	m.Seq = r.U64()
 	m.HighTS = r.U64()
 	m.Ups = m.Ups[:0]
 	n := r.count(11) // two length prefixes, 8 B timestamp, vector length
@@ -456,12 +450,14 @@ func (m *RepBatch) Reset() {
 	*m = RepBatch{Ups: m.Ups[:0]}
 }
 
-// RepAck acknowledges a RepBatch.
-type RepAck struct{ Seq uint64 }
+// RepAck acknowledges replicated data on either stream: a RepBatch or a
+// LoRepUpdate. Each stream's sender knows which message it is waiting on,
+// so the ack carries nothing.
+type RepAck struct{}
 
-func (*RepAck) Type() uint16       { return TRepAck }
-func (m *RepAck) Encode(b *Buffer) { b.U64(m.Seq) }
-func (m *RepAck) Decode(r *Reader) { m.Seq = r.U64() }
+func (*RepAck) Type() uint16   { return TRepAck }
+func (*RepAck) Encode(*Buffer) {}
+func (*RepAck) Decode(*Reader) {}
 
 // VVReport is a partition's periodic version-vector report to the
 // stabilization service.
@@ -763,9 +759,7 @@ func (m *OldReadersResp) Decode(r *Reader) {
 // old readers gathered at the origin DC; the receiver performs its own
 // dependency check and readers check before install.
 type LoRepUpdate struct {
-	Seq        uint64
 	SrcDC      uint8
-	SrcPart    uint32
 	Key        string
 	Value      []byte
 	TS         uint64
@@ -775,9 +769,7 @@ type LoRepUpdate struct {
 
 func (*LoRepUpdate) Type() uint16 { return TLoRepUpdate }
 func (m *LoRepUpdate) Encode(b *Buffer) {
-	b.U64(m.Seq)
 	b.U8(m.SrcDC)
-	b.U32(m.SrcPart)
 	b.String(m.Key)
 	b.Bytes(m.Value)
 	b.U64(m.TS)
@@ -785,9 +777,7 @@ func (m *LoRepUpdate) Encode(b *Buffer) {
 	encodeReaders(b, m.OldReaders)
 }
 func (m *LoRepUpdate) Decode(r *Reader) {
-	m.Seq = r.U64()
 	m.SrcDC = r.U8()
-	m.SrcPart = r.U32()
 	m.Key = r.String()
 	m.Value = r.Bytes()
 	m.TS = r.U64()
@@ -800,13 +790,6 @@ func (m *LoRepUpdate) Decode(r *Reader) {
 func (m *LoRepUpdate) Reset() {
 	*m = LoRepUpdate{OldReaders: m.OldReaders[:0]}
 }
-
-// LoRepAck acknowledges a LoRepUpdate.
-type LoRepAck struct{ Seq uint64 }
-
-func (*LoRepAck) Type() uint16       { return TLoRepAck }
-func (m *LoRepAck) Encode(b *Buffer) { b.U64(m.Seq) }
-func (m *LoRepAck) Decode(r *Reader) { m.Seq = r.U64() }
 
 // DepCheckReq asks whether the receiver has installed every listed version
 // — all dependencies of one replicated update that the receiver owns; the

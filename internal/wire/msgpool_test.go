@@ -24,7 +24,7 @@ func decodeMsg(t *testing.T, m Message) Message {
 // leak into the second, and previously retained deep data must stay intact.
 func TestRecycleNoBleedThrough(t *testing.T) {
 	big := &RepBatch{
-		SrcDC: 2, SrcPart: 7, Seq: 100, HighTS: 999,
+		SrcDC: 2, HighTS: 999,
 		Ups: []Update{
 			{Key: "aaa", Value: []byte("old-value-1"), TS: 1, DV: vclock.Vec{1, 0}},
 			{Key: "bbb", Value: []byte("old-value-2"), TS: 2, DV: vclock.Vec{2, 0}},
@@ -38,10 +38,10 @@ func TestRecycleNoBleedThrough(t *testing.T) {
 	keptDV := m1.Ups[0].DV
 	Recycle(m1)
 
-	small := &RepBatch{SrcDC: 1, Seq: 5, HighTS: 6,
+	small := &RepBatch{SrcDC: 1, HighTS: 6,
 		Ups: []Update{{Key: "zzz", Value: []byte("new"), TS: 9, DV: vclock.Vec{9, 9}}}}
 	m2 := decodeMsg(t, small).(*RepBatch)
-	if m2.SrcDC != 1 || m2.SrcPart != 0 || m2.Seq != 5 || m2.HighTS != 6 || len(m2.Ups) != 1 {
+	if m2.SrcDC != 1 || m2.HighTS != 6 || len(m2.Ups) != 1 {
 		t.Fatalf("recycled decode bled through: %+v", m2)
 	}
 	if m2.Ups[0].Key != "zzz" || string(m2.Ups[0].Value) != "new" {
@@ -69,9 +69,9 @@ func TestResetPolicies(t *testing.T) {
 		t.Fatalf("PutReq.Reset kept retainable fields: %+v", pr)
 	}
 
-	rb := &RepBatch{Seq: 9, Ups: make([]Update, 8, 16)}
+	rb := &RepBatch{HighTS: 9, Ups: make([]Update, 8, 16)}
 	rb.Reset()
-	if rb.Seq != 0 || len(rb.Ups) != 0 || cap(rb.Ups) != 16 {
+	if rb.HighTS != 0 || len(rb.Ups) != 0 || cap(rb.Ups) != 16 {
 		t.Fatalf("RepBatch.Reset: %+v (cap %d)", rb, cap(rb.Ups))
 	}
 
@@ -113,13 +113,13 @@ func TestEveryPooledTypeRoundTrips(t *testing.T) {
 			Groups: []ReadGroup{{Part: 1, Keys: []string{"a", "b"}}}},
 		&RotFwd{RotID: 1, Client: uint32ToAddr(t), SV: vclock.Vec{1}, Keys: []string{"x"}},
 		&RotReadReq{SV: vclock.Vec{2}, Keys: []string{"y", "z"}},
-		&RepBatch{SrcDC: 1, Seq: 2, HighTS: 3, Ups: []Update{{Key: "u", TS: 4, DV: vclock.Vec{4}}}},
+		&RepBatch{SrcDC: 1, HighTS: 3, Ups: []Update{{Key: "u", TS: 4, DV: vclock.Vec{4}}}},
 		&VVReport{Part: 2, VV: vclock.Vec{7, 8}},
 		&GSSBcast{GSS: vclock.Vec{9}},
 		&LoPutReq{Key: "k", Value: []byte("v"), Deps: []LoDep{{Key: "d", TS: 1}}},
 		&LoRotReq{RotID: 5, Keys: []string{"p", "q"}},
 		&OldReadersReq{Deps: []LoDep{{Key: "d", TS: 2}}},
-		&LoRepUpdate{Seq: 1, SrcDC: 2, SrcPart: 3, Key: "k", Value: []byte("v"),
+		&LoRepUpdate{SrcDC: 2, Key: "k", Value: []byte("v"),
 			TS: 4, Deps: []LoDep{{Key: "d", TS: 5}}, OldReaders: []ReaderEntry{{RotID: 6, T: 7}}},
 		&DepCheckReq{Deps: []LoDep{{Key: "k", TS: 8}, {Key: "l", TS: 9, Src: 1}}},
 		&Ping{Nonce: 42},

@@ -134,11 +134,11 @@ func sampleMessages(r *rand.Rand) []Message {
 		&RotReadReq{SV: vec(), Keys: []string{"q", "w"}},
 		&RotReadResp{Vals: kvs},
 		&RotRefused{RotID: 13, Frontier: vec()},
-		&RepBatch{SrcDC: 1, SrcPart: 7, Seq: 100, HighTS: 2000, Ups: []Update{
+		&RepBatch{SrcDC: 1, HighTS: 2000, Ups: []Update{
 			{Key: "u", Value: val, TS: 5, DV: vec()},
 			{Key: "v", Value: nil, TS: 6, DV: vec()},
 		}},
-		&RepAck{Seq: 100},
+		&RepAck{},
 		&VVReport{Part: 4, VV: vec()},
 		&GSSBcast{GSS: vec()},
 		&LoPutReq{Key: "lk", Value: val, Deps: deps},
@@ -148,10 +148,9 @@ func sampleMessages(r *rand.Rand) []Message {
 		&OldReadersReq{Deps: deps, Epochs: []uint64{0, 5}},
 		&OldReadersResp{Readers: readers, Cumulative: 42, Epochs: []uint64{1, 1, 4}},
 		&LoRepUpdate{
-			Seq: 1, SrcDC: 1, SrcPart: 3, Key: "rk", Value: val, TS: 10,
+			SrcDC: 1, Key: "rk", Value: val, TS: 10,
 			Deps: deps, OldReaders: readers,
 		},
-		&LoRepAck{Seq: 1},
 		&DepCheckReq{Deps: []LoDep{{Key: "d", TS: 44}, {Key: "e", TS: 45, Src: 2}, {Key: "d", TS: 46, Src: 1}}},
 		&DepCheckResp{},
 		&ErrorResp{Code: 2, Text: "boom"},
