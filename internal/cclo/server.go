@@ -123,7 +123,7 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 		epochVec: make([]uint64, cfg.NumParts),
 	}
 	s.LoServer = family.NewLoServer("cclo", cfg.DC, cfg.Part, cfg.NumDCs, cfg.NumParts, cfg.Durable, cfg.Slow,
-		family.LoStore{HasVersion: s.store.eng.Has, Install: s.store.installRecord, Snapshot: s.snapshot, Register: s.store.eng.Register})
+		family.LoStore{HasVersion: s.store.eng.Has, Install: s.store.installRecord, Snapshot: s.snapshot, Seal: s.store.eng.Seal, Register: s.store.eng.Register})
 	s.Expose(s.registerChecks)
 	if cfg.Durable != nil {
 		if err := s.recover(); err != nil {
@@ -342,10 +342,10 @@ type oldReadersAnswer struct {
 }
 
 // askOldReaders runs the remote leg of a readers check against one partition.
-func (s *Server) askOldReaders(g family.PartDeps, epochs []uint64) oldReadersAnswer {
+func (s *Server) askOldReaders(g family.PartDeps, epochs []uint64, await bool) oldReadersAnswer {
 	ctx, cancel := context.WithTimeout(context.Background(), family.CallTimeout)
 	defer cancel()
-	resp, err := s.Node.Call(ctx, wire.ServerAddr(s.cfg.DC, g.Part), &wire.OldReadersReq{Deps: g.Deps, Epochs: epochs})
+	resp, err := s.Node.Call(ctx, wire.ServerAddr(s.cfg.DC, g.Part), &wire.OldReadersReq{Deps: g.Deps, Epochs: epochs, Await: await})
 	if err != nil {
 		return oldReadersAnswer{err: err}
 	}
@@ -361,9 +361,11 @@ func (s *Server) askOldReaders(g family.PartDeps, epochs []uint64) oldReadersAns
 // replicated update brought from its origin DC). It returns the merged set —
 // ordered by client, one ROT per client, owned by the caller, in the form it
 // is persisted, installed and shipped — and the highest read time this DC's
-// check saw. replicated marks checks run on
-// behalf of a replicated update (they are counted separately; §5.4
-// attributes CC-LO's poor geo-scaling to them).
+// check saw. replicated marks checks run on behalf of a replicated update
+// (they are counted separately; §5.4 attributes CC-LO's poor geo-scaling to
+// them). Such a check is also the update's dependency check: every partition,
+// this one included, collects only once the dependencies it holds are
+// installed, and a shutdown that cuts the wait short fails the check.
 func (s *Server) readersCheck(deps []wire.LoDep, replicated bool, origin []wire.ReaderEntry) ([]wire.ReaderEntry, uint64, error) {
 	s.stats.Checks.Add(1)
 	if replicated {
@@ -373,7 +375,6 @@ func (s *Server) readersCheck(deps []wire.LoDep, replicated bool, origin []wire.
 	if len(deps) == 0 && len(origin) == 0 {
 		return nil, 0, nil
 	}
-	now := time.Now()
 	sc := checkScratchPool.Get().(*checkScratch)
 	out := sc.out[:0]
 	defer func() {
@@ -382,28 +383,33 @@ func (s *Server) readersCheck(deps []wire.LoDep, replicated bool, origin []wire.
 	}()
 	var scanned int
 
-	// Dependencies are grouped by owning partition. Our own are checked with
-	// a direct store access; remote partitions are interrogated in parallel.
-	// Every response carries the responder's epoch vector, folded into ours
-	// before this check returns — i.e. before the version being checked
+	// Dependencies are grouped by owning partition. Remote partitions are
+	// interrogated in parallel; our own are then checked with a direct store
+	// access. Every response carries the responder's epoch vector, folded into
+	// ours before this check returns — i.e. before the version being checked
 	// installs — which is the propagation that lets ROT legs expose a restart
 	// to the client fence.
 	groups := family.ByOwner(s.Ring, deps)
 	remote := 0
 	ch := make(chan oldReadersAnswer, len(groups))
 	reqEpochs := s.epochsView()
+	var own []wire.LoDep
 	for _, g := range groups {
 		if g.Part == s.cfg.Part {
-			var n int
-			out, n = s.collectDeps(g.Deps, now, out)
-			scanned += n
+			own = g.Deps
 			continue
 		}
 		remote++
-		go func() { ch <- s.askOldReaders(g, reqEpochs) }()
+		go func() { ch <- s.askOldReaders(g, reqEpochs, replicated) }()
 	}
 	s.stats.PartitionsAsked.Add(uint64(remote))
 	var firstErr error
+	if replicated {
+		firstErr = s.AwaitInstalled(own)
+	}
+	if firstErr == nil && len(own) > 0 {
+		out, scanned = s.collectDeps(own, time.Now(), out)
+	}
 	for range remote {
 		a := <-ch
 		if a.err != nil {
@@ -447,9 +453,18 @@ func (s *Server) collectDeps(deps []wire.LoDep, now time.Time, out slotSet) (slo
 }
 
 // handleOldReaders answers a readers check for dependencies on this
-// partition's keys.
+// partition's keys — for a replicated update's check (Await), only once
+// every one of them is installed here. A shutdown that cuts that wait short
+// answers an error, never a check that would let the update install ahead of
+// its dependency.
 func (s *Server) handleOldReaders(src wire.From, reqID uint64, m *wire.OldReadersReq) {
 	s.foldEpochs(m.Epochs)
+	if m.Await {
+		if err := s.AwaitInstalled(m.Deps); err != nil {
+			transport.RespondError(s.Node, src, reqID, 503, "cclo: readers check: "+err.Error())
+			return
+		}
+	}
 	sc := checkScratchPool.Get().(*checkScratch)
 	out, scanned := s.collectDeps(m.Deps, time.Now(), sc.out[:0])
 	// Receiving the check updates our Lamport clock with nothing (the
@@ -465,13 +480,15 @@ func (s *Server) handleOldReaders(src wire.From, reqID uint64, m *wire.OldReader
 	checkScratchPool.Put(sc)
 }
 
-// handleRepUpdate installs a replicated update: dependency check, then a
-// readers check in this DC merged with the origin's old readers, then COPS'
-// commit (§3, "Challenges of geo-replication"; the two checks are the
-// combined protocol). The install record carries no dependency list: only
-// locally originated versions are ever re-enqueued.
+// handleRepUpdate installs a replicated update: a readers check in this DC
+// merged with the origin's old readers, then COPS' commit. §3 ("Challenges
+// of geo-replication") runs a dependency check and then a readers check, two
+// rounds to the same partitions; here the readers check is the dependency
+// check too (see readersCheck), and CC-LO sends no dependency check of its
+// own. The install record carries no dependency list: only locally
+// originated versions are ever re-enqueued.
 func (s *Server) handleRepUpdate(src wire.From, reqID uint64, m *wire.LoRepUpdate) family.Op {
-	if !s.WaitDeps(src, reqID, m) {
+	if !s.FromPeer(src, reqID, m.SrcDC) {
 		return family.Op{}
 	}
 	readers, maxT, err := s.readersCheck(m.Deps, true, m.OldReaders)

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -94,6 +95,25 @@ func TestClientIDSpaceExhaustion(t *testing.T) {
 	}
 }
 
+// scrape sums the samples of the series name whose labels contain match.
+func scrape(t *testing.T, reg *metrics.Registry, name, match string) (total float64) {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, name+"{") && strings.Contains(line, match) {
+			n, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("unparsable series %q", line)
+			}
+			total += n
+		}
+	}
+	return total
+}
+
 // TestOneKeyGetRecordsGet: on every row, one PUT and one one-key Get move
 // op="put" and op="get" by exactly one each — the partition skeleton applies
 // one rule (a read whose request carries one key is a get) for every family.
@@ -103,23 +123,7 @@ func TestOneKeyGetRecordsGet(t *testing.T) {
 			c := startCluster(t, Config{Protocol: p, DCs: 1, Partitions: 1, Latency: NoLatency()})
 			reg := metrics.NewRegistry()
 			c.RegisterMetrics(reg)
-			count := func(op string) float64 {
-				var sb strings.Builder
-				if err := reg.WritePrometheus(&sb); err != nil {
-					t.Fatal(err)
-				}
-				for _, line := range strings.Split(sb.String(), "\n") {
-					if strings.HasPrefix(line, "kv_server_op_seconds_count{") && strings.Contains(line, `op="`+op+`"`) {
-						n, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
-						if err != nil {
-							t.Fatalf("unparsable series %q", line)
-						}
-						return n
-					}
-				}
-				t.Fatalf("no op=%q series", op)
-				return 0
-			}
+			count := func(op string) float64 { return scrape(t, reg, "kv_server_op_seconds_count", `op="`+op+`"`) }
 			put0, get0 := count("put"), count("get")
 			ctx := testCtx(t)
 			cli, err := c.NewClient(0)
@@ -183,6 +187,72 @@ func TestForgedReplicationSourceRefused(t *testing.T) {
 			s.ForEachLatest(func(key string, _ []byte, ts uint64, src uint8) {
 				t.Fatalf("forged update installed: %s@%d from DC %d", key, ts, src)
 			})
+		})
+	}
+}
+
+// TestDependencyChecksByFamily: on a 2-DC, 3-partition deployment where every
+// PUT depends on versions of other partitions, COPS checks a replicated
+// update's dependencies with DepCheckReqs, and CC-LO sends none: its readers
+// check, run once per replicated update, is the dependency check. Every
+// update still reaches the other DC.
+func TestDependencyChecksByFamily(t *testing.T) {
+	for _, p := range []Protocol{CCLO, COPS} {
+		t.Run(p.Slug(), func(t *testing.T) {
+			c := startCluster(t, Config{Protocol: p, DCs: 2, Partitions: 3, Latency: NoLatency()})
+			reg := metrics.NewRegistry()
+			c.RegisterMetrics(reg)
+			ctx := testCtx(t)
+			cli, err := c.NewClient(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			keys := []string{"a", "b", "c", "d", "e", "f"}
+			const puts = 30
+			for i := range puts {
+				if _, err := cli.ROT(ctx, keys); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cli.Put(ctx, keys[i%len(keys)], seqVal(uint64(i+1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			remote, err := c.NewClient(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer remote.Close()
+			for i, k := range keys {
+				want := uint64(puts - len(keys) + i + 1)
+				for {
+					v, err := remote.Get(ctx, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if seqOf(v) == want {
+						break
+					}
+					if ctx.Err() != nil {
+						t.Fatalf("%s reads %d in DC 1, want %d", k, seqOf(v), want)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+			requests := scrape(t, reg, "kv_dep_check_requests_total", "")
+			switch p {
+			case CCLO:
+				if requests != 0 {
+					t.Fatalf("CC-LO sent %v dependency checks, want 0", requests)
+				}
+				if got := c.CCLOStats().ReplicationChecks; got < puts {
+					t.Fatalf("%d replication readers checks for %d replicated updates", got, puts)
+				}
+			case COPS:
+				if requests == 0 {
+					t.Fatal("COPS sent no dependency checks")
+				}
+			}
 		})
 	}
 }

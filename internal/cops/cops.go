@@ -173,7 +173,7 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 	st := newStore(cfg.MaxVersions, 0)
 	s := &Server{store: st}
 	s.LoServer = family.NewLoServer("cops", cfg.DC, cfg.Part, cfg.NumDCs, cfg.NumParts, cfg.Durable, cfg.Slow,
-		family.LoStore{HasVersion: st.eng.Has, Install: st.installRecord, Snapshot: st.snapshot, Register: st.eng.Register})
+		family.LoStore{HasVersion: st.eng.Has, Install: st.installRecord, Snapshot: st.snapshot, Seal: st.eng.Seal, Register: st.eng.Register})
 	if _, err := s.Replay(); err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ import (
 const CallTimeout = 10 * time.Second
 
 // errStopping answers dependency waits a shutdown cut short.
-var errStopping = errors.New("dep check aborted: server stopping")
+var errStopping = errors.New("dependency wait aborted: server stopping")
 
 // PartDeps is the share of a dependency list owned by one partition.
 type PartDeps struct {
@@ -64,7 +64,8 @@ type DepWaiter struct {
 
 	// requests and keys count the DepCheckReqs sent and the dependencies
 	// they carried; waits counts dependencies missing on arrival — of a
-	// replicated update on this partition, or of a request served here.
+	// replicated update on this partition, or of a check served here (a
+	// DepCheckReq, or CC-LO's readers check for a replicated update).
 	requests, keys, waits atomic.Uint64
 }
 
@@ -88,12 +89,6 @@ func (w *DepWaiter) Stop() {
 	w.stopped = true
 	w.cond.Broadcast()
 	w.mu.Unlock()
-}
-
-// Wait blocks until the (ts, src) version of key is installed; false means
-// the server is stopping and the dependency was NOT verified.
-func (w *DepWaiter) Wait(key string, ts uint64, src uint8) bool {
-	return w.waitInstalled([]wire.LoDep{{Key: key, TS: ts, Src: src}})
 }
 
 // waitInstalled blocks until every listed version is installed here; false

@@ -113,7 +113,7 @@ func TestDepCheckBlocksUntilInstalled(t *testing.T) {
 }
 
 // TestShutdownAbortsWaitWithoutSuccess: a wait cut short by Stop reports
-// the dependency as NOT verified — Wait returns false, HandleDepCheck
+// the dependency as NOT verified — the wait returns false, HandleDepCheck
 // answers an error and WaitAll returns one — never success, which would
 // let the caller durably install a dependent whose dependency is missing.
 // The multi-dependency request and update each list an installed version
@@ -128,14 +128,14 @@ func TestShutdownAbortsWaitWithoutSuccess(t *testing.T) {
 	vs.install(have)
 
 	waited := make(chan bool, 1)
-	go func() { waited <- w.Wait(missing.Key, missing.TS, missing.Src) }()
+	go func() { waited <- w.waitInstalled([]wire.LoDep{missing}) }()
 	go w.HandleDepCheck(wire.At(wire.ServerAddr(0, 1)), 9, &wire.DepCheckReq{Deps: []wire.LoDep{have, missing}})
 	allErr := make(chan error, 1)
 	go func() { allErr <- w.WaitAll([]wire.LoDep{have, missing}) }()
 
 	select {
 	case <-waited:
-		t.Fatal("Wait returned with the version missing and the waiter running")
+		t.Fatal("the wait returned with the version missing and the waiter running")
 	case <-time.After(50 * time.Millisecond):
 	}
 	unanswered(t, node, 10*time.Millisecond, "with a listed version missing and the waiter running")
@@ -143,10 +143,10 @@ func TestShutdownAbortsWaitWithoutSuccess(t *testing.T) {
 	select {
 	case ok := <-waited:
 		if ok {
-			t.Fatal("Wait reported an uninstalled dependency as verified at shutdown")
+			t.Fatal("the wait reported an uninstalled dependency as verified at shutdown")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Stop did not release Wait")
+		t.Fatal("Stop did not release the wait")
 	}
 	select {
 	case m := <-node.responds:
@@ -167,12 +167,12 @@ func TestShutdownAbortsWaitWithoutSuccess(t *testing.T) {
 		t.Fatal("Stop did not release WaitAll")
 	}
 	// A stopped waiter refuses new waits too, but still sees real installs.
-	if w.Wait(local[1], 6, 0) {
-		t.Fatal("Wait after Stop verified a missing version")
+	if w.waitInstalled([]wire.LoDep{{Key: local[1], TS: 6}}) {
+		t.Fatal("a wait after Stop verified a missing version")
 	}
 	vs.install(wire.LoDep{Key: local[1], TS: 6})
-	if !w.Wait(local[1], 6, 0) {
-		t.Fatal("Wait after Stop denied an installed version")
+	if !w.waitInstalled([]wire.LoDep{{Key: local[1], TS: 6}}) {
+		t.Fatal("a wait after Stop denied an installed version")
 	}
 }
 

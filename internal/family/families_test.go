@@ -112,9 +112,12 @@ type server interface {
 // TestCopsPlusOneStep is the paper's framing of CC-LO as an executable
 // statement: driven through the same PUT and the same replicated update, the
 // real cops and cclo servers do the same things in the same order — append,
-// install, then answer; dependency check first on the replication path —
-// and the one thing cclo adds, on both paths, is a readers check before the
-// append, whose result it persists AHEAD of the install record.
+// install, then answer; a check of the dependencies' partitions first on the
+// replication path — and the one thing cclo adds, on both paths, is a
+// readers check before the append, whose result it persists AHEAD of the
+// install record. On the replication path that readers check is the
+// dependency check too: it asks the partitions COPS' dependency check asks,
+// in one round, to answer once the dependencies are installed (await).
 func TestCopsPlusOneStep(t *testing.T) {
 	r := ring.New(2)
 	var own, other string // keys of partition 0 (under test) and partition 1 (scripted)
@@ -155,12 +158,16 @@ func TestCopsPlusOneStep(t *testing.T) {
 			// origin of the replicated update.
 			if _, err := local.Attach(wire.ServerAddr(0, 1), transport.HandlerFunc(
 				func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
-					switch m.(type) {
+					switch m := m.(type) {
 					case *wire.DepCheckReq:
 						l.add("dep-check")
 						_ = n.Respond(src, reqID, &wire.DepCheckResp{})
 					case *wire.OldReadersReq:
-						l.add("readers-check")
+						if m.Await {
+							l.add("readers-check await")
+						} else {
+							l.add("readers-check")
+						}
 						_ = n.Respond(src, reqID, &wire.OldReadersResp{
 							Readers: []wire.ReaderEntry{{RotID: 5<<32 | 1, T: 3}}, Cumulative: 1})
 					}
@@ -233,9 +240,83 @@ func TestCopsPlusOneStep(t *testing.T) {
 	}
 	plusOne := [2][]string{
 		{"readers-check", "append", "install", "respond"},
-		{"dep-check", "readers-check", "append", "install", "ack"},
+		{"readers-check await", "append", "install", "ack"},
 	}
 	if !reflect.DeepEqual(logs["cclo"], plusOne) {
 		t.Fatalf("cclo: PUT %q, replicated update %q; want cops plus one step, %q", logs["cclo"][0], logs["cclo"][1], plusOne)
+	}
+}
+
+// TestDependencyOnSnapshottedVersionSettles: a snapshot keeps only what a
+// key's chain still needs (the newest version, for a key without live
+// marks), so a partition recovered from one has lost versions it had
+// installed. A replicated update that depends on such a version must still
+// commit: the recovered chain counts what lies below its oldest version as
+// installed, exactly as a trimmed chain does. Before, the dependency was
+// waited for forever and the origin's stream retried the update without end.
+func TestDependencyOnSnapshottedVersionSettles(t *testing.T) {
+	for _, fam := range []struct {
+		name  string
+		build func(d wal.Durability, net transport.Network) (server, error)
+	}{
+		{"cops", func(d wal.Durability, net transport.Network) (server, error) {
+			return cops.NewServer(cops.Config{NumDCs: 2, NumParts: 1, Durable: d}, net)
+		}},
+		{"cclo", func(d wal.Durability, net transport.Network) (server, error) {
+			return cclo.NewServer(cclo.Config{NumDCs: 2, NumParts: 1, Durable: d}, net)
+		}},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			local := transport.NewLocal(transport.LatencyModel{})
+			defer local.Close()
+			dir := t.TempDir()
+			origin, err := local.Attach(wire.ServerAddr(1, 0), transport.HandlerFunc(
+				func(transport.Node, wire.From, uint64, wire.Message) {}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ship := func(u *wire.LoRepUpdate) error {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				defer cancel()
+				_, err := origin.Call(ctx, wire.ServerAddr(0, 0), u)
+				return err
+			}
+
+			log1, err := wal.Open(wal.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := fam.build(log1, local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ts := range []uint64{5, 6} {
+				if err := ship(&wire.LoRepUpdate{SrcDC: 1, Key: "k", Value: []byte("v"), TS: ts}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := log1.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
+			if err := log1.Crash(); err != nil {
+				t.Fatal(err)
+			}
+
+			log2, err := wal.Open(wal.Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer log2.Close()
+			srv, err = fam.build(log2, local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			dep := wire.LoDep{Key: "k", TS: 5, Src: 1}
+			if err := ship(&wire.LoRepUpdate{SrcDC: 1, Key: "j", Value: []byte("w"), TS: 9, Deps: []wire.LoDep{dep}}); err != nil {
+				t.Fatalf("update depending on a version the snapshot dropped: %v", err)
+			}
+		})
 	}
 }

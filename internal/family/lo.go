@@ -23,6 +23,9 @@ type LoStore struct {
 	Install func(rec wal.Record, readers []wire.ReaderEntry)
 	// Snapshot streams the store's durable state to a WAL snapshot.
 	Snapshot wal.SnapshotSource
+	// Seal marks every chain trimmed once recovery has replayed the log
+	// (store.Engine.Seal): the snapshot kept only what each chain needed.
+	Seal func()
 	// Register exposes the store's series.
 	Register Series
 }
@@ -35,9 +38,11 @@ type LoStore struct {
 // what that step found arrives here as data — a timestamp floor and an
 // old-readers slice, zero and nil when there was no step.
 //
-// CommitLocal, WaitDeps+CommitRemote and Replay own the order in which a
-// version becomes durable, visible and shipped. The order is the protocol's
-// crash safety, so it is written down once, here:
+// CommitLocal, CommitRemote and Replay own the order in which a version
+// becomes durable, visible and shipped; a replicated update reaches
+// CommitRemote only once its dependencies are installed in this DC (WaitDeps,
+// or the family's own check through AwaitInstalled). The order is the
+// protocol's crash safety, so it is written down once, here:
 //
 //   - Track before append. The cursor frontier treats timestamps it has
 //     never seen as acknowledged (see WindowReplicator.Track), so a local
@@ -92,7 +97,8 @@ func NewLoServer(name string, dc, part, numDCs, numParts int, durable wal.Durabi
 	return s
 }
 
-// Replay replays the durable log into the store (a no-op in memory),
+// Replay replays the durable log into the store (a no-op in memory), seals
+// it, so a dependency on a version the snapshot dropped counts as installed,
 // advances the clock past every recovered timestamp so new writes order
 // above acknowledged ones, and keeps the recovered LOCAL updates in
 // timestamp order for the replicator's re-enqueue. Old-reader records are
@@ -128,6 +134,7 @@ func (s *LoServer) Replay() (map[wire.LoDep][]wire.ReaderEntry, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.store.Seal()
 	// Re-enqueued local updates carry their recovered old readers, exactly
 	// as the pre-crash enqueue did: the receiving DC merges them into its
 	// own check before installing.
@@ -192,7 +199,7 @@ func (s *LoServer) Preload(keys []string, val []byte) {
 // registerDeps exposes the dependency checks under r.
 func (s *LoServer) registerDeps(r *metrics.Registry, labels ...metrics.Label) {
 	r.CounterFunc("kv_dep_check_requests_total",
-		"Dependency checks sent: one per partition holding a dependency of a replicated update.",
+		"Dependency checks sent: one per partition holding a dependency of a replicated update (COPS; CC-LO's readers check waits instead).",
 		func() float64 { return float64(s.deps.requests.Load()) }, labels...)
 	r.CounterFunc("kv_dep_check_keys_total", "Dependencies carried by the dependency checks sent.",
 		func() float64 { return float64(s.deps.keys.Load()) }, labels...)
@@ -237,8 +244,8 @@ func (s *LoServer) CommitLocal(src wire.From, reqID uint64, m *wire.LoPutReq, fl
 // from no peer DC (see FromPeer), or a failed or shutdown-aborted check,
 // answers the origin with an error and returns false; the caller withholds
 // the install and the ack, and the origin retries the (idempotent) update.
-// The family's pre-commit step, if it has one, runs between WaitDeps and
-// CommitRemote.
+// COPS runs it before CommitRemote; CC-LO folds the wait into its readers
+// check (see AwaitInstalled).
 func (s *LoServer) WaitDeps(src wire.From, reqID uint64, m *wire.LoRepUpdate) bool {
 	if !s.FromPeer(src, reqID, m.SrcDC) {
 		return false
@@ -250,13 +257,24 @@ func (s *LoServer) WaitDeps(src wire.From, reqID uint64, m *wire.LoRepUpdate) bo
 	return true
 }
 
-// CommitRemote installs a replicated update whose dependencies WaitDeps
-// found satisfied: it moves the clock past the origin timestamp and floor
-// (Lamport clocks stay related), appends logged — the install record as the
-// family wants it persisted — with the reader record, installs under the
-// origin timestamp, wakes dependency checks and acks (see LoServer for why
-// in that order). It returns the update's Op for the family's dispatch to
-// report.
+// AwaitInstalled blocks until every listed version is installed on this
+// partition; an error means the server is stopping and some was NOT
+// verified. A pre-commit step that already asks every partition holding a
+// dependency (CC-LO's readers check) answers after it, and needs no WaitDeps.
+func (s *LoServer) AwaitInstalled(deps []wire.LoDep) error {
+	if !s.deps.waitInstalled(deps) {
+		return errStopping
+	}
+	return nil
+}
+
+// CommitRemote installs a replicated update whose dependencies are all
+// installed in this DC: it moves the clock past the origin timestamp and
+// floor (Lamport clocks stay related), appends logged — the install record
+// as the family wants it persisted — with the reader record, installs under
+// the origin timestamp, wakes dependency checks and acks (see LoServer for
+// why in that order). It returns the update's Op for the family's dispatch
+// to report.
 func (s *LoServer) CommitRemote(src wire.From, reqID uint64, m *wire.LoRepUpdate, logged wal.Record, floor uint64, readers []wire.ReaderEntry) Op {
 	op := Op{Kind: OpRep, Key: m.Key, Commit: time.Now()}
 	s.Clock.Update(max(m.TS, floor))

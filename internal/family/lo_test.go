@@ -55,6 +55,7 @@ func newLoRig(t *testing.T, log ...wal.Record) *loRig {
 			r.mu.Unlock()
 		},
 		Snapshot: func(func(wal.Record) error) error { return nil },
+		Seal:     func() { r.ev.add("seal") },
 	})
 	for i := 0; r.own == "" || r.other == ""; i++ {
 		k := fmt.Sprintf("key-%d", i)
@@ -98,7 +99,7 @@ func (st *windowStream) queued() []*wire.LoRepUpdate {
 func (r *loRig) waiter(key string) (woke chan struct{}) {
 	woke = make(chan struct{})
 	go func() {
-		if r.srv.deps.Wait(key, 1, 0) {
+		if r.srv.AwaitInstalled([]wire.LoDep{{Key: key, TS: 1}}) == nil {
 			r.ev.add("wake")
 		}
 		close(woke)
@@ -242,12 +243,12 @@ func TestFailedAppendWithholds(t *testing.T) {
 	}
 }
 
-// TestReplay: recovery installs every install record, moves the clock past
-// the newest recovered timestamp, keeps the LOCAL updates — timestamp order,
-// dependency lists and recovered old readers attached — for the replicator,
-// and hands every old-reader record to the family by version identity,
-// orphans included (only the family's store can tell a version is gone).
-// The snapshot source waits for Attach.
+// TestReplay: recovery installs every install record, then seals the store,
+// moves the clock past the newest recovered timestamp, keeps the LOCAL
+// updates — timestamp order, dependency lists and recovered old readers
+// attached — for the replicator, and hands every old-reader record to the
+// family by version identity, orphans included (only the family's store can
+// tell a version is gone). The snapshot source waits for Attach.
 func TestReplay(t *testing.T) {
 	deps := []wire.LoDep{{Key: "d", TS: 3, Src: 1}}
 	r := newLoRig(t,
@@ -262,7 +263,7 @@ func TestReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := r.ev.list(), []string{"install a@9 readers=0", "install b@30 readers=0", "install c@4 readers=0"}; !reflect.DeepEqual(got, want) {
+	if got, want := r.ev.list(), []string{"install a@9 readers=0", "install b@30 readers=0", "install c@4 readers=0", "seal"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("events %q, want %q", got, want)
 	}
 	if now := r.srv.Clock.Now(); now <= 30 {

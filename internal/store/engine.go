@@ -526,6 +526,32 @@ func (e *Engine[X, A]) ForEach(fn func(key string, c *Chain[X]) bool) {
 	}
 }
 
+// Seal marks every chain trimmed: what lies below a chain's oldest version
+// counts as discarded (Has) and is dropped if it arrives (floor), never as a
+// version still to come. Recovery seals what it replayed, before serving. A
+// WAL snapshot keeps only the versions each chain still needed, so an
+// untrimmed recovered chain would claim the versions below its oldest were
+// never installed, and a dependency on one would be waited for forever.
+func (e *Engine[X, A]) Seal() {
+	for s := range e.shards {
+		sh := &e.shards[s]
+		sh.mu.Lock()
+		t := sh.tab.Load()
+		for i := range t.slots {
+			en := t.slots[i].Load()
+			if en == nil {
+				continue
+			}
+			if c := en.chain.Load(); c.Len() > 0 && !c.Trimmed {
+				vs := e.backing(sh, len(c.Versions), true)
+				copy(vs, c.Versions)
+				sh.publish(en, vs, true)
+			}
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // Key is the locked view of one key's state, valid only inside an Update
 // callback.
 type Key[X, A any] struct {

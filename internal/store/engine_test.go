@@ -73,6 +73,35 @@ func TestTrim(t *testing.T) {
 	}
 }
 
+// TestSeal: a sealed chain keeps its versions, values and extras, claims
+// what lies below its oldest version (Has), and drops it on arrival; above
+// its oldest it still waits for the exact version, and installs go on.
+func TestSeal(t *testing.T) {
+	e := New[int, struct{}](0, 1)
+	e.Install("x", v(6, 1))
+	e.Install("x", v(8, 0))
+	if e.Has("x", 5, 1) {
+		t.Fatal("an untrimmed chain claims a version below its oldest")
+	}
+	e.Seal()
+	c := e.View("x")
+	if !c.Trimmed || c.Len() != 2 || c.Versions[0].Extra != 6 || string(c.Versions[1].Value) != string(v(8, 0).Value) {
+		t.Fatalf("sealed chain %+v trimmed=%v, want [6 8] trimmed", c.Versions, c.Trimmed)
+	}
+	if !e.Has("x", 5, 1) || !e.Has("x", 6, 1) {
+		t.Fatal("a sealed chain denies what lies at or below its oldest version")
+	}
+	if e.Has("x", 7, 0) {
+		t.Fatal("a sealed chain claims a version above its oldest that it never had")
+	}
+	if e.Install("x", v(5, 1)); e.View("x").Versions[0].TS != 6 {
+		t.Fatalf("a version below a sealed chain was kept: %+v", e.View("x").Versions)
+	}
+	if !e.Install("x", v(9, 0)) || e.View("x").Len() != 3 {
+		t.Fatalf("install after Seal: %+v", e.View("x").Versions)
+	}
+}
+
 // A trim rule sees the chain the install is about to publish, with the new
 // version in place wherever it lands, the caller's clock and the ceiling's
 // floor; whatever it answers, the engine keeps the newest version and at

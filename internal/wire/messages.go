@@ -707,20 +707,31 @@ func (m *LoRotResp) Decode(r *Reader) {
 
 // OldReadersReq is the readers check: it asks a partition for the old
 // readers of each listed dependency. Epochs carries the requester's epoch
-// vector so restart knowledge propagates along the check.
+// vector so restart knowledge propagates along the check. Await marks the
+// check of a replicated update: the receiver answers only once every listed
+// version is installed there, so the one round is the update's dependency
+// check as well. A client PUT's dependencies were observed in this DC, so
+// they are installed already and its check does not wait.
 type OldReadersReq struct {
 	Deps   []LoDep
 	Epochs []uint64
+	Await  bool
 }
 
 func (*OldReadersReq) Type() uint16 { return TOldReadersReq }
 func (m *OldReadersReq) Encode(b *Buffer) {
 	encodeDeps(b, m.Deps)
 	encodeEpochs(b, m.Epochs)
+	var await uint8
+	if m.Await {
+		await = 1
+	}
+	b.U8(await)
 }
 func (m *OldReadersReq) Decode(r *Reader) {
 	m.Deps = decodeDepsInto(m.Deps, r)
 	m.Epochs = decodeEpochsInto(m.Epochs, r)
+	m.Await = r.U8() != 0
 }
 
 // Reset recycles the Deps and Epochs containers (the readers check only

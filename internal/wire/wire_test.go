@@ -146,6 +146,7 @@ func sampleMessages(r *rand.Rand) []Message {
 		&LoRotReq{RotID: 1<<33 | 4, Epochs: []uint64{2, 0, 7}, Keys: []string{"m", "n"}},
 		&LoRotResp{Vals: kvs, Epochs: []uint64{3, 1}},
 		&OldReadersReq{Deps: deps, Epochs: []uint64{0, 5}},
+		&OldReadersReq{Deps: deps, Epochs: []uint64{0, 5}, Await: true},
 		&OldReadersResp{Readers: readers, Cumulative: 42, Epochs: []uint64{1, 1, 4}},
 		&LoRepUpdate{
 			SrcDC: 1, Key: "rk", Value: val, TS: 10,
