@@ -200,6 +200,9 @@ func (c *Client) rotOnce(ctx context.Context, keys []string) (map[string]wire.KV
 	var firstErr error
 	for range groups {
 		r := <-ch
+		if r.err == nil {
+			r.err = wire.Label(vals, groups[r.part], r.vals)
+		}
 		if r.err != nil {
 			if firstErr == nil {
 				firstErr = r.err
@@ -207,9 +210,6 @@ func (c *Client) rotOnce(ctx context.Context, keys []string) (map[string]wire.KV
 			continue
 		}
 		legEpochs[r.part] = r.epochs
-		for _, kv := range r.vals {
-			vals[kv.Key] = kv
-		}
 	}
 	c.mergeEpochs(legEpochs)
 	if firstErr != nil {

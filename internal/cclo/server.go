@@ -306,7 +306,6 @@ func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.LoRotReq) family
 			_ = s.Node.Respond(src, reqID, &wire.RotRefused{RotID: m.RotID})
 			return family.Read(m.Keys)
 		}
-		kv.Key = k
 		vals[i] = kv
 	}
 	// The epoch stamp is taken AFTER the reads: any version these reads

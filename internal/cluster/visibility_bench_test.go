@@ -31,12 +31,31 @@ type visTap struct {
 	reports, bcasts atomic.Uint64 // VVReports sent by partitions, GSSBcasts sent by stabilizers
 
 	mu       sync.Mutex
-	part     int    // the DC1 partition being watched
-	ts       uint64 // the probe's timestamp; 0 = no probe in flight
+	part     int        // the DC1 partition being watched
+	ts       uint64     // the probe's timestamp; 0 = no probe in flight, ^0 = not yet known
+	early    []tapEvent // the hand-overs seen while ts was not yet known, in order
 	stamp    [numStages]time.Time
 	reported bool       // the stabilizer has been handed the report that carries ts
 	answer   vclock.Vec // the first GSS it sent to the replica after that
 }
+
+// tapEvent is one hand-over at the watched replica or its stabilizer: what
+// it was, when, and how far into DC0's timeline the message reaches.
+type tapEvent struct {
+	kind   int
+	at     time.Time
+	covers uint64     // RepBatch.HighTS, VVReport.VV[0] or GSSBcast.GSS[0]
+	gss    vclock.Vec // a broadcast's GSS
+}
+
+// The hand-over kinds a probe's stamps are derived from.
+const (
+	batchIn   = iota // the replica handled a RepBatch from DC0
+	reportOut        // the replica sent a VVReport
+	reportIn         // DC1's stabilizer handled the replica's VVReport
+	bcastOut         // DC1's stabilizer sent a GSSBcast to the replica
+	bcastIn          // the replica handled a GSSBcast
+)
 
 // The hand-overs, in pipeline order. Each is stamped once per probe.
 const (
@@ -47,18 +66,66 @@ const (
 	numStages
 )
 
-// watch starts a probe on part's replica; nothing is stamped until cover
-// gives it the PUT's timestamp.
+// watch starts a probe on part's replica. Until cover gives it the PUT's
+// timestamp, the hand-overs are kept, not judged: the PUT's ack can take
+// longer to reach the writer than its replication takes to reach DC1.
 func (v *visTap) watch(part int) {
 	v.mu.Lock()
-	v.part, v.ts, v.stamp, v.reported, v.answer = part, ^uint64(0), [numStages]time.Time{}, false, nil
+	v.part, v.ts, v.early, v.stamp, v.reported, v.answer = part, ^uint64(0), v.early[:0], [numStages]time.Time{}, false, nil
 	v.mu.Unlock()
 }
 
+// cover names the probe's timestamp and stamps the hand-overs seen since
+// watch that already carried it, each at the time it happened.
 func (v *visTap) cover(ts uint64) {
 	v.mu.Lock()
 	v.ts = ts
+	for _, e := range v.early {
+		v.apply(e)
+	}
+	v.early = v.early[:0]
 	v.mu.Unlock()
+}
+
+// record judges e against the probe, or keeps it until cover while the
+// probe's timestamp is not yet known. Call it with v.mu held.
+func (v *visTap) record(e tapEvent) {
+	switch v.ts {
+	case 0:
+	case ^uint64(0):
+		v.early = append(v.early, e)
+	default:
+		v.apply(e)
+	}
+}
+
+// apply advances the probe's stamps by one hand-over.
+func (v *visTap) apply(e tapEvent) {
+	switch e.kind {
+	case batchIn:
+		if e.covers >= v.ts {
+			v.mark(atRemoteVV, e.at)
+		}
+	case reportOut:
+		if e.covers >= v.ts {
+			v.mark(inReport, e.at)
+		}
+	case reportIn:
+		if e.covers >= v.ts {
+			v.reported = true
+		}
+	case bcastOut:
+		if v.reported && v.answer == nil {
+			v.answer = e.gss
+		}
+	case bcastIn:
+		if v.answer != nil && e.gss.Equal(v.answer) {
+			v.mark(answered, e.at)
+		}
+		if e.covers >= v.ts {
+			v.mark(inGSS, e.at)
+		}
+	}
 }
 
 // handled sees a message on its way into addr's handler, sent one on its way
@@ -70,24 +137,22 @@ func (v *visTap) handled(addr wire.Addr, m wire.Message) {
 	default:
 		return
 	}
+	now := time.Now()
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	replica := addr == wire.ServerAddr(1, v.part)
 	switch m := m.(type) {
 	case *wire.RepBatch:
-		if replica && m.SrcDC == 0 && m.HighTS >= v.ts {
-			v.mark(atRemoteVV)
+		if replica && m.SrcDC == 0 {
+			v.record(tapEvent{kind: batchIn, at: now, covers: m.HighTS})
 		}
 	case *wire.VVReport:
-		if addr == wire.StabilizerAddr(1) && int(m.Part) == v.part && m.VV[0] >= v.ts {
-			v.reported = true
+		if addr == wire.StabilizerAddr(1) && int(m.Part) == v.part {
+			v.record(tapEvent{kind: reportIn, at: now, covers: m.VV[0]})
 		}
 	case *wire.GSSBcast:
-		if replica && v.answer != nil && m.GSS.Equal(v.answer) {
-			v.mark(answered)
-		}
-		if replica && m.GSS[0] >= v.ts {
-			v.mark(inGSS)
+		if replica {
+			v.record(tapEvent{kind: bcastIn, at: now, covers: m.GSS[0], gss: m.GSS.Clone()})
 		}
 	}
 }
@@ -96,24 +161,26 @@ func (v *visTap) sent(addr, dst wire.Addr, m wire.Message) {
 	switch m := m.(type) {
 	case *wire.VVReport:
 		v.reports.Add(1)
+		now := time.Now()
 		v.mu.Lock()
-		if addr == wire.ServerAddr(1, v.part) && m.VV[0] >= v.ts {
-			v.mark(inReport)
+		if addr == wire.ServerAddr(1, v.part) {
+			v.record(tapEvent{kind: reportOut, at: now, covers: m.VV[0]})
 		}
 		v.mu.Unlock()
 	case *wire.GSSBcast:
 		v.bcasts.Add(1)
+		now := time.Now()
 		v.mu.Lock()
-		if v.reported && v.answer == nil && dst == wire.ServerAddr(1, v.part) {
-			v.answer = m.GSS.Clone()
+		if dst == wire.ServerAddr(1, v.part) {
+			v.record(tapEvent{kind: bcastOut, at: now, gss: m.GSS.Clone()})
 		}
 		v.mu.Unlock()
 	}
 }
 
-func (v *visTap) mark(stage int) {
-	if v.ts != 0 && v.stamp[stage].IsZero() {
-		v.stamp[stage] = time.Now()
+func (v *visTap) mark(stage int, at time.Time) {
+	if v.stamp[stage].IsZero() {
+		v.stamp[stage] = at
 	}
 }
 
@@ -134,6 +201,38 @@ type tapNode struct {
 func (n tapNode) Send(dst wire.Addr, m wire.Message) error {
 	n.v.sent(n.Addr(), dst, m)
 	return n.Node.Send(dst, m)
+}
+
+// TestVisTapKeepsHandOversBeforeCover: a write's replication can reach DC1
+// before its ack reaches the writer, so hand-overs the tap sees between
+// watch and cover must still stamp the probe once cover names its
+// timestamp — those that carry it, and only those.
+func TestVisTapKeepsHandOversBeforeCover(t *testing.T) {
+	var v visTap
+	v.watch(2)
+	replica, stab := wire.ServerAddr(1, 2), wire.StabilizerAddr(1)
+	v.handled(replica, &wire.RepBatch{SrcDC: 0, HighTS: 90}) // below the probe: no stamp
+	covered := time.Now()
+	v.handled(replica, &wire.RepBatch{SrcDC: 0, HighTS: 120})
+	v.sent(replica, stab, &wire.VVReport{Part: 2, VV: vclock.Vec{120, 7}})
+	v.handled(stab, &wire.VVReport{Part: 2, VV: vclock.Vec{120, 7}})
+	gss := vclock.Vec{120, 7}
+	v.sent(stab, replica, &wire.GSSBcast{GSS: gss})
+	v.handled(replica, &wire.GSSBcast{GSS: gss})
+	if !v.stamp[atRemoteVV].IsZero() {
+		t.Fatal("a hand-over was stamped before the probe's timestamp was known")
+	}
+	v.cover(100)
+	for stage, at := range v.stamp {
+		if at.IsZero() {
+			t.Errorf("hand-over %d not stamped", stage)
+		} else if at.Before(covered) || at.After(time.Now()) {
+			t.Errorf("hand-over %d stamped at %v, not when it happened", stage, at)
+		}
+	}
+	if len(v.early) != 0 {
+		t.Errorf("%d hand-overs still kept after cover", len(v.early))
+	}
 }
 
 // visRow is one BenchmarkVisibility run as written to $BENCH_VIS_JSON, in

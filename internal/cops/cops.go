@@ -230,11 +230,9 @@ func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.CopsRotReq) fami
 	for i, k := range m.Keys {
 		if v, ok := s.store.latest(k); ok {
 			vals[i] = wire.DepKV{
-				KV:   wire.KV{Key: k, Value: v.value, TS: v.ts, Src: v.srcDC},
+				KV:   wire.KV{Value: v.value, TS: v.ts, Src: v.srcDC},
 				Deps: v.deps,
 			}
-		} else {
-			vals[i] = wire.DepKV{KV: wire.KV{Key: k}}
 		}
 	}
 	_ = s.Node.Respond(src, reqID, &wire.CopsRotResp{Vals: vals})
@@ -243,9 +241,9 @@ func (s *Server) handleRot(src wire.From, reqID uint64, m *wire.CopsRotReq) fami
 
 // handleVer serves the second ROT round: a specific version.
 func (s *Server) handleVer(src wire.From, reqID uint64, m *wire.CopsVerReq) family.Op {
-	val := wire.KV{Key: m.Key}
+	var val wire.KV
 	if v, ok := s.store.at(m.Key, m.TS, m.Src); ok {
-		val = wire.KV{Key: m.Key, Value: v.value, TS: v.ts, Src: v.srcDC}
+		val = wire.KV{Value: v.value, TS: v.ts, Src: v.srcDC}
 	}
 	_ = s.Node.Respond(src, reqID, &wire.CopsVerResp{Val: val})
 	return family.Op{Kind: family.OpRead, Key: m.Key, Keys: 1}
@@ -374,6 +372,7 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 
 	// Round 1: latest versions + dependency lists.
 	type r1 struct {
+		keys []string
 		vals []wire.DepKV
 		err  error
 	}
@@ -390,7 +389,7 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 				ch <- r1{err: fmt.Errorf("unexpected response %T", resp)}
 				return
 			}
-			ch <- r1{vals: rr.Vals}
+			ch <- r1{keys: ks, vals: rr.Vals, err: wire.CheckCount(len(ks), len(rr.Vals))}
 		}(p, ks)
 	}
 	got := make(map[string]wire.DepKV, len(keys))
@@ -399,7 +398,8 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 		if r.err != nil {
 			return nil, fmt.Errorf("cops: rot round 1: %w", r.err)
 		}
-		for _, v := range r.vals {
+		for i, v := range r.vals {
+			v.KV.Key = r.keys[i]
 			got[v.KV.Key] = v
 			// Inherit the read version's dependency list into the session
 			// context. Stored lists dominate a version's transitive closure
@@ -455,6 +455,7 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 					ch2 <- r2{err: fmt.Errorf("unexpected response %T", resp)}
 					return
 				}
+				vr.Val.Key = k
 				ch2 <- r2{val: vr.Val}
 			}(k, d)
 		}

@@ -2,6 +2,7 @@ package cops
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -243,5 +244,67 @@ func TestCloseWithoutStart(t *testing.T) {
 	case <-done:
 	case <-time.After(3 * time.Second):
 		t.Fatal("Close on a never-started 2-DC server did not return within 3 s")
+	}
+}
+
+// TestLegValueCountChecked: CopsRotResp is positional, so a first-round leg
+// that answers with more or fewer values than it was asked keys cannot be
+// labelled. The ROT fails with wire.ErrValCount rather than return values
+// under the wrong keys; legs with the right count are labelled in key order.
+func TestLegValueCountChecked(t *testing.T) {
+	r := ring.New(2)
+	keys := []string{"k0"}
+	for i := 1; len(keys) < 3; i++ {
+		if k := fmt.Sprintf("k%d", i); r.Owner(k) != r.Owner(keys[0]) || len(keys) == 1 {
+			keys = append(keys, k)
+		}
+	}
+	for _, delta := range []int{0, -1, 1} {
+		t.Run(fmt.Sprintf("delta %+d", delta), func(t *testing.T) {
+			net := transport.NewLocal(transport.LatencyModel{})
+			defer net.Close()
+			for p := 0; p < 2; p++ {
+				if _, err := net.Attach(wire.ServerAddr(0, p), transport.HandlerFunc(
+					func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
+						req, ok := m.(*wire.CopsRotReq)
+						if !ok {
+							_ = n.Respond(src, reqID, &wire.Pong{})
+							return
+						}
+						vals := make([]wire.DepKV, 0, len(req.Keys)+1)
+						for _, k := range req.Keys {
+							vals = append(vals, wire.DepKV{KV: wire.KV{Value: []byte("v-" + k), TS: 1}})
+						}
+						if p == r.Owner(keys[2]) {
+							vals = vals[:len(vals)+delta]
+						}
+						_ = n.Respond(src, reqID, &wire.CopsRotResp{Vals: vals})
+					})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cli, err := NewClient(ClientConfig{DC: 0, ID: 1, Ring: r}, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			kvs, err := cli.ROT(ctx, keys)
+			if delta != 0 {
+				if !errors.Is(err, wire.ErrValCount) {
+					t.Fatalf("ROT = %v, %v; want wire.ErrValCount", kvs, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, kv := range kvs {
+				if kv.Key != keys[i] || string(kv.Value) != "v-"+keys[i] {
+					t.Errorf("kvs[%d] = %s=%s, want %s=v-%s", i, kv.Key, kv.Value, keys[i], keys[i])
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -206,7 +207,9 @@ func (c *Client) groups(keys []string) []wire.ReadGroup {
 // request is a one-way Send (the responses come straight from the
 // partitions), so a shed comes back as a one-way Busy routed by
 // Echo==RotID, and a refused leg as a RotRefused in place of its values;
-// either is returned as the attempt's error for ROT to retry on.
+// either is returned as the attempt's error for ROT to retry on. Answers are
+// positional: RotSnap's values answer the coordinator's group (the first),
+// a RotVals' those of the group its Part names.
 func (c *Client) rotOneAndHalf(ctx context.Context, keys []string) (map[string]wire.KV, error) {
 	groups := c.groups(keys)
 	rotID := c.rotSeq.Add(1)
@@ -235,18 +238,22 @@ func (c *Client) rotOneAndHalf(ctx context.Context, keys []string) (map[string]w
 	for got := 0; got < len(groups); got++ {
 		select {
 		case m := <-ch:
+			var err error
 			switch msg := m.(type) {
 			case *wire.RotSnap:
 				sv = msg.SV
-				for _, kv := range msg.Vals {
-					vals[kv.Key] = kv
-				}
+				err = wire.Label(vals, groups[0].Keys, msg.Vals)
 			case *wire.RotVals:
-				for _, kv := range msg.Vals {
-					vals[kv.Key] = kv
+				if g := slices.IndexFunc(groups, func(g wire.ReadGroup) bool { return g.Part == msg.Part }); g > 0 {
+					err = wire.Label(vals, groups[g].Keys, msg.Vals)
+				} else {
+					err = fmt.Errorf("values from partition %d, which no forwarded leg read", msg.Part)
 				}
 			case *wire.Busy, *wire.RotRefused:
-				return nil, m.(error)
+				err = m.(error)
+			}
+			if err != nil {
+				return nil, err
 			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -284,6 +291,7 @@ func (c *Client) rotTwoRounds(ctx context.Context, keys []string) (map[string]wi
 	sv := cr.SV
 
 	type result struct {
+		keys []string
 		vals []wire.KV
 		err  error
 	}
@@ -300,17 +308,17 @@ func (c *Client) rotTwoRounds(ctx context.Context, keys []string) (map[string]wi
 				ch <- result{err: fmt.Errorf("unexpected response %T", resp)}
 				return
 			}
-			ch <- result{vals: rr.Vals}
+			ch <- result{keys: g.Keys, vals: rr.Vals}
 		}(g)
 	}
 	vals := make(map[string]wire.KV, len(keys))
 	for range groups {
 		r := <-ch
+		if r.err == nil {
+			r.err = wire.Label(vals, r.keys, r.vals)
+		}
 		if r.err != nil {
 			return nil, fmt.Errorf("read: %w", r.err)
-		}
-		for _, kv := range r.vals {
-			vals[kv.Key] = kv
 		}
 	}
 	c.observe(sv)

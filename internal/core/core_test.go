@@ -543,3 +543,101 @@ func TestCoordinatorShedRetried(t *testing.T) {
 		})
 	}
 }
+
+// TestLegValueCountChecked: read responses are positional, so a leg that
+// answers with more or fewer values than it was asked keys cannot be
+// labelled. The ROT fails with wire.ErrValCount rather than return values
+// under the wrong keys; a leg with the right count is labelled in key order.
+// Fake partitions answer for both modes: in 1 1/2 rounds the coordinator
+// sends its own RotSnap and the forwarded group's RotVals itself.
+func TestLegValueCountChecked(t *testing.T) {
+	r := ring.New(2)
+	var keys []string
+	for i := 0; len(keys) < 3; i++ {
+		k := fmt.Sprintf("k%d", i)
+		// Two keys on the coordinator (the first key's owner), one elsewhere.
+		if len(keys) == 0 || (r.Owner(k) == r.Owner(keys[0])) == (len(keys) == 1) {
+			keys = append(keys, k)
+		}
+	}
+	answer := func(keys []string, delta int) []wire.KV {
+		vals := make([]wire.KV, 0, len(keys)+1)
+		for _, k := range keys {
+			vals = append(vals, wire.KV{Value: []byte("v-" + k), TS: 1})
+		}
+		if delta < 0 {
+			return vals[:len(vals)-1]
+		}
+		return append(vals, make([]wire.KV, delta)...)
+	}
+	for _, tc := range []struct {
+		name  string
+		mode  ROTMode
+		wrong int // the group index whose leg answers one value too many (or too few), -1 none
+		delta int
+	}{
+		{"1.5 rounds, right counts", OneAndHalfRounds, -1, 0},
+		{"1.5 rounds, snapshot short", OneAndHalfRounds, 0, -1},
+		{"1.5 rounds, forwarded leg long", OneAndHalfRounds, 1, 1},
+		{"2 rounds, right counts", TwoRounds, -1, 0},
+		{"2 rounds, coordinator's leg short", TwoRounds, 0, -1},
+		{"2 rounds, other leg long", TwoRounds, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewLocal(transport.LatencyModel{})
+			defer net.Close()
+			delta := func(part uint32) int {
+				if tc.wrong >= 0 && int(part) == (r.Owner(keys[0])+tc.wrong)%2 {
+					return tc.delta
+				}
+				return 0
+			}
+			for p := 0; p < 2; p++ {
+				if _, err := net.Attach(wire.ServerAddr(0, p), transport.HandlerFunc(
+					func(n transport.Node, src wire.From, reqID uint64, m wire.Message) {
+						switch req := m.(type) {
+						case *wire.RotCoordReq:
+							if req.Mode == uint8(TwoRounds) {
+								_ = n.Respond(src, reqID, &wire.RotCoordResp{RotID: req.RotID, SV: vclock.Vec{1}})
+								return
+							}
+							for i, g := range req.Groups {
+								vals := answer(g.Keys, delta(g.Part))
+								if i == 0 {
+									_ = n.SendTo(src, &wire.RotSnap{RotID: req.RotID, SV: vclock.Vec{1}, Vals: vals})
+								} else {
+									_ = n.SendTo(src, &wire.RotVals{RotID: req.RotID, Part: g.Part, Vals: vals})
+								}
+							}
+						case *wire.RotReadReq:
+							_ = n.Respond(src, reqID, &wire.RotReadResp{Vals: answer(req.Keys, delta(uint32(p)))})
+						}
+					})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cli, err := NewClient(ClientConfig{DC: 0, ID: 1, NumDCs: 1, Ring: r, Mode: tc.mode}, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			kvs, err := cli.ROT(ctx, keys)
+			if tc.wrong >= 0 {
+				if !errors.Is(err, wire.ErrValCount) {
+					t.Fatalf("ROT = %v, %v; want wire.ErrValCount", kvs, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, kv := range kvs {
+				if kv.Key != keys[i] || string(kv.Value) != "v-"+keys[i] {
+					t.Errorf("kvs[%d] = %s=%s, want %s=v-%s", i, kv.Key, kv.Value, keys[i], keys[i])
+				}
+			}
+		})
+	}
+}

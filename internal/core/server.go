@@ -451,7 +451,7 @@ func (s *Server) handleRotCoord(src wire.From, reqID uint64, m *wire.RotCoordReq
 func (s *Server) handleRotFwd(m *wire.RotFwd) family.Op {
 	op := family.Read(m.Keys)
 	vals, wait, err := s.readAt(m.SV, m.Keys)
-	var reply wire.Message = &wire.RotVals{RotID: m.RotID, Vals: vals}
+	var reply wire.Message = &wire.RotVals{RotID: m.RotID, Part: uint32(s.cfg.Part), Vals: vals}
 	if err != nil {
 		reply = s.refusal(m.RotID)
 	}
@@ -481,7 +481,8 @@ func (s *Server) refusal(rotID uint64) *wire.RotRefused {
 	return &wire.RotRefused{RotID: rotID, Frontier: s.store.Frontier()}
 }
 
-// readAt returns the freshest version of each key within snapshot sv, or
+// readAt returns the freshest version of each key within snapshot sv, in
+// key order and unlabelled (responses are positional), or
 // mvstore.ErrTrimmed if one of them is no longer retained.
 //
 // The partition first brings its clock up to the snapshot's local entry so
@@ -540,9 +541,7 @@ func (s *Server) readAt(sv vclock.Vec, keys []string) ([]wire.KV, time.Duration,
 			return nil, gateWait, err
 		}
 		if ok {
-			vals[i] = wire.KV{Key: k, Value: v.Value, TS: v.TS}
-		} else {
-			vals[i] = wire.KV{Key: k}
+			vals[i] = wire.KV{Value: v.Value, TS: v.TS}
 		}
 	}
 	return vals, gateWait, nil

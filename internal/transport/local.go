@@ -453,8 +453,7 @@ func (n *localNode) send(ctx context.Context, env wire.Envelope, _ uint8) error 
 	// Counted only once the message is committed to the network (or
 	// charged as lost in flight), matching the TCP path: sends aborted by
 	// shutdown must not inflate the traffic metrics benchmarks report.
-	n.stats.MsgsSent.Add(1)
-	n.stats.BytesSent.Add(bytes)
+	n.stats.sent(env.Msg.Type(), bytes)
 	return nil
 }
 

@@ -648,8 +648,7 @@ func (n *tcpNode) send(ctx context.Context, env wire.Envelope, slot uint8) error
 	if err := tc.b.Enqueue(ctx, f); err != nil {
 		return err
 	}
-	n.stats.MsgsSent.Add(1)
-	n.stats.BytesSent.Add(bytes)
+	n.stats.sent(env.Msg.Type(), bytes)
 	return nil
 }
 

@@ -20,6 +20,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -129,6 +130,10 @@ type Stats struct {
 	BytesSent metrics.Counter
 	Dropped   metrics.Counter
 
+	// Sent splits MsgsSent and BytesSent by wire message type: which
+	// messages an operation's bytes are spent on.
+	Sent [wire.NumTypes]struct{ Msgs, Bytes metrics.Counter }
+
 	// Flushes counts batches cut by the batching engine — on TCP one
 	// scatter-gather socket write each (a giant batch may need more than
 	// one writev at the kernel boundary); on Local one delivered batch
@@ -166,6 +171,14 @@ type Stats struct {
 	// Sessions tracks registered logical client sessions across the
 	// network's multiplexed endpoints.
 	Sessions metrics.Gauge
+}
+
+// sent counts one frame of message type t and its envelope bytes.
+func (s *Stats) sent(t uint16, bytes uint64) {
+	s.MsgsSent.Add(1)
+	s.BytesSent.Add(bytes)
+	s.Sent[t].Msgs.Add(1)
+	s.Sent[t].Bytes.Add(bytes)
 }
 
 // Snapshot returns a plain copy of the three traffic counters (legacy
@@ -220,6 +233,11 @@ func (s *Stats) View() StatsView {
 func (s *Stats) Register(r *metrics.Registry, labels ...metrics.Label) {
 	r.Counter("kv_transport_msgs_sent_total", "Frames sent.", &s.MsgsSent, labels...)
 	r.Counter("kv_transport_bytes_sent_total", "Frame bytes sent (headers included).", &s.BytesSent, labels...)
+	for _, t := range wire.Types() {
+		typed := append(slices.Clip(labels), metrics.Label{Name: "type", Value: wire.TypeName(t)})
+		r.Counter("kv_transport_sent_msgs_total", "Frames sent, by message type.", &s.Sent[t].Msgs, typed...)
+		r.Counter("kv_transport_sent_bytes_total", "Frame bytes sent (headers included), by message type.", &s.Sent[t].Bytes, typed...)
+	}
 	r.Counter("kv_transport_dropped_total", "Frames dropped at a closed or full sink.", &s.Dropped, labels...)
 	r.Counter("kv_transport_flushes_total", "Batches cut by the batching engine.", &s.Flushes, labels...)
 	r.Counter("kv_transport_frames_coalesced_total", "Frames that joined an earlier frame's batch.", &s.FramesCoalesced, labels...)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -262,6 +264,71 @@ func TestStatsCounting(t *testing.T) {
 	msgs, bytes, _ := net.Stats().Snapshot()
 	if msgs != 2 || bytes == 0 {
 		t.Fatalf("stats = msgs %d bytes %d, want 2 msgs", msgs, bytes)
+	}
+}
+
+// TestStatsSentByType: both carriers split sent frames and bytes by
+// message type where they count the totals, and the registry exports the
+// split as kv_transport_sent_{msgs,bytes}_total{type=...}.
+func TestStatsSentByType(t *testing.T) {
+	type counted interface {
+		Network
+		Stats() *Stats
+	}
+	for name, mk := range map[string]func() counted{
+		"local": func() counted { return NewLocal(LatencyModel{}) },
+		"tcp":   func() counted { return NewTCP(map[wire.Addr]string{wire.ServerAddr(0, 0): freeAddr(t)}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := mk()
+			defer net.Close()
+			srv := wire.ServerAddr(0, 0)
+			if _, err := net.Attach(srv, &echoHandler{}); err != nil {
+				t.Fatal(err)
+			}
+			cli, err := net.Attach(wire.ClientAddr(0, 1), HandlerFunc(func(Node, wire.From, uint64, wire.Message) {}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			for i := 0; i < 2; i++ {
+				if _, err := cli.Call(ctx, srv, &wire.Ping{Nonce: uint64(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cli.Send(srv, &wire.Ping{}); err != nil {
+				t.Fatal(err)
+			}
+			st := net.Stats()
+			if p, q := st.Sent[wire.TPing].Msgs.Load(), st.Sent[wire.TPong].Msgs.Load(); p != 3 || q != 2 {
+				t.Fatalf("sent %d Pings and %d Pongs, want 3 and 2", p, q)
+			}
+			var msgs, bytes uint64
+			for i := range st.Sent {
+				msgs += st.Sent[i].Msgs.Load()
+				bytes += st.Sent[i].Bytes.Load()
+			}
+			if msgs != st.MsgsSent.Load() || bytes != st.BytesSent.Load() {
+				t.Fatalf("by type: %d msgs, %d B; totals: %d msgs, %d B", msgs, bytes, st.MsgsSent.Load(), st.BytesSent.Load())
+			}
+			reg := metrics.NewRegistry()
+			st.Register(reg)
+			var out strings.Builder
+			if err := reg.WritePrometheus(&out); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				`kv_transport_sent_msgs_total{type="Ping"} 3`,
+				`kv_transport_sent_msgs_total{type="Pong"} 2`,
+				fmt.Sprintf(`kv_transport_sent_bytes_total{type="Pong"} %d`, st.Sent[wire.TPong].Bytes.Load()),
+				`kv_transport_sent_msgs_total{type="RotVals"} 0`,
+			} {
+				if !strings.Contains(out.String(), want+"\n") {
+					t.Errorf("exposition lacks %q", want)
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,14 @@
 // protobuf plays in the paper's C++ code base: every message crossing the
 // (simulated or TCP) network is marshalled through this package, so
 // serialization CPU costs are part of what the benchmarks measure.
+//
+// Two rules keep frames small. A frame carries nothing its receiver already
+// knows: read responses are positional — the i-th value answers the i-th key
+// of the request, so no value echoes its key back (see Label). And a field
+// whose values stay small for a deployment's life — a partition index, a
+// count, a restart epoch, a Lamport timestamp — is a uvarint, while hybrid
+// logical clock readings, timestamp vectors and ids stay fixed-width: a
+// 62-bit HLC reading would take nine varint bytes.
 package wire
 
 import "fmt"

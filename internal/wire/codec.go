@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"strconv"
 	"sync"
 
 	"repro/internal/vclock"
@@ -145,6 +148,16 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// u32 reads a uvarint that must fit 32 bits (a partition index or a count).
+func (r *Reader) u32() uint32 {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.fail(ErrTooLarge)
+		return 0
+	}
+	return uint32(v)
+}
+
 func (r *Reader) length() int {
 	n := r.Uvarint()
 	if n > maxFieldLen {
@@ -224,9 +237,12 @@ type Message interface {
 	Decode(r *Reader)
 }
 
+// NumTypes bounds message type identifiers: every type is below it.
+const NumTypes = 256
+
 var (
-	registry [256]func() Message
-	msgPools [256]*sync.Pool
+	registry [NumTypes]func() Message
+	msgPools [NumTypes]*sync.Pool
 )
 
 // Register records the factory for message type t. It panics on duplicate
@@ -239,6 +255,26 @@ func Register(t uint16, fn func() Message) {
 		panic(fmt.Sprintf("wire: duplicate message type %d", t))
 	}
 	registry[t] = fn
+}
+
+// Types returns every registered message type, in ascending order.
+func Types() []uint16 {
+	var ts []uint16
+	for t, fn := range registry {
+		if fn != nil {
+			ts = append(ts, uint16(t))
+		}
+	}
+	return ts
+}
+
+// TypeName returns the Go name of message type t ("RotVals"), or its number
+// when t is not registered.
+func TypeName(t uint16) string {
+	if int(t) >= len(registry) || registry[t] == nil {
+		return strconv.Itoa(int(t))
+	}
+	return reflect.Indirect(reflect.ValueOf(registry[t]())).Type().Name()
 }
 
 // Resettable is implemented by pooled message types: Reset clears the

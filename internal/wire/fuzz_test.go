@@ -66,12 +66,22 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			f.Fatalf("registered message type %d has no seed: add it to sampleMessages", t)
 		}
 	}
+	for _, m := range canonicalMessages() {
+		f.Add(frame(m.Type(), m.Encode))
+	}
+	// The variable-width layouts at their edges: a partition index past 32
+	// bits, a ten-byte epoch, an epoch count the frame cannot hold, and a
+	// positional value list claiming more values than bytes.
+	f.Add(frame(TRotVals, func(b *Buffer) { b.U64(1); b.Uvarint(1 << 32); b.Uvarint(0) }))
+	f.Add(frame(TLoRotResp, func(b *Buffer) { b.Uvarint(0); b.Uvarint(1); b.Uvarint(^uint64(0)) }))
+	f.Add(frame(TLoRotReq, func(b *Buffer) { b.U64(1); b.Uvarint(7); b.Uvarint(maxFieldLen) }))
+	f.Add(frame(TRotSnap, func(b *Buffer) { b.U64(1); b.Vec(nil); b.Uvarint(3); b.Uvarint(0) }))
 	f.Add(frame(TCopsRotResp, func(b *Buffer) { b.Uvarint(maxFieldLen) }))
 	f.Add(frame(27, func(b *Buffer) { b.U64(1) })) // the retired CC-LO ack type: an unknown type, never a RepAck
 	f.Add(frame(TOldReadersResp, func(b *Buffer) { // TestReadersGoldenBytes' widest entry
 		b.B = append(b.B, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0x0f,
 			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
-		b.U32(0)
+		b.Uvarint(0) // Cumulative
 		b.Uvarint(0)
 	}))
 

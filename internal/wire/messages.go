@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"errors"
+	"fmt"
 	"math/bits"
 	"time"
 
@@ -113,6 +115,9 @@ func init() {
 // timestamp for CC-LO), and the version's origin DC. (TS, Src) is the
 // version's identity: Lamport timestamps collide freely across DCs, so a
 // timestamp alone cannot name a version.
+//
+// Key never travels: read responses are positional (see Label), and a
+// decoded KV's Key is empty until the client labels it.
 type KV struct {
 	Key   string
 	Value []byte
@@ -120,21 +125,50 @@ type KV struct {
 	Src   uint8
 }
 
-func encodeKVs(b *Buffer, kvs []KV) {
+// ErrValCount is a read response whose value count differs from its
+// request's key count: its values cannot be matched to keys, so the read
+// attempt fails rather than return a mislabelled result.
+var ErrValCount = errors.New("wire: read response value count differs from its key count")
+
+// Label files a positional read response's values in into under the keys
+// of the request they answer, in order, or fails with ErrValCount when the
+// counts differ.
+func Label(into map[string]KV, keys []string, vals []KV) error {
+	if err := CheckCount(len(keys), len(vals)); err != nil {
+		return err
+	}
+	for i, kv := range vals {
+		kv.Key = keys[i]
+		into[kv.Key] = kv
+	}
+	return nil
+}
+
+// CheckCount returns ErrValCount unless a response of vals values can answer
+// a request of keys keys.
+func CheckCount(keys, vals int) error {
+	if keys != vals {
+		return fmt.Errorf("%w: %d values for %d keys", ErrValCount, vals, keys)
+	}
+	return nil
+}
+
+// encodeVals writes read results without their keys: the value, its 8 B
+// timestamp (an HLC reading in Contrarian and Cure) and its origin DC.
+func encodeVals(b *Buffer, kvs []KV) {
 	b.Uvarint(uint64(len(kvs)))
 	for i := range kvs {
-		b.String(kvs[i].Key)
 		b.Bytes(kvs[i].Value)
 		b.U64(kvs[i].TS)
 		b.U8(kvs[i].Src)
 	}
 }
 
-func decodeKVs(r *Reader) []KV {
-	n := r.count(11) // two length prefixes, 8 B timestamp, source
+func decodeVals(r *Reader) []KV {
+	n := r.count(10) // a length prefix, 8 B timestamp, source
 	kvs := make([]KV, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		kvs = append(kvs, KV{Key: r.String(), Value: r.Bytes(), TS: r.U64(), Src: r.U8()})
+		kvs = append(kvs, KV{Value: r.Bytes(), TS: r.U64(), Src: r.U8()})
 	}
 	return kvs
 }
@@ -207,7 +241,8 @@ func (m *PutResp) Decode(r *Reader) {
 	m.GSS = r.Vec()
 }
 
-// ReadGroup names the keys a single partition must serve for a ROT.
+// ReadGroup names the keys a single partition must serve for a ROT. Part
+// travels as a uvarint.
 type ReadGroup struct {
 	Part uint32
 	Keys []string
@@ -233,7 +268,7 @@ func (m *RotCoordReq) Encode(b *Buffer) {
 	b.Vec(m.SeenGSS)
 	b.Uvarint(uint64(len(m.Groups)))
 	for i := range m.Groups {
-		b.U32(m.Groups[i].Part)
+		b.Uvarint(uint64(m.Groups[i].Part))
 		encodeStrings(b, m.Groups[i].Keys)
 	}
 }
@@ -243,9 +278,9 @@ func (m *RotCoordReq) Decode(r *Reader) {
 	m.SeenLocal = r.U64()
 	m.SeenGSS = r.Vec()
 	m.Groups = m.Groups[:0]
-	n := r.count(5) // 4 B partition, key count
+	n := r.count(2) // partition, key count
 	for i := 0; i < n && r.Err() == nil; i++ {
-		m.Groups = append(m.Groups, ReadGroup{Part: r.U32(), Keys: decodeStrings(r)})
+		m.Groups = append(m.Groups, ReadGroup{Part: r.u32(), Keys: decodeStrings(r)})
 	}
 }
 
@@ -306,24 +341,30 @@ func (m *RotFwd) Reset() {
 	*m = RotFwd{Keys: m.Keys[:0]}
 }
 
-// RotVals is a partition's direct-to-client answer (1 1/2-round mode).
+// RotVals is a partition's direct-to-client answer (1 1/2-round mode). Part
+// names the answering partition, so the client can match Vals to the keys of
+// that partition's ReadGroup.
 type RotVals struct {
 	RotID uint64
+	Part  uint32
 	Vals  []KV
 }
 
 func (*RotVals) Type() uint16 { return TRotVals }
 func (m *RotVals) Encode(b *Buffer) {
 	b.U64(m.RotID)
-	encodeKVs(b, m.Vals)
+	b.Uvarint(uint64(m.Part))
+	encodeVals(b, m.Vals)
 }
 func (m *RotVals) Decode(r *Reader) {
 	m.RotID = r.U64()
-	m.Vals = decodeKVs(r)
+	m.Part = r.u32()
+	m.Vals = decodeVals(r)
 }
 
 // RotSnap is the coordinator's direct-to-client answer (1 1/2-round mode):
-// the snapshot vector plus the coordinator's own keys.
+// the snapshot vector plus the values of the coordinator's own keys, the
+// request's first ReadGroup.
 type RotSnap struct {
 	RotID uint64
 	SV    vclock.Vec
@@ -334,12 +375,12 @@ func (*RotSnap) Type() uint16 { return TRotSnap }
 func (m *RotSnap) Encode(b *Buffer) {
 	b.U64(m.RotID)
 	b.Vec(m.SV)
-	encodeKVs(b, m.Vals)
+	encodeVals(b, m.Vals)
 }
 func (m *RotSnap) Decode(r *Reader) {
 	m.RotID = r.U64()
 	m.SV = r.Vec()
-	m.Vals = decodeKVs(r)
+	m.Vals = decodeVals(r)
 }
 
 // RotReadReq reads Keys at snapshot SV (2-round mode, second round).
@@ -364,14 +405,15 @@ func (m *RotReadReq) Reset() {
 	*m = RotReadReq{Keys: m.Keys[:0]}
 }
 
-// RotReadResp carries the versions read at the requested snapshot.
+// RotReadResp carries the versions read at the requested snapshot, in the
+// order of the request's keys.
 type RotReadResp struct {
 	Vals []KV
 }
 
 func (*RotReadResp) Type() uint16       { return TRotReadResp }
-func (m *RotReadResp) Encode(b *Buffer) { encodeKVs(b, m.Vals) }
-func (m *RotReadResp) Decode(r *Reader) { m.Vals = decodeKVs(r) }
+func (m *RotReadResp) Encode(b *Buffer) { encodeVals(b, m.Vals) }
+func (m *RotReadResp) Decode(r *Reader) { m.Vals = decodeVals(r) }
 
 // RotRefused is a partition's refusal to serve a ROT leg: the key's chain
 // was trimmed past the snapshot, so the version the snapshot needs is gone.
@@ -468,11 +510,11 @@ type VVReport struct {
 
 func (*VVReport) Type() uint16 { return TVVReport }
 func (m *VVReport) Encode(b *Buffer) {
-	b.U32(m.Part)
+	b.Uvarint(uint64(m.Part))
 	b.Vec(m.VV)
 }
 func (m *VVReport) Decode(r *Reader) {
-	m.Part = r.U32()
+	m.Part = r.u32()
 	m.VV = r.Vec()
 }
 
@@ -495,7 +537,8 @@ func (m *GSSBcast) Reset() { *m = GSSBcast{} }
 //
 
 // LoDep is one COPS-style nearest dependency: a key plus the (Lamport
-// timestamp, origin DC) identity of the version depended upon. The origin
+// timestamp, origin DC) identity of the version depended upon. TS travels as
+// a uvarint, as every Lamport timestamp does. The origin
 // DC matters: Lamport timestamps collide across DCs, and a dependency
 // check satisfied by a same-timestamp version from the wrong DC would
 // break the causal install order.
@@ -509,7 +552,7 @@ func encodeDeps(b *Buffer, deps []LoDep) {
 	b.Uvarint(uint64(len(deps)))
 	for i := range deps {
 		b.String(deps[i].Key)
-		b.U64(deps[i].TS)
+		b.Uvarint(deps[i].TS)
 		b.U8(deps[i].Src)
 	}
 }
@@ -522,9 +565,9 @@ func decodeDeps(r *Reader) []LoDep {
 // array.
 func decodeDepsInto(dst []LoDep, r *Reader) []LoDep {
 	dst = dst[:0]
-	n := r.count(10) // length prefix, 8 B timestamp, source
+	n := r.count(3) // length prefix, timestamp, source
 	for i := 0; i < n && r.Err() == nil; i++ {
-		dst = append(dst, LoDep{Key: r.String(), TS: r.U64(), Src: r.U8()})
+		dst = append(dst, LoDep{Key: r.String(), TS: r.Uvarint(), Src: r.U8()})
 	}
 	return dst
 }
@@ -535,12 +578,13 @@ func decodeDepsInto(dst []LoDep, r *Reader) []LoDep {
 // traffic, which is exactly the causal channel a dependent write must have
 // used before it could endanger a ROT whose reader records the crash
 // destroyed. Clients cross-compare the vectors of a multi-partition ROT's
-// legs to detect a restart the ROT straddled.
+// legs to detect a restart the ROT straddled. Epochs count restarts, so each
+// is a uvarint: one byte for a partition's first 127 recoveries.
 
 func encodeEpochs(b *Buffer, es []uint64) {
 	b.Uvarint(uint64(len(es)))
 	for _, e := range es {
-		b.U64(e)
+		b.Uvarint(e)
 	}
 }
 
@@ -548,9 +592,9 @@ func encodeEpochs(b *Buffer, es []uint64) {
 // backing array.
 func decodeEpochsInto(dst []uint64, r *Reader) []uint64 {
 	dst = dst[:0]
-	n := r.count(8) // fixed 8 B
+	n := r.count(1) // a uvarint
 	for i := 0; i < n && r.Err() == nil; i++ {
-		dst = append(dst, r.U64())
+		dst = append(dst, r.Uvarint())
 	}
 	return dst
 }
@@ -636,12 +680,13 @@ func (m *LoPutReq) Decode(r *Reader) {
 // into the enqueued LoRepUpdate (CC-LO) or the stored version (COPS).
 func (m *LoPutReq) Reset() { *m = LoPutReq{} }
 
-// LoPutResp acknowledges a CC-LO PUT with the new version's timestamp.
+// LoPutResp acknowledges a CC-LO PUT with the new version's Lamport
+// timestamp.
 type LoPutResp struct{ TS uint64 }
 
 func (*LoPutResp) Type() uint16       { return TLoPutResp }
-func (m *LoPutResp) Encode(b *Buffer) { b.U64(m.TS) }
-func (m *LoPutResp) Decode(r *Reader) { m.TS = r.U64() }
+func (m *LoPutResp) Encode(b *Buffer) { b.Uvarint(m.TS) }
+func (m *LoPutResp) Decode(r *Reader) { m.TS = r.Uvarint() }
 
 // LoRotReq is CC-LO's one-round read: the client sends it directly to every
 // involved partition.
@@ -664,13 +709,13 @@ type LoRotReq struct {
 func (*LoRotReq) Type() uint16 { return TLoRotReq }
 func (m *LoRotReq) Encode(b *Buffer) {
 	b.U64(m.RotID)
-	b.U64(m.SeenTS)
+	b.Uvarint(m.SeenTS)
 	encodeEpochs(b, m.Epochs)
 	encodeStrings(b, m.Keys)
 }
 func (m *LoRotReq) Decode(r *Reader) {
 	m.RotID = r.U64()
-	m.SeenTS = r.U64()
+	m.SeenTS = r.Uvarint()
 	m.Epochs = decodeEpochsInto(m.Epochs, r)
 	m.Keys = decodeStringsInto(m.Keys, r)
 }
@@ -683,8 +728,8 @@ func (m *LoRotReq) Reset() {
 	*m = LoRotReq{Keys: m.Keys[:0], Epochs: m.Epochs[:0]}
 }
 
-// LoRotResp carries CC-LO read results plus the serving partition's epoch
-// vector (Epochs[p] is its newest known restart epoch of partition p; its
+// LoRotResp carries CC-LO read results, in the order of the request's keys,
+// plus the serving partition's epoch vector (Epochs[p] is its newest known restart epoch of partition p; its
 // own entry is authoritative). The client's fence cross-compares the
 // vectors of a multi-partition ROT's legs: a leg that knows a newer epoch
 // of partition p than p's own leg reported proves p restarted while the
@@ -697,11 +742,11 @@ type LoRotResp struct {
 
 func (*LoRotResp) Type() uint16 { return TLoRotResp }
 func (m *LoRotResp) Encode(b *Buffer) {
-	encodeKVs(b, m.Vals)
+	encodeVals(b, m.Vals)
 	encodeEpochs(b, m.Epochs)
 }
 func (m *LoRotResp) Decode(r *Reader) {
-	m.Vals = decodeKVs(r)
+	m.Vals = decodeVals(r)
 	m.Epochs = decodeEpochsInto(nil, r)
 }
 
@@ -757,12 +802,12 @@ type OldReadersResp struct {
 func (*OldReadersResp) Type() uint16 { return TOldReadersResp }
 func (m *OldReadersResp) Encode(b *Buffer) {
 	encodeReaders(b, m.Readers)
-	b.U32(m.Cumulative)
+	b.Uvarint(uint64(m.Cumulative))
 	encodeEpochs(b, m.Epochs)
 }
 func (m *OldReadersResp) Decode(r *Reader) {
 	m.Readers = decodeReaders(r)
-	m.Cumulative = r.U32()
+	m.Cumulative = r.u32()
 	m.Epochs = decodeEpochsInto(nil, r)
 }
 
@@ -783,7 +828,7 @@ func (m *LoRepUpdate) Encode(b *Buffer) {
 	b.U8(m.SrcDC)
 	b.String(m.Key)
 	b.Bytes(m.Value)
-	b.U64(m.TS)
+	b.Uvarint(m.TS)
 	encodeDeps(b, m.Deps)
 	encodeReaders(b, m.OldReaders)
 }
@@ -791,7 +836,7 @@ func (m *LoRepUpdate) Decode(r *Reader) {
 	m.SrcDC = r.U8()
 	m.Key = r.String()
 	m.Value = r.Bytes()
-	m.TS = r.U64()
+	m.TS = r.Uvarint()
 	m.Deps = decodeDeps(r)
 	m.OldReaders = decodeReadersInto(m.OldReaders, r)
 }
@@ -916,7 +961,8 @@ func (m *RotCoordReq) CorrelationID() uint64 { return m.RotID }
 
 // DepKV is a read result together with the version's nearest dependencies;
 // COPS' first ROT round returns these so the client can detect snapshot
-// gaps (Figure 1: "Y1 depends on X1").
+// gaps (Figure 1: "Y1 depends on X1"). On the wire it is positional like a
+// KV, with a uvarint Lamport timestamp.
 type DepKV struct {
 	KV   KV
 	Deps []LoDep
@@ -935,26 +981,26 @@ func (m *CopsRotReq) Reset() {
 	*m = CopsRotReq{Keys: m.Keys[:0]}
 }
 
-// CopsRotResp returns the latest versions plus their dependency lists.
+// CopsRotResp returns the latest versions plus their dependency lists, in
+// the order of the request's keys.
 type CopsRotResp struct{ Vals []DepKV }
 
 func (*CopsRotResp) Type() uint16 { return TCopsRotResp }
 func (m *CopsRotResp) Encode(b *Buffer) {
 	b.Uvarint(uint64(len(m.Vals)))
 	for i := range m.Vals {
-		b.String(m.Vals[i].KV.Key)
 		b.Bytes(m.Vals[i].KV.Value)
-		b.U64(m.Vals[i].KV.TS)
+		b.Uvarint(m.Vals[i].KV.TS)
 		b.U8(m.Vals[i].KV.Src)
 		encodeDeps(b, m.Vals[i].Deps)
 	}
 }
 func (m *CopsRotResp) Decode(r *Reader) {
-	n := r.count(12) // a KV (11 B at least) and a dependency count
+	n := r.count(4) // a length prefix, timestamp, source, dependency count
 	m.Vals = make([]DepKV, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Vals = append(m.Vals, DepKV{
-			KV:   KV{Key: r.String(), Value: r.Bytes(), TS: r.U64(), Src: r.U8()},
+			KV:   KV{Value: r.Bytes(), TS: r.Uvarint(), Src: r.U8()},
 			Deps: decodeDeps(r),
 		})
 	}
@@ -971,27 +1017,30 @@ type CopsVerReq struct {
 func (*CopsVerReq) Type() uint16 { return TCopsVerReq }
 func (m *CopsVerReq) Encode(b *Buffer) {
 	b.String(m.Key)
-	b.U64(m.TS)
+	b.Uvarint(m.TS)
 	b.U8(m.Src)
 }
 func (m *CopsVerReq) Decode(r *Reader) {
 	m.Key = r.String()
-	m.TS = r.U64()
+	m.TS = r.Uvarint()
 	m.Src = r.U8()
 }
 
 // Reset clears the scalar fields.
 func (m *CopsVerReq) Reset() { *m = CopsVerReq{} }
 
-// CopsVerResp returns the requested version.
+// CopsVerResp returns the requested version (TS 0: the partition holds
+// nothing at or above it). The client knows the key it asked for, so the key
+// does not travel back; the identity does, since a trimmed version's
+// retained successor stands in for it.
 type CopsVerResp struct{ Val KV }
 
 func (*CopsVerResp) Type() uint16 { return TCopsVerResp }
 func (m *CopsVerResp) Encode(b *Buffer) {
-	b.String(m.Val.Key)
 	b.Bytes(m.Val.Value)
-	b.U64(m.Val.TS)
+	b.Uvarint(m.Val.TS)
+	b.U8(m.Val.Src)
 }
 func (m *CopsVerResp) Decode(r *Reader) {
-	m.Val = KV{Key: r.String(), Value: r.Bytes(), TS: r.U64()}
+	m.Val = KV{Value: r.Bytes(), TS: r.Uvarint(), Src: r.U8()}
 }

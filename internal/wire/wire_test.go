@@ -117,7 +117,8 @@ func sampleMessages(r *rand.Rand) []Message {
 	}
 	val := make([]byte, r.Intn(64))
 	r.Read(val)
-	kvs := []KV{{Key: "a", Value: val, TS: r.Uint64()}, {Key: "", Value: nil, TS: 0}}
+	// Read responses are positional: a decoded KV has no key.
+	kvs := []KV{{Value: val, TS: r.Uint64(), Src: 1}, {Value: nil, TS: 0}}
 	deps := []LoDep{{Key: "x", TS: 12}, {Key: "yy", TS: 999}}
 	readers := []ReaderEntry{{RotID: 7, T: 3}, {RotID: 1 << 40, T: 88}}
 	return []Message{
@@ -129,7 +130,7 @@ func sampleMessages(r *rand.Rand) []Message {
 		},
 		&RotCoordResp{RotID: 5, SV: vec()},
 		&RotFwd{RotID: 9, Client: ClientAddr(1, 2), SV: vec(), Keys: []string{"z"}},
-		&RotVals{RotID: 11, Vals: kvs},
+		&RotVals{RotID: 11, Part: 3, Vals: kvs},
 		&RotSnap{RotID: 12, SV: vec(), Vals: kvs},
 		&RotReadReq{SV: vec(), Keys: []string{"q", "w"}},
 		&RotReadResp{Vals: kvs},
