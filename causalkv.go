@@ -179,23 +179,19 @@ func (c *Cluster) Options() Options { return c.opts }
 
 // NewSession opens a client session homed in data center dc. A session
 // carries the causal context that makes its reads observe monotonically
-// increasing causally consistent snapshots, including its own writes.
+// increasing causally consistent snapshots, including its own writes. It
+// is NewTenantSession(dc, 0).
 func (c *Cluster) NewSession(dc int) (*Session, error) {
-	cli, err := c.inner.NewClient(dc)
-	if err != nil {
-		return nil, fmt.Errorf("causalkv: %w", err)
-	}
-	return &Session{cli: cli, dc: dc}, nil
+	return c.NewTenantSession(dc, 0)
 }
 
 // NewTenantSession opens a client session homed in dc as a logical
-// session of the given tenant, multiplexed with every other tenant session
-// of that DC over one shared endpoint (and, over TCP, a small fixed
-// connection pool) instead of one endpoint per session. Under admission
-// control the server sheds and queues per tenant, so a saturating tenant
-// cannot starve a trickle tenant.
+// session of the given tenant, multiplexed with every other session of
+// that DC over one shared endpoint (and, over TCP, a small fixed
+// connection pool). Under admission control the server sheds and queues
+// per tenant, so a saturating tenant cannot starve a trickle tenant.
 func (c *Cluster) NewTenantSession(dc int, tenant uint16) (*Session, error) {
-	cli, err := c.inner.NewSessionClient(dc, tenant)
+	cli, err := c.inner.NewClient(dc, tenant)
 	if err != nil {
 		return nil, fmt.Errorf("causalkv: %w", err)
 	}

@@ -16,12 +16,11 @@
 //	benchfig -fig wal          # durability: WAL off vs sync vs async
 //	benchfig -fig store        # storage engine vs pre-refactor baseline (10M keys)
 //	benchfig -fig overload     # admission control: ungated vs gated past saturation
-//	benchfig -fig sessions     # session mux: per-client endpoints vs multiplexed sessions
 //	benchfig -fig all          # everything except -fig store and -fig overload
 //
 // Scale knobs: -partitions, -keys, -clients, -duration, -warmup, -paper.
 // With -json FILE, the measured series of the run are additionally written
-// as JSON (CI archives the store and sessions figures this way).
+// as JSON (CI archives the store figure this way).
 package main
 
 import (
@@ -38,7 +37,7 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure to reproduce: 4,5,6,7a,7b,8,9,values,compare,ablation,table2,wal,store,overload,sessions,all")
+		fig        = flag.String("fig", "all", "figure to reproduce: 4,5,6,7a,7b,8,9,values,compare,ablation,table2,wal,store,overload,all")
 		partitions = flag.Int("partitions", 8, "partitions per DC")
 		keys       = flag.Int("keys", 20000, "keys per partition")
 		clientsCSV = flag.String("clients", "4,16,64,192", "comma-separated clients/DC sweep")
@@ -181,13 +180,6 @@ func main() {
 	if *fig == "overload" {
 		run("overload admission", func() error {
 			series, err := bench.FigureOverload(o, 2)
-			collected = append(collected, series...)
-			return err
-		})
-	}
-	if want("sessions") {
-		run("session multiplexing", func() error {
-			series, err := bench.FigureSessions(o, 1)
 			collected = append(collected, series...)
 			return err
 		})

@@ -5,9 +5,9 @@
 //	kvctl -topology topo.txt rot key1 key2 key3
 //	kvctl -topology topo.txt bench -n 1000
 //
-// With -sessions-per-conn the bench command drives many logical client
-// sessions multiplexed over one endpoint's small socket pool instead of
-// one TCP client per session:
+// Every client is a logical session on one multiplexed endpoint with a
+// small socket pool per server (-socket-pool). With -sessions-per-conn the
+// bench command drives many sessions over that endpoint instead of one:
 //
 //	kvctl -topology topo.txt -tenants 4 -sessions-per-conn 250 -socket-pool 8 bench 20000
 package main
@@ -43,8 +43,8 @@ func main() {
 		timeout  = flag.Duration("timeout", 5*time.Second, "operation timeout")
 		seed     = flag.Int64("seed", 0, "RNG seed for client id and bench key picks; 0 draws a time-based seed, any other value makes runs reproducible")
 		tenants  = flag.Int("tenants", 1, "bench: spread sessions round-robin over this many admission tenants")
-		sessions = flag.Int("sessions-per-conn", 0, "bench: run this many logical sessions per tenant, all multiplexed over one endpoint's socket pool (0 = one plain client)")
-		sockPool = flag.Int("socket-pool", 4, "bench: connections per server the multiplexed endpoint may open")
+		sessions = flag.Int("sessions-per-conn", 0, "bench: run this many logical sessions per tenant, all multiplexed over one endpoint's socket pool (0 = the one session every command runs)")
+		sockPool = flag.Int("socket-pool", 4, "connections per server the client endpoint may open")
 	)
 	flag.Parse()
 	if *seed == 0 {
@@ -74,7 +74,15 @@ func main() {
 
 	net := transport.NewTCP(topo.Directory)
 	defer net.Close()
-	cli, err := cfg.NewClient(*dc, int(rng.Int31n(30000))+1000, net, nil, 0)
+	// id addresses the endpoint and is its first session's id; the bench's
+	// further sessions count up from it.
+	id := int(rng.Int31n(30000)) + 1000
+	mux, err := net.AttachMux(wire.ClientAddr(*dc, id), *sockPool)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer mux.Close()
+	cli, err := cfg.NewClient(*dc, id, 0, mux)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -167,7 +175,7 @@ func main() {
 			fmt.Sscanf(args[1], "%d", &n)
 		}
 		if *sessions > 0 {
-			benchSessions(net, cfg, *dc, n, *tenants, *sessions, *sockPool, *timeout, rng)
+			benchSessions(net, mux, cfg, *dc, id, n, *tenants, *sessions, *sockPool, *timeout)
 		} else {
 			benchLoop(cli, n, *timeout, rng)
 		}
@@ -235,31 +243,25 @@ func straddle(net transport.Network, dc, parts, id int, gap time.Duration, k1, k
 }
 
 // benchSessions is the connection-scale bench: tenants x perConn logical
-// sessions share one multiplexed endpoint whose socket pool is capped at
-// pool connections per server, and hammer the cluster concurrently. The
-// summary line reports aggregate goodput plus the endpoint's socket
-// high-water mark — the number the connection-scale smoke bounds. Warm-up
+// sessions, with ids counting up from baseID+1, share mux, whose socket
+// pool is capped at pool connections per server, and hammer the cluster
+// concurrently. The summary line reports aggregate goodput plus the
+// endpoint's socket high-water mark — the number the connection-scale
+// smoke bounds. Warm-up
 // and every op are bounded by timeout; a session whose call times out
 // stops there and counts its remaining ops as failed, so an unanswering
 // server costs the run one timeout, not one per op.
-func benchSessions(net *transport.TCP, cfg cluster.Config, dc, n, tenants, perConn, pool int, timeout time.Duration, rng *rand.Rand) {
+func benchSessions(net *transport.TCP, mux transport.Mux, cfg cluster.Config, dc, baseID, n, tenants, perConn, pool int, timeout time.Duration) {
 	if tenants < 1 {
 		tenants = 1
 	}
-	baseID := int(rng.Int31n(20000)) + 1000
-	mux, err := net.AttachMux(wire.ClientAddr(dc, baseID), pool)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mux.Close()
-
 	total := tenants * perConn
 	clis := make([]cluster.Client, total)
 	for i := range clis {
 		// id must stay unique per DC across the process's sessions (CC-LO
 		// rot identity).
 		id := baseID + 1 + i
-		cli, err := cfg.NewClient(dc, id, nil, mux, wire.MakeSession(uint16(i%tenants), uint16(id)))
+		cli, err := cfg.NewClient(dc, id, uint16(i%tenants), mux)
 		if err != nil {
 			log.Fatalf("session %d: %v", i, err)
 		}

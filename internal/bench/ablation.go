@@ -62,12 +62,12 @@ func measureVisibility(o Opts, clock core.ClockMode, samples int) (metrics.Summa
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(samples)*5*time.Second+30*time.Second)
 	defer cancel()
-	writer, err := c.NewClient(0)
+	writer, err := c.NewClient(0, 0)
 	if err != nil {
 		return metrics.Summary{}, err
 	}
 	defer writer.Close()
-	reader, err := c.NewClient(1)
+	reader, err := c.NewClient(1, 0)
 	if err != nil {
 		return metrics.Summary{}, err
 	}
@@ -77,7 +77,7 @@ func measureVisibility(o Opts, clock core.ClockMode, samples int) (metrics.Summa
 	// moving; with HLCs physical time does this for free.
 	bgCtx, bgCancel := context.WithCancel(ctx)
 	defer bgCancel()
-	bg, err := c.NewClient(0)
+	bg, err := c.NewClient(0, 0)
 	if err != nil {
 		return metrics.Summary{}, err
 	}

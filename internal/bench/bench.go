@@ -45,10 +45,10 @@ type System struct {
 	// running client handlers; excess client requests are shed with Busy
 	// and retried by the clients with jittered backoff.
 	AdmitLimit int
-	// Tenants, when positive, runs the closed-loop clients as logical
-	// sessions multiplexed over one shared endpoint per DC — client i as
-	// tenant i mod Tenants — instead of one attached endpoint per client.
-	// 0 (the default for every paper figure) keeps the legacy model.
+	// Tenants spreads the closed-loop clients — logical sessions on one
+	// shared endpoint per DC, like every client — over this many admission
+	// tenants, client i as tenant i mod Tenants. 0 (the default for every
+	// paper figure) means one tenant.
 	Tenants int
 }
 
@@ -256,13 +256,7 @@ func Run(sys System, spec RunSpec) (Point, error) {
 	clients := make([]cluster.Client, 0, total)
 	for dc := 0; dc < sys.DCs; dc++ {
 		for i := 0; i < spec.ClientsPerDC; i++ {
-			var cli cluster.Client
-			var err error
-			if sys.Tenants > 0 {
-				cli, err = c.NewSessionClient(dc, wl.TenantOf(i))
-			} else {
-				cli, err = c.NewClient(dc)
-			}
+			cli, err := c.NewClient(dc, wl.TenantOf(i))
 			if err != nil {
 				return Point{}, err
 			}

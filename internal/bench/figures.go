@@ -457,52 +457,6 @@ func FigureOverload(o Opts, dcs int) ([]Series, error) {
 	return out, nil
 }
 
-// FigureSessions is the session-multiplexing extension table: Contrarian
-// under the default workload with the legacy one-endpoint-per-client model
-// versus the same client population run as logical sessions multiplexed
-// over one shared endpoint per DC (4 tenants, round robin). The claim
-// under test: goodput and latency stay within noise of the per-client
-// model while the endpoint count collapses to one mux per DC — on a TCP
-// deployment that is the socket-pool bound the connection-scale smoke
-// asserts (sessions grow with load, sockets stay O(pool)).
-func FigureSessions(o Opts, dcs int) ([]Series, error) {
-	fmt.Fprintf(o.Out, "\n=== Sessions: per-client endpoints vs multiplexed sessions (Contrarian, %d DC) ===\n", dcs)
-	fmt.Fprintf(o.Out, "%-28s %8s %12s %10s %10s %10s %8s %10s %7s\n",
-		"system", "clients", "tput(op/s)", "rot-avg", "rot-p99", "put-p99",
-		"errs", "sessions", "spill")
-	modes := []struct {
-		label   string
-		tenants int
-	}{
-		{"per-client endpoints", 0},
-		{"sessions (4 tenants)", 4},
-	}
-	wl := o.defaultWorkload()
-	var out []Series
-	for _, m := range modes {
-		sys := System{
-			Protocol: cluster.Contrarian, DCs: dcs, Partitions: o.Partitions,
-			MaxSkew: o.MaxSkew, Tenants: m.tenants,
-		}
-		s := Series{Label: m.label}
-		for _, n := range o.Clients {
-			p, err := Run(sys, RunSpec{Workload: wl, ClientsPerDC: n, Duration: o.Duration, Warmup: o.Warmup})
-			if err != nil {
-				return out, fmt.Errorf("%s @%d clients: %w", m.label, n, err)
-			}
-			p.System = m.label
-			s.Points = append(s.Points, p)
-			fmt.Fprintf(o.Out, "%-28s %8d %12.0f %10v %10v %10v %8d %10d %7s\n",
-				p.System, p.ClientsPerDC, p.Throughput,
-				p.ROT.Mean.Round(10*time.Microsecond), p.ROT.P99.Round(10*time.Microsecond),
-				p.PUT.P99.Round(10*time.Microsecond),
-				p.Errors, p.Transport.SessionsPeak, spillWarning(p))
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // CompareAll is an extension beyond the paper's figures: all five protocol
 // configurations under the default workload in one table (1 DC), placing
 // COPS — the design Section 3 starts from — alongside the paper's systems.

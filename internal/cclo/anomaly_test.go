@@ -68,15 +68,10 @@ func runSnapshotChecker(t *testing.T, lat transport.LatencyModel, pick func(ring
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 
+	w := dial(t, ClientConfig{DC: 0, ID: 1, Ring: r}, net)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w, err := NewClient(ClientConfig{DC: 0, ID: 1, Ring: r}, net)
-		if err != nil {
-			errCh <- err
-			return
-		}
-		defer w.Close()
 		for i := uint64(1); !stop.Load(); i++ {
 			if _, err := w.Put(ctx, x, seqVal(i)); err != nil {
 				errCh <- err
@@ -90,15 +85,10 @@ func runSnapshotChecker(t *testing.T, lat transport.LatencyModel, pick func(ring
 	}()
 
 	for rd := 0; rd < 3; rd++ {
+		cli := dial(t, ClientConfig{DC: 0, ID: 10 + rd, Ring: r}, net)
 		wg.Add(1)
-		go func(rd int) {
+		go func() {
 			defer wg.Done()
-			cli, err := NewClient(ClientConfig{DC: 0, ID: 10 + rd, Ring: r}, net)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer cli.Close()
 			for !stop.Load() {
 				kvs, err := cli.ROT(ctx, []string{x, y})
 				if err != nil {
@@ -111,7 +101,7 @@ func runSnapshotChecker(t *testing.T, lat transport.LatencyModel, pick func(ring
 					return
 				}
 			}
-		}(rd)
+		}()
 	}
 
 	time.Sleep(2 * time.Second)

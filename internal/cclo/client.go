@@ -38,8 +38,8 @@ type Client struct {
 }
 
 // ClientConfig parameterizes a CC-LO client session. ID must be unique
-// among live clients of the same DC regardless of how the client attaches:
-// it seeds the high bits of every rot id, which the readers check records
+// among live clients of the same DC, whichever mux they share: it seeds
+// the high bits of every rot id, which the readers check records
 // server-side, so two live clients sharing (DC, ID) would conflate their
 // ROTs' reader records.
 type ClientConfig struct {
@@ -48,34 +48,21 @@ type ClientConfig struct {
 	Ring ring.Ring
 }
 
-// NewClient attaches a CC-LO client to net at its own address.
-func NewClient(cfg ClientConfig, net transport.Network) (*Client, error) {
-	return newClient(cfg, func(h transport.Handler) (transport.Node, error) {
-		return net.Attach(wire.ClientAddr(cfg.DC, cfg.ID), h)
-	})
-}
-
 // NewSessionClient runs the client as logical session id on mux, sharing
 // the mux's connection pool with any number of sibling sessions. cfg.ID
 // must still be unique per DC (rot identity); callers typically allocate
-// it from the same space as plain client addresses.
+// the session id from the same space.
 func NewSessionClient(cfg ClientConfig, mux transport.Mux, id wire.SessionID) (*Client, error) {
-	return newClient(cfg, func(h transport.Handler) (transport.Node, error) {
-		return mux.Session(id, h)
-	})
-}
-
-func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node, error)) (*Client, error) {
+	node, err := mux.Session(id, transport.HandlerFunc(
+		func(transport.Node, wire.From, uint64, wire.Message) {}))
+	if err != nil {
+		return nil, err
+	}
 	c := &Client{
 		dc:   cfg.DC,
 		id:   cfg.ID,
 		ring: cfg.Ring,
 		deps: make(map[string]wire.LoDep),
-	}
-	node, err := attach(transport.HandlerFunc(
-		func(transport.Node, wire.From, uint64, wire.Message) {}))
-	if err != nil {
-		return nil, err
 	}
 	c.Init(node, cfg.DC, cfg.Ring.Parts(), c.ROT)
 	return c, nil

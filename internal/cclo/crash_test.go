@@ -91,12 +91,7 @@ func (r *crashRig) crashRestart(p int) {
 
 func (r *crashRig) client(id int) *Client {
 	r.t.Helper()
-	c, err := NewClient(ClientConfig{DC: 0, ID: id, Ring: r.ring}, r.net)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	r.t.Cleanup(func() { c.Close() })
-	return c
+	return dial(r.t, ClientConfig{DC: 0, ID: id, Ring: r.ring}, r.net)
 }
 
 func (r *crashRig) put(cli *Client, key, val string) uint64 {

@@ -43,10 +43,7 @@ func TestRecoverAfterSnapshotKeepsDeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv1.Start()
-	cli, err := NewClient(ClientConfig{DC: 0, ID: 1, Ring: ring.New(1)}, net)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dial(t, ClientConfig{DC: 0, ID: 1, Ring: ring.New(1)}, net)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	ts1, err := cli.Put(ctx, "k1", []byte("v1"))

@@ -70,11 +70,11 @@ func TestCausalityUnderAggressiveBatching(t *testing.T) {
 					keys[i] = fmt.Sprintf("bk%d", i)
 				}
 				seedCtx, cancelSeed := context.WithTimeout(context.Background(), 20*time.Second)
-				seeder, err := c.NewClient(0)
+				seeder, err := c.NewClient(0, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				remote, err := c.NewClient(1)
+				remote, err := c.NewClient(1, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +110,7 @@ func TestCausalityUnderAggressiveBatching(t *testing.T) {
 						go func(dc, ci int) {
 							defer wg.Done()
 							name := fmt.Sprintf("dc%d-c%d", dc, ci)
-							cli, err := c.NewClient(dc)
+							cli, err := c.NewClient(dc, 0)
 							if err != nil {
 								fail <- err
 								return

@@ -72,19 +72,11 @@ func TestRandomizedCausalityAllFamilies(t *testing.T) {
 					go func(dc, ci int) {
 						defer wg.Done()
 						name := fmt.Sprintf("dc%d-c%d", dc, ci)
-						// Odd clients run as multiplexed sessions on the
-						// DC's shared endpoint (two tenants), even clients
-						// attach their own address — the checker then
-						// exercises both construction paths, and the
-						// session mux/demux in particular, under the same
-						// causal workload.
-						var cli cluster.Client
-						var err error
-						if ci%2 == 1 {
-							cli, err = c.NewSessionClient(dc, uint16(ci%2))
-						} else {
-							cli, err = c.NewClient(dc)
-						}
+						// Every client is a session on the DC's shared
+						// endpoint, spread over two tenants, so the checker
+						// runs the session mux/demux under the causal
+						// workload.
+						cli, err := c.NewClient(dc, uint16(ci%2))
 						if err != nil {
 							fail <- err
 							return
@@ -184,7 +176,7 @@ func waitConverged(t *testing.T, c *cluster.Cluster, keys []string) {
 	defer cancel()
 	var readers []cluster.Client
 	for dc := 0; dc < 2; dc++ {
-		cli, err := c.NewClient(dc)
+		cli, err := c.NewClient(dc, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func TestCCLOTrimUnderRedelivery(t *testing.T) {
 			go func(dc, ci int) {
 				defer wg.Done()
 				name := fmt.Sprintf("dc%d-c%d", dc, ci)
-				cli, err := c.NewClient(dc)
+				cli, err := c.NewClient(dc, 0)
 				if err != nil {
 					fail <- err
 					return

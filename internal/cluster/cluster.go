@@ -145,12 +145,11 @@ type Cluster struct {
 	logs    []*wal.Log
 	skews   []time.Duration
 
-	clientSeq []atomic.Int64 // per DC; shared by plain clients and sessions
+	clientSeq []atomic.Int64 // per DC: session ids, which are also CC-LO rot identities
 
-	// muxes holds the per-DC session-mux endpoints, created lazily by the
-	// first NewSessionClient in a DC. Each lives at the reserved client
-	// address muxClientID and carries any number of logical sessions.
-	muxMu sync.Mutex
+	// muxes holds each DC's client endpoint, attached by Start at the
+	// reserved client address muxClientID. Every client of the DC is a
+	// logical session on it.
 	muxes []transport.Mux
 
 	// clients tracks every session this cluster handed out, so client-side
@@ -191,6 +190,14 @@ func Start(cfg Config) (*Cluster, error) {
 		muxes:     make([]transport.Mux, cfg.DCs),
 	}
 	c.net.SetAdmission(cfg.Admission(c.net.Stats().SendQueue.Load, c.fsyncP99))
+	for dc := range c.muxes {
+		m, err := c.net.AttachMux(wire.ClientAddr(dc, muxClientID), 0)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.muxes[dc] = m
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
 	for i := range c.skews {
 		if cfg.MaxSkew > 0 {
@@ -430,13 +437,11 @@ func (c *Cluster) Close() {
 	for _, st := range c.stabs {
 		st.Close()
 	}
-	c.muxMu.Lock()
 	for _, m := range c.muxes {
 		if m != nil {
 			m.Close()
 		}
 	}
-	c.muxMu.Unlock()
 	c.net.Close()
 }
 
@@ -446,23 +451,17 @@ func (c *Cluster) Ring() ring.Ring { return c.ring }
 // Net returns the underlying in-process network (for stats).
 func (c *Cluster) Net() *transport.Local { return c.net }
 
-// NewClient attaches a new client session homed in dc at its own address.
-func (c *Cluster) NewClient(dc int) (Client, error) {
+// NewClient opens a client homed in dc as a logical session of the given
+// tenant on the DC's client endpoint.
+func (c *Cluster) NewClient(dc int, tenant uint16) (Client, error) {
 	if dc < 0 || dc >= c.cfg.DCs {
 		return nil, fmt.Errorf("cluster: no such DC %d", dc)
 	}
-	return c.newClient(dc, nil, 0)
-}
-
-// newClient allocates dc's next client id — one counter for plain
-// addresses and session ids, so rot identities stay unique across both
-// construction paths — and builds the session on mux (nil = own address).
-func (c *Cluster) newClient(dc int, mux transport.Mux, tenant uint16) (Client, error) {
 	id := int(c.clientSeq[dc].Add(1))
 	if id >= muxClientID {
 		return nil, fmt.Errorf("cluster: DC %d exhausted its session id space (%d)", dc, id)
 	}
-	cli, err := c.cfg.NewClient(dc, id, c.net, mux, wire.MakeSession(tenant, uint16(id)))
+	cli, err := c.cfg.NewClient(dc, id, tenant, c.muxes[dc])
 	if err != nil {
 		return nil, err
 	}
@@ -472,40 +471,10 @@ func (c *Cluster) newClient(dc int, mux transport.Mux, tenant uint16) (Client, e
 	return cli, nil
 }
 
-// muxClientID is the per-DC client id reserved for the session-mux
-// endpoint. clientSeq allocates ordinary ids upward from 1, so the top of
-// the id space stays free.
+// muxClientID is the per-DC client id reserved for the client endpoint.
+// clientSeq allocates session ids upward from 1, so the top of the id space
+// stays free.
 const muxClientID = 0xFFFE
-
-// Mux returns dc's session-mux client endpoint, creating it on first use.
-// All session clients of a DC share it (and, on a real transport, its
-// connection pool).
-func (c *Cluster) Mux(dc int) (transport.Mux, error) {
-	if dc < 0 || dc >= c.cfg.DCs {
-		return nil, fmt.Errorf("cluster: no such DC %d", dc)
-	}
-	c.muxMu.Lock()
-	defer c.muxMu.Unlock()
-	if c.muxes[dc] == nil {
-		m, err := c.net.AttachMux(wire.ClientAddr(dc, muxClientID), 0)
-		if err != nil {
-			return nil, err
-		}
-		c.muxes[dc] = m
-	}
-	return c.muxes[dc], nil
-}
-
-// NewSessionClient opens a client session homed in dc as a logical session
-// of the given tenant on the DC's shared mux endpoint, instead of
-// attaching its own address.
-func (c *Cluster) NewSessionClient(dc int, tenant uint16) (Client, error) {
-	mux, err := c.Mux(dc)
-	if err != nil {
-		return nil, err
-	}
-	return c.newClient(dc, mux, tenant)
-}
 
 // TenantShed returns how many of tenant's requests the admission gate has
 // shed (0 while admission is disabled).

@@ -64,7 +64,7 @@ func TestPutGetROTAllProtocols(t *testing.T) {
 			t.Parallel()
 			c := startCluster(t, Config{Protocol: p, DCs: 1, Partitions: 4, Latency: NoLatency()})
 			ctx := testCtx(t)
-			cli, err := c.NewClient(0)
+			cli, err := c.NewClient(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestOverwriteVisible(t *testing.T) {
 			t.Parallel()
 			c := startCluster(t, Config{Protocol: p, DCs: 1, Partitions: 2, Latency: NoLatency()})
 			ctx := testCtx(t)
-			cli, _ := c.NewClient(0)
+			cli, _ := c.NewClient(0, 0)
 			defer cli.Close()
 			for i := uint64(1); i <= 10; i++ {
 				if _, err := cli.Put(ctx, "k", seqVal(i)); err != nil {
@@ -145,7 +145,7 @@ func TestCausalSnapshotRandomized(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w, err := c.NewClient(0)
+				w, err := c.NewClient(0, 0)
 				if err != nil {
 					errCh <- err
 					return
@@ -167,7 +167,7 @@ func TestCausalSnapshotRandomized(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					cli, err := c.NewClient(0)
+					cli, err := c.NewClient(0, 0)
 					if err != nil {
 						errCh <- err
 						return
@@ -222,7 +222,7 @@ func TestCausalChainAcrossClients(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				a, err := c.NewClient(0)
+				a, err := c.NewClient(0, 0)
 				if err != nil {
 					errCh <- err
 					return
@@ -241,7 +241,7 @@ func TestCausalChainAcrossClients(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				b, err := c.NewClient(0)
+				b, err := c.NewClient(0, 0)
 				if err != nil {
 					errCh <- err
 					return
@@ -267,7 +267,7 @@ func TestCausalChainAcrossClients(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					cli, err := c.NewClient(0)
+					cli, err := c.NewClient(0, 0)
 					if err != nil {
 						errCh <- err
 						return
@@ -305,9 +305,9 @@ func TestEventualVisibilityTwoDCs(t *testing.T) {
 			t.Parallel()
 			c := startCluster(t, Config{Protocol: p, DCs: 2, Partitions: 4, Latency: NoLatency()})
 			ctx := testCtx(t)
-			w, _ := c.NewClient(0)
+			w, _ := c.NewClient(0, 0)
 			defer w.Close()
-			r, _ := c.NewClient(1)
+			r, _ := c.NewClient(1, 0)
 			defer r.Close()
 
 			if _, err := w.Put(ctx, "geo", []byte("hello")); err != nil {
@@ -354,7 +354,7 @@ func TestCausalSnapshotTwoDCs(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w, err := c.NewClient(0)
+				w, err := c.NewClient(0, 0)
 				if err != nil {
 					errCh <- err
 					return
@@ -376,7 +376,7 @@ func TestCausalSnapshotTwoDCs(t *testing.T) {
 				wg.Add(1)
 				go func(dc int) {
 					defer wg.Done()
-					cli, err := c.NewClient(dc)
+					cli, err := c.NewClient(dc, 0)
 					if err != nil {
 						errCh <- err
 						return
@@ -426,7 +426,7 @@ func TestConvergenceTwoDCs(t *testing.T) {
 				wg.Add(1)
 				go func(dc int) {
 					defer wg.Done()
-					cli, _ := c.NewClient(dc)
+					cli, _ := c.NewClient(dc, 0)
 					defer cli.Close()
 					for i := 0; i < 50; i++ {
 						key := fmt.Sprintf("conv-%d", i%10)
@@ -477,7 +477,7 @@ func TestCureBlocksOnSkew(t *testing.T) {
 			Latency: NoLatency(), MaxSkew: 5 * time.Millisecond, Seed: 42,
 		})
 		ctx := testCtx(t)
-		cli, _ := c.NewClient(0)
+		cli, _ := c.NewClient(0, 0)
 		defer cli.Close()
 		x, y := distinctPartKeys(c.Ring(), "skew")
 		cli.Put(ctx, x, []byte("a"))
@@ -506,7 +506,7 @@ func TestContrarianModesEquivalent(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			c := startCluster(t, Config{Protocol: p, DCs: 1, Partitions: 4, Latency: NoLatency()})
 			ctx := testCtx(t)
-			cli, _ := c.NewClient(0)
+			cli, _ := c.NewClient(0, 0)
 			defer cli.Close()
 			keys := make([]string, 6)
 			for i := range keys {
@@ -540,7 +540,7 @@ func TestManyClientsSmoke(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					cli, err := c.NewClient(0)
+					cli, err := c.NewClient(0, 0)
 					if err != nil {
 						errs <- err
 						return

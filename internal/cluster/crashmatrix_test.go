@@ -72,7 +72,7 @@ func TestCrashMatrixPostFsyncPreReplicate(t *testing.T) {
 				DataDir:    t.TempDir(),
 			})
 			ctx := testCtx(t)
-			w, err := c.NewClient(0)
+			w, err := c.NewClient(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func TestCrashMatrixPostFsyncPreReplicate(t *testing.T) {
 			}
 			c.SetInterDCLoss(0)
 
-			r, err := c.NewClient(1)
+			r, err := c.NewClient(1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +146,7 @@ func TestCrashMatrixPreFsyncAsync(t *testing.T) {
 		WALFsyncEvery: 40 * time.Millisecond,
 	})
 	ctx := testCtx(t)
-	w, err := c.NewClient(0)
+	w, err := c.NewClient(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestCrashMatrixPreFsyncAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := c.NewClient(1)
+	r, err := c.NewClient(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestCrashMatrixMidSnapshot(t *testing.T) {
 		WALSegmentBytes: 1024,
 	})
 	ctx := testCtx(t)
-	w, err := c.NewClient(0)
+	w, err := c.NewClient(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestCrashMatrixMidRotateTornHeader(t *testing.T) {
 				WALSegmentBytes: 1024, // force real rotations before the crash
 			})
 			ctx := testCtx(t)
-			w, err := c.NewClient(0)
+			w, err := c.NewClient(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -343,7 +343,7 @@ func TestCrashMatrixTornSealedSegmentFailsLoudly(t *testing.T) {
 		WALSegmentBytes: 1024,
 	})
 	ctx := testCtx(t)
-	w, err := c.NewClient(0)
+	w, err := c.NewClient(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,12 +389,12 @@ func TestCrashMatrixTornCursorRecord(t *testing.T) {
 		DataDir:    t.TempDir(),
 	})
 	ctx := testCtx(t)
-	w, err := c.NewClient(0)
+	w, err := c.NewClient(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	r, err := c.NewClient(1)
+	r, err := c.NewClient(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

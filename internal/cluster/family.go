@@ -184,32 +184,22 @@ func (cfg Config) NewStabilizer(dc int, net transport.Network) (*core.Stabilizer
 	return core.NewStabilizer(dc, cfg.Partitions, cfg.DCs, 0, net)
 }
 
-// NewClient builds a client session of cfg's protocol homed in dc. With a
-// nil mux it attaches to net at its own address, ClientAddr(dc, id);
-// otherwise it runs as logical session sess on mux and net is unused. id
-// must be unique per DC across both paths (it is the CC-LO rot identity).
+// NewClient opens a client of cfg's protocol homed in dc as the logical
+// session (tenant, id) on mux, the DC's client endpoint. id must be
+// nonzero, unique per DC (it is the CC-LO rot identity) and fit the session
+// id's 16 bits.
 // On error the returned Client is not usable (it may be a typed nil).
-func (cfg Config) NewClient(dc, id int, net transport.Network, mux transport.Mux, sess wire.SessionID) (Client, error) {
+func (cfg Config) NewClient(dc, id int, tenant uint16, mux transport.Mux) (Client, error) {
 	r := ring.New(cfg.Partitions)
+	sess := wire.MakeSession(tenant, uint16(id))
 	switch cfg.Protocol {
 	case COPS:
-		cc := cops.ClientConfig{DC: dc, ID: id, Ring: r}
-		if mux != nil {
-			return cops.NewSessionClient(cc, mux, sess)
-		}
-		return cops.NewClient(cc, net)
+		return cops.NewSessionClient(cops.ClientConfig{DC: dc, ID: id, Ring: r}, mux, sess)
 	case CCLO:
-		cc := cclo.ClientConfig{DC: dc, ID: id, Ring: r}
-		if mux != nil {
-			return cclo.NewSessionClient(cc, mux, sess)
-		}
-		return cclo.NewClient(cc, net)
+		return cclo.NewSessionClient(cclo.ClientConfig{DC: dc, ID: id, Ring: r}, mux, sess)
 	case Contrarian, ContrarianTwoRound, Cure:
 		cc := core.ClientConfig{DC: dc, ID: id, NumDCs: cfg.DCs, Ring: r, Mode: families[cfg.Protocol].rot}
-		if mux != nil {
-			return core.NewSessionClient(cc, mux, sess)
-		}
-		return core.NewClient(cc, net)
+		return core.NewSessionClient(cc, mux, sess)
 	default:
 		return nil, fmt.Errorf("cluster: unknown protocol %v", cfg.Protocol)
 	}

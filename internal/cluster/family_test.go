@@ -62,36 +62,32 @@ func TestProtocolTable(t *testing.T) {
 	if s, err := bogus.NewServer(0, 0, 0, nil, net); err == nil || s != nil {
 		t.Errorf("NewServer for an out-of-table protocol = %v, %v; want an untyped nil and an error", s, err)
 	}
-	if _, err := bogus.NewClient(0, 1, net, nil, 0); err == nil {
+	mux, err := net.AttachMux(wire.ClientAddr(0, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bogus.NewClient(0, 1, 0, mux); err == nil {
 		t.Error("NewClient for an out-of-table protocol succeeded")
 	}
 }
 
-// TestClientIDSpaceExhaustion: plain clients and sessions draw ids from one
-// per-DC counter whose top is reserved for the mux endpoint. Running out
-// must be an error on both construction paths — a plain client used to
-// attach at the mux's reserved address (breaking a later Mux) and then
-// panic inside wire.ClientAddr's range check.
+// TestClientIDSpaceExhaustion: session ids come from one per-DC counter
+// whose top is reserved for the DC's client endpoint. Running out must be
+// an error, not a session that aliases the endpoint's address or a panic
+// inside wire.ClientAddr's range check.
 func TestClientIDSpaceExhaustion(t *testing.T) {
 	c := startCluster(t, Config{Partitions: 1, Latency: NoLatency()})
 	c.clientSeq[0].Store(muxClientID - 2)
-	last, err := c.NewClient(0)
+	last, err := c.NewClient(0, 0)
 	if err != nil {
 		t.Fatalf("the last free id was refused: %v", err)
 	}
 	defer last.Close()
 	for i := 0; i < 3; i++ {
-		if cli, err := c.NewClient(0); err == nil {
+		if cli, err := c.NewClient(0, uint16(i)); err == nil {
 			cli.Close()
-			t.Fatalf("plain client %d past the id space attached", i)
+			t.Fatalf("client %d past the id space attached", i)
 		}
-	}
-	if _, err := c.Mux(0); err != nil {
-		t.Fatalf("Mux after exhaustion: %v", err)
-	}
-	if cli, err := c.NewSessionClient(0, 0); err == nil {
-		cli.Close()
-		t.Fatal("session client past the id space attached")
 	}
 }
 
@@ -126,7 +122,7 @@ func TestOneKeyGetRecordsGet(t *testing.T) {
 			count := func(op string) float64 { return scrape(t, reg, "kv_server_op_seconds_count", `op="`+op+`"`) }
 			put0, get0 := count("put"), count("get")
 			ctx := testCtx(t)
-			cli, err := c.NewClient(0)
+			cli, err := c.NewClient(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +199,7 @@ func TestDependencyChecksByFamily(t *testing.T) {
 			reg := metrics.NewRegistry()
 			c.RegisterMetrics(reg)
 			ctx := testCtx(t)
-			cli, err := c.NewClient(0)
+			cli, err := c.NewClient(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +214,7 @@ func TestDependencyChecksByFamily(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			remote, err := c.NewClient(1)
+			remote, err := c.NewClient(1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

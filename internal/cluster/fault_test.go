@@ -25,9 +25,9 @@ func TestReplicationSurvivesWANLoss(t *testing.T) {
 			}
 			c := startCluster(t, Config{Protocol: p, DCs: 2, Partitions: 2, Latency: lat})
 			ctx := testCtx(t)
-			w, _ := c.NewClient(0)
+			w, _ := c.NewClient(0, 0)
 			defer w.Close()
-			r, _ := c.NewClient(1)
+			r, _ := c.NewClient(1, 0)
 			defer r.Close()
 
 			for i := 0; i < 10; i++ {
@@ -73,12 +73,12 @@ func TestPutsAnswerBehindSeveredWAN(t *testing.T) {
 			c := startCluster(t, Config{Protocol: p, DCs: 2, Partitions: 1, Latency: NoLatency()})
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			w, err := c.NewClient(0)
+			w, err := c.NewClient(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			r, err := c.NewClient(1)
+			r, err := c.NewClient(1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,12 +126,12 @@ func TestCCLOSessionGuaranteesAcrossCrashes(t *testing.T) {
 			break
 		}
 	}
-	w, err := c.NewClient(0)
+	w, err := c.NewClient(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	r, err := c.NewClient(0)
+	r, err := c.NewClient(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +197,9 @@ func TestLogicalClockLaggardPinsGSS(t *testing.T) {
 		ClockOverride: &logical,
 	})
 	ctx := testCtx(t)
-	w, _ := c.NewClient(0)
+	w, _ := c.NewClient(0, 0)
 	defer w.Close()
-	r, _ := c.NewClient(1)
+	r, _ := c.NewClient(1, 0)
 	defer r.Close()
 
 	if _, err := w.Put(ctx, "pinned", []byte("v")); err != nil {
@@ -246,9 +246,9 @@ func TestLogicalClockLaggardPinsGSS(t *testing.T) {
 func TestHLCAvoidsLaggardPinning(t *testing.T) {
 	c := startCluster(t, Config{Protocol: Contrarian, DCs: 2, Partitions: 4, Latency: NoLatency()})
 	ctx := testCtx(t)
-	w, _ := c.NewClient(0)
+	w, _ := c.NewClient(0, 0)
 	defer w.Close()
-	r, _ := c.NewClient(1)
+	r, _ := c.NewClient(1, 0)
 	defer r.Close()
 	if _, err := w.Put(ctx, "fresh", []byte("v")); err != nil {
 		t.Fatal(err)

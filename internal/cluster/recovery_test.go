@@ -68,7 +68,7 @@ func TestCrashRecoveryDurable(t *testing.T) {
 				WALSegmentBytes: 2048,
 			})
 			ctx := testCtx(t)
-			w, err := c.NewClient(0)
+			w, err := c.NewClient(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestCrashRecoveryDurable(t *testing.T) {
 
 			// Every acknowledged write must be readable with its original
 			// value and timestamp.
-			r, err := c.NewClient(0)
+			r, err := c.NewClient(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,12 +203,12 @@ func TestDurableReplicationAcrossDCs(t *testing.T) {
 		DataDir:    t.TempDir(),
 	})
 	ctx := testCtx(t)
-	w, err := c.NewClient(0)
+	w, err := c.NewClient(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	r, err := c.NewClient(1)
+	r, err := c.NewClient(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRecoveryWithSnapshot(t *testing.T) {
 		WALSegmentBytes: 1024,
 	})
 	ctx := testCtx(t)
-	w, err := c.NewClient(0)
+	w, err := c.NewClient(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

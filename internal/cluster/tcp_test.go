@@ -72,9 +72,11 @@ func TestParseTopologyErrors(t *testing.T) {
 // TestTCPDeployment runs 1 DC x 2 partitions of every family over real TCP
 // sockets on localhost, assembled exactly as cmd/kvserver and cmd/kvctl
 // assemble it — Config.NewServer (plus NewStabilizer where the family has
-// one) and Config.NewClient over a TCP network — and checks basic causal
-// operation, including a cross-partition dependency (CC-LO's readers check
-// and COPS's dependency check then cross sockets).
+// one) and Config.NewClient as sessions of one client mux (pool 2) over a
+// TCP network — and checks basic causal operation, including a
+// cross-partition dependency (CC-LO's readers check and COPS's dependency
+// check then cross sockets) and the 1 1/2-round ROT's direct pushes to a
+// session over a real socket.
 func TestTCPDeployment(t *testing.T) {
 	for _, proto := range Families() {
 		t.Run(proto.Slug(), func(t *testing.T) {
@@ -104,7 +106,12 @@ func TestTCPDeployment(t *testing.T) {
 				st.Start()
 				defer st.Close()
 			}
-			cli, err := cfg.NewClient(0, 900, net, nil, 0)
+			mux, err := net.AttachMux(wire.ClientAddr(0, 899), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mux.Close()
+			cli, err := cfg.NewClient(0, 900, 0, mux)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,11 +138,11 @@ func TestTCPDeployment(t *testing.T) {
 				t.Fatalf("ROT over TCP returned %q %q %q", kvs[0].Value, kvs[1].Value, kvs[2].Value)
 			}
 
-			// Regression: a FRESH client whose first operation is a
+			// Regression: a FRESH session whose first operation is a
 			// multi-partition ROT needs warmed return paths — without Warm,
 			// the non-coordinator partition cannot dial back and a 1 1/2-round
 			// ROT would time out.
-			fresh, err := cfg.NewClient(0, 901, net, nil, 0)
+			fresh, err := cfg.NewClient(0, 901, 1, mux)
 			if err != nil {
 				t.Fatal(err)
 			}

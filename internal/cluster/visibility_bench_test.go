@@ -294,16 +294,19 @@ func BenchmarkVisibility(b *testing.B) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(b.N)*200*time.Millisecond+30*time.Second)
 	defer cancel()
-	writer, err := cfg.NewClient(0, 1, local, nil, 0)
-	if err != nil {
-		b.Fatal(err)
+	var clis [2]Client // DC0's writer and DC1's reader
+	for dc := range clis {
+		mux, err := local.AttachMux(wire.ClientAddr(dc, muxClientID), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer mux.Close()
+		if clis[dc], err = cfg.NewClient(dc, 1, 0, mux); err != nil {
+			b.Fatal(err)
+		}
+		defer clis[dc].Close()
 	}
-	defer writer.Close()
-	reader, err := cfg.NewClient(1, 1, local, nil, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer reader.Close()
+	writer, reader := clis[0], clis[1]
 	if err := writer.Warm(ctx); err != nil {
 		b.Fatal(err)
 	}

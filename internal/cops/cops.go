@@ -290,28 +290,15 @@ type ClientConfig struct {
 	Ring ring.Ring
 }
 
-// NewClient attaches a COPS client to net at its own address.
-func NewClient(cfg ClientConfig, net transport.Network) (*Client, error) {
-	return newClient(cfg, func(h transport.Handler) (transport.Node, error) {
-		return net.Attach(wire.ClientAddr(cfg.DC, cfg.ID), h)
-	})
-}
-
 // NewSessionClient runs the client as logical session id on mux, sharing
 // the mux's connection pool with any number of sibling sessions.
 func NewSessionClient(cfg ClientConfig, mux transport.Mux, id wire.SessionID) (*Client, error) {
-	return newClient(cfg, func(h transport.Handler) (transport.Node, error) {
-		return mux.Session(id, h)
-	})
-}
-
-func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node, error)) (*Client, error) {
-	c := &Client{dc: cfg.DC, ring: cfg.Ring, deps: make(map[string]wire.LoDep)}
-	node, err := attach(transport.HandlerFunc(
+	node, err := mux.Session(id, transport.HandlerFunc(
 		func(transport.Node, wire.From, uint64, wire.Message) {}))
 	if err != nil {
 		return nil, err
 	}
+	c := &Client{dc: cfg.DC, ring: cfg.Ring, deps: make(map[string]wire.LoDep)}
 	c.Init(node, cfg.DC, cfg.Ring.Parts(), c.ROT)
 	return c, nil
 }

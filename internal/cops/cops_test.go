@@ -38,7 +38,19 @@ func deploy(t *testing.T, dcs, parts int) (*transport.Local, []*Server, ring.Rin
 
 func client(t *testing.T, net *transport.Local, r ring.Ring, dc, id int) *Client {
 	t.Helper()
-	c, err := NewClient(ClientConfig{DC: dc, ID: id, Ring: r}, net)
+	return dial(t, ClientConfig{DC: dc, ID: id, Ring: r}, net)
+}
+
+// dial opens cfg's client as a session on a client mux of its own,
+// attached at the client's address.
+func dial(t testing.TB, cfg ClientConfig, net transport.Network) *Client {
+	t.Helper()
+	mux, err := net.AttachMux(wire.ClientAddr(cfg.DC, cfg.ID), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mux.Close() })
+	c, err := NewSessionClient(cfg, mux, wire.MakeSession(0, uint16(cfg.ID)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +295,7 @@ func TestLegValueCountChecked(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			cli, err := NewClient(ClientConfig{DC: 0, ID: 1, Ring: r}, net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
+			cli := dial(t, ClientConfig{DC: 0, ID: 1, Ring: r}, net)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			kvs, err := cli.ROT(ctx, keys)

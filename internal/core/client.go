@@ -47,25 +47,11 @@ type ClientConfig struct {
 	Mode   ROTMode
 }
 
-// NewClient attaches a client session to net at its own address (one
-// endpoint — on TCP, one socket set — per client).
-func NewClient(cfg ClientConfig, net transport.Network) (*Client, error) {
-	return newClient(cfg, func(h transport.Handler) (transport.Node, error) {
-		return net.Attach(wire.ClientAddr(cfg.DC, cfg.ID), h)
-	})
-}
-
 // NewSessionClient runs the client as logical session id on mux: every
 // frame it sends carries the session id, and the 1 1/2-round ROT's direct
 // partition-to-client answers are demultiplexed back to this client even
 // though any number of sessions share the mux's connection pool.
 func NewSessionClient(cfg ClientConfig, mux transport.Mux, id wire.SessionID) (*Client, error) {
-	return newClient(cfg, func(h transport.Handler) (transport.Node, error) {
-		return mux.Session(id, h)
-	})
-}
-
-func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node, error)) (*Client, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = OneAndHalfRounds
 	}
@@ -76,7 +62,7 @@ func newClient(cfg ClientConfig, attach func(transport.Handler) (transport.Node,
 		ring:   cfg.Ring,
 		seen:   vclock.New(max(cfg.NumDCs, 1)),
 	}
-	node, err := attach(transport.HandlerFunc(c.handle))
+	node, err := mux.Session(id, transport.HandlerFunc(c.handle))
 	if err != nil {
 		return nil, err
 	}

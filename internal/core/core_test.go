@@ -67,7 +67,19 @@ func deploy(t *testing.T, dcs, parts int, clock ClockMode) *testDeployment {
 func (d *testDeployment) client(t *testing.T, dc, id int, mode ROTMode) *Client {
 	t.Helper()
 	dcs := d.servers[len(d.servers)-1].cfg.NumDCs
-	c, err := NewClient(ClientConfig{DC: dc, ID: id, NumDCs: dcs, Ring: d.ring, Mode: mode}, d.net)
+	return dial(t, ClientConfig{DC: dc, ID: id, NumDCs: dcs, Ring: d.ring, Mode: mode}, d.net)
+}
+
+// dial opens cfg's client as a session on a client mux of its own,
+// attached at the client's address.
+func dial(t testing.TB, cfg ClientConfig, net transport.Network) *Client {
+	t.Helper()
+	mux, err := net.AttachMux(wire.ClientAddr(cfg.DC, cfg.ID), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mux.Close() })
+	c, err := NewSessionClient(cfg, mux, wire.MakeSession(0, uint16(cfg.ID)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,11 +456,7 @@ func TestRefusedLegRetriesAtFrontier(t *testing.T) {
 				t.Fatalf("y retains %d versions, want 2 (20 and 30)", n)
 			}
 
-			cli, err := NewClient(ClientConfig{DC: 0, ID: 1, NumDCs: 2, Ring: rg, Mode: mode}, net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
+			cli := dial(t, ClientConfig{DC: 0, ID: 1, NumDCs: 2, Ring: rg, Mode: mode}, net)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			// Coordinator 0's GSS is zero, so the first snapshot sees no DC 1
@@ -514,11 +522,7 @@ func TestCoordinatorShedRetried(t *testing.T) {
 				})); err != nil {
 				t.Fatal(err)
 			}
-			cli, err := NewClient(ClientConfig{DC: 0, ID: 1, NumDCs: 1, Ring: ring.New(1)}, net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
+			cli := dial(t, ClientConfig{DC: 0, ID: 1, NumDCs: 1, Ring: ring.New(1)}, net)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			kvs, err := cli.ROT(ctx, []string{"k"})
@@ -616,11 +620,7 @@ func TestLegValueCountChecked(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			cli, err := NewClient(ClientConfig{DC: 0, ID: 1, NumDCs: 1, Ring: r, Mode: tc.mode}, net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
+			cli := dial(t, ClientConfig{DC: 0, ID: 1, NumDCs: 1, Ring: r, Mode: tc.mode}, net)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			kvs, err := cli.ROT(ctx, keys)

@@ -34,8 +34,8 @@ type Base struct {
 	busyRetries, fenceRetries atomic.Uint64
 }
 
-// Init binds the session to its node — a per-client endpoint or a logical
-// session of a mux — in a DC of parts partitions; rot is the family's ROT,
+// Init binds the session to its node — a logical session of the DC's
+// client mux — in a DC of parts partitions; rot is the family's ROT,
 // which Get runs over one key.
 func (b *Base) Init(node transport.Node, dc, parts int, rot func(context.Context, []string) ([]wire.KV, error)) {
 	b.node, b.dc, b.parts, b.rot = node, dc, parts, rot

@@ -77,6 +77,8 @@ type Local struct {
 	admit      AdmitConfig
 	admitStats AdmitStats
 	wheels     []*wheel
+	nextWheel  atomic.Uint32 // round-robin cursor over wheels, one step per flight
+	wheelWG    sync.WaitGroup
 
 	// lossBits holds the current cross-DC loss fraction (float64 bits),
 	// runtime-adjustable so fault tests can sever and heal the WAN
@@ -98,7 +100,11 @@ type Local struct {
 }
 
 // numWheels shards delayed delivery to avoid a single dispatcher
-// bottleneck at high message rates.
+// bottleneck at high message rates. Flights take the wheels in turn, not
+// by destination: a DC's client mux receives every session's responses,
+// and tying it to one wheel queued them all behind each other. Nothing is
+// lost by it: Local keeps no per-link FIFO (jitter reorders flights), and
+// no protocol relies on one.
 const numWheels = 4
 
 // NewLocal returns an empty in-process network with the default adaptive
@@ -119,7 +125,11 @@ func NewLocalOpts(latency LatencyModel, pol BatchPolicy) *Local {
 	for i := 0; i < numWheels; i++ {
 		w := &wheel{net: l, ch: make(chan delivery, 8192), stop: make(chan struct{})}
 		l.wheels = append(l.wheels, w)
-		go w.run()
+		l.wheelWG.Add(1)
+		go func() {
+			defer l.wheelWG.Done()
+			w.run()
+		}()
 	}
 	return l
 }
@@ -167,7 +177,7 @@ func (s *localSink) WriteBatch(frames []*wire.FrameBuf) error {
 		// slice, so the wheel gets a copy.
 		batch := make([]*wire.FrameBuf, len(frames))
 		copy(batch, frames)
-		w := s.l.wheels[int(s.dst)%numWheels]
+		w := s.l.wheels[s.l.nextWheel.Add(1)%numWheels]
 		select {
 		case w.ch <- delivery{at: time.Now().Add(d), bufs: batch}:
 			return nil
@@ -246,7 +256,8 @@ func (l *Local) attach(addr wire.Addr, h Handler) (*localNode, error) {
 	return n, nil
 }
 
-// Close detaches every node. In-flight messages are dropped.
+// Close detaches every node. In-flight messages are dropped and counted in
+// Stats.Dropped; Close returns once every delivery wheel has stopped.
 func (l *Local) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -273,6 +284,7 @@ func (l *Local) Close() error {
 	for _, w := range l.wheels {
 		close(w.stop)
 	}
+	l.wheelWG.Wait()
 	return nil
 }
 
@@ -369,6 +381,7 @@ type wheel struct {
 }
 
 func (w *wheel) run() {
+	defer w.shut()
 	for {
 		// Idle: block until work or shutdown (channel wakes are fast).
 		if len(w.h) == 0 {
@@ -395,6 +408,7 @@ func (w *wheel) run() {
 		now := time.Now()
 		for len(w.h) > 0 && !w.h[0].at.After(now) {
 			d := heap.Pop(&w.h).(delivery)
+			w.net.stats.DeliveryLate.Record(now.Sub(d.at))
 			w.net.dispatchBatch(d.bufs)
 		}
 		if len(w.h) == 0 {
@@ -416,6 +430,31 @@ func (w *wheel) run() {
 			t.Stop()
 		} else {
 			runtime.Gosched()
+		}
+	}
+}
+
+// shut drops the flights still in the heap and the channel when the network
+// closes: each frame is counted in Stats.Dropped and recycled, as on every
+// other close path. Local.Close stops the link batchers before the wheels,
+// so nothing is sent to the channel after this sweep.
+func (w *wheel) shut() {
+	drop := func(d delivery) {
+		w.net.stats.Dropped.Add(uint64(len(d.bufs)))
+		for _, f := range d.bufs {
+			wire.PutFrame(f)
+		}
+	}
+	for _, d := range w.h {
+		drop(d)
+	}
+	w.h = nil
+	for {
+		select {
+		case d := <-w.ch:
+			drop(d)
+		default:
+			return
 		}
 	}
 }

@@ -149,6 +149,11 @@ type Stats struct {
 	// FlushBudget as long as the sink keeps up with the offered load.
 	FlushDelay metrics.StaticHist
 
+	// DeliveryLate is how far past its due time the simulator delivered a
+	// delayed batch: the injection error Local adds on top of the latency
+	// model (Local only; one sample per delivered batch).
+	DeliveryLate metrics.StaticHist
+
 	// WritevBytes counts frame bytes written through the scatter-gather
 	// path — chained as their own writev iovec instead of being copied
 	// into the staging buffer. TCP only; Local has no copy to skip.
@@ -242,6 +247,7 @@ func (s *Stats) Register(r *metrics.Registry, labels ...metrics.Label) {
 	r.Counter("kv_transport_flushes_total", "Batches cut by the batching engine.", &s.Flushes, labels...)
 	r.Counter("kv_transport_frames_coalesced_total", "Frames that joined an earlier frame's batch.", &s.FramesCoalesced, labels...)
 	r.Histogram("kv_transport_flush_delay_seconds", "Enqueue-to-flush latency of batched frames.", &s.FlushDelay, labels...)
+	r.Histogram("kv_transport_delivery_late_seconds", "Lateness of simulated deliveries past their due time (in-process transport only).", &s.DeliveryLate, labels...)
 	r.Counter("kv_transport_writev_bytes_total", "Frame bytes sent through the scatter-gather path.", &s.WritevBytes, labels...)
 	r.Counter("kv_transport_handler_overflow_total", "Inbound requests spilled past the bounded worker pool.", &s.HandlerOverflow, labels...)
 	r.Gauge("kv_transport_send_queue_frames", "Frames currently sitting in send queues.", &s.SendQueue, labels...)

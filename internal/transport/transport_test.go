@@ -156,6 +156,67 @@ func TestLocalInterDCLatency(t *testing.T) {
 	}
 }
 
+// TestLocalFlightsSpreadOverWheels: consecutive flights to one address take
+// different delivery wheels. A DC's client mux is one address carrying every
+// session's responses; pinned to one wheel, they all queued behind each
+// other. The wheels here are not running, so each flight stays in the
+// channel it was handed to.
+func TestLocalFlightsSpreadOverWheels(t *testing.T) {
+	l := &Local{latency: LatencyModel{IntraDC: time.Hour}}
+	for i := 0; i < numWheels; i++ {
+		l.wheels = append(l.wheels, &wheel{net: l, ch: make(chan delivery, 8), stop: make(chan struct{})})
+	}
+	sink := &localSink{l: l, src: wire.ServerAddr(0, 0), dst: wire.ClientAddr(0, 1)}
+	for i := 0; i < 8; i++ {
+		if err := sink.WriteBatch([]*wire.FrameBuf{wire.GetFrame()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := 0
+	for _, w := range l.wheels {
+		if len(w.ch) > 0 {
+			used++
+		}
+		for len(w.ch) > 0 {
+			for _, f := range (<-w.ch).bufs {
+				wire.PutFrame(f)
+			}
+		}
+	}
+	if used < 2 {
+		t.Fatalf("8 flights to one address used %d wheel(s), want more than one", used)
+	}
+}
+
+// TestLocalCloseDropsInFlight: a flight still waiting on its wheel when the
+// network closes is counted as dropped (and its frame recycled), like a
+// frame any other close path discards.
+func TestLocalCloseDropsInFlight(t *testing.T) {
+	net := NewLocal(LatencyModel{InterDC: time.Second})
+	srv := wire.ServerAddr(1, 0)
+	if _, err := net.Attach(srv, &echoHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := net.Attach(wire.ServerAddr(0, 0), &echoHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Send(srv, &wire.Ping{}); err != nil {
+		t.Fatal(err)
+	}
+	// The flight is on a wheel once its batch is flushed.
+	for deadline := time.Now().Add(5 * time.Second); net.Stats().Flushes.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the flight never left its link")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	net.Close()
+	if got := net.Stats().Dropped.Load(); got != 1 {
+		t.Fatalf("Dropped = %d after Close with one flight in the air, want 1", got)
+	}
+}
+
 func TestCallTimeout(t *testing.T) {
 	net := NewLocal(LatencyModel{})
 	defer net.Close()

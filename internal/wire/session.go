@@ -6,10 +6,10 @@ import "fmt"
 // shared transport endpoint. The high half is the tenant (the admission
 // gate's fairness unit), the low half a tenant-local session number.
 //
-// The zero SessionID means "no session": intra-cluster traffic and legacy
-// one-socket-per-client endpoints never carry one, and the codec omits the
-// field entirely for them, so pre-session frames and session-less frames
-// are byte-identical. MakeSession therefore rejects (0, 0); give the first
+// The zero SessionID means "no session": intra-cluster traffic and bare
+// client endpoints (hand-rolled probes; protocol clients are sessions)
+// never carry one, and the codec omits the field entirely for them, so
+// pre-session frames and session-less frames are byte-identical. MakeSession therefore rejects (0, 0); give the first
 // session of tenant 0 a nonzero local id.
 type SessionID uint32
 
@@ -23,7 +23,7 @@ func MakeSession(tenant, local uint16) SessionID {
 }
 
 // Tenant returns the session's tenant (0 for the no-session sentinel, so
-// ungated legacy clients all land in tenant 0).
+// session-less senders all land in tenant 0).
 func (s SessionID) Tenant() uint16 { return uint16(s >> 16) }
 
 // Local returns the tenant-local session number.
@@ -48,7 +48,7 @@ type From struct {
 }
 
 // At wraps a bare address as a session-less From (intra-cluster
-// destinations, legacy clients).
+// destinations, bare client endpoints).
 func At(a Addr) From { return From{Addr: a} }
 
 // String formats f for logs.

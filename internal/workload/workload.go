@@ -35,15 +35,14 @@ type Config struct {
 	KeysPerPartition int
 	// Partitions is the cluster partition count.
 	Partitions int
-	// Tenants, when positive, spreads the driver's client population over
-	// this many admission tenants: client i runs as tenant i mod Tenants
-	// (see TenantOf). 0 keeps the legacy single-endpoint-per-client model
-	// with every request on the default tenant.
+	// Tenants spreads the workload's client population over this many
+	// admission tenants: client i runs as tenant i mod Tenants (see
+	// TenantOf). 0 means one tenant, tenant 0.
 	Tenants int
 }
 
 // TenantOf maps a client index onto one of c.Tenants tenants (round
-// robin). It is only meaningful when Tenants > 0.
+// robin); with Tenants ≤ 0 every client is tenant 0.
 func (c Config) TenantOf(client int) uint16 {
 	if c.Tenants <= 0 {
 		return 0
