@@ -90,12 +90,12 @@ type LoCheckStats struct {
 }
 
 // TransportStats summarizes write-path efficiency: counter-derived fields
-// (Msgs, Flushes, Coalesced, MsgsPerFlush, CoalescedFrac, WritevBytes,
-// HandlerSpills) are deltas over the measurement window, while the
-// SendQueue gauge fields and FlushP99Delay are whole-run values — the peak
-// in particular may reflect preload/warmup congestion, not just the
-// window's load. Both transports feed the flush fields through the shared
-// batching engine; WritevBytes is TCP-only (Local has no copy to skip).
+// (Msgs, Flushes, Coalesced, MsgsPerFlush, CoalescedFrac, WritevBytes) are
+// deltas over the measurement window, while the SendQueue gauge fields and
+// FlushP99Delay are whole-run values — the peak in particular may reflect
+// preload/warmup congestion, not just the window's load. Both transports
+// feed the flush fields through the shared batching engine; WritevBytes is
+// TCP-only (Local has no copy to skip).
 type TransportStats struct {
 	Msgs           uint64        // messages sent in the window (≈ dispatches)
 	Flushes        uint64        // coalesced batches cut (≈ write syscalls on TCP)
@@ -104,21 +104,10 @@ type TransportStats struct {
 	CoalescedFrac  float64       // fraction of sent frames that cost no syscall
 	FlushP99Delay  time.Duration // p99 enqueue→flush delay (whole run)
 	WritevBytes    uint64        // frame bytes sent via scatter-gather, no staging copy
-	HandlerSpills  uint64        // inbound requests that overflowed the worker pool
 	SendQueuePeak  int64         // high-water mark of queued frames (whole run)
 	SendQueueDepth int64         // queued frames at window end
 	OpenConnsPeak  int64         // high-water mark of live sockets (whole run; 0 on Local)
 	SessionsPeak   int64         // high-water mark of registered sessions (whole run)
-}
-
-// SpillFrac is the fraction of dispatches that overflowed the handler
-// worker pool; sustained values above SpillWarnFrac mean the pool is
-// undersized for the load (see ROADMAP: spill-rate alarm).
-func (ts TransportStats) SpillFrac() float64 {
-	if ts.Msgs == 0 {
-		return 0
-	}
-	return float64(ts.HandlerSpills) / float64(ts.Msgs)
 }
 
 func transportDelta(a, b transport.StatsView) TransportStats {
@@ -128,7 +117,6 @@ func transportDelta(a, b transport.StatsView) TransportStats {
 		Coalesced:      b.FramesCoalesced - a.FramesCoalesced,
 		FlushP99Delay:  b.FlushP99Delay,
 		WritevBytes:    b.WritevBytes - a.WritevBytes,
-		HandlerSpills:  b.HandlerOverflow - a.HandlerOverflow,
 		SendQueuePeak:  b.SendQueuePeak,
 		SendQueueDepth: b.SendQueueDepth,
 		OpenConnsPeak:  b.OpenConnsPeak,

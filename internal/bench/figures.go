@@ -58,39 +58,22 @@ func (o Opts) defaultWorkload() workload.Config {
 	return wl
 }
 
-// SpillWarnFrac is the handler-pool overflow rate above which a load point
-// is flagged: past it, a meaningful share of dispatches ran on spilled
-// goroutines, so the figure's latencies include pool-saturation scheduling
-// noise and the worker pool should be considered undersized for the load.
-const SpillWarnFrac = 0.01
-
-// spillWarning renders the spill column for one load point: empty while
-// overflow is rare, "!N.N%" once HandlerOverflow exceeds SpillWarnFrac of
-// the window's dispatches.
-func spillWarning(p Point) string {
-	frac := p.Transport.SpillFrac()
-	if frac <= SpillWarnFrac {
-		return ""
-	}
-	return fmt.Sprintf("!%.1f%%", frac*100)
-}
-
 func (o Opts) printHeader(title string) {
 	fmt.Fprintf(o.Out, "\n=== %s ===\n", title)
-	fmt.Fprintf(o.Out, "%-28s %8s %12s %10s %10s %10s %10s %8s %8s %9s %9s %7s\n",
+	fmt.Fprintf(o.Out, "%-28s %8s %12s %10s %10s %10s %10s %8s %8s %9s %9s\n",
 		"system", "clients", "tput(op/s)", "rot-avg", "rot-p99", "put-avg", "put-p99",
-		"errs", "msg/fl", "fl-p99", "writev", "spill")
+		"errs", "msg/fl", "fl-p99", "writev")
 }
 
 func (o Opts) printSeries(s Series) {
 	for _, p := range s.Points {
-		fmt.Fprintf(o.Out, "%-28s %8d %12.0f %10v %10v %10v %10v %8d %8.1f %9v %9s %7s\n",
+		fmt.Fprintf(o.Out, "%-28s %8d %12.0f %10v %10v %10v %10v %8d %8.1f %9v %9s\n",
 			p.System, p.ClientsPerDC, p.Throughput,
 			p.ROT.Mean.Round(10*time.Microsecond), p.ROT.P99.Round(10*time.Microsecond),
 			p.PUT.Mean.Round(10*time.Microsecond), p.PUT.P99.Round(10*time.Microsecond),
 			p.Errors, p.Transport.MsgsPerFlush,
 			p.Transport.FlushP99Delay.Round(10*time.Microsecond),
-			fmtBytes(p.Transport.WritevBytes), spillWarning(p))
+			fmtBytes(p.Transport.WritevBytes))
 	}
 }
 
@@ -407,9 +390,9 @@ func FigureWAL(o Opts, dataDir string) ([]Series, error) {
 // concurrency the gate exists to bound.
 func FigureOverload(o Opts, dcs int) ([]Series, error) {
 	fmt.Fprintf(o.Out, "\n=== Overload: ungated vs admission gate (Contrarian, %d DC, wal-sync) ===\n", dcs)
-	fmt.Fprintf(o.Out, "%-28s %8s %13s %10s %10s %8s %12s %12s %9s %7s\n",
+	fmt.Fprintf(o.Out, "%-28s %8s %13s %10s %10s %8s %12s %12s %9s\n",
 		"system", "clients", "goodput(op/s)", "rot-p99", "put-p99",
-		"errs", "shed", "retries", "depth-pk", "spill")
+		"errs", "shed", "retries", "depth-pk")
 	gates := []struct {
 		label string
 		limit int
@@ -447,10 +430,10 @@ func FigureOverload(o Opts, dcs int) ([]Series, error) {
 			if p.Admission != nil {
 				shed, retries, depthPeak = p.Admission.Shed, p.Admission.ClientRetries, p.Admission.DepthPeak
 			}
-			fmt.Fprintf(o.Out, "%-28s %8d %13.0f %10v %10v %8d %12d %12d %9d %7s\n",
+			fmt.Fprintf(o.Out, "%-28s %8d %13.0f %10v %10v %8d %12d %12d %9d\n",
 				p.System, p.ClientsPerDC, p.Throughput,
 				p.ROT.P99.Round(10*time.Microsecond), p.PUT.P99.Round(10*time.Microsecond),
-				p.Errors, shed, retries, depthPeak, spillWarning(p))
+				p.Errors, shed, retries, depthPeak)
 		}
 		out = append(out, s)
 	}

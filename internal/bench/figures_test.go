@@ -10,33 +10,6 @@ func walView(appends, fsyncs uint64) wal.StatsView {
 	return wal.StatsView{Appends: appends, Fsyncs: fsyncs}
 }
 
-// TestSpillWarning pins the spill-rate alarm's threshold behaviour: quiet
-// under the threshold (including the zero-dispatch corner), loud above it.
-func TestSpillWarning(t *testing.T) {
-	point := func(msgs, spills uint64) Point {
-		return Point{Transport: TransportStats{Msgs: msgs, HandlerSpills: spills}}
-	}
-	cases := []struct {
-		name string
-		p    Point
-		want string
-	}{
-		{"no-traffic", point(0, 0), ""},
-		{"no-spills", point(100_000, 0), ""},
-		{"at-threshold", point(100_000, 1000), ""}, // exactly 1%: not yet alarming
-		{"above-threshold", point(100_000, 2500), "!2.5%"},
-		{"saturated", point(1000, 1000), "!100.0%"},
-		// Spills with zero recorded dispatches (stats raced a quiet window):
-		// SpillFrac treats it as no signal rather than dividing by zero.
-		{"spills-no-msgs", point(0, 7), ""},
-	}
-	for _, tc := range cases {
-		if got := spillWarning(tc.p); got != tc.want {
-			t.Errorf("%s: spillWarning = %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestWALDeltaAmortization checks the bench-facing group-commit stat.
 func TestWALDeltaAmortization(t *testing.T) {
 	p := walDelta(

@@ -266,6 +266,41 @@ func TestClientDependencyTracking(t *testing.T) {
 	}
 }
 
+// TestContextKeepsOwnWriteAfterNewerRead: the session context is a set of
+// versions, not one version per key. Session S writes k@a; session W writes
+// k@b without reading k, so b is concurrent with a and carries none of a's
+// causal past; S then reads k@b. S's context must still hold k@a: were it
+// replaced by k@b, S's next PUT would carry neither a nor a's dependencies.
+func TestContextKeepsOwnWriteAfterNewerRead(t *testing.T) {
+	d := deploy(t, 1, 2, 0)
+	ctx := context.Background()
+	s, w := d.client(t, 0, 1), d.client(t, 0, 2)
+	a, err := s.Put(ctx, "k", []byte("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := w.Put(ctx, "k", []byte("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b <= a {
+		t.Fatalf("test setup: W's write k@%d is not newer than S's k@%d", b, a)
+	}
+	kvs, err := s.ROT(ctx, []string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kvs[0].TS != b {
+		t.Fatalf("S read k@%d, want W's k@%d", kvs[0].TS, b)
+	}
+	deps := s.depList()
+	for _, want := range []wire.LoDep{{Key: "k", TS: a}, {Key: "k", TS: b}} {
+		if !slices.Contains(deps, want) {
+			t.Fatalf("context %v lacks k@%d (S wrote k@%d, read k@%d)", deps, want.TS, a, b)
+		}
+	}
+}
+
 func TestReadersCheckStats(t *testing.T) {
 	d := deploy(t, 1, 2, 0)
 	ctx := context.Background()

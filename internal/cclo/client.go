@@ -18,6 +18,12 @@ import (
 // list is what PUTs carry and what the readers check walks — its growth
 // with reads between writes is the "C2 reads other keys from partitions
 // pi" effect of Section 3.
+//
+// The context is a set of version identities, not one version per key: a
+// read that returns a newer version of a key already in the context keeps
+// the older one too. The newer version may be concurrent with it, so it
+// need not carry the older one's causal past, and the next PUT's collapse
+// would otherwise drop that past from the session.
 type Client struct {
 	family.Base // node, Ping/Warm/Close/Addr, Get, retry counters, ROT retry loop
 
@@ -32,9 +38,9 @@ type Client struct {
 	legGate func(part int)
 
 	mu     sync.Mutex
-	deps   map[string]wire.LoDep // nearest dependencies: key → version identity
-	seenTS uint64                // Lamport high-water mark over everything observed
-	epochs []uint64              // newest known restart epoch per partition
+	deps   map[wire.LoDep]struct{} // nearest dependencies: versions read or written since the last PUT
+	seenTS uint64                  // Lamport high-water mark over everything observed
+	epochs []uint64                // newest known restart epoch per partition
 }
 
 // ClientConfig parameterizes a CC-LO client session. ID must be unique
@@ -62,7 +68,7 @@ func NewSessionClient(cfg ClientConfig, mux transport.Mux, id wire.SessionID) (*
 		dc:   cfg.DC,
 		id:   cfg.ID,
 		ring: cfg.Ring,
-		deps: make(map[string]wire.LoDep),
+		deps: make(map[wire.LoDep]struct{}),
 	}
 	c.Init(node, cfg.DC, cfg.Ring.Parts(), c.ROT)
 	return c, nil
@@ -79,7 +85,7 @@ func (c *Client) depList() []wire.LoDep {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]wire.LoDep, 0, len(c.deps))
-	for _, d := range c.deps {
+	for d := range c.deps {
 		out = append(out, d)
 	}
 	return out
@@ -100,7 +106,7 @@ func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, err
 	}
 	c.mu.Lock()
 	clear(c.deps)
-	c.deps[key] = wire.LoDep{Key: key, TS: pr.TS, Src: uint8(c.dc)}
+	c.deps[wire.LoDep{Key: key, TS: pr.TS, Src: uint8(c.dc)}] = struct{}{}
 	c.seenTS = max(c.seenTS, pr.TS)
 	c.mu.Unlock()
 	return pr.TS, nil
@@ -207,8 +213,8 @@ func (c *Client) rotOnce(ctx context.Context, keys []string) (map[string]wire.KV
 	}
 	c.mu.Lock()
 	for _, kv := range vals {
-		if prev, ok := c.deps[kv.Key]; kv.TS > 0 && (!ok || kv.TS > prev.TS || (kv.TS == prev.TS && kv.Src > prev.Src)) {
-			c.deps[kv.Key] = wire.LoDep{Key: kv.Key, TS: kv.TS, Src: kv.Src}
+		if kv.TS > 0 {
+			c.deps[wire.LoDep{Key: kv.Key, TS: kv.TS, Src: kv.Src}] = struct{}{}
 		}
 		c.seenTS = max(c.seenTS, kv.TS)
 	}

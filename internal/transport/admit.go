@@ -1,16 +1,17 @@
 // Admission control for client-facing traffic.
 //
-// The dispatch spill lane is deliberately unbounded for intra-cluster
-// traffic — handlers may park on cluster state, and capping them recreates
-// the deadlock the lane exists to prevent — but that design is wrong for
-// clients: under client overload it grows goroutines without limit and
-// silently queues work the server cannot retire. The AdmitGate closes that
-// hole for requests whose source carries the Addr client flag: a token
-// semaphore caps concurrently running client handlers, an overload detector
-// keyed on the send-queue depth and WAL fsync-delay signals sheds earlier
-// when the server is already falling behind, and shed requests are answered
-// with a typed wire.Busy carrying a retry-after hint instead of being
-// queued or dropped. Cluster-sourced traffic never touches the gate.
+// Inbound requests each run on a goroutine of their own, deliberately
+// unbounded for intra-cluster traffic — handlers may park on cluster state,
+// and capping them recreates the deadlock the goroutine per request exists
+// to prevent — but that design is wrong for clients: under client overload
+// it grows goroutines without limit and silently queues work the server
+// cannot retire. The AdmitGate closes that hole for requests whose source
+// carries the Addr client flag: a token semaphore caps concurrently running
+// client handlers, an overload detector keyed on the send-queue depth and
+// WAL fsync-delay signals sheds earlier when the server is already falling
+// behind, and shed requests are answered with a typed wire.Busy carrying a
+// retry-after hint instead of being queued or dropped. Cluster-sourced
+// traffic never touches the gate.
 //
 // With the session mux the gate is also the fairness point between
 // tenants: tokens freed by finishing handlers go to parked waiters in
@@ -209,10 +210,10 @@ type admitWaiter struct {
 
 // AdmitGate is one server node's client admission gate: a token counter, a
 // hysteretic overload detector, and per-tenant park queues granted in
-// round-robin order. Submit never blocks its caller — the TCP read loop
-// sits behind it — and maintains the invariant that a request parks only
-// while no token is free (Release hands freed tokens to parked waiters
-// before banking them).
+// round-robin order. Submit never blocks its caller — the request's own
+// goroutine, in endpoint.serve — and maintains the invariant that a
+// request parks only while no token is free (Release hands freed tokens to
+// parked waiters before banking them).
 type AdmitGate struct {
 	cfg   AdmitConfig
 	stats *AdmitStats
@@ -253,7 +254,7 @@ func NewAdmitGate(cfg AdmitConfig, stats *AdmitStats) *AdmitGate {
 // caller runs it now and Releases after. Queued: the gate runs the run
 // closure later, on its own goroutine, when a token frees (run must end in
 // Release; drop fires instead if the gate closes first). Shed: answer Busy.
-// It never blocks.
+// It never blocks; endpoint.serve is its one caller.
 func (g *AdmitGate) Submit(tenant uint16, run, drop func()) AdmitOutcome {
 	if g.overloadedNow() {
 		g.stats.shedTenant(tenant)

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -378,7 +377,7 @@ func testAdmissionLiveness(t *testing.T, net Network, stats *AdmitStats, done fu
 	waitUntil(t, "both clients parked", func() bool { return h.parked.Load() == 2 })
 
 	// A third client parks in the gate's per-tenant queue (cap 1 here)
-	// instead of spilling into the handler pool.
+	// instead of running.
 	c3, err := net.Attach(wire.ClientAddr(0, 3), &echoHandler{})
 	if err != nil {
 		t.Fatal(err)
@@ -514,30 +513,4 @@ func TestTCPLateResponseRecycledAndCounted(t *testing.T) {
 func TestLocalLateResponseRecycledAndCounted(t *testing.T) {
 	net := NewLocal(LatencyModel{})
 	testLateResponse(t, net, net.Stats(), func() { net.Close() })
-}
-
-// TestTCPWorkQueueCoversWorkers is the regression for the spurious
-// HandlerOverflow on large machines: with GOMAXPROCS above the fixed queue
-// length, dispatch could reserve an idle worker and still find the queue
-// full, spilling despite the reservation. Attach must size the queue to
-// cover the worker pool.
-func TestTCPWorkQueueCoversWorkers(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	runtime.GOMAXPROCS(handlerQueueLen + 64)
-	defer runtime.GOMAXPROCS(old)
-
-	net := NewTCP(map[wire.Addr]string{})
-	defer net.Close()
-	n, err := net.Attach(wire.ServerAddr(0, 0), &echoHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := n.(*tcpNode)
-	workers := handlerWorkers()
-	if workers <= handlerQueueLen {
-		t.Fatalf("test setup: worker count %d does not exceed queue length %d", workers, handlerQueueLen)
-	}
-	if cap(node.workq) < workers {
-		t.Fatalf("workq cap %d < worker count %d: reserved dispatches can spuriously overflow", cap(node.workq), workers)
-	}
 }

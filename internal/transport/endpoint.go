@@ -12,11 +12,13 @@ import (
 // endpoint is everything about an attached node that does not depend on
 // what carries its frames: the request-id space and pending table behind
 // Call, the Send/SendTo/Respond envelopes, session registration and the
-// routing of inbound pushes to sessions, the Busy a shed request gets, and
-// the close-once teardown. localNode and tcpNode embed it and differ only
-// in the carrier — how a frame leaves (carry) and where an inbound request
-// runs — so the simulator the figures are measured on and the transport
-// kvserver deploys execute the same calls, sessions and shed path.
+// routing of inbound pushes to sessions, the one inbound path (serve:
+// admission, the Busy a shed request gets, the handler run), and the
+// close-once teardown. localNode and tcpNode embed it and differ only in
+// the carrier — how a frame leaves (carry) and where an inbound request's
+// goroutine starts — so the simulator the figures are measured on and the
+// transport kvserver deploys execute the same calls, sessions and shed
+// path.
 //
 // The seam is one function. carry takes the envelope BY VALUE: behind a
 // func value the compiler cannot see that the callee does not retain a
@@ -45,6 +47,11 @@ type endpoint struct {
 	// close — abort promptly instead of riding out their ctx.
 	stop   chan struct{}
 	closed atomic.Bool
+	// wg counts the goroutines a closing node waits out: TCP's
+	// accept/read/write loops and every inbound request, from before its
+	// goroutine starts until serve gives its slot back. Local's Close waits
+	// on none of them; its handlers are released by stop.
+	wg sync.WaitGroup
 
 	reqSeq  atomic.Uint64
 	pending sync.Map // reqID -> chan *wire.Envelope
@@ -157,8 +164,8 @@ type inbound struct {
 }
 
 // run handles the request, recycles its pooled message and returns the
-// admission token. The receiver is a value on purpose: a carrier hands
-// in.run to gate.Submit, and a method value over a pointer would move
+// admission token. The receiver is a value on purpose: serve hands a
+// closure over in to gate.Submit, and a pointer receiver there would move
 // every routed inbound to the heap, the ungated ones included.
 func (in inbound) run() {
 	in.h.Handle(in.node, in.src, in.reqID, in.msg)
@@ -166,6 +173,45 @@ func (in inbound) run() {
 	if in.gate != nil {
 		in.gate.Release()
 	}
+}
+
+// serve is the one inbound path of both carriers. It routes a request and
+// runs it on the calling goroutine, which the carrier started for this
+// request alone (Local: one per frame; TCP: one per request, started by the
+// read loop). A client request passes the admission gate first: shed, it is
+// answered Busy from here; parked, it runs on the goroutine the gate starts
+// when a token frees, or is dropped when the gate closes.
+//
+// The caller holds one wg slot for the request, taken before the request's
+// goroutine started, and serve gives it back once the request is dropped,
+// shed or handled, parked ones included. That slot is all TCP's Close needs
+// to wait out every handler, running or parked; a bound on handlers, when
+// one comes, lands here for both carriers.
+func (e *endpoint) serve(env *wire.Envelope) {
+	in, ok := e.route(env)
+	if !ok {
+		e.wg.Done()
+		return
+	}
+	if in.gate != nil {
+		switch in.gate.Submit(env.Session.Tenant(), func() {
+			in.run()
+			e.wg.Done()
+		}, func() {
+			e.drop(env.Msg)
+			e.wg.Done()
+		}) {
+		case AdmitShed:
+			e.shed(env)
+			e.wg.Done()
+			return
+		case AdmitQueued:
+			return
+		case AdmitGranted:
+		}
+	}
+	in.run()
+	e.wg.Done()
 }
 
 // route turns a request envelope into the inbound to run. A frame carrying
@@ -205,38 +251,24 @@ func (e *endpoint) route(env *wire.Envelope) (in inbound, ok bool) {
 	return in, true
 }
 
-// shedNote is what outlives a shed client request: where its Busy goes —
-// the session routes it back and keys the retry-after hint to the tenant's
-// queue pressure — and either the reqID to respond to or, for one-way
-// correlated requests, the id to echo.
-type shedNote struct {
-	to    wire.From
-	reqID uint64
-	echo  uint64
-}
-
-// shedNote consumes a request the gate declined. A request that is neither
-// awaited (reqID) nor correlated has no address to send Busy to and is
-// dropped with accounting (ok false).
-func (e *endpoint) shedNote(env *wire.Envelope) (note shedNote, ok bool) {
-	note = shedNote{to: wire.From{Addr: env.Src, Sess: env.Session}, reqID: env.ReqID}
-	if note.reqID == 0 {
-		corr, isCorr := env.Msg.(wire.Correlated)
-		if !isCorr {
+// shed answers a request the gate declined with a Busy hinted by the shed
+// tenant's queue pressure: to its reqID when it is awaited, echoing its id
+// when it is a correlated one-way. A request that is neither has no
+// address to send Busy to and is dropped with accounting. Best effort: the
+// client's deadline is the backstop.
+func (e *endpoint) shed(env *wire.Envelope) {
+	var echo uint64
+	if env.ReqID == 0 {
+		corr, ok := env.Msg.(wire.Correlated)
+		if !ok {
 			e.drop(env.Msg)
-			return note, false
+			return
 		}
-		note.echo = corr.CorrelationID()
+		echo = corr.CorrelationID()
 	}
 	wire.Recycle(env.Msg)
-	return note, true
-}
-
-// sendBusy answers one shed request, hinted by the shed tenant's queue
-// pressure. Best effort: the client's deadline is the backstop.
-func (e *endpoint) sendBusy(note shedNote) {
-	busy := &wire.Busy{Echo: note.echo, RetryAfterMicros: busyHintMicros(e.gate, note.to.Sess.Tenant())}
-	_ = e.post(note.to, note.reqID, note.reqID != 0, busy, 0)
+	busy := &wire.Busy{Echo: echo, RetryAfterMicros: busyHintMicros(e.gate, env.Session.Tenant())}
+	_ = e.post(wire.From{Addr: env.Src, Sess: env.Session}, env.ReqID, env.ReqID != 0, busy, 0)
 }
 
 // shut marks the endpoint closed, releases its waiting Calls, drains the

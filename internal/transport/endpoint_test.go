@@ -94,16 +94,8 @@ func TestEndpointShedPath(t *testing.T) {
 	e.gate = NewAdmitGate(AdmitConfig{Limit: 1, RetryAfter: 3 * time.Millisecond}, new(AdmitStats))
 	cli, sess := wire.ClientAddr(0, 5), wire.MakeSession(2, 9)
 
-	note, ok := e.shedNote(&wire.Envelope{Src: cli, Session: sess, ReqID: 41, Msg: &wire.Ping{}})
-	if !ok || note != (shedNote{to: wire.From{Addr: cli, Sess: sess}, reqID: 41}) {
-		t.Fatalf("awaited request: note %+v ok=%v", note, ok)
-	}
-	e.sendBusy(note)
-	note, ok = e.shedNote(&wire.Envelope{Src: cli, Session: sess, Msg: &wire.RotCoordReq{RotID: 77}})
-	if !ok || note != (shedNote{to: wire.From{Addr: cli, Sess: sess}, echo: 77}) {
-		t.Fatalf("correlated one-way: note %+v ok=%v", note, ok)
-	}
-	e.sendBusy(note)
+	e.shed(&wire.Envelope{Src: cli, Session: sess, ReqID: 41, Msg: &wire.Ping{}})
+	e.shed(&wire.Envelope{Src: cli, Session: sess, Msg: &wire.RotCoordReq{RotID: 77}})
 
 	if len(sent) != 2 {
 		t.Fatalf("sent %d Busy frames, want 2", len(sent))
@@ -123,7 +115,8 @@ func TestEndpointShedPath(t *testing.T) {
 	}
 
 	resets := probeResets.Load()
-	if _, ok := e.shedNote(&wire.Envelope{Src: cli, Msg: &probeMsg{N: 3}}); ok {
+	e.shed(&wire.Envelope{Src: cli, Msg: &probeMsg{N: 3}})
+	if len(sent) != 2 {
 		t.Fatal("a request neither awaited nor correlated has nowhere to send Busy")
 	}
 	if stats.Dropped.Load() != 1 || probeResets.Load() != resets+1 {

@@ -305,8 +305,10 @@ func (l *Local) dispatchBatch(bufs []*wire.FrameBuf) {
 	}
 }
 
-// dispatch routes a marshalled envelope after its simulated flight. It
-// consumes f, returning it to the frame pool once decoded.
+// dispatch delivers a marshalled envelope after its simulated flight: a
+// response to its waiting Call, a request through serve on the goroutine
+// the frame already has. It consumes f, returning it to the frame pool once
+// decoded.
 func (l *Local) dispatch(f *wire.FrameBuf) {
 	env, err := wire.DecodeEnvelope(f.B)
 	wire.PutFrame(f) // DecodeEnvelope copies fields out; safe to recycle
@@ -324,26 +326,8 @@ func (l *Local) dispatch(f *wire.FrameBuf) {
 		dst.deliverResponse(env)
 		return
 	}
-	in, ok := dst.route(env)
-	if !ok {
-		return
-	}
-	// Shedding runs inline on this dispatch goroutine — Local already pays
-	// one goroutine per frame, so there is no read path to protect — while
-	// parked requests resume on a gate-spawned goroutine when a token frees.
-	if in.gate != nil {
-		switch in.gate.Submit(env.Session.Tenant(), in.run, func() { dst.drop(env.Msg) }) {
-		case AdmitShed:
-			if note, ok := dst.shedNote(env); ok {
-				dst.sendBusy(note)
-			}
-			return
-		case AdmitQueued:
-			return
-		case AdmitGranted:
-		}
-	}
-	in.run()
+	dst.wg.Add(1)
+	dst.serve(env)
 }
 
 // delivery is one in-flight coalesced batch.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -20,31 +19,11 @@ const maxFrame = 1 << 26 // 64 MiB
 const (
 	// readBufSize sizes the per-connection buffered reader.
 	readBufSize = 64 << 10
-	// handlerQueueLen bounds the per-node inbound request queue feeding
-	// the worker pool. It is a hand-off buffer, not a backlog: dispatch
-	// only queues a request after reserving an idle worker, so nothing
-	// ever waits in it behind a blocked handler. Attach widens it to the
-	// worker count when that is larger — a reserved dispatch must always
-	// find queue room, or reservations spuriously spill (HandlerOverflow).
-	handlerQueueLen = 256
-
-	// shedQueueLen bounds the per-node queue feeding the Busy responder.
-	// Shedding must never block the read path, so a full queue drops the
-	// shed notice instead (the client's deadline is the backstop).
-	shedQueueLen = 256
 
 	// maxConnPool bounds a mux's socket pool per destination (the slot is
 	// one byte of the connection key).
 	maxConnPool = 255
 )
-
-// handlerWorkers is the size of the per-node inbound worker pool.
-func handlerWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		return n
-	}
-	return 4
-}
 
 // TCP is a Network over real sockets. Server addresses must appear in the
 // directory; clients need not listen — peers respond over the connection a
@@ -135,10 +114,6 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 			return nil, fmt.Errorf("transport: listen %s: %w", hp, err)
 		}
 	}
-	// The queue must hold at least one entry per worker: dispatch reserves
-	// an idle worker before queueing, and a reservation finding the queue
-	// full would spill despite the idle worker.
-	workers := handlerWorkers()
 	n := &tcpNode{
 		endpoint: endpoint{addr: addr, h: h, stats: &t.stats, pool: uint8(pool), stop: make(chan struct{})},
 		t:        t,
@@ -146,22 +121,14 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 		conns:    make(map[connKey]*tcpConn),
 		all:      make(map[*tcpConn]struct{}),
 		dialing:  make(map[connKey]chan struct{}),
-		workq:    make(chan inbound, max(handlerQueueLen, workers)),
 	}
 	n.self, n.carry = n, n.send
 	if addr.IsServer() && t.admit.Enabled() {
 		n.gate = NewAdmitGate(t.admit, &t.admitStats)
-		n.shedq = make(chan shedNote, shedQueueLen)
-		n.wg.Add(1)
-		go n.shedResponder()
 	}
 	if ln != nil {
 		n.wg.Add(1)
 		go n.acceptLoop()
-	}
-	for i := 0; i < workers; i++ {
-		n.wg.Add(1)
-		go n.worker()
 	}
 	t.nodes[addr] = n
 	return n, nil
@@ -290,25 +257,17 @@ type connKey struct {
 
 // tcpNode is an endpoint whose carrier is real sockets: frames leave
 // through a pool of connections per destination (pool is that pool's size,
-// 1 for plain nodes) and inbound requests run on a worker pool.
+// 1 for plain nodes) and each inbound request runs on a goroutine its read
+// loop starts.
 type tcpNode struct {
 	endpoint
 	t  *TCP
 	ln net.Listener
 
-	// shedq feeds the Busy responder goroutine (gated nodes only): a shed
-	// is answered off the read path, so a congested send path can never
-	// park the readLoop behind a Busy write.
-	shedq chan shedNote
-
 	mu      sync.Mutex
 	conns   map[connKey]*tcpConn      // routable by learned/dialed peer + slot
 	all     map[*tcpConn]struct{}     // every live conn, learned or not
 	dialing map[connKey]chan struct{} // single-flight latches for in-progress dials
-
-	workq chan inbound
-	idle  atomic.Int64 // workers ready to receive minus requests queued for them
-	wg    sync.WaitGroup
 }
 
 func (n *tcpNode) acceptLoop() {
@@ -395,7 +354,7 @@ func (n *tcpNode) forget(tc *tcpConn) {
 
 // readLoop decodes frames from tc, learning the peer's address from the
 // first envelope carrying a valid source. Responses are matched to pending
-// Calls inline; requests go to the worker pool.
+// Calls inline; each request runs on a goroutine of its own.
 func (n *tcpNode) readLoop(tc *tcpConn) {
 	defer n.wg.Done()
 	defer func() {
@@ -430,110 +389,17 @@ func (n *tcpNode) readLoop(tc *tcpConn) {
 			n.deliverResponse(env)
 			continue
 		}
-		n.dispatch(env)
-	}
-}
-
-// dispatch hands a request to the worker pool only when an idle worker is
-// reserved for it, spilling to a fresh goroutine otherwise. Spilling on a
-// busy pool — not merely a full queue — is a liveness requirement: handlers
-// may park on cluster state (a COPS dep check waiting for replication), and
-// the very message that would unblock them must never sit queued behind
-// them with every worker parked. The spill lane is deliberately unbounded:
-// any cap on concurrently running handlers recreates that deadlock for the
-// requests beyond the cap, so under saturation this degrades to the (safe)
-// goroutine-per-request design and HandlerOverflow records how often.
-//
-// Client-sourced requests are the exception: they first pass the admission
-// gate (when configured), and excess client load is shed with a typed Busy
-// or parked in the gate's tenant-fair queues instead of growing the spill
-// lane. The deadlock argument does not apply to them — no cluster-state
-// transition waits on a client request — so capping client handlers is
-// safe, and it is what keeps a client stampede from starving the
-// intra-cluster traffic that must stay unbounded.
-func (n *tcpNode) dispatch(env *wire.Envelope) {
-	in, ok := n.route(env)
-	if !ok {
-		return
-	}
-	if in.gate != nil {
-		// Hold a wg slot across Submit: a parked waiter's run/drop fires
-		// from a Release or gate.Close after this readLoop iteration moved
-		// on, and Close's Wait must cover it.
+		// Every request gets its own goroutine, deliberately unbounded:
+		// handlers may park on cluster state (a COPS dep check waiting for
+		// replication, a CC-LO readers check waiting for a dependency's
+		// install), and the very message that would unblock them must never
+		// queue behind them — any cap on concurrently running intra-cluster
+		// handlers recreates that deadlock for the requests beyond the cap.
+		// Client requests are bounded by the admission gate inside serve.
+		// Safe to Add here: this loop holds a wg slot, so Close's Wait
+		// cannot be at zero.
 		n.wg.Add(1)
-		switch in.gate.Submit(env.Session.Tenant(), func() {
-			defer n.wg.Done()
-			in.run()
-		}, func() {
-			n.drop(env.Msg)
-			n.wg.Done()
-		}) {
-		case AdmitShed:
-			n.wg.Done()
-			if note, ok := n.shedNote(env); ok {
-				select {
-				case n.shedq <- note:
-				default:
-					n.stats.Dropped.Add(1)
-				}
-			}
-			return
-		case AdmitQueued:
-			return
-		case AdmitGranted:
-			n.wg.Done()
-		}
-	}
-	if n.idle.Add(-1) >= 0 {
-		// Reserved one worker receive; exactly one worker iteration will
-		// consume what we queue, so this request cannot strand.
-		select {
-		case n.workq <- in:
-			return
-		default:
-			// Queue full despite the reservation (only possible if the
-			// worker count ever exceeds handlerQueueLen); give it back.
-			n.idle.Add(1)
-		}
-	} else {
-		n.idle.Add(1)
-	}
-	n.t.stats.HandlerOverflow.Add(1)
-	// Safe to Add here: the calling readLoop holds a wg slot, so the
-	// counter cannot be zero while Close's Wait is racing us.
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		in.run()
-	}()
-}
-
-// shedResponder turns queued shed notes into Busy responses.
-func (n *tcpNode) shedResponder() {
-	defer n.wg.Done()
-	for {
-		select {
-		case note := <-n.shedq:
-			n.sendBusy(note)
-		case <-n.stop:
-			return
-		}
-	}
-}
-
-// worker is one member of the node's inbound handler pool. Each loop
-// iteration publishes one idle token before receiving, pairing every queued
-// request with a worker receive.
-func (n *tcpNode) worker() {
-	defer n.wg.Done()
-	for {
-		n.idle.Add(1)
-		select {
-		case in := <-n.workq:
-			in.run()
-		case <-n.stop:
-			return
-		}
+		go n.serve(env)
 	}
 }
 
@@ -652,12 +518,13 @@ func (n *tcpNode) send(ctx context.Context, env wire.Envelope, slot uint8) error
 	return nil
 }
 
-// Close shuts the node down: listener, handler workers, admission gate,
-// sessions, and every live connection — learned or not — so no
-// readLoop/writeLoop goroutine or file descriptor outlives the node.
+// Close shuts the node down: listener, admission gate, sessions, and every
+// live connection — learned or not — then waits out its handlers, so no
+// readLoop/writeLoop/handler goroutine or file descriptor outlives the
+// node.
 func (n *tcpNode) Close() error {
 	// shut drains the gate's park queues before the goroutines are waited
-	// out below: parked waiters hold wg slots their drop closures release.
+	// out below: parked requests hold wg slots their drop closures release.
 	if !n.shut() {
 		return nil
 	}

@@ -112,8 +112,8 @@ func TestTCPCloseReleasesResources(t *testing.T) {
 		t.Fatalf("half-open conn read err = %v, want EOF", err)
 	}
 
-	// Every transport goroutine (accept/read/write loops, worker pools)
-	// must exit.
+	// Every transport goroutine (accept/read/write loops, handlers) must
+	// exit.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -127,7 +127,7 @@ func TestTCPCloseReleasesResources(t *testing.T) {
 
 // TestTCPAttachListenFailureStartsNothing: an admission-enabled server
 // address whose port is taken fails to attach, and the failed attach
-// leaves no goroutine behind (no shed responder, no workers) and no node.
+// leaves no goroutine behind and no node.
 func TestTCPAttachListenFailureStartsNothing(t *testing.T) {
 	taken, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -174,78 +174,6 @@ func TestTCPLearnRaceLoserPromoted(t *testing.T) {
 	n.forget(fresh)
 	if _, ok := n.conns[key]; ok {
 		t.Fatal("routing entry survived its last conn")
-	}
-}
-
-// parkHandler parks every Ping request until a one-way Pong releases them,
-// modelling handlers that block on cluster state (a COPS dep check waiting
-// for replication).
-type parkHandler struct {
-	release chan struct{}
-	parked  atomic.Int64
-}
-
-func (p *parkHandler) Handle(n Node, src wire.From, reqID uint64, m wire.Message) {
-	switch m.(type) {
-	case *wire.Ping:
-		p.parked.Add(1)
-		<-p.release
-		n.Respond(src, reqID, &wire.Pong{})
-	case *wire.Pong:
-		close(p.release)
-	}
-}
-
-// TestTCPDispatchSpillsWhenWorkersBusy is the regression test for the
-// worker-pool liveness bug: with every pool worker parked in a blocking
-// handler, the message that unblocks them used to sit in the (non-full)
-// work queue forever — a distributed deadlock. Dispatch must spill to a
-// fresh goroutine whenever no worker is idle, not only on queue overflow.
-func TestTCPDispatchSpillsWhenWorkersBusy(t *testing.T) {
-	dir := map[wire.Addr]string{wire.ServerAddr(0, 0): freeAddr(t)}
-	tnet := NewTCP(dir)
-	defer tnet.Close()
-	h := &parkHandler{release: make(chan struct{})}
-	if _, err := tnet.Attach(wire.ServerAddr(0, 0), h); err != nil {
-		t.Fatal(err)
-	}
-	cli, err := tnet.Attach(wire.ClientAddr(0, 1), HandlerFunc(func(Node, wire.From, uint64, wire.Message) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Park as many handlers as the pool has workers.
-	workers := handlerWorkers()
-	callErrs := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_, err := cli.Call(ctx, wire.ServerAddr(0, 0), &wire.Ping{Nonce: 1})
-			callErrs <- err
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for h.parked.Load() < int64(workers) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := h.parked.Load(); got < int64(workers) {
-		t.Fatalf("only %d/%d handlers parked", got, workers)
-	}
-
-	// The release message must run even though every worker is parked.
-	if err := cli.Send(wire.ServerAddr(0, 0), &wire.Pong{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < workers; i++ {
-		select {
-		case err := <-callErrs:
-			if err != nil {
-				t.Fatalf("parked call failed: %v", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("parked calls never released: dispatch did not spill (%d/%d done)", i, workers)
-		}
 	}
 }
 

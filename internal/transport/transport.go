@@ -10,11 +10,10 @@
 //
 // The model is asynchronous messaging with a request/response convenience:
 // Send delivers a one-way message; Call delivers a request and blocks until
-// the matching response or context cancellation. Incoming messages are
-// dispatched to a Handler off the receive path — TCP uses a bounded worker
-// pool that spills to fresh goroutines under saturation — so handlers may
-// block and issue nested Calls (the readers check in CC-LO does exactly
-// that).
+// the matching response or context cancellation. Every incoming request
+// runs its Handler on a goroutine of its own, off the receive path, on both
+// networks (endpoint.serve is the one inbound path), so handlers may block
+// and issue nested Calls (the readers check in CC-LO does exactly that).
 package transport
 
 import (
@@ -159,10 +158,6 @@ type Stats struct {
 	// into the staging buffer. TCP only; Local has no copy to skip.
 	WritevBytes metrics.Counter
 
-	// HandlerOverflow counts inbound requests that found no idle worker
-	// in the bounded pool and ran on a spilled goroutine instead.
-	HandlerOverflow metrics.Counter
-
 	// SendQueue tracks frames sitting in send queues (current level and
 	// high-water mark).
 	SendQueue metrics.Gauge
@@ -186,12 +181,6 @@ func (s *Stats) sent(t uint16, bytes uint64) {
 	s.Sent[t].Bytes.Add(bytes)
 }
 
-// Snapshot returns a plain copy of the three traffic counters (legacy
-// signature; see View for the full set).
-func (s *Stats) Snapshot() (msgs, bytes, dropped uint64) {
-	return s.MsgsSent.Load(), s.BytesSent.Load(), s.Dropped.Load()
-}
-
 // StatsView is a frozen copy of every transport counter. FlushP99Delay is
 // a whole-run percentile (like the queue peak), not a window delta.
 type StatsView struct {
@@ -202,6 +191,9 @@ type StatsView struct {
 	FramesCoalesced uint64
 	FlushP99Delay   time.Duration
 	WritevBytes     uint64
+	// HandlerOverflow is always 0: no carrier has a worker pool to spill
+	// past since every request runs on its own goroutine. It stays only
+	// because the frozen benchmark module reads it.
 	HandlerOverflow uint64
 	SendQueueDepth  int64
 	SendQueuePeak   int64
@@ -221,7 +213,6 @@ func (s *Stats) View() StatsView {
 		FramesCoalesced: s.FramesCoalesced.Load(),
 		FlushP99Delay:   s.FlushDelay.Percentile(99),
 		WritevBytes:     s.WritevBytes.Load(),
-		HandlerOverflow: s.HandlerOverflow.Load(),
 		SendQueueDepth:  s.SendQueue.Load(),
 		SendQueuePeak:   s.SendQueue.HighWater(),
 		OpenConns:       s.OpenConns.Load(),
@@ -249,7 +240,6 @@ func (s *Stats) Register(r *metrics.Registry, labels ...metrics.Label) {
 	r.Histogram("kv_transport_flush_delay_seconds", "Enqueue-to-flush latency of batched frames.", &s.FlushDelay, labels...)
 	r.Histogram("kv_transport_delivery_late_seconds", "Lateness of simulated deliveries past their due time (in-process transport only).", &s.DeliveryLate, labels...)
 	r.Counter("kv_transport_writev_bytes_total", "Frame bytes sent through the scatter-gather path.", &s.WritevBytes, labels...)
-	r.Counter("kv_transport_handler_overflow_total", "Inbound requests spilled past the bounded worker pool.", &s.HandlerOverflow, labels...)
 	r.Gauge("kv_transport_send_queue_frames", "Frames currently sitting in send queues.", &s.SendQueue, labels...)
 	r.Gauge("kv_transport_open_conns", "Live sockets (zero on the in-process transport).", &s.OpenConns, labels...)
 	r.Gauge("kv_transport_sessions", "Registered logical client sessions across multiplexed endpoints.", &s.Sessions, labels...)

@@ -298,7 +298,7 @@ func TestCallToMissingNodeTimesOut(t *testing.T) {
 	if _, err := cli.Call(ctx, wire.ServerAddr(0, 9), &wire.Ping{}); err == nil {
 		t.Fatal("expected timeout to unknown destination")
 	}
-	if _, _, dropped := net.Stats().Snapshot(); dropped == 0 {
+	if net.Stats().View().Dropped == 0 {
 		t.Fatal("drop not counted")
 	}
 }
@@ -322,9 +322,9 @@ func TestStatsCounting(t *testing.T) {
 	net.Attach(srv, &echoHandler{})
 	cli, _ := net.Attach(wire.ClientAddr(0, 1), HandlerFunc(func(Node, wire.From, uint64, wire.Message) {}))
 	cli.Call(context.Background(), srv, &wire.Ping{})
-	msgs, bytes, _ := net.Stats().Snapshot()
-	if msgs != 2 || bytes == 0 {
-		t.Fatalf("stats = msgs %d bytes %d, want 2 msgs", msgs, bytes)
+	v := net.Stats().View()
+	if v.MsgsSent != 2 || v.BytesSent == 0 {
+		t.Fatalf("stats = msgs %d bytes %d, want 2 msgs", v.MsgsSent, v.BytesSent)
 	}
 }
 
@@ -387,6 +387,77 @@ func TestStatsSentByType(t *testing.T) {
 			} {
 				if !strings.Contains(out.String(), want+"\n") {
 					t.Errorf("exposition lacks %q", want)
+				}
+			}
+		})
+	}
+}
+
+// parkHandler parks every Ping request until a one-way Pong releases them,
+// modelling handlers that block on cluster state (a COPS dep check waiting
+// for replication).
+type parkHandler struct {
+	release chan struct{}
+	once    sync.Once
+	parked  atomic.Int64
+}
+
+func (p *parkHandler) Handle(n Node, src wire.From, reqID uint64, m wire.Message) {
+	switch m.(type) {
+	case *wire.Ping:
+		p.parked.Add(1)
+		<-p.release
+		n.Respond(src, reqID, &wire.Pong{})
+	case *wire.Pong:
+		p.free()
+	}
+}
+
+// free releases the parked handlers; the test also calls it on its way
+// out, so a failed release cannot leave Close waiting on them.
+func (p *parkHandler) free() { p.once.Do(func() { close(p.release) }) }
+
+// TestParkedHandlersDoNotBlockRelease: with 64 handlers parked on a plain
+// node, the one-way message that releases them still runs, on both
+// carriers. A carrier that ran requests on a bounded pool, or queued them
+// behind running handlers, would deadlock here — the reason every request
+// gets its own goroutine until no handler parks on cluster state.
+func TestParkedHandlersDoNotBlockRelease(t *testing.T) {
+	const parked = 64
+	srv := wire.ServerAddr(0, 0)
+	for name, mk := range map[string]func() Network{
+		"local": func() Network { return NewLocal(LatencyModel{}) },
+		"tcp":   func() Network { return NewTCP(map[wire.Addr]string{srv: freeAddr(t)}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := mk()
+			defer net.Close()
+			h := &parkHandler{release: make(chan struct{})}
+			defer h.free()
+			if _, err := net.Attach(srv, h); err != nil {
+				t.Fatal(err)
+			}
+			cli, err := net.Attach(wire.ClientAddr(0, 1), HandlerFunc(func(Node, wire.From, uint64, wire.Message) {}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			callErrs := make(chan error, parked)
+			for i := 0; i < parked; i++ {
+				go func() {
+					_, err := cli.Call(ctx, srv, &wire.Ping{Nonce: 1})
+					callErrs <- err
+				}()
+			}
+			waitUntil(t, "every handler parked", func() bool { return h.parked.Load() == parked })
+
+			if err := cli.Send(srv, &wire.Pong{}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < parked; i++ {
+				if err := <-callErrs; err != nil {
+					t.Fatalf("parked call %d failed: %v; the release never ran", i, err)
 				}
 			}
 		})
