@@ -88,11 +88,12 @@ type Options struct {
 	// WALSync selects the durability acknowledgment contract when DataDir
 	// is set: "sync" (the default: a write is acknowledged only after its
 	// fsync, so acknowledged writes always survive a crash) or "async" (a
-	// write is acknowledged once written to the OS and fsynced within the
-	// WAL's background window — faster writes, with up to one window of
-	// acknowledged writes lost on a crash; replication still ships only
-	// fsynced writes, so replicas never diverge). Any other value makes
-	// StartCluster fail.
+	// Contrarian or Cure write is acknowledged once written to the OS and
+	// fsynced within the WAL's background window — faster writes, with up
+	// to one window of acknowledged writes lost on a crash; reads and
+	// replication still see only fsynced writes, so replicas never
+	// diverge; CC-LO and COPS still acknowledge after the fsync). Any other
+	// value makes StartCluster fail.
 	WALSync string
 	// AdmitLimit enables client admission control: it caps concurrently
 	// running client handlers per partition server. Excess client requests

@@ -65,7 +65,7 @@ func main() {
 	flag.StringVar(&cfg.DataDir, "data-dir", "", "durability root: group-commit every install to a WAL under this directory and recover it on restart (partitions only; empty = in-memory)")
 	flag.DurationVar(&cfg.WALSnapshotEvery, "wal-snapshot-every", time.Minute, "periodic WAL snapshot+truncate interval (with -data-dir; 0 disables)")
 	flag.Int64Var(&cfg.WALSegmentBytes, "wal-segment-bytes", 0, "WAL segment size before rotation (0 = default 64 MiB)")
-	flag.Func("wal-sync", "WAL acknowledgment contract: sync (default; acked ⇒ fsynced) or async (acked ⇒ written; fsync within -wal-fsync-every)", func(s string) (err error) {
+	flag.Func("wal-sync", "WAL acknowledgment contract: sync (default; acked ⇒ fsynced) or async (contrarian/contrarian2r/cure: acked ⇒ written, fsync within -wal-fsync-every; cclo/cops still ack after the fsync)", func(s string) (err error) {
 		cfg.WALSync, err = wal.ParseSyncMode(s)
 		return err
 	})

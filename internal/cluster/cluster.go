@@ -64,8 +64,9 @@ type Config struct {
 	// segments to exercise rotation); 0 uses the wal default.
 	WALSegmentBytes int64
 	// WALSync selects the WAL acknowledgment contract: wal.SyncAlways
-	// (default; acked ⇒ fsynced) or wal.SyncBackground (acked ⇒ written,
-	// fsynced within WALFsyncEvery — the bounded loss window).
+	// (default; acked ⇒ fsynced) or wal.SyncBackground (a Contrarian or
+	// Cure PUT is acked ⇒ written, fsynced within WALFsyncEvery — the
+	// bounded loss window; CC-LO and COPS still ack after the fsync).
 	WALSync wal.SyncMode
 	// WALFsyncEvery bounds the SyncBackground loss window (0 = wal
 	// default).

@@ -65,9 +65,11 @@ type Config struct {
 	RepFlushEvery time.Duration
 
 	// Durable, when non-nil, makes every install durable before it is
-	// acknowledged: NewServer replays the recovered state into the store and
-	// registers the snapshot source, and the PUT/replication paths append to
-	// the log (group-committed) before responding. Nil keeps the server
+	// visible: NewServer replays the recovered state into the store and
+	// registers the snapshot source; a PUT installs only once the fsync
+	// covering its (group-committed) append lands, and is acknowledged then
+	// under SyncAlways, once written under SyncBackground; a replication
+	// batch is fsynced before it installs and is acked. Nil keeps the server
 	// purely in memory.
 	Durable wal.Durability
 

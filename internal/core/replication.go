@@ -2,8 +2,9 @@ package core
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/family"
@@ -22,13 +23,14 @@ func newTicker(d time.Duration) *time.Ticker {
 // replicator ships this partition's local PUTs to its sibling replicas in
 // every other DC.
 //
-// Queues are appended inside the server's put fence (putMu) and drained
-// inside it too, so the replication cut — the HighTS a batch carries — is
-// exact: every local version with ts ≤ HighTS is in this or an earlier
-// batch. The receiver advances its VV[src] to HighTS, and through the
-// stabilization protocol that entry flows into the GSS; an over-advanced
-// cut would let remote readers observe snapshots missing local versions,
-// which is precisely the anomaly the paper's Figure 1 illustrates.
+// Queues are appended and drained under the server's commit watermark, so
+// the replication cut — the HighTS a batch carries — is exact: every local
+// version with ts ≤ HighTS is in this or an earlier batch, and none is one
+// the origin could still lose. The receiver advances its VV[src] to HighTS,
+// and through the stabilization protocol that entry flows into the GSS; an
+// over-advanced cut would let remote readers observe snapshots missing
+// local versions, which is precisely the anomaly the paper's Figure 1
+// illustrates.
 //
 // An empty batch with a fresh cut is the replication heartbeat of Section 4
 // that keeps remote VVs moving while a partition is idle.
@@ -39,29 +41,12 @@ type replicator struct {
 	wg      sync.WaitGroup // the started streams' run loops
 }
 
-// repUpdate is one queued update plus its durability gate: nil means the
-// update needs no fsync (in-memory server), otherwise the flag flips true
-// once the origin's WAL append has committed. Replication ships only
-// durable updates — a write the origin could still lose in a crash must
-// never be durably applied at a remote DC, or the replicas diverge the
-// moment the origin recovers without it.
-type repUpdate struct {
-	wire.Update
-	durable durFlag
-}
-
-// durFlag is the read side of an update's durability flag: an *atomic.Bool in the
-// server; tests script one to pin down WHEN the flag is read.
-type durFlag interface{ Load() bool }
-
-func (u *repUpdate) ready() bool { return u.durable == nil || u.durable.Load() }
-
 type repStream struct {
 	s     *Server
 	dst   wire.Addr
 	dstDC int
 
-	queue []repUpdate // guarded by s.putMu
+	queue []wire.Update // in timestamp order; guarded by s.wm.mu
 }
 
 // newReplicator builds one stream per remote DC. recovered holds this
@@ -80,8 +65,7 @@ func newReplicator(s *Server, recovered []wire.Update) *replicator {
 		st := &repStream{s: s, dst: wire.ServerAddr(dc, s.cfg.Part), dstDC: dc}
 		for _, u := range recovered {
 			if u.TS > acked[dc] {
-				// Recovered from the WAL, so durable by definition: no gate.
-				st.queue = append(st.queue, repUpdate{Update: u})
+				st.queue = append(st.queue, u)
 			}
 		}
 		r.streams = append(r.streams, st)
@@ -106,64 +90,43 @@ func (r *replicator) stopAll() {
 	r.wg.Wait()
 }
 
-// enqueue records one local update for every remote DC. The caller must
-// hold s.putMu (it is called from the PUT fence). durable is the update's
-// durability gate (nil when the server has no WAL).
-func (r *replicator) enqueue(u wire.Update, durable *atomic.Bool) {
-	ru := repUpdate{Update: u}
-	if durable != nil { // a nil *atomic.Bool must stay a nil flag, not a non-nil interface
-		ru.durable = durable
-	}
-	for _, st := range r.streams {
-		st.queue = append(st.queue, ru)
-	}
-}
-
-// cut drains up to repBatchMax queued DURABLE updates and computes the
-// replication cut. Draining stops at the first update whose WAL append has
-// not committed yet, and the cut is clamped below that update's timestamp:
-// updates are enqueued in timestamp order inside the fence, so everything
-// below the clamp is in this or an earlier batch, and nothing the origin
-// could still lose is ever shipped. A fully drained queue cuts just BELOW
-// the current clock reading (enqueueing is atomic with timestamp assignment
-// under putMu, and no later event is timestamped below a reading) — not at
-// it: Now() creates no event, so an HLC does not record what it returned and
-// a PUT entering the fence in the same microsecond gets that very timestamp.
-//
-// Each gate is read ONCE: a gate can flip durable at any instant (the WAL's
-// commit path does not take putMu), so whether the drain stopped at an
-// undurable head is decided by where the loop stopped, never by asking the
-// head again — a second answer of "durable now" used to fall through to
-// batch[k-1] with k == 0.
+// cut drains up to repBatchMax queued updates and computes the replication
+// cut. Only the prefix below the oldest unfinished PUT ships, and the cut is
+// clamped below that PUT: every queued update beneath it is installed (a
+// failed one has left the queue), and no later PUT is timestamped below it.
+// With no PUT unfinished, a drained queue cuts just BELOW the current clock
+// reading — not at it: Now() creates no event, so an HLC does not record
+// what it returned and a PUT ticked in the same microsecond gets that very
+// timestamp. A full batch cuts at its last update; the rest waits for the
+// next cut.
 func (st *repStream) cut() ([]wire.Update, uint64) {
-	st.s.putMu.Lock()
-	defer st.s.putMu.Unlock()
-	n := min(len(st.queue), repBatchMax)
+	w := &st.s.wm
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	limit := uint64(math.MaxUint64)
+	if len(w.pending) > 0 {
+		limit = w.pending[0].ts
+	}
 	k := 0
-	for k < n && st.queue[k].ready() {
+	for k < min(len(st.queue), repBatchMax) && st.queue[k].TS < limit {
 		k++
 	}
-	batch := make([]wire.Update, k)
-	for i := range batch {
-		batch[i] = st.queue[i].Update
-	}
+	batch := slices.Clone(st.queue[:k])
 	st.queue = st.queue[k:]
 	if len(st.queue) == 0 {
 		st.queue = nil // release the drained backing array eventually
-		high := max(st.s.clock.Now(), 1) - 1
-		if k > 0 {
-			high = max(high, batch[k-1].TS) // the reading may BE the last update's event
-		}
-		return batch, high
 	}
-	if k < n {
-		// Blocked on an in-flight (or failed) group commit: the cut must
-		// stay strictly below the head that read undurable so remote
-		// snapshots never cover a version that might not survive the
-		// origin. (If it has turned durable since, the next cut ships it.)
-		return batch, st.queue[0].TS - 1
+	switch {
+	case k == repBatchMax:
+		return batch, batch[k-1].TS
+	case limit != math.MaxUint64:
+		return batch, limit - 1
 	}
-	return batch, batch[k-1].TS // k == n ≥ 1: the batch filled up
+	high := max(st.s.clock.Now(), 1) - 1
+	if k > 0 {
+		high = max(high, batch[k-1].TS) // the reading may BE the last update's event
+	}
+	return batch, high
 }
 
 // run ships a batch every flush tick, stop-and-wait: the next batch is cut

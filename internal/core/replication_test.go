@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/hlc"
+	"repro/internal/ring"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 	"repro/internal/wal"
@@ -50,34 +53,70 @@ func (d *fakeDurable) Epoch() uint64                        { return 0 }
 func (d *fakeDurable) SetEpoch(uint64) error                { return nil }
 func (d *fakeDurable) SetSnapshotSource(wal.SnapshotSource) {}
 
-// flipFlag reads undurable exactly once and durable ever after: a group
-// commit landing between two looks at the same update.
-type flipFlag struct{ loads int }
-
-func (f *flipFlag) Load() bool {
-	f.loads++
-	return f.loads > 1
+// failOnce fails its first append, as a poisoned log would, and syncs the
+// rest.
+type failOnce struct {
+	*fakeDurable
+	failed atomic.Bool
 }
 
-// TestCutReadsUndurableHeadOnce is the regression test for the
-// `index out of range [-1]` panic in repStream.cut: the drain loop stopped at
-// an undurable head (k == 0), the head turned durable before cut asked it a
-// second time, and the "head is durable" branch indexed batch[k-1]. The cut
-// must clamp below the head it read as undurable and ship it next time.
+func (d *failOnce) AppendSynced(recs []wal.Record, synced func(error)) error {
+	if d.failed.CompareAndSwap(false, true) {
+		return errors.New("disk full")
+	}
+	return d.fakeDurable.AppendSynced(recs, synced)
+}
+
+// holdSynced returns every append once written, as SyncBackground does, and
+// hands its synced callback to the test instead of firing it.
+type holdSynced struct {
+	*fakeDurable
+	held chan func(error)
+}
+
+func (d *holdSynced) AppendSynced(_ []wal.Record, synced func(error)) error {
+	d.held <- synced
+	return nil
+}
+
+// cutServer is a bare server with one replication stream, for driving the
+// commit watermark and the cut by hand.
+func cutServer(c hlc.Clock) (*Server, *repStream) {
+	s := &Server{cfg: Config{NumDCs: 1}, clock: c}
+	s.wm.cond.L = &s.wm.mu
+	st := &repStream{s: s}
+	s.repl = &replicator{streams: []*repStream{st}}
+	return s, st
+}
+
+// durableServer is an unstarted one-partition server in DC 0 of two, on a
+// Lamport clock, logging to dur, with a client; the test cuts its
+// replication stream by hand.
+func durableServer(t *testing.T, dur wal.Durability) (*Server, *Client) {
+	t.Helper()
+	net := transport.NewLocal(transport.LatencyModel{})
+	t.Cleanup(func() { net.Close() })
+	s, err := NewServer(Config{NumDCs: 2, Clock: ClockLogical, Durable: dur}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s, dial(t, ClientConfig{DC: 0, ID: 1, NumDCs: 2, Ring: ring.New(1), Mode: OneAndHalfRounds}, net)
+}
+
+// TestCutReadsUndurableHeadOnce: a cut whose oldest queued update is still
+// unfinished ships nothing and clamps below it, even past a finished later
+// update (k == 0 must never reach batch[k-1]); once the head finishes, the
+// next cut ships both.
 func TestCutReadsUndurableHeadOnce(t *testing.T) {
-	s := &Server{clock: hlc.NewLamport(20)}
-	head := &flipFlag{}
-	st := &repStream{s: s, queue: []repUpdate{
-		{Update: wire.Update{Key: "a", TS: 10}, durable: head},
-		{Update: wire.Update{Key: "b", TS: 11}},
-	}}
+	s, st := cutServer(hlc.NewLamport(20))
+	s.wm.pending = []pendingPut{{ts: 10}} // 11 has finished
+	st.queue = []wire.Update{{Key: "a", TS: 10}, {Key: "b", TS: 11}}
 	batch, high := st.cut()
 	if len(batch) != 0 || high != 9 {
-		t.Fatalf("cut at an undurable head = %d updates, HighTS %d; want none, clamped to 9", len(batch), high)
+		t.Fatalf("cut at an unfinished head = %d updates, HighTS %d; want none, clamped to 9", len(batch), high)
 	}
-	if head.loads != 1 {
-		t.Fatalf("cut read the head's flag %d times, want once", head.loads)
-	}
+	s.finish(10, true)
 	batch, high = st.cut()
 	if len(batch) != 2 || batch[0].TS != 10 || high != 19 {
 		t.Fatalf("next cut = %d updates, HighTS %d; want both, cut just below the clock (19)", len(batch), high)
@@ -88,10 +127,9 @@ func TestCutReadsUndurableHeadOnce(t *testing.T) {
 // batch is full cuts at the last update shipped, not at the clock — one
 // update past repBatchMax stays queued.
 func TestCutFullBatchCutsAtItsLastUpdate(t *testing.T) {
-	s := &Server{clock: hlc.NewLamport(1000)}
-	st := &repStream{s: s}
+	_, st := cutServer(hlc.NewLamport(1000))
 	for i := range repBatchMax + 1 {
-		st.queue = append(st.queue, repUpdate{Update: wire.Update{TS: uint64(10 + i)}})
+		st.queue = append(st.queue, wire.Update{TS: uint64(10 + i)})
 	}
 	last := uint64(10 + repBatchMax - 1)
 	if batch, high := st.cut(); len(batch) != repBatchMax || high != last {
@@ -103,28 +141,110 @@ func TestCutFullBatchCutsAtItsLastUpdate(t *testing.T) {
 }
 
 // TestCutOfDrainedQueueStaysBelowNextPut: the cut of a drained queue must be
-// strictly below every later PUT, also one that enters the fence within the
-// same microsecond. Cutting AT clock.Now() was not: an HLC's Now does not
-// record its reading, so the next Tick on an unmoved source returned the
-// HighTS already shipped, and with three DCs a version depending on that PUT
-// could become visible one heartbeat before the PUT itself arrived. A cut
-// that drained updates still covers the last of them.
+// strictly below every later PUT, also one ticked within the same
+// microsecond. Cutting AT clock.Now() was not: an HLC's Now does not record
+// its reading, so the next Tick on an unmoved source returned the HighTS
+// already shipped, and with three DCs a version depending on that PUT could
+// become visible one heartbeat before the PUT itself arrived. A cut that
+// drained updates still covers the last of them.
 func TestCutOfDrainedQueueStaysBelowNextPut(t *testing.T) {
 	var src hlc.ManualSource
 	src.Set(1000)
-	s := &Server{clock: hlc.NewHLC(src.Now)}
-	st := &repStream{s: s}
+	s, st := cutServer(hlc.NewHLC(src.Now))
 	_, high := st.cut()
-	ts := s.clock.Tick()
-	if ts <= high {
-		t.Fatalf("PUT after an empty cut got ts %d, not above the shipped HighTS %d", ts, high)
+	u := wire.Update{DV: vclock.New(1)}
+	s.begin(&u)
+	if u.TS <= high {
+		t.Fatalf("PUT after an empty cut got ts %d, not above the shipped HighTS %d", u.TS, high)
 	}
-	st.queue = []repUpdate{{Update: wire.Update{TS: ts}}}
-	if batch, high := st.cut(); len(batch) != 1 || high != ts {
-		t.Fatalf("cut after that PUT = %d updates, HighTS %d; want it shipped and covered (%d)", len(batch), high, ts)
+	s.finish(u.TS, true)
+	if batch, high := st.cut(); len(batch) != 1 || high != u.TS {
+		t.Fatalf("cut after that PUT = %d updates, HighTS %d; want it shipped and covered (%d)", len(batch), high, u.TS)
 	}
-	if next := s.clock.Tick(); next <= ts {
-		t.Fatalf("next PUT got ts %d, not above %d", next, ts)
+	if next := s.clock.Tick(); next <= u.TS {
+		t.Fatalf("next PUT got ts %d, not above %d", next, u.TS)
+	}
+}
+
+// TestFailedAppendNeverVisible: a PUT whose WAL append fails is answered
+// 500, is never readable — not even by a snapshot covering its timestamp —
+// and never holds the replication cut back: the next cut ships the PUT
+// after it and moves past the failed timestamp.
+func TestFailedAppendNeverVisible(t *testing.T) {
+	s, cli := durableServer(t, &failOnce{fakeDurable: newFakeDurable()})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var re *wire.ErrorResp
+	if _, err := cli.Put(ctx, "k", []byte("lost")); !errors.As(err, &re) || re.Code != 500 {
+		t.Fatalf("PUT on a failing log = %v, want a 500", err)
+	}
+	failed := s.clock.Now() // a Lamport clock: the failed PUT was its last event
+	kvs, err := cli.ROT(ctx, []string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cli.Seen()[0] < failed {
+		t.Fatalf("ROT snapshot %v does not cover the failed PUT's ts %d", cli.Seen(), failed)
+	}
+	if kvs[0].Value != nil {
+		t.Fatalf("ROT read %q (ts %d) written by the failed PUT", kvs[0].Value, kvs[0].TS)
+	}
+	ts, err := cli.Put(ctx, "k2", []byte("kept"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, high := s.repl.streams[0].cut()
+	if len(batch) != 1 || batch[0].TS != ts || high < ts {
+		t.Fatalf("cut after the failed PUT (ts %d) = %v, HighTS %d; want only ts %d, cut at or past it", failed, batch, high, ts)
+	}
+}
+
+// TestUnsyncedPutBlocksCoveringRead: a PUT acknowledged before its fsync (as
+// SyncBackground acks) stays invisible and unshipped until the fsync lands.
+// A ROT whose snapshot covers it waits, then reads it; the replication cut
+// stays below it, then ships it.
+func TestUnsyncedPutBlocksCoveringRead(t *testing.T) {
+	dur := &holdSynced{fakeDurable: newFakeDurable(), held: make(chan func(error), 1)}
+	s, cli := durableServer(t, dur)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ts, err := cli.Put(ctx, "k", []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced := <-dur.held
+	released := false
+	defer func() {
+		if !released {
+			synced(wal.ErrClosed)
+		}
+	}()
+	st := s.repl.streams[0]
+	if batch, high := st.cut(); len(batch) != 0 || high >= ts {
+		t.Fatalf("cut before the fsync = %d updates, HighTS %d; want none, below ts %d", len(batch), high, ts)
+	}
+	type result struct {
+		kvs []wire.KV
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		kvs, err := cli.ROT(ctx, []string{"k"}) // covers ts: the client saw its own PUT
+		got <- result{kvs, err}
+	}()
+	select {
+	case r := <-got:
+		t.Fatalf("covering ROT returned %v, %v before the PUT's fsync", r.kvs, r.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	released = true
+	synced(nil)
+	r := <-got
+	if r.err != nil || string(r.kvs[0].Value) != "v" || r.kvs[0].TS != ts {
+		t.Fatalf("covering ROT after the fsync = %v, %v; want v at ts %d", r.kvs, r.err, ts)
+	}
+	if batch, high := st.cut(); len(batch) != 1 || batch[0].TS != ts || high < ts {
+		t.Fatalf("cut after the fsync = %v, HighTS %d; want ts %d shipped and covered", batch, high, ts)
 	}
 }
 

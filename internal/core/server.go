@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/family"
@@ -17,14 +18,15 @@ import (
 
 // Server is one partition replica of the timestamp-based engine: the
 // shared partition skeleton (family.Partition) plus what the timestamp
-// families add to it — the put fence, the durability gate, the batch-cut
-// replication stream and the stabilized snapshot.
+// families add to it — the commit watermark, the batch-cut replication
+// stream and the stabilized snapshot.
 type Server struct {
 	*family.Partition
 	cfg   Config
 	clock hlc.Clock
 	store *mvstore.Store
 	repl  *replicator
+	wm    watermark
 
 	mu  sync.RWMutex
 	vv  vclock.Vec // vv[i], i ≠ local: latest ts received from DC i's replica
@@ -36,103 +38,95 @@ type Server struct {
 	past   [frontierLag]vclock.Vec
 	rounds int
 
-	// putMu is the partition's ordering fence. A PUT assigns its timestamp,
-	// installs, and enqueues for replication inside the write lock; snapshot
-	// reads take the read lock after moving the clock to the snapshot, and
-	// the replicator drains its queue and reads the replication cut inside
-	// the write lock. This guarantees two protocol invariants:
-	//   1. after a reader moves the clock to SV[local], every version with
-	//      ts ≤ SV[local] that will ever exist is already installed;
-	//   2. a replication batch's HighTS never runs ahead of an update that
-	//      has not been enqueued yet.
-	putMu sync.RWMutex
-
-	// durGate tracks local puts whose fsync is still pending, so snapshot
-	// reads can refuse to serve a version a crash could take back (nil
-	// without a WAL). Local installs must stay inside the put fence
-	// (invariant 1 above), so unlike the lo-families core cannot simply
-	// install after the fsync — instead the read path waits out the
-	// sub-millisecond gap between install and group commit.
-	durGate *durGate
-
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
-// durGate is the read-side durability watermark: pending holds the
-// timestamps of local puts between install and fsync, in assignment order
-// (timestamps are ticked inside the put fence, so adds are sorted).
-// Completions arrive in WAL order, which may differ, hence the lazy
-// deletion. Readers block while any pending timestamp is inside their
-// snapshot.
-type durGate struct {
+// watermark is the partition's one ordering lock for PUT timestamps,
+// snapshot reads and the replication cut. pending holds the local
+// timestamps that have been ticked but whose PUT has not finished —
+// installed, or abandoned on a failed append — in tick order. A timestamp
+// enters pending in the critical section that ticks it and queues its
+// update for every remote DC (Server.begin), which gives two invariants:
+//  1. once a reader has moved the clock to SV[local] and no pending
+//     timestamp is ≤ SV[local], every version with ts ≤ SV[local] that
+//     will ever exist is installed — later ticks land above the clock;
+//  2. every queued update below the oldest pending timestamp is finished,
+//     so a replication cut there never runs ahead of an update it has not
+//     shipped, nor ships one the origin could still lose.
+type watermark struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []uint64
-	inGate  map[uint64]bool // membership of pending, for idempotent complete
-	fin     map[uint64]bool
+	cond    sync.Cond // on mu; signalled when the finished prefix pops or the server closes
+	pending []pendingPut
 	closed  bool
 }
 
-func newDurGate() *durGate {
-	g := &durGate{inGate: make(map[uint64]bool), fin: make(map[uint64]bool)}
-	g.cond = sync.NewCond(&g.mu)
-	return g
+type pendingPut struct {
+	ts   uint64
+	done bool
 }
 
-// add registers a just-installed, not-yet-durable local put. Callers hold
-// the put fence, so timestamps arrive in increasing order.
-func (g *durGate) add(ts uint64) {
-	g.mu.Lock()
-	g.pending = append(g.pending, ts)
-	g.inGate[ts] = true
-	g.mu.Unlock()
-}
-
-// complete marks ts durable (or abandoned — a poisoned log must not pin
-// readers forever) and releases any waiters it unblocks. Idempotent: the
-// WAL may both fire the synced callback with an error AND return the error
-// from AppendSynced, so a timestamp can be completed twice.
-func (g *durGate) complete(ts uint64) {
-	g.mu.Lock()
-	if !g.inGate[ts] {
-		g.mu.Unlock()
-		return
+// begin ticks u's timestamp, stamps it into u's dependency vector, and
+// queues u for every remote DC, all under the watermark.
+func (s *Server) begin(u *wire.Update) {
+	s.wm.mu.Lock()
+	u.TS = s.clock.Tick()
+	u.DV[s.cfg.DC] = u.TS
+	s.wm.pending = append(s.wm.pending, pendingPut{ts: u.TS})
+	for _, st := range s.repl.streams {
+		st.queue = append(st.queue, *u)
 	}
-	g.fin[ts] = true
-	for len(g.pending) > 0 && g.fin[g.pending[0]] {
-		delete(g.fin, g.pending[0])
-		delete(g.inGate, g.pending[0])
-		g.pending = g.pending[1:]
+	s.wm.mu.Unlock()
+}
+
+// finish retires the PUT that begin stamped ts: installed (ok), or
+// abandoned, in which case its update leaves the stream queues unshipped.
+// Readers and cuts waiting on the finished prefix move on.
+func (s *Server) finish(ts uint64, ok bool) {
+	w := &s.wm
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(w.pending, ts, func(p pendingPut, ts uint64) int { return cmp.Compare(p.ts, ts) })
+	w.pending[i].done = true
+	if !ok {
+		for _, st := range s.repl.streams {
+			if j, found := slices.BinarySearchFunc(st.queue, ts, func(u wire.Update, ts uint64) int { return cmp.Compare(u.TS, ts) }); found {
+				st.queue = slices.Delete(st.queue, j, j+1)
+			}
+		}
 	}
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// waitClear blocks until no pending put has a timestamp ≤ ts (or the gate
-// closes with the server).
-func (g *durGate) waitClear(ts uint64) {
-	g.mu.Lock()
-	for !g.closed && len(g.pending) > 0 && g.pending[0] <= ts {
-		g.cond.Wait()
+	k := 0
+	for k < len(w.pending) && w.pending[k].done {
+		k++
 	}
-	g.mu.Unlock()
+	if k > 0 {
+		w.pending = slices.Delete(w.pending, 0, k)
+		w.cond.Broadcast()
+	}
 }
 
-// clearBelow reports, without blocking, whether no pending put has a
-// timestamp ≤ ts.
-func (g *durGate) clearBelow(ts uint64) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.closed || len(g.pending) == 0 || g.pending[0] > ts
+// await blocks until no unfinished PUT has a timestamp ≤ ts, or the server
+// closes, and returns how long it waited.
+func (w *watermark) await(ts uint64) time.Duration {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	blocked := func() bool { return !w.closed && len(w.pending) > 0 && w.pending[0].ts <= ts }
+	if !blocked() {
+		return 0
+	}
+	start := time.Now()
+	for blocked() {
+		w.cond.Wait()
+	}
+	return time.Since(start)
 }
 
-// close releases all waiters permanently (server shutdown).
-func (g *durGate) close() {
-	g.mu.Lock()
-	g.closed = true
-	g.cond.Broadcast()
-	g.mu.Unlock()
+// close releases every waiter for good (server shutdown).
+func (w *watermark) close() {
+	w.mu.Lock()
+	w.closed = true
+	w.cond.Broadcast()
+	w.mu.Unlock()
 }
 
 // NewServer builds the partition server and attaches it to net. Call Start
@@ -147,13 +141,13 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 		gss:   vclock.New(cfg.NumDCs),
 		stop:  make(chan struct{}),
 	}
+	s.wm.cond.L = &s.wm.mu
 	s.Partition = family.NewPartition("core", cfg.DC, cfg.NumDCs, cfg.Slow, s.store.Register)
 	if cfg.Clock != ClockLogical {
 		s.Expose(s.registerLags)
 	}
 	var recovered []wire.Update
 	if cfg.Durable != nil {
-		s.durGate = newDurGate()
 		var err error
 		if recovered, err = s.recover(); err != nil {
 			return nil, err
@@ -224,31 +218,6 @@ func (s *Server) recover() ([]wire.Update, error) {
 	return local, nil
 }
 
-// logInstall makes one local install durable per the WAL's sync mode; it
-// must be called outside the put fence (fsync latency must not serialize
-// the partition) and before the acknowledgment. The durable gate flips only
-// on the real fsync — under background sync the client may be acked inside
-// the loss window, but replication never ships a version the origin could
-// still lose. On error the version stays in memory unacknowledged, which a
-// crash is allowed to lose.
-func (s *Server) logInstall(key string, value []byte, ts uint64, dv vclock.Vec, durable *atomic.Bool) error {
-	err := s.cfg.Durable.AppendSynced([]wal.Record{{
-		Key: key, Value: value, TS: ts, SrcDC: uint8(s.cfg.DC), DV: dv,
-	}}, func(err error) {
-		if err == nil {
-			durable.Store(true)
-		}
-		// Unpin readers even on failure: the log is poisoned and the
-		// version will never replicate, but a frozen read path on top of a
-		// dying partition helps no one.
-		s.durGate.complete(ts)
-	})
-	if err != nil {
-		s.durGate.complete(ts)
-	}
-	return err
-}
-
 // Store exposes the underlying storage for tests and convergence checks.
 func (s *Server) Store() *mvstore.Store { return s.store }
 
@@ -281,9 +250,7 @@ func (s *Server) Start() {
 // Close stops background work and detaches from the network.
 func (s *Server) Close() error {
 	close(s.stop)
-	if s.durGate != nil {
-		s.durGate.close()
-	}
+	s.wm.close()
 	s.repl.stopAll()
 	s.wg.Wait()
 	return s.Node.Close()
@@ -351,53 +318,58 @@ func (s *Server) vvSnapshot() vclock.Vec {
 	return v
 }
 
-// handlePut installs a new local version (Section 4, PUT path).
+// handlePut commits a new local version (Section 4, PUT path). begin
+// stamps it and queues it for the other DCs; the WAL append, on a durable
+// partition, comes before the install, so durability gates visibility as in
+// family.LoServer; finish then lets readers and the replication cut past
+// its timestamp. The client is acknowledged when the append returns: after
+// the covering fsync under SyncAlways, once written under SyncBackground —
+// and then the handler waits out the fsync before it installs.
 func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.PutReq) family.Op {
 	op := family.Op{Kind: family.OpPut, Key: m.Key}
-	deps := m.Deps
-	if len(deps) != s.cfg.NumDCs {
-		d := vclock.New(s.cfg.NumDCs)
-		d.MaxInto(deps)
-		deps = d
-	}
+	u := wire.Update{Key: m.Key, Value: m.Value, DV: vclock.New(s.cfg.NumDCs)}
+	u.DV.MaxInto(m.Deps)
 	// The new version's timestamp must exceed every dependency entry so
 	// that DV[src] dominates the vector. With a physical clock this Update
 	// may wait out clock skew — Cure's write-side blocking. The blocking
-	// part runs outside the fence; the final Tick inside it is instant.
-	s.clock.Update(deps.Max())
+	// part runs outside the watermark; the final Tick inside it is instant.
+	s.clock.Update(u.DV.Max())
+	s.begin(&u)
 
-	var durable *atomic.Bool
-	if s.cfg.Durable != nil {
-		durable = new(atomic.Bool)
-	}
-	s.putMu.Lock()
-	ts := s.clock.Tick()
-	dv := deps.Clone()
-	dv[s.cfg.DC] = ts
-	v := mvstore.Version{Value: m.Value, TS: ts, SrcDC: uint8(s.cfg.DC), DV: dv}
-	s.store.Install(m.Key, v)
-	if s.durGate != nil {
-		s.durGate.add(ts)
-	}
-	s.repl.enqueue(wire.Update{Key: m.Key, Value: m.Value, TS: ts, DV: dv}, durable)
-	s.putMu.Unlock()
-
-	// Durability gates both the acknowledgment and replication, but not
-	// the install: group commit runs outside the fence so concurrent PUTs
-	// share fsyncs, and the enqueued update only becomes shippable once
-	// the flag flips on the real fsync (see repStream.cut and logInstall)
-	// — a version the origin could still lose must never be durably
-	// applied at a remote DC.
+	ack := func() { _ = s.Node.Respond(src, reqID, &wire.PutResp{TS: u.TS, GSS: s.gssSnapshot()}) }
+	acked := false
+	var err error
 	if s.cfg.Durable != nil {
 		fs := time.Now()
-		err := s.logInstall(m.Key, m.Value, ts, dv, durable)
-		op.Fsync = time.Since(fs)
-		if err != nil {
-			transport.RespondError(s.Node, src, reqID, 500, "core: wal: "+err.Error())
-			return op
+		synced := make(chan error, 1)
+		err = s.cfg.Durable.AppendSynced([]wal.Record{{
+			Key: u.Key, Value: u.Value, TS: u.TS, SrcDC: uint8(s.cfg.DC), DV: u.DV,
+		}}, func(err error) { synced <- err })
+		if err == nil {
+			select {
+			case err = <-synced: // the append returned after its fsync
+			default:
+				ack()
+				acked = true
+				err = <-synced
+			}
 		}
+		op.Fsync = time.Since(fs)
 	}
-	_ = s.Node.Respond(src, reqID, &wire.PutResp{TS: ts, GSS: s.gssSnapshot()})
+	if err == nil {
+		s.store.Install(u.Key, mvstore.Version{Value: u.Value, TS: u.TS, SrcDC: uint8(s.cfg.DC), DV: u.DV})
+	}
+	// A failed append is never installed nor shipped: a crash is allowed to
+	// lose what was not acknowledged, and under SyncBackground an acked
+	// write lost to the window is lost everywhere.
+	s.finish(u.TS, err == nil)
+	switch {
+	case acked:
+	case err != nil:
+		transport.RespondError(s.Node, src, reqID, 500, "core: wal: "+err.Error())
+	default:
+		ack()
+	}
 	return op
 }
 
@@ -489,13 +461,17 @@ func (s *Server) refusal(rotID uint64) *wire.RotRefused {
 // no later PUT can be assigned a timestamp inside the snapshot. Clocks that
 // can jump (HLC, Lamport) make this instantaneous — nonblocking ROTs; a
 // physical clock sleeps out the difference — Cure's read-side blocking.
-// It also returns how long the read waited on the durability gate (the
-// slow-op trace's queue phase).
+// It then waits until no PUT inside the snapshot is unfinished, so every
+// version the snapshot covers is installed — and, on a durable partition,
+// fsynced: serving a version the WAL could still lose would let a crash
+// un-happen an observed state. That wait is the tail of a group commit
+// (sub-millisecond under SyncAlways, up to the fsync window under
+// SyncBackground) and is returned as the slow-op trace's queue phase. The
+// store reads take no lock.
 func (s *Server) readAt(sv vclock.Vec, keys []string) ([]wire.KV, time.Duration, error) {
 	if len(keys) == 0 {
 		return nil, 0, nil
 	}
-	var gateWait time.Duration
 	local := uint64(0)
 	if s.cfg.DC < len(sv) {
 		local = sv[s.cfg.DC]
@@ -503,48 +479,18 @@ func (s *Server) readAt(sv vclock.Vec, keys []string) ([]wire.KV, time.Duration,
 	if s.clock.Now() < local {
 		s.clock.Update(local)
 	}
-	// A durable partition additionally waits until every local put inside
-	// the snapshot has been fsynced: serving a version the WAL could still
-	// lose would let a crash un-happen an observed state. The wait is the
-	// tail of a group commit (sub-millisecond in sync mode, up to the
-	// background window in async mode — the documented trade-off).
-	//
-	// The gate must be re-checked UNDER the fence: a put already inside the
-	// fence with ts ≤ SV[local] registers with the gate there, so a plain
-	// wait-then-lock could slip between its timestamp assignment and its
-	// registration. Once the read lock is held with the gate clear, no new
-	// pending put at ts ≤ SV[local] can appear (writers are excluded, and
-	// the clock move above pushes future puts past the snapshot).
-	//
-	// After the clock move, any in-flight PUT that has not yet entered the
-	// fence will be timestamped above SV[local]; waiting for the fence
-	// flushes the ones already inside it.
-	if s.durGate != nil {
-		gs := time.Now()
-		for {
-			s.durGate.waitClear(local)
-			s.putMu.RLock()
-			if s.durGate.clearBelow(local) {
-				break
-			}
-			s.putMu.RUnlock()
-		}
-		gateWait = time.Since(gs)
-	} else {
-		s.putMu.RLock()
-	}
-	defer s.putMu.RUnlock()
+	wait := s.wm.await(local)
 	vals := make([]wire.KV, len(keys))
 	for i, k := range keys {
 		v, ok, err := s.store.ReadAtSnapshot(k, sv)
 		if err != nil {
-			return nil, gateWait, err
+			return nil, wait, err
 		}
 		if ok {
 			vals[i] = wire.KV{Value: v.Value, TS: v.TS}
 		}
 	}
-	return vals, gateWait, nil
+	return vals, wait, nil
 }
 
 // handleRepBatch applies a replication batch from a sibling replica.

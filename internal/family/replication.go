@@ -7,10 +7,12 @@
 // single attempt. The dependency-list families (CC-LO, COPS) embed
 // LoServer on top, which owns their commit path and recovery loop over the
 // windowed replication stream and the dependency waiter; the timestamp
-// family (core) keeps its own install-inside-the-fence write path, its
-// durability gate and its batch-cut replication stream, which are
-// different disciplines; both streams share one delivery loop (Deliver)
-// and one lookup of what each DC has acknowledged (Acked).
+// family (core) keeps its own commit watermark — the ordered list of
+// unfinished PUTs that its snapshot reads and its batch-cut replication
+// stream wait on — which is a different discipline, though its write path
+// follows LoServer's order (durable, then visible, then shipped); both
+// streams share one delivery loop (Deliver) and one lookup of what each DC
+// has acknowledged (Acked).
 //
 // Everything here is a concrete type a family calls directly. A family
 // supplies its dispatch (a type switch that reports what each message did

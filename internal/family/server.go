@@ -29,7 +29,7 @@ type Op struct {
 	Keys int    // reads: how many keys the request carried
 
 	// Queue is how long the op waited before it could be served (core: the
-	// durability gate). A dependency-list commit leaves it zero and sets
+	// commit watermark). A dependency-list commit leaves it zero and sets
 	// Commit, the moment the commit began, instead: what the handler spent
 	// before then (dependency wait, readers check) is its queue.
 	Queue  time.Duration

@@ -9,7 +9,7 @@ import (
 // the trace must not leak values or full keys into an HTTP surface), and
 // where the time went. Phase meanings are family-specific and documented
 // by the server that records them; broadly: Queue is the pre-install wait
-// (ordering fence, readers check, dependency wait), Fsync the durability
+// (commit watermark, readers check, dependency wait), Fsync the durability
 // wait, Repl the replication-side wait. Phases need not sum to Total.
 type SlowOp struct {
 	Start   int64         // unix nanoseconds at op start
