@@ -204,16 +204,14 @@ func (c *Client) rotOneAndHalf(ctx context.Context, keys []string) (map[string]w
 	defer c.rots.Delete(rotID)
 
 	c.mu.Lock()
-	seenLocal := c.seen[c.dc]
-	seenGSS := c.seen.Clone()
+	seen := c.seen.Clone()
 	c.mu.Unlock()
 
 	err := c.Send(int(groups[0].Part), &wire.RotCoordReq{
-		RotID:     rotID,
-		Mode:      uint8(OneAndHalfRounds),
-		SeenLocal: seenLocal,
-		SeenGSS:   seenGSS,
-		Groups:    groups,
+		RotID:   rotID,
+		Mode:    uint8(OneAndHalfRounds),
+		SeenGSS: seen,
+		Groups:  groups,
 	})
 	if err != nil {
 		return nil, err
@@ -257,15 +255,13 @@ func (c *Client) rotTwoRounds(ctx context.Context, keys []string) (map[string]wi
 	groups := c.groups(keys)
 	rotID := c.rotSeq.Add(1)
 	c.mu.Lock()
-	seenLocal := c.seen[c.dc]
-	seenGSS := c.seen.Clone()
+	seen := c.seen.Clone()
 	c.mu.Unlock()
 
 	resp, err := c.Call(ctx, int(groups[0].Part), &wire.RotCoordReq{
-		RotID:     rotID,
-		Mode:      uint8(TwoRounds),
-		SeenLocal: seenLocal,
-		SeenGSS:   seenGSS,
+		RotID:   rotID,
+		Mode:    uint8(TwoRounds),
+		SeenGSS: seen,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("coord: %w", err)

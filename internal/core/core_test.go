@@ -87,16 +87,33 @@ func dial(t testing.TB, cfg ClientConfig, net transport.Network) *Client {
 	return c
 }
 
+// TestMakeSV: remote entries are max(GSS, seen); the local entry is the
+// coordinator's clock, raised to the session's seen local timestamp when
+// that is ahead (the session's own PUT on a partition whose clock ran
+// ahead). A short or empty context takes the clock.
 func TestMakeSV(t *testing.T) {
 	d := deploy(t, 2, 1, ClockHLC)
 	s := d.servers[0] // dc0
 	s.applyGSS(vclock.Vec{50, 40})
-	sv := s.makeSV(999999, vclock.Vec{10, 60})
+	sv := s.makeSV(vclock.Vec{999999, 60})
 	if sv[1] != 60 {
 		t.Fatalf("sv[1] = %d, want max(GSS, seen) = 60", sv[1])
 	}
 	if sv[0] < 999999 {
 		t.Fatalf("sv[0] = %d, must cover client's seen local ts", sv[0])
+	}
+	ahead := s.clock.Now() + uint64(time.Hour/time.Microsecond)
+	if sv := s.makeSV(vclock.Vec{ahead, 0}); sv[0] != ahead || sv[1] != 40 {
+		t.Fatalf("sv = %v, want [%d 40]: the seen local entry is ahead of the clock", sv, ahead)
+	}
+	for _, seen := range []vclock.Vec{nil, {}} {
+		if sv := s.makeSV(seen); sv[0] == 0 || sv[0] >= ahead || sv[1] != 40 {
+			t.Fatalf("makeSV(%v) = %v, want [clock 40]", seen, sv)
+		}
+	}
+	remote := d.servers[1] // dc1: its local entry lies past a one-entry context
+	if sv := remote.makeSV(vclock.Vec{ahead}); sv[0] != ahead || sv[1] == 0 || sv[1] >= ahead {
+		t.Fatalf("dc1 makeSV([%d]) = %v, want [%d clock]", ahead, sv, ahead)
 	}
 }
 
@@ -130,23 +147,52 @@ func TestPutRespCarriesGSS(t *testing.T) {
 	}
 }
 
+// TestClientSeenMonotone: in both ROT modes a session's causal context
+// only grows, and a ROT after the session's own PUT reads that PUT. With
+// Lamport clocks the coordinator's clock can be behind the PUT's timestamp,
+// so the ROT covers it only through the local entry of the context the
+// request carries.
 func TestClientSeenMonotone(t *testing.T) {
-	d := deploy(t, 1, 2, ClockHLC)
-	cli := d.client(t, 0, 1, OneAndHalfRounds)
-	ctx := context.Background()
-	var prev vclock.Vec
-	for i := 0; i < 10; i++ {
-		if _, err := cli.Put(ctx, fmt.Sprintf("k%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cli.ROT(ctx, []string{"k0", fmt.Sprintf("k%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-		cur := cli.Seen()
-		if prev != nil && !prev.LEQ(cur) {
-			t.Fatalf("client context went backwards: %v -> %v", prev, cur)
-		}
-		prev = cur
+	for name, mode := range map[string]ROTMode{"1.5-round": OneAndHalfRounds, "2-round": TwoRounds} {
+		t.Run(name, func(t *testing.T) {
+			d := deploy(t, 1, 2, ClockLogical)
+			cli := d.client(t, 0, 1, mode)
+			ctx := context.Background()
+			// lead[p] is a key partition p owns: a ROT listing it first is
+			// coordinated by p.
+			var lead [2]string
+			for i := 0; lead[0] == "" || lead[1] == ""; i++ {
+				k := fmt.Sprintf("lead%d", i)
+				lead[d.ring.Owner(k)] = k
+			}
+			var prev vclock.Vec
+			for i := 0; i < 10; i++ {
+				k := fmt.Sprintf("k%d", i)
+				// Rewriting k runs its partition's clock ahead of the
+				// coordinator's.
+				for j := 0; j < i; j++ {
+					if _, err := cli.Put(ctx, k, []byte("old")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ts, err := cli.Put(ctx, k, []byte("v"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				kvs, err := cli.ROT(ctx, []string{lead[1-d.ring.Owner(k)], k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if kvs[1].TS != ts || string(kvs[1].Value) != "v" {
+					t.Fatalf("ROT after the session's PUT of %s at %d read %+v", k, ts, kvs[1])
+				}
+				cur := cli.Seen()
+				if prev != nil && !prev.LEQ(cur) {
+					t.Fatalf("client context went backwards: %v -> %v", prev, cur)
+				}
+				prev = cur
+			}
+		})
 	}
 }
 

@@ -373,20 +373,26 @@ func (s *Server) handlePut(src wire.From, reqID uint64, m *wire.PutReq) family.O
 	return op
 }
 
-// makeSV picks the snapshot vector for a ROT: remote entries from the GSS
-// (never ahead of what every local partition has installed, hence
-// nonblocking), local entry from the coordinator clock (fresh).
-func (s *Server) makeSV(seenLocal uint64, seenGSS vclock.Vec) vclock.Vec {
+// makeSV picks the snapshot vector for a ROT from the session's causal
+// context seen: remote entries from the GSS (never ahead of what every local
+// partition has installed, hence nonblocking), local entry from the
+// coordinator clock (fresh) but never below the highest local timestamp the
+// session has seen, so a ROT after the session's own PUT covers it.
+func (s *Server) makeSV(seen vclock.Vec) vclock.Vec {
 	sv := s.gssSnapshot()
-	sv.MaxInto(seenGSS)
-	sv[s.cfg.DC] = max(s.clock.Now(), seenLocal)
+	sv.MaxInto(seen)
+	local := s.clock.Now()
+	if s.cfg.DC < len(seen) {
+		local = max(local, seen[s.cfg.DC])
+	}
+	sv[s.cfg.DC] = local
 	return sv
 }
 
 // handleRotCoord runs the coordinator role (Figure 3). Its read is the
 // whole ROT's: the request carries every key.
 func (s *Server) handleRotCoord(src wire.From, reqID uint64, m *wire.RotCoordReq) family.Op {
-	sv := s.makeSV(m.SeenLocal, m.SeenGSS)
+	sv := s.makeSV(m.SeenGSS)
 	if m.Mode == uint8(TwoRounds) {
 		_ = s.Node.Respond(src, reqID, &wire.RotCoordResp{RotID: m.RotID, SV: sv})
 		return family.Read(nil)

@@ -78,6 +78,7 @@ type Local struct {
 	admitStats AdmitStats
 	wheels     []*wheel
 	nextWheel  atomic.Uint32 // round-robin cursor over wheels, one step per flight
+	start      time.Time     // zero of clock
 	wheelWG    sync.WaitGroup
 
 	// lossBits holds the current cross-DC loss fraction (float64 bits),
@@ -119,6 +120,7 @@ func NewLocalOpts(latency LatencyModel, pol BatchPolicy) *Local {
 	l := &Local{
 		latency: latency,
 		pol:     pol.withDefaults(),
+		start:   time.Now(),
 		nodes:   make(map[wire.Addr]*localNode),
 	}
 	l.lossBits.Store(math.Float64bits(latency.InterDCLoss))
@@ -165,7 +167,8 @@ func (l *Local) link(src, dst wire.Addr) (*Batcher, error) {
 // localSink delivers one coalesced batch as a single simulated flight: the
 // whole batch is charged one latency sample and its frames arrive
 // together, mirroring how a TCP batch shares one scatter-gather write.
-// Only src's DC matters for the delay (see link).
+// Only src's DC matters for the delay (see link); dst travels with the
+// flight, because frames do not carry their destination.
 type localSink struct {
 	l        *Local
 	src, dst wire.Addr
@@ -179,7 +182,7 @@ func (s *localSink) WriteBatch(frames []*wire.FrameBuf) error {
 		copy(batch, frames)
 		w := s.l.wheels[s.l.nextWheel.Add(1)%numWheels]
 		select {
-		case w.ch <- delivery{at: time.Now().Add(d), bufs: batch}:
+		case w.ch <- delivery{due: s.l.clock() + d, dst: s.dst, bufs: batch}:
 			return nil
 		case <-w.stop:
 			for _, f := range batch {
@@ -190,12 +193,15 @@ func (s *localSink) WriteBatch(frames []*wire.FrameBuf) error {
 	}
 	// Zero delay: dispatchBatch only spawns per-frame goroutines, so it
 	// neither blocks nor retains the slice — no copy, no wrapper goroutine.
-	s.l.dispatchBatch(frames)
+	s.l.dispatchBatch(s.dst, frames)
 	return nil
 }
 
 // Stats exposes the network's traffic counters.
 func (l *Local) Stats() *Stats { return &l.stats }
+
+// clock is the network's monotonic time, on which flights are due.
+func (l *Local) clock() time.Duration { return time.Since(l.start) }
 
 // AdmitStats exposes the admission-control counters (all zero while
 // admission is disabled).
@@ -294,45 +300,58 @@ func (l *Local) lookup(addr wire.Addr) *localNode {
 	return l.nodes[addr]
 }
 
-// dispatchBatch fans a delivered batch out to per-frame dispatch
+// dispatchBatch fans a batch delivered to node to out to per-frame dispatch
 // goroutines: the frames arrive at the same instant (one latency charge),
 // but each handler gets its own goroutine — handlers may block on cluster
 // state another frame of the same batch would satisfy, so sequential
-// in-batch handling could deadlock.
-func (l *Local) dispatchBatch(bufs []*wire.FrameBuf) {
+// in-batch handling could deadlock. The node is looked up once per batch:
+// every frame of a flight shares its destination.
+func (l *Local) dispatchBatch(to wire.Addr, bufs []*wire.FrameBuf) {
+	n := l.lookup(to)
+	if n == nil {
+		l.stats.Dropped.Add(uint64(len(bufs)))
+		for _, f := range bufs {
+			wire.PutFrame(f)
+		}
+		return
+	}
 	for _, f := range bufs {
-		go l.dispatch(f)
+		go n.dispatch(f)
 	}
 }
 
-// dispatch delivers a marshalled envelope after its simulated flight: a
-// response to its waiting Call, a request through serve on the goroutine
-// the frame already has. It consumes f, returning it to the frame pool once
-// decoded.
-func (l *Local) dispatch(f *wire.FrameBuf) {
+// dispatch delivers a marshalled envelope after its simulated flight to n:
+// a response to its waiting Call, a request through serve on the goroutine
+// the frame already has. The frame does not carry its destination, so
+// dispatch stamps n's address as the envelope's Dst. It consumes f,
+// returning it to the frame pool once decoded.
+func (n *localNode) dispatch(f *wire.FrameBuf) {
 	env, err := wire.DecodeEnvelope(f.B)
 	wire.PutFrame(f) // DecodeEnvelope copies fields out; safe to recycle
 	if err != nil {
-		l.stats.Dropped.Add(1)
+		n.stats.Dropped.Add(1)
 		return
 	}
-	dst := l.lookup(env.Dst)
-	if dst == nil || dst.closed.Load() {
-		l.stats.Dropped.Add(1)
-		wire.Recycle(env.Msg)
+	env.Dst = n.addr
+	if n.closed.Load() {
+		n.drop(env.Msg)
 		return
 	}
 	if env.Resp {
-		dst.deliverResponse(env)
+		n.deliverResponse(env)
 		return
 	}
-	dst.wg.Add(1)
-	dst.serve(env)
+	n.wg.Add(1)
+	n.serve(env)
 }
 
-// delivery is one in-flight coalesced batch.
+// delivery is one in-flight coalesced batch, the node it flies to and when
+// it lands. It is boxed on every heap push and pop, so its due time is a
+// Duration on the network's clock, not a 24-byte time.Time: that keeps it
+// in the 48-byte size class with dst added.
 type delivery struct {
-	at   time.Time
+	due  time.Duration
+	dst  wire.Addr
 	bufs []*wire.FrameBuf
 }
 
@@ -340,7 +359,7 @@ type delivery struct {
 type deliveryHeap []delivery
 
 func (h deliveryHeap) Len() int           { return len(h) }
-func (h deliveryHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h deliveryHeap) Less(i, j int) bool { return h[i].due < h[j].due }
 func (h deliveryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *deliveryHeap) Push(x any)        { *h = append(*h, x.(delivery)) }
 func (h *deliveryHeap) Pop() any {
@@ -389,18 +408,18 @@ func (w *wheel) run() {
 			break
 		}
 		// Deliver everything due.
-		now := time.Now()
-		for len(w.h) > 0 && !w.h[0].at.After(now) {
+		now := w.net.clock()
+		for len(w.h) > 0 && w.h[0].due <= now {
 			d := heap.Pop(&w.h).(delivery)
-			w.net.stats.DeliveryLate.Record(now.Sub(d.at))
-			w.net.dispatchBatch(d.bufs)
+			w.net.stats.DeliveryLate.Record(now - d.due)
+			w.net.dispatchBatch(d.dst, d.bufs)
 		}
 		if len(w.h) == 0 {
 			continue
 		}
 		// Far-future head: sleep most of the gap, waking early for new
 		// messages; imminent head: spin.
-		wait := time.Until(w.h[0].at)
+		wait := w.h[0].due - w.net.clock()
 		if wait > spinHorizon {
 			t := time.NewTimer(wait - spinHorizon)
 			select {

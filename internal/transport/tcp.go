@@ -353,8 +353,10 @@ func (n *tcpNode) forget(tc *tcpConn) {
 }
 
 // readLoop decodes frames from tc, learning the peer's address from the
-// first envelope carrying a valid source. Responses are matched to pending
-// Calls inline; each request runs on a goroutine of its own.
+// first envelope carrying a valid source. Frames do not carry their
+// destination: whatever arrives on this node's sockets is for this node,
+// so each envelope's Dst is stamped with n.addr. Responses are matched to
+// pending Calls inline; each request runs on a goroutine of its own.
 func (n *tcpNode) readLoop(tc *tcpConn) {
 	defer n.wg.Done()
 	defer func() {
@@ -382,6 +384,7 @@ func (n *tcpNode) readLoop(tc *tcpConn) {
 			n.t.stats.Dropped.Add(1)
 			continue
 		}
+		env.Dst = n.addr
 		if !wire.Addr(tc.peer.Load()).Valid() && env.Src.Valid() {
 			n.learn(env.Src, tc)
 		}

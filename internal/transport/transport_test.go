@@ -393,6 +393,111 @@ func TestStatsSentByType(t *testing.T) {
 	}
 }
 
+// TestSharedLinkKeepsEachSendersSrc: frames carry no destination, and on
+// Local the nodes of one DC share one link (one batcher, one flight) to a
+// destination. Two senders of one DC firing into one node interleave on
+// that link; the node's handler must still see each frame's own sender,
+// and each sender's Calls must be answered to it. Run on both carriers.
+func TestSharedLinkKeepsEachSendersSrc(t *testing.T) {
+	srv := wire.ServerAddr(0, 0)
+	senders := []wire.Addr{wire.ServerAddr(0, 1), wire.ClientAddr(0, 7)}
+	for name, mk := range map[string]func() Network{
+		"local": func() Network { return NewLocal(LatencyModel{IntraDC: 200 * time.Microsecond}) },
+		"tcp":   func() Network { return NewTCP(map[wire.Addr]string{srv: freeAddr(t)}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			net := mk()
+			defer net.Close()
+			const each = 50
+			var mu sync.Mutex
+			got := make(map[wire.Addr][]uint64) // src → nonces of its one-ways
+			h := HandlerFunc(func(n Node, src wire.From, reqID uint64, m wire.Message) {
+				if reqID != 0 {
+					n.Respond(src, reqID, &wire.Pong{Nonce: uint64(src.Addr)})
+					return
+				}
+				mu.Lock()
+				got[src.Addr] = append(got[src.Addr], m.(*wire.Ping).Nonce)
+				mu.Unlock()
+			})
+			if _, err := net.Attach(srv, h); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			var wg sync.WaitGroup
+			errs := make(chan error, len(senders))
+			for _, a := range senders {
+				n, err := net.Attach(a, HandlerFunc(func(Node, wire.From, uint64, wire.Message) {}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						if err := n.Send(srv, &wire.Ping{Nonce: uint64(a)}); err != nil {
+							errs <- err
+							return
+						}
+						resp, err := n.Call(ctx, srv, &wire.Ping{})
+						if err != nil {
+							errs <- err
+							return
+						}
+						if p := resp.(*wire.Pong); wire.Addr(p.Nonce) != a {
+							errs <- fmt.Errorf("%v's call was answered as %v's", a, wire.Addr(p.Nonce))
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			if l, ok := net.(*Local); ok {
+				links := 0
+				l.links.Range(func(k, _ any) bool {
+					if k.(uint64) == uint64(srv) {
+						links++
+					}
+					return true
+				})
+				if links != 1 {
+					t.Fatalf("%d links from dc0 to %v, want the one both senders share", links, srv)
+				}
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for {
+				mu.Lock()
+				n := len(got[senders[0]]) + len(got[senders[1]])
+				mu.Unlock()
+				if n == 2*each || time.Now().After(deadline) {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(got) != len(senders) {
+				t.Fatalf("one-ways arrived from %d sources, want %d: %v", len(got), len(senders), got)
+			}
+			for _, a := range senders {
+				if len(got[a]) != each {
+					t.Fatalf("%v: %d of %d one-ways arrived", a, len(got[a]), each)
+				}
+				for _, nonce := range got[a] {
+					if wire.Addr(nonce) != a {
+						t.Fatalf("%v's one-way arrived as from %v", wire.Addr(nonce), a)
+					}
+				}
+			}
+		})
+	}
+}
+
 // parkHandler parks every Ping request until a one-way Pong releases them,
 // modelling handlers that block on cluster state (a COPS dep check waiting
 // for replication).

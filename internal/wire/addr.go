@@ -5,12 +5,14 @@
 // serialization CPU costs are part of what the benchmarks measure.
 //
 // Two rules keep frames small. A frame carries nothing its receiver already
-// knows: read responses are positional — the i-th value answers the i-th key
-// of the request, so no value echoes its key back (see Label). And a field
-// whose values stay small for a deployment's life — a partition index, a
-// count, a restart epoch, a Lamport timestamp — is a uvarint, while hybrid
-// logical clock readings, timestamp vectors and ids stay fixed-width: a
-// 62-bit HLC reading would take nine varint bytes.
+// knows: no envelope names its destination (the carrier delivering it knows
+// it; see Envelope), and read responses are positional — the i-th value
+// answers the i-th key of the request, so no value echoes its key back (see
+// Label). And a field whose values stay small for a deployment's life — a
+// partition index, a count, a restart epoch, a Lamport timestamp, a session,
+// a per-session ROT id — is a uvarint, and an address two of them (see
+// Buffer.Addr), while hybrid logical clock readings and timestamp vectors
+// stay fixed-width: a 62-bit HLC reading would take nine varint bytes.
 package wire
 
 import "fmt"
@@ -21,6 +23,9 @@ import "fmt"
 // bits 29..16 = data-center id, bits 15..0 = partition index (servers) or
 // client id (clients). Partition index 0xFFFF addresses the DC's
 // stabilization service.
+//
+// On the wire an address is two uvarints, role and DC then index (see
+// Buffer.Addr), so a small deployment's addresses take 2 B.
 //
 // Exactly one of the two role bits is set in every valid address, so the
 // zero Addr is never a legal endpoint: transports use it as an "unknown

@@ -41,6 +41,22 @@ func (b *Buffer) U64(v uint64) { b.B = binary.LittleEndian.AppendUint64(b.B, v) 
 // Uvarint appends a variable-width unsigned value.
 func (b *Buffer) Uvarint(v uint64) { b.B = binary.AppendUvarint(b.B, v) }
 
+// Addr appends a through the compact address codec: uvarint(role | dc<<2),
+// then uvarint(index). In a deployment of fewer than 32 DCs a partition or
+// a client below index 128 takes 2 B and the largest index (0xFFFF, a
+// stabilizer) 4 B; the fixed layout took 4 B always, and one uvarint of it,
+// role bits on top, 5 B. Any 32-bit value round-trips, endpoint or not.
+func (b *Buffer) Addr(a Addr) {
+	hi, idx := addrParts(a)
+	b.Uvarint(hi)
+	b.Uvarint(idx)
+}
+
+// addrParts splits a into the address codec's two values.
+func addrParts(a Addr) (hi, idx uint64) {
+	return uint64(a>>30) | uint64(a>>16&dcMask)<<2, uint64(a & 0xFFFF)
+}
+
 // Bytes appends a length-prefixed byte slice.
 func (b *Buffer) Bytes(v []byte) {
 	b.Uvarint(uint64(len(v)))
@@ -156,6 +172,18 @@ func (r *Reader) u32() uint32 {
 		return 0
 	}
 	return uint32(v)
+}
+
+// Addr reads an address written by Buffer.Addr. A role-and-DC part above
+// 16 bits or an index above 0xFFFF is ErrTooLarge, never wrapped onto
+// another process's address.
+func (r *Reader) Addr() Addr {
+	hi, idx := r.Uvarint(), r.Uvarint()
+	if hi > 0xFFFF || idx > 0xFFFF {
+		r.fail(ErrTooLarge)
+		return 0
+	}
+	return Addr(hi&3)<<30 | Addr(hi>>2)<<16 | Addr(idx)
 }
 
 func (r *Reader) length() int {
@@ -332,6 +360,12 @@ func Recycle(m Message) {
 }
 
 // Envelope wraps a message with routing and correlation metadata.
+//
+// Dst is the carrier's: a sender sets it to route the frame, but it is not
+// encoded, because the receiver is the destination — on Local the link the
+// frame travels is keyed by it, on TCP it is the node whose socket read the
+// frame. DecodeEnvelope leaves Dst zero and the receiving carrier stamps
+// its own address.
 type Envelope struct {
 	Src   Addr
 	Dst   Addr
@@ -347,12 +381,16 @@ type Envelope struct {
 }
 
 // Envelope appends the wire representation of e (header and message body,
-// no length prefix) to b. Encoding through an already-heap-resident Buffer
-// (e.g. a pooled FrameBuf) keeps the hot path allocation-free; the
-// b-by-value wrapper EncodeEnvelope pays one escape allocation for the
-// Buffer itself.
+// no length prefix) to b. The header is the message type (one byte: every
+// type is below NumTypes), a flags byte, Src through the address codec,
+// the session as a uvarint when the flags say there is one, and the
+// request id as a uvarint. Dst is not written (see Envelope).
+//
+// Encoding through an already-heap-resident Buffer (e.g. a pooled
+// FrameBuf) keeps the hot path allocation-free; the b-by-value wrapper
+// EncodeEnvelope pays one escape allocation for the Buffer itself.
 func (b *Buffer) Envelope(e *Envelope) {
-	b.U16(e.Msg.Type())
+	b.U8(uint8(e.Msg.Type()))
 	var flags uint8
 	if e.Resp {
 		flags |= 1
@@ -361,10 +399,9 @@ func (b *Buffer) Envelope(e *Envelope) {
 		flags |= 2
 	}
 	b.U8(flags)
-	b.U32(uint32(e.Src))
-	b.U32(uint32(e.Dst))
+	b.Addr(e.Src)
 	if e.Session != 0 {
-		b.U32(uint32(e.Session))
+		b.Uvarint(uint64(e.Session))
 	}
 	b.Uvarint(e.ReqID)
 	e.Msg.Encode(b)
@@ -378,16 +415,16 @@ func EncodeEnvelope(buf []byte, e *Envelope) []byte {
 	return b.B
 }
 
-// DecodeEnvelope parses an envelope from p.
+// DecodeEnvelope parses an envelope from p. Dst is left zero for the
+// receiving carrier to stamp.
 func DecodeEnvelope(p []byte) (*Envelope, error) {
 	r := NewReader(p)
-	t := r.U16()
+	t := uint16(r.U8())
 	flags := r.U8()
-	src := Addr(r.U32())
-	dst := Addr(r.U32())
+	src := r.Addr()
 	var sess SessionID
 	if flags&2 != 0 {
-		sess = SessionID(r.U32())
+		sess = SessionID(r.u32())
 	}
 	reqID := r.Uvarint()
 	if r.Err() != nil {
@@ -403,7 +440,6 @@ func DecodeEnvelope(p []byte) (*Envelope, error) {
 	}
 	return &Envelope{
 		Src:     src,
-		Dst:     dst,
 		ReqID:   reqID,
 		Resp:    flags&1 != 0,
 		Session: sess,

@@ -252,19 +252,22 @@ type ReadGroup struct {
 // 1 1/2-round protocol (Figure 3a): the coordinator forwards reads and
 // partitions answer the client directly. Mode 2 is the classic 2-round
 // protocol (Figure 3b): the coordinator only returns the snapshot vector.
+//
+// SeenGSS is the session's whole causal context: its entry for the
+// coordinator's DC is the highest local timestamp the session has seen
+// (its own PUTs included), the others its GSS view. RotID is a per-session
+// counter, so it and every reply that echoes it carry it as a uvarint.
 type RotCoordReq struct {
-	RotID     uint64
-	Mode      uint8
-	SeenLocal uint64
-	SeenGSS   vclock.Vec
-	Groups    []ReadGroup
+	RotID   uint64
+	Mode    uint8
+	SeenGSS vclock.Vec
+	Groups  []ReadGroup
 }
 
 func (*RotCoordReq) Type() uint16 { return TRotCoordReq }
 func (m *RotCoordReq) Encode(b *Buffer) {
-	b.U64(m.RotID)
+	b.Uvarint(m.RotID)
 	b.U8(m.Mode)
-	b.U64(m.SeenLocal)
 	b.Vec(m.SeenGSS)
 	b.Uvarint(uint64(len(m.Groups)))
 	for i := range m.Groups {
@@ -273,9 +276,8 @@ func (m *RotCoordReq) Encode(b *Buffer) {
 	}
 }
 func (m *RotCoordReq) Decode(r *Reader) {
-	m.RotID = r.U64()
+	m.RotID = r.Uvarint()
 	m.Mode = r.U8()
-	m.SeenLocal = r.U64()
 	m.SeenGSS = r.Vec()
 	m.Groups = m.Groups[:0]
 	n := r.count(2) // partition, key count
@@ -299,17 +301,18 @@ type RotCoordResp struct {
 
 func (*RotCoordResp) Type() uint16 { return TRotCoordResp }
 func (m *RotCoordResp) Encode(b *Buffer) {
-	b.U64(m.RotID)
+	b.Uvarint(m.RotID)
 	b.Vec(m.SV)
 }
 func (m *RotCoordResp) Decode(r *Reader) {
-	m.RotID = r.U64()
+	m.RotID = r.Uvarint()
 	m.SV = r.Vec()
 }
 
 // RotFwd is the coordinator-to-partition leg of the 1 1/2-round protocol.
 // Client and Sess together name the client session the partition answers
-// directly (Sess is zero for session-less endpoints).
+// directly (Sess is zero for session-less endpoints); they travel through
+// the address codec and as a uvarint, as the envelope's Src and Session do.
 type RotFwd struct {
 	RotID  uint64
 	Client Addr
@@ -320,16 +323,16 @@ type RotFwd struct {
 
 func (*RotFwd) Type() uint16 { return TRotFwd }
 func (m *RotFwd) Encode(b *Buffer) {
-	b.U64(m.RotID)
-	b.U32(uint32(m.Client))
-	b.U32(uint32(m.Sess))
+	b.Uvarint(m.RotID)
+	b.Addr(m.Client)
+	b.Uvarint(uint64(m.Sess))
 	b.Vec(m.SV)
 	encodeStrings(b, m.Keys)
 }
 func (m *RotFwd) Decode(r *Reader) {
-	m.RotID = r.U64()
-	m.Client = Addr(r.U32())
-	m.Sess = SessionID(r.U32())
+	m.RotID = r.Uvarint()
+	m.Client = r.Addr()
+	m.Sess = SessionID(r.u32())
 	m.SV = r.Vec()
 	m.Keys = decodeStringsInto(m.Keys, r)
 }
@@ -352,12 +355,12 @@ type RotVals struct {
 
 func (*RotVals) Type() uint16 { return TRotVals }
 func (m *RotVals) Encode(b *Buffer) {
-	b.U64(m.RotID)
+	b.Uvarint(m.RotID)
 	b.Uvarint(uint64(m.Part))
 	encodeVals(b, m.Vals)
 }
 func (m *RotVals) Decode(r *Reader) {
-	m.RotID = r.U64()
+	m.RotID = r.Uvarint()
 	m.Part = r.u32()
 	m.Vals = decodeVals(r)
 }
@@ -373,12 +376,12 @@ type RotSnap struct {
 
 func (*RotSnap) Type() uint16 { return TRotSnap }
 func (m *RotSnap) Encode(b *Buffer) {
-	b.U64(m.RotID)
+	b.Uvarint(m.RotID)
 	b.Vec(m.SV)
 	encodeVals(b, m.Vals)
 }
 func (m *RotSnap) Decode(r *Reader) {
-	m.RotID = r.U64()
+	m.RotID = r.Uvarint()
 	m.SV = r.Vec()
 	m.Vals = decodeVals(r)
 }
@@ -422,7 +425,8 @@ func (m *RotReadResp) Decode(r *Reader) { m.Vals = decodeVals(r) }
 // RotReadReq (RotID 0). Frontier is the partition's trim frontier: a
 // stable vector of the client's own DC, which the client folds into its
 // causal context so the retried ROT's snapshot covers what the partition
-// retains. It is not pooled — client ROT state retains it.
+// retains. It is not pooled — client ROT state retains it. Refusals are
+// rare, so its RotID stays a fixed 8 B.
 type RotRefused struct {
 	RotID    uint64
 	Frontier vclock.Vec
@@ -607,18 +611,37 @@ type ReaderEntry struct {
 	T     uint64
 }
 
-// Reader lists travel compactly: a ROT id is the issuing client's address
-// (high 32 bits) and that client's ROT sequence number (low 32 bits), and
-// sequence numbers and Lamport times are small for most of a deployment's
-// life, so each entry is three uvarints — client, sequence, T — instead of
-// two fixed 8-byte words (16 B → about 10 B per id). Only OldReadersResp and
-// LoRepUpdate use this encoding; the WAL's RecReaders records have their own.
+// A CC-LO ROT id is the issuing client's address (high 32 bits) and that
+// client's ROT sequence number (low 32 bits). It travels as the address
+// through the address codec, then the sequence as a uvarint: about 4 B
+// where two fixed words took 8 B. LoRotReq and reader lists use it.
+
+func (b *Buffer) loRotID(id uint64) {
+	b.Addr(Addr(id >> 32))
+	b.Uvarint(id & 0xFFFFFFFF)
+}
+
+// loRotID reads a CC-LO ROT id; a sequence past 32 bits is ErrTooLarge,
+// never folded into the address half.
+func (r *Reader) loRotID() uint64 {
+	a := r.Addr()
+	return uint64(a)<<32 | uint64(r.u32())
+}
+
+func loRotIDLen(id uint64) int {
+	hi, idx := addrParts(Addr(id >> 32))
+	return uvarintLen(hi) + uvarintLen(idx) + uvarintLen(id&0xFFFFFFFF)
+}
+
+// Reader lists travel compactly: sequence numbers and Lamport times are
+// small for most of a deployment's life, so each entry is the ROT id in its
+// compact form and T as a uvarint. Only OldReadersResp and LoRepUpdate use
+// this encoding; the WAL's RecReaders records have their own.
 
 func encodeReaders(b *Buffer, rs []ReaderEntry) {
 	b.Uvarint(uint64(len(rs)))
 	for i := range rs {
-		b.Uvarint(rs[i].RotID >> 32)
-		b.Uvarint(rs[i].RotID & 0xFFFFFFFF)
+		b.loRotID(rs[i].RotID)
 		b.Uvarint(rs[i].T)
 	}
 }
@@ -628,7 +651,7 @@ func encodeReaders(b *Buffer, rs []ReaderEntry) {
 func ReadersSize(rs []ReaderEntry) int {
 	n := uvarintLen(uint64(len(rs)))
 	for i := range rs {
-		n += uvarintLen(rs[i].RotID>>32) + uvarintLen(rs[i].RotID&0xFFFFFFFF) + uvarintLen(rs[i].T)
+		n += loRotIDLen(rs[i].RotID) + uvarintLen(rs[i].T)
 	}
 	return n
 }
@@ -643,14 +666,13 @@ func decodeReaders(r *Reader) []ReaderEntry {
 // backing array.
 func decodeReadersInto(dst []ReaderEntry, r *Reader) []ReaderEntry {
 	dst = dst[:0]
-	n := r.count(3) // three uvarints
+	n := r.count(4) // a two-byte address, sequence, T
 	for i := 0; i < n && r.Err() == nil; i++ {
-		client, seq := r.Uvarint(), r.Uvarint()
-		if client > 0xFFFFFFFF || seq > 0xFFFFFFFF {
-			r.fail(ErrTooLarge)
+		id := r.loRotID()
+		if r.Err() != nil {
 			return nil
 		}
-		dst = append(dst, ReaderEntry{RotID: client<<32 | seq, T: r.Uvarint()})
+		dst = append(dst, ReaderEntry{RotID: id, T: r.Uvarint()})
 	}
 	return dst
 }
@@ -691,7 +713,7 @@ func (m *LoPutResp) Decode(r *Reader) { m.TS = r.Uvarint() }
 // LoRotReq is CC-LO's one-round read: the client sends it directly to every
 // involved partition.
 type LoRotReq struct {
-	RotID uint64
+	RotID uint64 // client address and sequence, in the compact form (loRotID)
 	// SeenTS is the session's Lamport high-water mark (the newest timestamp
 	// it has observed through reads and put acks). The serving partition
 	// folds it into its clock before assigning read times, so a recorded
@@ -708,13 +730,13 @@ type LoRotReq struct {
 
 func (*LoRotReq) Type() uint16 { return TLoRotReq }
 func (m *LoRotReq) Encode(b *Buffer) {
-	b.U64(m.RotID)
+	b.loRotID(m.RotID)
 	b.Uvarint(m.SeenTS)
 	encodeEpochs(b, m.Epochs)
 	encodeStrings(b, m.Keys)
 }
 func (m *LoRotReq) Decode(r *Reader) {
-	m.RotID = r.U64()
+	m.RotID = r.loRotID()
 	m.SeenTS = r.Uvarint()
 	m.Epochs = decodeEpochsInto(m.Epochs, r)
 	m.Keys = decodeStringsInto(m.Keys, r)

@@ -109,7 +109,7 @@ func TestResetPolicies(t *testing.T) {
 func TestEveryPooledTypeRoundTrips(t *testing.T) {
 	msgs := []Message{
 		&PutReq{Key: "k", Value: []byte("v"), Deps: vclock.Vec{1, 2}},
-		&RotCoordReq{RotID: 3, Mode: 1, SeenLocal: 4, SeenGSS: vclock.Vec{5},
+		&RotCoordReq{RotID: 3, Mode: 1, SeenGSS: vclock.Vec{5},
 			Groups: []ReadGroup{{Part: 1, Keys: []string{"a", "b"}}}},
 		&RotFwd{RotID: 1, Client: uint32ToAddr(t), SV: vclock.Vec{1}, Keys: []string{"x"}},
 		&RotReadReq{SV: vclock.Vec{2}, Keys: []string{"y", "z"}},

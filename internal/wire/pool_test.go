@@ -30,7 +30,8 @@ func TestAppendFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Src != e.Src || got.Dst != e.Dst || got.ReqID != e.ReqID {
+	// Dst is the carrier's: the frame does not carry it.
+	if got.Src != e.Src || got.Dst != 0 || got.ReqID != e.ReqID {
 		t.Fatalf("header mismatch: %+v", got)
 	}
 	if p, ok := got.Msg.(*PutReq); !ok || p.Key != "key00001234" || len(p.Value) != 64 {

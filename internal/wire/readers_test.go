@@ -9,18 +9,19 @@ import (
 )
 
 // TestReadersGoldenBytes pins the compact reader-entry encoding: count, then
-// per entry uvarint client / uvarint sequence / uvarint T.
+// per entry the client through the address codec (role and DC, index) and
+// uvarint sequence and T.
 func TestReadersGoldenBytes(t *testing.T) {
 	rs := []ReaderEntry{
-		{RotID: uint64(ClientAddr(0, 3))<<32 | 1, T: 5},     // client 0x40000003: 5 bytes
+		{RotID: uint64(ClientAddr(0, 3))<<32 | 1, T: 5},     // client 0x40000003: 2 bytes
 		{RotID: uint64(ClientAddr(1, 2))<<32 | 300, T: 1e6}, // seq 300: 2 bytes, T 1e6: 3 bytes
-		{RotID: 1<<64 - 1, T: 1<<64 - 1},                    // widest: 5 + 5 + 10
+		{RotID: 1<<64 - 1, T: 1<<64 - 1},                    // widest: 3 + 3 + 5 + 10
 	}
 	want := []byte{
 		3,
-		0x83, 0x80, 0x80, 0x80, 0x04, 0x01, 0x05,
-		0x82, 0x80, 0x84, 0x80, 0x04, 0xac, 0x02, 0xc0, 0x84, 0x3d,
-		0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0x0f,
+		0x01, 0x03, 0x01, 0x05,
+		0x05, 0x02, 0xac, 0x02, 0xc0, 0x84, 0x3d,
+		0xff, 0xff, 0x03, 0xff, 0xff, 0x03, 0xff, 0xff, 0xff, 0xff, 0x0f,
 		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
 	}
 	var b Buffer
@@ -60,8 +61,8 @@ func TestReadersRoundTrip(t *testing.T) {
 }
 
 // TestReadersTruncatedOrOversized: every strict prefix of a valid encoding
-// fails with ErrTruncated, and a client or sequence that does not fit its 32
-// bits is rejected instead of silently folded into the other half.
+// fails with ErrTruncated, and a client part or sequence that does not fit
+// its field is rejected instead of silently folded into another.
 func TestReadersTruncatedOrOversized(t *testing.T) {
 	var b Buffer
 	encodeReaders(&b, []ReaderEntry{{RotID: uint64(ClientAddr(0, 9))<<32 | 77, T: 123456}, {RotID: 1 << 40, T: 88}})
@@ -73,8 +74,9 @@ func TestReadersTruncatedOrOversized(t *testing.T) {
 		}
 	}
 	for _, bad := range [][]byte{
-		{1, 0x80, 0x80, 0x80, 0x80, 0x10, 1, 1}, // client = 1<<32
-		{1, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 1}, // sequence = 1<<32
+		{1, 0x80, 0x80, 0x04, 1, 1, 1},             // client role and DC = 1<<16
+		{1, 1, 0x80, 0x80, 0x04, 1, 1},             // client index = 1<<16
+		{1, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x10, 1}, // sequence = 1<<32
 	} {
 		r := NewReader(bad)
 		if got := decodeReaders(r); !errors.Is(r.Err(), ErrTooLarge) || got != nil {

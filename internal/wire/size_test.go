@@ -15,7 +15,10 @@ import (
 // of 4 keys (the coordinator request: 4 one-key groups), a 4-partition epoch
 // vector, a PUT with 19 nearest dependencies and a readers check answered
 // with 4 old readers. HLC readings are as large as a 2026 clock makes them;
-// Lamport timestamps are in the millions, as a half-minute run leaves them.
+// Lamport timestamps are in the millions and Contrarian's per-session ROT
+// ids in the hundred thousands, as a half-minute run leaves them. Clients
+// are sessions on their DC's mux at client id 0xFFFE, as the benchmark
+// attaches it.
 // Read results carry their keys, so an encoder that echoes them shows.
 func canonicalMessages() []Message {
 	key := func(i int) string { return fmt.Sprintf("key-%08d", i) }
@@ -55,9 +58,9 @@ func canonicalMessages() []Message {
 	return []Message{
 		&PutReq{Key: key(1), Value: val, Deps: vec},
 		&PutResp{TS: hlc, GSS: vec},
-		&RotCoordReq{RotID: 123_456, Mode: 1, SeenLocal: hlc, SeenGSS: vec, Groups: groups},
+		&RotCoordReq{RotID: 123_456, Mode: 1, SeenGSS: vec, Groups: groups},
 		&RotCoordResp{RotID: 123_456, SV: vec},
-		&RotFwd{RotID: 123_456, Client: ClientAddr(0, 1001), SV: vec, Keys: keys},
+		&RotFwd{RotID: 123_456, Client: ClientAddr(0, 0xFFFE), Sess: MakeSession(0, 3), SV: vec, Keys: keys},
 		&RotVals{RotID: 123_456, Part: 2, Vals: vals(hlc)},
 		&RotSnap{RotID: 123_456, SV: vec, Vals: vals(hlc)},
 		&RotReadReq{SV: vec, Keys: keys},
@@ -88,46 +91,47 @@ func canonicalMessages() []Message {
 }
 
 // wireSizes pins each canonical message's encoded body size (the envelope
-// header adds 11 bytes and the request id's uvarint to every frame): Parent
-// is the encoding before read responses went positional and small integers
-// went variable-width, Change the encoding now. A size that moves is a
-// format change: update Change in the same commit and say why.
+// header comes on top: envelopeSizes): Parent is the encoding before
+// addresses, sessions and ROT ids went compact and RotCoordReq lost its
+// SeenLocal, Change the encoding now. A size that moves is a format change:
+// update Change in the same commit and say why.
 var wireSizes = map[string]struct{ Parent, Change int }{
 	"PutReq":         {39, 39},
 	"PutResp":        {25, 25},
-	"RotCoordReq":    {107, 95},
-	"RotCoordResp":   {25, 25},
-	"RotFwd":         {86, 86},
-	"RotVals":        {133, 82},
-	"RotSnap":        {150, 98},
+	"RotCoordReq":    {95, 82},
+	"RotCoordResp":   {25, 20},
+	"RotFwd":         {86, 78},
+	"RotVals":        {82, 77},
+	"RotSnap":        {98, 93},
 	"RotReadReq":     {70, 70},
-	"RotReadResp":    {125, 73},
+	"RotReadResp":    {73, 73},
 	"RotRefused":     {25, 25},
 	"RepBatch":       {198, 198},
 	"RepAck":         {0, 0},
-	"VVReport":       {21, 18},
+	"VVReport":       {18, 18},
 	"GSSBcast":       {17, 17},
-	"LoPutReq":       {441, 346},
-	"LoPutResp":      {8, 3},
-	"LoRotReq":       {102, 69},
-	"LoRotResp":      {158, 78},
-	"OldReadersReq":  {453, 330},
-	"OldReadersResp": {74, 43},
-	"LoRepUpdate":    {487, 387},
-	"DepCheckReq":    {419, 324},
+	"LoPutReq":       {346, 346},
+	"LoPutResp":      {3, 3},
+	"LoRotReq":       {69, 65},
+	"LoRotResp":      {78, 78},
+	"OldReadersReq":  {330, 330},
+	"OldReadersResp": {43, 35},
+	"LoRepUpdate":    {387, 379},
+	"DepCheckReq":    {324, 324},
 	"DepCheckResp":   {0, 0},
 	"ErrorResp":      {29, 29},
 	"Ping":           {8, 8},
 	"Pong":           {8, 8},
 	"Busy":           {12, 12},
 	"CopsRotReq":     {53, 53},
-	"CopsRotResp":    {305, 193},
-	"CopsVerReq":     {22, 17},
-	"CopsVerResp":    {30, 13},
+	"CopsRotResp":    {193, 193},
+	"CopsVerReq":     {17, 17},
+	"CopsVerResp":    {13, 13},
 }
 
 // TestWireSizes pins the size table; with BENCH_WIRE_JSON set it also writes
-// the table there, one row per type in canonicalMessages' order.
+// the table there, one row per type in canonicalMessages' order, followed by
+// the envelope header rows.
 func TestWireSizes(t *testing.T) {
 	type row struct {
 		Type   string `json:"type"`
@@ -156,7 +160,10 @@ func TestWireSizes(t *testing.T) {
 		}
 	}
 	if path := os.Getenv("BENCH_WIRE_JSON"); path != "" {
-		data, err := json.MarshalIndent(map[string]any{"sizes": map[string]any{"rows": rows}}, "", "  ")
+		data, err := json.MarshalIndent(map[string]any{
+			"sizes":    map[string]any{"rows": rows},
+			"envelope": map[string]any{"rows": envelopeRows()},
+		}, "", "  ")
 		if err == nil {
 			err = os.WriteFile(path, append(data, '\n'), 0o644)
 		}
@@ -186,5 +193,49 @@ func TestReadResponsesEchoNoKey(t *testing.T) {
 	}
 	if reads != 6 {
 		t.Fatalf("checked %d read responses, want 6", reads)
+	}
+}
+
+// envelopeSizes pins the envelope header — every byte of a frame before the
+// message body — of each shape of frame the gated workloads send, with the
+// benchmark's addresses (a DC mux at client id 0xFFFE, small session ids)
+// and a request id a run reaches. Parent is the fixed layout: a 2 B type,
+// the flags, a 4 B Src, a 4 B Dst and a 4 B session. Change is the layout
+// now: a 1 B type, the flags, Src through the address codec, the session as
+// a uvarint, and no Dst.
+var envelopeSizes = []struct {
+	Name           string
+	Env            Envelope
+	Parent, Change int
+}{
+	{"server→server one-way", Envelope{Src: ServerAddr(0, 2), Dst: ServerAddr(1, 2)}, 12, 5},
+	{"client request with session", Envelope{Src: ClientAddr(0, 0xFFFE), Dst: ServerAddr(0, 2), Session: MakeSession(0, 3), ReqID: 300_000}, 18, 10},
+	{"response", Envelope{Src: ServerAddr(0, 2), Dst: ClientAddr(0, 0xFFFE), Session: MakeSession(0, 3), ReqID: 300_000, Resp: true}, 18, 8},
+	{"server→client push", Envelope{Src: ServerAddr(0, 2), Dst: ClientAddr(0, 0xFFFE), Session: MakeSession(0, 3)}, 16, 6},
+}
+
+type headerRow struct {
+	Frame  string `json:"frame"`
+	Parent int    `json:"parent"`
+	Change int    `json:"change"`
+}
+
+// envelopeRows encodes each envelopeSizes header, with an empty body.
+func envelopeRows() []headerRow {
+	var rows []headerRow
+	for _, c := range envelopeSizes {
+		e := c.Env
+		e.Msg = &RepAck{}
+		rows = append(rows, headerRow{Frame: c.Name, Parent: c.Parent, Change: len(EncodeEnvelope(nil, &e))})
+	}
+	return rows
+}
+
+// TestEnvelopeHeaderSizes pins the envelope header table.
+func TestEnvelopeHeaderSizes(t *testing.T) {
+	for i, row := range envelopeRows() {
+		if want := envelopeSizes[i].Change; row.Change != want {
+			t.Errorf("%s: %d B header, pinned at %d", row.Frame, row.Change, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -125,11 +126,11 @@ func sampleMessages(r *rand.Rand) []Message {
 		&PutReq{Key: "k1", Value: val, Deps: vec()},
 		&PutResp{TS: r.Uint64(), GSS: vec()},
 		&RotCoordReq{
-			RotID: r.Uint64(), Mode: 1, SeenLocal: 42, SeenGSS: vec(),
+			RotID: r.Uint64(), Mode: 1, SeenGSS: vec(),
 			Groups: []ReadGroup{{Part: 3, Keys: []string{"a", "b"}}, {Part: 9, Keys: nil}},
 		},
 		&RotCoordResp{RotID: 5, SV: vec()},
-		&RotFwd{RotID: 9, Client: ClientAddr(1, 2), SV: vec(), Keys: []string{"z"}},
+		&RotFwd{RotID: 9, Client: ClientAddr(1, 2), Sess: MakeSession(3, 4), SV: vec(), Keys: []string{"z"}},
 		&RotVals{RotID: 11, Part: 3, Vals: kvs},
 		&RotSnap{RotID: 12, SV: vec(), Vals: kvs},
 		&RotReadReq{SV: vec(), Keys: []string{"q", "w"}},
@@ -240,38 +241,141 @@ func TestQuickRoundTripPutReq(t *testing.T) {
 	}
 }
 
+// TestEnvelopeRoundTrip: every header field but Dst survives the codec.
+// Dst is not carried — the receiving carrier knows it and stamps it — so
+// the decoded envelope's Dst is zero.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	e := &Envelope{
-		Src:   ClientAddr(0, 5),
-		Dst:   ServerAddr(1, 2),
-		ReqID: 77,
-		Resp:  true,
-		Msg:   &PutResp{TS: 9, GSS: vclock.Vec{1, 2}},
+		Src:     ClientAddr(0, 5),
+		Dst:     ServerAddr(1, 2),
+		ReqID:   77,
+		Resp:    true,
+		Session: MakeSession(2, 9),
+		Msg:     &PutResp{TS: 9, GSS: vclock.Vec{1, 2}},
 	}
 	buf := EncodeEnvelope(nil, e)
 	got, err := DecodeEnvelope(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Src != e.Src || got.Dst != e.Dst || got.ReqID != 77 || !got.Resp {
+	if got.Src != e.Src || got.ReqID != 77 || !got.Resp || got.Session != e.Session {
 		t.Fatalf("header mismatch: %+v", got)
+	}
+	if got.Dst != 0 {
+		t.Fatalf("Dst = %v decoded; the frame must not carry it", got.Dst)
 	}
 	if resp, ok := got.Msg.(*PutResp); !ok || resp.TS != 9 {
 		t.Fatalf("payload mismatch: %+v", got.Msg)
 	}
 }
 
+// TestAddrCodec: the address codec is a bijection on uint32 — every value
+// round-trips, valid endpoint or not — and it sizes addresses by their
+// parts: 2 B for a small partition or client, 4 B for a stabilizer.
+func TestAddrCodec(t *testing.T) {
+	sizes := map[Addr]int{
+		ServerAddr(0, 3):         2,
+		ClientAddr(0, 3):         2,
+		ServerAddr(31, 127):      2,
+		ServerAddr(32, 128):      4,
+		ClientAddr(0, 0xFFFE):    4,
+		StabilizerAddr(0):        4,
+		StabilizerAddr(MaxDC):    6,
+		ClientAddr(MaxDC, 0):     4,
+		0:                        2,
+		Addr(0xFFFFFFFF):         6,
+		Addr(serverBit | 0xFFFF): 4,
+	}
+	for a, want := range sizes {
+		var b Buffer
+		b.Addr(a)
+		if len(b.B) != want {
+			t.Errorf("%v (%#x): %d B, want %d", a, uint32(a), len(b.B), want)
+		}
+	}
+	r := rand.New(rand.NewSource(4))
+	var b Buffer
+	var in []Addr
+	for a := range sizes {
+		in = append(in, a)
+	}
+	for i := 0; i < 10000; i++ {
+		in = append(in, Addr(r.Uint32()))
+	}
+	for _, a := range in {
+		b.Addr(a)
+	}
+	rd := NewReader(b.B)
+	for _, a := range in {
+		if got := rd.Addr(); got != a {
+			t.Fatalf("%#x decoded as %#x", uint32(a), uint32(got))
+		}
+	}
+	if rd.Err() != nil || rd.Remaining() != 0 {
+		t.Fatalf("err %v, %d bytes left", rd.Err(), rd.Remaining())
+	}
+}
+
+// TestCompactFieldsOutOfRange: an address part, a session or a CC-LO ROT
+// sequence too wide for its field fails with the sticky ErrTooLarge. None
+// wraps onto a smaller value — that would alias another process, session
+// or ROT.
+func TestCompactFieldsOutOfRange(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		var b Buffer
+		for _, v := range vs {
+			b.Uvarint(v)
+		}
+		return b.B
+	}
+	for name, p := range map[string][]byte{
+		"DC part above 0x3FFF": uv(0x10000, 0),
+		"index above 0xFFFF":   uv(2, 0x10000),
+		"both past 32 bits":    uv(1<<32, 1<<32),
+	} {
+		r := NewReader(p)
+		if a := r.Addr(); a != 0 || !errors.Is(r.Err(), ErrTooLarge) {
+			t.Errorf("%s: decoded %#x, err %v; want ErrTooLarge", name, uint32(a), r.Err())
+		}
+		if r.Uvarint() != 0 || !errors.Is(r.Err(), ErrTooLarge) {
+			t.Errorf("%s: the error is not sticky", name)
+		}
+	}
+	hdr := func(session uint64) []byte {
+		b := Buffer{B: []byte{TPing, 2}}
+		b.Addr(ClientAddr(0, 1))
+		b.Uvarint(session)
+		b.Uvarint(1)
+		b.U64(7)
+		return b.B
+	}
+	if _, err := DecodeEnvelope(hdr(1<<32 - 1)); err != nil {
+		t.Fatalf("widest session: %v", err)
+	}
+	if e, err := DecodeEnvelope(hdr(1 << 32)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("envelope session 1<<32: %+v, err %v; want ErrTooLarge", e, err)
+	}
+	for _, c := range []struct {
+		m    Message
+		body []byte
+	}{
+		{new(RotFwd), append(uv(1, 1, 3, 1<<32), 0, 0)},   // RotID, Client, a session of 1<<32
+		{new(LoRotReq), append(uv(1, 3, 1<<32), 0, 0, 0)}, // Client, a sequence of 1<<32
+	} {
+		r := NewReader(c.body)
+		c.m.Decode(r)
+		if !errors.Is(r.Err(), ErrTooLarge) {
+			t.Errorf("%T: decoded %+v, err %v; want ErrTooLarge", c.m, c.m, r.Err())
+		}
+	}
+}
+
 func TestDecodeTruncated(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, m := range sampleMessages(r) {
-		var b Buffer
-		b.U16(m.Type())
-		b.U8(0)
-		b.U32(0)
-		b.U32(0)
-		b.Uvarint(1)
-		m.Encode(&b)
-		full := b.B
+		full := EncodeEnvelope(nil, &Envelope{
+			Src: ClientAddr(1, 300), Session: MakeSession(1, 2), ReqID: 1 << 20, Msg: m,
+		})
 		// Every strict prefix must fail cleanly, not panic.
 		for cut := 0; cut < len(full); cut += 1 + len(full)/37 {
 			if _, err := DecodeEnvelope(full[:cut]); err == nil {
@@ -288,14 +392,8 @@ func TestDecodeTruncated(t *testing.T) {
 }
 
 func TestDecodeUnknownType(t *testing.T) {
-	var b Buffer
-	b.U16(200)
-	b.U8(0)
-	b.U32(0)
-	b.U32(0)
-	b.Uvarint(0)
-	if _, err := DecodeEnvelope(b.B); err == nil {
-		t.Fatal("expected unknown-type error")
+	if _, err := DecodeEnvelope(frame(200, func(*Buffer) {})); !errors.Is(err, ErrUnknownType) {
+		t.Fatalf("err = %v, want ErrUnknownType", err)
 	}
 }
 
