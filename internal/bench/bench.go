@@ -89,46 +89,17 @@ type LoCheckStats struct {
 	FenceRetries  uint64  // whole-ROT retries forced by the restart-epoch fence (0 unless a partition recovered mid-window)
 }
 
-// TransportStats summarizes write-path efficiency: counter-derived fields
-// (Msgs, Flushes, Coalesced, MsgsPerFlush, CoalescedFrac, WritevBytes) are
-// deltas over the measurement window, while the SendQueue gauge fields and
-// FlushP99Delay are whole-run values — the peak in particular may reflect
-// preload/warmup congestion, not just the window's load. Both transports
-// feed the flush fields through the shared batching engine; WritevBytes is
-// TCP-only (Local has no copy to skip).
+// TransportStats summarizes the transport over a run. Points are measured
+// on cluster.Start, whose Local carrier sends each frame as its own flight:
+// it batches nothing, queues nothing and opens no socket, so only the
+// message count and the session peak describe it.
 type TransportStats struct {
-	Msgs           uint64        // messages sent in the window (≈ dispatches)
-	Flushes        uint64        // coalesced batches cut (≈ write syscalls on TCP)
-	Coalesced      uint64        // frames that shared a flush with an earlier frame
-	MsgsPerFlush   float64       // average frames retired per flush
-	CoalescedFrac  float64       // fraction of sent frames that cost no syscall
-	FlushP99Delay  time.Duration // p99 enqueue→flush delay (whole run)
-	WritevBytes    uint64        // frame bytes sent via scatter-gather, no staging copy
-	SendQueuePeak  int64         // high-water mark of queued frames (whole run)
-	SendQueueDepth int64         // queued frames at window end
-	OpenConnsPeak  int64         // high-water mark of live sockets (whole run; 0 on Local)
-	SessionsPeak   int64         // high-water mark of registered sessions (whole run)
+	Msgs         uint64 // messages sent in the window (≈ dispatches)
+	SessionsPeak int64  // high-water mark of registered sessions (whole run)
 }
 
 func transportDelta(a, b transport.StatsView) TransportStats {
-	ts := TransportStats{
-		Msgs:           b.MsgsSent - a.MsgsSent,
-		Flushes:        b.Flushes - a.Flushes,
-		Coalesced:      b.FramesCoalesced - a.FramesCoalesced,
-		FlushP99Delay:  b.FlushP99Delay,
-		WritevBytes:    b.WritevBytes - a.WritevBytes,
-		SendQueuePeak:  b.SendQueuePeak,
-		SendQueueDepth: b.SendQueueDepth,
-		OpenConnsPeak:  b.OpenConnsPeak,
-		SessionsPeak:   b.SessionsPeak,
-	}
-	if ts.Msgs > 0 {
-		ts.CoalescedFrac = float64(ts.Coalesced) / float64(ts.Msgs)
-	}
-	if ts.Flushes > 0 {
-		ts.MsgsPerFlush = float64(ts.Coalesced+ts.Flushes) / float64(ts.Flushes)
-	}
-	return ts
+	return TransportStats{Msgs: b.MsgsSent - a.MsgsSent, SessionsPeak: b.SessionsPeak}
 }
 
 // WALStats summarizes durability-path efficiency over the measurement

@@ -60,34 +60,17 @@ func (o Opts) defaultWorkload() workload.Config {
 
 func (o Opts) printHeader(title string) {
 	fmt.Fprintf(o.Out, "\n=== %s ===\n", title)
-	fmt.Fprintf(o.Out, "%-28s %8s %12s %10s %10s %10s %10s %8s %8s %9s %9s\n",
-		"system", "clients", "tput(op/s)", "rot-avg", "rot-p99", "put-avg", "put-p99",
-		"errs", "msg/fl", "fl-p99", "writev")
+	fmt.Fprintf(o.Out, "%-28s %8s %12s %10s %10s %10s %10s %8s\n",
+		"system", "clients", "tput(op/s)", "rot-avg", "rot-p99", "put-avg", "put-p99", "errs")
 }
 
 func (o Opts) printSeries(s Series) {
 	for _, p := range s.Points {
-		fmt.Fprintf(o.Out, "%-28s %8d %12.0f %10v %10v %10v %10v %8d %8.1f %9v %9s\n",
+		fmt.Fprintf(o.Out, "%-28s %8d %12.0f %10v %10v %10v %10v %8d\n",
 			p.System, p.ClientsPerDC, p.Throughput,
 			p.ROT.Mean.Round(10*time.Microsecond), p.ROT.P99.Round(10*time.Microsecond),
 			p.PUT.Mean.Round(10*time.Microsecond), p.PUT.P99.Round(10*time.Microsecond),
-			p.Errors, p.Transport.MsgsPerFlush,
-			p.Transport.FlushP99Delay.Round(10*time.Microsecond),
-			fmtBytes(p.Transport.WritevBytes))
-	}
-}
-
-// fmtBytes renders a byte count compactly for the figure tables.
-func fmtBytes(b uint64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.1fGiB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", b)
+			p.Errors)
 	}
 }
 

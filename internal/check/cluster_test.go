@@ -168,9 +168,16 @@ func TestRandomizedCausalityAllFamilies(t *testing.T) {
 	}
 }
 
+// deployment is a running 2-DC cluster a soak opens its sessions on: a
+// *cluster.Cluster over the Local simulator, or a tcpDeployment.
+type deployment interface {
+	NewClient(dc int, tenant uint16) (cluster.Client, error)
+	Servers() []cluster.Server
+}
+
 // waitConverged polls until a fresh session in each DC returns identical
 // (value, timestamp) for every key.
-func waitConverged(t *testing.T, c *cluster.Cluster, keys []string) {
+func waitConverged(t *testing.T, c deployment, keys []string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Second)
 	defer cancel()
@@ -212,9 +219,11 @@ func waitConverged(t *testing.T, c *cluster.Cluster, keys []string) {
 				t.Logf("%s: dc0=(%q,%d) dc1=(%q,%d)", keys[i],
 					got[0][i].Value, got[0][i].TS, got[1][i].Value, got[1][i].TS)
 			}
-			for dc := 0; dc < 2; dc++ {
-				for p := 0; p < 2; p++ {
-					t.Logf("dc%d-p%d cursors: %+v", dc, p, c.WALCursors(dc, p))
+			if c, ok := c.(*cluster.Cluster); ok {
+				for dc := 0; dc < 2; dc++ {
+					for p := 0; p < 2; p++ {
+						t.Logf("dc%d-p%d cursors: %+v", dc, p, c.WALCursors(dc, p))
+					}
 				}
 			}
 			for i, s := range c.Servers() {

@@ -76,15 +76,12 @@ type Config struct {
 	// they crash the origin); 0 uses the core default.
 	RepFlushEvery time.Duration
 
-	// FlushBudget bounds how long the transport's batching engine keeps a
-	// coalesced batch open gathering more frames (the adaptive flush
-	// policy; batches still flush immediately when the send queue goes
-	// idle). 0 applies transport.DefaultFlushBudget.
+	// FlushBudget bounds how long TCP's batching engine keeps a coalesced
+	// batch open gathering more frames (the adaptive flush policy; batches
+	// still flush immediately when the send queue goes idle). 0 applies
+	// transport.DefaultFlushBudget. TCP only: the simulator cluster.Start
+	// builds sends each frame as its own flight and ignores it.
 	FlushBudget time.Duration
-	// MaxBatchBytes caps one coalesced transport batch (0 = engine
-	// default). Checker tests crank it up together with a tiny budget to
-	// stress batch-boundary reordering.
-	MaxBatchBytes int
 
 	// Slow, when non-nil, is handed to every partition server: handler
 	// invocations exceeding the ring's threshold are captured in it (see
@@ -97,7 +94,8 @@ type Config struct {
 	// disables the gate — intra-cluster traffic is never gated either way.
 	AdmitLimit int
 	// ShedQueueFrames sheds client load early when the transport send
-	// queue reaches this depth (0 = signal unused).
+	// queue reaches this depth (0 = signal unused). TCP only: the
+	// simulator has no send queue, so its depth reads 0 and never trips.
 	ShedQueueFrames int64
 	// ShedFsyncP99 sheds client load early when the WAL p99 fsync delay
 	// reaches this (0 = signal unused).
@@ -182,7 +180,7 @@ func Start(cfg Config) (*Cluster, error) {
 	n := cfg.DCs * cfg.Partitions
 	c := &Cluster{
 		cfg:       cfg,
-		net:       transport.NewLocalOpts(lat, cfg.Batching()),
+		net:       transport.NewLocal(lat),
 		ring:      ring.New(cfg.Partitions),
 		servers:   make([]Server, n),
 		logs:      make([]*wal.Log, n),
@@ -243,15 +241,13 @@ func (cfg Config) Admission(queueDepth func() int64, fsyncP99 func() time.Durati
 	}
 }
 
-// Batching is the transport batch policy cfg asks for, a zero FlushBudget
-// meaning transport.DefaultFlushBudget. cluster.Start and kvserver both
-// build their network from it, so a budget means the same on Local and TCP.
+// Batching is the TCP batch policy cfg asks for, a zero FlushBudget meaning
+// transport.DefaultFlushBudget; kvserver builds its network from it.
 func (cfg Config) Batching() transport.BatchPolicy {
 	pol := transport.DefaultPolicy()
 	if cfg.FlushBudget > 0 {
 		pol.FlushBudget = cfg.FlushBudget
 	}
-	pol.MaxBatchBytes = cfg.MaxBatchBytes
 	return pol
 }
 

@@ -105,7 +105,7 @@ func (p *Partition) Attach(net transport.Network, addr wire.Addr, dispatch Dispa
 func (p *Partition) Addr() wire.Addr { return p.Node.Addr() }
 
 // Handle serves one incoming message. Both carriers run every request on
-// a goroutine of its own (transport's one inbound path), so it may block.
+// a worker of its own (transport's one inbound path), so it may block.
 func (p *Partition) Handle(_ transport.Node, src wire.From, reqID uint64, m wire.Message) {
 	if ping, ok := m.(*wire.Ping); ok {
 		_ = p.Node.Respond(src, reqID, &wire.Pong{Nonce: ping.Nonce})

@@ -1,8 +1,8 @@
 // Admission control for client-facing traffic.
 //
-// Inbound requests each run on a goroutine of their own, deliberately
+// Inbound requests each run on a worker of their own, deliberately
 // unbounded for intra-cluster traffic — handlers may park on cluster state,
-// and capping them recreates the deadlock the goroutine per request exists
+// and capping them recreates the deadlock the worker per request exists
 // to prevent — but that design is wrong for clients: under client overload
 // it grows goroutines without limit and silently queues work the server
 // cannot retire. The AdmitGate closes that hole for requests whose source
@@ -66,7 +66,9 @@ type AdmitConfig struct {
 	// for a token before further ones are shed (0 = DefaultParkPerTenant).
 	ParkPerTenant int
 	// ShedQueueFrames trips the overload detector when the transport's
-	// send-queue depth reaches it (0 = signal unused).
+	// send-queue depth reaches it (0 = signal unused). TCP only: Local has
+	// no send queue (Stats.SendQueue reads 0), so the signal never trips
+	// there.
 	ShedQueueFrames int64
 	// ShedFsyncP99 trips the overload detector when the WAL's p99 fsync
 	// delay reaches it (0 = signal unused).

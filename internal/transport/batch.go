@@ -8,9 +8,9 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the batching engine shared by both transports. A Batcher
-// owns one send path — a bounded frame queue drained by a single writer
-// goroutine — and decides when a coalesced batch is handed to its sink:
+// This file is TCP's batching engine. A Batcher owns one socket's send
+// path — a bounded frame queue drained by a single writer goroutine — and
+// decides when a coalesced batch is handed to its sink:
 //
 //	frames ──Enqueue──▶ [bounded queue] ──gather──▶ sink.WriteBatch(batch)
 //
@@ -22,10 +22,10 @@ import (
 //	(c) the batch reaches MaxBatchBytes (bound memory and write size).
 //
 // FlushBudget = 0 disables (b): that is the seed's greedy drain-until-idle,
-// which the engine tests keep as their reference. TCP turns a batch into one scatter-gather
-// socket write (see tcpSink); the Local simulator turns it into one
-// delivery with a single latency charge (see localSink), so simulated and
-// real deployments share this one batching model.
+// which the engine tests keep as their reference. TCP turns a batch into
+// one scatter-gather socket write (see tcpSink), so coalescing saves real
+// syscalls. The Local simulator models latency, not syscalls, and sends
+// each frame as its own flight (local.go).
 
 // DefaultFlushBudget is the adaptive flush latency budget of DefaultPolicy,
 // and of cluster.Config.Batching when none is given: it caps how long a
@@ -65,15 +65,13 @@ type BatchPolicy struct {
 	MaxBatchBytes int
 	// WritevBytes is the frame size at or above which the TCP sink skips
 	// the staging-buffer copy and scatter-gathers the frame's own bytes
-	// (0 = default 16 KiB). The Local simulator has no copy to skip and
-	// ignores it.
+	// (0 = default 16 KiB).
 	WritevBytes int
 	// QueueLen bounds the send queue (0 = default 1024).
 	QueueLen int
 }
 
-// DefaultPolicy is the adaptive policy the plain NewTCP/NewLocal
-// constructors use.
+// DefaultPolicy is the adaptive policy the plain NewTCP constructor uses.
 func DefaultPolicy() BatchPolicy {
 	return BatchPolicy{FlushBudget: DefaultFlushBudget}
 }
@@ -96,9 +94,9 @@ type BatchSink interface {
 	// WriteBatch consumes one batch in order. Ownership of every frame
 	// transfers to the sink, which must PutFrame each once its bytes are
 	// consumed; the slice itself is the Batcher's and is reused after
-	// WriteBatch returns, so a sink that defers consumption (localSink)
-	// must copy the slice, not retain it. A non-nil error stops the
-	// Batcher: Run returns after draining the queue.
+	// WriteBatch returns, so a sink that defers consumption must copy the
+	// slice, not retain it. A non-nil error stops the Batcher: Run returns
+	// after draining the queue.
 	WriteBatch(frames []*wire.FrameBuf) error
 }
 

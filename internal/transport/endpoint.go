@@ -14,11 +14,11 @@ import (
 // Call, the Send/SendTo/Respond envelopes, session registration and the
 // routing of inbound pushes to sessions, the one inbound path (serve:
 // admission, the Busy a shed request gets, the handler run), and the
-// close-once teardown. localNode and tcpNode embed it and differ only in
-// the carrier — how a frame leaves (carry) and where an inbound request's
-// goroutine starts — so the simulator the figures are measured on and the
-// transport kvserver deploys execute the same calls, sessions and shed
-// path.
+// close-once teardown, and the workers inbound frames run on (spawn).
+// localNode and tcpNode embed it and differ only in the carrier — how a
+// frame leaves (carry) and where an inbound frame is read from — so the
+// simulator the figures are measured on and the transport kvserver deploys
+// execute the same calls, sessions, workers and shed path.
 //
 // The seam is one function. carry takes the envelope BY VALUE: behind a
 // func value the compiler cannot see that the callee does not retain a
@@ -48,10 +48,16 @@ type endpoint struct {
 	stop   chan struct{}
 	closed atomic.Bool
 	// wg counts the goroutines a closing node waits out: TCP's
-	// accept/read/write loops and every inbound request, from before its
-	// goroutine starts until serve gives its slot back. Local's Close waits
-	// on none of them; its handlers are released by stop.
+	// accept/read/write loops, every worker, and every inbound request,
+	// from before it is spawned until serve gives its slot back. Local's
+	// Close waits on none of them; its handlers are released by stop.
 	wg sync.WaitGroup
+
+	// idle is where workers between requests wait for their next one
+	// (spawn); unbuffered, so a hand-off succeeds only to a worker already
+	// waiting. idlers counts the waiting workers, at most maxIdleWorkers.
+	idle   chan func()
+	idlers atomic.Int32
 
 	reqSeq  atomic.Uint64
 	pending sync.Map // reqID -> chan *wire.Envelope
@@ -175,15 +181,61 @@ func (in inbound) run() {
 	}
 }
 
+// maxIdleWorkers bounds the workers one endpoint keeps waiting for work
+// between requests. Only the idle set is bounded: a request that finds no
+// idle worker starts a new one, so running work is never capped and never
+// waits (see serve).
+const maxIdleWorkers = 64
+
+// spawn runs fn on a worker of its own: an idle one if any is waiting,
+// else a new goroutine. Either way spawn never blocks. A worker that
+// finishes stays to wait for the next request — its stack already grown
+// down the handler chain, which a fresh goroutine would grow again — unless
+// maxIdleWorkers already wait, and every idle worker exits once the
+// endpoint closes.
+func (e *endpoint) spawn(fn func()) {
+	select {
+	case e.idle <- fn:
+	default:
+		e.wg.Add(1)
+		go e.work(fn)
+	}
+}
+
+// work is a worker's life: run fn, then wait as an idle worker for the
+// next request until the idle set is full or the endpoint closes.
+func (e *endpoint) work(fn func()) {
+	defer e.wg.Done()
+	for {
+		fn()
+		if e.idlers.Add(1) > maxIdleWorkers {
+			e.idlers.Add(-1)
+			return
+		}
+		select {
+		case fn = <-e.idle:
+			e.idlers.Add(-1)
+		case <-e.stop:
+			e.idlers.Add(-1)
+			return
+		}
+	}
+}
+
 // serve is the one inbound path of both carriers. It routes a request and
-// runs it on the calling goroutine, which the carrier started for this
-// request alone (Local: one per frame; TCP: one per request, started by the
-// read loop). A client request passes the admission gate first: shed, it is
-// answered Busy from here; parked, it runs on the goroutine the gate starts
-// when a token frees, or is dropped when the gate closes.
+// runs it on the calling worker, which the carrier spawned for this frame
+// (Local: one per frame; TCP: one per request, spawned by the read loop).
+// Running work is deliberately unbounded: handlers may park on cluster
+// state (a COPS dep check waiting for replication, a CC-LO readers check
+// waiting for a dependency's install), and the very message that would
+// unblock them must never queue behind them — any cap on concurrently
+// running intra-cluster handlers recreates that deadlock for the requests
+// beyond the cap. A client request passes the admission gate first: shed,
+// it is answered Busy from here; parked, it runs on the goroutine the gate
+// starts when a token frees, or is dropped when the gate closes.
 //
-// The caller holds one wg slot for the request, taken before the request's
-// goroutine started, and serve gives it back once the request is dropped,
+// The caller holds one wg slot for the request, taken before the request
+// was spawned, and serve gives it back once the request is dropped,
 // shed or handled, parked ones included. That slot is all TCP's Close needs
 // to wait out every handler, running or parked; a bound on handlers, when
 // one comes, lands here for both carriers.

@@ -24,12 +24,12 @@ type endpointCallRow struct {
 }
 
 // BenchmarkEndpointCall is the transport's layer number: one Ping/Pong round
-// trip through everything a Call crosses — envelope, codec, batcher, carrier,
-// routing, handler, response matching — on the zero-latency simulator and on
-// loopback TCP, from a plain node and from a mux session. Bytes and allocs
-// are process-wide (both ends of the round trip), so an envelope or a routed
-// request that starts escaping shows up as +1 alloc per message here before
-// it shows up as throughput anywhere. With BENCH_TRANSPORT_JSON set the
+// trip through everything a Call crosses — envelope, codec, carrier (TCP's
+// batcher), worker hand-off, routing, handler, response matching — on the
+// zero-latency simulator and on loopback TCP, from a plain node and from a
+// mux session. Bytes and allocs are process-wide (both ends of the round
+// trip), so an envelope or a routed request that starts escaping shows up
+// as +1 alloc per message here before it shows up as throughput anywhere. With BENCH_TRANSPORT_JSON set the
 // cells are also written there as JSON.
 func BenchmarkEndpointCall(b *testing.B) {
 	srv := wire.ServerAddr(0, 0)
@@ -78,7 +78,7 @@ func BenchmarkEndpointCall(b *testing.B) {
 						b.Fatalf("resp %#v, want Pong{%d}", resp, nonce)
 					}
 				}
-				call(0) // dial, learn the route, start the link batchers
+				call(0) // dial and learn the route (TCP), start the first workers
 				var before, after runtime.MemStats
 				b.ReportAllocs()
 				runtime.ReadMemStats(&before)

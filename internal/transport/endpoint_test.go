@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -239,5 +242,130 @@ func TestEndpointSessionRacesShut(t *testing.T) {
 		if n := stats.Sessions.Load(); n != 0 {
 			t.Fatalf("run %d: Sessions gauge = %d after shut, want 0", i, n)
 		}
+	}
+}
+
+// bothCarriers builds a fresh network of each carrier, with srv in TCP's
+// directory.
+func bothCarriers(t testing.TB, srv wire.Addr) map[string]func() Network {
+	return map[string]func() Network{
+		"local": func() Network { return NewLocal(LatencyModel{}) },
+		"tcp":   func() Network { return NewTCP(map[wire.Addr]string{srv: freeAddr(t)}) },
+	}
+}
+
+// endpointOf returns the endpoint under a node either carrier attached.
+func endpointOf(t *testing.T, n Node) *endpoint {
+	switch n := n.(type) {
+	case *localNode:
+		return &n.endpoint
+	case *tcpNode:
+		return &n.endpoint
+	}
+	t.Fatalf("%T is no carrier's node", n)
+	return nil
+}
+
+// goid is the calling goroutine's id, read from its stack header
+// ("goroutine 42 [running]:").
+func goid() uint64 {
+	var buf [32]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
+}
+
+// TestSequentialRequestReusesIdleWorker: once a request's worker has gone
+// idle, the next request runs on that same goroutine — its stack already
+// grown down the handler chain — instead of a new one, on both carriers.
+// A worker counts itself idle just before it parks on the hand-off, so an
+// attempt can start a new goroutine in that window; one reuse in three
+// attempts is what the test asks.
+func TestSequentialRequestReusesIdleWorker(t *testing.T) {
+	srv := wire.ServerAddr(0, 0)
+	for name, mk := range bothCarriers(t, srv) {
+		t.Run(name, func(t *testing.T) {
+			net := mk()
+			defer net.Close()
+			ran := make(chan uint64, 1)
+			n, err := net.Attach(srv, HandlerFunc(func(n Node, src wire.From, reqID uint64, m wire.Message) {
+				ran <- goid()
+				n.Respond(src, reqID, &wire.Pong{})
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := endpointOf(t, n)
+			cli, err := net.Attach(wire.ClientAddr(0, 1), HandlerFunc(func(Node, wire.From, uint64, wire.Message) {}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			call := func() uint64 {
+				if _, err := cli.Call(ctx, srv, &wire.Ping{}); err != nil {
+					t.Fatal(err)
+				}
+				id := <-ran
+				waitUntil(t, "the worker to go idle", func() bool { return e.idlers.Load() == 1 })
+				return id
+			}
+			first := call()
+			for attempt := 0; attempt < 3; attempt++ {
+				next := call()
+				if next == first {
+					return
+				}
+				first = next
+			}
+			t.Fatal("three sequential requests after an idle worker each ran on a new goroutine")
+		})
+	}
+}
+
+// TestWorkersExitOnClose: the idle workers a burst of requests leaves
+// behind exit when the network closes, so goroutines return to their
+// baseline on both carriers.
+func TestWorkersExitOnClose(t *testing.T) {
+	srv := wire.ServerAddr(0, 0)
+	for name, mk := range bothCarriers(t, srv) {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			net := mk()
+			n, err := net.Attach(srv, &slowHandler{delay: 5 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli, err := net.Attach(wire.ClientAddr(0, 1), HandlerFunc(func(Node, wire.From, uint64, wire.Message) {}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			const burst = 16
+			var wg sync.WaitGroup
+			errs := make(chan error, burst)
+			for i := 0; i < burst; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := cli.Call(ctx, srv, &wire.Ping{}); err != nil {
+						errs <- err
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			e := endpointOf(t, n)
+			waitUntil(t, "idle workers", func() bool { return e.idlers.Load() > 1 })
+			net.Close()
+			waitUntil(t, "goroutines back at their baseline", func() bool { return runtime.NumGoroutine() <= before })
+			if g := e.idlers.Load(); g != 0 {
+				t.Fatalf("%d workers still count as idle after Close", g)
+			}
+		})
 	}
 }

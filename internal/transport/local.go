@@ -58,12 +58,12 @@ func (l LatencyModel) Delay(src, dst wire.Addr) time.Duration {
 // wire codec on send and unmarshalled on delivery, so serialization CPU
 // cost is faithfully charged, and delivery is delayed per the LatencyModel.
 //
-// Sends flow through the same batching engine as the TCP transport (see
-// batch.go), one Batcher per (source DC, destination node) link — the
-// simulator's stand-in for a shared egress pipe. A coalesced batch is
-// charged ONE latency sample and its frames arrive together, so the
-// batching behaviour real deployments get from scatter-gather socket
-// writes shows up in simulated latencies and the same Stats columns.
+// Local models latency, not syscalls: each frame is its own flight,
+// charged its own latency sample and handed straight to a delivery wheel.
+// There is no send queue and no batching: under load a batching engine
+// per link coalesced 1.17 frames per flush here while its goroutines took
+// a quarter of the CPU. Batching saves real syscalls, so only TCP batches
+// (batch.go).
 //
 // Delayed delivery does not use runtime timers: on stock kernels their
 // granularity (≥1 ms on this class of machine) would swamp the sub-ms LAN
@@ -72,7 +72,6 @@ func (l LatencyModel) Delay(src, dst wire.Addr) time.Duration {
 // giving microsecond-accurate injection (README, "Transport batching").
 type Local struct {
 	latency    LatencyModel
-	pol        BatchPolicy
 	stats      Stats
 	admit      AdmitConfig
 	admitStats AdmitStats
@@ -85,15 +84,6 @@ type Local struct {
 	// runtime-adjustable so fault tests can sever and heal the WAN
 	// mid-workload (SetInterDCLoss). Seeded from latency.InterDCLoss.
 	lossBits atomic.Uint64
-
-	// links holds the per-(source DC, destination) batchers, created
-	// lazily on first send and torn down with the network. Lookups on the
-	// send hot path are lock-free (sync.Map); linkMu only serializes
-	// creation and close.
-	linkMu     sync.Mutex
-	links      sync.Map // link key (srcDC<<32|dst) -> *Batcher
-	linkWG     sync.WaitGroup
-	linkClosed bool
 
 	mu     sync.RWMutex
 	nodes  map[wire.Addr]*localNode
@@ -108,18 +98,10 @@ type Local struct {
 // no protocol relies on one.
 const numWheels = 4
 
-// NewLocal returns an empty in-process network with the default adaptive
-// batch policy.
+// NewLocal returns an empty in-process network.
 func NewLocal(latency LatencyModel) *Local {
-	return NewLocalOpts(latency, DefaultPolicy())
-}
-
-// NewLocalOpts is NewLocal with an explicit batch policy (cluster.Start
-// passes cluster.Config.Batching here).
-func NewLocalOpts(latency LatencyModel, pol BatchPolicy) *Local {
 	l := &Local{
 		latency: latency,
-		pol:     pol.withDefaults(),
 		start:   time.Now(),
 		nodes:   make(map[wire.Addr]*localNode),
 	}
@@ -136,65 +118,39 @@ func NewLocalOpts(latency LatencyModel, pol BatchPolicy) *Local {
 	return l
 }
 
-// link returns (creating if needed) the batcher for the src→dst flight.
-// Links are keyed by source DC, not source node: the latency model only
-// distinguishes DCs, so nodes in one DC share the egress pipe to each
-// destination, which keeps the link table proportional to nodes, not
-// node pairs.
-func (l *Local) link(src, dst wire.Addr) (*Batcher, error) {
-	key := uint64(src.DC())<<32 | uint64(dst)
-	if b, ok := l.links.Load(key); ok {
-		return b.(*Batcher), nil
+// fly commits one frame from src to dst: due Delay(src, dst) from now on
+// the next wheel in turn, or delivered at once when the delay is zero. A
+// full wheel exerts backpressure until ctx is done or the network closes —
+// one-way Sends carry a Background ctx and simply block, while a Call's
+// deadline bounds its wait too, as on TCP. Ownership of f passes to the
+// network either way.
+func (l *Local) fly(ctx context.Context, src, dst wire.Addr, f *wire.FrameBuf) error {
+	d := l.latency.Delay(src, dst)
+	if d <= 0 {
+		l.deliver(dst, f)
+		return nil
 	}
-	l.linkMu.Lock()
-	defer l.linkMu.Unlock()
-	if l.linkClosed {
-		return nil, ErrClosed
-	}
-	if b, ok := l.links.Load(key); ok {
-		return b.(*Batcher), nil
-	}
-	b := NewBatcher(&localSink{l: l, src: src, dst: dst}, l.pol, &l.stats)
-	l.links.Store(key, b)
-	l.linkWG.Add(1)
-	go func() {
-		defer l.linkWG.Done()
-		b.Run()
-	}()
-	return b, nil
-}
-
-// localSink delivers one coalesced batch as a single simulated flight: the
-// whole batch is charged one latency sample and its frames arrive
-// together, mirroring how a TCP batch shares one scatter-gather write.
-// Only src's DC matters for the delay (see link); dst travels with the
-// flight, because frames do not carry their destination.
-type localSink struct {
-	l        *Local
-	src, dst wire.Addr
-}
-
-func (s *localSink) WriteBatch(frames []*wire.FrameBuf) error {
-	if d := s.l.latency.Delay(s.src, s.dst); d > 0 {
-		// The delivery outlives this call and the Batcher reuses its batch
-		// slice, so the wheel gets a copy.
-		batch := make([]*wire.FrameBuf, len(frames))
-		copy(batch, frames)
-		w := s.l.wheels[s.l.nextWheel.Add(1)%numWheels]
+	w := l.wheels[l.nextWheel.Add(1)%numWheels]
+	var err error
+	select {
+	case w.ch <- delivery{due: l.clock() + d, dst: dst, f: f}:
 		select {
-		case w.ch <- delivery{due: s.l.clock() + d, dst: s.dst, bufs: batch}:
-			return nil
 		case <-w.stop:
-			for _, f := range batch {
-				wire.PutFrame(f)
-			}
+			// The wheel stopped while we were handing over; its own sweep
+			// may already be done, stranding f. Sweep the channel here too
+			// so every frame is recycled and counted as dropped.
+			w.sweep()
 			return ErrClosed
+		default:
+			return nil
 		}
+	case <-w.stop:
+		err = ErrClosed
+	case <-ctx.Done():
+		err = ctx.Err()
 	}
-	// Zero delay: dispatchBatch only spawns per-frame goroutines, so it
-	// neither blocks nor retains the slice — no copy, no wrapper goroutine.
-	s.l.dispatchBatch(s.dst, frames)
-	return nil
+	wire.PutFrame(f)
+	return err
 }
 
 // Stats exposes the network's traffic counters.
@@ -253,7 +209,7 @@ func (l *Local) attach(addr wire.Addr, h Handler) (*localNode, error) {
 	if _, dup := l.nodes[addr]; dup {
 		return nil, ErrAttached
 	}
-	n := &localNode{net: l, endpoint: endpoint{addr: addr, h: h, stats: &l.stats, pool: 1, stop: make(chan struct{})}}
+	n := &localNode{net: l, endpoint: endpoint{addr: addr, h: h, stats: &l.stats, pool: 1, stop: make(chan struct{}), idle: make(chan func())}}
 	n.self, n.carry = n, n.send
 	if addr.IsServer() && l.admit.Enabled() {
 		n.gate = NewAdmitGate(l.admit, &l.admitStats)
@@ -276,17 +232,6 @@ func (l *Local) Close() error {
 		delete(l.nodes, a)
 	}
 	l.mu.Unlock()
-	// Stop the link batchers and wait them out BEFORE stopping the wheels:
-	// a final flush must find its wheel alive (frames to already-closed
-	// nodes are dropped at dispatch, as before).
-	l.linkMu.Lock()
-	l.linkClosed = true
-	l.links.Range(func(_, b any) bool {
-		b.(*Batcher).Close()
-		return true
-	})
-	l.linkMu.Unlock()
-	l.linkWG.Wait()
 	for _, w := range l.wheels {
 		close(w.stop)
 	}
@@ -300,28 +245,22 @@ func (l *Local) lookup(addr wire.Addr) *localNode {
 	return l.nodes[addr]
 }
 
-// dispatchBatch fans a batch delivered to node to out to per-frame dispatch
-// goroutines: the frames arrive at the same instant (one latency charge),
-// but each handler gets its own goroutine — handlers may block on cluster
-// state another frame of the same batch would satisfy, so sequential
-// in-batch handling could deadlock. The node is looked up once per batch:
-// every frame of a flight shares its destination.
-func (l *Local) dispatchBatch(to wire.Addr, bufs []*wire.FrameBuf) {
+// deliver hands a frame that has landed to its node, which runs it on a
+// worker of its own (endpoint.spawn): handlers may block on cluster state
+// that a later frame would satisfy, so no frame waits for another's
+// handler.
+func (l *Local) deliver(to wire.Addr, f *wire.FrameBuf) {
 	n := l.lookup(to)
 	if n == nil {
-		l.stats.Dropped.Add(uint64(len(bufs)))
-		for _, f := range bufs {
-			wire.PutFrame(f)
-		}
+		l.stats.Dropped.Add(1)
+		wire.PutFrame(f)
 		return
 	}
-	for _, f := range bufs {
-		go n.dispatch(f)
-	}
+	n.spawn(func() { n.dispatch(f) })
 }
 
 // dispatch delivers a marshalled envelope after its simulated flight to n:
-// a response to its waiting Call, a request through serve on the goroutine
+// a response to its waiting Call, a request through serve on the worker
 // the frame already has. The frame does not carry its destination, so
 // dispatch stamps n's address as the envelope's Dst. It consumes f,
 // returning it to the frame pool once decoded.
@@ -345,14 +284,14 @@ func (n *localNode) dispatch(f *wire.FrameBuf) {
 	n.serve(env)
 }
 
-// delivery is one in-flight coalesced batch, the node it flies to and when
-// it lands. It is boxed on every heap push and pop, so its due time is a
+// delivery is one frame in flight, the node it flies to and when it
+// lands. It is boxed on every heap push and pop, so its due time is a
 // Duration on the network's clock, not a 24-byte time.Time: that keeps it
-// in the 48-byte size class with dst added.
+// in the 24-byte size class.
 type delivery struct {
-	due  time.Duration
-	dst  wire.Addr
-	bufs []*wire.FrameBuf
+	due time.Duration
+	dst wire.Addr
+	f   *wire.FrameBuf
 }
 
 // deliveryHeap is a min-heap of deliveries by due time.
@@ -412,7 +351,7 @@ func (w *wheel) run() {
 		for len(w.h) > 0 && w.h[0].due <= now {
 			d := heap.Pop(&w.h).(delivery)
 			w.net.stats.DeliveryLate.Record(now - d.due)
-			w.net.dispatchBatch(d.dst, d.bufs)
+			w.net.deliver(d.dst, d.f)
 		}
 		if len(w.h) == 0 {
 			continue
@@ -439,38 +378,45 @@ func (w *wheel) run() {
 
 // shut drops the flights still in the heap and the channel when the network
 // closes: each frame is counted in Stats.Dropped and recycled, as on every
-// other close path. Local.Close stops the link batchers before the wheels,
-// so nothing is sent to the channel after this sweep.
+// other close path.
 func (w *wheel) shut() {
-	drop := func(d delivery) {
-		w.net.stats.Dropped.Add(uint64(len(d.bufs)))
-		for _, f := range d.bufs {
-			wire.PutFrame(f)
-		}
-	}
 	for _, d := range w.h {
-		drop(d)
+		w.net.drop(d)
 	}
 	w.h = nil
+	w.sweep()
+}
+
+// sweep drops every flight waiting in the channel. Both the stopped wheel
+// and a sender that lost the race with the stop run it, so no frame handed
+// over around Close is stranded.
+func (w *wheel) sweep() {
 	for {
 		select {
 		case d := <-w.ch:
-			drop(d)
+			w.net.drop(d)
 		default:
 			return
 		}
 	}
 }
 
-// localNode is an endpoint whose carrier is the simulated network: frames
-// leave through the per-link batchers and arrive on a goroutine each.
+// drop counts a flight the closed network never delivers and recycles its
+// frame.
+func (l *Local) drop(d delivery) {
+	l.stats.Dropped.Add(1)
+	wire.PutFrame(d.f)
+}
+
+// localNode is an endpoint whose carrier is the simulated network: each
+// frame flies on its own and lands on a worker of the destination's.
 type localNode struct {
 	endpoint
 	net *Local
 }
 
 // send is the endpoint's carry: it marshals env, applies the loss model and
-// commits the frame to the src→dst link.
+// puts the frame in flight.
 func (n *localNode) send(ctx context.Context, env wire.Envelope, _ uint8) error {
 	f := wire.GetFrame()
 	f.Envelope(&env)
@@ -478,19 +424,8 @@ func (n *localNode) send(ctx context.Context, env wire.Envelope, _ uint8) error 
 	if n.net.dropMsg(env.Src, env.Dst) {
 		n.stats.Dropped.Add(1)
 		wire.PutFrame(f) // lost in flight; sender cannot tell
-	} else {
-		b, err := n.net.link(env.Src, env.Dst)
-		if err != nil {
-			wire.PutFrame(f)
-			return err
-		}
-		// A full link queue exerts backpressure until ctx is done or the
-		// link (network) closes — one-way Sends carry a Background ctx and
-		// simply block, while a Call's deadline bounds its queueing too,
-		// matching the TCP enqueue semantics.
-		if err := b.Enqueue(ctx, f); err != nil {
-			return err
-		}
+	} else if err := n.net.fly(ctx, env.Src, env.Dst, f); err != nil {
+		return err
 	}
 	// Counted only once the message is committed to the network (or
 	// charged as lost in flight), matching the TCP path: sends aborted by

@@ -115,7 +115,7 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 		}
 	}
 	n := &tcpNode{
-		endpoint: endpoint{addr: addr, h: h, stats: &t.stats, pool: uint8(pool), stop: make(chan struct{})},
+		endpoint: endpoint{addr: addr, h: h, stats: &t.stats, pool: uint8(pool), stop: make(chan struct{}), idle: make(chan func())},
 		t:        t,
 		ln:       ln,
 		conns:    make(map[connKey]*tcpConn),
@@ -149,9 +149,8 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// tcpConn owns one socket. Its send path is one Batcher (the engine shared
-// with the Local simulator) whose sink scatter-gathers each coalesced batch
-// into the socket.
+// tcpConn owns one socket. Its send path is one Batcher (batch.go) whose
+// sink scatter-gathers each coalesced batch into the socket.
 type tcpConn struct {
 	c     net.Conn
 	b     *Batcher
@@ -257,8 +256,8 @@ type connKey struct {
 
 // tcpNode is an endpoint whose carrier is real sockets: frames leave
 // through a pool of connections per destination (pool is that pool's size,
-// 1 for plain nodes) and each inbound request runs on a goroutine its read
-// loop starts.
+// 1 for plain nodes) and each inbound request runs on a worker its read
+// loop spawns.
 type tcpNode struct {
 	endpoint
 	t  *TCP
@@ -356,7 +355,7 @@ func (n *tcpNode) forget(tc *tcpConn) {
 // first envelope carrying a valid source. Frames do not carry their
 // destination: whatever arrives on this node's sockets is for this node,
 // so each envelope's Dst is stamped with n.addr. Responses are matched to
-// pending Calls inline; each request runs on a goroutine of its own.
+// pending Calls inline; each request runs on a worker of its own.
 func (n *tcpNode) readLoop(tc *tcpConn) {
 	defer n.wg.Done()
 	defer func() {
@@ -392,17 +391,12 @@ func (n *tcpNode) readLoop(tc *tcpConn) {
 			n.deliverResponse(env)
 			continue
 		}
-		// Every request gets its own goroutine, deliberately unbounded:
-		// handlers may park on cluster state (a COPS dep check waiting for
-		// replication, a CC-LO readers check waiting for a dependency's
-		// install), and the very message that would unblock them must never
-		// queue behind them — any cap on concurrently running intra-cluster
-		// handlers recreates that deadlock for the requests beyond the cap.
-		// Client requests are bounded by the admission gate inside serve.
-		// Safe to Add here: this loop holds a wg slot, so Close's Wait
-		// cannot be at zero.
+		// Every request runs on a worker of its own (spawn), never queued
+		// behind a running handler; client requests are bounded by the
+		// admission gate inside serve. Safe to Add here: this loop holds a
+		// wg slot, so Close's Wait cannot be at zero.
 		n.wg.Add(1)
-		go n.serve(env)
+		n.spawn(func() { n.serve(env) })
 	}
 }
 

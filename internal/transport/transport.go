@@ -1,19 +1,21 @@
 // Package transport moves wire messages between processes.
 //
 // Two networks share one endpoint (endpoint.go: calls, sessions, inbound
-// routing, the shed path) and one batching engine (batch.go), and differ
-// only in what carries a frame: Local, an in-process network that marshals
-// every message and injects configurable per-link latency (the benchmark
-// substrate standing in for the paper's 10 Gbps LAN), and TCP, a real
-// network transport making the same servers deployable across processes
+// routing and workers, the shed path), and differ only in what carries a
+// frame: Local, an in-process network that marshals every message and
+// injects configurable per-link latency, one flight per frame (the
+// benchmark substrate standing in for the paper's 10 Gbps LAN), and TCP, a
+// real network transport that batches frames into scatter-gather socket
+// writes (batch.go) and makes the same servers deployable across processes
 // (cmd/kvserver).
 //
 // The model is asynchronous messaging with a request/response convenience:
 // Send delivers a one-way message; Call delivers a request and blocks until
 // the matching response or context cancellation. Every incoming request
-// runs its Handler on a goroutine of its own, off the receive path, on both
-// networks (endpoint.serve is the one inbound path), so handlers may block
-// and issue nested Calls (the readers check in CC-LO does exactly that).
+// runs its Handler on a worker of its own, off the receive path, on both
+// networks (endpoint.spawn, then endpoint.serve, the one inbound path), so
+// handlers may block and issue nested Calls (the readers check in CC-LO
+// does exactly that).
 package transport
 
 import (
@@ -121,9 +123,9 @@ type Network interface {
 // Stats counts network traffic. Benchmarks read these to report the
 // communication overhead analyses of Sections 5.4–5.6 and the transport
 // efficiency of the write path (frame coalescing, flush counts and
-// latency, queue depth). Both transports feed the batching counters
-// through the shared engine (see batch.go), so the same columns describe
-// simulated and real deployments.
+// latency, queue depth). Only TCP batches (batch.go), so the batching
+// counters move on TCP alone and read 0 on Local, which sends each frame
+// as its own flight.
 type Stats struct {
 	MsgsSent  metrics.Counter
 	BytesSent metrics.Counter
@@ -133,24 +135,24 @@ type Stats struct {
 	// messages an operation's bytes are spent on.
 	Sent [wire.NumTypes]struct{ Msgs, Bytes metrics.Counter }
 
-	// Flushes counts batches cut by the batching engine — on TCP one
+	// Flushes counts batches cut by TCP's batching engine, one
 	// scatter-gather socket write each (a giant batch may need more than
-	// one writev at the kernel boundary); on Local one delivered batch
-	// with a single latency charge. FramesCoalesced counts frames that
-	// joined an earlier frame's batch. Msgs/Flushes and
+	// one writev at the kernel boundary); 0 on Local. FramesCoalesced
+	// counts frames that joined an earlier frame's batch. Msgs/Flushes and
 	// FramesCoalesced/Msgs together describe how well the engine batches.
 	Flushes         metrics.Counter
 	FramesCoalesced metrics.Counter
 
 	// FlushDelay is the enqueue→flush latency distribution: how long
-	// frames waited in a send queue plus the batch they joined. Under the
-	// adaptive policy its p99 stays at or under the configured
-	// FlushBudget as long as the sink keeps up with the offered load.
+	// frames waited in a TCP send queue plus the batch they joined. Under
+	// the adaptive policy its p99 stays at or under the configured
+	// FlushBudget as long as the socket keeps up with the offered load.
+	// Empty on Local, which queues nothing.
 	FlushDelay metrics.StaticHist
 
 	// DeliveryLate is how far past its due time the simulator delivered a
-	// delayed batch: the injection error Local adds on top of the latency
-	// model (Local only; one sample per delivered batch).
+	// delayed frame: the injection error Local adds on top of the latency
+	// model (Local only; one sample per delayed frame).
 	DeliveryLate metrics.StaticHist
 
 	// WritevBytes counts frame bytes written through the scatter-gather
@@ -158,8 +160,9 @@ type Stats struct {
 	// into the staging buffer. TCP only; Local has no copy to skip.
 	WritevBytes metrics.Counter
 
-	// SendQueue tracks frames sitting in send queues (current level and
-	// high-water mark).
+	// SendQueue tracks frames sitting in TCP send queues (current level
+	// and high-water mark). Local has no send queue — a frame goes
+	// straight to its delivery wheel — so it reads 0 there.
 	SendQueue metrics.Gauge
 
 	// OpenConns tracks live sockets (TCP only; the Local simulator has
@@ -191,9 +194,10 @@ type StatsView struct {
 	FramesCoalesced uint64
 	FlushP99Delay   time.Duration
 	WritevBytes     uint64
-	// HandlerOverflow is always 0: no carrier has a worker pool to spill
-	// past since every request runs on its own goroutine. It stays only
-	// because the frozen benchmark module reads it.
+	// HandlerOverflow is always 0: no carrier has a bounded worker pool
+	// to spill past, since a request that finds no idle worker starts a
+	// new one (endpoint.spawn). It stays only because the frozen benchmark
+	// module reads it.
 	HandlerOverflow uint64
 	SendQueueDepth  int64
 	SendQueuePeak   int64

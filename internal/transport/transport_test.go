@@ -166,9 +166,8 @@ func TestLocalFlightsSpreadOverWheels(t *testing.T) {
 	for i := 0; i < numWheels; i++ {
 		l.wheels = append(l.wheels, &wheel{net: l, ch: make(chan delivery, 8), stop: make(chan struct{})})
 	}
-	sink := &localSink{l: l, src: wire.ServerAddr(0, 0), dst: wire.ClientAddr(0, 1)}
 	for i := 0; i < 8; i++ {
-		if err := sink.WriteBatch([]*wire.FrameBuf{wire.GetFrame()}); err != nil {
+		if err := l.fly(context.Background(), wire.ServerAddr(0, 0), wire.ClientAddr(0, 1), wire.GetFrame()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,9 +177,7 @@ func TestLocalFlightsSpreadOverWheels(t *testing.T) {
 			used++
 		}
 		for len(w.ch) > 0 {
-			for _, f := range (<-w.ch).bufs {
-				wire.PutFrame(f)
-			}
+			wire.PutFrame((<-w.ch).f)
 		}
 	}
 	if used < 2 {
@@ -201,15 +198,10 @@ func TestLocalCloseDropsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A delayed Send returns once its frame is on a wheel, due a second
+	// from now.
 	if err := cli.Send(srv, &wire.Ping{}); err != nil {
 		t.Fatal(err)
-	}
-	// The flight is on a wheel once its batch is flushed.
-	for deadline := time.Now().Add(5 * time.Second); net.Stats().Flushes.Load() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the flight never left its link")
-		}
-		time.Sleep(time.Millisecond)
 	}
 	net.Close()
 	if got := net.Stats().Dropped.Load(); got != 1 {
@@ -393,12 +385,12 @@ func TestStatsSentByType(t *testing.T) {
 	}
 }
 
-// TestSharedLinkKeepsEachSendersSrc: frames carry no destination, and on
-// Local the nodes of one DC share one link (one batcher, one flight) to a
-// destination. Two senders of one DC firing into one node interleave on
-// that link; the node's handler must still see each frame's own sender,
-// and each sender's Calls must be answered to it. Run on both carriers.
-func TestSharedLinkKeepsEachSendersSrc(t *testing.T) {
+// TestInterleavedSendersKeepTheirSrc: frames carry no destination, and the
+// receiving carrier stamps it. Two senders of one DC firing into one node
+// interleave there; the node's handler must still see each frame's own
+// sender, and each sender's Calls must be answered to it. Run on both
+// carriers.
+func TestInterleavedSendersKeepTheirSrc(t *testing.T) {
 	srv := wire.ServerAddr(0, 0)
 	senders := []wire.Addr{wire.ServerAddr(0, 1), wire.ClientAddr(0, 7)}
 	for name, mk := range map[string]func() Network{
@@ -457,18 +449,6 @@ func TestSharedLinkKeepsEachSendersSrc(t *testing.T) {
 			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}
-			if l, ok := net.(*Local); ok {
-				links := 0
-				l.links.Range(func(k, _ any) bool {
-					if k.(uint64) == uint64(srv) {
-						links++
-					}
-					return true
-				})
-				if links != 1 {
-					t.Fatalf("%d links from dc0 to %v, want the one both senders share", links, srv)
-				}
-			}
 			deadline := time.Now().Add(2 * time.Second)
 			for {
 				mu.Lock()
@@ -522,18 +502,16 @@ func (p *parkHandler) Handle(n Node, src wire.From, reqID uint64, m wire.Message
 // out, so a failed release cannot leave Close waiting on them.
 func (p *parkHandler) free() { p.once.Do(func() { close(p.release) }) }
 
-// TestParkedHandlersDoNotBlockRelease: with 64 handlers parked on a plain
-// node, the one-way message that releases them still runs, on both
-// carriers. A carrier that ran requests on a bounded pool, or queued them
-// behind running handlers, would deadlock here — the reason every request
-// gets its own goroutine until no handler parks on cluster state.
+// TestParkedHandlersDoNotBlockRelease: with twice the idle-worker bound of
+// handlers parked on a plain node, the one-way message that releases them
+// still runs, on both carriers. A carrier that ran requests on a bounded
+// pool, or queued them behind running handlers, would deadlock here — the
+// reason every request gets a worker of its own, a new one when none is
+// idle, until no handler parks on cluster state.
 func TestParkedHandlersDoNotBlockRelease(t *testing.T) {
-	const parked = 64
+	const parked = 2 * maxIdleWorkers
 	srv := wire.ServerAddr(0, 0)
-	for name, mk := range map[string]func() Network{
-		"local": func() Network { return NewLocal(LatencyModel{}) },
-		"tcp":   func() Network { return NewTCP(map[wire.Addr]string{srv: freeAddr(t)}) },
-	} {
+	for name, mk := range bothCarriers(t, srv) {
 		t.Run(name, func(t *testing.T) {
 			net := mk()
 			defer net.Close()
