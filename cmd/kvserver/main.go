@@ -72,10 +72,7 @@ func main() {
 	flag.DurationVar(&cfg.WALFsyncEvery, "wal-fsync-every", 0, "async mode's bounded loss window (0 = default 2ms)")
 	flag.DurationVar(&cfg.RepFlushEvery, "rep-flush-every", 0, "replication flush period for the timestamp-based engine (0 = default 2ms; tests stretch it to hold replication back)")
 	flag.DurationVar(&cfg.ReaderGCWindow, "reader-gc-window", 0, "CC-LO reader GC window: how long reader records, old-reader entries, and invisibility marks live (0 = default 500ms; crash tests stretch it)")
-	flag.DurationVar(&cfg.FlushBudget, "flush-budget", transport.DefaultFlushBudget, "adaptive flush latency budget: how long the transport may keep a coalesced batch open before flushing (0 = the default)")
 	flag.IntVar(&cfg.AdmitLimit, "admit-limit", 0, "client admission cap: max concurrently running client handlers; excess client requests are shed with a typed busy+retry-after response (0 = unbounded; cluster traffic is never gated)")
-	flag.Int64Var(&cfg.ShedQueueFrames, "shed-queue-frames", 0, "shed client load early once the transport send queue reaches this many frames (0 = signal unused)")
-	flag.DurationVar(&cfg.ShedFsyncP99, "shed-fsync-p99", 0, "shed client load early once the WAL p99 fsync delay reaches this (0 = signal unused)")
 	flag.Parse()
 	if *topoPath == "" {
 		log.Fatal("kvserver: -topology is required")
@@ -97,7 +94,7 @@ func main() {
 		log.Fatalf("kvserver: -partition %d outside topology (have %d partitions)", *partition, topo.Partitions)
 	}
 
-	net := transport.NewTCPOpts(topo.Directory, cfg.Batching())
+	net := transport.NewTCP(topo.Directory)
 	defer net.Close()
 
 	// Observability: one registry + slow-op ring per process, served from a
@@ -132,17 +129,11 @@ func main() {
 		// is opened before the server so construction replays the recovered
 		// state, and closed after it so the final appends are flushed on
 		// graceful shutdown; the admission gate is created at Attach time,
-		// so it is configured before the server attaches, probing this
-		// process's send queue and (when durable) its WAL fsync latency.
+		// so its limit is set before the server attaches.
 		if walLog, err = cfg.OpenLog(*dc, *partition); err != nil {
 			log.Fatal(err)
 		}
-		net.SetAdmission(cfg.Admission(net.Stats().SendQueue.Load, func() time.Duration {
-			if walLog == nil {
-				return 0
-			}
-			return walLog.Stats().FsyncDelay.Percentile(99)
-		}))
+		net.SetAdmission(cfg.AdmitLimit)
 		srv, err := cfg.NewServer(*dc, *partition, 0, walLog, net)
 		if err != nil {
 			log.Fatal(err)
@@ -186,8 +177,7 @@ func main() {
 				extra["sessions"] = strconv.FormatInt(tv.Sessions, 10)
 				overload := ""
 				if cfg.AdmitLimit > 0 && !*stabilizer {
-					v := net.AdmitStats().View()
-					if v.Overloaded || v.Depth >= int64(cfg.AdmitLimit) {
+					if net.AdmitStats().Depth.Load() >= int64(cfg.AdmitLimit) {
 						overload = "shedding"
 					} else {
 						overload = "admitting"

@@ -76,13 +76,6 @@ type Config struct {
 	// they crash the origin); 0 uses the core default.
 	RepFlushEvery time.Duration
 
-	// FlushBudget bounds how long TCP's batching engine keeps a coalesced
-	// batch open gathering more frames (the adaptive flush policy; batches
-	// still flush immediately when the send queue goes idle). 0 applies
-	// transport.DefaultFlushBudget. TCP only: the simulator cluster.Start
-	// builds sends each frame as its own flight and ignores it.
-	FlushBudget time.Duration
-
 	// Slow, when non-nil, is handed to every partition server: handler
 	// invocations exceeding the ring's threshold are captured in it (see
 	// metrics.SlowRing). Nil disables capture.
@@ -93,13 +86,6 @@ type Config struct {
 	// are shed with wire.Busy and a retry-after hint. 0 (the default)
 	// disables the gate — intra-cluster traffic is never gated either way.
 	AdmitLimit int
-	// ShedQueueFrames sheds client load early when the transport send
-	// queue reaches this depth (0 = signal unused). TCP only: the
-	// simulator has no send queue, so its depth reads 0 and never trips.
-	ShedQueueFrames int64
-	// ShedFsyncP99 sheds client load early when the WAL p99 fsync delay
-	// reaches this (0 = signal unused).
-	ShedFsyncP99 time.Duration
 }
 
 // DefaultMaxSkew is the clock skew bound a cluster runs with when none is
@@ -156,10 +142,6 @@ type Cluster struct {
 	// sessions keep their counts readable.
 	clientMu sync.Mutex
 	clients  []Client
-
-	// logMu guards the c.logs slots against the admission gate's fsync
-	// probe (a transport goroutine) racing partition restarts.
-	logMu sync.RWMutex
 }
 
 // Start builds and starts a cluster.
@@ -188,7 +170,7 @@ func Start(cfg Config) (*Cluster, error) {
 		clientSeq: make([]atomic.Int64, cfg.DCs),
 		muxes:     make([]transport.Mux, cfg.DCs),
 	}
-	c.net.SetAdmission(cfg.Admission(c.net.Stats().SendQueue.Load, c.fsyncP99))
+	c.net.SetAdmission(cfg.AdmitLimit)
 	for dc := range c.muxes {
 		m, err := c.net.AttachMux(wire.ClientAddr(dc, muxClientID), 0)
 		if err != nil {
@@ -227,30 +209,6 @@ func Start(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Admission is the client admission gate cfg asks for, probing the given
-// send-queue depth and p99 fsync delay; it is disabled (the transports'
-// default) when AdmitLimit is 0. Set it on the network before servers
-// attach: the gate is created at Attach time.
-func (cfg Config) Admission(queueDepth func() int64, fsyncP99 func() time.Duration) transport.AdmitConfig {
-	return transport.AdmitConfig{
-		Limit:           cfg.AdmitLimit,
-		ShedQueueFrames: cfg.ShedQueueFrames,
-		ShedFsyncP99:    cfg.ShedFsyncP99,
-		QueueDepth:      queueDepth,
-		FsyncP99:        fsyncP99,
-	}
-}
-
-// Batching is the TCP batch policy cfg asks for, a zero FlushBudget meaning
-// transport.DefaultFlushBudget; kvserver builds its network from it.
-func (cfg Config) Batching() transport.BatchPolicy {
-	pol := transport.DefaultPolicy()
-	if cfg.FlushBudget > 0 {
-		pol.FlushBudget = cfg.FlushBudget
-	}
-	return pol
-}
-
 // OpenLog opens the (dc,p) partition's WAL — recovering whatever a previous
 // incarnation left there — or returns nil when durability is off.
 func (cfg Config) OpenLog(dc, p int) (*wal.Log, error) {
@@ -281,27 +239,8 @@ func (c *Cluster) startServer(dc, p int) error {
 		return err
 	}
 	c.servers[idx] = s
-	c.logMu.Lock()
 	c.logs[idx] = log
-	c.logMu.Unlock()
 	return nil
-}
-
-// fsyncP99 is the admission gate's durability overload signal: the worst
-// p99 fsync delay across every partition WAL (0 when durability is off).
-func (c *Cluster) fsyncP99() time.Duration {
-	var worst time.Duration
-	c.logMu.RLock()
-	for _, l := range c.logs {
-		if l == nil {
-			continue
-		}
-		if p := l.Stats().FsyncDelay.Percentile(99); p > worst {
-			worst = p
-		}
-	}
-	c.logMu.RUnlock()
-	return worst
 }
 
 func closeLog(l *wal.Log) {
@@ -317,11 +256,8 @@ func (c *Cluster) stopServer(idx int) {
 		s.Close()
 		c.servers[idx] = nil
 	}
-	c.logMu.Lock()
-	log := c.logs[idx]
+	closeLog(c.logs[idx])
 	c.logs[idx] = nil
-	c.logMu.Unlock()
-	closeLog(log)
 }
 
 // RestartPartition stops the (dc,p) partition server — flushed or not,
@@ -472,12 +408,6 @@ func (c *Cluster) NewClient(dc int, tenant uint16) (Client, error) {
 // clientSeq allocates session ids upward from 1, so the top of the id space
 // stays free.
 const muxClientID = 0xFFFE
-
-// TenantShed returns how many of tenant's requests the admission gate has
-// shed (0 while admission is disabled).
-func (c *Cluster) TenantShed(tenant uint16) uint64 {
-	return c.net.AdmitStats().TenantShed(tenant)
-}
 
 // ClientBusyRetries sums the Busy-retry counters of every session this
 // cluster created.

@@ -33,8 +33,8 @@ type Status struct {
 	StartedAt time.Time `json:"started_at"`
 	UptimeSec float64   `json:"uptime_sec"`
 	// Overload is the admission-control verdict: "" when admission is
-	// disabled, "admitting" while client load fits the gate, "shedding"
-	// while the gate is refusing client requests.
+	// disabled, "admitting" while a token is free, "shedding" while every
+	// token is taken and further client requests park or are shed.
 	Overload string            `json:"overload,omitempty"`
 	Extra    map[string]string `json:"extra,omitempty"`
 }

@@ -7,11 +7,10 @@
 // it grows goroutines without limit and silently queues work the server
 // cannot retire. The AdmitGate closes that hole for requests whose source
 // carries the Addr client flag: a token semaphore caps concurrently running
-// client handlers, an overload detector keyed on the send-queue depth and
-// WAL fsync-delay signals sheds earlier when the server is already falling
-// behind, and shed requests are answered with a typed wire.Busy carrying a
-// retry-after hint instead of being queued or dropped. Cluster-sourced
-// traffic never touches the gate.
+// client handlers, and requests beyond the cap and a tenant's park queue
+// are answered with a typed wire.Busy carrying a retry-after hint instead
+// of being queued or dropped. Cluster-sourced traffic never touches the
+// gate.
 //
 // With the session mux the gate is also the fairness point between
 // tenants: tokens freed by finishing handlers go to parked waiters in
@@ -43,47 +42,41 @@ import (
 // than retry harder.
 var ErrOverloaded = errors.New("transport: server overloaded")
 
-// DefaultRetryAfter is the Busy hint when AdmitConfig.RetryAfter is unset.
+// DefaultRetryAfter is the base retry-after hint of a gate's Busy
+// responses, and the backoff base of a Busy that carries none.
 const DefaultRetryAfter = 2 * time.Millisecond
 
-// DefaultParkPerTenant bounds each tenant's park queue when
-// AdmitConfig.ParkPerTenant is unset.
+// DefaultParkPerTenant bounds how many requests of one tenant may wait
+// parked for a token before further ones are shed.
 const DefaultParkPerTenant = 32
 
-// admitProbeEvery rate-limits the overload detector's signal probes: the
-// admit hot path pays two atomic loads, and at most one goroutine per
-// interval pays the probe functions.
-const admitProbeEvery = time.Millisecond
-
-// AdmitConfig parameterizes client admission control on a network. Limit
-// is the cap on concurrently admitted client requests per attached server
-// node; zero disables the gate entirely (the default, so existing
-// deployments and every no-overload benchmark are untouched).
-type AdmitConfig struct {
-	// Limit caps concurrently running client handlers per server node.
-	Limit int
-	// ParkPerTenant bounds how many requests of one tenant may wait parked
-	// for a token before further ones are shed (0 = DefaultParkPerTenant).
-	ParkPerTenant int
-	// ShedQueueFrames trips the overload detector when the transport's
-	// send-queue depth reaches it (0 = signal unused). TCP only: Local has
-	// no send queue (Stats.SendQueue reads 0), so the signal never trips
-	// there.
-	ShedQueueFrames int64
-	// ShedFsyncP99 trips the overload detector when the WAL's p99 fsync
-	// delay reaches it (0 = signal unused).
-	ShedFsyncP99 time.Duration
-	// QueueDepth probes the current send-queue depth (nil = signal unused).
-	QueueDepth func() int64
-	// FsyncP99 probes the current p99 fsync delay (nil = signal unused).
-	FsyncP99 func() time.Duration
-	// RetryAfter is the backoff hint carried in Busy responses
-	// (0 = DefaultRetryAfter).
-	RetryAfter time.Duration
+// admission is the client admission state a network shares among the
+// server nodes it attaches: the token limit SetAdmission set and the
+// counters all their gates feed. Local and TCP embed it, so both carriers
+// gate in the same way.
+type admission struct {
+	limit      atomic.Int64
+	admitStats AdmitStats
 }
 
-// Enabled reports whether the config creates gates at Attach.
-func (c AdmitConfig) Enabled() bool { return c.Limit > 0 }
+// AdmitStats exposes the admission-control counters (all zero while
+// admission is disabled).
+func (a *admission) AdmitStats() *AdmitStats { return &a.admitStats }
+
+// SetAdmission caps concurrently running client handlers at limit on each
+// server node attached AFTER the call; 0 (the default) attaches nodes
+// ungated. The gate applies only to requests whose source carries the
+// client flag (endpoint.route). Call it before attaching servers.
+func (a *admission) SetAdmission(limit int) { a.limit.Store(int64(limit)) }
+
+// gateFor builds the gate of a node attaching at addr: its own for a
+// server address while a limit is set, nil otherwise.
+func (a *admission) gateFor(addr wire.Addr) *AdmitGate {
+	if !addr.IsServer() {
+		return nil
+	}
+	return NewAdmitGate(int(a.limit.Load()), &a.admitStats)
+}
 
 // AdmitStats counts admission-control outcomes. One struct serves a whole
 // network (all gated nodes share it), mirroring how Stats is per-network.
@@ -96,8 +89,6 @@ type AdmitStats struct {
 	Depth metrics.Gauge
 	// Parked tracks client requests waiting in tenant park queues.
 	Parked metrics.Gauge
-	// Overloaded is 1 while the queue/fsync overload detector is tripped.
-	Overloaded metrics.Gauge
 
 	// Per-tenant shed counters, created on a tenant's first shed and
 	// registered lazily under kv_admission_tenant_shed_total{tenant=...}
@@ -117,7 +108,6 @@ type AdmitStatsView struct {
 	DepthPeak  int64
 	Parked     int64
 	ParkedPeak int64
-	Overloaded bool
 }
 
 // View returns a frozen copy of all counters.
@@ -129,7 +119,6 @@ func (s *AdmitStats) View() AdmitStatsView {
 		DepthPeak:  s.Depth.HighWater(),
 		Parked:     s.Parked.Load(),
 		ParkedPeak: s.Parked.HighWater(),
-		Overloaded: s.Overloaded.Load() > 0,
 	}
 }
 
@@ -179,7 +168,6 @@ func (s *AdmitStats) Register(r *metrics.Registry, labels ...metrics.Label) {
 	r.Counter("kv_admission_shed_total", "Client requests shed with a Busy retry-after response.", &s.Shed, labels...)
 	r.Gauge("kv_admission_depth", "Client requests currently admitted (running handlers).", &s.Depth, labels...)
 	r.Gauge("kv_admission_parked", "Client requests waiting in tenant park queues.", &s.Parked, labels...)
-	r.Gauge("kv_admission_overloaded", "1 while the queue-depth/fsync-delay overload detector is tripped.", &s.Overloaded, labels...)
 	s.tenantMu.Lock()
 	s.reg, s.regLabels = r, labels
 	s.tenantShed.Range(func(t, c any) bool {
@@ -210,14 +198,14 @@ type admitWaiter struct {
 	run, drop func()
 }
 
-// AdmitGate is one server node's client admission gate: a token counter, a
-// hysteretic overload detector, and per-tenant park queues granted in
-// round-robin order. Submit never blocks its caller — the request's own
-// goroutine, in endpoint.serve — and maintains the invariant that a
-// request parks only while no token is free (Release hands freed tokens to
-// parked waiters before banking them).
+// AdmitGate is one server node's client admission gate: a token counter
+// and per-tenant park queues granted in round-robin order. Submit never
+// blocks its caller — the request's own goroutine, in endpoint.serve — and
+// maintains the invariant that a request parks only while no token is free
+// (Release hands freed tokens to parked waiters before banking them).
 type AdmitGate struct {
-	cfg   AdmitConfig
+	limit int
+	park  int // per-tenant park queue bound: DefaultParkPerTenant (in-package tests shrink it)
 	stats *AdmitStats
 
 	mu     sync.Mutex
@@ -225,29 +213,20 @@ type AdmitGate struct {
 	parked map[uint16][]admitWaiter
 	rr     []uint16 // rotation of tenants with non-empty park queues
 	closed bool
-
-	// lastProbe (unix nanos) rate-limits detector probes; overloaded holds
-	// the detector's current verdict between probes.
-	lastProbe  atomic.Int64
-	overloaded atomic.Bool
 }
 
-// NewAdmitGate builds a gate, or returns nil when cfg leaves admission
-// disabled. stats must be non-nil for an enabled config.
-func NewAdmitGate(cfg AdmitConfig, stats *AdmitStats) *AdmitGate {
-	if !cfg.Enabled() {
+// NewAdmitGate builds a gate admitting limit concurrent client requests,
+// or returns nil when limit is 0 (admission disabled). stats must be
+// non-nil for a positive limit.
+func NewAdmitGate(limit int, stats *AdmitStats) *AdmitGate {
+	if limit <= 0 {
 		return nil
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
-	if cfg.ParkPerTenant <= 0 {
-		cfg.ParkPerTenant = DefaultParkPerTenant
-	}
 	return &AdmitGate{
-		cfg:    cfg,
+		limit:  limit,
+		park:   DefaultParkPerTenant,
 		stats:  stats,
-		free:   cfg.Limit,
+		free:   limit,
 		parked: make(map[uint16][]admitWaiter),
 	}
 }
@@ -258,10 +237,6 @@ func NewAdmitGate(cfg AdmitConfig, stats *AdmitStats) *AdmitGate {
 // Release; drop fires instead if the gate closes first). Shed: answer Busy.
 // It never blocks; endpoint.serve is its one caller.
 func (g *AdmitGate) Submit(tenant uint16, run, drop func()) AdmitOutcome {
-	if g.overloadedNow() {
-		g.stats.shedTenant(tenant)
-		return AdmitShed
-	}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -276,7 +251,7 @@ func (g *AdmitGate) Submit(tenant uint16, run, drop func()) AdmitOutcome {
 		return AdmitGranted
 	}
 	q := g.parked[tenant]
-	if len(q) >= g.cfg.ParkPerTenant {
+	if len(q) >= g.park {
 		g.mu.Unlock()
 		g.stats.shedTenant(tenant)
 		return AdmitShed
@@ -298,7 +273,7 @@ func (g *AdmitGate) Release() {
 	g.stats.Depth.Add(-1)
 	g.mu.Lock()
 	if len(g.rr) == 0 {
-		if g.free < g.cfg.Limit {
+		if g.free < g.limit {
 			g.free++
 		}
 		g.mu.Unlock()
@@ -347,60 +322,15 @@ func (g *AdmitGate) Close() {
 	}
 }
 
-// RetryAfter is the base hint carried in this gate's Busy responses.
-func (g *AdmitGate) RetryAfter() time.Duration { return g.cfg.RetryAfter }
-
-// RetryAfterTenant scales the base hint by the tenant's own queue
-// pressure: a tenant with a deep park queue is told to back off harder,
-// one that was shed only because the detector tripped gets the base hint.
+// RetryAfterTenant scales DefaultRetryAfter by the tenant's own queue
+// pressure: a tenant with a deep park queue is told to back off harder.
 // Capped at 8× so a full queue cannot push clients to multi-second waits.
 func (g *AdmitGate) RetryAfterTenant(tenant uint16) time.Duration {
 	g.mu.Lock()
 	depth := len(g.parked[tenant])
 	g.mu.Unlock()
-	scale := 1 + time.Duration(depth*7)/time.Duration(g.cfg.ParkPerTenant)
-	return g.cfg.RetryAfter * scale
-}
-
-// overloadedNow evaluates the queue-depth/fsync-delay detector with
-// hysteresis: it trips at a threshold and clears only once every used
-// signal has fallen below half of its threshold, so admission does not
-// flap at the boundary. At most one caller per admitProbeEvery pays the
-// probe functions; everyone else reuses the cached verdict.
-func (g *AdmitGate) overloadedNow() bool {
-	now := time.Now().UnixNano()
-	last := g.lastProbe.Load()
-	if now-last < int64(admitProbeEvery) || !g.lastProbe.CompareAndSwap(last, now) {
-		return g.overloaded.Load()
-	}
-	trip, clear := false, true
-	if g.cfg.ShedQueueFrames > 0 && g.cfg.QueueDepth != nil {
-		d := g.cfg.QueueDepth()
-		if d >= g.cfg.ShedQueueFrames {
-			trip = true
-		}
-		if d > g.cfg.ShedQueueFrames/2 {
-			clear = false
-		}
-	}
-	if g.cfg.ShedFsyncP99 > 0 && g.cfg.FsyncP99 != nil {
-		p := g.cfg.FsyncP99()
-		if p >= g.cfg.ShedFsyncP99 {
-			trip = true
-		}
-		if p > g.cfg.ShedFsyncP99/2 {
-			clear = false
-		}
-	}
-	switch {
-	case trip && !g.overloaded.Load():
-		g.overloaded.Store(true)
-		g.stats.Overloaded.Add(1)
-	case clear && g.overloaded.Load():
-		g.overloaded.Store(false)
-		g.stats.Overloaded.Add(-1)
-	}
-	return g.overloaded.Load()
+	scale := 1 + time.Duration(depth*7)/time.Duration(g.park)
+	return DefaultRetryAfter * scale
 }
 
 // busyHintMicros renders a gate's per-tenant retry-after hint for the wire.

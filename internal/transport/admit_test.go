@@ -41,17 +41,18 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 }
 
 func TestNewAdmitGateDisabled(t *testing.T) {
-	if g := NewAdmitGate(AdmitConfig{}, nil); g != nil {
+	if g := NewAdmitGate(0, nil); g != nil {
 		t.Fatalf("Limit 0 must disable the gate, got %v", g)
 	}
 }
 
 func TestAdmitGateTokens(t *testing.T) {
 	var stats AdmitStats
-	g := NewAdmitGate(AdmitConfig{Limit: 2, ParkPerTenant: 1}, &stats)
+	g := NewAdmitGate(2, &stats)
 	if g == nil {
-		t.Fatal("enabled config returned nil gate")
+		t.Fatal("a positive limit returned nil gate")
 	}
+	g.park = 1
 	noop := func() {}
 	if g.Submit(1, noop, noop) != AdmitGranted || g.Submit(1, noop, noop) != AdmitGranted {
 		t.Fatal("gate refused requests within the limit")
@@ -81,8 +82,8 @@ func TestAdmitGateTokens(t *testing.T) {
 	}
 	g.Release()
 	waitUntil(t, "depth to drain", func() bool { return stats.Depth.Load() == 0 })
-	if g.RetryAfter() != DefaultRetryAfter {
-		t.Fatalf("RetryAfter = %v, want default %v", g.RetryAfter(), DefaultRetryAfter)
+	if got := g.RetryAfterTenant(1); got != DefaultRetryAfter {
+		t.Fatalf("RetryAfterTenant with an empty queue = %v, want default %v", got, DefaultRetryAfter)
 	}
 }
 
@@ -92,7 +93,8 @@ func TestAdmitGateTokens(t *testing.T) {
 // with unit quantum), not drain the hot tenant's queue first.
 func TestAdmitGateTenantRoundRobin(t *testing.T) {
 	var stats AdmitStats
-	g := NewAdmitGate(AdmitConfig{Limit: 1, ParkPerTenant: 8}, &stats)
+	g := NewAdmitGate(1, &stats)
+	g.park = 8
 	noop := func() {}
 	if g.Submit(1, noop, noop) != AdmitGranted {
 		t.Fatal("first submit not granted")
@@ -133,7 +135,8 @@ func TestAdmitGateTenantRoundRobin(t *testing.T) {
 // waiter's drop closure so shutdown accounting is released.
 func TestAdmitGateCloseDrainsParked(t *testing.T) {
 	var stats AdmitStats
-	g := NewAdmitGate(AdmitConfig{Limit: 1, ParkPerTenant: 4}, &stats)
+	g := NewAdmitGate(1, &stats)
+	g.park = 4
 	noop := func() {}
 	if g.Submit(1, noop, noop) != AdmitGranted {
 		t.Fatal("first submit not granted")
@@ -153,79 +156,6 @@ func TestAdmitGateCloseDrainsParked(t *testing.T) {
 	}
 	if p := stats.Parked.Load(); p != 0 {
 		t.Fatalf("parked gauge after Close = %d, want 0", p)
-	}
-}
-
-// TestAdmitGateOverloadHysteresis drives the queue-depth detector through
-// trip, hold, and clear: it must trip at the threshold, KEEP shedding while
-// the signal sits between half and full threshold, and clear only at or
-// below half. lastProbe is reset before each evaluation to defeat the
-// probe rate limit deterministically.
-func TestAdmitGateOverloadHysteresis(t *testing.T) {
-	var depth atomic.Int64
-	var stats AdmitStats
-	g := NewAdmitGate(AdmitConfig{Limit: 4, ShedQueueFrames: 100, QueueDepth: depth.Load}, &stats)
-	probe := func() bool {
-		g.lastProbe.Store(0)
-		return g.overloadedNow()
-	}
-	if probe() {
-		t.Fatal("detector tripped with an empty queue")
-	}
-	depth.Store(100)
-	if !probe() {
-		t.Fatal("detector did not trip at the threshold")
-	}
-	if stats.Overloaded.Load() != 1 {
-		t.Fatalf("overloaded gauge = %d, want 1", stats.Overloaded.Load())
-	}
-	g.lastProbe.Store(0)
-	if g.Submit(0, func() {}, func() {}) != AdmitShed {
-		t.Fatal("gate admitted while the detector is tripped, despite free tokens")
-	}
-	if stats.Shed.Load() == 0 {
-		t.Fatal("overload shed not counted")
-	}
-	depth.Store(60) // below trip, above half: hysteresis must hold
-	if !probe() {
-		t.Fatal("detector cleared above half the threshold (flapping)")
-	}
-	depth.Store(50) // at half: clears
-	if probe() {
-		t.Fatal("detector did not clear at half the threshold")
-	}
-	if stats.Overloaded.Load() != 0 {
-		t.Fatalf("overloaded gauge = %d after clear, want 0", stats.Overloaded.Load())
-	}
-	g.lastProbe.Store(0)
-	if g.Submit(0, func() {}, func() {}) != AdmitGranted {
-		t.Fatal("gate still shedding after the detector cleared")
-	}
-	g.Release()
-}
-
-func TestAdmitGateFsyncSignal(t *testing.T) {
-	var p99 atomic.Int64
-	var stats AdmitStats
-	g := NewAdmitGate(AdmitConfig{
-		Limit:        4,
-		ShedFsyncP99: 10 * time.Millisecond,
-		FsyncP99:     func() time.Duration { return time.Duration(p99.Load()) },
-	}, &stats)
-	probe := func() bool {
-		g.lastProbe.Store(0)
-		return g.overloadedNow()
-	}
-	if probe() {
-		t.Fatal("detector tripped with zero fsync delay")
-	}
-	p99.Store(int64(10 * time.Millisecond))
-	if !probe() {
-		t.Fatal("detector did not trip at the fsync threshold")
-	}
-	p99.Store(int64(4 * time.Millisecond))
-	if probe() {
-		t.Fatal("detector did not clear below half the fsync threshold")
 	}
 }
 
@@ -341,6 +271,18 @@ func (p *gatedParkHandler) Handle(n Node, src wire.From, reqID uint64, m wire.Me
 	n.Respond(src, reqID, &wire.Pong{Nonce: ping.Nonce})
 }
 
+// gateOf returns the admission gate of a node either carrier attached, so
+// a test can shrink its park queue before any traffic arrives.
+func gateOf(n Node) *AdmitGate {
+	switch n := n.(type) {
+	case *localNode:
+		return n.gate
+	case *tcpNode:
+		return n.gate
+	}
+	return nil
+}
+
 // testAdmissionLiveness is the gate's liveness invariant, shared by both
 // transports: with every admission token held by parked client handlers,
 // (a) further client requests are shed with a typed Busy, and (b)
@@ -352,9 +294,11 @@ func testAdmissionLiveness(t *testing.T, net Network, stats *AdmitStats, done fu
 	srv := wire.ServerAddr(0, 0)
 	peer := wire.ServerAddr(0, 1)
 	h := &gatedParkHandler{release: make(chan struct{})}
-	if _, err := net.Attach(srv, h); err != nil {
+	sn, err := net.Attach(srv, h)
+	if err != nil {
 		t.Fatal(err)
 	}
+	gateOf(sn).park = 1
 	pn, err := net.Attach(peer, &echoHandler{})
 	if err != nil {
 		t.Fatal(err)
@@ -436,13 +380,13 @@ func TestTCPAdmissionGateLiveness(t *testing.T) {
 		wire.ServerAddr(0, 1): freeAddr(t),
 	}
 	net := NewTCP(dir)
-	net.SetAdmission(AdmitConfig{Limit: 2, ParkPerTenant: 1})
+	net.SetAdmission(2)
 	testAdmissionLiveness(t, net, net.AdmitStats(), func() { net.Close() })
 }
 
 func TestLocalAdmissionGateLiveness(t *testing.T) {
 	net := NewLocal(LatencyModel{})
-	net.SetAdmission(AdmitConfig{Limit: 2, ParkPerTenant: 1})
+	net.SetAdmission(2)
 	testAdmissionLiveness(t, net, net.AdmitStats(), func() { net.Close() })
 }
 

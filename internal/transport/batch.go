@@ -28,9 +28,9 @@ import (
 // each frame as its own flight (local.go).
 
 // DefaultFlushBudget is the adaptive flush latency budget of DefaultPolicy,
-// and of cluster.Config.Batching when none is given: it caps how long a
-// queued frame can wait for the batch it joined to be cut, while staying
-// well under the intra-DC RTT it is amortizing syscalls against.
+// the policy NewTCP applies: it caps how long a queued frame can wait for
+// the batch it joined to be cut, while staying well under the intra-DC RTT
+// it is amortizing syscalls against.
 const DefaultFlushBudget = 200 * time.Microsecond
 
 // Batch sizing defaults.

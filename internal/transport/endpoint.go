@@ -27,7 +27,7 @@ import (
 type endpoint struct {
 	addr  wire.Addr
 	h     Handler    // nil for mux endpoints
-	gate  *AdmitGate // client admission gate; nil unless SetAdmission enabled it
+	gate  *AdmitGate // client admission gate; nil unless SetAdmission set a limit
 	stats *Stats
 	pool  uint8 // carrier slots sessions spread over (TCP's socket pool; 1 on Local)
 

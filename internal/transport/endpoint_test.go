@@ -94,7 +94,7 @@ func TestEndpointShedPath(t *testing.T) {
 		sent = append(sent, env)
 		return nil
 	})
-	e.gate = NewAdmitGate(AdmitConfig{Limit: 1, RetryAfter: 3 * time.Millisecond}, new(AdmitStats))
+	e.gate = NewAdmitGate(1, new(AdmitStats))
 	cli, sess := wire.ClientAddr(0, 5), wire.MakeSession(2, 9)
 
 	e.shed(&wire.Envelope{Src: cli, Session: sess, ReqID: 41, Msg: &wire.Ping{}})
@@ -112,8 +112,8 @@ func TestEndpointShedPath(t *testing.T) {
 		if !isBusy || sent[i] != want {
 			t.Fatalf("Busy %d: envelope %+v (busy=%v), want %+v", i, sent[i], isBusy, want)
 		}
-		if wantEcho := []uint64{0, 77}[i]; busy.Echo != wantEcho || busy.RetryAfterMicros != 3000 {
-			t.Fatalf("Busy %d: %+v, want Echo %d RetryAfterMicros 3000", i, busy, wantEcho)
+		if wantEcho := []uint64{0, 77}[i]; busy.Echo != wantEcho || busy.RetryAfter() != DefaultRetryAfter {
+			t.Fatalf("Busy %d: %+v, want Echo %d and hint DefaultRetryAfter", i, busy, wantEcho)
 		}
 	}
 
@@ -134,7 +134,7 @@ func TestEndpointShedPath(t *testing.T) {
 // base handler; and only client-sourced requests are marked for the gate.
 func TestEndpointRoute(t *testing.T) {
 	e, stats := bareEndpoint(func(*endpoint, wire.Envelope) error { return nil })
-	e.gate = NewAdmitGate(AdmitConfig{Limit: 1}, new(AdmitStats))
+	e.gate = NewAdmitGate(1, new(AdmitStats))
 	var pushes int
 	id := wire.MakeSession(1, 1)
 	s, err := e.Session(id, HandlerFunc(func(n Node, src wire.From, _ uint64, _ wire.Message) {

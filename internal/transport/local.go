@@ -71,14 +71,13 @@ func (l LatencyModel) Delay(src, dst wire.Addr) time.Duration {
 // channel while idle and spin only when the next delivery is imminent,
 // giving microsecond-accurate injection (README, "Transport batching").
 type Local struct {
-	latency    LatencyModel
-	stats      Stats
-	admit      AdmitConfig
-	admitStats AdmitStats
-	wheels     []*wheel
-	nextWheel  atomic.Uint32 // round-robin cursor over wheels, one step per flight
-	start      time.Time     // zero of clock
-	wheelWG    sync.WaitGroup
+	admission
+	latency   LatencyModel
+	stats     Stats
+	wheels    []*wheel
+	nextWheel atomic.Uint32 // round-robin cursor over wheels, one step per flight
+	start     time.Time     // zero of clock
+	wheelWG   sync.WaitGroup
 
 	// lossBits holds the current cross-DC loss fraction (float64 bits),
 	// runtime-adjustable so fault tests can sever and heal the WAN
@@ -159,20 +158,6 @@ func (l *Local) Stats() *Stats { return &l.stats }
 // clock is the network's monotonic time, on which flights are due.
 func (l *Local) clock() time.Duration { return time.Since(l.start) }
 
-// AdmitStats exposes the admission-control counters (all zero while
-// admission is disabled).
-func (l *Local) AdmitStats() *AdmitStats { return &l.admitStats }
-
-// SetAdmission configures client admission control for nodes attached
-// AFTER the call: each server-address node gets its own gate, applied only
-// to requests whose source carries the client flag (endpoint.route). Call
-// it before attaching servers.
-func (l *Local) SetAdmission(cfg AdmitConfig) {
-	l.mu.Lock()
-	l.admit = cfg
-	l.mu.Unlock()
-}
-
 // SetInterDCLoss changes the cross-DC loss fraction at runtime. Fault
 // tests use 1.0 to sever the WAN (isolating a DC while it keeps serving
 // locally) and 0 to heal it.
@@ -209,11 +194,8 @@ func (l *Local) attach(addr wire.Addr, h Handler) (*localNode, error) {
 	if _, dup := l.nodes[addr]; dup {
 		return nil, ErrAttached
 	}
-	n := &localNode{net: l, endpoint: endpoint{addr: addr, h: h, stats: &l.stats, pool: 1, stop: make(chan struct{}), idle: make(chan func())}}
+	n := &localNode{net: l, endpoint: endpoint{addr: addr, h: h, gate: l.gateFor(addr), stats: &l.stats, pool: 1, stop: make(chan struct{}), idle: make(chan func())}}
 	n.self, n.carry = n, n.send
-	if addr.IsServer() && l.admit.Enabled() {
-		n.gate = NewAdmitGate(l.admit, &l.admitStats)
-	}
 	l.nodes[addr] = n
 	return n, nil
 }

@@ -157,9 +157,11 @@ func testTenantFairness(t *testing.T, net Network, stats *AdmitStats, done func(
 	defer done()
 	srv := wire.ServerAddr(0, 0)
 	peer := wire.ServerAddr(0, 1)
-	if _, err := net.Attach(srv, slowEchoHandler{delay: 2 * time.Millisecond}); err != nil {
+	sn, err := net.Attach(srv, slowEchoHandler{delay: 2 * time.Millisecond})
+	if err != nil {
 		t.Fatal(err)
 	}
+	gateOf(sn).park = 8
 	pn, err := net.Attach(peer, &echoHandler{})
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +252,13 @@ func TestTCPTenantFairness(t *testing.T) {
 		wire.ServerAddr(0, 1): freeAddr(t),
 	}
 	net := NewTCP(dir)
-	net.SetAdmission(AdmitConfig{Limit: 2, ParkPerTenant: 8, RetryAfter: 2 * time.Millisecond})
+	net.SetAdmission(2)
 	testTenantFairness(t, net, net.AdmitStats(), func() { net.Close() })
 }
 
 func TestLocalTenantFairness(t *testing.T) {
 	net := NewLocal(LatencyModel{})
-	net.SetAdmission(AdmitConfig{Limit: 2, ParkPerTenant: 8, RetryAfter: 2 * time.Millisecond})
+	net.SetAdmission(2)
 	testTenantFairness(t, net, net.AdmitStats(), func() { net.Close() })
 }
 

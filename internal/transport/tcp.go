@@ -29,10 +29,9 @@ const (
 // directory; clients need not listen — peers respond over the connection a
 // request arrived on.
 type TCP struct {
-	stats      Stats
-	pol        BatchPolicy
-	admit      AdmitConfig
-	admitStats AdmitStats
+	admission
+	stats Stats
+	pol   BatchPolicy
 
 	mu     sync.Mutex
 	dir    map[wire.Addr]string
@@ -46,8 +45,9 @@ func NewTCP(directory map[wire.Addr]string) *TCP {
 	return NewTCPOpts(directory, DefaultPolicy())
 }
 
-// NewTCPOpts is NewTCP with an explicit batch policy (kvserver passes
-// cluster.Config.Batching here).
+// NewTCPOpts is NewTCP with an explicit batch policy: the seam the batching
+// engine's tests drive (tcp_test.go, and TestCausalityUnderAggressiveBatching
+// in internal/check).
 func NewTCPOpts(directory map[wire.Addr]string, pol BatchPolicy) *TCP {
 	dir := make(map[wire.Addr]string, len(directory))
 	for a, hp := range directory {
@@ -58,21 +58,6 @@ func NewTCPOpts(directory map[wire.Addr]string, pol BatchPolicy) *TCP {
 
 // Stats exposes traffic counters.
 func (t *TCP) Stats() *Stats { return &t.stats }
-
-// AdmitStats exposes the admission-control counters (all zero while
-// admission is disabled).
-func (t *TCP) AdmitStats() *AdmitStats { return &t.admitStats }
-
-// SetAdmission configures client admission control for nodes attached
-// AFTER the call: each server-address node gets its own gate (token cap +
-// overload detector) applied only to requests whose source carries the
-// client flag. Call it before Attach; already-attached nodes are
-// unaffected.
-func (t *TCP) SetAdmission(cfg AdmitConfig) {
-	t.mu.Lock()
-	t.admit = cfg
-	t.mu.Unlock()
-}
 
 // Attach registers addr. If addr is in the directory the node listens on
 // its directory endpoint; otherwise it is a client-only node that can dial
@@ -115,7 +100,7 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 		}
 	}
 	n := &tcpNode{
-		endpoint: endpoint{addr: addr, h: h, stats: &t.stats, pool: uint8(pool), stop: make(chan struct{}), idle: make(chan func())},
+		endpoint: endpoint{addr: addr, h: h, gate: t.gateFor(addr), stats: &t.stats, pool: uint8(pool), stop: make(chan struct{}), idle: make(chan func())},
 		t:        t,
 		ln:       ln,
 		conns:    make(map[connKey]*tcpConn),
@@ -123,9 +108,6 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 		dialing:  make(map[connKey]chan struct{}),
 	}
 	n.self, n.carry = n, n.send
-	if addr.IsServer() && t.admit.Enabled() {
-		n.gate = NewAdmitGate(t.admit, &t.admitStats)
-	}
 	if ln != nil {
 		n.wg.Add(1)
 		go n.acceptLoop()

@@ -136,7 +136,7 @@ func TestTCPAttachListenFailureStartsNothing(t *testing.T) {
 	defer taken.Close()
 	tnet := NewTCP(map[wire.Addr]string{wire.ServerAddr(0, 0): taken.Addr().String()})
 	defer tnet.Close()
-	tnet.SetAdmission(AdmitConfig{Limit: 2})
+	tnet.SetAdmission(2)
 	before := runtime.NumGoroutine()
 	if _, err := tnet.Attach(wire.ServerAddr(0, 0), &echoHandler{}); err == nil {
 		t.Fatal("attach on a port in use succeeded")
