@@ -188,8 +188,8 @@ func (c *Cluster) NewSession(dc int) (*Session, error) {
 
 // NewTenantSession opens a client session homed in dc as a logical
 // session of the given tenant, multiplexed with every other session of
-// that DC over one shared endpoint (and, over TCP, a small fixed
-// connection pool). Under admission control the server sheds and queues
+// that DC over one shared endpoint (and, over TCP, one socket per
+// server). Under admission control the server sheds and queues
 // per tenant, so a saturating tenant cannot starve a trickle tenant.
 func (c *Cluster) NewTenantSession(dc int, tenant uint16) (*Session, error) {
 	cli, err := c.inner.NewClient(dc, tenant)

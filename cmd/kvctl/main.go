@@ -5,11 +5,11 @@
 //	kvctl -topology topo.txt rot key1 key2 key3
 //	kvctl -topology topo.txt bench -n 1000
 //
-// Every client is a logical session on one multiplexed endpoint with a
-// small socket pool per server (-socket-pool). With -sessions-per-conn the
-// bench command drives many sessions over that endpoint instead of one:
+// Every client is a logical session on one multiplexed endpoint with one
+// socket per server it contacts. With -sessions-per-conn the bench command
+// drives many sessions over that endpoint instead of one:
 //
-//	kvctl -topology topo.txt -tenants 4 -sessions-per-conn 250 -socket-pool 8 bench 20000
+//	kvctl -topology topo.txt -tenants 4 -sessions-per-conn 250 bench 20000
 package main
 
 import (
@@ -43,8 +43,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 5*time.Second, "operation timeout")
 		seed     = flag.Int64("seed", 0, "RNG seed for client id and bench key picks; 0 draws a time-based seed, any other value makes runs reproducible")
 		tenants  = flag.Int("tenants", 1, "bench: spread sessions round-robin over this many admission tenants")
-		sessions = flag.Int("sessions-per-conn", 0, "bench: run this many logical sessions per tenant, all multiplexed over one endpoint's socket pool (0 = the one session every command runs)")
-		sockPool = flag.Int("socket-pool", 4, "connections per server the client endpoint may open")
+		sessions = flag.Int("sessions-per-conn", 0, "bench: run this many logical sessions per tenant, all multiplexed over one endpoint's socket per server (0 = the one session every command runs)")
 	)
 	flag.Parse()
 	if *seed == 0 {
@@ -77,7 +76,7 @@ func main() {
 	// id addresses the endpoint and is its first session's id; the bench's
 	// further sessions count up from it.
 	id := int(rng.Int31n(30000)) + 1000
-	mux, err := net.AttachMux(wire.ClientAddr(*dc, id), *sockPool)
+	mux, err := net.AttachMux(wire.ClientAddr(*dc, id), 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func main() {
 			fmt.Sscanf(args[1], "%d", &n)
 		}
 		if *sessions > 0 {
-			benchSessions(net, mux, cfg, *dc, id, n, *tenants, *sessions, *sockPool, *timeout)
+			benchSessions(net, mux, cfg, *dc, id, n, *tenants, *sessions, *timeout)
 		} else {
 			benchLoop(cli, n, *timeout, rng)
 		}
@@ -243,15 +242,14 @@ func straddle(net transport.Network, dc, parts, id int, gap time.Duration, k1, k
 }
 
 // benchSessions is the connection-scale bench: tenants x perConn logical
-// sessions, with ids counting up from baseID+1, share mux, whose socket
-// pool is capped at pool connections per server, and hammer the cluster
-// concurrently. The summary line reports aggregate goodput plus the
-// endpoint's socket high-water mark — the number the connection-scale
-// smoke bounds. Warm-up
+// sessions, with ids counting up from baseID+1, share mux, which holds one
+// socket per server, and hammer the cluster concurrently. The summary line
+// reports aggregate goodput plus the endpoint's socket high-water mark —
+// the number the connection-scale smoke bounds. Warm-up
 // and every op are bounded by timeout; a session whose call times out
 // stops there and counts its remaining ops as failed, so an unanswering
 // server costs the run one timeout, not one per op.
-func benchSessions(net *transport.TCP, mux transport.Mux, cfg cluster.Config, dc, baseID, n, tenants, perConn, pool int, timeout time.Duration) {
+func benchSessions(net *transport.TCP, mux transport.Mux, cfg cluster.Config, dc, baseID, n, tenants, perConn int, timeout time.Duration) {
 	if tenants < 1 {
 		tenants = 1
 	}
@@ -315,8 +313,8 @@ func benchSessions(net *transport.TCP, mux transport.Mux, cfg cluster.Config, dc
 	wg.Wait()
 	elapsed := time.Since(start)
 	v := net.Stats().View()
-	fmt.Printf("%d sessions (%d tenants) over <=%d sockets/server: %d ops in %v (%.0f op/s), %d failed; sockets peak=%d sessions peak=%d\n",
-		total, tenants, pool, ops.Load(), elapsed.Round(time.Millisecond),
+	fmt.Printf("%d sessions (%d tenants) over 1 socket/server: %d ops in %v (%.0f op/s), %d failed; sockets peak=%d sessions peak=%d\n",
+		total, tenants, ops.Load(), elapsed.Round(time.Millisecond),
 		float64(ops.Load())/elapsed.Seconds(), fails.Load(), v.OpenConnsPeak, v.SessionsPeak)
 }
 

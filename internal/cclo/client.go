@@ -55,7 +55,7 @@ type ClientConfig struct {
 }
 
 // NewSessionClient runs the client as logical session id on mux, sharing
-// the mux's connection pool with any number of sibling sessions. cfg.ID
+// the mux's connections with any number of sibling sessions. cfg.ID
 // must still be unique per DC (rot identity); callers typically allocate
 // the session id from the same space.
 func NewSessionClient(cfg ClientConfig, mux transport.Mux, id wire.SessionID) (*Client, error) {

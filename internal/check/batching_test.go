@@ -17,43 +17,25 @@ import (
 )
 
 // TestCausalityUnderAggressiveBatching runs the causal-consistency checker
-// over TCP's batching engine at both extremes of the flush policy — a tiny
-// budget that cuts batches mid-backlog, and a huge-batch configuration that
-// coalesces as hard as the engine allows — for every protocol family, each
-// node on a TCP network of its own as separate kvserver processes would be.
-// A third run per family uses the Local simulator with strong jitter: Local
-// sends each frame as its own flight with its own latency sample, so the
-// jitter reorders frames freely, within a link and across links. If
-// coalescing or reordering could ever lead into a causality violation,
-// sessions here would observe it. (The paper's guarantees are per-session;
-// the transport itself promises no cross-message ordering, which is exactly
-// why this must be policed by the checker rather than assumed.)
+// over TCP's socket writers, which coalesce whatever frames are queued, for
+// every protocol family, each node on a TCP network of its own as separate
+// kvserver processes would be. A second run per family uses the Local
+// simulator with strong jitter: Local sends each frame as its own flight
+// with its own latency sample, so the jitter reorders frames freely, within
+// a link and across links. If coalescing or reordering could ever lead into
+// a causality violation, sessions here would observe it. (The paper's
+// guarantees are per-session; the transport itself promises no
+// cross-message ordering, which is exactly why this must be policed by the
+// checker rather than assumed.)
 func TestCausalityUnderAggressiveBatching(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized soak")
 	}
-	configs := []struct {
-		name   string
-		budget time.Duration
-		batch  int
-	}{
-		// Budget of 1ns: every gather re-checks the clock and cuts almost
-		// immediately — maximal batch-boundary churn.
-		{"tiny-budget", time.Nanosecond, 0},
-		// 5ms budget with 1 MiB batches: maximal coalescing; under load a
-		// frame may ride a batch for several milliseconds.
-		{"huge-batches", 5 * time.Millisecond, 1 << 20},
-	}
 	for _, proto := range cluster.Families() {
-		for _, bc := range configs {
-			t.Run(fmt.Sprintf("%s/%s", proto, bc.name), func(t *testing.T) {
-				t.Parallel()
-				pol := transport.DefaultPolicy()
-				pol.FlushBudget = bc.budget
-				pol.MaxBatchBytes = bc.batch
-				soakCausality(t, startTCPDeployment(t, proto, pol))
-			})
-		}
+		t.Run(fmt.Sprintf("%s/tcp", proto), func(t *testing.T) {
+			t.Parallel()
+			soakCausality(t, startTCPDeployment(t, proto))
+		})
 		t.Run(fmt.Sprintf("%s/jittered-flights", proto), func(t *testing.T) {
 			t.Parallel()
 			// Real (small) link latencies with strong jitter, so frames
@@ -195,7 +177,7 @@ func soakCausality(t *testing.T, d deployment) {
 
 // tcpDeployment is a 2-DC x 2-partition cluster over localhost sockets:
 // every server and stabilizer, and each DC's client mux, is on a TCP
-// network of its own, so every hop crosses a batched socket.
+// network of its own, so every hop crosses a socket.
 type tcpDeployment struct {
 	cfg     cluster.Config
 	servers []cluster.Server
@@ -222,9 +204,9 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// startTCPDeployment starts proto's cluster with every TCP network
-// batching under pol; t's cleanup tears it down.
-func startTCPDeployment(t *testing.T, proto cluster.Protocol, pol transport.BatchPolicy) *tcpDeployment {
+// startTCPDeployment starts proto's cluster over TCP; t's cleanup tears it
+// down.
+func startTCPDeployment(t *testing.T, proto cluster.Protocol) *tcpDeployment {
 	t.Helper()
 	d := &tcpDeployment{cfg: cluster.Config{Protocol: proto, DCs: 2, Partitions: 2, MaxVersions: 256}}
 	bindMu.Lock()
@@ -237,14 +219,14 @@ func startTCPDeployment(t *testing.T, proto cluster.Protocol, pol transport.Batc
 		dir[wire.StabilizerAddr(dc)] = freePort(t)
 	}
 	newNet := func() transport.Network {
-		n := transport.NewTCPOpts(dir, pol)
+		n := transport.NewTCP(dir)
 		t.Cleanup(func() { n.Close() })
 		return n
 	}
 	// Clock skews of up to ±1 ms, as cluster.Start draws them.
 	rng := rand.New(rand.NewSource(1 + 7))
 	for dc := 0; dc < d.cfg.DCs; dc++ {
-		m, err := newNet().AttachMux(wire.ClientAddr(dc, tcpMuxID), 2)
+		m, err := newNet().AttachMux(wire.ClientAddr(dc, tcpMuxID), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestParseTopologyErrors(t *testing.T) {
 // TestTCPDeployment runs 1 DC x 2 partitions of every family over real TCP
 // sockets on localhost, assembled exactly as cmd/kvserver and cmd/kvctl
 // assemble it — Config.NewServer (plus NewStabilizer where the family has
-// one) and Config.NewClient as sessions of one client mux (pool 2) over a
+// one) and Config.NewClient as sessions of one client mux over a
 // TCP network — and checks basic causal operation, including a
 // cross-partition dependency (CC-LO's readers check and COPS's dependency
 // check then cross sockets) and the 1 1/2-round ROT's direct pushes to a
@@ -106,7 +106,7 @@ func TestTCPDeployment(t *testing.T) {
 				st.Start()
 				defer st.Close()
 			}
-			mux, err := net.AttachMux(wire.ClientAddr(0, 899), 2)
+			mux, err := net.AttachMux(wire.ClientAddr(0, 899), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

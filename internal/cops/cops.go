@@ -291,7 +291,7 @@ type ClientConfig struct {
 }
 
 // NewSessionClient runs the client as logical session id on mux, sharing
-// the mux's connection pool with any number of sibling sessions.
+// the mux's connections with any number of sibling sessions.
 func NewSessionClient(cfg ClientConfig, mux transport.Mux, id wire.SessionID) (*Client, error) {
 	node, err := mux.Session(id, transport.HandlerFunc(
 		func(transport.Node, wire.From, uint64, wire.Message) {}))
@@ -343,19 +343,23 @@ func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, err
 	return pr.TS, nil
 }
 
-// ROT executes COPS' two-round read-only transaction: read the latest
-// versions with their dependencies, compute the causal cut, and — only
-// when the first round straddles a write — fetch the cut's exact versions
-// in a second round.
+// ROT executes COPS' two-round read-only transaction as Base.ROT's
+// attempt (rotOnce). COPS never refuses or fences a ROT, so only shedding
+// retries it.
 func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
-	if len(keys) == 0 {
-		return nil, nil
+	kvs, err := c.Base.ROT(ctx, keys, family.RotRetry{},
+		func() (map[string]wire.KV, error) { return c.rotOnce(ctx, keys) })
+	if err != nil {
+		return nil, fmt.Errorf("cops: rot: %w", err)
 	}
+	return kvs, nil
+}
+
+// rotOnce is one ROT attempt: read the latest versions with their
+// dependencies, compute the causal cut, and — only when the first round
+// straddles a write — fetch the cut's exact versions in a second round.
+func (c *Client) rotOnce(ctx context.Context, keys []string) (map[string]wire.KV, error) {
 	groups := c.ring.Group(keys)
-	inSet := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		inSet[k] = true
-	}
 
 	// Round 1: latest versions + dependency lists.
 	type r1 struct {
@@ -383,7 +387,7 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 	for range groups {
 		r := <-ch
 		if r.err != nil {
-			return nil, fmt.Errorf("cops: rot round 1: %w", r.err)
+			return nil, fmt.Errorf("round 1: %w", r.err)
 		}
 		for i, v := range r.vals {
 			v.KV.Key = r.keys[i]
@@ -401,30 +405,8 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 		}
 	}
 
-	// Causal cut: the newest version of each read key that any returned
-	// version depends on. LWW order (TS, Src) decides "newer": an
-	// equal-timestamp dependency from a higher DC is a different, newer
-	// version than the one round 1 returned.
-	lwwAfter := func(ts uint64, src uint8, ts2 uint64, src2 uint8) bool {
-		return ts > ts2 || (ts == ts2 && src > src2)
-	}
-	cut := make(map[string]wire.LoDep)
-	for _, v := range got {
-		for _, d := range v.Deps {
-			if !inSet[d.Key] {
-				continue
-			}
-			cur := got[d.Key].KV
-			if lwwAfter(d.TS, d.Src, cur.TS, cur.Src) {
-				if prev, ok := cut[d.Key]; !ok || lwwAfter(d.TS, d.Src, prev.TS, prev.Src) {
-					cut[d.Key] = d
-				}
-			}
-		}
-	}
-
 	// Round 2 (only when needed): fetch the cut's exact versions.
-	if len(cut) > 0 {
+	if cut := causalCut(got); len(cut) > 0 {
 		type r2 struct {
 			val wire.KV
 			err error
@@ -449,7 +431,7 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 		for range cut {
 			r := <-ch2
 			if r.err != nil {
-				return nil, fmt.Errorf("cops: rot round 2: %w", r.err)
+				return nil, fmt.Errorf("round 2: %w", r.err)
 			}
 			if r.val.TS > 0 {
 				// A miss cannot happen when the cut identity is real (the
@@ -462,26 +444,37 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 		}
 	}
 
-	out := make([]wire.KV, len(keys))
-	for i, k := range keys {
-		out[i] = got[k].KV
-		if out[i].TS > 0 {
-			c.observe(k, out[i].TS, out[i].Src)
+	out := make(map[string]wire.KV, len(got))
+	for k, v := range got {
+		out[k] = v.KV
+		if v.KV.TS > 0 {
+			c.observe(k, v.KV.TS, v.KV.Src)
 		}
 	}
 	return out, nil
 }
 
-// Rounds2Needed is exposed for tests: it reports whether the given round-1
-// results would require a second round (LWW identity order).
-func Rounds2Needed(vals map[string]wire.DepKV) bool {
-	for _, v := range vals {
+// causalCut returns the versions a second round must fetch: for each read
+// key that some round-1 version depends on at a newer version than round 1
+// returned for it, the newest such dependency. LWW order (TS, Src) decides
+// "newer": an equal-timestamp dependency from a higher DC is a different,
+// newer version than the one round 1 returned. An empty cut means round 1
+// already is a causal snapshot.
+func causalCut(got map[string]wire.DepKV) map[string]wire.LoDep {
+	lwwAfter := func(ts uint64, src uint8, ts2 uint64, src2 uint8) bool {
+		return ts > ts2 || (ts == ts2 && src > src2)
+	}
+	cut := make(map[string]wire.LoDep)
+	for _, v := range got {
 		for _, d := range v.Deps {
-			if other, ok := vals[d.Key]; ok &&
-				(d.TS > other.KV.TS || (d.TS == other.KV.TS && d.Src > other.KV.Src)) {
-				return true
+			cur, read := got[d.Key]
+			if !read || !lwwAfter(d.TS, d.Src, cur.KV.TS, cur.KV.Src) {
+				continue
+			}
+			if prev, ok := cut[d.Key]; !ok || lwwAfter(d.TS, d.Src, prev.TS, prev.Src) {
+				cut[d.Key] = d
 			}
 		}
 	}
-	return false
+	return cut
 }

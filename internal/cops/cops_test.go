@@ -146,8 +146,9 @@ func TestSecondRoundClosesTheGap(t *testing.T) {
 		x: {KV: wire.KV{Key: x, Value: vx0.value, TS: vx0.ts}, Deps: vx0.deps},
 		y: {KV: wire.KV{Key: y, Value: vy1.value, TS: vy1.ts}, Deps: vy1.deps},
 	}
-	if !Rounds2Needed(round1) {
-		t.Fatalf("stale X0 + fresh Y1 must need a second round (deps %v)", vy1.deps)
+	vx1, _ := sx.store.latest(x)
+	if d, ok := causalCut(round1)[x]; !ok || d.TS != vx1.ts {
+		t.Fatalf("stale X0 + fresh Y1 must cut x at X1's ts %d (cut %v, deps %v)", vx1.ts, causalCut(round1), vy1.deps)
 	}
 
 	// The full client ROT returns a consistent (and here, fresh) snapshot.
@@ -230,8 +231,8 @@ func TestRounds2NeededFalseWhenConsistent(t *testing.T) {
 		"x": {KV: wire.KV{Key: "x", TS: 10}},
 		"y": {KV: wire.KV{Key: "y", TS: 12}, Deps: []wire.LoDep{{Key: "x", TS: 10}}},
 	}
-	if Rounds2Needed(vals) {
-		t.Fatal("consistent round-1 results must not need a second round")
+	if cut := causalCut(vals); len(cut) != 0 {
+		t.Fatalf("consistent round-1 results must not need a second round (cut %v)", cut)
 	}
 }
 

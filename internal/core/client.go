@@ -50,7 +50,7 @@ type ClientConfig struct {
 // NewSessionClient runs the client as logical session id on mux: every
 // frame it sends carries the session id, and the 1 1/2-round ROT's direct
 // partition-to-client answers are demultiplexed back to this client even
-// though any number of sessions share the mux's connection pool.
+// though any number of sessions share the mux's connections.
 func NewSessionClient(cfg ClientConfig, mux transport.Mux, id wire.SessionID) (*Client, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = OneAndHalfRounds

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,10 +10,11 @@ import (
 	"repro/internal/wire"
 )
 
-// countSink records batch sizes. With gate set, every WriteBatch counts
-// its batch and then parks until the test sends one release — making batch
-// boundaries fully deterministic: the test enqueues each burst while the
-// writer is parked, so gather timing can never race frame arrival.
+// countSink records batch sizes; its writeBatch stands in for a socket's.
+// With gate set, every writeBatch counts its batch and then parks until
+// the test sends one release — making batch boundaries fully
+// deterministic: the test enqueues each burst while the writer is parked,
+// so gather timing can never race frame arrival.
 type countSink struct {
 	gate     chan struct{}
 	frames   atomic.Uint64
@@ -20,7 +22,7 @@ type countSink struct {
 	maxBatch atomic.Uint64
 }
 
-func (s *countSink) WriteBatch(frames []*wire.FrameBuf) error {
+func (s *countSink) writeBatch(frames []*wire.FrameBuf) error {
 	n := uint64(len(frames))
 	for _, f := range frames {
 		wire.PutFrame(f)
@@ -49,19 +51,18 @@ func testFrame(n int) *wire.FrameBuf {
 }
 
 // runGatedLoad drives `rounds` bursts of `burst` frames (frameBytes each)
-// through a Batcher with pol, using the gated sink so every burst is
-// enqueued while the writer is parked mid-flush: the whole burst is a
-// ready backlog when the writer next gathers, so the batch boundaries are
-// decided by the POLICY (byte cap / budget), not by scheduling races.
-func runGatedLoad(t *testing.T, pol BatchPolicy, rounds, burst, frameBytes int) StatsView {
+// through a writer over the gated sink, so every burst is enqueued while
+// the writer is parked mid-flush: the whole burst is a ready backlog when
+// the writer next gathers, so the batch boundaries are decided by the byte
+// cap, not by scheduling races.
+func runGatedLoad(t *testing.T, sink *countSink, rounds, burst, frameBytes int) StatsView {
 	t.Helper()
-	sink := &countSink{gate: make(chan struct{})}
 	stats := &Stats{}
-	b := NewBatcher(sink, pol, stats)
+	w := newWriter(sink.writeBatch, stats)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b.Run()
+		w.run()
 	}()
 	waitParked := func(batches uint64) {
 		deadline := time.Now().Add(20 * time.Second)
@@ -73,21 +74,28 @@ func runGatedLoad(t *testing.T, pol BatchPolicy, rounds, burst, frameBytes int) 
 		}
 	}
 	// Bootstrap: one sentinel frame parks the writer in its first flush.
-	if err := b.Enqueue(context.Background(), testFrame(frameBytes)); err != nil {
+	if err := w.enqueue(context.Background(), testFrame(frameBytes)); err != nil {
 		t.Fatal(err)
 	}
 	waitParked(1)
 	total, released := uint64(1), uint64(0)
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < burst; i++ {
-			if err := b.Enqueue(context.Background(), testFrame(frameBytes)); err != nil {
+			if err := w.enqueue(context.Background(), testFrame(frameBytes)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		total += uint64(burst)
-		sink.gate <- struct{}{} // release the parked flush; the writer gathers the burst
-		released++
-		waitParked(released + 1)
+		// Release parked flushes until the writer has gathered the whole
+		// burst (a burst past the byte cap takes more than one batch).
+		for {
+			sink.gate <- struct{}{}
+			released++
+			waitParked(released + 1)
+			if stats.SendQueue.Load() == 0 {
+				break
+			}
+		}
 	}
 	// Drain: keep releasing until everything is flushed and nothing parks.
 	deadline := time.Now().Add(20 * time.Second)
@@ -105,7 +113,7 @@ func runGatedLoad(t *testing.T, pol BatchPolicy, rounds, burst, frameBytes int) 
 		}
 		time.Sleep(10 * time.Microsecond)
 	}
-	b.Close()
+	w.close()
 	<-done
 	if q := stats.SendQueue.Load(); q != 0 {
 		t.Fatalf("send-queue gauge left at %d after drain", q)
@@ -113,29 +121,29 @@ func runGatedLoad(t *testing.T, pol BatchPolicy, rounds, burst, frameBytes int) 
 	return stats.View()
 }
 
-// TestBatcherGreedyDrainReachable pins that FlushBudget=0 is still the
-// seed's greedy drain-until-idle: a pre-queued backlog is retired in ONE
-// flush, no matter how old its frames are.
+// TestBatcherGreedyDrainReachable pins the greedy drain-until-idle: a
+// pre-queued backlog is retired in ONE flush, no matter how old its frames
+// are.
 func TestBatcherGreedyDrainReachable(t *testing.T) {
 	stats := &Stats{}
 	sink := &countSink{}
-	b := NewBatcher(sink, BatchPolicy{FlushBudget: 0, QueueLen: 64}, stats)
+	w := newWriter(sink.writeBatch, stats)
 	const n = 40
 	for i := 0; i < n; i++ {
-		if err := b.Enqueue(context.Background(), testFrame(64)); err != nil {
+		if err := w.enqueue(context.Background(), testFrame(64)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b.Run()
+		w.run()
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for sink.frames.Load() < n && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	b.Close()
+	w.close()
 	<-done
 	if sink.frames.Load() != n {
 		t.Fatalf("delivered %d/%d", sink.frames.Load(), n)
@@ -149,62 +157,19 @@ func TestBatcherGreedyDrainReachable(t *testing.T) {
 	}
 }
 
-// TestBatcherBudgetCutsOpenBatches pins the adaptive half: with a latency
-// budget, a large ready backlog is cut into multiple batches (the budget
-// bounds how long one batch stays open) where greedy drain would retire it
-// in a single flush.
-func TestBatcherBudgetCutsOpenBatches(t *testing.T) {
-	const n = 20000
-	mk := func(budget time.Duration) uint64 {
-		sink := &countSink{}
-		stats := &Stats{}
-		b := NewBatcher(sink, BatchPolicy{FlushBudget: budget, MaxBatchBytes: 1 << 30, QueueLen: n}, stats)
-		for i := 0; i < n; i++ {
-			if err := b.Enqueue(context.Background(), testFrame(8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			b.Run()
-		}()
-		deadline := time.Now().Add(20 * time.Second)
-		for sink.frames.Load() < n && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		b.Close()
-		<-done
-		if sink.frames.Load() != n {
-			t.Fatalf("delivered %d/%d", sink.frames.Load(), n)
-		}
-		return sink.batches.Load()
-	}
-	if got := mk(0); got != 1 {
-		t.Fatalf("greedy: %d flushes for a ready backlog, want 1", got)
-	}
-	// Gathering 20k frames takes far longer than 50µs (each iteration is a
-	// channel receive plus a clock read), so the budget must cut the
-	// backlog into several batches.
-	if got := mk(50 * time.Microsecond); got < 2 {
-		t.Fatalf("adaptive: budget never cut the open batch (%d flushes)", got)
-	}
-}
-
-// TestBatcherIdleFlushIsImmediate pins that the budget adds no idle
-// latency: a lone frame flushes as soon as the queue goes idle, not after
-// FlushBudget.
+// TestBatcherIdleFlushIsImmediate pins that the writer adds no idle
+// latency: a lone frame flushes as soon as the queue goes idle.
 func TestBatcherIdleFlushIsImmediate(t *testing.T) {
 	sink := &countSink{}
 	stats := &Stats{}
-	b := NewBatcher(sink, BatchPolicy{FlushBudget: 5 * time.Second}, stats)
+	w := newWriter(sink.writeBatch, stats)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		b.Run()
+		w.run()
 	}()
 	start := time.Now()
-	if err := b.Enqueue(context.Background(), testFrame(64)); err != nil {
+	if err := w.enqueue(context.Background(), testFrame(64)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -215,53 +180,78 @@ func TestBatcherIdleFlushIsImmediate(t *testing.T) {
 		t.Fatal("lone frame not flushed: idle queue must flush immediately")
 	}
 	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("lone frame waited %v; the budget must not delay idle flushes", waited)
+		t.Fatalf("lone frame waited %v; an idle queue must flush at once", waited)
 	}
-	b.Close()
+	w.close()
 	<-done
 }
 
-// TestBatcherAdaptiveFlushUnderLoad is the loaded-transport acceptance
-// test: bursts of 64×2 KiB frames land as ready backlogs (the gated sink
-// removes scheduling races), and the adaptive policy must (a) keep the p99
-// enqueue→flush delay at or under the configured budget and (b) coalesce
-// at least as many frames per flush as the seed's greedy drain, whose
-// batches the 64 KiB bufio buffer used to cut at 32 frames.
+// TestBatcherAdaptiveFlushUnderLoad is the loaded-writer acceptance test
+// and pins the byte cap: bursts of 192×2 KiB frames land as ready
+// backlogs (the gated sink removes scheduling races), so every batch the
+// writer cuts is as large as the backlog allows up to maxBatchBytes —
+// exactly 128 of these frames, never more — and the enqueue→flush delay
+// is recorded for every frame.
 func TestBatcherAdaptiveFlushUnderLoad(t *testing.T) {
 	const (
 		rounds     = 20
-		burst      = 64
+		burst      = 192
 		frameBytes = 2048
-		budget     = 100 * time.Millisecond
+		capFrames  = maxBatchBytes / frameBytes
 	)
-	framesPerFlush := func(v StatsView) float64 {
-		if v.Flushes == 0 {
-			return 0
-		}
-		return float64(v.FramesCoalesced+v.Flushes) / float64(v.Flushes)
-	}
+	sink := &countSink{gate: make(chan struct{})}
+	v := runGatedLoad(t, sink, rounds, burst, frameBytes)
 
-	// Seed-equivalent greedy baseline: no budget, batches cut at the old
-	// bufio buffer size (64 KiB / 2 KiB = 32 frames per flush).
-	seed := runGatedLoad(t, BatchPolicy{FlushBudget: 0, MaxBatchBytes: 64 << 10}, rounds, burst, frameBytes)
-	adap := runGatedLoad(t, BatchPolicy{FlushBudget: budget, MaxBatchBytes: 256 << 10}, rounds, burst, frameBytes)
-
-	if adap.FlushP99Delay <= 0 {
+	if v.FlushP99Delay <= 0 {
 		t.Fatal("FlushP99Delay not recorded")
 	}
-	if adap.FlushP99Delay > budget {
-		t.Fatalf("p99 enqueue→flush delay %v exceeds the %v budget", adap.FlushP99Delay, budget)
+	if got := sink.maxBatch.Load(); got != capFrames {
+		t.Fatalf("largest batch = %d frames, want the byte cap's %d", got, capFrames)
 	}
-	if framesPerFlush(adap) < framesPerFlush(seed) {
-		t.Fatalf("adaptive coalescing regressed: %.1f frames/flush < greedy baseline %.1f",
-			framesPerFlush(adap), framesPerFlush(seed))
+	// Each burst goes out as one full batch and one of the 64 frames
+	// left; the 64 KiB bufio buffer TCP once wrote through cut these
+	// bursts at 32 frames.
+	perFlush := float64(v.FramesCoalesced+v.Flushes) / float64(v.Flushes)
+	if perFlush < 2*32 {
+		t.Fatalf("%.1f frames/flush; a ready backlog was not coalesced up to the byte cap", perFlush)
 	}
-	// The full 128 KiB burst fits one adaptive batch but two seed batches,
-	// so adaptive must come out strictly ahead, not merely equal.
-	if framesPerFlush(adap) < 1.5*framesPerFlush(seed) {
-		t.Fatalf("adaptive coalescing %.1f frames/flush not ahead of the seed's bufio-capped %.1f",
-			framesPerFlush(adap), framesPerFlush(seed))
+	t.Logf("%.1f frames/flush, largest batch %d, p99=%v", perFlush, sink.maxBatch.Load(), v.FlushP99Delay)
+}
+
+// TestWriterCloseRace closes a writer while senders keep enqueueing: every
+// enqueue returns (nil or ErrClosed), run returns, and no frame is left
+// counted in the send-queue gauge.
+func TestWriterCloseRace(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		stats := &Stats{}
+		sink := &countSink{}
+		w := newWriter(sink.writeBatch, stats)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			w.run()
+		}()
+		var senders sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			senders.Add(1)
+			go func() {
+				defer senders.Done()
+				for {
+					if err := w.enqueue(context.Background(), testFrame(64)); err != nil {
+						if err != ErrClosed {
+							t.Errorf("enqueue: %v, want ErrClosed", err)
+						}
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%5) * 100 * time.Microsecond)
+		w.close()
+		senders.Wait()
+		<-done
+		if q := stats.SendQueue.Load(); q != 0 {
+			t.Fatalf("round %d: send-queue gauge left at %d after close", round, q)
+		}
 	}
-	t.Logf("greedy(seed): %.1f frames/flush p99=%v; adaptive: %.1f frames/flush p99=%v",
-		framesPerFlush(seed), seed.FlushP99Delay, framesPerFlush(adap), adap.FlushP99Delay)
 }

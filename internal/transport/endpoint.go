@@ -29,14 +29,13 @@ type endpoint struct {
 	h     Handler    // nil for mux endpoints
 	gate  *AdmitGate // client admission gate; nil unless SetAdmission set a limit
 	stats *Stats
-	pool  uint8 // carrier slots sessions spread over (TCP's socket pool; 1 on Local)
 
 	// self is the embedding node: handlers are handed it, not the endpoint,
 	// so a handler's Close detaches the node from its network.
 	self Node
-	// carry commits one envelope to the carrier on the given pool slot,
-	// blocking on backpressure until ctx is done or the carrier closes.
-	carry func(ctx context.Context, env wire.Envelope, slot uint8) error
+	// carry commits one envelope to the carrier, blocking on backpressure
+	// until ctx is done or the carrier closes.
+	carry func(ctx context.Context, env wire.Envelope) error
 
 	// sessions holds the registered logical sessions of a mux endpoint
 	// (uint32(wire.SessionID) → *session); empty on plain nodes.
@@ -66,41 +65,40 @@ type endpoint struct {
 func (e *endpoint) Addr() wire.Addr { return e.addr }
 
 // post sends one envelope that expects no response through the carrier.
-func (e *endpoint) post(to wire.From, reqID uint64, resp bool, m wire.Message, slot uint8) error {
+func (e *endpoint) post(to wire.From, reqID uint64, resp bool, m wire.Message) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
 	return e.carry(context.Background(),
-		wire.Envelope{Src: e.addr, Dst: to.Addr, Session: to.Sess, ReqID: reqID, Resp: resp, Msg: m}, slot)
+		wire.Envelope{Src: e.addr, Dst: to.Addr, Session: to.Sess, ReqID: reqID, Resp: resp, Msg: m})
 }
 
 // Send delivers a one-way message. Backpressure from a full send queue
 // blocks until the carrier (link, connection) or node closes.
 func (e *endpoint) Send(dst wire.Addr, m wire.Message) error {
-	return e.post(wire.At(dst), 0, false, m, 0)
+	return e.post(wire.At(dst), 0, false, m)
 }
 
 // SendTo delivers a one-way message to a full destination, stamping the
 // target session so a multiplexed client can demultiplex the push.
 func (e *endpoint) SendTo(to wire.From, m wire.Message) error {
-	return e.post(to, 0, false, m, 0)
+	return e.post(to, 0, false, m)
 }
 
 // Respond answers request reqID at the full origin to.
 func (e *endpoint) Respond(to wire.From, reqID uint64, m wire.Message) error {
-	return e.post(to, reqID, true, m, 0)
+	return e.post(to, reqID, true, m)
 }
 
 // Call sends a request and waits for the matching response.
 func (e *endpoint) Call(ctx context.Context, dst wire.Addr, m wire.Message) (wire.Message, error) {
-	return e.call(ctx, dst, m, 0, 0)
+	return e.call(ctx, dst, m, 0)
 }
 
 // call is the Call engine: sessions stamp their id into the request
-// envelope and spread over pool slots, but share the endpoint's request-id
-// space and pending table, so responses demultiplex by reqID alone no
-// matter which socket carries them.
-func (e *endpoint) call(ctx context.Context, dst wire.Addr, m wire.Message, sess wire.SessionID, slot uint8) (wire.Message, error) {
+// envelope but share the endpoint's carrier, request-id space and pending
+// table, so responses demultiplex by reqID alone.
+func (e *endpoint) call(ctx context.Context, dst wire.Addr, m wire.Message, sess wire.SessionID) (wire.Message, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -108,7 +106,7 @@ func (e *endpoint) call(ctx context.Context, dst wire.Addr, m wire.Message, sess
 	ch := make(chan *wire.Envelope, 1)
 	e.pending.Store(id, ch)
 	defer e.pending.Delete(id)
-	if err := e.carry(ctx, wire.Envelope{Src: e.addr, Dst: dst, Session: sess, ReqID: id, Msg: m}, slot); err != nil {
+	if err := e.carry(ctx, wire.Envelope{Src: e.addr, Dst: dst, Session: sess, ReqID: id, Msg: m}); err != nil {
 		return nil, err
 	}
 	select {
@@ -320,7 +318,7 @@ func (e *endpoint) shed(env *wire.Envelope) {
 	}
 	wire.Recycle(env.Msg)
 	busy := &wire.Busy{Echo: echo, RetryAfterMicros: busyHintMicros(e.gate, env.Session.Tenant())}
-	_ = e.post(wire.From{Addr: env.Src, Sess: env.Session}, env.ReqID, env.ReqID != 0, busy, 0)
+	_ = e.post(wire.From{Addr: env.Src, Sess: env.Session}, env.ReqID, env.ReqID != 0, busy)
 }
 
 // shut marks the endpoint closed, releases its waiting Calls, drains the
@@ -352,13 +350,7 @@ func (e *endpoint) Session(id wire.SessionID, h Handler) (Session, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	// Spread sessions across the pool with a cheap integer hash, so tenants
-	// (high half) and local ids (low half) both contribute to the spread.
-	slot := uint32(id)
-	slot ^= slot >> 16
-	slot *= 0x45d9f3b
-	slot ^= slot >> 16
-	s := &session{e: e, id: id, h: h, slot: uint8(slot % uint32(e.pool))}
+	s := &session{e: e, id: id, h: h}
 	if _, dup := e.sessions.LoadOrStore(uint32(id), s); dup {
 		return nil, ErrAttached
 	}
@@ -381,7 +373,6 @@ type session struct {
 	e      *endpoint
 	id     wire.SessionID
 	h      Handler
-	slot   uint8
 	closed atomic.Bool
 }
 
@@ -398,7 +389,7 @@ func (s *session) post(to wire.From, reqID uint64, resp bool, m wire.Message) er
 	if to.Sess == 0 {
 		to.Sess = s.id
 	}
-	return s.e.post(to, reqID, resp, m, s.slot)
+	return s.e.post(to, reqID, resp, m)
 }
 
 // Send delivers a one-way message carrying the session id.
@@ -421,7 +412,7 @@ func (s *session) Call(ctx context.Context, dst wire.Addr, m wire.Message) (wire
 	if s.closed.Load() {
 		return nil, ErrClosed
 	}
-	return s.e.call(ctx, dst, m, s.id, s.slot)
+	return s.e.call(ctx, dst, m, s.id)
 }
 
 // Close deregisters the session. What carries its frames stays up — it is

@@ -25,7 +25,7 @@ type endpointCallRow struct {
 
 // BenchmarkEndpointCall is the transport's layer number: one Ping/Pong round
 // trip through everything a Call crosses — envelope, codec, carrier (TCP's
-// batcher), worker hand-off, routing, handler, response matching — on the
+// socket writer), worker hand-off, routing, handler, response matching — on the
 // zero-latency simulator and on loopback TCP, from a plain node and from a
 // mux session. Bytes and allocs are process-wide (both ends of the round
 // trip), so an envelope or a routed request that starts escaping shows up
@@ -58,7 +58,7 @@ func BenchmarkEndpointCall(b *testing.B) {
 					}
 					cli = n
 				} else {
-					mux, err := net.AttachMux(wire.ClientAddr(0, 1), 1)
+					mux, err := net.AttachMux(wire.ClientAddr(0, 1), 0)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -18,9 +18,9 @@ import (
 // deliverResponse, so each branch runs without sockets, wheels or sleeps.
 func bareEndpoint(carry func(e *endpoint, env wire.Envelope) error) (*endpoint, *Stats) {
 	stats := new(Stats)
-	e := &endpoint{addr: wire.ServerAddr(0, 0), stats: stats, pool: 1, stop: make(chan struct{})}
+	e := &endpoint{addr: wire.ServerAddr(0, 0), stats: stats, stop: make(chan struct{})}
 	e.self = plainNode{e}
-	e.carry = func(_ context.Context, env wire.Envelope, _ uint8) error { return carry(e, env) }
+	e.carry = func(_ context.Context, env wire.Envelope) error { return carry(e, env) }
 	return e, stats
 }
 

@@ -177,9 +177,9 @@ func (l *Local) Attach(addr wire.Addr, h Handler) (Node, error) {
 	return l.attach(addr, h)
 }
 
-// AttachMux registers addr as a multiplexed client endpoint. The simulator
-// has no sockets, so the pool size is ignored; sessions are the endpoint's
-// own (endpoint.go), the code a TCP mux runs — internal/check exercises the
+// AttachMux registers addr as a multiplexed client endpoint; pool is
+// ignored (see Network.AttachMux). Sessions are the endpoint's own
+// (endpoint.go), the code a TCP mux runs — internal/check exercises the
 // mux paths on this transport.
 func (l *Local) AttachMux(addr wire.Addr, _ int) (Mux, error) {
 	return l.attach(addr, nil)
@@ -194,7 +194,7 @@ func (l *Local) attach(addr wire.Addr, h Handler) (*localNode, error) {
 	if _, dup := l.nodes[addr]; dup {
 		return nil, ErrAttached
 	}
-	n := &localNode{net: l, endpoint: endpoint{addr: addr, h: h, gate: l.gateFor(addr), stats: &l.stats, pool: 1, stop: make(chan struct{}), idle: make(chan func())}}
+	n := &localNode{net: l, endpoint: endpoint{addr: addr, h: h, gate: l.gateFor(addr), stats: &l.stats, stop: make(chan struct{}), idle: make(chan func())}}
 	n.self, n.carry = n, n.send
 	l.nodes[addr] = n
 	return n, nil
@@ -399,7 +399,7 @@ type localNode struct {
 
 // send is the endpoint's carry: it marshals env, applies the loss model and
 // puts the frame in flight.
-func (n *localNode) send(ctx context.Context, env wire.Envelope, _ uint8) error {
+func (n *localNode) send(ctx context.Context, env wire.Envelope) error {
 	f := wire.GetFrame()
 	f.Envelope(&env)
 	bytes := uint64(len(f.B))

@@ -54,7 +54,7 @@ func testMuxInterleaving(t *testing.T, net Network, done func()) {
 	if _, err := net.Attach(srv, pushEchoHandler{}); err != nil {
 		t.Fatal(err)
 	}
-	mux, err := net.AttachMux(wire.ClientAddr(0, 1), 1)
+	mux, err := net.AttachMux(wire.ClientAddr(0, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func testTenantFairness(t *testing.T, net Network, stats *AdmitStats, done func(
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux, err := net.AttachMux(wire.ClientAddr(0, 1), 2)
+	mux, err := net.AttachMux(wire.ClientAddr(0, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func testSessionTeardownRecycles(t *testing.T, net Network, stats *Stats, done f
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux, err := net.AttachMux(wire.ClientAddr(0, 9), 1)
+	mux, err := net.AttachMux(wire.ClientAddr(0, 9), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,14 +331,13 @@ func TestLocalSessionTeardownRecycles(t *testing.T) {
 }
 
 // TestTCPThousandSessionsSocketBound is the connection-scale property: a
-// thousand concurrent sessions against two servers stay within the mux's
-// socket pool — O(servers × pool) sockets, not O(sessions) — while every
+// thousand concurrent sessions against two servers share the mux's one
+// socket per server — O(servers) sockets, not O(sessions) — while every
 // session round-trips traffic, and teardown returns both gauges to zero.
 func TestTCPThousandSessionsSocketBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("connection-scale test")
 	}
-	const pool = 8
 	srvA, srvB := wire.ServerAddr(0, 0), wire.ServerAddr(0, 1)
 	dir := map[wire.Addr]string{srvA: freeAddr(t), srvB: freeAddr(t)}
 	net := NewTCP(dir)
@@ -348,7 +347,7 @@ func TestTCPThousandSessionsSocketBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mux, err := net.AttachMux(wire.ClientAddr(0, 1), pool)
+	mux, err := net.AttachMux(wire.ClientAddr(0, 1), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,15 +392,11 @@ func TestTCPThousandSessionsSocketBound(t *testing.T) {
 	if v.Sessions != sessions {
 		t.Fatalf("sessions gauge = %d, want %d", v.Sessions, sessions)
 	}
-	// At most pool sockets per server, and both ends live in this process
-	// (client and servers share one TCP instance, hence one gauge): the
-	// mux dials ≤ pool×2 sockets and the two servers hold their accepted
-	// ends, so the in-process peak is pool × servers × 2 ends.
-	if maxConns := int64(pool * 2 * 2); v.OpenConnsPeak > maxConns {
-		t.Fatalf("socket peak = %d for %d sessions, want <= %d", v.OpenConnsPeak, sessions, maxConns)
-	}
-	if v.OpenConnsPeak < 2 {
-		t.Fatalf("socket peak = %d; the pool was never exercised", v.OpenConnsPeak)
+	// One socket per server, and both ends live in this process (client
+	// and servers share one TCP instance, hence one gauge): the mux dials
+	// 2 sockets and the two servers hold their accepted ends.
+	if v.OpenConnsPeak != 2*2 {
+		t.Fatalf("socket peak = %d for %d sessions, want %d", v.OpenConnsPeak, sessions, 2*2)
 	}
 	for _, s := range nodes {
 		if err := s.Close(); err != nil {
@@ -410,5 +405,60 @@ func TestTCPThousandSessionsSocketBound(t *testing.T) {
 	}
 	if got := net.Stats().Sessions.Load(); got != 0 {
 		t.Fatalf("sessions gauge after teardown = %d, want 0", got)
+	}
+}
+
+// TestTCPMuxOneSocketPerServer: 200 sessions of one mux calling two
+// servers at once open exactly one socket per server, whatever pool the
+// mux was attached with. The client is on a TCP network of its own, so its
+// gauge counts only the sockets it dialed.
+func TestTCPMuxOneSocketPerServer(t *testing.T) {
+	srvA, srvB := wire.ServerAddr(0, 0), wire.ServerAddr(0, 1)
+	dir := map[wire.Addr]string{srvA: freeAddr(t), srvB: freeAddr(t)}
+	srvNet := NewTCP(dir)
+	defer srvNet.Close()
+	for _, a := range []wire.Addr{srvA, srvB} {
+		if _, err := srvNet.Attach(a, &echoHandler{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cliNet := NewTCP(dir)
+	defer cliNet.Close()
+	mux, err := cliNet.AttachMux(wire.ClientAddr(0, 1), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const sessions = 200
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		s, err := mux.Session(wire.MakeSession(uint16(i%4), uint16(i+1)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, dst := range []wire.Addr{srvA, srvB} {
+				if _, err := s.Call(ctx, dst, &wire.Ping{Nonce: uint64(i)}); err != nil {
+					errs <- fmt.Errorf("session %d → %v: %w", i, dst, err)
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if peak := cliNet.Stats().View().OpenConnsPeak; peak != 2 {
+		t.Fatalf("client socket peak = %d for %d sessions over 2 servers, want 2", peak, sessions)
 	}
 }

@@ -13,16 +13,15 @@ import (
 	"repro/internal/wire"
 )
 
-// maxFrame bounds a single TCP frame.
-const maxFrame = 1 << 26 // 64 MiB
-
 const (
+	// maxFrame bounds a single TCP frame.
+	maxFrame = 1 << 26 // 64 MiB
+	// readChunk is the largest frame body read into a pooled frame at once
+	// (the frame pool keeps buffers up to 1 MiB); a larger body grows from
+	// it as its bytes arrive (readBody).
+	readChunk = 1 << 20
 	// readBufSize sizes the per-connection buffered reader.
 	readBufSize = 64 << 10
-
-	// maxConnPool bounds a mux's socket pool per destination (the slot is
-	// one byte of the connection key).
-	maxConnPool = 255
 )
 
 // TCP is a Network over real sockets. Server addresses must appear in the
@@ -31,7 +30,6 @@ const (
 type TCP struct {
 	admission
 	stats Stats
-	pol   BatchPolicy
 
 	mu     sync.Mutex
 	dir    map[wire.Addr]string
@@ -40,20 +38,13 @@ type TCP struct {
 }
 
 // NewTCP returns a TCP network with the given address directory
-// (wire address → "host:port") and the default adaptive batch policy.
+// (wire address → "host:port").
 func NewTCP(directory map[wire.Addr]string) *TCP {
-	return NewTCPOpts(directory, DefaultPolicy())
-}
-
-// NewTCPOpts is NewTCP with an explicit batch policy: the seam the batching
-// engine's tests drive (tcp_test.go, and TestCausalityUnderAggressiveBatching
-// in internal/check).
-func NewTCPOpts(directory map[wire.Addr]string, pol BatchPolicy) *TCP {
 	dir := make(map[wire.Addr]string, len(directory))
 	for a, hp := range directory {
 		dir[a] = hp
 	}
-	return &TCP{pol: pol.withDefaults(), dir: dir, nodes: make(map[wire.Addr]*tcpNode)}
+	return &TCP{dir: dir, nodes: make(map[wire.Addr]*tcpNode)}
 }
 
 // Stats exposes traffic counters.
@@ -63,26 +54,20 @@ func (t *TCP) Stats() *Stats { return &t.stats }
 // its directory endpoint; otherwise it is a client-only node that can dial
 // out but not accept.
 func (t *TCP) Attach(addr wire.Addr, h Handler) (Node, error) {
-	return t.attach(addr, h, 1)
+	return t.attach(addr, h)
 }
 
 // AttachMux registers addr as a multiplexed client endpoint: any number of
-// logical sessions share a pool of at most pool sockets per destination
-// (one tcpConn/Batcher per socket). Frames a session sends carry its id;
-// inbound frames carrying a registered session id are demultiplexed to
-// that session's handler. The endpoint itself has no base handler — a
-// frame for no live session is dropped with accounting.
-func (t *TCP) AttachMux(addr wire.Addr, pool int) (Mux, error) {
-	if pool < 1 {
-		pool = 1
-	}
-	if pool > maxConnPool {
-		pool = maxConnPool
-	}
-	return t.attach(addr, nil, pool)
+// logical sessions share its one socket per destination. Frames a session
+// sends carry its id; inbound frames carrying a registered session id are
+// demultiplexed to that session's handler. The endpoint itself has no base
+// handler — a frame for no live session is dropped with accounting. pool
+// is ignored (see Network.AttachMux).
+func (t *TCP) AttachMux(addr wire.Addr, _ int) (Mux, error) {
+	return t.attach(addr, nil)
 }
 
-func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
+func (t *TCP) attach(addr wire.Addr, h Handler) (*tcpNode, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -100,12 +85,12 @@ func (t *TCP) attach(addr wire.Addr, h Handler, pool int) (*tcpNode, error) {
 		}
 	}
 	n := &tcpNode{
-		endpoint: endpoint{addr: addr, h: h, gate: t.gateFor(addr), stats: &t.stats, pool: uint8(pool), stop: make(chan struct{}), idle: make(chan func())},
+		endpoint: endpoint{addr: addr, h: h, gate: t.gateFor(addr), stats: &t.stats, stop: make(chan struct{}), idle: make(chan func())},
 		t:        t,
 		ln:       ln,
-		conns:    make(map[connKey]*tcpConn),
+		conns:    make(map[wire.Addr]*tcpConn),
 		all:      make(map[*tcpConn]struct{}),
-		dialing:  make(map[connKey]chan struct{}),
+		dialing:  make(map[wire.Addr]chan struct{}),
 	}
 	n.self, n.carry = n, n.send
 	if ln != nil {
@@ -131,22 +116,25 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-// tcpConn owns one socket. Its send path is one Batcher (batch.go) whose
-// sink scatter-gathers each coalesced batch into the socket.
+// tcpConn owns one socket. Its send path is one writer (batch.go) whose
+// batches writeBatch scatter-gathers into the socket.
 type tcpConn struct {
 	c     net.Conn
-	b     *Batcher
+	w     *writer
 	stats *Stats
 
 	peer atomic.Uint32 // learned wire.Addr, 0 until known
-	slot uint8         // dial slot within the pool; 0 for accepted conns
 	once sync.Once
+
+	// writeBatch's scratch, owned by the writer goroutine.
+	stage []byte
+	bufs  [][]byte
+	owned []*wire.FrameBuf
 }
 
-func newTCPConn(c net.Conn, pol BatchPolicy, stats *Stats) *tcpConn {
-	pol = pol.withDefaults()
+func newTCPConn(c net.Conn, stats *Stats) *tcpConn {
 	tc := &tcpConn{c: c, stats: stats}
-	tc.b = NewBatcher(&tcpSink{c: c, stats: stats, writevMin: pol.WritevBytes}, pol, stats)
+	tc.w = newWriter(tc.writeBatch, stats)
 	stats.OpenConns.Add(1)
 	return tc
 }
@@ -154,57 +142,46 @@ func newTCPConn(c net.Conn, pol BatchPolicy, stats *Stats) *tcpConn {
 // close shuts the socket down and releases the writer. Idempotent.
 func (tc *tcpConn) close() {
 	tc.once.Do(func() {
-		tc.b.Close()
+		tc.w.close()
 		tc.c.Close()
 		tc.stats.OpenConns.Add(-1)
 	})
 }
 
-// tcpSink turns one coalesced batch into one scatter-gather socket write.
-// Frames below the writev threshold are copied into a staging buffer whose
-// chunks become iovecs; frames at or above it contribute their own bytes as
-// an iovec directly — AppendEnvelope put the length prefix in the same
+// writeBatch turns one coalesced batch into one scatter-gather socket
+// write. Frames below writevBytes are copied into a staging buffer whose
+// chunks become iovecs; frames at or above it contribute their own bytes
+// as an iovec directly — AppendEnvelope put the length prefix in the same
 // buffer, so large frames reach the kernel with zero copies. The whole
 // batch then goes out via net.Buffers.WriteTo, which is writev(2) on a
 // *net.TCPConn.
 //
 // Ownership: staged frames are recycled as soon as their bytes are copied;
-// writev frames must outlive the write they used to be insulated from by
-// the bufio copy, so they are held in owned and recycled only after WriteTo
-// returns.
-type tcpSink struct {
-	c         net.Conn
-	stats     *Stats
-	writevMin int
-
-	stage []byte
-	bufs  [][]byte
-	owned []*wire.FrameBuf
-}
-
-func (s *tcpSink) WriteBatch(frames []*wire.FrameBuf) error {
+// writev frames must outlive the write, so they are held in owned and
+// recycled only after WriteTo returns.
+func (tc *tcpConn) writeBatch(frames []*wire.FrameBuf) error {
 	// Pre-size the staging buffer so chunk slices recorded in bufs are
 	// never invalidated by a growth reallocation mid-batch.
 	small := 0
 	for _, f := range frames {
-		if len(f.B) < s.writevMin {
+		if len(f.B) < writevBytes {
 			small += len(f.B)
 		}
 	}
-	if cap(s.stage) < small {
-		s.stage = make([]byte, 0, small)
+	if cap(tc.stage) < small {
+		tc.stage = make([]byte, 0, small)
 	}
-	stage, bufs := s.stage[:0], s.bufs[:0]
+	stage, bufs := tc.stage[:0], tc.bufs[:0]
 	chunk := 0 // start of the staging chunk not yet recorded in bufs
 	for _, f := range frames {
-		if len(f.B) >= s.writevMin {
+		if len(f.B) >= writevBytes {
 			if len(stage) > chunk {
 				bufs = append(bufs, stage[chunk:len(stage):len(stage)])
 				chunk = len(stage)
 			}
 			bufs = append(bufs, f.B)
-			s.owned = append(s.owned, f)
-			s.stats.WritevBytes.Add(uint64(len(f.B)))
+			tc.owned = append(tc.owned, f)
+			tc.stats.WritevBytes.Add(uint64(len(f.B)))
 		} else {
 			stage = append(stage, f.B...)
 			wire.PutFrame(f)
@@ -216,39 +193,30 @@ func (s *tcpSink) WriteBatch(frames []*wire.FrameBuf) error {
 	var err error
 	if len(bufs) > 0 {
 		nb := net.Buffers(bufs)
-		_, err = nb.WriteTo(s.c)
+		_, err = nb.WriteTo(tc.c)
 	}
-	for i, f := range s.owned {
+	for i, f := range tc.owned {
 		wire.PutFrame(f)
-		s.owned[i] = nil
+		tc.owned[i] = nil
 	}
-	s.owned = s.owned[:0]
+	tc.owned = tc.owned[:0]
 	clear(bufs) // drop stale references so recycled arrays are collectable
-	s.stage, s.bufs = stage[:0], bufs[:0]
+	tc.stage, tc.bufs = stage[:0], bufs[:0]
 	return err
 }
 
-// connKey routes outbound frames: the destination endpoint plus the pool
-// slot. Plain nodes and learned (accepted) connections always use slot 0;
-// a mux spreads its sessions over slots [0, pool).
-type connKey struct {
-	addr wire.Addr
-	slot uint8
-}
-
 // tcpNode is an endpoint whose carrier is real sockets: frames leave
-// through a pool of connections per destination (pool is that pool's size,
-// 1 for plain nodes) and each inbound request runs on a worker its read
-// loop spawns.
+// through one connection per destination and each inbound request runs on
+// a worker its read loop spawns.
 type tcpNode struct {
 	endpoint
 	t  *TCP
 	ln net.Listener
 
 	mu      sync.Mutex
-	conns   map[connKey]*tcpConn      // routable by learned/dialed peer + slot
-	all     map[*tcpConn]struct{}     // every live conn, learned or not
-	dialing map[connKey]chan struct{} // single-flight latches for in-progress dials
+	conns   map[wire.Addr]*tcpConn      // routable by learned or dialed peer
+	all     map[*tcpConn]struct{}       // every live conn, learned or not
+	dialing map[wire.Addr]chan struct{} // single-flight latches for in-progress dials
 }
 
 func (n *tcpNode) acceptLoop() {
@@ -258,7 +226,7 @@ func (n *tcpNode) acceptLoop() {
 		if err != nil {
 			return
 		}
-		n.startConn(newTCPConn(c, n.t.pol, &n.t.stats))
+		n.startConn(newTCPConn(c, &n.t.stats))
 	}
 }
 
@@ -282,11 +250,11 @@ func (n *tcpNode) startConn(tc *tcpConn) bool {
 	return true
 }
 
-// writeLoop hosts the conn's batching engine and tears the endpoint down
-// when it stops (socket error or close).
+// writeLoop hosts the conn's writer and tears the conn down when it stops
+// (socket error or close).
 func (n *tcpNode) writeLoop(tc *tcpConn) {
 	defer n.wg.Done()
-	tc.b.Run()
+	tc.w.run()
 	n.forget(tc)
 	tc.close()
 }
@@ -297,15 +265,11 @@ func (n *tcpNode) writeLoop(tc *tcpConn) {
 // one) still remembers its peer and is promoted by forget when the
 // registered conn dies, so the peer never becomes unroutable (clients are
 // not in the directory) and the read hot path stays one atomic load.
-// Learned routes always occupy slot 0 — a multiplexed peer may reach us
-// over several sockets, and any one of them suffices for the way back
-// (the mux demultiplexes responses by request id and session, not by
-// socket).
 func (n *tcpNode) learn(peer wire.Addr, tc *tcpConn) {
 	tc.peer.Store(uint32(peer))
 	n.mu.Lock()
-	if _, dup := n.conns[connKey{peer, 0}]; !dup {
-		n.conns[connKey{peer, 0}] = tc
+	if _, dup := n.conns[peer]; !dup {
+		n.conns[peer] = tc
 	}
 	n.mu.Unlock()
 }
@@ -316,17 +280,13 @@ func (n *tcpNode) learn(peer wire.Addr, tc *tcpConn) {
 func (n *tcpNode) forget(tc *tcpConn) {
 	n.mu.Lock()
 	delete(n.all, tc)
-	key := connKey{wire.Addr(tc.peer.Load()), tc.slot}
-	if key.addr.Valid() && n.conns[key] == tc {
-		delete(n.conns, key)
-		// Promotion only applies to learned (slot-0) routes: dialed pool
-		// slots are re-dialed on demand through the directory.
-		if tc.slot == 0 {
-			for other := range n.all {
-				if wire.Addr(other.peer.Load()) == key.addr && other.slot == 0 {
-					n.conns[key] = other
-					break
-				}
+	peer := wire.Addr(tc.peer.Load())
+	if peer.Valid() && n.conns[peer] == tc {
+		delete(n.conns, peer)
+		for other := range n.all {
+			if wire.Addr(other.peer.Load()) == peer {
+				n.conns[peer] = other
+				break
 			}
 		}
 	}
@@ -354,9 +314,8 @@ func (n *tcpNode) readLoop(tc *tcpConn) {
 		if size > maxFrame {
 			return
 		}
-		f := wire.GetFrameLen(int(size))
-		if _, err := io.ReadFull(br, f.B); err != nil {
-			wire.PutFrame(f)
+		f, err := readBody(br, int(size))
+		if err != nil {
 			return
 		}
 		env, err := wire.DecodeEnvelope(f.B)
@@ -382,25 +341,50 @@ func (n *tcpNode) readLoop(tc *tcpConn) {
 	}
 }
 
-// getConn returns the connection to dst on the given pool slot, dialing
-// through the directory if none is learned yet. The dial respects ctx, so
-// a Call deadline bounds connection establishment too, not just queueing.
+// readBody reads a size-byte frame body. A body of at most readChunk
+// bytes is read into a pooled frame at once; a larger one starts at
+// readChunk and doubles only as its bytes arrive, so a length prefix alone
+// pins at most readChunk, never maxFrame.
+func readBody(r io.Reader, size int) (*wire.FrameBuf, error) {
+	if size <= readChunk {
+		f := wire.GetFrameLen(size)
+		if _, err := io.ReadFull(r, f.B); err != nil {
+			wire.PutFrame(f)
+			return nil, err
+		}
+		return f, nil
+	}
+	b, got := make([]byte, readChunk), 0
+	for {
+		if _, err := io.ReadFull(r, b[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(b); got == size {
+			// Above the pool's bound: PutFrame drops it.
+			return &wire.FrameBuf{Buffer: wire.Buffer{B: b}}, nil
+		}
+		grown := make([]byte, min(size, 2*got))
+		copy(grown, b)
+		b = grown
+	}
+}
+
+// getConn returns the connection to dst, dialing through the directory if
+// none is learned yet. The dial respects ctx, so a Call deadline bounds
+// connection establishment too, not just queueing.
 //
-// Dials are single-flighted per (dst, slot): when many sessions' first
-// calls land on the same cold slot at once (a mux starting a thousand
+// Dials are single-flighted per destination: when many sessions' first
+// calls reach a cold destination at once (a mux starting a thousand
 // sessions), exactly one goroutine dials and the rest wait on its latch —
-// without this, each racer briefly opens its own socket and the "small
-// fixed pool" is a fiction at startup (observed: 258 sockets open at peak
-// for an 8×2 pool before the latch existed).
-func (n *tcpNode) getConn(ctx context.Context, dst wire.Addr, slot uint8) (*tcpConn, error) {
-	key := connKey{dst, slot}
+// without it, each racer briefly opens a socket of its own.
+func (n *tcpNode) getConn(ctx context.Context, dst wire.Addr) (*tcpConn, error) {
 	n.mu.Lock()
 	for {
-		if tc, ok := n.conns[key]; ok {
+		if tc, ok := n.conns[dst]; ok {
 			n.mu.Unlock()
 			return tc, nil
 		}
-		latch, inflight := n.dialing[key]
+		latch, inflight := n.dialing[dst]
 		if !inflight {
 			break
 		}
@@ -417,11 +401,11 @@ func (n *tcpNode) getConn(ctx context.Context, dst wire.Addr, slot uint8) (*tcpC
 		n.mu.Lock()
 	}
 	latch := make(chan struct{})
-	n.dialing[key] = latch
+	n.dialing[dst] = latch
 	n.mu.Unlock()
 	defer func() {
 		n.mu.Lock()
-		delete(n.dialing, key)
+		delete(n.dialing, dst)
 		n.mu.Unlock()
 		close(latch)
 	}()
@@ -430,12 +414,6 @@ func (n *tcpNode) getConn(ctx context.Context, dst wire.Addr, slot uint8) (*tcpC
 	hp, ok := n.t.dir[dst]
 	n.t.mu.Unlock()
 	if !ok {
-		// A session slot with no dialable directory entry falls back to
-		// any learned route to the peer (responses to an accepted client
-		// conn never dial).
-		if slot != 0 {
-			return n.getConn(ctx, dst, 0)
-		}
 		return nil, fmt.Errorf("%w: %v", ErrNoRoute, dst)
 	}
 	// Abort the dial on node shutdown too: Send/Respond dial with a
@@ -455,19 +433,18 @@ func (n *tcpNode) getConn(ctx context.Context, dst wire.Addr, slot uint8) (*tcpC
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %v at %s: %w", dst, hp, err)
 	}
-	tc := newTCPConn(c, n.t.pol, &n.t.stats)
+	tc := newTCPConn(c, &n.t.stats)
 	tc.peer.Store(uint32(dst))
-	tc.slot = slot
 	n.mu.Lock()
-	if prev, dup := n.conns[key]; dup {
+	if prev, dup := n.conns[dst]; dup {
 		n.mu.Unlock()
-		// Tear the whole loser endpoint down, not just its socket: close()
-		// also stops the Batcher, so a frame enqueued on the loser before
+		// Tear the whole loser conn down, not just its socket: close()
+		// also stops the writer, so a frame enqueued on the loser before
 		// registration could never strand in a writerless queue.
 		tc.close()
 		return prev, nil
 	}
-	n.conns[key] = tc
+	n.conns[dst] = tc
 	n.mu.Unlock()
 	if !n.startConn(tc) {
 		return nil, ErrClosed
@@ -475,10 +452,10 @@ func (n *tcpNode) getConn(ctx context.Context, dst wire.Addr, slot uint8) (*tcpC
 	return tc, nil
 }
 
-// send is the endpoint's carry: it finds (or dials) the connection for the
-// slot and commits the frame to its batcher.
-func (n *tcpNode) send(ctx context.Context, env wire.Envelope, slot uint8) error {
-	tc, err := n.getConn(ctx, env.Dst, slot)
+// send is the endpoint's carry: it finds (or dials) the connection to the
+// destination and commits the frame to its writer.
+func (n *tcpNode) send(ctx context.Context, env wire.Envelope) error {
+	tc, err := n.getConn(ctx, env.Dst)
 	if err != nil {
 		return err
 	}
@@ -490,7 +467,7 @@ func (n *tcpNode) send(ctx context.Context, env wire.Envelope, slot uint8) error
 	// before enqueue (which takes ownership of f) and counted only after
 	// it succeeds, so aborted sends don't inflate the traffic metrics.
 	bytes := uint64(len(f.B) - wire.FrameHdrLen)
-	if err := tc.b.Enqueue(ctx, f); err != nil {
+	if err := tc.w.enqueue(ctx, f); err != nil {
 		return err
 	}
 	n.stats.sent(env.Msg.Type(), bytes)

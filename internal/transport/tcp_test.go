@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"net"
@@ -156,23 +157,22 @@ func TestTCPAttachListenFailureStartsNothing(t *testing.T) {
 // once the winner is forgotten. The loser used to stay stranded forever —
 // the peer became unroutable because clients are not in the directory.
 func TestTCPLearnRaceLoserPromoted(t *testing.T) {
-	n := &tcpNode{conns: make(map[connKey]*tcpConn), all: make(map[*tcpConn]struct{})}
+	n := &tcpNode{conns: make(map[wire.Addr]*tcpConn), all: make(map[*tcpConn]struct{})}
 	peer := wire.ClientAddr(0, 7)
-	key := connKey{addr: peer, slot: 0}
 	stale, fresh := &tcpConn{}, &tcpConn{}
 	n.all[stale] = struct{}{}
 	n.all[fresh] = struct{}{}
 	n.learn(peer, stale)
 	n.learn(peer, fresh) // loses the race but remembers its peer
-	if n.conns[key] != stale {
+	if n.conns[peer] != stale {
 		t.Fatal("first learner did not win the routing entry")
 	}
 	n.forget(stale)
-	if n.conns[key] != fresh {
+	if n.conns[peer] != fresh {
 		t.Fatal("surviving conn not promoted after forget; peer unroutable")
 	}
 	n.forget(fresh)
-	if _, ok := n.conns[key]; ok {
+	if _, ok := n.conns[peer]; ok {
 		t.Fatal("routing entry survived its last conn")
 	}
 }
@@ -215,10 +215,10 @@ func TestTCPCallDeadlineUnderBackpressure(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(30 * time.Second)
-	for tnet.Stats().SendQueue.Load() < defaultQueueLen && time.Now().Before(deadline) {
+	for tnet.Stats().SendQueue.Load() < sendQueueLen && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if q := tnet.Stats().SendQueue.Load(); q < defaultQueueLen {
+	if q := tnet.Stats().SendQueue.Load(); q < sendQueueLen {
 		t.Fatalf("send queue never filled (depth %d)", q)
 	}
 
@@ -343,7 +343,7 @@ func TestTCPCoalescingUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait for every frame to be counted as flushed, not for an empty queue:
-	// the batcher takes frames off the SendQueue gauge while gathering and
+	// the writer takes frames off the SendQueue gauge while gathering and
 	// counts the flush only after the socket write returns, so at queue-empty
 	// the last batch is still being written.
 	flushed := func() uint64 {
@@ -387,12 +387,9 @@ func TestTCPCoalescingUnderLoad(t *testing.T) {
 // pooled-buffer reuse before the writev consumed its bytes, or any
 // mis-spliced staging chunk, corrupts a payload. Run under -race in CI.
 func TestTCPScatterGatherInterleaving(t *testing.T) {
-	const (
-		writevMin = 4096
-		msgs      = 400
-	)
+	const msgs = 400
 	dir := map[wire.Addr]string{wire.ServerAddr(0, 0): freeAddr(t)}
-	tnet := NewTCPOpts(dir, BatchPolicy{FlushBudget: DefaultFlushBudget, WritevBytes: writevMin})
+	tnet := NewTCP(dir)
 	defer tnet.Close()
 
 	// value derives every byte from the key's sequence number, so the
@@ -407,9 +404,9 @@ func TestTCPScatterGatherInterleaving(t *testing.T) {
 	sizeOf := func(rng *rand.Rand) int {
 		switch rng.Intn(4) {
 		case 0: // large: writev path, well past the threshold
-			return writevMin + rng.Intn(128<<10)
+			return writevBytes + rng.Intn(128<<10)
 		case 1: // boundary straddlers
-			return writevMin - 64 + rng.Intn(128)
+			return writevBytes - 64 + rng.Intn(128)
 		default: // small: staging path
 			return 16 + rng.Intn(2048)
 		}
@@ -470,6 +467,72 @@ func TestTCPScatterGatherInterleaving(t *testing.T) {
 		t.Fatal("WritevBytes = 0: no frame took the scatter-gather path")
 	}
 	t.Logf("writev bytes=%d of %d total", v.WritevBytes, v.BytesSent)
+}
+
+// TestTCPLengthPrefixPinsNoMemory: a peer that announces a 60 MiB frame,
+// sends a few body bytes and closes makes the node allocate about one read
+// chunk, not the announced size, and the connection's goroutines exit.
+func TestTCPLengthPrefixPinsNoMemory(t *testing.T) {
+	hp := freeAddr(t)
+	tnet := NewTCP(map[wire.Addr]string{wire.ServerAddr(0, 0): hp})
+	defer tnet.Close()
+	if _, err := tnet.Attach(wire.ServerAddr(0, 0), &echoHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+
+	c, err := net.Dial("tcp", hp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := binary.LittleEndian.AppendUint32(nil, 60<<20)
+	msg = append(msg, "a few body bytes"...)
+	if _, err := c.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for (tnet.Stats().OpenConns.HighWater() == 0 || tnet.Stats().OpenConns.Load() != 0 ||
+		runtime.NumGoroutine() > before) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := tnet.Stats().OpenConns.Load(); n != 0 || tnet.Stats().OpenConns.HighWater() == 0 {
+		t.Fatalf("open conns = %d (peak %d); the connection was not accepted and closed", n, tnet.Stats().OpenConns.HighWater())
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutines: %d before, %d after the peer closed\n%s", before, g, buf[:runtime.Stack(buf, true)])
+	}
+	runtime.ReadMemStats(&m1)
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 8<<20 {
+		t.Fatalf("a 60 MiB length prefix allocated %d bytes; want < 8 MiB", grew)
+	}
+}
+
+// TestReadBodySizes: readBody returns every body byte-exact on both sides
+// of the read chunk and across several doublings, and fails on a body cut
+// short.
+func TestReadBodySizes(t *testing.T) {
+	for _, size := range []int{0, 1, readChunk - 1, readChunk, readChunk + 1, 5*readChunk + 3} {
+		body := make([]byte, size)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		f, err := readBody(bytes.NewReader(body), size)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		if !bytes.Equal(f.B, body) {
+			t.Fatalf("size %d: body corrupted", size)
+		}
+		wire.PutFrame(f)
+		if _, err := readBody(bytes.NewReader(body[:size/2]), size); size > 0 && err == nil {
+			t.Fatalf("size %d: a body cut short read without error", size)
+		}
+	}
 }
 
 // TestTCPReconnectAfterPeerRestart exercises the forget-and-redial path:

@@ -5,9 +5,10 @@
 // frame: Local, an in-process network that marshals every message and
 // injects configurable per-link latency, one flight per frame (the
 // benchmark substrate standing in for the paper's 10 Gbps LAN), and TCP, a
-// real network transport that batches frames into scatter-gather socket
-// writes (batch.go) and makes the same servers deployable across processes
-// (cmd/kvserver).
+// real network transport that makes the same servers deployable across
+// processes (cmd/kvserver). TCP keeps one socket per pair of endpoints, and
+// each socket's one writer coalesces whatever frames are queued into a
+// scatter-gather write (batch.go); nothing about it is configurable.
 //
 // The model is asynchronous messaging with a request/response convenience:
 // Send delivers a one-way message; Call delivers a request and blocks until
@@ -95,7 +96,7 @@ type Session interface {
 }
 
 // Mux is a multiplexed client endpoint: one attached address carrying any
-// number of logical sessions over a small fixed pool of connections.
+// number of logical sessions over one connection per destination.
 type Mux interface {
 	// Addr returns the endpoint's address.
 	Addr() wire.Addr
@@ -112,9 +113,8 @@ type Network interface {
 	// Attach registers addr with handler h and returns the node.
 	Attach(addr wire.Addr, h Handler) (Node, error)
 	// AttachMux registers addr as a multiplexed client endpoint whose
-	// sessions share a pool of at most pool connections per destination
-	// (pool ≤ 1 means a single shared connection; the Local simulator has
-	// no sockets and ignores it).
+	// sessions share one connection per destination. Both carriers ignore
+	// pool: it stays only because the frozen benchmark module passes it.
 	AttachMux(addr wire.Addr, pool int) (Mux, error)
 	// Close shuts the fabric down.
 	Close() error
@@ -135,18 +135,18 @@ type Stats struct {
 	// messages an operation's bytes are spent on.
 	Sent [wire.NumTypes]struct{ Msgs, Bytes metrics.Counter }
 
-	// Flushes counts batches cut by TCP's batching engine, one
+	// Flushes counts batches cut by TCP's socket writers, one
 	// scatter-gather socket write each (a giant batch may need more than
 	// one writev at the kernel boundary); 0 on Local. FramesCoalesced
 	// counts frames that joined an earlier frame's batch. Msgs/Flushes and
-	// FramesCoalesced/Msgs together describe how well the engine batches.
+	// FramesCoalesced/Msgs together describe how well the writers batch.
 	Flushes         metrics.Counter
 	FramesCoalesced metrics.Counter
 
 	// FlushDelay is the enqueue→flush latency distribution: how long
-	// frames waited in a TCP send queue plus the batch they joined. Under
-	// the adaptive policy its p99 stays at or under the configured
-	// FlushBudget as long as the socket keeps up with the offered load.
+	// frames waited in a TCP send queue plus the write of the batch they
+	// joined. A batch stays open only while frames are already queued, so
+	// the delay is the socket writes ahead of a frame, never a timer.
 	// Empty on Local, which queues nothing.
 	FlushDelay metrics.StaticHist
 
@@ -155,9 +155,9 @@ type Stats struct {
 	// model (Local only; one sample per delayed frame).
 	DeliveryLate metrics.StaticHist
 
-	// WritevBytes counts frame bytes written through the scatter-gather
-	// path — chained as their own writev iovec instead of being copied
-	// into the staging buffer. TCP only; Local has no copy to skip.
+	// WritevBytes counts the bytes of frames of 16 KiB or more, which a
+	// TCP writer chains as their own writev iovec instead of copying them
+	// into its staging buffer. TCP only; Local has no copy to skip.
 	WritevBytes metrics.Counter
 
 	// SendQueue tracks frames sitting in TCP send queues (current level
@@ -166,9 +166,10 @@ type Stats struct {
 	SendQueue metrics.Gauge
 
 	// OpenConns tracks live sockets (TCP only; the Local simulator has
-	// none). With the session mux this stays O(nodes × pool) while
-	// Sessions grows with offered client load — their ratio is the
-	// multiplexing factor the connection-scale smoke asserts on.
+	// none). A mux opens one socket per server it contacts, so this stays
+	// O(nodes) while Sessions grows with offered client load — their
+	// ratio is the multiplexing factor the connection-scale smoke asserts
+	// on.
 	OpenConns metrics.Gauge
 
 	// Sessions tracks registered logical client sessions across the
@@ -239,7 +240,7 @@ func (s *Stats) Register(r *metrics.Registry, labels ...metrics.Label) {
 		r.Counter("kv_transport_sent_bytes_total", "Frame bytes sent (headers included), by message type.", &s.Sent[t].Bytes, typed...)
 	}
 	r.Counter("kv_transport_dropped_total", "Frames dropped at a closed or full sink.", &s.Dropped, labels...)
-	r.Counter("kv_transport_flushes_total", "Batches cut by the batching engine.", &s.Flushes, labels...)
+	r.Counter("kv_transport_flushes_total", "Batches cut by the socket writers.", &s.Flushes, labels...)
 	r.Counter("kv_transport_frames_coalesced_total", "Frames that joined an earlier frame's batch.", &s.FramesCoalesced, labels...)
 	r.Histogram("kv_transport_flush_delay_seconds", "Enqueue-to-flush latency of batched frames.", &s.FlushDelay, labels...)
 	r.Histogram("kv_transport_delivery_late_seconds", "Lateness of simulated deliveries past their due time (in-process transport only).", &s.DeliveryLate, labels...)
