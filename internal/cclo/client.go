@@ -96,13 +96,9 @@ func (c *Client) depList() []wire.LoDep {
 // just this write.
 func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, error) {
 	deps := c.depList()
-	resp, err := c.Call(ctx, c.ring.Owner(key), &wire.LoPutReq{Key: key, Value: value, Deps: deps})
+	pr, err := family.As[*wire.LoPutResp](c.Call(ctx, c.ring.Owner(key), &wire.LoPutReq{Key: key, Value: value, Deps: deps}))
 	if err != nil {
 		return 0, fmt.Errorf("cclo: put %q: %w", key, err)
-	}
-	pr, ok := resp.(*wire.LoPutResp)
-	if !ok {
-		return 0, fmt.Errorf("cclo: put %q: unexpected response %T", key, resp)
 	}
 	c.mu.Lock()
 	clear(c.deps)
@@ -147,13 +143,14 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 	return kvs, nil
 }
 
-// rotOnce runs one ROT attempt: a fresh rot id, one leg per partition, all
-// in parallel. Session epoch knowledge is merged in even when the attempt
-// is fenced (family.ErrFenced) — the retry runs against the newest epochs.
-// Only an attempt that passes the fence extends the nearest-dependency set
-// and the session's Lamport high-water mark with what it read.
+// rotOnce runs one ROT attempt: a fresh rot id, one leg per partition, one
+// Fan round. Session epoch knowledge from the legs it folded is merged in
+// even when the attempt fails or is fenced (family.ErrFenced) — the retry
+// runs against the newest epochs. Only an attempt that passes the fence
+// extends the nearest-dependency set and the session's Lamport high-water
+// mark with what it read.
 func (c *Client) rotOnce(ctx context.Context, keys []string) (map[string]wire.KV, error) {
-	groups := c.ring.Group(keys)
+	shares := ring.Split(c.ring, keys, ring.Key, -1)
 	// Rot identity comes from (DC, ID), not the attached address: sessions
 	// multiplexed over one endpoint share an address, but each still needs
 	// globally distinct rot ids for its server-side reader records.
@@ -163,50 +160,24 @@ func (c *Client) rotOnce(ctx context.Context, keys []string) (map[string]wire.KV
 	known := append([]uint64(nil), c.epochs...)
 	c.mu.Unlock()
 
-	type result struct {
-		part   int
-		vals   []wire.KV
-		epochs []uint64
-		err    error
-	}
-	ch := make(chan result, len(groups))
-	for p, ks := range groups {
-		go func(p int, ks []string) {
-			if c.legGate != nil {
-				c.legGate(p)
-			}
-			resp, err := c.Call(ctx, p, &wire.LoRotReq{RotID: rotID, SeenTS: seen, Epochs: known, Keys: ks})
-			if err != nil {
-				ch <- result{part: p, err: err}
-				return
-			}
-			rr, ok := resp.(*wire.LoRotResp)
-			if !ok {
-				ch <- result{part: p, err: fmt.Errorf("unexpected response %T", resp)}
-				return
-			}
-			ch <- result{part: p, vals: rr.Vals, epochs: rr.Epochs}
-		}(p, ks)
-	}
 	vals := make(map[string]wire.KV, len(keys))
-	legEpochs := make(map[int][]uint64, len(groups))
-	var firstErr error
-	for range groups {
-		r := <-ch
-		if r.err == nil {
-			r.err = wire.Label(vals, groups[r.part], r.vals)
+	legEpochs := make(map[int][]uint64, len(shares))
+	err := family.Fan(ctx, len(shares), func(ctx context.Context, i int) (*wire.LoRotResp, error) {
+		if c.legGate != nil {
+			c.legGate(shares[i].Part)
 		}
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
+		return family.As[*wire.LoRotResp](c.Call(ctx, shares[i].Part,
+			&wire.LoRotReq{RotID: rotID, SeenTS: seen, Epochs: known, Keys: shares[i].Items}))
+	}, func(i int, rr *wire.LoRotResp) error {
+		if err := wire.Label(vals, shares[i].Items, rr.Vals); err != nil {
+			return err
 		}
-		legEpochs[r.part] = r.epochs
-	}
+		legEpochs[shares[i].Part] = rr.Epochs
+		return nil
+	})
 	c.mergeEpochs(legEpochs)
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	if fenceTripped(legEpochs) {
 		return nil, family.ErrFenced

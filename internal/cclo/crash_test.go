@@ -2,11 +2,13 @@ package cclo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/family"
 	"repro/internal/ring"
 	"repro/internal/transport"
 	"repro/internal/wal"
@@ -112,16 +114,12 @@ func (r *crashRig) rawRot(node transport.Node, part int, rotID uint64, key strin
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		resp, err := node.Call(ctx, wire.ServerAddr(0, part), &wire.LoRotReq{RotID: rotID, Keys: []string{key}})
+		rr, err := family.As[*wire.LoRotResp](node.Call(ctx, wire.ServerAddr(0, part), &wire.LoRotReq{RotID: rotID, Keys: []string{key}}))
 		cancel()
 		if err == nil {
-			rr, ok := resp.(*wire.LoRotResp)
-			if !ok {
-				r.t.Fatalf("unexpected response %T", resp)
-			}
 			return rr
 		}
-		if time.Now().After(deadline) {
+		if errors.Is(err, wire.ErrUnknownType) || time.Now().After(deadline) {
 			r.t.Fatalf("leg to p%d never served: %v", part, err)
 		}
 		time.Sleep(5 * time.Millisecond)

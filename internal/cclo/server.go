@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/family"
 	"repro/internal/metrics"
+	"repro/internal/ring"
 	"repro/internal/transport"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -334,27 +335,6 @@ type checkScratch struct{ out, in slotSet }
 
 var checkScratchPool = sync.Pool{New: func() any { return new(checkScratch) }}
 
-// oldReadersAnswer is one remote partition's reply to a readers check.
-type oldReadersAnswer struct {
-	resp *wire.OldReadersResp
-	err  error
-}
-
-// askOldReaders runs the remote leg of a readers check against one partition.
-func (s *Server) askOldReaders(g family.PartDeps, epochs []uint64, await bool) oldReadersAnswer {
-	ctx, cancel := context.WithTimeout(context.Background(), family.CallTimeout)
-	defer cancel()
-	resp, err := s.Node.Call(ctx, wire.ServerAddr(s.cfg.DC, g.Part), &wire.OldReadersReq{Deps: g.Deps, Epochs: epochs, Await: await})
-	if err != nil {
-		return oldReadersAnswer{err: err}
-	}
-	or, ok := resp.(*wire.OldReadersResp)
-	if !ok {
-		return oldReadersAnswer{err: wire.ErrUnknownType}
-	}
-	return oldReadersAnswer{resp: or}
-}
-
 // readersCheck interrogates the partition of every dependency for old
 // readers and merges the results, then folds in origin (the old readers a
 // replicated update brought from its origin DC). It returns the merged set —
@@ -382,49 +362,45 @@ func (s *Server) readersCheck(deps []wire.LoDep, replicated bool, origin []wire.
 	}()
 	var scanned int
 
-	// Dependencies are grouped by owning partition. Remote partitions are
-	// interrogated in parallel; our own are then checked with a direct store
-	// access. Every response carries the responder's epoch vector, folded into
-	// ours before this check returns — i.e. before the version being checked
-	// installs — which is the propagation that lets ROT legs expose a restart
-	// to the client fence.
-	groups := family.ByOwner(s.Ring, deps)
-	remote := 0
-	ch := make(chan oldReadersAnswer, len(groups))
+	// The check is one Fan round over the dependencies split by owner.
+	// Remote partitions are interrogated in parallel; our own share leads,
+	// so it is collected on this goroutine with a direct store access. Every
+	// response carries the responder's epoch vector, folded into ours before
+	// this check returns — i.e. before the version being checked installs —
+	// which is the propagation that lets ROT legs expose a restart to the
+	// client fence.
+	shares := ring.Split(s.Ring, deps, func(d wire.LoDep) string { return d.Key }, s.cfg.Part)
 	reqEpochs := s.epochsView()
-	var own []wire.LoDep
-	for _, g := range groups {
-		if g.Part == s.cfg.Part {
-			own = g.Deps
-			continue
+	ctx, cancel := context.WithTimeout(context.Background(), family.CallTimeout)
+	defer cancel()
+	err := family.Fan(ctx, len(shares), func(ctx context.Context, i int) (*wire.OldReadersResp, error) {
+		sh := shares[i]
+		if sh.Part != s.cfg.Part {
+			s.stats.PartitionsAsked.Add(1)
+			return family.As[*wire.OldReadersResp](s.Node.Call(ctx, wire.ServerAddr(s.cfg.DC, sh.Part),
+				&wire.OldReadersReq{Deps: sh.Items, Epochs: reqEpochs, Await: replicated}))
 		}
-		remote++
-		go func() { ch <- s.askOldReaders(g, reqEpochs, replicated) }()
-	}
-	s.stats.PartitionsAsked.Add(uint64(remote))
-	var firstErr error
-	if replicated {
-		firstErr = s.AwaitInstalled(own)
-	}
-	if firstErr == nil && len(own) > 0 {
-		out, scanned = s.collectDeps(own, time.Now(), out)
-	}
-	for range remote {
-		a := <-ch
-		if a.err != nil {
-			if firstErr == nil {
-				firstErr = a.err
+		if replicated {
+			if err := s.AwaitInstalled(sh.Items); err != nil {
+				return nil, err
 			}
-			continue
 		}
-		s.foldEpochs(a.resp.Epochs)
-		scanned += int(a.resp.Cumulative)
-		s.stats.CheckBytes.Add(uint64(wire.ReadersSize(a.resp.Readers)))
-		sc.in = slotsFromWire(sc.in, a.resp.Readers)
-		out = out.absorb(sc.in, anyVTS)
-	}
-	if firstErr != nil {
-		return nil, 0, firstErr
+		var n int
+		out, n = s.collectDeps(sh.Items, time.Now(), out)
+		scanned += n
+		return nil, nil // collected in place
+	}, func(_ int, a *wire.OldReadersResp) error {
+		if a != nil {
+			s.foldEpochs(a.Epochs)
+			scanned += int(a.Cumulative)
+			s.stats.CheckBytes.Add(uint64(wire.ReadersSize(a.Readers)))
+			sc.in = slotsFromWire(sc.in, a.Readers)
+			out = out.absorb(sc.in, anyVTS)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	s.stats.IDsCumulative.Add(uint64(scanned))
 	s.stats.IDsDistinct.Add(uint64(len(out)))

@@ -133,7 +133,14 @@ func TestOneKeyGetRecordsGet(t *testing.T) {
 			if _, err := cli.Get(ctx, "k"); err != nil {
 				t.Fatal(err)
 			}
-			if puts, gets := count("put")-put0, count("get")-get0; puts != 1 || gets != 1 {
+			// A partition records an op once its handler returns, after
+			// the answer is out: wait for both records, then count them.
+			puts, gets := count("put")-put0, count("get")-get0
+			for deadline := time.Now().Add(5 * time.Second); (puts < 1 || gets < 1) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				puts, gets = count("put")-put0, count("get")-get0
+			}
+			if puts != 1 || gets != 1 {
 				t.Fatalf("one put and one one-key get recorded %v puts and %v gets", puts, gets)
 			}
 		})

@@ -17,8 +17,11 @@
 package cops
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/family"
@@ -331,13 +334,9 @@ func (c *Client) observe(key string, ts uint64, src uint8) {
 
 // Put installs a new version of key carrying the session's dependencies.
 func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, error) {
-	resp, err := c.Call(ctx, c.ring.Owner(key), &wire.LoPutReq{Key: key, Value: value, Deps: c.depList()})
+	pr, err := family.As[*wire.LoPutResp](c.Call(ctx, c.ring.Owner(key), &wire.LoPutReq{Key: key, Value: value, Deps: c.depList()}))
 	if err != nil {
 		return 0, fmt.Errorf("cops: put %q: %w", key, err)
-	}
-	pr, ok := resp.(*wire.LoPutResp)
-	if !ok {
-		return 0, fmt.Errorf("cops: put %q: unexpected response %T", key, resp)
 	}
 	c.observe(key, pr.TS, uint8(c.dc))
 	return pr.TS, nil
@@ -359,38 +358,18 @@ func (c *Client) ROT(ctx context.Context, keys []string) ([]wire.KV, error) {
 // dependencies, compute the causal cut, and — only when the first round
 // straddles a write — fetch the cut's exact versions in a second round.
 func (c *Client) rotOnce(ctx context.Context, keys []string) (map[string]wire.KV, error) {
-	groups := c.ring.Group(keys)
-
-	// Round 1: latest versions + dependency lists.
-	type r1 struct {
-		keys []string
-		vals []wire.DepKV
-		err  error
-	}
-	ch := make(chan r1, len(groups))
-	for p, ks := range groups {
-		go func(p int, ks []string) {
-			resp, err := c.Call(ctx, p, &wire.CopsRotReq{Keys: ks})
-			if err != nil {
-				ch <- r1{err: err}
-				return
-			}
-			rr, ok := resp.(*wire.CopsRotResp)
-			if !ok {
-				ch <- r1{err: fmt.Errorf("unexpected response %T", resp)}
-				return
-			}
-			ch <- r1{keys: ks, vals: rr.Vals, err: wire.CheckCount(len(ks), len(rr.Vals))}
-		}(p, ks)
-	}
+	// Round 1: latest versions + dependency lists, one leg per partition.
+	shares := ring.Split(c.ring, keys, ring.Key, -1)
 	got := make(map[string]wire.DepKV, len(keys))
-	for range groups {
-		r := <-ch
-		if r.err != nil {
-			return nil, fmt.Errorf("round 1: %w", r.err)
+	err := family.Fan(ctx, len(shares), func(ctx context.Context, i int) (*wire.CopsRotResp, error) {
+		return family.As[*wire.CopsRotResp](c.Call(ctx, shares[i].Part, &wire.CopsRotReq{Keys: shares[i].Items}))
+	}, func(i int, rr *wire.CopsRotResp) error {
+		ks := shares[i].Items
+		if err := wire.CheckCount(len(ks), len(rr.Vals)); err != nil {
+			return err
 		}
-		for i, v := range r.vals {
-			v.KV.Key = r.keys[i]
+		for j, v := range rr.Vals {
+			v.KV.Key = ks[j]
 			got[v.KV.Key] = v
 			// Inherit the read version's dependency list into the session
 			// context. Stored lists dominate a version's transitive closure
@@ -403,44 +382,33 @@ func (c *Client) rotOnce(ctx context.Context, keys []string) (map[string]wire.KV
 				c.observe(d.Key, d.TS, d.Src)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("round 1: %w", err)
 	}
 
-	// Round 2 (only when needed): fetch the cut's exact versions.
-	if cut := causalCut(got); len(cut) > 0 {
-		type r2 struct {
-			val wire.KV
-			err error
-		}
-		ch2 := make(chan r2, len(cut))
-		for k, d := range cut {
-			go func(k string, d wire.LoDep) {
-				resp, err := c.Call(ctx, c.ring.Owner(k), &wire.CopsVerReq{Key: k, TS: d.TS, Src: d.Src})
-				if err != nil {
-					ch2 <- r2{err: err}
-					return
-				}
-				vr, ok := resp.(*wire.CopsVerResp)
-				if !ok {
-					ch2 <- r2{err: fmt.Errorf("unexpected response %T", resp)}
-					return
-				}
+	// Round 2 (only when needed): fetch the cut's exact versions, one leg
+	// per version, in key order.
+	byKey := func(a, b wire.LoDep) int { return cmp.Compare(a.Key, b.Key) }
+	if cut := slices.SortedFunc(maps.Values(causalCut(got)), byKey); len(cut) > 0 {
+		err := family.Fan(ctx, len(cut), func(ctx context.Context, i int) (*wire.CopsVerResp, error) {
+			d := cut[i]
+			return family.As[*wire.CopsVerResp](c.Call(ctx, c.ring.Owner(d.Key), &wire.CopsVerReq{Key: d.Key, TS: d.TS, Src: d.Src}))
+		}, func(i int, vr *wire.CopsVerResp) error {
+			// A miss cannot happen when the cut identity is real (the
+			// version carrying the dependency installed after it), but
+			// never replace a served version with emptiness.
+			if k := cut[i].Key; vr.Val.TS > 0 {
 				vr.Val.Key = k
-				ch2 <- r2{val: vr.Val}
-			}(k, d)
-		}
-		for range cut {
-			r := <-ch2
-			if r.err != nil {
-				return nil, fmt.Errorf("round 2: %w", r.err)
+				prev := got[k]
+				prev.KV = vr.Val
+				got[k] = prev
 			}
-			if r.val.TS > 0 {
-				// A miss cannot happen when the cut identity is real (the
-				// version carrying the dependency installed after it), but
-				// never replace a served version with emptiness.
-				prev := got[r.val.Key]
-				prev.KV = r.val
-				got[r.val.Key] = prev
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("round 2: %w", err)
 		}
 	}
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,13 +114,9 @@ func (c *Client) Put(ctx context.Context, key string, value []byte) (uint64, err
 	c.mu.Lock()
 	deps := c.seen.Clone()
 	c.mu.Unlock()
-	resp, err := c.Call(ctx, c.ring.Owner(key), &wire.PutReq{Key: key, Value: value, Deps: deps})
+	pr, err := family.As[*wire.PutResp](c.Call(ctx, c.ring.Owner(key), &wire.PutReq{Key: key, Value: value, Deps: deps}))
 	if err != nil {
 		return 0, fmt.Errorf("core: put %q: %w", key, err)
-	}
-	pr, ok := resp.(*wire.PutResp)
-	if !ok {
-		return 0, fmt.Errorf("core: put %q: unexpected response %T", key, resp)
 	}
 	c.mu.Lock()
 	c.seen.MaxInto(pr.GSS)
@@ -167,28 +162,6 @@ func (c *Client) refused(m *wire.RotRefused) time.Duration {
 	return stabilizePeriod
 }
 
-// groups splits keys by partition into a deterministic order; the first
-// group's partition acts as coordinator.
-func (c *Client) groups(keys []string) []wire.ReadGroup {
-	m := c.ring.Group(keys)
-	parts := make([]int, 0, len(m))
-	for p := range m {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	// Rotate so coordination load spreads over partitions: the owner of
-	// the first key coordinates.
-	lead := c.ring.Owner(keys[0])
-	groups := make([]wire.ReadGroup, 0, len(parts))
-	groups = append(groups, wire.ReadGroup{Part: uint32(lead), Keys: m[lead]})
-	for _, p := range parts {
-		if p != lead {
-			groups = append(groups, wire.ReadGroup{Part: uint32(p), Keys: m[p]})
-		}
-	}
-	return groups
-}
-
 // rotOneAndHalf runs one attempt of the 1 1/2-round ROT. The coordinator
 // request is a one-way Send (the responses come straight from the
 // partitions), so a shed comes back as a one-way Busy routed by
@@ -197,7 +170,12 @@ func (c *Client) groups(keys []string) []wire.ReadGroup {
 // positional: RotSnap's values answer the coordinator's group (the first),
 // a RotVals' those of the group its Part names.
 func (c *Client) rotOneAndHalf(ctx context.Context, keys []string) (map[string]wire.KV, error) {
-	groups := c.groups(keys)
+	// The first key's owner leads and coordinates.
+	shares := ring.Split(c.ring, keys, ring.Key, -1)
+	groups := make([]wire.ReadGroup, len(shares))
+	for i, sh := range shares {
+		groups[i] = wire.ReadGroup{Part: uint32(sh.Part), Keys: sh.Items}
+	}
 	rotID := c.rotSeq.Add(1)
 	ch := make(chan wire.Message, len(groups))
 	c.rots.Store(rotID, ch)
@@ -249,59 +227,34 @@ func (c *Client) rotOneAndHalf(ctx context.Context, keys []string) (map[string]w
 	return vals, nil
 }
 
-// rotTwoRounds runs one attempt of the 2-round ROT; a refused leg's error
-// response is returned for ROT to retry on.
+// rotTwoRounds runs one attempt of the 2-round ROT: the first key's owner
+// coordinates, then one Fan round reads every partition's share at its
+// snapshot. A refused leg's error response is returned for ROT to retry on.
 func (c *Client) rotTwoRounds(ctx context.Context, keys []string) (map[string]wire.KV, error) {
-	groups := c.groups(keys)
+	shares := ring.Split(c.ring, keys, ring.Key, -1)
 	rotID := c.rotSeq.Add(1)
 	c.mu.Lock()
 	seen := c.seen.Clone()
 	c.mu.Unlock()
 
-	resp, err := c.Call(ctx, int(groups[0].Part), &wire.RotCoordReq{
+	cr, err := family.As[*wire.RotCoordResp](c.Call(ctx, shares[0].Part, &wire.RotCoordReq{
 		RotID:   rotID,
 		Mode:    uint8(TwoRounds),
 		SeenGSS: seen,
-	})
+	}))
 	if err != nil {
 		return nil, fmt.Errorf("coord: %w", err)
 	}
-	cr, ok := resp.(*wire.RotCoordResp)
-	if !ok {
-		return nil, fmt.Errorf("coord: unexpected response %T", resp)
-	}
 	sv := cr.SV
 
-	type result struct {
-		keys []string
-		vals []wire.KV
-		err  error
-	}
-	ch := make(chan result, len(groups))
-	for _, g := range groups {
-		go func(g wire.ReadGroup) {
-			resp, err := c.Call(ctx, int(g.Part), &wire.RotReadReq{SV: sv, Keys: g.Keys})
-			if err != nil {
-				ch <- result{err: err}
-				return
-			}
-			rr, ok := resp.(*wire.RotReadResp)
-			if !ok {
-				ch <- result{err: fmt.Errorf("unexpected response %T", resp)}
-				return
-			}
-			ch <- result{keys: g.Keys, vals: rr.Vals}
-		}(g)
-	}
 	vals := make(map[string]wire.KV, len(keys))
-	for range groups {
-		r := <-ch
-		if r.err == nil {
-			r.err = wire.Label(vals, r.keys, r.vals)
-		}
-		if r.err != nil {
-			return nil, fmt.Errorf("read: %w", r.err)
-		}
+	err = family.Fan(ctx, len(shares), func(ctx context.Context, i int) (*wire.RotReadResp, error) {
+		return family.As[*wire.RotReadResp](c.Call(ctx, shares[i].Part, &wire.RotReadReq{SV: sv, Keys: shares[i].Items}))
+	}, func(i int, rr *wire.RotReadResp) error {
+		return wire.Label(vals, shares[i].Items, rr.Vals)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("read: %w", err)
 	}
 	c.observe(sv)
 	return vals, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -362,27 +363,82 @@ func TestClockModes(t *testing.T) {
 	}
 }
 
+// TestClientGroupsCoordinatorIsFirstKeyOwner checks the read groups a
+// 1 1/2-round ROT actually sends: the coordinator request goes to the first
+// key's owner and lists the groups in order of first appearance (so that
+// owner's comes first), with every key exactly once, in its owner's group.
 func TestClientGroupsCoordinatorIsFirstKeyOwner(t *testing.T) {
-	d := deploy(t, 1, 4, ClockHLC)
-	cli := d.client(t, 0, 1, OneAndHalfRounds)
-	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	groups := cli.groups(keys)
-	if len(groups) == 0 {
-		t.Fatal("no groups")
+	net := transport.NewLocal(transport.LatencyModel{})
+	t.Cleanup(func() { net.Close() })
+	const parts = 4
+	r := ring.New(parts)
+	type coordReq struct {
+		part   int
+		groups []wire.ReadGroup
 	}
-	if int(groups[0].Part) != d.ring.Owner(keys[0]) {
-		t.Fatalf("coordinator = partition %d, want owner of %q (%d)",
-			groups[0].Part, keys[0], d.ring.Owner(keys[0]))
+	sent := make(chan coordReq, 1)
+	for p := 0; p < parts; p++ {
+		node, err := net.Attach(wire.ServerAddr(0, p), transport.HandlerFunc(
+			func(_ transport.Node, _ wire.From, _ uint64, m wire.Message) {
+				req, ok := m.(*wire.RotCoordReq)
+				if !ok {
+					return
+				}
+				// The request is recycled once the handler returns.
+				groups := make([]wire.ReadGroup, len(req.Groups))
+				for i, g := range req.Groups {
+					groups[i] = wire.ReadGroup{Part: g.Part, Keys: slices.Clone(g.Keys)}
+				}
+				sent <- coordReq{p, groups}
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
 	}
-	// Every key appears exactly once, in its owner's group.
+	cli := dial(t, ClientConfig{DC: 0, ID: 1, NumDCs: 1, Ring: r, Mode: OneAndHalfRounds}, net)
+	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cli.ROT(ctx, keys)
+		done <- err
+	}()
+	var got coordReq
+	select {
+	case got = <-sent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no coordinator request sent")
+	}
+	cancel()
+	<-done
+
+	var order []uint32 // owners in order of first appearance
+	for _, k := range keys {
+		if p := uint32(r.Owner(k)); !slices.Contains(order, p) {
+			order = append(order, p)
+		}
+	}
+	if len(order) < 3 {
+		t.Fatalf("keys span %d partitions; the test needs at least 3", len(order))
+	}
+	if got.part != r.Owner(keys[0]) {
+		t.Fatalf("coordinator request went to partition %d, want owner of %q (%d)", got.part, keys[0], r.Owner(keys[0]))
+	}
+	var sentParts []uint32
 	seen := map[string]int{}
-	for _, g := range groups {
+	for _, g := range got.groups {
+		sentParts = append(sentParts, g.Part)
 		for _, k := range g.Keys {
 			seen[k]++
-			if d.ring.Owner(k) != int(g.Part) {
-				t.Fatalf("key %q grouped under %d, owned by %d", k, g.Part, d.ring.Owner(k))
+			if r.Owner(k) != int(g.Part) {
+				t.Fatalf("key %q grouped under %d, owned by %d", k, g.Part, r.Owner(k))
 			}
 		}
+	}
+	if !slices.Equal(sentParts, order) {
+		t.Fatalf("groups sent for partitions %v, want first-appearance order %v", sentParts, order)
 	}
 	for _, k := range keys {
 		if seen[k] != 1 {

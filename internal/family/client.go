@@ -62,14 +62,8 @@ func (b *Base) Send(part int, m wire.Message) error {
 // transports it also warms the connection, letting the partition answer
 // this client directly (the 1 1/2-round ROT's partition-to-client leg).
 func (b *Base) Ping(ctx context.Context, part int) error {
-	resp, err := b.Call(ctx, part, &wire.Ping{Nonce: uint64(part)})
-	if err != nil {
-		return err
-	}
-	if _, ok := resp.(*wire.Pong); !ok {
-		return fmt.Errorf("ping: unexpected response %T", resp)
-	}
-	return nil
+	_, err := As[*wire.Pong](b.Call(ctx, part, &wire.Ping{Nonce: uint64(part)}))
+	return err
 }
 
 // Warm pings every partition in the client's DC, establishing return paths

@@ -3,7 +3,6 @@ package family
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,31 +19,6 @@ const CallTimeout = 10 * time.Second
 
 // errStopping answers dependency waits a shutdown cut short.
 var errStopping = errors.New("dependency wait aborted: server stopping")
-
-// PartDeps is the share of a dependency list owned by one partition.
-type PartDeps struct {
-	Part int
-	Deps []wire.LoDep
-}
-
-// ByOwner splits deps by owning partition: one group per partition holding
-// at least one, in order of first appearance, each listing its
-// dependencies in their original order. Every check that fans out over a
-// dependency list (the dependency check, CC-LO's readers check) asks each
-// partition once, with its group.
-func ByOwner(r ring.Ring, deps []wire.LoDep) []PartDeps {
-	var groups []PartDeps
-	for _, d := range deps {
-		p := r.Owner(d.Key)
-		i := slices.IndexFunc(groups, func(g PartDeps) bool { return g.Part == p })
-		if i < 0 {
-			i = len(groups)
-			groups = append(groups, PartDeps{Part: p})
-		}
-		groups[i].Deps = append(groups[i].Deps, d)
-	}
-	return groups
-}
 
 // DepWaiter is COPS-style dependency checking for one partition: a
 // replicated update installs only after every version it depends on is
@@ -142,44 +116,28 @@ func (w *DepWaiter) HandleDepCheck(src wire.From, reqID uint64, m *wire.DepCheck
 // unverified dependent would be durably wrong, while the origin simply
 // retries the (idempotent) update later.
 //
-// Dependencies are grouped by owning partition. Every other partition
-// holding one gets a single DepCheckReq listing its group, all in
-// parallel; this partition's own are settled inline when installed — the
-// common case — and waited for here when not. The first failure cancels
-// the remaining requests.
+// The check is one Fan round over the dependencies split by owner. Every
+// other partition holding one gets a single DepCheckReq listing its share;
+// this partition's own share leads, so it is settled on the caller, inline
+// when installed — the common case — and waited for here when not. The
+// first failure cancels the remaining requests.
 func (w *DepWaiter) WaitAll(deps []wire.LoDep) error {
 	if len(deps) == 0 {
 		return nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), CallTimeout)
 	defer cancel()
-	var local []wire.LoDep
-	groups := ByOwner(w.ring, deps)
-	errs := make(chan error, len(groups))
-	asked := 0
-	for _, g := range groups {
-		if g.Part == w.part {
-			local = g.Deps
-			continue
+	shares := ring.Split(w.ring, deps, func(d wire.LoDep) string { return d.Key }, w.part)
+	return Fan(ctx, len(shares), func(ctx context.Context, i int) (*wire.DepCheckResp, error) {
+		sh := shares[i]
+		if sh.Part == w.part {
+			if !w.waitInstalled(sh.Items) {
+				return nil, errStopping
+			}
+			return nil, nil
 		}
-		asked++
 		w.requests.Add(1)
-		w.keys.Add(uint64(len(g.Deps)))
-		go func() {
-			_, err := w.node.Call(ctx, wire.ServerAddr(w.dc, g.Part), &wire.DepCheckReq{Deps: g.Deps})
-			errs <- err
-		}()
-	}
-	var err error
-	if !w.waitInstalled(local) {
-		err = errStopping
-		cancel()
-	}
-	for range asked {
-		if e := <-errs; e != nil && err == nil {
-			err = e
-			cancel()
-		}
-	}
-	return err
+		w.keys.Add(uint64(len(sh.Items)))
+		return As[*wire.DepCheckResp](w.node.Call(ctx, wire.ServerAddr(w.dc, sh.Part), &wire.DepCheckReq{Deps: sh.Items}))
+	}, func(int, *wire.DepCheckResp) error { return nil })
 }

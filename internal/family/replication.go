@@ -12,7 +12,10 @@
 // stream wait on — which is a different discipline, though its write path
 // follows LoServer's order (durable, then visible, then shipped); both
 // streams share one delivery loop (Deliver) and one lookup of what each DC
-// has acknowledged (Acked).
+// has acknowledged (Acked). Every multi-partition round, a client's ROT
+// legs or a server's checks, is one Fan: legs on goroutines, leg 0 on the
+// caller, answers folded serially, the first error cancelling the rest; As
+// types each leg's answer.
 //
 // Everything here is a concrete type a family calls directly. A family
 // supplies its dispatch (a type switch that reports what each message did

@@ -4,6 +4,8 @@
 // processes (TCP deployments) agree without exchanging a seed.
 package ring
 
+import "slices"
+
 // Ring assigns keys to n partitions.
 type Ring struct{ n int }
 
@@ -32,12 +34,37 @@ func (r Ring) Owner(key string) int {
 	return int(h % uint64(r.n))
 }
 
-// Group splits keys by owning partition, preserving order within groups.
-func (r Ring) Group(keys []string) map[int][]string {
-	g := make(map[int][]string)
-	for _, k := range keys {
-		p := r.Owner(k)
-		g[p] = append(g[p], k)
+// Share is the part of a list of items owned by one partition.
+type Share[T any] struct {
+	Part  int
+	Items []T
+}
+
+// Key is Split's key function for items that are keys.
+func Key(k string) string { return k }
+
+// Split splits items by owning partition, key naming each item's key: one
+// share per partition owning at least one item, each listing its items in
+// their original order. Shares come in order of first appearance, except
+// that partition first's share, when there is one, comes first. A server
+// passes its own partition, so the share it settles inline leads; a client
+// passes -1, so the first key's owner leads. Either way the order depends on
+// the items alone.
+func Split[T any](r Ring, items []T, key func(T) string, first int) []Share[T] {
+	var shares []Share[T]
+	for _, it := range items {
+		p := r.Owner(key(it))
+		i := slices.IndexFunc(shares, func(s Share[T]) bool { return s.Part == p })
+		if i < 0 {
+			i = len(shares)
+			shares = append(shares, Share[T]{Part: p})
+		}
+		shares[i].Items = append(shares[i].Items, it)
 	}
-	return g
+	if i := slices.IndexFunc(shares, func(s Share[T]) bool { return s.Part == first }); i > 0 {
+		own := shares[i]
+		copy(shares[1:i+1], shares[:i])
+		shares[0] = own
+	}
+	return shares
 }
