@@ -82,8 +82,10 @@ type Config struct {
 // Engine constants: no figure, gate or test varies them.
 const (
 	// stabilizePeriod is the stabilization protocol period (paper §5.2:
-	// 5 ms) — both how often a partition reports its VV and, unless
-	// NewStabilizer is given another, the stabilizer's catch-all period.
+	// 5 ms) — both the longest a partition goes without reporting its VV
+	// (it also reports whenever a replication batch moves the VV) and,
+	// unless NewStabilizer is given another, the stabilizer's catch-all
+	// period.
 	stabilizePeriod = 5 * time.Millisecond
 	// repBatchMax caps updates per replication batch.
 	repBatchMax = 256

@@ -28,22 +28,27 @@ type testDeployment struct {
 
 func deploy(t *testing.T, dcs, parts int, clock ClockMode) *testDeployment {
 	t.Helper()
-	d := &testDeployment{
-		net:  transport.NewLocal(transport.LatencyModel{}),
-		ring: ring.New(parts),
-	}
+	local := transport.NewLocal(transport.LatencyModel{})
+	return deployOn(t, local, local, dcs, parts, clock)
+}
+
+// deployOn is deploy over local, with servers and stabilizers attached
+// through via: local itself, or a tap around it.
+func deployOn(t *testing.T, local *transport.Local, via transport.Network, dcs, parts int, clock ClockMode) *testDeployment {
+	t.Helper()
+	d := &testDeployment{net: local, ring: ring.New(parts)}
 	for dc := 0; dc < dcs; dc++ {
 		for p := 0; p < parts; p++ {
 			s, err := NewServer(Config{
 				DC: dc, Part: p, NumDCs: dcs, NumParts: parts,
 				Clock: clock, RepFlushEvery: time.Millisecond,
-			}, d.net)
+			}, via)
 			if err != nil {
 				t.Fatal(err)
 			}
 			d.servers = append(d.servers, s)
 		}
-		st, err := NewStabilizer(dc, parts, dcs, time.Millisecond, d.net)
+		st, err := NewStabilizer(dc, parts, dcs, time.Millisecond, via)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,12 +552,13 @@ func TestRefusedLegRetriesAtFrontier(t *testing.T) {
 			srv[0].store.Install(x, remote(5))
 			srv[1].store.Install(y, remote(10))
 			srv[1].store.Install(y, remote(20))
-			// Partition 1's GSS reaches [1 20] and holds for frontierLag more
-			// broadcasts, so [1 20] becomes its frontier; the next install of
-			// y drops 10, which 20 hides from every snapshot at or above it.
-			for i := 0; i <= frontierLag; i++ {
-				srv[1].applyGSS(vclock.Vec{1, 20})
-			}
+			// Partition 1's GSS reaches [1 20] and holds for frontierLag, so
+			// the next broadcast makes [1 20] its frontier; the next install
+			// of y drops 10, which 20 hides from every snapshot at or above
+			// it.
+			srv[1].applyGSS(vclock.Vec{1, 20})
+			srv[1].past[0].at = srv[1].past[0].at.Add(-frontierLag)
+			srv[1].applyGSS(vclock.Vec{1, 20})
 			srv[1].store.Install(y, remote(30))
 			if n := srv[1].store.ChainLen(y); n != 2 {
 				t.Fatalf("y retains %d versions, want 2 (20 and 30)", n)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/family"
@@ -31,12 +32,11 @@ type Server struct {
 	mu  sync.RWMutex
 	vv  vclock.Vec // vv[i], i ≠ local: latest ts received from DC i's replica
 	gss vclock.Vec // latest Global Stable Snapshot broadcast
-	// past holds the GSS after each of the last frontierLag broadcasts, a
-	// ring indexed by rounds mod frontierLag: the entry a broadcast
-	// overwrites is the GSS frontierLag rounds ago, the store's trim
-	// frontier.
-	past   [frontierLag]vclock.Vec
-	rounds int
+	// past holds the GSS after each broadcast of the last frontierLag, oldest
+	// first; the newest entry older than that is the store's trim frontier.
+	past []pastGSS
+
+	reported atomic.Bool // a batch sent a VVReport since reportLoop's last tick
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -59,6 +59,11 @@ type watermark struct {
 	cond    sync.Cond // on mu; signalled when the finished prefix pops or the server closes
 	pending []pendingPut
 	closed  bool
+}
+
+type pastGSS struct {
+	at  time.Time
+	gss vclock.Vec
 }
 
 type pendingPut struct {
@@ -283,27 +288,33 @@ func (s *Server) gssSnapshot() vclock.Vec {
 	return s.gss.Clone()
 }
 
-// frontierLag is how many GSS broadcasts the store's trim frontier trails
-// the GSS by — about 20 ms at the 5 ms period. A leg's snapshot takes its
-// remote entries from its coordinator's GSS (or a newer one the client
-// saw), which under scheduling noise can trail this partition's by a
-// broadcast or two, and a snapshot below the frontier risks a refusal; a
-// few rounds of slack make refusals vanish and cost only milliseconds of
-// writes kept.
-const frontierLag = 4
+// frontierLag is how long the store's trim frontier trails the GSS: four
+// stabilization periods. A leg's snapshot takes its remote entries from its
+// coordinator's GSS (or a newer one the client saw), which under scheduling
+// noise can trail this partition's by a broadcast or two, and a snapshot
+// below the frontier risks a refusal; a few periods of slack make refusals
+// vanish and cost only milliseconds of writes kept. It is a time, not a
+// count of broadcasts, because rounds close as often as replication moves
+// the partitions' VVs.
+const frontierLag = 4 * stabilizePeriod
 
 // applyGSS merges a broadcast GSS, keeping monotonicity under reordering,
-// and moves the store's trim frontier to the GSS frontierLag broadcasts ago.
+// and moves the store's trim frontier to the newest GSS at least frontierLag
+// old.
 func (s *Server) applyGSS(g vclock.Vec) {
+	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gss.MaxInto(g)
-	slot := &s.past[s.rounds%frontierLag]
-	if *slot != nil {
-		s.store.SetFrontier(*slot)
+	k := 0
+	for k < len(s.past) && now.Sub(s.past[k].at) >= frontierLag {
+		k++
 	}
-	*slot = s.gss.Clone()
-	s.rounds++
+	if k > 0 {
+		s.store.SetFrontier(s.past[k-1].gss)
+		s.past = slices.Delete(s.past, 0, k)
+	}
+	s.past = append(s.past, pastGSS{at: now, gss: s.gss.Clone()})
 }
 
 // vvSnapshot returns the server's version vector with the local entry set
@@ -556,27 +567,45 @@ func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) f
 		})
 	}
 	s.mu.Lock()
-	s.vv[srcDC] = max(s.vv[srcDC], m.HighTS)
+	moved := m.HighTS > s.vv[srcDC] // a concurrent retry of this batch may have won
+	if moved {
+		s.vv[srcDC] = m.HighTS
+	}
 	s.mu.Unlock()
 	_ = s.Node.Respond(src, reqID, &wire.RepAck{})
+	if moved {
+		s.reported.Store(true)
+		s.report()
+	}
 	return op
 }
 
-// reportLoop periodically reports the server's VV to the DC stabilizer.
+// report sends the partition's VV to its DC's stabilizer. handleRepBatch
+// calls it whenever a batch moves the VV, so a remote write reaches the
+// stabilizer one LAN hop after it becomes readable here.
+func (s *Server) report() {
+	_ = s.Node.Send(wire.StabilizerAddr(s.cfg.DC), &wire.VVReport{
+		Part: uint32(s.cfg.Part),
+		VV:   s.vvSnapshot(),
+	})
+}
+
+// reportLoop is the reporting floor: at each stabilization period's tick it
+// reports unless a batch did since the last one — a remote DC that is idle
+// or cut off, or a deployment of one DC, where no batch moves the VV. The
+// local entry, the clock, then still reaches the GSS every period.
 func (s *Server) reportLoop() {
 	defer s.wg.Done()
 	t := newTicker(stabilizePeriod)
 	defer t.Stop()
-	stab := wire.StabilizerAddr(s.cfg.DC)
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-t.C:
-			_ = s.Node.Send(stab, &wire.VVReport{
-				Part: uint32(s.cfg.Part),
-				VV:   s.vvSnapshot(),
-			})
+			if !s.reported.Swap(false) {
+				s.report()
+			}
 		}
 	}
 }

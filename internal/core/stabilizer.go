@@ -13,10 +13,12 @@ import (
 )
 
 // Stabilizer is one DC's stabilization service. Partitions report their
-// version vectors every stabilization period; the stabilizer aggregates the
-// entry-wise minimum — the Global Stable Snapshot — and broadcasts it back:
-// on arrival of the report that closes a round, and from the period timer —
-// the catch-all — when rounds cannot close (reporters out of phase, a loss).
+// version vectors — on every replication batch that moves one, and at least
+// once per stabilization period; the stabilizer aggregates the entry-wise
+// minimum — the Global Stable Snapshot — and broadcasts it back: once every
+// partition has reported since the last broadcast (a round), and from the
+// period timer — the catch-all — when no round closes (a lost report, a
+// partition that is down).
 //
 // The paper describes partitions exchanging VVs directly; a depth-1
 // aggregation tree (this service) computes the identical GSS with O(N)
@@ -28,14 +30,14 @@ type Stabilizer struct {
 	node   transport.Node
 	now    func() time.Time // the arrival clock; tests script it
 
-	mu  sync.Mutex
-	vvs []vclock.Vec // each partition's latest report (nil before the first) ...
-	at  []time.Time  // ... and when it arrived
-	gss vclock.Vec
+	mu    sync.Mutex
+	vvs   []vclock.Vec // each partition's latest report (nil before the first) ...
+	at    []time.Time  // ... when it arrived ...
+	fresh []bool       // ... and whether it arrived since the last broadcast
+	gss   vclock.Vec
 
-	lastRound time.Time   // arrival that closed the last round
-	due       time.Time   // the catch-all stays silent before this
-	timer     *time.Timer // wakes the loop at due
+	due   time.Time   // the catch-all stays silent before this
+	timer *time.Timer // wakes the loop at due
 
 	rounds, ticks metrics.Counter // broadcasts, by trigger
 	rejected      metrics.Counter // messages dropped as malformed
@@ -58,6 +60,7 @@ func NewStabilizer(dc, numParts, numDCs int, period time.Duration, net transport
 		now:    time.Now,
 		vvs:    make([]vclock.Vec, numParts),
 		at:     make([]time.Time, numParts),
+		fresh:  make([]bool, numParts),
 		gss:    vclock.New(numDCs),
 		timer:  time.NewTimer(period),
 		stop:   make(chan struct{}),
@@ -95,10 +98,11 @@ func (st *Stabilizer) GSS() vclock.Vec {
 // have, or with a vector of another width, is dropped like any other message:
 // folded in, it would over-advance the GSS — the one unsafe direction.
 //
-// The report closes a round when every partition's latest report arrived less
-// than half a period before it and the last round closed at least half a
-// period ago: then every vector folded in is newer than the last round, so a
-// round is one tick's reports, closed by the last of them to arrive.
+// The report closes a round when every partition has delivered a report since
+// the last broadcast: a second report from one partition replaces its vector
+// but does not count twice. Partitions report as replication batches move
+// their VVs, out of phase with each other, so a round is one fresh report
+// from each, closed by the last of them to arrive.
 func (st *Stabilizer) Handle(_ transport.Node, _ wire.From, _ uint64, m wire.Message) {
 	r, ok := m.(*wire.VVReport)
 	if !ok || r.Part >= uint32(st.parts) || len(r.VV) != len(st.gss) {
@@ -108,13 +112,9 @@ func (st *Stabilizer) Handle(_ transport.Node, _ wire.From, _ uint64, m wire.Mes
 	st.mu.Lock()
 	now := st.now()
 	st.vvs[r.Part], st.at[r.Part] = r.VV, now
-	closed := now.Sub(st.lastRound) >= st.period/2
-	for p := range st.at {
-		closed = closed && now.Sub(st.at[p]) < st.period/2 // never reported: the zero time
-	}
+	st.fresh[r.Part] = true
 	var g vclock.Vec
-	if closed {
-		st.lastRound = now
+	if !slices.Contains(st.fresh, false) {
 		g = st.aggregate(now, true)
 	}
 	st.mu.Unlock()
@@ -148,7 +148,8 @@ func (st *Stabilizer) tick() {
 // aggregate computes the GSS for either trigger — the min over every
 // partition's latest vector, kept monotone; nil until all have reported — and
 // re-arms the catch-all: a period after its own firing, half a period more
-// after a closed round so that it does not race the next. Callers hold st.mu.
+// after a closed round so that it does not race the next. A broadcast makes
+// every report stale. Callers hold st.mu.
 func (st *Stabilizer) aggregate(now time.Time, round bool) vclock.Vec {
 	wait, sent := st.period, &st.ticks
 	if round {
@@ -171,6 +172,7 @@ func (st *Stabilizer) aggregate(now time.Time, round bool) vclock.Vec {
 			oldest = st.at[p]
 		}
 	}
+	clear(st.fresh)
 	st.gss.MaxInto(agg)
 	sent.Add(1)
 	st.reportAge.Store(int64(now.Sub(oldest)))

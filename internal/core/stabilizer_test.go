@@ -140,7 +140,8 @@ func permutations(n int) [][]int {
 }
 
 // (1) In-phase reporters, every arrival order: one broadcast per tick, on the
-// last arrival, from that tick's vectors only; the catch-all never fires.
+// last arrival — the one that completes the set of fresh reports — from that
+// tick's vectors only; the catch-all never fires.
 func TestStabilizerRoundClosesOnLastArrival(t *testing.T) {
 	const parts, gap = 4, 30 * time.Microsecond
 	orders := permutations(parts)
@@ -163,103 +164,140 @@ func TestStabilizerRoundClosesOnLastArrival(t *testing.T) {
 	}
 }
 
-// (2) The latch. The first reporter's report is lost once: the catch-all
-// serves that one round, and the next tick closes on its LAST arrival again.
-// Under "every partition has reported since the last closed round" the next
-// tick's FIRST arrival closes the round over the others' period-old vectors,
-// and so does every tick after it — this test is the mutation check for that
-// rule (replace Handle's two conditions by p.at.After(st.lastRound)).
-func TestStabilizerLostReportDoesNotLatch(t *testing.T) {
-	const parts, gap, lost = 4, 30 * time.Microsecond, 5
-	r := newStabRig(t, parts, 2)
-	for k := 1; k <= 20; k++ {
-		base := time.Duration(k) * testPeriod
-		for p := 0; p < parts; p++ {
-			if k == lost && p == 0 {
-				continue
-			}
-			r.at(base + time.Duration(p)*gap)
-			r.report(p, tickVV(k, p))
-		}
-		if k == lost {
-			if len(r.bcasts) != lost-1 {
-				t.Fatalf("a round closed on tick %d without partition 0's report", k)
-			}
-			continue
-		}
-		// After the lost tick the catch-all's broadcast stands in its place
-		// in the count.
-		r.wantRoundAt(k, base+(parts-1)*gap, k)
-	}
-	// The catch-all fired once, a period and a half after tick lost-1's
-	// round, still with partition 0's vector of that tick.
-	b, wantAt := r.bcasts[lost-1], time.Duration(lost-1)*testPeriod+(parts-1)*gap+testPeriod*3/2
-	if r.st.ticks.Load() != 1 || b.round || !b.at.Equal(r.epoch.Add(wantAt)) ||
-		!b.gss.Equal(vclock.Vec{uint64(1000 * (lost - 1)), uint64(1000 * (lost - 1))}) {
-		t.Fatalf("%d catch-all rounds; broadcast %d at %v (round=%v) GSS %v; want one, at %v",
-			r.st.ticks.Load(), lost, b.at.Sub(r.epoch), b.round, b.gss, wantAt)
-	}
-}
-
-// (3) Reporters a quarter period apart never close a round: one broadcast
-// per period, all from the catch-all — the parent's cadence.
-func TestStabilizerSpreadReportersUseCatchAll(t *testing.T) {
-	const parts, periods = 4, 40
-	r := newStabRig(t, parts, 2)
-	for k := 0; k < periods; k++ {
-		for p := 0; p < parts; p++ {
-			r.at(time.Duration(k)*testPeriod + time.Duration(p)*testPeriod/4)
-			r.report(p, tickVV(k+1, p))
-		}
-	}
-	if rounds := r.st.rounds.Load(); rounds != 0 {
-		t.Fatalf("%d rounds closed among reporters a quarter period apart", rounds)
-	}
-	if len(r.bcasts) < periods-2 || len(r.bcasts) > periods {
-		t.Fatalf("%d broadcasts in %d periods", len(r.bcasts), periods)
-	}
-	for i := 1; i < len(r.bcasts); i++ {
-		if gap := r.bcasts[i].at.Sub(r.bcasts[i-1].at); gap != testPeriod {
-			t.Fatalf("broadcasts %d and %d are %v apart, want one period", i-1, i, gap)
-		}
-	}
-}
-
-// (4) Partitions that report twice in a burst do not close a second round,
-// and do not disturb the next tick's: it still closes on its last arrival.
-// (Under the rule of (2) the three duplicates leave partition 0 alone unseen
-// since the round, its next report closes the next round alone, and the latch
-// is on.)
+// (2) A partition that reports again before the round closes — a burst —
+// does not count twice: the round still waits for every partition, closes on the last of
+// them, and folds in the repeat's newer vector. Counting arrivals instead of
+// partitions closes each round on partition 1's repeat, over partition 3's
+// vector of the tick before.
 func TestStabilizerBurstDoesNotDoubleBroadcast(t *testing.T) {
 	const parts, gap = 4, 30 * time.Microsecond
 	r := newStabRig(t, parts, 2)
 	for k := 1; k <= 10; k++ {
 		base := time.Duration(k) * testPeriod
-		for p := 0; p < parts; p++ {
-			r.at(base + time.Duration(p)*gap)
-			r.report(p, tickVV(k, p))
-		}
-		r.wantRoundAt(k, base+(parts-1)*gap, k)
-		if k%3 == 0 {
-			for p := 1; p < parts; p++ {
-				r.at(base + time.Duration(parts+p)*gap)
-				r.report(p, tickVV(k, p))
-			}
-			r.report(parts-1, tickVV(k, parts-1))
-			if len(r.bcasts) != k {
-				t.Fatalf("tick %d: the burst's duplicates broadcast again (%d broadcasts)", k, len(r.bcasts))
+		half := tickVV(k, 0)
+		half[0] -= 500
+		steps := []struct {
+			part int
+			vv   vclock.Vec
+		}{{0, half}, {0, tickVV(k, 0)}, {1, tickVV(k, 1)}, {1, tickVV(k, 1)}, {2, tickVV(k, 2)}, {3, tickVV(k, 3)}}
+		for i, st := range steps {
+			r.at(base + time.Duration(i)*gap)
+			r.report(st.part, st.vv)
+			if i < len(steps)-1 && len(r.bcasts) != k-1 {
+				t.Fatalf("tick %d: a round closed after %d reports from %d partitions", k, i+1, st.part+1)
 			}
 		}
+		r.wantRoundAt(k, base+time.Duration(len(steps)-1)*gap, k)
 	}
 	if ticks := r.st.ticks.Load(); ticks != 0 {
 		t.Fatalf("%d catch-all broadcasts", ticks)
 	}
 }
 
-// (5) Property, over seeded random phases, jitter, losses, duplicates and
+// (3) A lost report delays one round, after which rounds close again: it
+// does not latch the rounds onto stale vectors.
+func TestStabilizerLostReportDoesNotLatch(t *testing.T) {
+	const parts, lost = 4, 5
+	// Periodic reporters in phase (the report floor alone): the catch-all
+	// serves the lost tick with partition 0's vector of the tick before, and
+	// the next tick closes on its last arrival again. The catch-all's
+	// broadcast makes the others' reports stale too; if it did not, the next
+	// tick's first arrival would complete the set and close the round over
+	// the others' period-old vectors, and so would every tick after it.
+	t.Run("periodic", func(t *testing.T) {
+		const gap = 30 * time.Microsecond
+		r := newStabRig(t, parts, 2)
+		for k := 1; k <= 20; k++ {
+			base := time.Duration(k) * testPeriod
+			for p := 0; p < parts; p++ {
+				if k == lost && p == 0 {
+					continue
+				}
+				r.at(base + time.Duration(p)*gap)
+				r.report(p, tickVV(k, p))
+			}
+			if k == lost {
+				if len(r.bcasts) != lost-1 {
+					t.Fatalf("a round closed on tick %d without partition 0's report", k)
+				}
+				continue
+			}
+			// After the lost tick the catch-all's broadcast stands in its
+			// place in the count.
+			r.wantRoundAt(k, base+(parts-1)*gap, k)
+		}
+		// The catch-all fired once, a period and a half after tick lost-1's
+		// round, still with partition 0's vector of that tick.
+		b, wantAt := r.bcasts[lost-1], time.Duration(lost-1)*testPeriod+(parts-1)*gap+testPeriod*3/2
+		if r.st.ticks.Load() != 1 || b.round || !b.at.Equal(r.epoch.Add(wantAt)) ||
+			!b.gss.Equal(vclock.Vec{uint64(1000 * (lost - 1)), uint64(1000 * (lost - 1))}) {
+			t.Fatalf("%d catch-all rounds; broadcast %d at %v (round=%v) GSS %v; want one, at %v",
+				r.st.ticks.Load(), lost, b.at.Sub(r.epoch), b.round, b.gss, wantAt)
+		}
+	})
+	// Reporters driven by replication: each reports once per stop-and-wait
+	// round trip, a quarter of it apart. Each cycle's round closes on
+	// partition 3's report. Partition 0's report of cycle lost never
+	// arrives, so that cycle has no round; its next report closes the
+	// delayed one, and from then on every cycle's round closes on partition
+	// 0's report over the others' vectors of the cycle before — still one
+	// round per round trip, none older than one, and no catch-all.
+	t.Run("replicated", func(t *testing.T) {
+		const trip, cycles = testPeriod * 11 / 25, 20 // 2.2 ms
+		r := newStabRig(t, parts, 2)
+		for j := 1; j <= cycles; j++ {
+			for p := 0; p < parts; p++ {
+				if j == lost && p == 0 {
+					continue
+				}
+				r.at(time.Duration(j)*trip + time.Duration(p)*trip/parts)
+				r.report(p, tickVV(j, p))
+			}
+		}
+		if n := r.st.ticks.Load(); n != 0 || len(r.bcasts) != cycles-1 {
+			t.Fatalf("%d broadcasts, %d of them catch-alls; want %d rounds", len(r.bcasts), n, cycles-1)
+		}
+		for i, b := range r.bcasts {
+			j, at, want := i+1, time.Duration(i+1)*trip+(parts-1)*trip/parts, tickVV(i+1, 0)
+			if j >= lost {
+				j = i + 2
+				at, want = time.Duration(j)*trip, tickVV(j-1, 1)
+			}
+			if !b.round || !b.at.Equal(r.epoch.Add(at)) || !b.gss.Equal(want) {
+				t.Fatalf("broadcast %d at %v (round=%v) GSS %v; want a round at %v (cycle %d) with %v",
+					i, b.at.Sub(r.epoch), b.round, b.gss, at, j, want)
+			}
+		}
+	})
+}
+
+// (4) Periodic reporters a quarter period apart — partitions of a
+// multi-process deployment started seconds apart, with only the report floor
+// running: every period brings one fresh report from each, so a round closes
+// every period, on the last of them, from that period's vectors only; the
+// catch-all never fires.
+func TestStabilizerPeriodicReportersBroadcastEveryPeriod(t *testing.T) {
+	const parts, periods = 4, 40
+	r := newStabRig(t, parts, 2)
+	for k := 0; k < periods; k++ {
+		base := time.Duration(k) * testPeriod
+		for p := 0; p < parts; p++ {
+			r.at(base + time.Duration(p)*testPeriod/4)
+			r.report(p, tickVV(k+1, p))
+		}
+		r.wantRoundAt(k+1, base+(parts-1)*testPeriod/4, k+1)
+	}
+	if ticks := r.st.ticks.Load(); ticks != 0 {
+		t.Fatalf("%d catch-all broadcasts", ticks)
+	}
+}
+
+// (5) Property, over seeded random phases, cadences (the report floor's
+// period, or a replication round trip), jitter, losses, duplicates and
 // reordered stale reports: every broadcast is ≤ the entry-wise min over the
 // partitions of the newest vector each has had accepted, broadcasts are
-// monotone, and there is at most one per period on average (+1).
+// monotone, and there is at most one broadcast per complete set of fresh
+// reports, plus the catch-alls.
 func TestStabilizerRandomArrivalsStaySafe(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -267,6 +305,10 @@ func TestStabilizerRandomArrivalsStaySafe(t *testing.T) {
 		spread := testPeriod / 20 // in phase ...
 		if seed%2 == 0 {
 			spread = testPeriod // ... or anywhere in the period
+		}
+		every := testPeriod // the report floor ...
+		if seed%4 >= 2 {
+			every = testPeriod * 11 / 25 // ... or one report per replication round trip
 		}
 		type arrival struct {
 			at   time.Duration
@@ -282,13 +324,13 @@ func TestStabilizerRandomArrivalsStaySafe(t *testing.T) {
 				for i := range vv {
 					vv[i] += uint64(1 + rng.Intn(1000))
 				}
-				at := time.Duration(k)*testPeriod + phase + time.Duration(rng.Int63n(int64(testPeriod/10)))
+				at := time.Duration(k)*every + phase + time.Duration(rng.Int63n(int64(every/10)))
 				switch x := rng.Intn(20); {
 				case x == 0: // lost
 				case x == 1: // sent twice
-					arrivals = append(arrivals, arrival{at, p, vv.Clone()}, arrival{at + time.Duration(rng.Int63n(int64(testPeriod/4))), p, vv.Clone()})
+					arrivals = append(arrivals, arrival{at, p, vv.Clone()}, arrival{at + time.Duration(rng.Int63n(int64(every/4))), p, vv.Clone()})
 				case x == 2 && prev != nil: // overtaken by its predecessor
-					arrivals = append(arrivals, arrival{at, p, vv.Clone()}, arrival{at + time.Duration(rng.Int63n(int64(testPeriod/4))), p, prev})
+					arrivals = append(arrivals, arrival{at, p, vv.Clone()}, arrival{at + time.Duration(rng.Int63n(int64(every/4))), p, prev})
 				default:
 					arrivals = append(arrivals, arrival{at, p, vv.Clone()})
 				}
@@ -325,10 +367,10 @@ func TestStabilizerRandomArrivalsStaySafe(t *testing.T) {
 			r.report(a.part, a.vv)
 			check()
 		}
-		last := arrivals[len(arrivals)-1].at
-		if limit := int(last/testPeriod) + 1; len(r.bcasts) > limit || len(r.bcasts) < periods/2 {
-			t.Fatalf("seed %d (%d partitions, spread %v): %d broadcasts in %v, want ≤ %d",
-				seed, parts, spread, len(r.bcasts), last, limit)
+		rounds, ticks := int(r.st.rounds.Load()), int(r.st.ticks.Load())
+		if limit := len(arrivals) / parts; rounds > limit || rounds+ticks != len(r.bcasts) || len(r.bcasts) < periods/2 {
+			t.Fatalf("seed %d (%d partitions, spread %v, every %v): %d broadcasts, %d rounds + %d catch-alls, from %d reports; want ≤ %d rounds",
+				seed, parts, spread, every, len(r.bcasts), rounds, ticks, len(arrivals), limit)
 		}
 		if r.sends != parts*len(r.bcasts) {
 			t.Fatalf("seed %d: %d messages for %d broadcasts to %d partitions", seed, r.sends, len(r.bcasts), parts)
