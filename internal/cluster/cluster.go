@@ -260,6 +260,15 @@ func (c *Cluster) stopServer(idx int) {
 	c.logs[idx] = nil
 }
 
+// index returns the (dc,p) partition's slot in servers and logs, or false
+// when either coordinate is out of range.
+func (c *Cluster) index(dc, p int) (int, bool) {
+	if dc < 0 || dc >= c.cfg.DCs || p < 0 || p >= c.cfg.Partitions {
+		return 0, false
+	}
+	return dc*c.cfg.Partitions + p, true
+}
+
 // RestartPartition stops the (dc,p) partition server — flushed or not,
 // every acknowledged write is already on disk — and starts a fresh server
 // over the same data directory, driving WAL recovery. It requires DataDir;
@@ -270,10 +279,10 @@ func (c *Cluster) RestartPartition(dc, p int) error {
 	if c.cfg.DataDir == "" {
 		return fmt.Errorf("cluster: RestartPartition requires DataDir")
 	}
-	if dc < 0 || dc >= c.cfg.DCs || p < 0 || p >= c.cfg.Partitions {
+	idx, ok := c.index(dc, p)
+	if !ok {
 		return fmt.Errorf("cluster: no such partition dc%d/p%d", dc, p)
 	}
-	idx := dc*c.cfg.Partitions + p
 	c.stopServer(idx)
 	if err := c.startServer(dc, p); err != nil {
 		return err
@@ -292,10 +301,10 @@ func (c *Cluster) CrashPartition(dc, p int) error {
 	if c.cfg.DataDir == "" {
 		return fmt.Errorf("cluster: CrashPartition requires DataDir")
 	}
-	if dc < 0 || dc >= c.cfg.DCs || p < 0 || p >= c.cfg.Partitions {
+	idx, ok := c.index(dc, p)
+	if !ok {
 		return fmt.Errorf("cluster: no such partition dc%d/p%d", dc, p)
 	}
-	idx := dc*c.cfg.Partitions + p
 	if l := c.logs[idx]; l != nil {
 		if err := l.Crash(); err != nil {
 			return err
@@ -309,8 +318,8 @@ func (c *Cluster) CrashPartition(dc, p int) error {
 // assert per-side effects — e.g. that a recovered tail reached the remote
 // WAL exactly once), or the zero view when durability is off.
 func (c *Cluster) WALViewOf(dc, p int) wal.StatsView {
-	idx := dc*c.cfg.Partitions + p
-	if idx < 0 || idx >= len(c.logs) || c.logs[idx] == nil {
+	idx, ok := c.index(dc, p)
+	if !ok || c.logs[idx] == nil {
 		return wal.StatsView{}
 	}
 	return c.logs[idx].Stats().View()
@@ -319,8 +328,8 @@ func (c *Cluster) WALViewOf(dc, p int) wal.StatsView {
 // WALCursors returns the (dc,p) partition's durable replication cursor
 // table (nil when durability is off).
 func (c *Cluster) WALCursors(dc, p int) []wal.Cursor {
-	idx := dc*c.cfg.Partitions + p
-	if idx < 0 || idx >= len(c.logs) || c.logs[idx] == nil {
+	idx, ok := c.index(dc, p)
+	if !ok || c.logs[idx] == nil {
 		return nil
 	}
 	return c.logs[idx].Cursors()

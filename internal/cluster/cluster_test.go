@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/ring"
 	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
 var allProtocols = Families()
@@ -572,6 +573,31 @@ func TestManyClientsSmoke(t *testing.T) {
 }
 
 // TestStartFailureDoesNotHang: when a later partition fails to come up,
+// TestPartitionIndexBounds: a (dc, p) outside the topology names no
+// partition. With two DCs, (0, Partitions) is one past DC 0's last
+// partition, not an alias of DC 1's partition 0.
+func TestPartitionIndexBounds(t *testing.T) {
+	c := startCluster(t, Config{DCs: 2, Partitions: 2, DataDir: t.TempDir(), Latency: NoLatency()})
+	if c.WALCursors(1, 0) == nil {
+		t.Fatal("WALCursors(1, 0) = nil on a durable cluster")
+	}
+	for _, at := range [][2]int{{0, 2}, {1, 2}, {2, 0}, {-1, 0}, {0, -1}} {
+		dc, p := at[0], at[1]
+		if v := c.WALViewOf(dc, p); v != (wal.StatsView{}) {
+			t.Errorf("WALViewOf(%d, %d) = %+v, want the zero view", dc, p, v)
+		}
+		if cur := c.WALCursors(dc, p); cur != nil {
+			t.Errorf("WALCursors(%d, %d) = %v, want nil", dc, p, cur)
+		}
+		if err := c.RestartPartition(dc, p); err == nil {
+			t.Errorf("RestartPartition(%d, %d) succeeded", dc, p)
+		}
+		if err := c.CrashPartition(dc, p); err == nil {
+			t.Errorf("CrashPartition(%d, %d) succeeded", dc, p)
+		}
+	}
+}
+
 // Start closes the servers it already built — none of them Start()ed yet —
 // and returns the error. A regular file where dc0-p1's WAL directory should
 // be is such a failure; with two DCs the built servers own replication

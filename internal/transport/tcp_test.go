@@ -604,3 +604,75 @@ func BenchmarkTCPOneWayPipelined(b *testing.B) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// FuzzTCPReadLoop feeds arbitrary bytes to an attached node's frame reader
+// through a connection over net.Pipe. The reader must never panic, must end
+// the connection at a length prefix above maxFrame, and must exit once the
+// pipe closes, after which the network's Close returns.
+func FuzzTCPReadLoop(f *testing.F) {
+	ping := wire.EncodeEnvelope(nil, &wire.Envelope{Src: wire.ClientAddr(0, 1), ReqID: 1, Msg: &wire.Ping{Nonce: 7}})
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, uint32(len(ping))), ping...))
+	f.Add([]byte{9, 0})                                      // a truncated length prefix
+	f.Add(binary.LittleEndian.AppendUint32(nil, 60<<20))     // a 60 MiB body that never arrives
+	f.Add(binary.LittleEndian.AppendUint32(nil, maxFrame+1)) // one byte over the bound
+	f.Fuzz(func(t *testing.T, p []byte) {
+		tnet := NewTCP(nil)
+		n, err := tnet.attach(wire.ServerAddr(0, 0), &echoHandler{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, remote := net.Pipe()
+		defer remote.Close()
+		if !n.startConn(newTCPConn(local, &tnet.stats)) {
+			t.Fatal("startConn refused a live node")
+		}
+		ended := make(chan struct{}) // the node closed its end
+		go func() {
+			io.Copy(io.Discard, remote) // responses to any Ping in p
+			close(ended)
+		}()
+		remote.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		_, werr := remote.Write(p)
+		if oversizedFrame(p) {
+			select {
+			case <-ended:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a length prefix above maxFrame left the connection open")
+			}
+		} else if werr != nil {
+			t.Fatalf("the reader stopped before the pipe closed: %v", werr)
+		}
+		remote.Close()
+		for deadline := time.Now().Add(5 * time.Second); tnet.stats.OpenConns.Load() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the read loop outlived its closed pipe")
+			}
+		}
+		closed := make(chan struct{})
+		go func() {
+			tnet.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not return within 5 s")
+		}
+	})
+}
+
+// oversizedFrame reports whether reading p frame by frame reaches a length
+// prefix above maxFrame.
+func oversizedFrame(p []byte) bool {
+	for len(p) >= wire.FrameHdrLen {
+		size := binary.LittleEndian.Uint32(p)
+		if size > maxFrame {
+			return true
+		}
+		if uint64(len(p)-wire.FrameHdrLen) < uint64(size) {
+			return false
+		}
+		p = p[wire.FrameHdrLen+int(size):]
+	}
+	return false
+}

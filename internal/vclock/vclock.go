@@ -34,11 +34,6 @@ func (v Vec) Clone() Vec {
 	return c
 }
 
-// CopyFrom overwrites v with src. The two vectors must have equal length.
-func (v Vec) CopyFrom(src Vec) {
-	copy(v, src)
-}
-
 // MaxInto sets each entry of v to the maximum of v and o.
 // Vectors of unequal length are compared over the shorter prefix.
 func (v Vec) MaxInto(o Vec) {
