@@ -31,6 +31,9 @@ import (
 	"repro/internal/wire"
 )
 
+// A client's id is drawn from [idBase, idBase+idSpan).
+const idBase, idSpan = 1000, 30000
+
 func main() {
 	var cfg cluster.Config
 	flag.Func("protocol", "protocol slug, as given to the kvservers (default contrarian); an unknown one is rejected with the accepted list", func(s string) (err error) {
@@ -70,12 +73,17 @@ func main() {
 	if *dc < 0 || *dc >= topo.DCs {
 		log.Fatalf("kvctl: -dc %d outside topology (have %d DCs)", *dc, topo.DCs)
 	}
+	// The bench's session ids run up from the drawn id; they must all fit
+	// the client id space whatever id is drawn.
+	if free := wire.MaxClientID - (idBase + idSpan - 1); *sessions > free/max(*tenants, 1) {
+		log.Fatalf("kvctl: -tenants %d x -sessions-per-conn %d exceeds the %d client ids above the highest drawn id", *tenants, *sessions, free)
+	}
 
 	net := transport.NewTCP(topo.Directory)
 	defer net.Close()
 	// id addresses the endpoint and is its first session's id; the bench's
 	// further sessions count up from it.
-	id := int(rng.Int31n(30000)) + 1000
+	id := int(rng.Int31n(idSpan)) + idBase
 	mux, err := net.AttachMux(wire.ClientAddr(*dc, id), 0)
 	if err != nil {
 		log.Fatal(err)

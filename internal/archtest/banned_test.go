@@ -90,6 +90,9 @@ var bannedWords = []struct {
 	{"mux socket pool", "a mux holds one socket per server; no command pools them",
 		[]string{"cmd"}, allFiles,
 		`sockPool|socket-pool`},
+	{"decoded messages are not pooled", "a decoded message belongs to whoever receives it; no message type is pooled or reset for reuse (only frame buffers are pooled)",
+		[]string{"internal/wire", "internal/transport"}, goFiles,
+		`\bResettable\b|\bmsgPools\b|\bwire\.Pool\(|^func Pool\(|\bPool\(T\w*\)|\) Reset\(\)`},
 }
 
 // TestBannedWords runs every row of bannedWords over its roots.

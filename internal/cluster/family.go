@@ -186,10 +186,13 @@ func (cfg Config) NewStabilizer(dc int, net transport.Network) (*core.Stabilizer
 
 // NewClient opens a client of cfg's protocol homed in dc as the logical
 // session (tenant, id) on mux, the DC's client endpoint. id must be
-// nonzero, unique per DC (it is the CC-LO rot identity) and fit the session
-// id's 16 bits.
+// unique per DC (it is the CC-LO rot identity) and in [1, wire.MaxClientID],
+// the session id's 16 bits; any other id is an error.
 // On error the returned Client is not usable (it may be a typed nil).
 func (cfg Config) NewClient(dc, id int, tenant uint16, mux transport.Mux) (Client, error) {
+	if id < 1 || id > wire.MaxClientID {
+		return nil, fmt.Errorf("cluster: client id %d outside [1, %d]", id, wire.MaxClientID)
+	}
 	r := ring.New(cfg.Partitions)
 	sess := wire.MakeSession(tenant, uint16(id))
 	switch cfg.Protocol {

@@ -91,6 +91,35 @@ func TestClientIDSpaceExhaustion(t *testing.T) {
 	}
 }
 
+// TestNewClientIDRange: Config.NewClient refuses an id outside
+// [1, wire.MaxClientID] with an error, for every family. Truncated to the
+// session id's 16 bits, 0 and 65536 are the no-session sentinel (a panic
+// in wire.MakeSession) and 65541 aliases session 5.
+func TestNewClientIDRange(t *testing.T) {
+	net := transport.NewLocal(*NoLatency())
+	defer net.Close()
+	mux, err := net.AttachMux(wire.ClientAddr(0, 1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range Families() {
+		cfg := Config{Protocol: p, DCs: 1, Partitions: 1}
+		for _, id := range []int{0, wire.MaxClientID + 1, wire.MaxClientID + 6} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%v: NewClient(id %d) panicked: %v", p, id, r)
+					}
+				}()
+				if cli, err := cfg.NewClient(0, id, 0, mux); err == nil {
+					cli.Close()
+					t.Errorf("%v: NewClient accepted id %d", p, id)
+				}
+			}()
+		}
+	}
+}
+
 // scrape sums the samples of the series name whose labels contain match.
 func scrape(t *testing.T, reg *metrics.Registry, name, match string) (total float64) {
 	t.Helper()

@@ -389,12 +389,7 @@ func TestClientGroupsCoordinatorIsFirstKeyOwner(t *testing.T) {
 				if !ok {
 					return
 				}
-				// The request is recycled once the handler returns.
-				groups := make([]wire.ReadGroup, len(req.Groups))
-				for i, g := range req.Groups {
-					groups[i] = wire.ReadGroup{Part: g.Part, Keys: slices.Clone(g.Keys)}
-				}
-				sent <- coordReq{p, groups}
+				sent <- coordReq{p, req.Groups}
 			}))
 		if err != nil {
 			t.Fatal(err)

@@ -10,23 +10,18 @@ import (
 	"repro/internal/wire"
 )
 
-// probeMsg is a pooled test-only message type whose Reset counts into a
-// package atomic, so tests can observe that a transport actually recycled
-// a response nobody claimed (the late-response regression).
+// probeMsg is a test-only message type, so tests can tell their own
+// frames from the protocol's.
 const probeType = 200
-
-var probeResets atomic.Uint64
 
 type probeMsg struct{ N uint64 }
 
 func (*probeMsg) Type() uint16            { return probeType }
 func (m *probeMsg) Encode(b *wire.Buffer) { b.U64(m.N) }
 func (m *probeMsg) Decode(r *wire.Reader) { m.N = r.U64() }
-func (m *probeMsg) Reset()                { m.N = 0; probeResets.Add(1) }
 
 func init() {
 	wire.Register(probeType, func() wire.Message { return new(probeMsg) })
-	wire.Pool(probeType)
 }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -407,10 +402,9 @@ func (h *lateRespHandler) Handle(n Node, src wire.From, reqID uint64, m wire.Mes
 	n.Respond(src, reqID, &probeMsg{N: 9})
 }
 
-// testLateResponse is the regression for the silent late-response leak:
-// a response arriving after its Call gave up must be counted as dropped
-// AND recycled back to the message pool (observed via probeMsg's counting
-// Reset), on both transports.
+// testLateResponse is the regression for the silent late-response drop: a
+// response arriving after its Call gave up must be counted as dropped, on
+// both transports.
 func testLateResponse(t *testing.T, net Network, stats *Stats, done func()) {
 	t.Helper()
 	defer done()
@@ -436,25 +430,21 @@ func testLateResponse(t *testing.T, net Network, stats *Stats, done func()) {
 		t.Fatalf("cancelled call returned %v, want context.Canceled", err)
 	}
 	// The Call has returned, so its pending entry is gone. Release the
-	// response and require both the drop accounting and the pool return.
+	// response and require the drop accounting.
 	drop0 := stats.Dropped.Load()
-	resets0 := probeResets.Load()
 	close(h.proceed)
 	waitUntil(t, "late response dropped with accounting", func() bool {
 		return stats.Dropped.Load() > drop0
 	})
-	waitUntil(t, "late response recycled to the pool", func() bool {
-		return probeResets.Load() > resets0
-	})
 }
 
-func TestTCPLateResponseRecycledAndCounted(t *testing.T) {
+func TestTCPLateResponseCountedAsDropped(t *testing.T) {
 	dir := map[wire.Addr]string{wire.ServerAddr(0, 0): freeAddr(t)}
 	net := NewTCP(dir)
 	testLateResponse(t, net, net.Stats(), func() { net.Close() })
 }
 
-func TestLocalLateResponseRecycledAndCounted(t *testing.T) {
+func TestLocalLateResponseCountedAsDropped(t *testing.T) {
 	net := NewLocal(LatencyModel{})
 	testLateResponse(t, net, net.Stats(), func() { net.Close() })
 }

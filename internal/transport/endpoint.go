@@ -132,9 +132,8 @@ func (e *endpoint) call(ctx context.Context, dst wire.Addr, m wire.Message, sess
 
 // deliverResponse hands a response to its waiting Call. A response nobody
 // claims — the Call's ctx expired and deleted the pending entry, or a
-// duplicate already filled the channel — is dropped WITH accounting: no
-// waiter will ever retain the message, so silently discarding it leaked
-// pool capacity and hid the drop from the stats.
+// duplicate already filled the channel — is dropped with accounting, so the
+// stats show it.
 func (e *endpoint) deliverResponse(env *wire.Envelope) {
 	if ch, ok := e.pending.Load(env.ReqID); ok {
 		select {
@@ -143,15 +142,11 @@ func (e *endpoint) deliverResponse(env *wire.Envelope) {
 		default: // duplicate response
 		}
 	}
-	e.drop(env.Msg)
+	e.drop()
 }
 
-// drop accounts for an inbound message nothing will handle and returns it
-// to its pool.
-func (e *endpoint) drop(m wire.Message) {
-	e.stats.Dropped.Add(1)
-	wire.Recycle(m)
-}
+// drop accounts for an inbound message nothing will handle.
+func (e *endpoint) drop() { e.stats.Dropped.Add(1) }
 
 // inbound is one routed request: the handler and node to run it against (a
 // session's own when the frame was a direct push to a registered session,
@@ -167,13 +162,12 @@ type inbound struct {
 	gate  *AdmitGate
 }
 
-// run handles the request, recycles its pooled message and returns the
-// admission token. The receiver is a value on purpose: serve hands a
-// closure over in to gate.Submit, and a pointer receiver there would move
-// every routed inbound to the heap, the ungated ones included.
+// run handles the request and returns the admission token. The receiver
+// is a value on purpose: serve hands a closure over in to gate.Submit, and
+// a pointer receiver there would move every routed inbound to the heap,
+// the ungated ones included.
 func (in inbound) run() {
 	in.h.Handle(in.node, in.src, in.reqID, in.msg)
-	wire.Recycle(in.msg)
 	if in.gate != nil {
 		in.gate.Release()
 	}
@@ -248,7 +242,7 @@ func (e *endpoint) serve(env *wire.Envelope) {
 			in.run()
 			e.wg.Done()
 		}, func() {
-			e.drop(env.Msg)
+			e.drop()
 			e.wg.Done()
 		}) {
 		case AdmitShed:
@@ -292,7 +286,7 @@ func (e *endpoint) route(env *wire.Envelope) (in inbound, ok bool) {
 		}
 	}
 	if in.h == nil {
-		e.drop(env.Msg)
+		e.drop()
 		return in, false
 	}
 	if e.gate != nil && env.Src.IsClient() {
@@ -311,12 +305,11 @@ func (e *endpoint) shed(env *wire.Envelope) {
 	if env.ReqID == 0 {
 		corr, ok := env.Msg.(wire.Correlated)
 		if !ok {
-			e.drop(env.Msg)
+			e.drop()
 			return
 		}
 		echo = corr.CorrelationID()
 	}
-	wire.Recycle(env.Msg)
 	busy := &wire.Busy{Echo: echo, RetryAfterMicros: busyHintMicros(e.gate, env.Session.Tenant())}
 	_ = e.post(wire.From{Addr: env.Src, Sess: env.Session}, env.ReqID, env.ReqID != 0, busy)
 }
@@ -417,7 +410,7 @@ func (s *session) Call(ctx context.Context, dst wire.Addr, m wire.Message) (wire
 
 // Close deregisters the session. What carries its frames stays up — it is
 // shared — and any in-flight push to the session is dropped with
-// accounting (and its pooled message recycled) by route.
+// accounting by route.
 func (s *session) Close() error {
 	if s.closed.Swap(true) {
 		return nil

@@ -255,7 +255,7 @@ func (n *localNode) dispatch(f *wire.FrameBuf) {
 	}
 	env.Dst = n.addr
 	if n.closed.Load() {
-		n.drop(env.Msg)
+		n.drop()
 		return
 	}
 	if env.Resp {

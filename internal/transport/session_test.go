@@ -262,12 +262,10 @@ func TestLocalTenantFairness(t *testing.T) {
 	testTenantFairness(t, net, net.AdmitStats(), func() { net.Close() })
 }
 
-// testSessionTeardownRecycles extends the counting-Reset probe to session
-// teardown: a pooled one-way push delivered to a live session is recycled
-// after its handler returns, and one arriving after the session closed
-// takes the dropped path — which must also recycle, or teardown leaks every
-// in-flight pooled message of a departing session.
-func testSessionTeardownRecycles(t *testing.T, net Network, stats *Stats, done func()) {
+// testSessionTeardownDropsPushes: a one-way push to a live session reaches
+// its handler, and one arriving after the session closed is dropped with
+// accounting, never delivered.
+func testSessionTeardownDropsPushes(t *testing.T, net Network, stats *Stats, done func()) {
 	t.Helper()
 	defer done()
 	srv := wire.ServerAddr(0, 0)
@@ -298,36 +296,32 @@ func testSessionTeardownRecycles(t *testing.T, net Network, stats *Stats, done f
 	}
 
 	to := wire.From{Addr: wire.ClientAddr(0, 9), Sess: id}
-	before := probeResets.Load()
 	if err := sn.SendTo(to, &probeMsg{N: 42}); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "live session to receive the probe", func() bool { return got.Load() == 1 })
-	waitUntil(t, "live-session probe recycle", func() bool { return probeResets.Load() > before })
 
 	if err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before = probeResets.Load()
 	drops := stats.Dropped.Load()
 	if err := sn.SendTo(to, &probeMsg{N: 43}); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, "post-teardown probe to be dropped", func() bool { return stats.Dropped.Load() > drops })
-	waitUntil(t, "post-teardown probe recycle", func() bool { return probeResets.Load() > before })
 	if got.Load() != 1 {
 		t.Fatalf("closed session still received a push (%d deliveries)", got.Load())
 	}
 }
 
-func TestTCPSessionTeardownRecycles(t *testing.T) {
+func TestTCPSessionTeardownDropsPushes(t *testing.T) {
 	net := NewTCP(map[wire.Addr]string{wire.ServerAddr(0, 0): freeAddr(t)})
-	testSessionTeardownRecycles(t, net, net.Stats(), func() { net.Close() })
+	testSessionTeardownDropsPushes(t, net, net.Stats(), func() { net.Close() })
 }
 
-func TestLocalSessionTeardownRecycles(t *testing.T) {
+func TestLocalSessionTeardownDropsPushes(t *testing.T) {
 	net := NewLocal(LatencyModel{})
-	testSessionTeardownRecycles(t, net, net.Stats(), func() { net.Close() })
+	testSessionTeardownDropsPushes(t, net, net.Stats(), func() { net.Close() })
 }
 
 // TestTCPThousandSessionsSocketBound is the connection-scale property: a

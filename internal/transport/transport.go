@@ -16,7 +16,7 @@
 // runs its Handler on a worker of its own, off the receive path, on both
 // networks (endpoint.spawn, then endpoint.serve, the one inbound path), so
 // handlers may block and issue nested Calls (the readers check in CC-LO
-// does exactly that).
+// does exactly that), and each owns the message it is handed.
 package transport
 
 import (
@@ -44,13 +44,7 @@ var (
 // node.Respond(src, reqID, resp) for such messages. Handlers run on
 // dedicated goroutines and may block.
 //
-// Ownership: the transport recycles pooled message types after Handle
-// returns (wire.Recycle), so a handler must not retain the message struct —
-// nor the container slices its Reset recycles (e.g. RepBatch.Ups, the Keys
-// of the read requests) — past its return. Deep data the protocols do keep
-// (key strings, value bytes, vectors, dependency lists) is allocated fresh
-// by every decode and safe to retain; each pooled type's Reset documents
-// its policy.
+// The handler owns m and everything reachable from it, past its return too.
 type Handler interface {
 	Handle(node Node, src wire.From, reqID uint64, m wire.Message)
 }

@@ -13,6 +13,10 @@
 // a per-session ROT id — is a uvarint, and an address two of them (see
 // Buffer.Addr), while hybrid logical clock readings and timestamp vectors
 // stay fixed-width: a 62-bit HLC reading would take nine varint bytes.
+//
+// Only frame buffers are pooled (GetFrame, PutFrame). Every decode returns a
+// fresh message that shares no memory with its frame, and it belongs to
+// whoever receives it.
 package wire
 
 import "fmt"

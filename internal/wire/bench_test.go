@@ -83,38 +83,6 @@ func BenchmarkDecodePutReq2048(b *testing.B) {
 	}
 }
 
-// benchDecodeRecycled is the receive path after decode-side message-struct
-// pooling: the transport recycles the message once the handler returns, so
-// the next decode of the same type reuses the struct (and, for container
-// types like RepBatch.Ups, its backing array) instead of allocating.
-//
-// Measured against the unpooled loops on the dev machine (2.1 GHz Xeon):
-//
-//	DecodePutReq8:              428 ns/op    200 B/op    6 allocs/op
-//	DecodePutReq8Recycled:      197 ns/op    136 B/op    5 allocs/op
-//	DecodeRepBatch64:          9145 ns/op  13200 B/op  202 allocs/op
-//	DecodeRepBatch64Recycled:  6030 ns/op   2656 B/op  194 allocs/op
-//
-// The struct alloc disappears for every pooled type; for container messages
-// the recycled backing array (RepBatch.Ups: 64 updates ≈ 10 KiB) is the
-// bulk of the win. Refresh with `go test ./internal/wire -bench Decode`.
-func benchDecodeRecycled(b *testing.B, buf []byte) {
-	b.Helper()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		env, err := DecodeEnvelope(buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		Recycle(env.Msg)
-	}
-}
-
-func BenchmarkDecodePutReq8Recycled(b *testing.B) {
-	benchDecodeRecycled(b, benchEnvelope(make([]byte, 8)))
-}
-
 func benchRepBatchEnvelope() []byte {
 	ups := make([]Update, 64)
 	for i := range ups {
@@ -137,10 +105,6 @@ func BenchmarkDecodeRepBatch64(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkDecodeRepBatch64Recycled(b *testing.B) {
-	benchDecodeRecycled(b, benchRepBatchEnvelope())
 }
 
 func BenchmarkEncodeOldReadersResp(b *testing.B) {

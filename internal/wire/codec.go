@@ -7,7 +7,6 @@ import (
 	"math"
 	"reflect"
 	"strconv"
-	"sync"
 
 	"repro/internal/vclock"
 )
@@ -268,10 +267,7 @@ type Message interface {
 // NumTypes bounds message type identifiers: every type is below it.
 const NumTypes = 256
 
-var (
-	registry [NumTypes]func() Message
-	msgPools [NumTypes]*sync.Pool
-)
+var registry [NumTypes]func() Message
 
 // Register records the factory for message type t. It panics on duplicate
 // registration; call it from init only.
@@ -305,59 +301,18 @@ func TypeName(t uint16) string {
 	return reflect.Indirect(reflect.ValueOf(registry[t]())).Type().Name()
 }
 
-// Resettable is implemented by pooled message types: Reset clears the
-// message for reuse, nilling any field a handler may legitimately retain
-// (values, dependency lists kept by stores) and truncating — but keeping
-// the capacity of — container slices no handler retains, so a recycled
-// decode reuses their backing arrays.
-type Resettable interface {
-	Message
-	Reset()
-}
-
-// Pool marks the already-registered message type t as pooled: New draws
-// instances from a sync.Pool and Recycle returns them, mirroring on the
-// decode side what GetFrame/PutFrame do for encode buffers. The type's
-// factory must produce a Resettable. Call from init only.
-func Pool(t uint16) {
-	if int(t) >= len(registry) || registry[t] == nil {
-		panic(fmt.Sprintf("wire: Pool(%d) before Register", t))
-	}
-	if _, ok := registry[t]().(Resettable); !ok {
-		panic(fmt.Sprintf("wire: message type %d is not Resettable", t))
-	}
-	fn := registry[t]
-	msgPools[t] = &sync.Pool{New: func() any { return fn() }}
-}
-
-// New instantiates an empty message of type t, drawing pooled types from
-// their pool (their Decode must overwrite every field; see Resettable).
+// New instantiates an empty message of type t.
 func New(t uint16) (Message, error) {
 	if int(t) >= len(registry) || registry[t] == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
-	if p := msgPools[t]; p != nil {
-		return p.Get().(Message), nil
-	}
 	return registry[t](), nil
 }
 
-// Recycle returns a decoded message to its type's pool; it is a no-op for
-// unpooled types and nil. Transports call it after the handler for an
-// inbound request returns — handlers must not retain the message struct or
-// its recycled container slices past that point (see transport.Handler).
-// Responses handed to Call waiters are never recycled.
-func Recycle(m Message) {
-	if m == nil {
-		return
-	}
-	t := m.Type()
-	if int(t) >= len(msgPools) || msgPools[t] == nil {
-		return
-	}
-	m.(Resettable).Reset()
-	msgPools[t].Put(m)
-}
+// Recycle does nothing: a decoded message belongs to whoever receives it.
+// It stays only because the frozen layer benchmark (benchmark/layers.go)
+// calls it after each decode.
+func Recycle(Message) {}
 
 // Envelope wraps a message with routing and correlation metadata.
 //

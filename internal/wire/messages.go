@@ -84,30 +84,6 @@ func init() {
 	Register(TPing, func() Message { return new(Ping) })
 	Register(TPong, func() Message { return new(Pong) })
 	Register(TBusy, func() Message { return new(Busy) })
-
-	// Hot request-path messages are pooled on decode the way encode buffers
-	// already are (see Pool/Recycle in codec.go). Only messages consumed by
-	// server Handle methods qualify: responses are handed to Call waiters,
-	// which retain them, and the client-bound one-way messages (RotSnap,
-	// RotVals) are retained by client ROT state. Each pooled type's Reset
-	// documents which container slices are recycled; everything else a
-	// handler might keep (keys, values, vectors, dependency lists) is
-	// allocated fresh by every decode.
-	Pool(TPutReq)
-	Pool(TRotCoordReq)
-	Pool(TRotFwd)
-	Pool(TRotReadReq)
-	Pool(TRepBatch)
-	Pool(TVVReport)
-	Pool(TGSSBcast)
-	Pool(TLoPutReq)
-	Pool(TLoRotReq)
-	Pool(TOldReadersReq)
-	Pool(TLoRepUpdate)
-	Pool(TDepCheckReq)
-	Pool(TPing)
-	Pool(TCopsRotReq)
-	Pool(TCopsVerReq)
 }
 
 // KV is one read result: a key, the version's value, its timestamp (the
@@ -181,18 +157,12 @@ func encodeStrings(b *Buffer, ss []string) {
 }
 
 func decodeStrings(r *Reader) []string {
-	return decodeStringsInto(nil, r)
-}
-
-// decodeStringsInto appends the decoded strings to dst[:0], reusing its
-// backing array — the capacity-recycling half of message pooling.
-func decodeStringsInto(dst []string, r *Reader) []string {
-	dst = dst[:0]
 	n := r.count(1) // a length prefix
+	ss := make([]string, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		dst = append(dst, r.String())
+		ss = append(ss, r.String())
 	}
-	return dst
+	return ss
 }
 
 //
@@ -219,10 +189,6 @@ func (m *PutReq) Decode(r *Reader) {
 	m.Value = r.Bytes()
 	m.Deps = r.Vec()
 }
-
-// Reset recycles no slices: Value is retained by the store and the
-// replication queue, and Deps may be kept as the new version's vector.
-func (m *PutReq) Reset() { *m = PutReq{} }
 
 // PutResp acknowledges a PUT with the new version's timestamp and the
 // partition's current GSS so the client's causal view stays fresh.
@@ -279,18 +245,11 @@ func (m *RotCoordReq) Decode(r *Reader) {
 	m.RotID = r.Uvarint()
 	m.Mode = r.U8()
 	m.SeenGSS = r.Vec()
-	m.Groups = m.Groups[:0]
 	n := r.count(2) // partition, key count
+	m.Groups = make([]ReadGroup, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Groups = append(m.Groups, ReadGroup{Part: r.u32(), Keys: decodeStrings(r)})
 	}
-}
-
-// Reset recycles the Groups container (the coordinator forwards the inner
-// key slices only through synchronously encoded Sends).
-func (m *RotCoordReq) Reset() {
-	clear(m.Groups)
-	*m = RotCoordReq{Groups: m.Groups[:0]}
 }
 
 // RotCoordResp returns the chosen snapshot vector (2-round mode).
@@ -334,14 +293,7 @@ func (m *RotFwd) Decode(r *Reader) {
 	m.Client = r.Addr()
 	m.Sess = SessionID(r.u32())
 	m.SV = r.Vec()
-	m.Keys = decodeStringsInto(m.Keys, r)
-}
-
-// Reset recycles the Keys container (readAt copies the string headers it
-// needs into its reply).
-func (m *RotFwd) Reset() {
-	clear(m.Keys)
-	*m = RotFwd{Keys: m.Keys[:0]}
+	m.Keys = decodeStrings(r)
 }
 
 // RotVals is a partition's direct-to-client answer (1 1/2-round mode). Part
@@ -399,13 +351,7 @@ func (m *RotReadReq) Encode(b *Buffer) {
 }
 func (m *RotReadReq) Decode(r *Reader) {
 	m.SV = r.Vec()
-	m.Keys = decodeStringsInto(m.Keys, r)
-}
-
-// Reset recycles the Keys container.
-func (m *RotReadReq) Reset() {
-	clear(m.Keys)
-	*m = RotReadReq{Keys: m.Keys[:0]}
+	m.Keys = decodeStrings(r)
 }
 
 // RotReadResp carries the versions read at the requested snapshot, in the
@@ -425,8 +371,7 @@ func (m *RotReadResp) Decode(r *Reader) { m.Vals = decodeVals(r) }
 // RotReadReq (RotID 0). Frontier is the partition's trim frontier: a
 // stable vector of the client's own DC, which the client folds into its
 // causal context so the retried ROT's snapshot covers what the partition
-// retains. It is not pooled — client ROT state retains it. Refusals are
-// rare, so its RotID stays a fixed 8 B.
+// retains. Refusals are rare, so its RotID stays a fixed 8 B.
 type RotRefused struct {
 	RotID    uint64
 	Frontier vclock.Vec
@@ -480,20 +425,13 @@ func (m *RepBatch) Encode(b *Buffer) {
 func (m *RepBatch) Decode(r *Reader) {
 	m.SrcDC = r.U8()
 	m.HighTS = r.U64()
-	m.Ups = m.Ups[:0]
 	n := r.count(11) // two length prefixes, 8 B timestamp, vector length
+	m.Ups = make([]Update, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Ups = append(m.Ups, Update{
 			Key: r.String(), Value: r.Bytes(), TS: r.U64(), DV: r.Vec(),
 		})
 	}
-}
-
-// Reset recycles the Ups container — the replication hot path — which the
-// receiver only iterates, copying each update's fields into its store.
-func (m *RepBatch) Reset() {
-	clear(m.Ups)
-	*m = RepBatch{Ups: m.Ups[:0]}
 }
 
 // RepAck acknowledges replicated data on either stream: a RepBatch or a
@@ -522,19 +460,12 @@ func (m *VVReport) Decode(r *Reader) {
 	m.VV = r.Vec()
 }
 
-// Reset recycles nothing: the stabilizer retains VV.
-func (m *VVReport) Reset() { *m = VVReport{} }
-
 // GSSBcast distributes the freshly aggregated Global Stable Snapshot.
 type GSSBcast struct{ GSS vclock.Vec }
 
 func (*GSSBcast) Type() uint16       { return TGSSBcast }
 func (m *GSSBcast) Encode(b *Buffer) { b.Vec(m.GSS) }
 func (m *GSSBcast) Decode(r *Reader) { m.GSS = r.Vec() }
-
-// Reset recycles nothing (receivers merge GSS entry-wise, but Vec decode
-// always allocates fresh).
-func (m *GSSBcast) Reset() { *m = GSSBcast{} }
 
 //
 // CC-LO (COPS-SNOW).
@@ -562,18 +493,12 @@ func encodeDeps(b *Buffer, deps []LoDep) {
 }
 
 func decodeDeps(r *Reader) []LoDep {
-	return decodeDepsInto(nil, r)
-}
-
-// decodeDepsInto appends the decoded deps to dst[:0], reusing its backing
-// array.
-func decodeDepsInto(dst []LoDep, r *Reader) []LoDep {
-	dst = dst[:0]
 	n := r.count(3) // length prefix, timestamp, source
+	deps := make([]LoDep, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		dst = append(dst, LoDep{Key: r.String(), TS: r.Uvarint(), Src: r.U8()})
+		deps = append(deps, LoDep{Key: r.String(), TS: r.Uvarint(), Src: r.U8()})
 	}
-	return dst
+	return deps
 }
 
 // Epoch vectors: one restart epoch per partition of the serving DC, index
@@ -592,15 +517,13 @@ func encodeEpochs(b *Buffer, es []uint64) {
 	}
 }
 
-// decodeEpochsInto appends the decoded epochs to dst[:0], reusing its
-// backing array.
-func decodeEpochsInto(dst []uint64, r *Reader) []uint64 {
-	dst = dst[:0]
+func decodeEpochs(r *Reader) []uint64 {
 	n := r.count(1) // a uvarint
+	es := make([]uint64, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		dst = append(dst, r.Uvarint())
+		es = append(es, r.Uvarint())
 	}
-	return dst
+	return es
 }
 
 // Reader identifies a ROT that has read a (possibly by now old) version,
@@ -659,22 +582,16 @@ func ReadersSize(rs []ReaderEntry) int {
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func decodeReaders(r *Reader) []ReaderEntry {
-	return decodeReadersInto(nil, r)
-}
-
-// decodeReadersInto appends the decoded entries to dst[:0], reusing its
-// backing array.
-func decodeReadersInto(dst []ReaderEntry, r *Reader) []ReaderEntry {
-	dst = dst[:0]
 	n := r.count(4) // a two-byte address, sequence, T
+	rs := make([]ReaderEntry, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		id := r.loRotID()
 		if r.Err() != nil {
 			return nil
 		}
-		dst = append(dst, ReaderEntry{RotID: id, T: r.Uvarint()})
+		rs = append(rs, ReaderEntry{RotID: id, T: r.Uvarint()})
 	}
-	return dst
+	return rs
 }
 
 // LoPutReq installs a new version of Key in CC-LO. Deps carries the
@@ -697,10 +614,6 @@ func (m *LoPutReq) Decode(r *Reader) {
 	m.Value = r.Bytes()
 	m.Deps = decodeDeps(r)
 }
-
-// Reset recycles nothing: Value is retained by the store and Deps rides
-// into the enqueued LoRepUpdate (CC-LO) or the stored version (COPS).
-func (m *LoPutReq) Reset() { *m = LoPutReq{} }
 
 // LoPutResp acknowledges a CC-LO PUT with the new version's Lamport
 // timestamp.
@@ -738,16 +651,8 @@ func (m *LoRotReq) Encode(b *Buffer) {
 func (m *LoRotReq) Decode(r *Reader) {
 	m.RotID = r.loRotID()
 	m.SeenTS = r.Uvarint()
-	m.Epochs = decodeEpochsInto(m.Epochs, r)
-	m.Keys = decodeStringsInto(m.Keys, r)
-}
-
-// Reset recycles the Keys and Epochs containers (the read path copies
-// string headers into its synchronously encoded response and folds the
-// epochs before returning).
-func (m *LoRotReq) Reset() {
-	clear(m.Keys)
-	*m = LoRotReq{Keys: m.Keys[:0], Epochs: m.Epochs[:0]}
+	m.Epochs = decodeEpochs(r)
+	m.Keys = decodeStrings(r)
 }
 
 // LoRotResp carries CC-LO read results, in the order of the request's keys,
@@ -769,7 +674,7 @@ func (m *LoRotResp) Encode(b *Buffer) {
 }
 func (m *LoRotResp) Decode(r *Reader) {
 	m.Vals = decodeVals(r)
-	m.Epochs = decodeEpochsInto(nil, r)
+	m.Epochs = decodeEpochs(r)
 }
 
 // OldReadersReq is the readers check: it asks a partition for the old
@@ -796,16 +701,9 @@ func (m *OldReadersReq) Encode(b *Buffer) {
 	b.U8(await)
 }
 func (m *OldReadersReq) Decode(r *Reader) {
-	m.Deps = decodeDepsInto(m.Deps, r)
-	m.Epochs = decodeEpochsInto(m.Epochs, r)
+	m.Deps = decodeDeps(r)
+	m.Epochs = decodeEpochs(r)
 	m.Await = r.U8() != 0
-}
-
-// Reset recycles the Deps and Epochs containers (the readers check only
-// scans them).
-func (m *OldReadersReq) Reset() {
-	clear(m.Deps)
-	*m = OldReadersReq{Deps: m.Deps[:0], Epochs: m.Epochs[:0]}
 }
 
 // OldReadersResp returns the collected old readers. Cumulative counts the
@@ -830,7 +728,7 @@ func (m *OldReadersResp) Encode(b *Buffer) {
 func (m *OldReadersResp) Decode(r *Reader) {
 	m.Readers = decodeReaders(r)
 	m.Cumulative = r.u32()
-	m.Epochs = decodeEpochsInto(nil, r)
+	m.Epochs = decodeEpochs(r)
 }
 
 // LoRepUpdate replicates one CC-LO version with its dependency list and the
@@ -860,13 +758,7 @@ func (m *LoRepUpdate) Decode(r *Reader) {
 	m.Value = r.Bytes()
 	m.TS = r.Uvarint()
 	m.Deps = decodeDeps(r)
-	m.OldReaders = decodeReadersInto(m.OldReaders, r)
-}
-
-// Reset recycles the OldReaders container (entries are merged by value);
-// Value and Deps are retained by the receiving store, so they are dropped.
-func (m *LoRepUpdate) Reset() {
-	*m = LoRepUpdate{OldReaders: m.OldReaders[:0]}
+	m.OldReaders = decodeReaders(r)
 }
 
 // DepCheckReq asks whether the receiver has installed every listed version
@@ -877,13 +769,7 @@ type DepCheckReq struct{ Deps []LoDep }
 
 func (*DepCheckReq) Type() uint16       { return TDepCheckReq }
 func (m *DepCheckReq) Encode(b *Buffer) { encodeDeps(b, m.Deps) }
-func (m *DepCheckReq) Decode(r *Reader) { m.Deps = decodeDepsInto(m.Deps, r) }
-
-// Reset recycles the Deps container (the check only scans it).
-func (m *DepCheckReq) Reset() {
-	clear(m.Deps)
-	*m = DepCheckReq{Deps: m.Deps[:0]}
-}
+func (m *DepCheckReq) Decode(r *Reader) { m.Deps = decodeDeps(r) }
 
 // DepCheckResp signals every listed dependency is present.
 type DepCheckResp struct{}
@@ -921,9 +807,6 @@ func (*Ping) Type() uint16       { return TPing }
 func (m *Ping) Encode(b *Buffer) { b.U64(m.Nonce) }
 func (m *Ping) Decode(r *Reader) { m.Nonce = r.U64() }
 
-// Reset clears the nonce.
-func (m *Ping) Reset() { *m = Ping{} }
-
 // Pong answers a Ping.
 type Pong struct{ Nonce uint64 }
 
@@ -936,8 +819,7 @@ func (m *Pong) Decode(r *Reader) { m.Nonce = r.U64() }
 // roughly the carried hint (with its own jitter). For Call-style requests it
 // travels as the response envelope; for one-way correlated requests (the
 // 1 1/2-round ROT's coordinator leg) it travels as a one-way message whose
-// Echo carries the request's correlation id. It is deliberately NOT pooled:
-// Call waiters and client ROT state retain it past the handler's return.
+// Echo carries the request's correlation id.
 type Busy struct {
 	// Echo is the shed request's correlation id (Correlated.CorrelationID)
 	// when the request was one-way; 0 for reqID-matched responses.
@@ -995,13 +877,7 @@ type CopsRotReq struct{ Keys []string }
 
 func (*CopsRotReq) Type() uint16       { return TCopsRotReq }
 func (m *CopsRotReq) Encode(b *Buffer) { encodeStrings(b, m.Keys) }
-func (m *CopsRotReq) Decode(r *Reader) { m.Keys = decodeStringsInto(m.Keys, r) }
-
-// Reset recycles the Keys container.
-func (m *CopsRotReq) Reset() {
-	clear(m.Keys)
-	*m = CopsRotReq{Keys: m.Keys[:0]}
-}
+func (m *CopsRotReq) Decode(r *Reader) { m.Keys = decodeStrings(r) }
 
 // CopsRotResp returns the latest versions plus their dependency lists, in
 // the order of the request's keys.
@@ -1047,9 +923,6 @@ func (m *CopsVerReq) Decode(r *Reader) {
 	m.TS = r.Uvarint()
 	m.Src = r.U8()
 }
-
-// Reset clears the scalar fields.
-func (m *CopsVerReq) Reset() { *m = CopsVerReq{} }
 
 // CopsVerResp returns the requested version (TS 0: the partition holds
 // nothing at or above it). The client knows the key it asked for, so the key

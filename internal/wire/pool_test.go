@@ -110,8 +110,7 @@ func TestEncodeFramePooledAllocFree(t *testing.T) {
 }
 
 // TestDecodeAllocsBounded guards the decode path: message instantiation and
-// field copies are inherent, but alloc count per envelope must stay small
-// and independent of pooling churn.
+// field copies are inherent, but alloc count per envelope must stay small.
 func TestDecodeAllocsBounded(t *testing.T) {
 	f := GetFrame()
 	defer PutFrame(f)

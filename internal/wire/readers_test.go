@@ -53,7 +53,7 @@ func TestReadersRoundTrip(t *testing.T) {
 			t.Fatalf("ReadersSize = %d, encoded %d bytes", ReadersSize(rs), len(b.B))
 		}
 		rd := NewReader(b.B)
-		got := decodeReadersInto(make([]ReaderEntry, 3, 8), rd)
+		got := decodeReaders(rd)
 		if rd.Err() != nil || rd.Remaining() != 0 || !slices.Equal(got, rs) {
 			t.Fatalf("trial %d: decoded %+v (err %v), want %+v", trial, got, rd.Err(), rs)
 		}
