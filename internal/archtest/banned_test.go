@@ -75,6 +75,9 @@ var bannedWords = []struct {
 	{"one client arm", "Config.NewClient has no second arm",
 		[]string{"internal/cluster/family.go"}, allFiles,
 		`mux (==|!=) nil`},
+	{"one replication stream", "core's batch cut ships through family.Replicator; core runs no stream, delivery loop or cursor persistence of its own",
+		[]string{"internal/core"}, allFiles,
+		`\brepStream\b|\breplicator\b|family\.Deliver\(|\.AppendCursor\(`},
 	{"one commit watermark", "core orders PUT timestamps, snapshot reads and the replication cut with one lock over its unfinished PUTs",
 		[]string{"internal/core"}, allFiles,
 		`\bputMu\b|\bdurGate\b|\bdurFlag\b|\brepUpdate\b|\blogInstall\b`},

@@ -230,7 +230,6 @@ var goStatements = map[string]struct {
 	loops map[string]string // function → the loop it starts
 }{
 	"internal/core": {nil, map[string]string{
-		"(*replicator).start": "one replication stream per remote DC",
 		"(*Server).Start":     "the version-vector report loop",
 		"(*Stabilizer).Start": "the stabilizer's loop",
 	}},

@@ -253,6 +253,10 @@ type visRow struct {
 	} `json:"stage_ms"`
 	ReportsPerS    float64            `json:"reports_per_s"`
 	BroadcastsPerS map[string]float64 `json:"broadcasts_per_s"` // by trigger, plus "all" as counted on the wire
+	// RepMsgsPerS is the replication stream's traffic, RepBatch and RepAck
+	// frames per second across every partition, as the network counts them
+	// for kv_transport_sent_msgs_total{type=...}.
+	RepMsgsPerS map[string]float64 `json:"rep_msgs_per_s"`
 }
 
 // BenchmarkVisibility measures the visibility pipeline of Contrarian on the
@@ -356,6 +360,8 @@ func BenchmarkVisibility(b *testing.B) {
 		probe()
 	}
 	b.ResetTimer()
+	sent := &local.Stats().Sent
+	repBatches, repAcks := sent[wire.TRepBatch].Msgs.Load(), sent[wire.TRepAck].Msgs.Load()
 	before, reports, bcasts, start := stabilizerBroadcasts(b, reg), tap.reports.Load(), tap.bcasts.Load(), time.Now()
 	locked := make([]time.Duration, b.N)
 	for i := range locked {
@@ -395,6 +401,10 @@ func BenchmarkVisibility(b *testing.B) {
 	for trigger, n := range after {
 		row.BroadcastsPerS[trigger] = (n - before[trigger]) / secs
 	}
+	row.RepMsgsPerS = map[string]float64{
+		"RepBatch": float64(sent[wire.TRepBatch].Msgs.Load()-repBatches) / secs,
+		"RepAck":   float64(sent[wire.TRepAck].Msgs.Load()-repAcks) / secs,
+	}
 	b.ReportMetric(0, "ns/op") // two phases of b.N probes: the per-probe numbers below are the result
 	b.ReportMetric(row.VisP50Ms, "vis-p50-ms")
 	b.ReportMetric(row.VisMeanMs, "vis-mean-ms")
@@ -405,6 +415,8 @@ func BenchmarkVisibility(b *testing.B) {
 	b.ReportMetric(row.ReportsPerS, "reports/s")
 	b.ReportMetric(row.BroadcastsPerS["all"], "bcasts/s")
 	b.ReportMetric(row.BroadcastsPerS["round"], "round-bcasts/s")
+	b.ReportMetric(row.RepMsgsPerS["RepBatch"], "rep-batches/s")
+	b.ReportMetric(row.RepMsgsPerS["RepAck"], "rep-acks/s")
 	if path := os.Getenv("BENCH_VIS_JSON"); path != "" {
 		data, err := json.MarshalIndent(map[string]any{"visibility": map[string]any{"change": row}}, "", "  ")
 		if err == nil {

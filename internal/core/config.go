@@ -89,6 +89,8 @@ const (
 	stabilizePeriod = 5 * time.Millisecond
 	// repBatchMax caps updates per replication batch.
 	repBatchMax = 256
+	// repWindow is one batch in flight per remote DC: stop-and-wait.
+	repWindow = 1
 	// repRetryTimeout bounds one replication batch attempt before the
 	// (idempotent) batch is retried; it masks WAN loss quickly. Half the
 	// dependency-list streams' timeout: a batch's receiver never waits on

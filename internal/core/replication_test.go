@@ -79,19 +79,19 @@ func (d *holdSynced) AppendSynced(_ []wal.Record, synced func(error)) error {
 	return nil
 }
 
-// cutServer is a bare server with one replication stream, for driving the
+// cutServer is a bare server with one replication queue, for driving the
 // commit watermark and the cut by hand.
-func cutServer(c hlc.Clock) (*Server, *repStream) {
+func cutServer(c hlc.Clock) (*Server, *repQueue) {
 	s := &Server{cfg: Config{NumDCs: 1}, clock: c}
 	s.wm.cond.L = &s.wm.mu
-	st := &repStream{s: s}
-	s.repl = &replicator{streams: []*repStream{st}}
-	return s, st
+	q := &repQueue{s: s}
+	s.queues = []*repQueue{q}
+	return s, q
 }
 
 // durableServer is an unstarted one-partition server in DC 0 of two, on a
 // Lamport clock, logging to dur, with a client; the test cuts its
-// replication stream by hand.
+// replication queue by hand.
 func durableServer(t *testing.T, dur wal.Durability) (*Server, *Client) {
 	t.Helper()
 	net := transport.NewLocal(transport.LatencyModel{})
@@ -193,7 +193,7 @@ func TestFailedAppendNeverVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, high := s.repl.streams[0].cut()
+	batch, high := s.queues[0].cut()
 	if len(batch) != 1 || batch[0].TS != ts || high < ts {
 		t.Fatalf("cut after the failed PUT (ts %d) = %v, HighTS %d; want only ts %d, cut at or past it", failed, batch, high, ts)
 	}
@@ -219,7 +219,7 @@ func TestUnsyncedPutBlocksCoveringRead(t *testing.T) {
 			synced(wal.ErrClosed)
 		}
 	}()
-	st := s.repl.streams[0]
+	st := s.queues[0]
 	if batch, high := st.cut(); len(batch) != 0 || high >= ts {
 		t.Fatalf("cut before the fsync = %d updates, HighTS %d; want none, below ts %d", len(batch), high, ts)
 	}

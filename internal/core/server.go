@@ -19,15 +19,16 @@ import (
 
 // Server is one partition replica of the timestamp-based engine: the
 // shared partition skeleton (family.Partition) plus what the timestamp
-// families add to it — the commit watermark, the batch-cut replication
-// stream and the stabilized snapshot.
+// families add to it — the commit watermark, the batch cut each
+// replication stream ships and the stabilized snapshot.
 type Server struct {
 	*family.Partition
-	cfg   Config
-	clock hlc.Clock
-	store *mvstore.Store
-	repl  *replicator
-	wm    watermark
+	cfg    Config
+	clock  hlc.Clock
+	store  *mvstore.Store
+	repl   *family.Replicator
+	queues []*repQueue // one per remote DC, the sources of repl's streams
+	wm     watermark
 
 	mu  sync.RWMutex
 	vv  vclock.Vec // vv[i], i ≠ local: latest ts received from DC i's replica
@@ -78,14 +79,14 @@ func (s *Server) begin(u *wire.Update) {
 	u.TS = s.clock.Tick()
 	u.DV[s.cfg.DC] = u.TS
 	s.wm.pending = append(s.wm.pending, pendingPut{ts: u.TS})
-	for _, st := range s.repl.streams {
-		st.queue = append(st.queue, *u)
+	for _, q := range s.queues {
+		q.queue = append(q.queue, *u)
 	}
 	s.wm.mu.Unlock()
 }
 
 // finish retires the PUT that begin stamped ts: installed (ok), or
-// abandoned, in which case its update leaves the stream queues unshipped.
+// abandoned, in which case its update leaves the replication queues unshipped.
 // Readers and cuts waiting on the finished prefix move on.
 func (s *Server) finish(ts uint64, ok bool) {
 	w := &s.wm
@@ -94,9 +95,9 @@ func (s *Server) finish(ts uint64, ok bool) {
 	i, _ := slices.BinarySearchFunc(w.pending, ts, func(p pendingPut, ts uint64) int { return cmp.Compare(p.ts, ts) })
 	w.pending[i].done = true
 	if !ok {
-		for _, st := range s.repl.streams {
-			if j, found := slices.BinarySearchFunc(st.queue, ts, func(u wire.Update, ts uint64) int { return cmp.Compare(u.TS, ts) }); found {
-				st.queue = slices.Delete(st.queue, j, j+1)
+		for _, q := range s.queues {
+			if j, found := slices.BinarySearchFunc(q.queue, ts, func(u wire.Update, ts uint64) int { return cmp.Compare(u.TS, ts) }); found {
+				q.queue = slices.Delete(q.queue, j, j+1)
 			}
 		}
 	}
@@ -158,13 +159,19 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 			return nil, err
 		}
 	}
-	// The replicator must exist before the server is reachable: the first
-	// PUT to arrive enqueues into its streams.
-	s.repl = newReplicator(s, recovered)
 	open, err := s.Attach(net, wire.ServerAddr(cfg.DC, cfg.Part), s.dispatch)
 	if err != nil {
 		return nil, err
 	}
+	// The queues, each holding the recovered updates its DC has not acked,
+	// must exist before the server is reachable: the first PUT joins them.
+	s.repl = family.NewReplicator(s.Node, cfg.DC, cfg.Part, cfg.NumDCs, cfg.Durable, repWindow, repRetryTimeout,
+		func(acked uint64) (family.Source, []uint64) {
+			i := sort.Search(len(recovered), func(i int) bool { return recovered[i].TS > acked })
+			q := &repQueue{s: s, queue: slices.Clone(recovered[i:])}
+			s.queues = append(s.queues, q)
+			return q, nil // a batch's ack covers all shipped before it
+		})
 	open()
 	return s, nil
 }
@@ -180,8 +187,8 @@ func NewServer(cfg Config, net transport.Network) (*Server, error) {
 // timestamp from a DC understates — never overstates — what was received,
 // which is the safe direction for the GSS.
 //
-// It returns the recovered LOCAL updates in timestamp order: the
-// replicator re-enqueues the suffix each remote DC has not acknowledged
+// It returns the recovered LOCAL updates in timestamp order: each
+// replication queue starts with the suffix its remote DC has not acknowledged
 // (per the durable cursors), closing the gap between a write surviving the
 // crash locally and it ever reaching the other DCs.
 func (s *Server) recover() ([]wire.Update, error) {
@@ -247,7 +254,7 @@ func (s *Server) ForEachLatest(fn func(key string, value []byte, ts uint64, srcD
 
 // Start launches replication streams and the VV reporting loop.
 func (s *Server) Start() {
-	s.repl.start()
+	s.repl.Start()
 	s.wg.Add(1)
 	go s.reportLoop()
 }
@@ -256,7 +263,7 @@ func (s *Server) Start() {
 func (s *Server) Close() error {
 	close(s.stop)
 	s.wm.close()
-	s.repl.stopAll()
+	s.repl.Stop()
 	s.wg.Wait()
 	return s.Node.Close()
 }
@@ -517,7 +524,7 @@ func (s *Server) readAt(sv vclock.Vec, keys []string) ([]wire.KV, time.Duration,
 // cursor — and is acked without being logged or installed. The drop is
 // provably safe: every update in the batch has ts ≤ HighTS, and vv[src] = H
 // means the origin's stop-and-wait stream and its cut invariant (see
-// repStream.cut) already delivered us every origin update with ts ≤ H,
+// repQueue.cut) already delivered us every origin update with ts ≤ H,
 // since VV moves only after a batch's installs. Any other batch is applied;
 // installs are idempotent, so a re-shipped recovered tail above VV is safe.
 func (s *Server) handleRepBatch(src wire.From, reqID uint64, m *wire.RepBatch) family.Op {
@@ -588,6 +595,14 @@ func (s *Server) report() {
 		Part: uint32(s.cfg.Part),
 		VV:   s.vvSnapshot(),
 	})
+}
+
+// newTicker wraps time.NewTicker, flooring the period at a safe minimum.
+func newTicker(d time.Duration) *time.Ticker {
+	if d < 100*time.Microsecond {
+		d = 100 * time.Microsecond
+	}
+	return time.NewTicker(d)
 }
 
 // reportLoop is the reporting floor: at each stabilization period's tick it

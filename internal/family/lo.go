@@ -1,7 +1,10 @@
 package family
 
 import (
+	"context"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/hlc"
@@ -45,7 +48,7 @@ type LoStore struct {
 // protocol's crash safety, so it is written down once, here:
 //
 //   - Track before append. The cursor frontier treats timestamps it has
-//     never seen as acknowledged (see WindowReplicator.Track), so a local
+//     never seen as acknowledged (see Replicator.Track), so a local
 //     update is registered with the streams before it can become durable.
 //   - Durability gates VISIBILITY, not just the acknowledgment. The real
 //     fsync (even in background-sync mode) completes before the install, so
@@ -79,7 +82,7 @@ type LoServer struct {
 
 	recovered []*wire.LoRepUpdate // Replay's local updates, for Attach
 	deps      *DepWaiter
-	repl      *WindowReplicator
+	repl      *updateStreams
 }
 
 // NewLoServer builds the skeleton of partition (dc, part). Replay it (when
@@ -171,7 +174,7 @@ func (s *LoServer) Attach(net transport.Network, dispatch Dispatch) error {
 		s.durable.SetSnapshotSource(s.store.Snapshot)
 	}
 	s.deps = NewDepWaiter(s.Node, s.dc, s.part, s.Ring, s.store.HasVersion)
-	s.repl = NewWindowReplicator(s.Node, s.dc, s.part, s.numDCs, s.durable, s.recovered)
+	s.repl = newUpdateStreams(s.Node, s.dc, s.part, s.numDCs, s.durable, s.recovered)
 	s.recovered = nil
 	open()
 	return nil
@@ -312,5 +315,90 @@ func installRecords(install wal.Record, readers []wire.ReaderEntry) []wal.Record
 	return []wal.Record{
 		{Kind: wal.RecReaders, Key: install.Key, TS: install.TS, SrcDC: install.SrcDC, Readers: readers},
 		install,
+	}
+}
+
+const (
+	// repWindow is the number of replication updates in flight per remote
+	// DC; receivers order installs by dependency checks, not sequencing.
+	repWindow = 64
+	// repRetryTimeout bounds one replication attempt before the
+	// (idempotent) update is retried; it masks WAN loss quickly, and covers a
+	// receiver that waits out a dependency check before it acks.
+	repRetryTimeout = 2 * time.Second
+)
+
+// updateStreams is a dependency-list partition's Replicator over one
+// updateQueue per remote DC; receivers order installs by dependency checks.
+type updateStreams struct {
+	*Replicator
+	queues []*updateQueue
+}
+
+// newUpdateStreams seeds each queue with the recovered local updates
+// (timestamp order) above its DC's cursor, and tracks them. They re-ship
+// what their pre-crash enqueue carried; the receiver still runs its checks.
+func newUpdateStreams(node transport.Node, dc, part, numDCs int, durable wal.Durability, recovered []*wire.LoRepUpdate) *updateStreams {
+	s := &updateStreams{}
+	s.Replicator = NewReplicator(node, dc, part, numDCs, durable, repWindow, repRetryTimeout, func(acked uint64) (Source, []uint64) {
+		i := sort.Search(len(recovered), func(i int) bool { return recovered[i].TS > acked })
+		q := &updateQueue{queue: slices.Clone(recovered[i:]), wake: make(chan struct{}, 1)}
+		s.queues = append(s.queues, q)
+		tracked := make([]uint64, len(q.queue))
+		for j, u := range q.queue {
+			tracked[j] = u.TS
+		}
+		return q, tracked
+	})
+	return s
+}
+
+// Enqueue hands one committed local update to every stream; it never
+// blocks. The streams share u and only read it.
+func (s *updateStreams) Enqueue(u *wire.LoRepUpdate) {
+	for _, q := range s.queues {
+		q.push(u)
+	}
+}
+
+// updateQueue is one remote DC's Source, in commit order. It is unbounded:
+// a put is durable and visible before it is enqueued, and causal
+// consistency stays available under partition, so a severed WAN must never
+// hold up a put.
+type updateQueue struct {
+	mu    sync.Mutex
+	queue []*wire.LoRepUpdate // enqueued, not yet launched
+	wake  chan struct{}       // holds a token once the queue has grown
+}
+
+func (q *updateQueue) push(u *wire.LoRepUpdate) {
+	q.mu.Lock()
+	q.queue = append(q.queue, u)
+	q.mu.Unlock()
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// Next takes the oldest queued update, waiting for one; its ack covers its
+// timestamp. Taking them in order sends an update's same-partition
+// dependencies no later than the update.
+func (q *updateQueue) Next(ctx context.Context) (wire.Message, uint64, bool) {
+	for {
+		q.mu.Lock()
+		if len(q.queue) > 0 {
+			u := q.queue[0]
+			q.queue[0] = nil // release it from the backing array
+			q.queue = q.queue[1:]
+			q.mu.Unlock()
+			return u, u.TS, true
+		}
+		q.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return nil, 0, false
+		case <-q.wake:
+		}
 	}
 }

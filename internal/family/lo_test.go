@@ -77,7 +77,7 @@ func (r *loRig) attach(t *testing.T) {
 	}
 	seen := false
 	r.ev.before = func() string {
-		if !seen && len(r.srv.repl.streams[0].queued()) > 0 {
+		if !seen && len(r.srv.repl.queues[0].queued()) > 0 {
 			seen = true
 			return "enqueue"
 		}
@@ -85,11 +85,11 @@ func (r *loRig) attach(t *testing.T) {
 	}
 }
 
-// queued returns what the stream holds that it has not launched yet.
-func (st *windowStream) queued() []*wire.LoRepUpdate {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return slices.Clone(st.queue)
+// queued returns what the queue holds that its stream has not launched yet.
+func (q *updateQueue) queued() []*wire.LoRepUpdate {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return slices.Clone(q.queue)
 }
 
 // waiter blocks a dependency check on the first version of key and records
@@ -153,7 +153,7 @@ func TestCommitLocalOrder(t *testing.T) {
 				t.Fatalf("acknowledged timestamp %d, want %d", resp.TS, tc.wantTS)
 			}
 			want := []*wire.LoRepUpdate{{SrcDC: 0, Key: r.own, Value: []byte("v"), TS: tc.wantTS, Deps: deps, OldReaders: tc.readers}}
-			if u := r.srv.repl.streams[0].queued(); !reflect.DeepEqual(u, want) {
+			if u := r.srv.repl.queues[0].queued(); !reflect.DeepEqual(u, want) {
 				t.Fatalf("enqueued %+v, want %+v", u, want)
 			}
 			if op.Kind != OpPut || op.Key != r.own || op.Commit.IsZero() {
@@ -290,7 +290,7 @@ func TestReplay(t *testing.T) {
 	if r.dur.source == nil {
 		t.Fatal("Attach registered no snapshot source")
 	}
-	if got := len(r.srv.repl.streams[0].queued()); got != 2 {
+	if got := len(r.srv.repl.queues[0].queued()); got != 2 {
 		t.Fatalf("stream queue holds %d recovered updates, want 2", got)
 	}
 

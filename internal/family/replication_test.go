@@ -3,7 +3,6 @@ package family
 import (
 	"context"
 	"errors"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,7 +52,7 @@ func TestCursorPersistedOnlyWhenFrontierMoves(t *testing.T) {
 	var acks gatedAcks
 	node := newFakeNode(acks.onCall)
 	dur := newFakeDurable()
-	r := NewWindowReplicator(node, 0, 0, 2, dur, nil)
+	r := newUpdateStreams(node, 0, 0, 2, dur, nil)
 	r.Start()
 	defer r.Stop()
 
@@ -111,7 +110,7 @@ func TestLostAckResendsSameUpdate(t *testing.T) {
 		return &wire.RepAck{}, nil
 	})
 	dur := newFakeDurable()
-	r := NewWindowReplicator(node, 0, 0, 2, dur, nil)
+	r := newUpdateStreams(node, 0, 0, 2, dur, nil)
 	r.Start()
 	defer r.Stop()
 	r.Track(7)
@@ -142,65 +141,13 @@ func TestLostAckResendsSameUpdate(t *testing.T) {
 	}
 }
 
-// TestRecoveredTailResentAboveEachCursor: a recovering partition re-ships
-// to each DC exactly the recovered updates above that DC's cursor, once,
-// and nothing at or below it.
-func TestRecoveredTailResentAboveEachCursor(t *testing.T) {
-	node := newFakeNode(ackAll)
-	dur := newFakeDurable(wal.Cursor{DstDC: 1, HighTS: 20}) // DC2 has acked nothing
-	recovered := []*wire.LoRepUpdate{update(10), update(20), update(30)}
-	r := NewWindowReplicator(node, 0, 3, 3, dur, recovered)
-	// Each stream launches its queue in timestamp order, which is what sends
-	// an update's same-partition dependencies no later than the update.
-	for i, want := range [][]uint64{{30}, {10, 20, 30}} {
-		var got []uint64
-		for _, u := range r.streams[i].queued() {
-			got = append(got, u.TS)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("stream to DC%d queued %v before Start, want %v", r.streams[i].dstDC, got, want)
-		}
-	}
-	r.Start()
-
-	sent := map[wire.Addr][]uint64{} // destination → TS (deliveries run concurrently, so sorted)
-	for range 4 {
-		c := node.nextCall(t)
-		sent[c.dst] = append(sent[c.dst], c.m.(*wire.LoRepUpdate).TS)
-	}
-	for _, ts := range sent {
-		slices.Sort(ts)
-	}
-	r.Stop()
-	select {
-	case c := <-node.calls:
-		t.Fatalf("a recovered update was shipped twice: %+v to %v", c.m, c.dst)
-	default:
-	}
-	if got, want := sent[wire.ServerAddr(1, 3)], []uint64{30}; !slices.Equal(got, want) {
-		t.Fatalf("DC1 (cursor 20) was re-sent %v, want %v", got, want)
-	}
-	if got, want := sent[wire.ServerAddr(2, 3)], []uint64{10, 20, 30}; !slices.Equal(got, want) {
-		t.Fatalf("DC2 (no cursor) was re-sent %v, want %v", got, want)
-	}
-	// Every re-shipped update was tracked, so the acks move both frontiers
-	// to the newest recovered timestamp.
-	high := map[uint8]uint64{}
-	for _, c := range dur.cursors() {
-		high[c.DstDC] = max(high[c.DstDC], c.HighTS)
-	}
-	if high[1] != 30 || high[2] != 30 {
-		t.Fatalf("frontiers after the re-ship = %v, want 30 for both DCs", high)
-	}
-}
-
 // TestTrackedNeverAckedPinsFrontier: a timestamp that was tracked but whose
 // update never shipped (its put failed after Track) holds the frontier
 // below it, whatever is acknowledged above.
 func TestTrackedNeverAckedPinsFrontier(t *testing.T) {
 	node := newFakeNode(ackAll)
 	dur := newFakeDurable()
-	r := NewWindowReplicator(node, 0, 0, 2, dur, nil)
+	r := newUpdateStreams(node, 0, 0, 2, dur, nil)
 	r.Start()
 	r.Track(5)
 	for _, ts := range []uint64{7, 9} {
@@ -225,7 +172,7 @@ func TestStopAbortsCallInFlight(t *testing.T) {
 		return nil, ctx.Err()
 	})
 	dur := newFakeDurable()
-	r := NewWindowReplicator(node, 0, 0, 2, dur, nil)
+	r := newUpdateStreams(node, 0, 0, 2, dur, nil)
 	r.Start()
 	r.Track(1)
 	r.Enqueue(update(1))
@@ -249,7 +196,7 @@ func TestStopAbortsCallInFlight(t *testing.T) {
 // TestDeliverRetriesErrorAnswers: over a real carrier, an attempt the
 // receiver answers with an error (a WAL failure's 500, an admission shed)
 // is retried, never taken as the ack; the first plain answer is. An
-// endless run of errors ends only with ctx, and Deliver says it failed.
+// endless run of errors ends only with ctx, and deliver says it failed.
 func TestDeliverRetriesErrorAnswers(t *testing.T) {
 	net := transport.NewLocal(transport.LatencyModel{})
 	defer net.Close()
@@ -272,8 +219,8 @@ func TestDeliverRetriesErrorAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Deliver(context.Background(), sender, wire.ServerAddr(1, 0), update(1), time.Second) {
-		t.Fatal("Deliver gave up under a live context")
+	if !deliver(context.Background(), sender, wire.ServerAddr(1, 0), update(1), time.Second) {
+		t.Fatal("deliver gave up under a live context")
 	}
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("acked after %d attempts, want 3 (an ErrorResp and a Busy retried, then the ack)", got)
@@ -282,15 +229,15 @@ func TestDeliverRetriesErrorAnswers(t *testing.T) {
 	ackFrom.Store(1 << 30)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if Deliver(ctx, sender, wire.ServerAddr(1, 0), update(2), time.Second) {
-		t.Fatal("Deliver reported an ack the receiver never sent")
+	if deliver(ctx, sender, wire.ServerAddr(1, 0), update(2), time.Second) {
+		t.Fatal("deliver reported an ack the receiver never sent")
 	}
 }
 
 // TestStopWithoutStart: stopping a replicator that was never started
 // returns at once (a server closed on its builder's error path).
 func TestStopWithoutStart(t *testing.T) {
-	r := NewWindowReplicator(newFakeNode(ackAll), 0, 0, 3, nil, nil)
+	r := newUpdateStreams(newFakeNode(ackAll), 0, 0, 3, nil, nil)
 	within(t, time.Second, "Stop on an unstarted replicator", r.Stop)
 }
 
@@ -311,7 +258,7 @@ func TestEnqueueNeverBlocks(t *testing.T) {
 	})
 	const n = 10000
 	node.calls = make(chan call, 4*n) // every Call, with room for a retry of each, so none blocks
-	r := NewWindowReplicator(node, 1, 0, 3, nil, nil)
+	r := newUpdateStreams(node, 1, 0, 3, nil, nil)
 	r.Start()
 	defer r.Stop()
 	within(t, 5*time.Second, "Enqueue behind a severed WAN", func() {
@@ -327,5 +274,62 @@ func TestEnqueueNeverBlocks(t *testing.T) {
 	}
 	if len(last) != 2 || last[wire.ServerAddr(0, 0)] != n || last[wire.ServerAddr(2, 0)] != n {
 		t.Fatalf("DC1's partition 0 shipped up to %v, want %d to its siblings in DC0 and DC2", last, n)
+	}
+}
+
+// stopAndWait is a window-of-one source like core's batch cut: message i
+// covers i, except that every third one is a heartbeat covering nothing.
+// Next fails the test if the previous message's cursor is not yet persisted
+// when it is asked for the next one.
+type stopAndWait struct {
+	t       *testing.T
+	dur     *fakeDurable
+	n, i    uint64
+	covered []uint64 // what messages 1..i covered
+}
+
+func (s *stopAndWait) Next(ctx context.Context) (wire.Message, uint64, bool) {
+	if got := len(s.dur.cursorCh); got != len(s.covered) {
+		s.t.Errorf("asked for message %d with %d cursors persisted, want %d", s.i+1, got, len(s.covered))
+	}
+	if s.i == s.n {
+		<-ctx.Done()
+		return nil, 0, false
+	}
+	s.i++
+	covers := s.i
+	if s.i%3 == 0 {
+		covers = 0
+	} else {
+		s.covered = append(s.covered, covers)
+	}
+	return &wire.RepBatch{HighTS: s.i}, covers, true
+}
+
+// TestStopAndWaitPersistsEveryCover: through a durable Replicator with a
+// window of one, each ack that covers a timestamp persists it as the
+// cursor, before the next message is asked for; a heartbeat's ack persists
+// nothing.
+func TestStopAndWaitPersistsEveryCover(t *testing.T) {
+	const n = 3000
+	node := newFakeNode(ackAll)
+	node.calls = make(chan call, n)
+	dur := newFakeDurable()
+	dur.cursorCh = make(chan wal.Cursor, n)
+	src := &stopAndWait{t: t, dur: dur, n: n}
+	r := NewReplicator(node, 0, 0, 2, dur, 1, time.Second, func(uint64) (Source, []uint64) { return src, nil })
+	r.Start()
+	for range n {
+		node.nextCall(t)
+	}
+	r.Stop()
+	got := dur.cursors()
+	if len(got) != len(src.covered) {
+		t.Fatalf("%d cursors persisted, want %d", len(got), len(src.covered))
+	}
+	for i, c := range got {
+		if c.DstDC != 1 || c.HighTS != src.covered[i] {
+			t.Fatalf("cursor %d = %+v, want DC1 at %d", i, c, src.covered[i])
+		}
 	}
 }

@@ -402,17 +402,18 @@ type localNode struct {
 func (n *localNode) send(ctx context.Context, env wire.Envelope) error {
 	f := wire.GetFrame()
 	f.Envelope(&env)
-	bytes := uint64(len(f.B))
+	t, bytes := env.Msg.Type(), uint64(len(f.B))
+	// Counted before the flight, which at zero latency may deliver and see
+	// the reply before fly returns; a send that shutdown aborts is taken
+	// back, as on TCP, so it does not inflate the traffic metrics.
+	n.stats.sent(t, 1, bytes)
 	if n.net.dropMsg(env.Src, env.Dst) {
 		n.stats.Dropped.Add(1)
 		wire.PutFrame(f) // lost in flight; sender cannot tell
 	} else if err := n.net.fly(ctx, env.Src, env.Dst, f); err != nil {
+		n.stats.sent(t, -1, bytes)
 		return err
 	}
-	// Counted only once the message is committed to the network (or
-	// charged as lost in flight), matching the TCP path: sends aborted by
-	// shutdown must not inflate the traffic metrics benchmarks report.
-	n.stats.sent(env.Msg.Type(), bytes)
 	return nil
 }
 

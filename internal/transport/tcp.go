@@ -463,14 +463,15 @@ func (n *tcpNode) send(ctx context.Context, env wire.Envelope) error {
 	f.AppendEnvelope(&env)
 	// Exclude the 4-byte length prefix so BytesSent counts envelope bytes
 	// on both transports (Local has no framing), keeping the paper's
-	// communication-overhead metrics comparable across deployments. Sized
-	// before enqueue (which takes ownership of f) and counted only after
-	// it succeeds, so aborted sends don't inflate the traffic metrics.
-	bytes := uint64(len(f.B) - wire.FrameHdrLen)
+	// communication-overhead metrics comparable across deployments. Counted
+	// before enqueue, whose writer may send f and see the reply before it
+	// returns; a refused send is taken back, so aborts inflate nothing.
+	t, bytes := env.Msg.Type(), uint64(len(f.B)-wire.FrameHdrLen)
+	n.stats.sent(t, 1, bytes)
 	if err := tc.w.enqueue(ctx, f); err != nil {
+		n.stats.sent(t, -1, bytes)
 		return err
 	}
-	n.stats.sent(env.Msg.Type(), bytes)
 	return nil
 }
 

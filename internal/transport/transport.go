@@ -171,12 +171,13 @@ type Stats struct {
 	Sessions metrics.Gauge
 }
 
-// sent counts one frame of message type t and its envelope bytes.
-func (s *Stats) sent(t uint16, bytes uint64) {
-	s.MsgsSent.Add(1)
-	s.BytesSent.Add(bytes)
-	s.Sent[t].Msgs.Add(1)
-	s.Sent[t].Bytes.Add(bytes)
+// sent counts n frames of message type t (n = -1 takes one back) with
+// their envelope bytes.
+func (s *Stats) sent(t uint16, n int, bytes uint64) {
+	s.MsgsSent.Add(uint64(n))
+	s.BytesSent.Add(uint64(n) * bytes)
+	s.Sent[t].Msgs.Add(uint64(n))
+	s.Sent[t].Bytes.Add(uint64(n) * bytes)
 }
 
 // StatsView is a frozen copy of every transport counter. FlushP99Delay is

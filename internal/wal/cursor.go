@@ -33,12 +33,14 @@ func (t *CursorTracker) Ack(ts uint64) (highTS uint64, advanced bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	before := t.frontier()
-	if t.acked == nil {
-		t.acked = make(map[uint64]int)
-	}
-	t.acked[ts]++
-	if ts > t.maxAcked {
-		t.maxAcked = ts
+	t.maxAcked = max(t.maxAcked, ts)
+	// Keep only an ack the heap can hold: one below every outstanding
+	// timestamp was never enqueued (a stop-and-wait stream enqueues none).
+	if len(t.unacked) > 0 && ts >= t.unacked[0] {
+		if t.acked == nil {
+			t.acked = make(map[uint64]int)
+		}
+		t.acked[ts]++
 	}
 	// Pop every heap head whose ack has arrived.
 	for len(t.unacked) > 0 {

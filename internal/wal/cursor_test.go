@@ -234,3 +234,29 @@ func TestCursorTrackerFrontier(t *testing.T) {
 		t.Fatalf("ack(50) = (%d, %v), want 50", high, adv)
 	}
 }
+
+// TestCursorTrackerKeepsNoUntrackedAcks: a stop-and-wait stream acks
+// timestamps it never enqueued. Each ack moves the frontier and none is
+// kept, however many arrive; nor is an ack below the oldest outstanding
+// timestamp, which no later pop could reach.
+func TestCursorTrackerKeepsNoUntrackedAcks(t *testing.T) {
+	var tr CursorTracker
+	for ts := uint64(1); ts <= 10000; ts++ {
+		if high, adv := tr.Ack(ts); !adv || high != ts {
+			t.Fatalf("ack(%d) = (%d, %v), want frontier %d", ts, high, adv, ts)
+		}
+	}
+	if n := len(tr.acked); n != 0 {
+		t.Fatalf("tracker keeps %d acks after 10000 untracked ones, want 0", n)
+	}
+	tr.Enqueue(20000)
+	if high, adv := tr.Ack(15000); adv || high != 19999 {
+		t.Fatalf("ack(15000) under outstanding 20000 = (%d, %v), want frontier 19999, no advance", high, adv)
+	}
+	if high, adv := tr.Ack(20000); !adv || high != 20000 {
+		t.Fatalf("ack(20000) = (%d, %v), want 20000", high, adv)
+	}
+	if len(tr.acked) != 0 || len(tr.unacked) != 0 {
+		t.Fatalf("tracker keeps %d acks and %d outstanding, want none", len(tr.acked), len(tr.unacked))
+	}
+}

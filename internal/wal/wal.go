@@ -127,7 +127,8 @@ type Durability interface {
 	// under SyncAlways the covering fsync has completed; under
 	// SyncBackground the records are written to the OS and the fsync is
 	// pending (the bounded loss window). Concurrent Appends are
-	// group-committed into shared fsyncs.
+	// group-committed into shared fsyncs. No server calls it (installs wait
+	// for their fsync); it stays for the benchmark's tracing decorator.
 	Append(recs ...Record) error
 	// AppendSynced is Append plus a real-durability notification: synced
 	// fires with nil exactly when the fsync covering recs has completed
